@@ -10,7 +10,9 @@
    - unresolved: fewer than 10 pairs, or the parent's spread is wider
      than the bound and not every change run beats every parent run;
    - unchanged: otherwise.
-   A higher share of failed operations is flagged on its own. *)
+   A metric that does not apply to a workload ([Catalogue.applies]) is
+   shown as n/a and not graded. A higher share of failed operations is
+   flagged on its own. *)
 
 module Json = Entropy_obs.Json
 
@@ -88,6 +90,7 @@ let main ~spec ~parent ~change =
           in
           let v =
             match List.assoc_opt m.Catalogue.name bounds with
+            | _ when not (Catalogue.applies m.Catalogue.name w) -> "n/a"
             | None -> "no bound in spec"
             | Some _ when List.length pv < 2 || List.length cv < 2 -> "unresolved (no runs)"
             | Some bound -> verdict ~better:m.Catalogue.better ~bound pv cv

@@ -28,7 +28,7 @@ let append_line path line =
   close_out oc
 
 let run_one (w : Workloads.t) ~seed ~seconds ~trace ~json ~chrome =
-  let seed = Option.value ~default:w.Workloads.default_seed seed in
+  let seed = Option.value ~default:0 seed in
   let r =
     if trace then Run.traced w ~seed ~seconds ~chrome
     else Run.end_to_end w ~seed ~seconds
@@ -90,7 +90,7 @@ let main argv =
     let specs =
       [
         ("--workload", Arg.Set_string workload, "NAME workload, or all");
-        ("--seed", Arg.Int (fun s -> seed := Some s), "N input seed (default: the workload's)");
+        ("--seed", Arg.Int (fun s -> seed := Some s), "N seed ordering the input pool (default 0)");
         ("--seconds", Arg.Set_float seconds, "S measuring budget (default 20)");
         ("--trace", Arg.Set_int trace, "0|1 untraced end-to-end run, or traced per-layer run");
         ("--json", Arg.String (fun f -> json := Some f), "FILE append the result to FILE");

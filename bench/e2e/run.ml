@@ -2,13 +2,13 @@
 
    Set-up is the untimed warm-up operation on the workload's fixed
    warm-up input; an untraced run does it five times and reports the
-   median. It then times operations on inputs drawn from the seed until
-   the budget is spent. A traced run (the per-layer metrics) times the
-   first half of the budget untraced, then reruns exactly those
-   operations with [Obs.enabled], each under a [bench.op] span, and
-   checks itself: the traced operations reproduce the untraced results,
-   the trace ring dropped nothing, and the layers' self times add up to
-   the root span. *)
+   median. It then times operations on inputs drawn from the workload's
+   pool until the budget is spent and the last batch of operations is
+   complete. A traced run (the per-layer metrics) times the first half of
+   the budget untraced, then reruns exactly those operations with
+   [Obs.enabled], each under a [bench.op] span, and checks itself: the
+   traced operations reproduce the untraced results, the trace ring
+   dropped nothing, and the layers' self times add up to the root span. *)
 
 module W = Workloads
 module Obs = Entropy_obs.Obs
@@ -37,6 +37,10 @@ let units =
     (fun m -> (m.Catalogue.name, m.Catalogue.unit_))
     (Catalogue.end_to_end @ Catalogue.per_layer)
 
+(* Per-layer metrics reported as measured, so the correction can be
+   checked or redone. *)
+let as_measured = [ "op_wall_ms.p50"; "hostspeed.kernel_ms" ]
+
 (* Per-layer times and rates of a work-bound workload, read at reference
    host speed. *)
 let at_reference_speed (w : W.t) metrics =
@@ -46,6 +50,7 @@ let at_reference_speed (w : W.t) metrics =
     List.map
       (fun (name, v) ->
         match List.assoc name units with
+        | _ when List.mem name as_measured -> (name, v)
         | "s" | "ms" -> (name, v *. k)
         | "1/s" -> (name, v /. k)
         | _ -> (name, v))
@@ -72,7 +77,13 @@ let work_dir name =
       if Sys.file_exists root && Sys.readdir root = [||] then Sys.rmdir root);
   dir
 
-type timed = { wall_s : float; res : W.op_result; alloc_words : float; majors : int }
+type timed = {
+  op_s : float;  (** at reference host speed *)
+  wall_s : float;  (** as measured *)
+  res : W.op_result;
+  alloc_words : float;
+  majors : int;
+}
 
 let allocated_words () =
   let s = Gc.quick_stat () in
@@ -86,45 +97,44 @@ let settle () =
   Gc.full_major ();
   Hostspeed.sample ()
 
-(* [f ()] and its wall time, for a work-bound workload read at reference
-   host speed from kernel samples taken right before and right after it:
-   a slowdown of the host lasting seconds is cancelled for the operations
-   it hits, not only on average. *)
+(* [f ()], its wall time, and its time at reference host speed: for a
+   work-bound workload, the wall time read from kernel samples taken right
+   before and right after it, so a slowdown of the host lasting seconds
+   is cancelled for the operations it hits, not only on average. *)
 let timed (w : W.t) f =
   let k0 = settle () in
   let t0 = now () in
   let x = f () in
   let dt = now () -. t0 in
   let k1 = settle () in
-  (x, if w.W.wall_clock_bound then dt else dt *. Hostspeed.reference_s /. ((k0 +. k1) /. 2.))
-
-let input (w : W.t) ~seed i = W.input_seed seed (i / w.W.timings_per_input)
+  (x, dt, if w.W.wall_clock_bound then dt else dt *. Hostspeed.reference_s /. ((k0 +. k1) /. 2.))
 
 (* Set-up time and the warm-up operation's problems. *)
 let set_up (w : W.t) ~tmp =
   W.forget_inputs ();
-  let problems, dt =
+  let problems, _, dt =
     timed w (fun () ->
-        let op = w.W.op ~tmp ~traced:false W.warmup_input in
+        let op = w.W.op ~tmp ~traced:false w.W.warmup in
         op.W.run ();
         (op.W.finish ()).W.problems)
   in
   (dt, problems)
 
-(* Operations 0, 1, ... until [stop i elapsed] holds. *)
-let measure (w : W.t) ~tmp ~seed ~stop =
+(* Operations 0, 1, ... until [min_ops] are done, [seconds] have passed
+   and the last batch is complete. *)
+let measure (w : W.t) ~tmp ~seed ~seconds =
   let t_start = now () in
   let rec go i acc =
-    if stop i (now () -. t_start) then List.rev acc
+    if i >= min_ops && now () -. t_start >= seconds && i mod w.W.batch = 0 then List.rev acc
     else begin
-      let op = w.W.op ~tmp ~traced:false (input w ~seed i) in
-      let (alloc_words, majors), wall_s =
+      let op = w.W.op ~tmp ~traced:false (w.W.input ~seed i) in
+      let (alloc_words, majors), wall_s, op_s =
         timed w (fun () ->
             let a0 = allocated_words () and m0 = major_collections () in
             op.W.run ();
             (allocated_words () -. a0, major_collections () - m0))
       in
-      go (i + 1) ({ wall_s; res = op.W.finish (); alloc_words; majors } :: acc)
+      go (i + 1) ({ op_s; wall_s; res = op.W.finish (); alloc_words; majors } :: acc)
     end
   in
   go 0 []
@@ -144,10 +154,10 @@ let end_to_end (w : W.t) ~seed ~seconds =
      not depend on which operations a run happens to draw *)
   let heap = heap_mb () in
   let setups = first :: List.init (setup_reps - 1) (fun _ -> set_up w ~tmp) in
-  let ops = measure w ~tmp ~seed ~stop:(fun i elapsed -> i >= min_ops && elapsed >= seconds) in
+  let ops = measure w ~tmp ~seed ~seconds in
   let sum f = Stats.sum_by (fun t -> f t.res.W.outcome) ops in
   let switches = sum (fun o -> float_of_int o.W.switches) in
-  let walls_ms = List.map (fun t -> 1000. *. t.wall_s) ops in
+  let op_ms = List.map (fun t -> 1000. *. t.op_s) ops in
   let setup_problems = List.concat_map snd setups in
   let failed = failing_ops ops + if setup_problems = [] then 0 else 1 in
   {
@@ -157,8 +167,8 @@ let end_to_end (w : W.t) ~seed ~seconds =
     metrics =
       [
         ("setup_s", Stats.median (List.map fst setups));
-        ("op_ms.p50", Stats.median walls_ms);
-        ("op_ms.p90", Stats.percentile walls_ms 0.9);
+        ("op_ms.p50", Stats.median op_ms);
+        ("op_ms.p90", Stats.percentile op_ms 0.9);
         ("switch_cost", Stats.ratio (sum (fun o -> float_of_int o.W.cost)) switches);
         ("switch_s", Stats.ratio (sum (fun o -> o.W.switch_time_s)) switches);
         ("makespan_s", Stats.mean (List.map (fun t -> t.res.W.outcome.W.makespan_s) ops));
@@ -175,7 +185,7 @@ type traced_op = {
   profile : Layers.op_profile;
   counters : (string * int) list;
   t_res : W.op_result;
-  t_wall : float;
+  t_op : float;  (** at reference host speed *)
 }
 
 let traced_pass (w : W.t) ~tmp ~seed ~count ~chrome =
@@ -185,9 +195,9 @@ let traced_pass (w : W.t) ~tmp ~seed ~count ~chrome =
   let report fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let ops =
     List.init count (fun i ->
-        let op = w.W.op ~tmp ~traced:true (input w ~seed i) in
+        let op = w.W.op ~tmp ~traced:true (w.W.input ~seed i) in
         Obs.reset ();
-        let (), t_wall = timed w (fun () -> Obs.span ~name:"bench.op" op.W.run) in
+        let (), _, t_op = timed w (fun () -> Obs.span ~name:"bench.op" op.W.run) in
         let events = Trace.events () and dropped = Trace.dropped () in
         let counters = Metrics.counters () in
         (match chrome with Some path when i = 0 -> Obs.write_trace path | _ -> ());
@@ -199,7 +209,7 @@ let traced_pass (w : W.t) ~tmp ~seed ~count ~chrome =
             profile.Layers.root_us;
         if profile.Layers.outside_us > 0. then
           report "op %d: %.0f us of spans outside bench.op" i profile.Layers.outside_us;
-        { profile; counters; t_res = op.W.finish (); t_wall })
+        { profile; counters; t_res = op.W.finish (); t_op })
   in
   Obs.enabled := false;
   (ops, List.rev !problems)
@@ -266,15 +276,15 @@ let per_layer_metrics ~untraced ~traced =
       ("gc.alloc_mb", per_untraced (fun t -> t.alloc_words *. float_of_int (Sys.word_size / 8) /. 1e6));
       ("gc.major", per_untraced (fun t -> float_of_int t.majors));
       ( "obs.overhead_ratio",
-        Stats.ratio (Stats.sum_by (fun t -> t.t_wall) traced) (Stats.sum_by (fun t -> t.wall_s) untraced) );
+        Stats.ratio (Stats.sum_by (fun t -> t.t_op) traced) (Stats.sum_by (fun t -> t.op_s) untraced) );
+      ("op_wall_ms.p50", Stats.median (List.map (fun t -> 1000. *. t.wall_s) untraced));
+      ("hostspeed.kernel_ms", 1000. *. Hostspeed.median_s ());
     ]
 
 let traced (w : W.t) ~seed ~seconds ~chrome =
   let tmp = work_dir w.W.name in
   let _, setup_problems = set_up w ~tmp in
-  let untraced =
-    measure w ~tmp ~seed ~stop:(fun i elapsed -> i >= min_ops && elapsed >= seconds /. 2.)
-  in
+  let untraced = measure w ~tmp ~seed ~seconds:(seconds /. 2.) in
   let traced, trace_problems =
     traced_pass w ~tmp ~seed ~count:(List.length untraced) ~chrome
   in

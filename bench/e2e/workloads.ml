@@ -1,7 +1,8 @@
-(* The four workloads. Each derives its inputs from the run seed, times
-   one public entry point per operation from outside, and checks the
-   operation's output after the clock has stopped. Spans named [bench.*]
-   mark the benchmark's own calls; they cost nothing unless [Obs.enabled]. *)
+(* The four workloads. Each draws its inputs from a fixed pool in an
+   order taken from the run seed, times one public entry point per
+   operation from outside, and checks the operation's output after the
+   clock has stopped. Spans named [bench.*] mark the benchmark's own
+   calls; they cost nothing unless [Obs.enabled]. *)
 
 open Entropy_core
 module Obs = Entropy_obs.Obs
@@ -40,27 +41,42 @@ type op = { run : unit -> unit; finish : unit -> op_result }
 
 type t = {
   name : string;
-  default_seed : int;
   wall_clock_bound : bool;
       (** operations end at a wall-clock deadline, so their times do not
           scale with host speed *)
   root_layer : string;  (** layer charged with the [bench.op] self time *)
   op : tmp:string -> traced:bool -> int -> op;
-      (** the operation on input seed [n]; its input is built here,
-          untimed *)
-  timings_per_input : int;  (** operations timed on each input *)
+      (** the operation on input [n]; its input is built here, untimed *)
+  input : seed:int -> int -> int;  (** the input of operation [i] of a run *)
+  batch : int;
+      (** a run stops only after a multiple of this many operations *)
+  warmup : int;
+      (** input of the untimed operation that ends set-up: fixed, so
+          set-up time does not depend on the run seed *)
 }
-
-(* Input of the untimed operation that ends set-up: fixed, so set-up
-   time does not depend on the run seed. For ngb-cp it is the paper's
-   own workload. *)
-let warmup_input = 0
 
 let now = Unix.gettimeofday
 
-(* Input seed of operation [i] of a run: runs with nearby seeds share no
-   inputs. *)
-let input_seed seed i = Hashtbl.hash (seed, i)
+(* Inputs come from a fixed pool per workload, about as many as one run
+   covers on the reference host. Single inputs vary widely (episode
+   times by 20%, plan costs by 10x), so runs of independent inputs could
+   not repeat their medians; runs of one pool play nearly the same
+   inputs and do. The seed orders the pool: operation [i] plays input
+   [i mod P] of pass [i / P], each pass in its own seeded order. *)
+let draw pool ~seed i =
+  let p = Array.length pool in
+  let order = Array.copy pool in
+  let rng = Random.State.make [| seed; i / p |] in
+  for j = p - 1 downto 1 do
+    let r = Random.State.int rng (j + 1) in
+    let x = order.(j) in
+    order.(j) <- order.(r);
+    order.(r) <- x
+  done;
+  order.(i mod p)
+
+(* Inputs 1..n; input 0 is the warm-up's. *)
+let pool n = Array.init n (fun j -> j + 1)
 
 let remove path = if Sys.file_exists path then Sys.remove path
 
@@ -117,30 +133,22 @@ let append_ms ~tmp records =
 
 (* The paper's section 5.2 run: 8 NGB class-W vjobs of 9 VMs on the
    11-node testbed, all submitted at t=0, decided by the consolidation
-   module. A node budget instead of a wall-clock limit stops each CP
+   module. A node budget instead of the wall-clock timeout stops each CP
    search, so an input always yields the same plans and wall time
-   measures solver work. 500 nodes keeps an episode near 0.15 s, so a run
-   covers about a hundred instances: CP effort per instance is
-   heavy-tailed, and only many instances steady the medians. *)
-let ngb_node_limit = 500
+   measures solver work. At 5000 nodes the plans equalled those of the
+   module's default 1 s timeout on every panel instance below, on the
+   2-vCPU host of the README's measurements. *)
+let ngb_node_limit = 5000
 let ngb_cp_timeout = 60.
 
-(* Instances come from trace bases 8k, k < [ngb_pool]; base 0 is the
-   paper's own workload. The bases in [ngb_known_bad] trip defects of
-   this commit, so no operation of the benchmark fails on them:
-   - 45 124 146 150 152 165 174 353 394 501: a vjob finishes while its
-     VMs are suspended; the plan leaves them sleeping where the target
-     says terminated, and the runner re-decides ~33 000 times;
-   - 246 342 435 474: the CP plan holds an action the verifier matches
-     to no reconfiguration-graph edge (in 246 and 435 the action cannot
-     apply at all). *)
-let ngb_pool = 512
-
-let ngb_known_bad =
-  [ 45; 124; 146; 150; 152; 165; 174; 246; 342; 353; 394; 435; 474; 501 ]
-
-let rec ngb_base k =
-  if List.mem k ngb_known_bad then ngb_base ((k + 1) mod ngb_pool) else 8 * k
+(* Trace bases 8k of the instances a run plays, k = 0 being the paper's
+   own workload. All are from the 39 of 71 sampled bases on which three
+   runs under the 1 s timeout ended with the makespan and switch cost of
+   the 5000-node run, and whose plans pass the verifier (k = 22 and 260
+   do not); they span episode times of 0.15-1.7 s and switch costs of
+   43 000-533 000. A pass takes some 7 s, and runs end on a whole pass,
+   so every run plays each instance equally often. *)
+let ngb_panel = [| 0; 1; 8; 57; 71; 155; 302; 358; 407; 456 |]
 
 let testbed =
   Array.init 11 (fun i -> Node.testbed ~id:i ~name:(Printf.sprintf "N%d" i))
@@ -156,8 +164,8 @@ let live_vjobs (obs : Decision.observation) =
     (fun v -> not (List.mem (Vjob.id v) obs.Decision.finished))
     obs.Decision.queue
 
-let ngb_op ~tmp:_ ~traced:_ n =
-  let traces = ngb_traces (ngb_base (n mod ngb_pool)) in
+let ngb_op ~tmp:_ ~traced:_ k =
+  let traces = ngb_traces (8 * k) in
   let inner =
     Decision.consolidation ~cp_timeout:ngb_cp_timeout
       ~cp_node_limit:ngb_node_limit ()
@@ -216,11 +224,12 @@ let ngb_op ~tmp:_ ~traced:_ n =
           r.Vsim.Runner.makespan outcome.cost outcome.switches
           (Stats.sum_int_by (fun s -> s.Fdcp.Search.nodes) stats);
       problems =
-        problem (unclean = 0) "%d plans fail the verifier" unclean
-        @ problem (clock_stops = 0) "%d searches hit the wall-clock timeout" clock_stops
+        problem (unclean = 0) "base %d: %d plans fail the verifier" (8 * k) unclean
+        @ problem (clock_stops = 0) "base %d: %d searches hit the wall-clock timeout" (8 * k)
+            clock_stops
         @ problem
             (served = List.length traces && not r.Vsim.Runner.killed)
-            "%d of %d vjobs completed" served (List.length traces);
+            "base %d: %d of %d vjobs completed" (8 * k) served (List.length traces);
       extras =
         [ ("verifier.ms", verify_ms); ("verifier.plans", float_of_int (List.length decided)) ];
     }
@@ -230,11 +239,14 @@ let ngb_op ~tmp:_ ~traced:_ n =
 let ngb_cp =
   {
     name = "ngb-cp";
-    default_seed = 0;
     wall_clock_bound = false;
     root_layer = "loop";
     op = ngb_op;
-    timings_per_input = 1;
+    input = draw ngb_panel;
+    batch = Array.length ngb_panel;
+    (* the panel's shortest episode (0.15 s), so that five set-ups and
+       whole passes keep a run near 30 s *)
+    warmup = 71;
   }
 
 (* -- burst-daemon ---------------------------------------------------------- *)
@@ -302,11 +314,13 @@ let burst_op ~tmp ~traced n =
 let burst_daemon =
   {
     name = "burst-daemon";
-    default_seed = 7;
     wall_clock_bound = false;
     root_layer = "daemon";
     op = burst_op;
-    timings_per_input = 1;
+    (* some 0.6 s each: a run covers 22-36 *)
+    input = draw (pool 32);
+    batch = 1;
+    warmup = 0;
   }
 
 (* -- place-dense ----------------------------------------------------------- *)
@@ -380,11 +394,13 @@ let place_op ~tmp:_ ~traced:_ n =
 let place_dense =
   {
     name = "place-dense";
-    default_seed = 100;
     wall_clock_bound = true;
     root_layer = "bench";
     op = place_op;
-    timings_per_input = 1;
+    (* 0.5 s each: a run covers 40 *)
+    input = draw (pool 40);
+    batch = 1;
+    warmup = 0;
   }
 
 (* -- crash-resume ---------------------------------------------------------- *)
@@ -423,7 +439,8 @@ let crash_of ~path config =
     let jr = Journal.open_file path in
     let full = Daemon.resume ~journal:jr ~records config in
     Journal.close jr;
-    let after = List.filteri (fun k _ -> k >= List.length records) (fst (Journal.load path)) in
+    let n_before = List.length records in
+    let after = List.filteri (fun k _ -> k >= n_before) (fst (Journal.load path)) in
     let outcome =
       outcome_of_switches (journal_switches after)
         ~makespan_s:(kill_s +. full.Daemon.makespan)
@@ -493,12 +510,14 @@ let crash_op ~tmp ~traced:_ n =
 let crash_resume =
   {
     name = "crash-resume";
-    default_seed = 7;
     wall_clock_bound = false;
     root_layer = "bench";
     op = crash_op;
-    (* building a crashed journal costs as much as ten restarts *)
-    timings_per_input = 3;
+    (* building a crashed journal costs as much as ten restarts, so each
+       is timed three times; a run covers 21-32 journals *)
+    input = (fun ~seed i -> draw (pool 28) ~seed (i / 3));
+    batch = 3;
+    warmup = 0;
   }
 
 let all = [ ngb_cp; burst_daemon; place_dense; crash_resume ]
