@@ -9,13 +9,10 @@
      --quota SECONDS  per-bench measurement quota (default 0.8)
      --json FILE      append a run entry to the JSON trajectory file
      --label NAME     label of the JSON entry (default "run")
-     --cp-stats       also run one full CP optimisation (fig10, 54 VMs)
-                      and record its search statistics in the JSON entry
-     --cp-timeout S   timeout of that optimisation (default 10s)
 
    The JSON file is the bench trajectory: each run appends one entry, so
-   successive PRs can compare per-bench ns/run and CP search throughput
-   against every previous recording. *)
+   successive PRs can compare per-bench ns/run against every previous
+   recording. *)
 
 open Bechamel
 open Toolkit
@@ -454,47 +451,6 @@ let all_tests : (string * (unit -> Test.t)) list =
         Store.propagate s);
   ]
 
-(* -- one-shot CP search-statistics probe (fig10 instance, full timeout) -- *)
-
-type cp_probe = {
-  timeout_s : float;
-  cost : int;
-  improved : bool;
-  nodes : int;
-  fails : int;
-  solutions : int;
-  search_elapsed_s : float;
-  timed_out : bool;
-}
-
-let cp_search_stats ~timeout =
-  let config, demand, vjobs, outcome = Lazy.force rjsp54 in
-  let r =
-    Optimizer.optimize ~timeout ~vjobs ~current:config ~demand
-      ~placed:(List.concat_map Vjob.vms outcome.Rjsp.running)
-      ~target_base:outcome.Rjsp.ffd_config ~fallback:outcome.Rjsp.ffd_config ()
-  in
-  let nodes, fails, solutions, search_elapsed_s, timed_out =
-    match r.Optimizer.stats with
-    | Some s ->
-      ( s.Fdcp.Search.nodes,
-        s.Fdcp.Search.fails,
-        s.Fdcp.Search.solutions,
-        s.Fdcp.Search.elapsed,
-        s.Fdcp.Search.timed_out )
-    | None -> (0, 0, 0, 0., false)
-  in
-  {
-    timeout_s = timeout;
-    cost = r.Optimizer.cost;
-    improved = r.Optimizer.improved;
-    nodes;
-    fails;
-    solutions;
-    search_elapsed_s;
-    timed_out;
-  }
-
 (* -- one-shot placement-engine probes (BENCH_place.json) ----------------- *)
 
 (* One Portfolio.solve per instance, with the resulting plan re-checked
@@ -571,7 +527,7 @@ let place_run_json name r =
     name r.vms r.p_nodes r.ffd_cost r.best_cost r.winner r.viable
     r.run_elapsed_s
 
-let json_entry ~label results probe place =
+let json_entry ~label results place =
   let b = Buffer.create 1024 in
   Buffer.add_string b (Printf.sprintf "  { \"label\": %S,\n" label);
   Buffer.add_string b "    \"ns_per_run\": {\n";
@@ -582,17 +538,6 @@ let json_entry ~label results probe place =
            (if i = List.length results - 1 then "" else ",")))
     results;
   Buffer.add_string b "    }";
-  (match probe with
-  | None -> ()
-  | Some p ->
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\n\
-         \    \"cp_optimize_54vm\": { \"timeout_s\": %g, \"cost\": %d, \
-          \"improved\": %b, \"nodes\": %d, \"fails\": %d, \"solutions\": %d, \
-          \"search_elapsed_s\": %.3f, \"timed_out\": %b }"
-         p.timeout_s p.cost p.improved p.nodes p.fails p.solutions
-         p.search_elapsed_s p.timed_out));
   (match place with
   | None -> ()
   | Some p ->
@@ -642,8 +587,6 @@ let () =
   let label = ref "run" in
   let only = ref "" in
   let quota = ref 0.8 in
-  let cp_stats = ref false in
-  let cp_timeout = ref 10. in
   let place_stats_flag = ref false in
   let place_deadline = ref 1.0 in
   let engine = ref "portfolio" in
@@ -654,10 +597,6 @@ let () =
       ("--label", Arg.Set_string label, "NAME label of the JSON entry");
       ("--only", Arg.Set_string only, "SUBSTR run only matching benches");
       ("--quota", Arg.Set_float quota, "SECONDS per-bench quota (default 0.8)");
-      ("--cp-stats", Arg.Set cp_stats, " record full CP search statistics");
-      ( "--cp-timeout",
-        Arg.Set_float cp_timeout,
-        "SECONDS CP probe timeout (default 10)" );
       ( "--place-stats",
         Arg.Set place_stats_flag,
         " record placement-engine probes (portfolio vs FFD vs CP alone)" );
@@ -729,18 +668,6 @@ let () =
       selected
   in
   let results = List.rev results in
-  let probe =
-    if !cp_stats then begin
-      let p = cp_search_stats ~timeout:!cp_timeout in
-      Printf.printf
-        "cp_optimize_54vm probe: cost=%d nodes=%d fails=%d solutions=%d \
-         elapsed=%.3fs timed_out=%b\n\
-         %!"
-        p.cost p.nodes p.fails p.solutions p.search_elapsed_s p.timed_out;
-      Some p
-    end
-    else None
-  in
   let place =
     if !place_stats_flag then begin
       let engine =
@@ -763,7 +690,7 @@ let () =
     else None
   in
   if !json <> "" then
-    append_json !json (json_entry ~label:!label results probe place);
+    append_json !json (json_entry ~label:!label results place);
   if !trace <> "" then begin
     Entropy_obs.Obs.write_trace !trace;
     Printf.printf "trace written to %s (%d events, %d dropped)\n" !trace

@@ -637,6 +637,7 @@ let chaos vms nodes seed fail_rate crashes timeout_factor retries cp_timeout
   Option.iter Entropy_journal.Journal.close journal;
   obs_write trace metrics;
   let module R = Vsim.Runner in
+  let module S = Vsim.Session in
   let module E = Vsim.Executor in
   let total f = List.fold_left (fun acc r -> acc + f r) 0 faulty.R.switches in
   let failures = total (fun r -> r.E.failed) in
@@ -644,15 +645,15 @@ let chaos vms nodes seed fail_rate crashes timeout_factor retries cp_timeout
   let timeouts = total (fun r -> r.E.timeouts) in
   let node_losses = total (fun r -> r.E.node_losses) in
   let salvaged =
-    List.length (List.filter (fun rr -> rr.R.source = `Salvaged) faulty.R.repairs)
+    List.length (List.filter (fun rr -> rr.S.source = `Salvaged) faulty.R.repairs)
   in
   let replanned = List.length faulty.R.repairs - salvaged in
   let dirty =
     List.filter
       (fun rr ->
-        Entropy_analysis.Verifier.verify ~vjobs:rr.R.queue
-          ~current:rr.R.before ~target:rr.R.target ~demand:rr.R.demand
-          rr.R.plan
+        Entropy_analysis.Verifier.verify ~vjobs:rr.S.queue
+          ~current:rr.S.before ~target:rr.S.target ~demand:rr.S.demand
+          rr.S.plan
         <> [])
       faulty.R.repairs
   in
@@ -686,12 +687,12 @@ let chaos vms nodes seed fail_rate crashes timeout_factor retries cp_timeout
   List.iter
     (fun rr ->
       Fmt.pr "  dirty %a plan at %.0f s:@." Entropy_fault.Repair.pp_source
-        rr.R.source rr.R.at;
+        rr.S.source rr.S.at;
       List.iter
         (fun f -> Fmt.pr "    %a@." Entropy_analysis.Verifier.pp_finding f)
-        (Entropy_analysis.Verifier.verify ~vjobs:rr.R.queue
-           ~current:rr.R.before ~target:rr.R.target ~demand:rr.R.demand
-           rr.R.plan))
+        (Entropy_analysis.Verifier.verify ~vjobs:rr.S.queue
+           ~current:rr.S.before ~target:rr.S.target ~demand:rr.S.demand
+           rr.S.plan))
     dirty;
   Printf.printf "recovery: %d/%d vjobs completed, final configuration %s\n"
     (List.length faulty.R.completions)
@@ -823,7 +824,7 @@ let resume vms nodes seed fail_rate timeout_factor retries cp_timeout
   let module Rec = Entropy_journal.Recovery in
   let findings =
     match info with
-    | Some { R.state; reconciliation; repaired = false } -> (
+    | Some { Rec.state; reconciliation; repaired = false; _ } -> (
       match reconciliation.Rec.plan with
       | Some plan ->
         Entropy_analysis.Verifier.verify_resume ~source:state.Rec.source
@@ -832,14 +833,14 @@ let resume vms nodes seed fail_rate timeout_factor retries cp_timeout
           ~target:reconciliation.Rec.target
           ~frozen:reconciliation.Rec.frozen_vms ~demand:state.Rec.demand plan
       | None -> [])
-    | Some { R.repaired = true; _ } | None ->
+    | Some { Rec.repaired = true; _ } | None ->
       (* the repair path re-targets the switch: original-plan
          equivalence is not expected, the repair verifier in [chaos]
          covers those plans *)
       []
   in
   (match info with
-  | Some { R.state; reconciliation; repaired } ->
+  | Some { Rec.state; reconciliation; repaired; _ } ->
     Printf.printf
       "reconciled switch %d: %d done, %d pending, %d frozen VMs%s\n"
       state.Rec.switch
@@ -889,26 +890,26 @@ let resume vms nodes seed fail_rate timeout_factor retries cp_timeout
              ("dropped_lines", Int dropped_lines);
              ( "resumed_switch",
                match info with
-               | Some i -> Int i.R.state.Rec.switch
+               | Some i -> Int i.Rec.state.Rec.switch
                | None -> Null );
              ( "done_vms",
                Int
                  (match info with
-                 | Some i -> List.length i.R.reconciliation.Rec.done_vms
+                 | Some i -> List.length i.Rec.reconciliation.Rec.done_vms
                  | None -> 0) );
              ( "pending_vms",
                Int
                  (match info with
-                 | Some i -> List.length i.R.reconciliation.Rec.pending_vms
+                 | Some i -> List.length i.Rec.reconciliation.Rec.pending_vms
                  | None -> 0) );
              ( "frozen_vms",
                Int
                  (match info with
-                 | Some i -> List.length i.R.reconciliation.Rec.frozen_vms
+                 | Some i -> List.length i.Rec.reconciliation.Rec.frozen_vms
                  | None -> 0) );
              ( "repaired",
                Bool
-                 (match info with Some i -> i.R.repaired | None -> false) );
+                 (match info with Some i -> i.Rec.repaired | None -> false) );
              ("verifier_findings", Int (List.length findings));
              ("completed", Bool completed);
              ("final_viable", Bool final_viable);

@@ -219,6 +219,9 @@ let vjob_state t (vjob : Vjob.t) =
 
 let vjob_consistent t vjob = Option.is_some (vjob_state t vjob)
 
+let vjob_terminated t vjob =
+  List.for_all (fun vm -> state t vm = Terminated) (Vjob.vms vjob)
+
 let equal a b =
   Array.length a.states = Array.length b.states
   && Array.for_all2 equal_vm_state a.states b.states

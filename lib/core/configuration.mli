@@ -77,5 +77,8 @@ val vjob_state : t -> Vjob.t -> Lifecycle.state option
 
 val vjob_consistent : t -> Vjob.t -> bool
 
+val vjob_terminated : t -> Vjob.t -> bool
+(** Every VM of the vjob is [Terminated]: the vjob has left the cluster. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

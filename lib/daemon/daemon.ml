@@ -28,11 +28,11 @@ module Jrecord = Entropy_journal.Record
 module Recovery = Entropy_journal.Recovery
 module Injector = Entropy_fault.Injector
 module Supervisor = Entropy_fault.Supervisor
-module Repair = Entropy_fault.Repair
 module Arrivals = Vworkload.Arrivals
 module Engine = Vsim.Engine
 module Cluster = Vsim.Cluster
 module Executor = Vsim.Executor
+module Session = Vsim.Session
 module Collector = Vmonitor.Collector
 open Entropy_core
 
@@ -216,11 +216,6 @@ let build_instance (c : config) =
     max_node_mem = c.node_mem;
   }
 
-let vjob_terminated config vjob =
-  List.for_all
-    (fun vm_id -> Configuration.state config vm_id = Configuration.Terminated)
-    (Vjob.vms vjob)
-
 let last_arrival instance =
   Array.fold_left
     (fun acc (a : Arrivals.arrival) -> Float.max acc a.Arrivals.at_s)
@@ -292,13 +287,6 @@ let run_core (c : config) (b : boot) =
   let admitted = b.admitted0 in
   let rejected = ref b.rejected0 in
   let jappend r = Option.iter (fun j -> Journal.append j r) b.journal in
-  let emit = Option.map (fun j r -> Journal.append j r) b.journal in
-  let switch_id =
-    ref
-      (match b.journal with
-      | Some j -> Recovery.next_switch_id (Journal.records j)
-      | None -> 0)
-  in
   let ffd = Decision.ffd_only () in
   let d_full =
     if c.deterministic then ffd
@@ -334,9 +322,16 @@ let run_core (c : config) (b : boot) =
     Hashtbl.fold
       (fun id () acc ->
         let vj = instance.vjobs.(id) in
-        if vjob_terminated cfg vj then acc else vj :: acc)
+        if Configuration.vjob_terminated cfg vj then acc else vj :: acc)
       admitted []
     |> List.sort (fun a b -> compare (Vjob.id a) (Vjob.id b))
+  in
+  let session =
+    Session.create ~cluster ~collector ~journal:b.journal
+      ~injector:(Some injector) ~policy:(Some policy)
+      ~max_repairs:c.max_repairs ~execution:`Pools ~queue:live_admitted
+      ~on_switch:(fun r -> switches := r :: !switches)
+      ~on_repair:(fun _ -> incr repairs)
   in
   let work_done () =
     !arrivals_left = 0 && Admission.depth adm = 0 && live_admitted () = []
@@ -471,88 +466,14 @@ let run_core (c : config) (b : boot) =
               (fun () -> d.Decision.decide obs)
           else d.Decision.decide obs
         in
-        if Plan.is_empty result.Optimizer.plan then begin
-          (* an empty plan can still carry state: every current/target
-             difference that derives no action is pure bookkeeping (a
-             finished vjob's suspended image discarded, a waiting VM
-             cancelled). Commit it directly or the vjob never reaches
-             Terminated — there is no action left that ever would. *)
-          let target = result.Optimizer.target in
-          let changed = ref false in
-          let vm_count = Configuration.vm_count cfg in
-          (try
-             for vm = 0 to vm_count - 1 do
-               if Configuration.state cfg vm <> Configuration.state target vm
-               then raise Exit
-             done
-           with Exit -> changed := true);
-          if !changed then begin
-            Log.debug (fun m ->
-                m "empty plan with bookkeeping-only target: committing \
-                   directly (finished [%a])"
-                  Fmt.(list ~sep:sp int)
-                  finished);
-            Cluster.set_config cluster target
-          end;
-          settle_and_rearm ()
-        end
-        else
-          exec ~depth:0 ~demand ~target:result.Optimizer.target
-            result.Optimizer.plan
+        Session.decided session obs result ~on_settled:settled
       end
     end
-  and exec ~depth ~demand ~target plan =
-    let sw = !switch_id in
-    incr switch_id;
-    jappend
-      (Jrecord.Switch_begin
-         {
-           switch = sw;
-           at_s = Engine.now engine;
-           source = Cluster.config cluster;
-           target;
-           plan;
-           demand;
-           seed = Some (Injector.seed injector);
-         });
-    let on_done (r : Executor.record) =
-      jappend
-        (Jrecord.Switch_end
-           {
-             switch = sw;
-             at_s = Engine.now engine;
-             aborted = r.Executor.aborted;
-           });
-      switches := r :: !switches;
-      let degraded = r.Executor.failed > 0 in
-      if degraded && depth < c.max_repairs then chase ~depth ~target r
-      else begin
-        if degraded then begin
-          (* repair chain exhausted with residue: the daemon-level
-             analogue of Loop.Degraded — counted, never spun on *)
-          incr livelock_episodes;
-          Log.warn (fun m ->
-              m "switch %d still degraded after %d repairs (%d failed VMs)"
-                sw depth r.Executor.failed)
-        end;
-        settle_and_rearm ()
-      end
-    in
-    Executor.execute ~injector ~policy ~abort_on_failure:true ?emit ~switch:sw
-      cluster plan ~on_done
-  and chase ~depth ~target r =
-    Collector.poll collector;
-    let before = Cluster.config cluster in
-    let demand = Collector.demand collector in
-    let queue = live_admitted () in
-    match
-      Repair.repair ~vjobs:queue ~current:before ~target ~demand ~queue
-        ~failed_vms:r.Executor.failed_vms ~lost_nodes:r.Executor.lost_nodes ()
-    with
-    | Some o ->
-      incr repairs;
-      exec ~depth:(depth + 1) ~demand ~target:o.Repair.target o.Repair.plan
-    | None -> settle_and_rearm ()
+  (* a switch still degraded after the whole repair chain is the
+     livelock guard: counted, never spun on *)
+  and settled outcome =
+    if outcome = Session.Exhausted then incr livelock_episodes;
+    settle_and_rearm ()
   and settle_and_rearm () =
     let now = Engine.now engine in
     if work_done () then begin
@@ -692,7 +613,7 @@ let run_core (c : config) (b : boot) =
       (Engine.schedule engine ~at:0.5 (fun () ->
            Collector.poll collector;
            let demand = Collector.demand collector in
-           exec ~depth:0 ~demand ~target plan))
+           Session.execute session ~demand ~target plan ~on_settled:settled))
   | Some _ | None ->
     (* a resume can come back with parked vjobs or a requeued backlog
        and no event in sight: kick one boot round *)
@@ -714,13 +635,14 @@ let run_core (c : config) (b : boot) =
   let completed =
     List.length
       (List.filter
-         (fun id -> vjob_terminated final_config instance.vjobs.(id))
+         (fun id ->
+           Configuration.vjob_terminated final_config instance.vjobs.(id))
          admitted_ids)
   in
   List.iter
     (fun id ->
       let vj = instance.vjobs.(id) in
-      if not (vjob_terminated final_config vj) then
+      if not (Configuration.vjob_terminated final_config vj) then
         Log.debug (fun m ->
             m "vjob %d not terminated at exit: %a" id
               Fmt.(list ~sep:comma Configuration.pp_vm_state)
@@ -881,24 +803,14 @@ let resume ~journal ~records c =
   in
   let initial_plan =
     match state with
-    | Some st when not st.Recovery.ended -> (
-      let queue =
-        Array.to_list instance.vjobs
-        |> List.filter (fun vj ->
-               Hashtbl.mem admitted0 (Vjob.id vj)
-               && not (vjob_terminated observed vj))
+    | Some st when not st.Recovery.ended ->
+      let admitted =
+        List.filter
+          (fun vj -> Hashtbl.mem admitted0 (Vjob.id vj))
+          (Array.to_list instance.vjobs)
       in
-      let rec_ = Recovery.reconcile ~vjobs:queue ~state:st ~observed () in
-      match rec_.Recovery.plan with
-      | Some plan -> Some (rec_.Recovery.target, plan)
-      | None -> (
-        match
-          Repair.repair_residue ~vjobs:queue ~current:observed
-            ~target:rec_.Recovery.target ~demand:st.Recovery.demand ~queue
-            rec_.Recovery.residue ()
-        with
-        | Some o -> Some (o.Repair.target, o.Repair.plan)
-        | None -> None))
+      let r = Recovery.resume_plan ~vjobs:admitted ~observed st in
+      Some (r.Recovery.target, r.Recovery.plan)
     | Some _ | None -> None
   in
   Log.info (fun m ->

@@ -74,8 +74,8 @@ type report = {
       (** the bound [max_defer_streak] is held to: one entry round plus
           the debounce-paced rounds one hold can contain *)
   livelock_episodes : int;
-      (** switches still degraded after the whole repair chain — the
-          daemon-level analogue of {!Entropy_core.Loop.Degraded} *)
+      (** switches still degraded after the whole repair chain
+          ({!Vsim.Session.Exhausted}) *)
   degradation_bounded : bool;
       (** no livelock episodes and every defer streak within bound *)
   ladder_ups : int;

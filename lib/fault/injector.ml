@@ -95,12 +95,6 @@ let create ?(seed = 0) models =
 
 let none = create []
 let of_predicate p = create [ Predicate p ]
-
-(* [none] is a shared value: deriving from it must not alias its mutable
-   attempt counters *)
-let with_predicate t p =
-  if t.models = [] then of_predicate p
-  else { t with models = Predicate p :: t.models }
 let is_none t = t.models = []
 let decided t = t.decisions
 let seed t = t.seed

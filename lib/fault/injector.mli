@@ -31,8 +31,7 @@ type model =
   | Crash_node of { node : Node.id; at_s : float }
       (** node [node] permanently crashes at simulated time [at_s] *)
   | Predicate of (Action.t -> bool)
-      (** escape hatch: fail exactly the attempts the predicate selects
-          (the legacy [?should_fail] hook) *)
+      (** escape hatch: fail exactly the attempts the predicate selects *)
 
 type decision = { fail : bool; slowdown : float }
 
@@ -49,7 +48,6 @@ val none : t
 (** Injects nothing; {!decide} short-circuits to {!proceed}. *)
 
 val of_predicate : (Action.t -> bool) -> t
-val with_predicate : t -> (Action.t -> bool) -> t
 
 val is_none : t -> bool
 

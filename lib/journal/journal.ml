@@ -13,8 +13,9 @@
 
    Journals written before the binary format (one checksummed JSON line
    per record) still load: the first byte of the file selects the codec
-   ('{' is never a valid frame magic), and appends to such a file stay
-   in its line format so the file remains single-codec. *)
+   ('{' is never a valid frame magic). Appends are always binary:
+   [open_file] rewrites a legacy journal's valid prefix as frames before
+   appending, so a file never mixes codecs. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics
@@ -22,15 +23,12 @@ module Metrics = Entropy_obs.Metrics
 let m_appended = lazy (Metrics.counter "journal.appended")
 let m_dropped = lazy (Metrics.counter "journal.dropped_records")
 
-type mode = Binary | Json_lines
-
 type file = {
   path : string;
   oc : out_channel;
   buf : Buffer.t;  (* encoded records not yet written to [oc] *)
   flush_bytes : int;
   flush_records : int;
-  mode : mode;
   mutable buffered : int;  (* records currently in [buf] *)
   mutable closed : bool;
 }
@@ -39,12 +37,20 @@ type backend =
   | Mem of { mem_buf : Buffer.t (* binary frames, oldest first *) }
   | File of file
 
-type t = { backend : backend; mutable length : int }
+type t = {
+  backend : backend;
+  mutable length : int;
+  mutable next_switch : int;  (* one past the highest switch id seen *)
+}
 
 let default_flush_bytes = 64 * 1024
 let default_flush_records = 64
 
-let mem () = { backend = Mem { mem_buf = Buffer.create 4096 }; length = 0 }
+let mem () =
+  { backend = Mem { mem_buf = Buffer.create 4096 }; length = 0; next_switch = 0 }
+
+(* daemon-level records answer switch -1 and leave the count alone *)
+let advance next record = max next (Record.switch record + 1)
 
 (* -- decoding ----------------------------------------------------------------- *)
 
@@ -90,14 +96,12 @@ let split_lines s =
   String.split_on_char '\n' s
   |> List.filter (fun line -> line <> "")
 
-let mode_of_contents contents =
-  if String.length contents > 0 && contents.[0] = '{' then Json_lines
-  else Binary
+(* '{' is never a valid frame magic *)
+let legacy_json contents = String.length contents > 0 && contents.[0] = '{'
 
 let decode_contents contents =
-  match mode_of_contents contents with
-  | Binary -> decode_binary contents
-  | Json_lines -> decode_lines (split_lines contents)
+  if legacy_json contents then decode_lines (split_lines contents)
+  else decode_binary contents
 
 let read_file path =
   let ic = open_in_bin path in
@@ -108,30 +112,26 @@ let read_file path =
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
-let encode_valid_prefix mode records =
+let encode_valid_prefix records =
   let b = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      match mode with
-      | Binary -> Record.write_frame b r
-      | Json_lines ->
-        Buffer.add_string b (Record.to_line r);
-        Buffer.add_char b '\n')
-    records;
+  List.iter (Record.write_frame b) records;
   Buffer.contents b
 
 let open_file ?(flush_bytes = default_flush_bytes)
     ?(flush_records = default_flush_records) path =
   let contents = if Sys.file_exists path then read_file path else "" in
-  let mode = mode_of_contents contents in
   let records, dropped = decode_contents contents in
   (* Truncate a torn tail before appending: new records written after
      torn garbage would sit beyond the durable prefix and never be
      replayed. Rewriting the valid prefix makes reopen-after-crash
-     append where recovery reads. *)
-  let valid = encode_valid_prefix mode records in
+     append where recovery reads; the same rewrite turns a legacy JSON
+     journal into binary frames. *)
+  let valid = encode_valid_prefix records in
   let oc =
-    if dropped > 0 || String.length valid <> String.length contents then begin
+    if
+      dropped > 0 || legacy_json contents
+      || String.length valid <> String.length contents
+    then begin
       if dropped > 0 then
         Log.warn (fun m ->
             m "truncating %s to its valid prefix (%d record%s kept)" path
@@ -158,17 +158,18 @@ let open_file ?(flush_bytes = default_flush_bytes)
           buf = Buffer.create 4096;
           flush_bytes;
           flush_records;
-          mode;
           buffered = 0;
           closed = false;
         };
     length = List.length records;
+    next_switch = List.fold_left advance 0 records;
   }
 
 let path t =
   match t.backend with Mem _ -> None | File { path; _ } -> Some path
 
 let length t = t.length
+let next_switch t = t.next_switch
 
 let flush_file f =
   if Buffer.length f.buf > 0 then begin
@@ -188,11 +189,7 @@ let append t record =
   | Mem m -> Record.write_frame m.mem_buf record
   | File f ->
     if f.closed then invalid_arg "Journal.append: journal is closed";
-    (match f.mode with
-    | Binary -> Record.write_frame f.buf record
-    | Json_lines ->
-      Buffer.add_string f.buf (Record.to_line record);
-      Buffer.add_char f.buf '\n');
+    Record.write_frame f.buf record;
     f.buffered <- f.buffered + 1;
     if
       Record.commit_point record
@@ -200,6 +197,7 @@ let append t record =
       || Buffer.length f.buf >= f.flush_bytes
     then flush_file f);
   t.length <- t.length + 1;
+  t.next_switch <- advance t.next_switch record;
   if !Obs.enabled then Metrics.incr (Lazy.force m_appended);
   Log.debug (fun m -> m "append %a" Record.pp record)
 

@@ -15,8 +15,8 @@
     at the first frame that is short, unrecognized, or fails its
     checksum, and everything after it is dropped. Journals written
     before the binary format (one checksummed JSON line per record)
-    are auto-detected by their first byte and still load; appends to
-    such a file stay in its line format. *)
+    are auto-detected by their first byte and still load; {!open_file}
+    rewrites such a file as binary frames before appending to it. *)
 
 type t
 
@@ -27,7 +27,9 @@ val mem : unit -> t
 val open_file : ?flush_bytes:int -> ?flush_records:int -> string -> t
 (** Open (creating or appending to) a file journal at the given path.
     If the existing file ends in a torn or corrupt tail, it is truncated
-    to its valid prefix so new appends land inside the durable region.
+    to its valid prefix so new appends land inside the durable region; a
+    legacy JSON-lines file has its valid prefix rewritten as binary
+    frames.
     [flush_bytes] (default 64 KiB) and [flush_records] (default 64)
     bound how much may sit in the group-commit buffer between commit
     points. *)
@@ -46,6 +48,11 @@ val flush : t -> unit
 
 val length : t -> int
 (** Records appended or loaded so far. *)
+
+val next_switch : t -> int
+(** One past the highest switch id among the records loaded or appended
+    so far (0 on an empty journal) — the id the next switch appended to
+    this journal takes. O(1): maintained by {!open_file} and {!append}. *)
 
 val close : t -> unit
 (** Flush and close the backing channel; no-op for {!mem}, idempotent. *)

@@ -62,7 +62,7 @@ exception Corrupt of string
 let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 
 (* daemon-level records (submissions, ladder transitions) live outside
-   any switch; they answer -1 so [Recovery.next_switch_id] ignores them *)
+   any switch; they answer -1 so [Journal.next_switch] ignores them *)
 let switch = function
   | Switch_begin { switch; _ }
   | Action_started { switch; _ }

@@ -112,9 +112,6 @@ let replay records =
       | None -> Log.info (fun m -> m "replay: empty journal"));
       state)
 
-let next_switch_id records =
-  List.fold_left (fun acc r -> max acc (Record.switch r + 1)) 0 records
-
 let projected_config state =
   List.fold_left
     (fun config (_, action) ->
@@ -258,3 +255,40 @@ let reconcile ?vjobs ~state ~observed () =
            | None -> "planner stuck"
          else Fmt.str "residue (%a)" Repair.pp_residue residue));
   { target; plan; classes; done_vms; pending_vms; frozen_vms; residue }
+
+type resume = {
+  state : switch_state;
+  reconciliation : reconciliation;
+  target : Configuration.t;
+  plan : Plan.t;
+  repaired : bool;
+}
+
+(* The one resume derivation every controller shares: reconcile over the
+   vjobs still live in the observation; on divergence (or a stuck
+   planner) hand the residue to repair; with nothing to repair towards,
+   an empty plan leaves the next step to the caller's own loop. *)
+let resume_plan ~vjobs ~observed state =
+  let queue =
+    List.filter
+      (fun vj -> not (Configuration.vjob_terminated observed vj))
+      vjobs
+  in
+  let reconciliation = reconcile ~vjobs:queue ~state ~observed () in
+  let target, plan, repaired =
+    match reconciliation.plan with
+    | Some plan -> (reconciliation.target, plan, false)
+    | None -> (
+      match
+        Repair.repair_residue ~vjobs:queue ~current:observed
+          ~target:reconciliation.target ~demand:state.demand ~queue
+          reconciliation.residue ()
+      with
+      | Some o -> (o.Repair.target, o.Repair.plan, true)
+      | None -> (reconciliation.target, Plan.empty, true))
+  in
+  Log.info (fun m ->
+      m "resuming switch %d with a %d-action plan%s" state.switch
+        (Plan.action_count plan)
+        (if repaired then " (via repair)" else ""));
+  { state; reconciliation; target; plan; repaired }

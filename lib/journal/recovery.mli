@@ -38,10 +38,6 @@ val replay : Record.t list -> switch_state option
     {!Record.Switch_begin} is present. Records of earlier switches are
     superseded. Runs under the [journal.replay] span. *)
 
-val next_switch_id : Record.t list -> int
-(** One past the highest switch id in the records (0 on an empty
-    journal) — the id a new switch appended to this journal takes. *)
-
 val projected_config : switch_state -> Configuration.t
 (** The source configuration with every journaled done action applied —
     what the cluster should look like according to the journal alone.
@@ -74,3 +70,23 @@ val reconcile :
   unit -> reconciliation
 (** Raises [Invalid_argument] when [observed] disagrees with the
     journaled configurations on VM or node count. *)
+
+type resume = {
+  state : switch_state;  (** the in-flight switch replayed from the journal *)
+  reconciliation : reconciliation;
+  target : Configuration.t;  (** where the resume plan ends *)
+  plan : Plan.t;
+      (** empty when the residue leaves nothing to repair towards: the
+          caller's loop decides afresh *)
+  repaired : bool;
+      (** the plan came from {!Entropy_fault.Repair.repair_residue}
+          (divergent residue or stuck planner) rather than straight
+          reconciliation *)
+}
+
+val resume_plan :
+  vjobs:Vjob.t list -> observed:Configuration.t -> switch_state -> resume
+(** The resume derivation shared by the simulated runner and the daemon:
+    {!reconcile} the replayed switch against [observed] over the [vjobs]
+    not yet terminated there, and hand a non-clean residue (or a stuck
+    planner) to {!Entropy_fault.Repair.repair_residue}. *)

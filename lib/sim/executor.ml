@@ -144,26 +144,18 @@ let note_node_lost tally node =
     tally.t_lost_nodes <- node :: tally.t_lost_nodes;
   if !Obs.enabled then Ometrics.incr (Lazy.force m_node_losses)
 
-(* Resolve the supervision inputs: an explicit injector composes with
-   the legacy [?should_fail] predicate; with neither, nothing is
+(* Resolve the supervision inputs: without an injector nothing is
    injected. Without an explicit policy, a caller that set up an
-   injector gets the default supervised policy, the legacy predicate
-   path keeps its historical fail-once/no-retry semantics. *)
-let resolve ?should_fail ?injector ?policy () =
-  let resolved =
-    match (injector, should_fail) with
-    | Some i, Some p -> Injector.with_predicate i p
-    | Some i, None -> i
-    | None, Some p -> Injector.of_predicate p
-    | None, None -> Injector.none
-  in
+   injector gets the default supervised policy, otherwise one attempt
+   and no timeout. *)
+let resolve ?injector ?policy () =
   let policy =
     match (policy, injector) with
     | Some p, _ -> p
     | None, Some _ -> Supervisor.default_policy
     | None, None -> Supervisor.no_retry
   in
-  (resolved, policy)
+  (Option.value injector ~default:Injector.none, policy)
 
 (* Run one action under supervision: contention registration, duration
    (with injected slowdown), timeout, bounded backoff retries, node-loss
@@ -363,9 +355,9 @@ let mk_record cluster plan ~started_at ~cost ~pools ~tally ~aborted =
 
 (* -- pool-based execution --------------------------------------------------- *)
 
-let execute ?should_fail ?injector ?policy ?(abort_on_failure = false) ?emit
-    ?switch cluster plan ~on_done =
-  let injector, policy = resolve ?should_fail ?injector ?policy () in
+let execute ?injector ?policy ?(abort_on_failure = false) ?emit ?switch
+    cluster plan ~on_done =
+  let injector, policy = resolve ?injector ?policy () in
   let engine = Cluster.engine cluster in
   let params = Cluster.params cluster in
   let started_at = Engine.now engine in
@@ -428,9 +420,9 @@ let execute ?should_fail ?injector ?policy ?(abort_on_failure = false) ?emit
 
 (* -- continuous (event-driven) execution ------------------------------------- *)
 
-let execute_continuous ?should_fail ?injector ?policy
-    ?(abort_on_failure = false) ?emit ?switch ?vjobs cluster plan ~on_done =
-  let injector, policy = resolve ?should_fail ?injector ?policy () in
+let execute_continuous ?injector ?policy ?(abort_on_failure = false) ?emit
+    ?switch ?vjobs cluster plan ~on_done =
+  let injector, policy = resolve ?injector ?policy () in
   let engine = Cluster.engine cluster in
   let params = Cluster.params cluster in
   let started_at = Engine.now engine in

@@ -37,7 +37,6 @@ val touched_nodes : Action.t -> Node.id list
 val is_pipelined : Action.t -> bool
 
 val execute :
-  ?should_fail:(Action.t -> bool) ->
   ?injector:Entropy_fault.Injector.t ->
   ?policy:Entropy_fault.Supervisor.policy ->
   ?abort_on_failure:bool ->
@@ -53,15 +52,12 @@ val execute :
     each attempt to [timeout_factor x expected duration] and grants
     bounded retries with exponential backoff (default:
     {!Entropy_fault.Supervisor.default_policy} when an injector is
-    given). A terminal failure leaves the VM in its previous state. With
-    [abort_on_failure] (default false), execution stops at the next pool
-    boundary after a terminal failure so a repair layer can salvage the
-    rest; otherwise remaining pools run as before and the loop replans
-    at its next iteration.
-
-    [should_fail] is the legacy hook — equivalent to an injector
-    [Predicate] model with the no-retry policy — and composes with
-    [injector] when both are given.
+    given, one attempt and no timeout otherwise). A terminal failure
+    leaves the VM in its previous state. With [abort_on_failure]
+    (default false), execution stops at the next pool boundary after a
+    terminal failure so a repair layer can salvage the rest; otherwise
+    remaining pools run as before and the loop replans at its next
+    iteration.
 
     [emit], when given, receives a write-ahead journal record at every
     action state transition (one [Action_started] per attempt, exactly
@@ -71,7 +67,6 @@ val execute :
     completion callback observes the new configuration. *)
 
 val execute_continuous :
-  ?should_fail:(Action.t -> bool) ->
   ?injector:Entropy_fault.Injector.t ->
   ?policy:Entropy_fault.Supervisor.policy ->
   ?abort_on_failure:bool ->

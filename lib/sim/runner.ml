@@ -11,35 +11,17 @@
    surviving plan or FFD-replan — immediately, instead of waiting for
    the next loop iteration. *)
 
-(* capture the simulator's own log source before [open Entropy_core]
-   shadows it with the core's *)
-module Sim_log = Log
-
 open Entropy_core
 module Trace = Vworkload.Trace
 module Obs = Entropy_obs.Obs
 module Injector = Entropy_fault.Injector
-module Repair = Entropy_fault.Repair
-module Journal = Entropy_journal.Journal
-module Jrecord = Entropy_journal.Record
 module Recovery = Entropy_journal.Recovery
-
-type repair_record = {
-  at : float;
-  switch : int;
-  source : [ `Salvaged | `Replanned ];
-  before : Configuration.t;
-  target : Configuration.t;
-  demand : Demand.t;
-  queue : Vjob.t list;
-  plan : Plan.t;
-}
 
 type result = {
   makespan : float;  (* completion time of the last vjob *)
   completions : (Vjob.t * float) list;
   switches : Executor.record list;
-  repairs : repair_record list;
+  repairs : Session.repair list;
   crashes : (Node.id * float * Vjob.id list) list;
   series : Metrics.point list;
   iterations : int;
@@ -81,18 +63,13 @@ let setup ?(arrival_spacing = 0.) ~nodes ~traces () =
   in
   (config, vjobs, fun vm_id -> programs.(vm_id))
 
-let vjob_terminated config vjob =
-  List.for_all
-    (fun vm_id -> Configuration.state config vm_id = Configuration.Terminated)
-    (Vjob.vms vjob)
-
 (* Run the control loop over an arbitrary initial configuration (VMs may
    already be running/sleeping). *)
 let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     ?(sample_period = 30.) ?(poll_period = 5.) ?(cp_timeout = 1.0)
-    ?(max_time = 1_000_000.) ?decision ?should_fail ?injector ?policy
-    ?(max_repairs = 4) ?storage ?(execution = `Pools) ?journal ?kill_at
-    ?initial ~config ~vjobs ~programs () =
+    ?(max_time = 1_000_000.) ?decision ?injector ?policy ?(max_repairs = 4)
+    ?storage ?(execution = `Pools) ?journal ?kill_at ?initial ~config ~vjobs
+    ~programs () =
   let engine = Engine.create () in
   let cluster =
     Cluster.create ~params ?storage ~engine ~config ~vjobs ~programs ()
@@ -106,16 +83,6 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     | Some d -> d
     | None -> Decision.consolidation ~cp_timeout ()
   in
-  let faulty = injector <> None in
-  (* a journal opened on an earlier run (the resume path) continues its
-     switch numbering instead of reusing ids *)
-  let switch_id =
-    ref
-      (match journal with
-      | Some j -> Recovery.next_switch_id (Journal.records j)
-      | None -> 0)
-  in
-  let emit = Option.map (fun j r -> Journal.append j r) journal in
   let metrics = Metrics.start ~period:sample_period cluster in
   let switches = ref [] in
   let repairs = ref [] in
@@ -135,7 +102,8 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     let now = Engine.now engine in
     List.filter
       (fun vj ->
-        Vjob.submit_time vj <= now && not (vjob_terminated config vj))
+        Vjob.submit_time vj <= now
+        && not (Configuration.vjob_terminated config vj))
       vjobs
   in
   (* scripted node crashes fire on the engine, whatever the loop is
@@ -153,19 +121,22 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
                  crashes := (node, Engine.now engine, affected) :: !crashes
                end)))
       (Injector.node_crashes inj));
+  let session =
+    Session.create ~cluster ~collector ~journal ~injector ~policy ~max_repairs
+      ~execution ~queue:live_queue
+      ~on_switch:(fun r -> switches := r :: !switches)
+      ~on_repair:(fun r -> repairs := r :: !repairs)
+  in
   let rec iterate () =
     let config = Cluster.config cluster in
     let queue = live_queue () in
-    let all_done =
-      List.for_all (fun vj -> vjob_terminated config vj) vjobs
-    in
-    if all_done then begin
+    if List.for_all (Configuration.vjob_terminated config) vjobs then begin
       done_flag := true;
       Metrics.stop metrics
     end
     else if queue = [] then
       (* nothing submitted yet: wait for the next arrivals *)
-      ignore (Engine.schedule_after engine ~delay:period iterate)
+      next_period ()
     else begin
       incr iterations;
       Vmonitor.Collector.poll collector;
@@ -185,104 +156,22 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
               decision.Decision.decide obs)
         else decision.Decision.decide obs
       in
-      if Plan.is_empty result.Optimizer.plan then
-        ignore (Engine.schedule_after engine ~delay:period iterate)
-      else
-        exec ~depth:0 ~demand ~target:result.Optimizer.target
-          result.Optimizer.plan
+      (* however the switch settles, the periodic loop takes over *)
+      Session.decided session obs result ~on_settled:(fun _ -> next_period ())
     end
-  (* execute one plan; on a degraded switch, chase it with at most
-     [max_repairs] immediate repair plans before handing control back to
-     the periodic loop. The switch is bracketed by write-ahead journal
-     records: Switch_begin goes durable before the first action starts,
-     Switch_end only after the executor reports back — a kill anywhere
-     in between leaves a journal that replays to the in-flight state. *)
-  and exec ~depth ~demand ~target plan =
-    let queue = live_queue () in
-    let sw = !switch_id in
-    (match journal with
-    | None -> ()
-    | Some j ->
-      incr switch_id;
-      Journal.append j
-        (Jrecord.Switch_begin
-           {
-             switch = sw;
-             at_s = Engine.now engine;
-             source = Cluster.config cluster;
-             target;
-             plan;
-             demand;
-             seed = Option.map Injector.seed injector;
-           }));
-    let on_done r =
-      (match journal with
-      | None -> ()
-      | Some j ->
-        Journal.append j
-          (Jrecord.Switch_end
-             {
-               switch = sw;
-               at_s = Engine.now engine;
-               aborted = r.Executor.aborted;
-             }));
-      switches := r :: !switches;
-      let degraded = r.Executor.failed > 0 in
-      if faulty && degraded && depth < max_repairs then repair ~depth ~target r
-      else ignore (Engine.schedule_after engine ~delay:period iterate)
-    in
-    match execution with
-    | `Pools ->
-      Executor.execute ?should_fail ?injector ?policy
-        ~abort_on_failure:faulty ?emit ~switch:sw cluster plan ~on_done
-    | `Continuous ->
-      Executor.execute_continuous ?should_fail ?injector ?policy
-        ~abort_on_failure:faulty ?emit ~switch:sw ~vjobs:queue cluster plan
-        ~on_done
-  and repair ~depth ~target r =
-    Vmonitor.Collector.poll collector;
-    let before = Cluster.config cluster in
-    let demand = Vmonitor.Collector.demand collector in
-    let queue = live_queue () in
-    match
-      Repair.repair ~vjobs:queue ~current:before ~target ~demand ~queue
-        ~failed_vms:r.Executor.failed_vms ~lost_nodes:r.Executor.lost_nodes ()
-    with
-    | Some o ->
-      Sim_log.info (fun m ->
-          m "switch degraded at %.0fs (%d failed, %d node-losses): %a plan, \
-             %d actions"
-            (Engine.now engine) r.Executor.failed r.Executor.node_losses
-            Repair.pp_source o.Repair.source
-            (Plan.action_count o.Repair.plan));
-      repairs :=
-        {
-          at = Engine.now engine;
-          (* the id the chased exec below will journal under *)
-          switch = !switch_id;
-          source = o.Repair.source;
-          before;
-          target = o.Repair.target;
-          demand;
-          queue;
-          plan = o.Repair.plan;
-        }
-        :: !repairs;
-      exec ~depth:(depth + 1) ~demand ~target:o.Repair.target o.Repair.plan
-    | None ->
-      (* nothing to repair towards right now (e.g. the packing needs no
-         actions): fall back to the periodic loop *)
-      ignore (Engine.schedule_after engine ~delay:period iterate)
+  and next_period () =
+    ignore (Engine.schedule_after engine ~delay:period iterate)
   in
   (match initial with
   | Some (target, plan) when not (Plan.is_empty plan) ->
     (* the resume path: execute a recovery-derived plan first, then fall
-       back into the periodic loop through its on_done *)
+       back into the periodic loop *)
     ignore
       (Engine.schedule_after engine ~delay:0.5 (fun () ->
            Vmonitor.Collector.poll collector;
            let demand = Vmonitor.Collector.demand collector in
-           exec ~depth:0 ~demand ~target plan))
+           Session.execute session ~demand ~target plan ~on_settled:(fun _ ->
+               next_period ())))
   | Some _ | None -> ignore (Engine.schedule_after engine ~delay:0.5 iterate));
   let horizon =
     match kill_at with Some k -> Float.min k max_time | None -> max_time
@@ -301,7 +190,7 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
   let final_config = Cluster.config cluster in
   let killed =
     kill_at <> None
-    && not (List.for_all (fun vj -> vjob_terminated final_config vj) vjobs)
+    && not (List.for_all (Configuration.vjob_terminated final_config) vjobs)
   in
   {
     makespan;
@@ -316,64 +205,27 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
   }
 
 let run_entropy ?params ?period ?sample_period ?poll_period ?cp_timeout
-    ?max_time ?decision ?should_fail ?injector ?policy ?max_repairs
-    ?arrival_spacing ?storage ?execution ?journal ?kill_at ~nodes ~traces () =
+    ?max_time ?decision ?injector ?policy ?max_repairs ?arrival_spacing
+    ?storage ?execution ?journal ?kill_at ~nodes ~traces () =
   let config, vjobs, programs = setup ?arrival_spacing ~nodes ~traces () in
   run_custom ?params ?period ?sample_period ?poll_period ?cp_timeout
-    ?max_time ?decision ?should_fail ?injector ?policy ?max_repairs ?storage
-    ?execution ?journal ?kill_at ~config ~vjobs ~programs ()
+    ?max_time ?decision ?injector ?policy ?max_repairs ?storage ?execution
+    ?journal ?kill_at ~config ~vjobs ~programs ()
 
 (* -- crash recovery ----------------------------------------------------------- *)
-
-type resume_info = {
-  state : Recovery.switch_state;
-  reconciliation : Recovery.reconciliation;
-  repaired : bool;
-}
 
 let resume ?params ?period ?sample_period ?poll_period ?cp_timeout ?max_time
     ?decision ?injector ?policy ?max_repairs ?storage ?execution ?journal
     ?kill_at ~records ~observed ~vjobs ~programs () =
-  match Recovery.replay records with
-  | None -> None
-  | Some state ->
-    let queue =
-      List.filter (fun vj -> not (vjob_terminated observed vj)) vjobs
-    in
-    let reconciliation =
-      Recovery.reconcile ~vjobs:queue ~state ~observed ()
-    in
-    let target, plan, repaired =
-      match reconciliation.Recovery.plan with
-      | Some plan -> (reconciliation.Recovery.target, plan, false)
-      | None -> (
-        (* divergence (or a stuck planner): hand the residue to repair *)
-        match
-          Repair.repair_residue ~vjobs:queue ~current:observed
-            ~target:reconciliation.Recovery.target
-            ~demand:state.Recovery.demand ~queue
-            reconciliation.Recovery.residue ()
-        with
-        | Some o -> (o.Repair.target, o.Repair.plan, true)
-        | None ->
-          (* nothing to repair towards: let the periodic loop decide *)
-          (reconciliation.Recovery.target, Plan.empty, true))
-    in
-    Sim_log.info (fun m ->
-        m "resuming switch %d from %d journal records: %d done, %d pending, \
-           %d frozen%s"
-          state.Recovery.switch (List.length records)
-          (List.length reconciliation.Recovery.done_vms)
-          (List.length reconciliation.Recovery.pending_vms)
-          (List.length reconciliation.Recovery.frozen_vms)
-          (if repaired then " (via repair)" else ""));
-    let result =
-      run_custom ?params ?period ?sample_period ?poll_period ?cp_timeout
-        ?max_time ?decision ?injector ?policy ?max_repairs ?storage
-        ?execution ?journal ?kill_at ~initial:(target, plan) ~config:observed
-        ~vjobs ~programs ()
-    in
-    Some ({ state; reconciliation; repaired }, result)
+  Recovery.replay records
+  |> Option.map (fun state ->
+         let r = Recovery.resume_plan ~vjobs ~observed state in
+         ( r,
+           run_custom ?params ?period ?sample_period ?poll_period ?cp_timeout
+             ?max_time ?decision ?injector ?policy ?max_repairs ?storage
+             ?execution ?journal ?kill_at
+             ~initial:(r.Recovery.target, r.Recovery.plan) ~config:observed
+             ~vjobs ~programs () ))
 
 let mean_switch_duration result =
   match result.switches with

@@ -4,25 +4,11 @@
 
 open Entropy_core
 
-type repair_record = {
-  at : float;           (** simulated time of the repair decision *)
-  switch : int;
-      (** journal switch id the repair plan executes under (0 when no
-          journal is attached) — lets flight-recorder analyses join a
-          repair back to its journaled switch *)
-  source : [ `Salvaged | `Replanned ];
-  before : Configuration.t;  (** mid-switch configuration repaired from *)
-  target : Configuration.t;  (** where the repaired plan ends *)
-  demand : Demand.t;    (** demand the repair was planned against *)
-  queue : Vjob.t list;  (** live vjobs at repair time *)
-  plan : Plan.t;
-}
-
 type result = {
   makespan : float;  (** completion time of the last vjob *)
   completions : (Vjob.t * float) list;
   switches : Executor.record list;
-  repairs : repair_record list;
+  repairs : Session.repair list;
       (** repair plans executed after degraded switches, in order *)
   crashes : (Node.id * float * Vjob.id list) list;
       (** scripted node crashes that fired: node, time, resubmitted
@@ -46,8 +32,7 @@ val setup :
 val run_custom :
   ?params:Perf_model.params -> ?period:float -> ?sample_period:float ->
   ?poll_period:float -> ?cp_timeout:float -> ?max_time:float ->
-  ?decision:Decision.t -> ?should_fail:(Action.t -> bool) ->
-  ?injector:Entropy_fault.Injector.t ->
+  ?decision:Decision.t -> ?injector:Entropy_fault.Injector.t ->
   ?policy:Entropy_fault.Supervisor.policy -> ?max_repairs:int ->
   ?storage:Storage.t -> ?execution:[ `Pools | `Continuous ] ->
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
@@ -55,8 +40,12 @@ val run_custom :
   config:Configuration.t -> vjobs:Vjob.t list ->
   programs:(Vm.id -> Vworkload.Program.t) -> unit -> result
 (** Run the control loop over an arbitrary initial configuration (VMs
-    may already be running or sleeping). [execution] selects pool-based
-    (default, the paper's model) or continuous switch execution.
+    may already be running or sleeping): every [period] seconds, decide
+    over the submitted, unterminated vjobs and hand the result to a
+    {!Session}, which commits it — an empty plan's bookkeeping directly,
+    a non-empty plan as one journaled, supervised switch. [execution]
+    selects pool-based (default, the paper's model) or continuous switch
+    execution.
 
     With [injector], actions run supervised under [policy] (default
     {!Entropy_fault.Supervisor.default_policy}), scripted node crashes
@@ -79,8 +68,7 @@ val run_custom :
 val run_entropy :
   ?params:Perf_model.params -> ?period:float -> ?sample_period:float ->
   ?poll_period:float -> ?cp_timeout:float -> ?max_time:float ->
-  ?decision:Decision.t -> ?should_fail:(Action.t -> bool) ->
-  ?injector:Entropy_fault.Injector.t ->
+  ?decision:Decision.t -> ?injector:Entropy_fault.Injector.t ->
   ?policy:Entropy_fault.Supervisor.policy -> ?max_repairs:int ->
   ?arrival_spacing:float -> ?storage:Storage.t ->
   ?execution:[ `Pools | `Continuous ] ->
@@ -88,19 +76,8 @@ val run_entropy :
   nodes:Node.t array -> traces:Vworkload.Trace.t list -> unit -> result
 (** Run the control loop until every vjob has completed and been
     stopped. The loop only sees the vjobs already submitted at each
-    iteration. [should_fail] injects hypervisor action failures (see
-    {!Executor.execute}); [injector] enables the full fault pipeline and
-    [journal] / [kill_at] the crash-tolerance pipeline (see
-    {!run_custom}). *)
-
-type resume_info = {
-  state : Entropy_journal.Recovery.switch_state;
-      (** the in-flight switch replayed from the journal *)
-  reconciliation : Entropy_journal.Recovery.reconciliation;
-  repaired : bool;
-      (** the resume plan came from {!Entropy_fault.Repair} (divergent
-          residue or stuck planner) rather than straight reconciliation *)
-}
+    iteration. [injector] enables the fault pipeline and [journal] /
+    [kill_at] the crash-tolerance pipeline (see {!run_custom}). *)
 
 val resume :
   ?params:Perf_model.params -> ?period:float -> ?sample_period:float ->
@@ -111,11 +88,12 @@ val resume :
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
   records:Entropy_journal.Record.t list -> observed:Configuration.t ->
   vjobs:Vjob.t list -> programs:(Vm.id -> Vworkload.Program.t) -> unit ->
-  (resume_info * result) option
+  (Entropy_journal.Recovery.resume * result) option
 (** Idempotently resume a run from a crashed controller's journal:
-    replay [records], reconcile the last in-flight switch against
-    [observed], execute the derived resume plan (or the repair plan on
-    divergence) and then run the periodic loop to completion. [None]
+    replay [records], derive the resume plan against [observed]
+    ({!Entropy_journal.Recovery.resume_plan}: reconciliation, or repair
+    on divergence), execute it and then run the periodic loop to
+    completion. [None]
     when the journal holds no switch — nothing to resume; start a fresh
     run instead. Pass the same [journal] to keep appending: the resumed
     switch takes the next free switch id. The journaled injector seed is

@@ -875,298 +875,6 @@ let test_decision_stops_finished () =
     (Configuration.state result.Optimizer.target 0 = Configuration.Terminated);
   check_int "two stops" 2 (Plan.stop_count result.Optimizer.plan)
 
-let test_loop_runs_to_completion () =
-  (* a tiny in-memory driver: run 2 waiting vjobs then report finished *)
-  let config, vjobs = mk_vjob_cluster () in
-  let demand = Demand.uniform ~vm_count:6 50 in
-  let state = ref config in
-  let iterations = ref 0 in
-  let driver =
-    {
-      Loop.observe =
-        (fun () ->
-          { Decision.config = !state; demand; queue = vjobs; finished = [] });
-      execute =
-        (fun plan ->
-          state :=
-            List.fold_left
-              (fun cfg pool -> List.fold_left Action.apply cfg pool)
-              !state (Plan.pools plan);
-          Loop.clean);
-      wait = (fun _ -> incr iterations);
-      finished = (fun () -> !iterations >= 3);
-    }
-  in
-  let decision = Decision.consolidation ~cp_timeout:0.5 () in
-  let history = Loop.run ~period:30. decision driver in
-  check_bool "some iterations" true (List.length history >= 3);
-  check_bool "first iteration executed a switch" true
-    (List.hd history).Loop.executed;
-  check_bool "all vjobs running at the end" true
-    (List.for_all
-       (fun vj -> Configuration.vjob_state !state vj = Some Lifecycle.Running)
-       vjobs)
-
-let test_loop_recovers_degraded_switch () =
-  (* the first switch degrades (vm0's action lost, nothing applied): the
-     loop must immediately re-observe, re-decide and re-execute instead
-     of waiting for the next period *)
-  let config, vjobs = mk_vjob_cluster () in
-  let demand = Demand.uniform ~vm_count:6 50 in
-  let state = ref config in
-  let calls = ref 0 in
-  let driver =
-    {
-      Loop.observe =
-        (fun () ->
-          { Decision.config = !state; demand; queue = vjobs; finished = [] });
-      execute =
-        (fun plan ->
-          incr calls;
-          if !calls = 1 then { Loop.failed_vms = [ 0 ]; lost_nodes = [] }
-          else begin
-            state :=
-              List.fold_left
-                (fun cfg pool -> List.fold_left Action.apply cfg pool)
-                !state (Plan.pools plan);
-            Loop.clean
-          end);
-      wait = (fun _ -> ());
-      finished = (fun () -> false);
-    }
-  in
-  let decision = Decision.consolidation ~cp_timeout:0.5 () in
-  let outcome = Loop.step decision driver 0 in
-  check_bool "recovered step converges" true (Loop.converged outcome);
-  let it = Loop.iteration_of outcome in
-  check_int "one recovery round" 1 it.Loop.recoveries;
-  check_int "re-executed immediately" 2 !calls;
-  check_bool "recovery applied the plan" true
-    (List.for_all
-       (fun vj -> Configuration.vjob_state !state vj = Some Lifecycle.Running)
-       vjobs)
-
-let test_loop_degraded_outcome_guards_livelock () =
-  (* a driver that never recovers must surface as a distinguishable
-     Degraded outcome carrying the residue once max_recoveries is
-     exhausted — not as a quietly returned last round *)
-  let config, vjobs = mk_vjob_cluster () in
-  let demand = Demand.uniform ~vm_count:6 50 in
-  let calls = ref 0 in
-  let stuck =
-    {
-      Loop.observe =
-        (fun () ->
-          { Decision.config; demand; queue = vjobs; finished = [] });
-      execute =
-        (fun _ ->
-          incr calls;
-          { Loop.failed_vms = [ 0 ]; lost_nodes = [] });
-      wait = (fun _ -> ());
-      finished = (fun () -> false);
-    }
-  in
-  let decision = Decision.consolidation ~cp_timeout:0.5 () in
-  match Loop.step ~max_recoveries:2 decision stuck 0 with
-  | Loop.Converged _ -> Alcotest.fail "stuck driver reported as converged"
-  | Loop.Degraded (it, residue) as outcome ->
-    check_bool "converged is false" false (Loop.converged outcome);
-    check_int "bounded recovery" 2 it.Loop.recoveries;
-    check_int "initial round + two recovery rounds" 3 !calls;
-    check_bool "residue names the failed vm" true
-      (residue.Loop.failed_vms = [ 0 ]);
-    check_bool "iteration_of still yields the last round" true
-      (Loop.iteration_of outcome == it)
-
-let test_loop_decide_event_matches_step () =
-  (* the event-driven entry point runs one full decision round with the
-     same semantics as a periodic step *)
-  let config, vjobs = mk_vjob_cluster () in
-  let demand = Demand.uniform ~vm_count:6 50 in
-  let state = ref config in
-  let driver =
-    {
-      Loop.observe =
-        (fun () ->
-          { Decision.config = !state; demand; queue = vjobs; finished = [] });
-      execute =
-        (fun plan ->
-          state :=
-            List.fold_left
-              (fun cfg pool -> List.fold_left Action.apply cfg pool)
-              !state (Plan.pools plan);
-          Loop.clean);
-      wait = (fun _ -> ());
-      finished = (fun () -> false);
-    }
-  in
-  let decision = Decision.consolidation ~cp_timeout:0.5 () in
-  let outcome =
-    Loop.decide_event ~reason:"vjob arrival x3" decision driver 0
-  in
-  check_bool "event decision converges" true (Loop.converged outcome);
-  check_bool "event decision executed the switch" true
-    (Loop.iteration_of outcome).Loop.executed;
-  check_bool "all vjobs running afterwards" true
-    (List.for_all
-       (fun vj -> Configuration.vjob_state !state vj = Some Lifecycle.Running)
-       vjobs)
-
-let test_loop_hooks_bracket_switch () =
-  (* the journaling hooks fire exactly once around a non-empty switch,
-     with everything a write-ahead record needs, and stay silent when
-     the plan is empty *)
-  let config, vjobs = mk_vjob_cluster () in
-  let demand = Demand.uniform ~vm_count:6 50 in
-  let state = ref config in
-  let begins = ref [] in
-  let ends = ref [] in
-  let hooks =
-    {
-      Loop.on_switch_begin =
-        (fun ~index ~source ~target ~demand:_ ~plan ->
-          begins := (index, source, target, plan) :: !begins);
-      on_switch_end =
-        (fun ~index ~report -> ends := (index, report) :: !ends);
-    }
-  in
-  let driver =
-    {
-      Loop.observe =
-        (fun () ->
-          { Decision.config = !state; demand; queue = vjobs; finished = [] });
-      execute =
-        (fun plan ->
-          (* the begin hook must already have fired: write-ahead *)
-          check_int "begin journaled before execution" 1 (List.length !begins);
-          state :=
-            List.fold_left
-              (fun cfg pool -> List.fold_left Action.apply cfg pool)
-              !state (Plan.pools plan);
-          Loop.clean);
-      wait = (fun _ -> ());
-      finished = (fun () -> false);
-    }
-  in
-  let decision = Decision.consolidation ~cp_timeout:0.5 () in
-  let it = Loop.iteration_of (Loop.step ~hooks decision driver 7) in
-  check_bool "switch executed" true it.Loop.executed;
-  (match !begins with
-  | [ (index, source, target, plan) ] ->
-    check_int "begin carries the index" 7 index;
-    check_bool "source is the pre-switch config" true
-      (Configuration.equal source config);
-    check_bool "plan is the decided plan" false (Plan.is_empty plan);
-    check_bool "target matches the decision" true
-      (Configuration.equal target it.Loop.result.Optimizer.target)
-  | _ -> Alcotest.fail "expected exactly one begin hook");
-  (match !ends with
-  | [ (index, report) ] ->
-    check_int "end carries the index" 7 index;
-    check_bool "clean report" true (Loop.report_ok report)
-  | _ -> Alcotest.fail "expected exactly one end hook");
-  (* converged state: the next decision plans nothing, hooks stay quiet *)
-  let it2 = Loop.iteration_of (Loop.step ~hooks decision driver 8) in
-  check_bool "no switch" false it2.Loop.executed;
-  check_int "no further begins" 1 (List.length !begins);
-  check_int "no further ends" 1 (List.length !ends)
-
-let test_loop_resume_injects_plan () =
-  (* the crash-recovery entry point executes the journal-derived plan
-     verbatim instead of consulting the decision module *)
-  let config, vjobs = mk_vjob_cluster () in
-  let demand = Demand.uniform ~vm_count:6 50 in
-  let state = ref config in
-  let executed = ref [] in
-  let driver =
-    {
-      Loop.observe =
-        (fun () ->
-          { Decision.config = !state; demand; queue = vjobs; finished = [] });
-      execute =
-        (fun plan ->
-          executed := plan :: !executed;
-          state :=
-            List.fold_left
-              (fun cfg pool -> List.fold_left Action.apply cfg pool)
-              !state (Plan.pools plan);
-          Loop.clean);
-      wait = (fun _ -> ());
-      finished = (fun () -> false);
-    }
-  in
-  let decision = Decision.consolidation ~cp_timeout:0.5 () in
-  (* a deliberately partial recovery plan: run only vm0 and vm1 *)
-  let plan =
-    Plan.make [ [ Action.Run { vm = 0; dst = 0 }; Action.Run { vm = 1; dst = 0 } ] ]
-  in
-  let target =
-    Configuration.with_states config
-      [|
-        Configuration.Running 0; Configuration.Running 0;
-        Configuration.Waiting; Configuration.Waiting;
-        Configuration.Waiting; Configuration.Waiting;
-      |]
-  in
-  let it = Loop.iteration_of (Loop.resume ~target ~plan decision driver 3) in
-  check_bool "executed" true it.Loop.executed;
-  check_int "exactly the recovery plan ran" 1 (List.length !executed);
-  check_bool "verbatim" true
-    (match !executed with [ p ] -> p == plan | _ -> false);
-  check_bool "synthesized result: not an optimizer find" false
-    it.Loop.result.Optimizer.improved;
-  check_bool "no search stats" true (it.Loop.result.Optimizer.stats = None);
-  check_bool "carries the recovery target" true
-    (Configuration.equal it.Loop.result.Optimizer.target target);
-  check_bool "vm0 and vm1 running" true
-    (Configuration.state !state 0 = Configuration.Running 0
-    && Configuration.state !state 1 = Configuration.Running 0);
-  (* an empty reconciliation plan: nothing executes, no recovery rounds *)
-  let it2 =
-    Loop.iteration_of
-      (Loop.resume ~target:!state ~plan:Plan.empty decision driver 4)
-  in
-  check_bool "empty plan, no switch" false it2.Loop.executed;
-  check_int "driver untouched" 1 (List.length !executed)
-
-let test_loop_resume_degraded_recovers_afresh () =
-  (* a resume whose switch degrades falls into the normal bounded
-     recovery rounds, which re-decide from the observation *)
-  let config, vjobs = mk_vjob_cluster () in
-  let demand = Demand.uniform ~vm_count:6 50 in
-  let state = ref config in
-  let calls = ref 0 in
-  let driver =
-    {
-      Loop.observe =
-        (fun () ->
-          { Decision.config = !state; demand; queue = vjobs; finished = [] });
-      execute =
-        (fun plan ->
-          incr calls;
-          if !calls = 1 then { Loop.failed_vms = [ 0 ]; lost_nodes = [] }
-          else begin
-            state :=
-              List.fold_left
-                (fun cfg pool -> List.fold_left Action.apply cfg pool)
-                !state (Plan.pools plan);
-            Loop.clean
-          end);
-      wait = (fun _ -> ());
-      finished = (fun () -> false);
-    }
-  in
-  let decision = Decision.consolidation ~cp_timeout:0.5 () in
-  let plan = Plan.make [ [ Action.Run { vm = 0; dst = 0 } ] ] in
-  let target =
-    Configuration.set_state config 0 (Configuration.Running 0)
-  in
-  let it = Loop.iteration_of (Loop.resume ~target ~plan decision driver 0) in
-  check_int "one recovery round" 1 it.Loop.recoveries;
-  check_int "re-executed with a fresh decision" 2 !calls;
-  check_bool "recovery result is a real decision" true
-    (it.Loop.result.Optimizer.rules_satisfied)
-
 (* -- plan validation diagnostics ------------------------------------------- *)
 
 let test_plan_validate_reports_infeasible_pool () =
@@ -1570,20 +1278,6 @@ let () =
             test_decision_consolidation_suspends_overload;
           Alcotest.test_case "stops finished vjobs" `Quick
             test_decision_stops_finished;
-          Alcotest.test_case "loop to completion" `Quick
-            test_loop_runs_to_completion;
-          Alcotest.test_case "loop hooks bracket switch" `Quick
-            test_loop_hooks_bracket_switch;
-          Alcotest.test_case "loop resume injects plan" `Quick
-            test_loop_resume_injects_plan;
-          Alcotest.test_case "loop resume degraded recovers" `Quick
-            test_loop_resume_degraded_recovers_afresh;
-          Alcotest.test_case "loop recovers degraded switch" `Quick
-            test_loop_recovers_degraded_switch;
-          Alcotest.test_case "degraded outcome guards livelock" `Quick
-            test_loop_degraded_outcome_guards_livelock;
-          Alcotest.test_case "event-driven decision" `Quick
-            test_loop_decide_event_matches_step;
         ] );
       ( "properties",
         qsuite

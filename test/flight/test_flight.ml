@@ -156,9 +156,9 @@ let test_node_crash_salvage () =
   List.iter
     (fun rr ->
       check_bool
-        (Printf.sprintf "repair switch %d detected" rr.R.switch)
+        (Printf.sprintf "repair switch %d detected" rr.Vsim.Session.switch)
         true
-        (List.mem rr.R.switch detected))
+        (List.mem rr.Vsim.Session.switch detected))
     result.R.repairs;
   let buckets, total = Critical.aggregate analyses in
   check_bool "recovery charged" true (buckets.Critical.recovery_s > 0.);

@@ -391,6 +391,26 @@ let test_reopen_after_torn_tail () =
   check_int "file clean again" 0 dropped2;
   Sys.remove path
 
+let test_next_switch_after_reopen () =
+  (* switches 0..k, interleaved with a daemon record (switch -1) *)
+  let k = 3 in
+  let path = temp_journal () in
+  let j = Journal.open_file path in
+  check_int "fresh journal starts at 0" 0 (Journal.next_switch j);
+  for sw = 0 to k do
+    Journal.append j
+      (Record.Switch_end { switch = sw; at_s = float_of_int sw; aborted = false });
+    Journal.append j
+      (Record.Ladder { at_s = 0.; from_level = 0; to_level = 1; reason = "r" })
+  done;
+  check_int "appends advance it" (k + 1) (Journal.next_switch j);
+  Journal.close j;
+  let j2 = Journal.open_file path in
+  check_int "reopen continues past the highest id" (k + 1)
+    (Journal.next_switch j2);
+  Journal.close j2;
+  Sys.remove path
+
 let test_json_auto_detect () =
   (* a journal written by the pre-binary format: one JSON line/record *)
   let path = temp_journal () in
@@ -405,16 +425,23 @@ let test_json_auto_detect () =
   check_int "no drops" 0 dropped;
   check_bool "legacy journal loads" true
     (List.for_all2 Record.equal all_records loaded);
-  (* appends to a legacy journal stay in its line format *)
+  (* reopening a legacy journal rewrites it as binary frames *)
   let j = Journal.open_file path in
   check_int "length counts legacy records" (List.length all_records)
     (Journal.length j);
-  Journal.append j (Record.Switch_end { switch = 9; at_s = 99.; aborted = false });
   Journal.close j;
-  let ic = open_in path in
+  let ic = open_in_bin path in
   let c = input_char ic in
   close_in ic;
-  check_bool "file still JSON lines" true (c = '{');
+  check_bool "file rewritten as binary" true (c <> '{');
+  let reread, dropped = Journal.load path in
+  check_int "no drops after rewrite" 0 dropped;
+  check_bool "records survive the rewrite" true
+    (List.length reread = List.length all_records
+    && List.for_all2 Record.equal all_records reread);
+  let j = Journal.open_file path in
+  Journal.append j (Record.Switch_end { switch = 9; at_s = 99.; aborted = false });
+  Journal.close j;
   check_int "append readable" (List.length all_records + 1)
     (List.length (fst (Journal.load path)));
   Sys.remove path
@@ -866,8 +893,9 @@ let test_replay_last_begin_wins () =
          (fun (_, a) -> Action.equal a (mig 1))
          st.Recovery.done_actions
       && List.length st.Recovery.done_actions = 1));
-  check_int "next id past the highest" 2 (Recovery.next_switch_id records);
-  check_int "empty journal starts at 0" 0 (Recovery.next_switch_id [])
+  check_int "next id past the highest" 2
+    (Journal.next_switch (Journal.of_records records));
+  check_int "empty journal starts at 0" 0 (Journal.next_switch (Journal.mem ()))
 
 (* -- reconciliation ----------------------------------------------------------- *)
 
@@ -1089,6 +1117,8 @@ let () =
             test_binary_unknown_tag_skipped;
           Alcotest.test_case "reopen after torn tail" `Quick
             test_reopen_after_torn_tail;
+          Alcotest.test_case "next switch after reopen" `Quick
+            test_next_switch_after_reopen;
           Alcotest.test_case "legacy json auto-detect" `Quick
             test_json_auto_detect;
           Alcotest.test_case "group commit flush rules" `Quick

@@ -633,8 +633,8 @@ let test_runner_switch_cost_duration_correlate () =
     dear
 
 let test_runner_recovers_from_failures () =
-  (* every first attempt of each migration fails; the loop replans and
-     the workload still completes *)
+  (* every first attempt of each migration fails; the repair chain and
+     the loop replan and the workload still completes *)
   let failed_once = Hashtbl.create 16 in
   let should_fail = function
     | Action.Migrate { vm; _ } ->
@@ -649,7 +649,9 @@ let test_runner_recovers_from_failures () =
     List.init 3 (fun i -> Trace.make ~seed:i ~vm_count:4 Nasgrid.Ed Nasgrid.W)
   in
   let r =
-    Vsim.Runner.run_entropy ~cp_timeout:0.2 ~should_fail
+    Vsim.Runner.run_entropy ~cp_timeout:0.2
+      ~injector:(Entropy_fault.Injector.of_predicate should_fail)
+      ~policy:Entropy_fault.Supervisor.no_retry
       ~nodes:(testbed_nodes 4) ~traces ()
   in
   check_int "all complete despite failures" 3
@@ -665,8 +667,8 @@ let test_executor_failure_keeps_state () =
   let plan = Plan.make [ [ Action.Run { vm = 0; dst = 0 } ] ] in
   let record = ref None in
   Vsim.Executor.execute
-    ~should_fail:(fun _ -> true)
-    cluster plan
+    ~injector:(Entropy_fault.Injector.of_predicate (fun _ -> true))
+    ~policy:Entropy_fault.Supervisor.no_retry cluster plan
     ~on_done:(fun r -> record := Some r);
   Vsim.Engine.run ~until:50. engine;
   (match !record with
@@ -1109,12 +1111,12 @@ let verify_repairs repairs =
   List.iter
     (fun rr ->
       let findings =
-        Verifier.verify ~vjobs:rr.Vsim.Runner.queue
-          ~current:rr.Vsim.Runner.before ~target:rr.Vsim.Runner.target
-          ~demand:rr.Vsim.Runner.demand rr.Vsim.Runner.plan
+        Verifier.verify ~vjobs:rr.Vsim.Session.queue
+          ~current:rr.Vsim.Session.before ~target:rr.Vsim.Session.target
+          ~demand:rr.Vsim.Session.demand rr.Vsim.Session.plan
       in
       Alcotest.(check int)
-        (Fmt.str "repair at %.0fs verifier-clean" rr.Vsim.Runner.at)
+        (Fmt.str "repair at %.0fs verifier-clean" rr.Vsim.Session.at)
         0 (List.length findings))
     repairs
 
@@ -1241,7 +1243,7 @@ let test_journal_emission_well_formed () =
     (fun sw () -> check_bool "switch closed" true (Hashtbl.mem ended sw))
     begun;
   check_int "ids are dense from 0" (Hashtbl.length begun)
-    (Recovery.next_switch_id records)
+    (Journal.next_switch journal)
 
 let test_runner_kill_and_resume () =
   let config, vjobs, programs = journal_instance () in
@@ -1265,7 +1267,7 @@ let test_runner_kill_and_resume () =
     | None -> Alcotest.fail "resume must find the switch"
     | Some (info, r) ->
       check_bool "journal agrees with the observation: no repair" false
-        info.Vsim.Runner.repaired;
+        info.Recovery.repaired;
       check_int "both vjobs complete after resume" 2
         (List.length r.Vsim.Runner.completions);
       check_bool "resumed run not killed" false r.Vsim.Runner.killed;
@@ -1331,16 +1333,16 @@ let test_crash_at_every_record_boundary () =
           (Configuration.is_viable r.Vsim.Runner.final_config demand);
         (* idempotent resume: journal + observation agree, so the resume
            is a straight continuation with a verifier-clean plan *)
-        if not info.Vsim.Runner.repaired then
-          match info.Vsim.Runner.reconciliation.Recovery.plan with
+        if not info.Recovery.repaired then
+          match info.Recovery.reconciliation.Recovery.plan with
           | None -> ()
           | Some plan ->
             let findings =
               Verifier.verify_resume ~vjobs
                 ~source:st.Recovery.source ~original:st.Recovery.plan
                 ~observed
-                ~target:info.Vsim.Runner.reconciliation.Recovery.target
-                ~frozen:info.Vsim.Runner.reconciliation.Recovery.frozen_vms
+                ~target:info.Recovery.reconciliation.Recovery.target
+                ~frozen:info.Recovery.reconciliation.Recovery.frozen_vms
                 ~demand:st.Recovery.demand plan
             in
             Alcotest.(check int)
@@ -1443,6 +1445,152 @@ let test_crash_at_every_boundary_file_backend () =
 (* -- run -------------------------------------------------------------------------- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
+
+(* -- switch session ------------------------------------------------------------ *)
+
+(* a one-VM cluster whose session fails the attempts [fails] selects *)
+let session_fixture ~max_repairs fails =
+  let engine, cluster, vjobs =
+    mk_cluster ~programs:[ [ Program.Compute 1000. ] ] ~memories:[ 512 ] ()
+  in
+  let collector =
+    Vmonitor.Collector.create (fun () ->
+        (Vsim.Engine.now engine, Vsim.Cluster.cpu_readings cluster))
+  in
+  Vmonitor.Collector.poll collector;
+  let journal = Journal.mem () in
+  let switches = ref 0 and repairs = ref [] in
+  let session =
+    Vsim.Session.create ~cluster ~collector ~journal:(Some journal)
+      ~injector:(Some (Injector.of_predicate fails))
+      ~policy:(Some Supervisor.no_retry) ~max_repairs ~execution:`Pools
+      ~queue:(fun () -> vjobs)
+      ~on_switch:(fun _ -> incr switches)
+      ~on_repair:(fun r -> repairs := r :: !repairs)
+  in
+  let run_vm0 ~on_settled =
+    let target =
+      Configuration.set_state (Vsim.Cluster.config cluster) 0
+        (Configuration.Running 0)
+    in
+    Vsim.Session.execute session
+      ~demand:(Vmonitor.Collector.demand collector)
+      ~target
+      (Plan.make [ [ Action.Run { vm = 0; dst = 0 } ] ])
+      ~on_settled;
+    Vsim.Engine.run ~until:1000. engine
+  in
+  (engine, cluster, collector, journal, session, switches, repairs, run_vm0)
+
+let begun_ids journal =
+  List.filter_map
+    (function Jrecord.Switch_begin { switch; _ } -> Some switch | _ -> None)
+    (Journal.records journal)
+
+let test_session_chain_exhausts () =
+  (* every attempt fails: the switch and each of its repair plans
+     degrade, each journaled under the next dense id, until the chain is
+     reported exhausted *)
+  let max_repairs = 2 in
+  let _, cluster, _, journal, _, switches, repairs, run_vm0 =
+    session_fixture ~max_repairs (fun _ -> true)
+  in
+  let settled = ref [] in
+  run_vm0 ~on_settled:(fun s -> settled := s :: !settled);
+  check_bool "settled once, chain exhausted" true
+    (!settled = [ Vsim.Session.Exhausted ]);
+  check_int "switch plus every repair executed" (max_repairs + 1) !switches;
+  Alcotest.(check (list int))
+    "dense switch ids" [ 0; 1; 2 ] (begun_ids journal);
+  Alcotest.(check (list int))
+    "each repair names the switch it runs under" [ 1; 2 ]
+    (List.rev_map (fun r -> r.Vsim.Session.switch) !repairs);
+  check_int "next switch" (max_repairs + 1) (Journal.next_switch journal);
+  check_bool "vm0 still waiting" true
+    (Configuration.state (Vsim.Cluster.config cluster) 0 = Configuration.Waiting)
+
+let test_session_repairs_then_settles_clean () =
+  (* the first attempt fails; the immediate repair plan succeeds *)
+  let first = ref true in
+  let _, cluster, _, journal, _, switches, repairs, run_vm0 =
+    session_fixture ~max_repairs:4 (fun _ ->
+        let f = !first in
+        first := false;
+        f)
+  in
+  let settled = ref [] in
+  run_vm0 ~on_settled:(fun s -> settled := s :: !settled);
+  check_bool "settled clean" true (!settled = [ Vsim.Session.Clean ]);
+  check_int "degraded switch + one repair" 2 !switches;
+  check_int "one repair" 1 (List.length !repairs);
+  Alcotest.(check (list int)) "two switches journaled" [ 0; 1 ]
+    (begun_ids journal);
+  check_bool "vm0 running" true
+    (Configuration.state (Vsim.Cluster.config cluster) 0
+    = Configuration.Running 0)
+
+let test_session_commits_bookkeeping () =
+  (* an empty plan whose target differs by bookkeeping alone (a waiting
+     VM cancelled) is committed directly, without a switch *)
+  let _, cluster, collector, journal, session, switches, _, _ =
+    session_fixture ~max_repairs:4 (fun _ -> false)
+  in
+  let config = Vsim.Cluster.config cluster in
+  let target = Configuration.set_state config 0 Configuration.Terminated in
+  let obs =
+    {
+      Decision.config;
+      demand = Vmonitor.Collector.demand collector;
+      queue = [];
+      finished = [ 0 ];
+    }
+  in
+  let result =
+    {
+      Optimizer.target;
+      plan = Plan.empty;
+      cost = 0;
+      improved = false;
+      rules_satisfied = true;
+      stats = None;
+    }
+  in
+  let settled = ref [] in
+  Vsim.Session.decided session obs result ~on_settled:(fun s ->
+      settled := s :: !settled);
+  check_bool "settled clean at once" true (!settled = [ Vsim.Session.Clean ]);
+  check_bool "target committed" true
+    (Configuration.state (Vsim.Cluster.config cluster) 0
+    = Configuration.Terminated);
+  check_int "no switch executed" 0 !switches;
+  check_int "nothing journaled" 0 (Journal.length journal)
+
+let test_runner_ngb_base45_terminates () =
+  (* trace base 45 leaves finished vjobs whose target differs from the
+     current configuration by bookkeeping alone: without the session's
+     direct commit the runner polled until max_time *)
+  let traces =
+    List.init 8 (fun i ->
+        Trace.make ~seed:(360 + i) ~vm_count:9
+          (List.nth Nasgrid.families (i mod 4))
+          Nasgrid.W)
+  in
+  let decision =
+    Decision.consolidation ~cp_timeout:60. ~cp_node_limit:500 ()
+  in
+  let r =
+    Vsim.Runner.run_entropy ~decision ~max_time:20000.
+      ~nodes:(testbed_nodes 11) ~traces ()
+  in
+  let final = r.Vsim.Runner.final_config in
+  check_bool "every VM terminated" true
+    (List.for_all
+       (fun vm -> Configuration.state final vm = Configuration.Terminated)
+       (List.init (Configuration.vm_count final) Fun.id));
+  check_bool
+    (Printf.sprintf "fewer than 100 iterations (%d)" r.Vsim.Runner.iterations)
+    true
+    (r.Vsim.Runner.iterations < 100)
 
 let () =
   Alcotest.run "vsim"
@@ -1559,6 +1707,17 @@ let () =
             test_crash_at_every_record_boundary;
           Alcotest.test_case "crash at every boundary (file backend)" `Quick
             test_crash_at_every_boundary_file_backend;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "chain exhausts" `Quick
+            test_session_chain_exhausts;
+          Alcotest.test_case "repairs then settles clean" `Quick
+            test_session_repairs_then_settles_clean;
+          Alcotest.test_case "commits bookkeeping" `Quick
+            test_session_commits_bookkeeping;
+          Alcotest.test_case "runner ngb base 45 terminates" `Quick
+            test_runner_ngb_base45_terminates;
         ] );
       ( "storage",
         [
