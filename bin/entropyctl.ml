@@ -323,9 +323,9 @@ let profile vms cp_timeout engine restarts seed json trace metrics =
   in
   let restarts = if restarts = 0 then None else Some restarts in
   let placed = List.concat_map Vjob.vms outcome.Rjsp.running in
-  (* [--engine cp] keeps the historical direct-optimiser probe (the
-     BENCH_cp trajectory depends on its restart behaviour); the other
-     engines go through the portfolio *)
+  (* [--engine cp] keeps the direct-optimiser probe, so [--restarts]
+     reaches the Luby-restart search; the other engines go through the
+     portfolio *)
   let report =
     Obs.span ~cat:"loop" ~name:"loop.decide" (fun () ->
         match engine with
@@ -1606,10 +1606,10 @@ let explain_cmd =
 
 (* -- journal ------------------------------------------------------------------- *)
 
-(* Debug export: decode a write-ahead journal (binary frames or legacy
-   JSON lines, auto-detected) and print each record as one JSON line on
-   stdout. Torn-tail diagnostics go to stderr so the output stays
-   pipeable. *)
+(* Debug export: decode a write-ahead journal's binary frames and print
+   each record as one JSON line on stdout. Torn-tail diagnostics go to
+   stderr so the output stays pipeable; an unreadable file (or a
+   pre-binary JSON-lines journal) exits 2. *)
 
 let journal_dump journal_path strict =
   let records, dropped =
@@ -1644,9 +1644,8 @@ let journal_cmd =
     Cmd.v
       (Cmd.info "dump"
          ~doc:
-           "Decode a write-ahead journal (binary frames or legacy JSON \
-            lines, auto-detected) and print each record as one JSON line \
-            on stdout")
+           "Decode a write-ahead journal (binary frames) and print each \
+            record as one JSON line on stdout")
       Term.(
         const (fun () p s -> journal_dump p s)
         $ logs_term $ journal_pos $ strict_arg)

@@ -35,8 +35,7 @@ let fig3 () =
   Printf.printf
     "with a co-resident busy VM, local operations slow down by x%.1f and\n\
      remote ones by x%.1f (deceleration measured in section 2.3)\n"
-    Vsim.Perf_model.defaults.Vsim.Perf_model.decel_local
-    Vsim.Perf_model.defaults.Vsim.Perf_model.decel_remote
+    Vsim.Perf_model.decel_local Vsim.Perf_model.decel_remote
 
 (* -- Table 1 ----------------------------------------------------------------- *)
 

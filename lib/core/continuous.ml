@@ -107,7 +107,7 @@ let vm_prerequisites plan =
     all;
   prereq
 
-let schedule ?durations ?vjobs ~current ~demand ~plan () =
+let schedule ?vjobs ~current ~demand ~plan () =
   let n = Configuration.node_count current in
   let cpu_load, mem_load = Configuration.loads current demand in
   let free_cpu =
@@ -118,10 +118,7 @@ let schedule ?durations ?vjobs ~current ~demand ~plan () =
     Array.init n (fun i ->
         Node.memory_mb (Configuration.node current i) - mem_load.(i))
   in
-  let gap =
-    (Option.value ~default:Schedule.default_durations durations)
-      .Schedule.pipeline_gap_s
-  in
+  let gap = Schedule.durations.pipeline_gap_s in
   let pending = ref (group_actions_internal ?vjobs plan) in
   let prereq = vm_prerequisites plan in
   let completed = Array.make (Array.length prereq) false in
@@ -169,7 +166,7 @@ let schedule ?durations ?vjobs ~current ~demand ~plan () =
           if List.length g.actions > 1 then float_of_int k *. gap else 0.
         in
         let start = !now +. offset in
-        let finish = start +. Schedule.action_duration ?durations current a in
+        let finish = start +. Schedule.action_duration current a in
         entries := { action = a; start; finish } :: !entries;
         if finish > !makespan then makespan := finish;
         events := (finish, i, frees current demand a) :: !events)

@@ -14,8 +14,8 @@ exception Stuck of string
     execution ({!Schedule}) when it happens. *)
 
 val schedule :
-  ?durations:Schedule.durations -> ?vjobs:Vjob.t list ->
-  current:Configuration.t -> demand:Demand.t -> plan:Plan.t -> unit -> t
+  ?vjobs:Vjob.t list -> current:Configuration.t -> demand:Demand.t ->
+  plan:Plan.t -> unit -> t
 (** Earliest-start timing of the plan's actions under
     claim-at-start / free-at-completion semantics. *)
 
@@ -34,6 +34,6 @@ val vm_prerequisites : Plan.t -> int option array
 
 val makespan : t -> float
 (** Never exceeds the pool-based estimate ({!Schedule.makespan}) for the
-    same plan and durations. *)
+    same plan. *)
 
 val pp : Format.formatter -> t -> unit

@@ -2,11 +2,11 @@
    action, for duration-aware reporting and decisions without running
    the full simulator.
 
-   The duration model mirrors the measurements of section 2.3 (it is the
-   contention-free core of the simulator's [Perf_model], duplicated here
-   because the core library cannot depend on the simulator): boot and
+   The duration model is the measurements of section 2.3 / Figure 3 and
+   the one table of them: the simulator's [Perf_model] derives its
+   contention-free durations from it and adds only contention. Boot and
    shutdown are flat; migrate/suspend/resume are linear in the VM's
-   memory; a remote resume moves the image first.
+   memory; a remote resume moves the image first (scp).
 
    Sequencing follows the executor: pools run one after the other; inside
    a pool actions start together except suspends/resumes, pipelined one
@@ -19,13 +19,13 @@ type durations = {
   migrate_latency_s : float;
   suspend_mb_s : float;
   resume_mb_s : float;
-  transfer_mb_s : float;    (* remote image push/fetch *)
+  transfer_mb_s : float;    (* remote image push/fetch (scp) *)
   pipeline_gap_s : float;
   ram_suspend_s : float;
   ram_resume_s : float;
 }
 
-let default_durations =
+let durations =
   {
     boot_s = 6.;
     shutdown_s = 25.;
@@ -39,7 +39,7 @@ let default_durations =
     ram_resume_s = 0.5;
   }
 
-let action_duration ?(durations = default_durations) config action =
+let action_duration config action =
   let mem vm = float_of_int (Vm.memory_mb (Configuration.vm config vm)) in
   match action with
   | Action.Run _ -> durations.boot_s
@@ -65,7 +65,7 @@ let is_pipelined = function
   | Action.Resume_ram _ -> true
   | Action.Run _ | Action.Stop _ | Action.Migrate _ -> false
 
-let of_plan ?durations config plan =
+let of_plan config plan =
   let entries = ref [] in
   let clock = ref 0. in
   List.iter
@@ -77,18 +77,14 @@ let of_plan ?durations config plan =
         (fun action ->
           let offset =
             if is_pipelined action then begin
-              let o =
-                float_of_int !pipelined
-                *. (Option.value ~default:default_durations durations)
-                     .pipeline_gap_s
-              in
+              let o = float_of_int !pipelined *. durations.pipeline_gap_s in
               incr pipelined;
               o
             end
             else 0.
           in
           let start = pool_start +. offset in
-          let finish = start +. action_duration ?durations config action in
+          let finish = start +. action_duration config action in
           entries := { action; start; finish } :: !entries;
           if finish > !pool_end then pool_end := finish)
         pool;

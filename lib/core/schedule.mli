@@ -15,15 +15,22 @@ type durations = {
   ram_resume_s : float;
 }
 
-val default_durations : durations
+val durations : durations
+(** The Figure 3 measurements: the one duration table, shared with the
+    simulator's performance model. *)
 
-val action_duration :
-  ?durations:durations -> Configuration.t -> Action.t -> float
+val action_duration : Configuration.t -> Action.t -> float
+(** Contention-free duration of an action on the given configuration
+    (only the VM's memory size is read). *)
+
+val is_pipelined : Action.t -> bool
+(** Suspends and resumes (to disk or RAM): inside a pool they start
+    [pipeline_gap_s] apart instead of together. *)
 
 type entry = { action : Action.t; start : float; finish : float }
 type t
 
-val of_plan : ?durations:durations -> Configuration.t -> Plan.t -> t
+val of_plan : Configuration.t -> Plan.t -> t
 val entries : t -> entry list
 val makespan : t -> float
 (** Estimated duration of the whole cluster-wide context switch. *)

@@ -39,8 +39,6 @@ open Entropy_core
 type config = {
   seed : int;
   nodes : int;
-  node_cpu : int;
-  node_mem : int;
   submissions : int;
   base_rate : float;
   burst_rate : float;
@@ -49,16 +47,9 @@ type config = {
   admission_cap : int;
   admit_batch : int;
   debounce_s : float;
-  ladder : Ladder.config;
-  full_deadline : float;
-  shrunk_deadline : float;
   deterministic : bool;
   fail_rate : float;
   crashes : int;
-  timeout_factor : float;
-  retries : int;
-  max_repairs : int;
-  poll_period : float;
   kill_at : float option;
   max_time : float;
 }
@@ -67,8 +58,6 @@ let default_config =
   {
     seed = 0;
     nodes = 24;
-    node_cpu = 400;
-    node_mem = 4096;
     submissions = 200;
     base_rate = 1. /. 60.;
     burst_rate = 0.25;
@@ -77,19 +66,24 @@ let default_config =
     admission_cap = 64;
     admit_batch = 8;
     debounce_s = 5.;
-    ladder = Ladder.default_config;
-    full_deadline = 0.02;
-    shrunk_deadline = 0.005;
     deterministic = false;
     fail_rate = 0.1;
     crashes = 0;
-    timeout_factor = 3.;
-    retries = 2;
-    max_repairs = 4;
-    poll_period = 5.;
     kill_at = None;
     max_time = 1_000_000.;
   }
+
+(* Fixed for every episode: the node shape, the ladder thresholds
+   ([Ladder.default_config]), the portfolio wall deadlines at the Full
+   and Shrunk rungs, supervised execution under
+   [Supervisor.default_policy], the repair-chain bound per switch and the
+   monitoring poll that detects load spikes. *)
+let node_cpu = 400  (* hundredths of a core per node *)
+let node_mem = 4096  (* MB per node *)
+let full_deadline = 0.02
+let shrunk_deadline = 0.005
+let max_repairs = 4
+let poll_period = 5.
 
 type report = {
   submissions : int;
@@ -168,7 +162,7 @@ let build_instance (c : config) =
     Array.init c.nodes (fun i ->
         Node.make ~id:i
           ~name:(Printf.sprintf "N%d" i)
-          ~cpu_capacity:c.node_cpu ~memory_mb:c.node_mem)
+          ~cpu_capacity:node_cpu ~memory_mb:node_mem)
   in
   let vms = ref [] in
   let progs = ref [] in
@@ -213,7 +207,7 @@ let build_instance (c : config) =
     vjobs = Array.of_list (List.rev !jobs);
     programs = (fun vm -> progs.(vm));
     arrivals;
-    max_node_mem = c.node_mem;
+    max_node_mem = node_mem;
   }
 
 let last_arrival instance =
@@ -276,14 +270,10 @@ let run_core (c : config) (b : boot) =
     Injector.create ~seed:c.seed
       [ Injector.Fail_rate { kind = None; rate = c.fail_rate } ]
   in
-  let policy =
-    Supervisor.make_policy ~timeout_factor:c.timeout_factor
-      ~max_retries:c.retries ()
-  in
   let adm = Admission.create ~cap:c.admission_cap () in
   List.iter (Admission.requeue adm) b.requeued;
   let trig = Triggers.create ~debounce_s:c.debounce_s () in
-  let ladder = Ladder.create ~config:c.ladder ~level:b.level0 () in
+  let ladder = Ladder.create ~level:b.level0 () in
   let admitted = b.admitted0 in
   let rejected = ref b.rejected0 in
   let jappend r = Option.iter (fun j -> Journal.append j r) b.journal in
@@ -292,13 +282,13 @@ let run_core (c : config) (b : boot) =
     if c.deterministic then ffd
     else
       Entropy_place.Portfolio.decision ~engine:`Portfolio
-        ~deadline:c.full_deadline ()
+        ~deadline:full_deadline ()
   in
   let d_shrunk =
     if c.deterministic then ffd
     else
       Entropy_place.Portfolio.decision ~engine:`Portfolio
-        ~deadline:c.shrunk_deadline ()
+        ~deadline:shrunk_deadline ()
   in
   let decision_of = function
     | Ladder.Full -> d_full
@@ -328,8 +318,8 @@ let run_core (c : config) (b : boot) =
   in
   let session =
     Session.create ~cluster ~collector ~journal:b.journal
-      ~injector:(Some injector) ~policy:(Some policy)
-      ~max_repairs:c.max_repairs ~execution:`Pools ~queue:live_admitted
+      ~injector:(Some injector) ~policy:(Some Supervisor.default_policy)
+      ~max_repairs ~execution:`Pools ~queue:live_admitted
       ~on_switch:(fun r -> switches := r :: !switches)
       ~on_repair:(fun _ -> incr repairs)
   in
@@ -597,7 +587,7 @@ let run_core (c : config) (b : boot) =
       in
       if over && not !overloaded then trigger_raise "load spike";
       overloaded := over;
-      ignore (Engine.schedule_after engine ~delay:c.poll_period poll_loop)
+      ignore (Engine.schedule_after engine ~delay:poll_period poll_loop)
     end
   in
   poll_loop ();
@@ -663,7 +653,9 @@ let run_core (c : config) (b : boot) =
   let defer_round_bound =
     1
     + int_of_float
-        (Float.ceil (c.ladder.Ladder.defer_hold_s /. Float.max 1. c.debounce_s))
+        (Float.ceil
+           (Ladder.default_config.Ladder.defer_hold_s
+           /. Float.max 1. c.debounce_s))
   in
   let action_failures =
     List.fold_left (fun a (r : Executor.record) -> a + r.Executor.failed) 0

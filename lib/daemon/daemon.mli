@@ -27,9 +27,7 @@ open Entropy_core
 
 type config = {
   seed : int;            (** drives instance, arrivals, faults *)
-  nodes : int;
-  node_cpu : int;        (** hundredths of a core per node *)
-  node_mem : int;        (** MB per node *)
+  nodes : int;           (** of 4 cores and 4096 MB each *)
   submissions : int;     (** open arrivals to generate *)
   base_rate : float;     (** calm arrival rate, arrivals/s *)
   burst_rate : float;    (** burst arrival rate, arrivals/s *)
@@ -38,19 +36,12 @@ type config = {
   admission_cap : int;   (** submission-queue bound *)
   admit_batch : int;     (** admissions per decision round *)
   debounce_s : float;    (** trigger coalescing window *)
-  ladder : Ladder.config;
-  full_deadline : float;    (** portfolio wall deadline at Full *)
-  shrunk_deadline : float;  (** portfolio wall deadline at Shrunk *)
   deterministic : bool;
       (** replace the wall-clock-bounded portfolio with the FFD
           incumbent at every rung: bit-reproducible runs (the modeled
           decision latencies still differ per rung) *)
   fail_rate : float;     (** per-attempt action failure probability *)
   crashes : int;         (** scripted node crashes over the arrival span *)
-  timeout_factor : float;
-  retries : int;
-  max_repairs : int;     (** immediate repair chain bound per switch *)
-  poll_period : float;   (** monitoring poll (load-spike detection) *)
   kill_at : float option;
   max_time : float;
 }

@@ -12,10 +12,9 @@
    resume re-runs idempotently.
 
    Journals written before the binary format (one checksummed JSON line
-   per record) still load: the first byte of the file selects the codec
-   ('{' is never a valid frame magic). Appends are always binary:
-   [open_file] rewrites a legacy journal's valid prefix as frames before
-   appending, so a file never mixes codecs. *)
+   per record) are refused, not read: their first byte is '{', which is
+   never a valid frame magic, and both [load] and [open_file] raise
+   [Sys_error] on it before touching the file. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics
@@ -74,34 +73,14 @@ let decode_binary src =
   in
   go [] 0
 
-let decode_lines lines =
-  let rec go acc dropped = function
-    | [] -> (List.rev acc, dropped)
-    | line :: rest -> (
-      match Record.of_line line with
-      | record -> go (record :: acc) dropped rest
-      | exception Record.Corrupt reason ->
-        Log.warn (fun m ->
-            m "dropping torn/corrupt tail (%d line%s): %s"
-              (List.length rest + 1)
-              (if rest = [] then "" else "s")
-              reason);
-        (List.rev acc, List.length rest + 1))
-  in
-  go [] 0 lines
-
-let split_lines s =
-  (* like [String.split_on_char '\n'] but without a phantom final line
-     when the file ends in a newline, as written journals do *)
-  String.split_on_char '\n' s
-  |> List.filter (fun line -> line <> "")
-
-(* '{' is never a valid frame magic *)
-let legacy_json contents = String.length contents > 0 && contents.[0] = '{'
-
-let decode_contents contents =
-  if legacy_json contents then decode_lines (split_lines contents)
-  else decode_binary contents
+(* a pre-binary JSON-lines journal would otherwise decode as a torn
+   tail at byte 0, and [open_file] would truncate it to nothing *)
+let decode_contents path contents =
+  if String.length contents > 0 && contents.[0] = '{' then
+    raise
+      (Sys_error
+         (path ^ ": JSON-lines journal (pre-binary format) is not supported"));
+  decode_binary contents
 
 let read_file path =
   let ic = open_in_bin path in
@@ -120,18 +99,14 @@ let encode_valid_prefix records =
 let open_file ?(flush_bytes = default_flush_bytes)
     ?(flush_records = default_flush_records) path =
   let contents = if Sys.file_exists path then read_file path else "" in
-  let records, dropped = decode_contents contents in
+  let records, dropped = decode_contents path contents in
   (* Truncate a torn tail before appending: new records written after
      torn garbage would sit beyond the durable prefix and never be
      replayed. Rewriting the valid prefix makes reopen-after-crash
-     append where recovery reads; the same rewrite turns a legacy JSON
-     journal into binary frames. *)
+     append where recovery reads. *)
   let valid = encode_valid_prefix records in
   let oc =
-    if
-      dropped > 0 || legacy_json contents
-      || String.length valid <> String.length contents
-    then begin
+    if dropped > 0 || String.length valid <> String.length contents then begin
       if dropped > 0 then
         Log.warn (fun m ->
             m "truncating %s to its valid prefix (%d record%s kept)" path
@@ -211,7 +186,7 @@ let close t =
       close_out f.oc)
 
 let load path =
-  let records, dropped = decode_contents (read_file path) in
+  let records, dropped = decode_contents path (read_file path) in
   if !Obs.enabled && dropped > 0 then
     Metrics.add (Lazy.force m_dropped) dropped;
   Log.info (fun m ->

@@ -14,9 +14,9 @@
     {!load} implements the write-ahead-log torn-tail rule: replay stops
     at the first frame that is short, unrecognized, or fails its
     checksum, and everything after it is dropped. Journals written
-    before the binary format (one checksummed JSON line per record)
-    are auto-detected by their first byte and still load; {!open_file}
-    rewrites such a file as binary frames before appending to it. *)
+    before the binary format (one checksummed JSON line per record,
+    first byte ['{']) are not read: {!load} and {!open_file} raise
+    [Sys_error] on them and leave the file untouched. *)
 
 type t
 
@@ -27,9 +27,8 @@ val mem : unit -> t
 val open_file : ?flush_bytes:int -> ?flush_records:int -> string -> t
 (** Open (creating or appending to) a file journal at the given path.
     If the existing file ends in a torn or corrupt tail, it is truncated
-    to its valid prefix so new appends land inside the durable region; a
-    legacy JSON-lines file has its valid prefix rewritten as binary
-    frames.
+    to its valid prefix so new appends land inside the durable region.
+    Raises [Sys_error] on a pre-binary JSON-lines journal.
     [flush_bytes] (default 64 KiB) and [flush_records] (default 64)
     bound how much may sit in the group-commit buffer between commit
     points. *)
@@ -63,13 +62,12 @@ val records : t -> Record.t list
     after a crash at this instant would see. *)
 
 val load : string -> Record.t list * int
-(** Read a journal file (binary frames or legacy JSON lines,
-    auto-detected): the valid prefix of records plus a count of dropped
-    trailing data — the number of torn lines for a JSON journal, or [1]
-    for a binary journal's torn tail (frame boundaries inside the tail
-    are unknowable). A record that fails its checksum ends the valid
-    prefix — later data is not trusted even if it parses. Raises
-    [Sys_error] when the file cannot be read. *)
+(** Read a journal file: the valid prefix of records plus a count of
+    dropped trailing data — [1] for a torn tail (frame boundaries inside
+    the tail are unknowable), [0] otherwise. A frame that fails its
+    checksum ends the valid prefix — later data is not trusted even if
+    it parses. Raises [Sys_error] when the file cannot be read or is a
+    pre-binary JSON-lines journal. *)
 
 val of_records : Record.t list -> t
 (** An in-memory journal pre-populated with the given records — the

@@ -8,11 +8,8 @@
    corruption instead of a silently wrong replay; [Journal] treats the
    first bad frame as the end of the durable prefix.
 
-   The JSON line form ([to_line]/[of_line], one checksummed JSON object
-   per line) is kept as the debug export (`entropyctl journal dump`) and
-   as the decoder for journals written before the binary format; the
-   first byte of a journal file selects the codec ('{' is never a valid
-   frame magic).
+   [to_json] is a one-way debug export (`entropyctl journal dump`);
+   nothing decodes it.
 
    Configurations are serialized in full (nodes with capacities, VMs,
    states) so a journal is self-contained: recovery does not need the
@@ -237,197 +234,7 @@ let to_json r =
         ("reason", String reason);
       ]
 
-(* -- decoding ---------------------------------------------------------------- *)
-
-let get_int name j =
-  match Json.member name j with
-  | Some (Json.Int i) -> i
-  | _ -> corrupt "missing integer field %S" name
-
-let get_float name j =
-  match Option.bind (Json.member name j) Json.number with
-  | Some f -> f
-  | None -> corrupt "missing numeric field %S" name
-
-let get_string name j =
-  match Option.bind (Json.member name j) Json.string_value with
-  | Some s -> s
-  | None -> corrupt "missing string field %S" name
-
-let get_list name j =
-  match Option.bind (Json.member name j) Json.to_list with
-  | Some l -> l
-  | None -> corrupt "missing array field %S" name
-
-let action_of_json j =
-  match get_string "k" j with
-  | "run" -> Action.Run { vm = get_int "vm" j; dst = get_int "dst" j }
-  | "stop" -> Action.Stop { vm = get_int "vm" j; host = get_int "host" j }
-  | "migrate" ->
-    Action.Migrate
-      { vm = get_int "vm" j; src = get_int "src" j; dst = get_int "dst" j }
-  | "suspend" -> Action.Suspend { vm = get_int "vm" j; host = get_int "host" j }
-  | "resume" ->
-    Action.Resume
-      { vm = get_int "vm" j; src = get_int "src" j; dst = get_int "dst" j }
-  | "suspend-ram" ->
-    Action.Suspend_ram { vm = get_int "vm" j; host = get_int "host" j }
-  | "resume-ram" ->
-    Action.Resume_ram { vm = get_int "vm" j; host = get_int "host" j }
-  | k -> corrupt "unknown action kind %S" k
-
-let state_of_json = function
-  | Json.String "waiting" -> Configuration.Waiting
-  | Json.String "terminated" -> Configuration.Terminated
-  | j -> (
-    match get_string "s" j with
-    | "running" -> Configuration.Running (get_int "n" j)
-    | "sleeping" -> Configuration.Sleeping (get_int "n" j)
-    | "sleeping-ram" -> Configuration.Sleeping_ram (get_int "n" j)
-    | s -> corrupt "unknown VM state %S" s)
-
-let config_of_json j =
-  let nodes =
-    get_list "nodes" j
-    |> List.mapi (fun id n ->
-           let cpu = get_int "cpu" n and mem = get_int "mem" n in
-           let name = get_string "name" n in
-           (* [Node.make] rejects non-positive capacities; a zeroed node
-              in a journal is a crashed one (the only way the API builds
-              one), so rebuild it through [Node.crashed] *)
-           if cpu <= 0 || mem <= 0 then
-             Node.crashed
-               (Node.make ~id ~name ~cpu_capacity:(max 1 cpu)
-                  ~memory_mb:(max 1 mem))
-           else Node.make ~id ~name ~cpu_capacity:cpu ~memory_mb:mem)
-    |> Array.of_list
-  in
-  let vms =
-    get_list "vms" j
-    |> List.mapi (fun id v ->
-           Vm.make ~id ~name:(get_string "name" v) ~memory_mb:(get_int "mem" v))
-    |> Array.of_list
-  in
-  let states = get_list "states" j |> List.map state_of_json in
-  if List.length states <> Array.length vms then
-    corrupt "configuration: %d states for %d VMs" (List.length states)
-      (Array.length vms);
-  let config = Configuration.make ~nodes ~vms in
-  Configuration.with_states config (Array.of_list states)
-
-let plan_of_json j =
-  match Json.to_list j with
-  | None -> corrupt "plan: expected an array of pools"
-  | Some pools ->
-    Plan.make
-      (List.map
-         (fun pool ->
-           match Json.to_list pool with
-           | None -> corrupt "plan: expected an array of actions"
-           | Some actions -> List.map action_of_json actions)
-         pools)
-
-let demand_of_json j =
-  match Json.to_list j with
-  | None -> corrupt "demand: expected an array"
-  | Some cpus ->
-    let arr =
-      Array.of_list
-        (List.map
-           (function
-             | Json.Int i -> i | _ -> corrupt "demand: expected integers")
-           cpus)
-    in
-    Demand.of_fn ~vm_count:(Array.length arr) (fun vm -> arr.(vm))
-
-let of_json j =
-  let field name =
-    match Json.member name j with
-    | Some v -> v
-    | None -> corrupt "missing field %S" name
-  in
-  match get_string "t" j with
-  | "begin" ->
-    Switch_begin
-      {
-        switch = get_int "sw" j;
-        at_s = get_float "at" j;
-        source = config_of_json (field "source");
-        target = config_of_json (field "target");
-        plan = plan_of_json (field "plan");
-        demand = demand_of_json (field "demand");
-        seed =
-          (match Json.member "seed" j with
-          | Some (Json.Int s) -> Some s
-          | _ -> None);
-      }
-  | "start" ->
-    Action_started
-      {
-        switch = get_int "sw" j;
-        pool = get_int "pool" j;
-        attempt = get_int "n" j;
-        at_s = get_float "at" j;
-        action = action_of_json (field "a");
-      }
-  | "done" ->
-    Action_done
-      {
-        switch = get_int "sw" j;
-        pool = get_int "pool" j;
-        at_s = get_float "at" j;
-        action = action_of_json (field "a");
-      }
-  | "failed" ->
-    Action_failed
-      {
-        switch = get_int "sw" j;
-        pool = get_int "pool" j;
-        at_s = get_float "at" j;
-        action = action_of_json (field "a");
-      }
-  | "pool" ->
-    Pool_committed
-      { switch = get_int "sw" j; pool = get_int "pool" j; at_s = get_float "at" j }
-  | "end" ->
-    Switch_end
-      {
-        switch = get_int "sw" j;
-        at_s = get_float "at" j;
-        aborted =
-          (match Json.member "aborted" j with
-          | Some (Json.Bool b) -> b
-          | _ -> corrupt "missing boolean field \"aborted\"");
-      }
-  | "submission" ->
-    let v = get_int "v" j in
-    if v <> submission_version then
-      corrupt "unknown submission record version %d" v;
-    Submission
-      {
-        at_s = get_float "at" j;
-        vjob = get_int "vj" j;
-        vms = get_int "vms" j;
-        disposition =
-          (match Json.member "d" j with
-          | Some (Json.String "queued") -> Queued
-          | Some (Json.String "admitted") -> Admitted
-          | Some (Json.Obj _ as o) -> Rejected (get_string "r" o)
-          | _ -> corrupt "unknown submission disposition");
-      }
-  | "ladder" ->
-    let v = get_int "v" j in
-    if v <> ladder_version then corrupt "unknown ladder record version %d" v;
-    Ladder
-      {
-        at_s = get_float "at" j;
-        from_level = get_int "from" j;
-        to_level = get_int "to" j;
-        reason = get_string "reason" j;
-      }
-  | t -> corrupt "unknown record type %S" t
-
-(* -- checksummed line form (JSON debug export + legacy journals) ------------- *)
+(* -- checksum ------------------------------------------------------------------ *)
 
 let checksum_sub s ~pos ~len =
   let h = ref 0x811c9dc5 in
@@ -437,34 +244,6 @@ let checksum_sub s ~pos ~len =
   !h
 
 let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
-
-let to_line r =
-  let payload = Json.to_string (to_json r) in
-  Json.to_string
-    (Json.Obj [ ("crc", Json.Int (checksum payload)); ("rec", Json.String payload) ])
-
-let of_line line =
-  let j =
-    try Json.parse line
-    with Json.Parse_error e -> corrupt "unparseable line: %s" e
-  in
-  let crc =
-    match Json.member "crc" j with
-    | Some (Json.Int c) -> c
-    | _ -> corrupt "missing checksum"
-  in
-  let payload =
-    match Option.bind (Json.member "rec" j) Json.string_value with
-    | Some p -> p
-    | None -> corrupt "missing record payload"
-  in
-  if checksum payload <> crc then
-    corrupt "checksum mismatch (stored %d, computed %d)" crc (checksum payload);
-  let rec_json =
-    try Json.parse payload
-    with Json.Parse_error e -> corrupt "unparseable record payload: %s" e
-  in
-  of_json rec_json
 
 (* -- binary frame form -------------------------------------------------------- *)
 
@@ -656,8 +435,9 @@ let read_config r =
         let name = read_string r in
         let cpu = read_varint r in
         let mem = read_varint r in
-        (* same crashed-node rule as the JSON decoder: zeroed capacities
-           only ever come from [Node.crashed] *)
+        (* [Node.make] rejects non-positive capacities; a zeroed node
+           in a journal is a crashed one (the only way the API builds
+           one), so rebuild it through [Node.crashed] *)
         if cpu <= 0 || mem <= 0 then
           Node.crashed
             (Node.make ~id ~name ~cpu_capacity:(max 1 cpu) ~memory_mb:(max 1 mem))

@@ -11,9 +11,8 @@
     {!read_frame}): an 11-byte header (magic, version, payload length,
     FNV-1a checksum) followed by a compact binary payload. A torn or
     corrupted frame is detected by the header checks and checksum and
-    ends the durable prefix in {!Journal.load}. The checksummed JSON
-    line form ({!to_line} / {!of_line}) remains as the debug export and
-    as the decoder for journals written before the binary format. *)
+    ends the durable prefix in {!Journal.load}. {!to_json} is a one-way
+    debug export; nothing decodes it. *)
 
 open Entropy_core
 
@@ -59,16 +58,6 @@ type t =
 
 and disposition = Queued | Admitted | Rejected of string
 
-exception Corrupt of string
-(** Raised by the decoders on malformed input or a checksum mismatch. *)
-
-val submission_version : int
-(** Version byte carried inside every {!Submission} payload (the record
-    is expected to grow fields); decoders reject versions they do not
-    know with a clean diagnostic. *)
-
-val ladder_version : int
-
 val switch : t -> int
 (** The record's switch id; [-1] for the daemon-level records
     ({!Submission}, {!Ladder}) that live outside any switch. *)
@@ -76,23 +65,16 @@ val switch : t -> int
 val at_s : t -> float
 
 val to_json : t -> Entropy_obs.Json.t
-val of_json : Entropy_obs.Json.t -> t
-(** Raises {!Corrupt}. *)
+(** The record as a JSON object, for `entropyctl journal dump`. *)
 
 val checksum : string -> int
 (** FNV-1a 32-bit over the serialized record payload. *)
 
-val to_line : t -> string
-(** One newline-free JSON line: [{"crc":...,"rec":...}]. *)
-
-val of_line : string -> t
-(** Raises {!Corrupt} on a parse error or a checksum mismatch. *)
-
 (** {2 Binary frame form (the durable format)} *)
 
 val magic : string
-(** Frame magic, ["EJ"]. The first byte of a journal file selects its
-    codec: ['{'] means legacy JSON lines, anything else binary frames. *)
+(** Frame magic, ["EJ"]. A file whose first byte is ['{'] is a
+    pre-binary JSON-lines journal, which {!Journal} refuses to read. *)
 
 val version : int
 (** Format version carried in every frame header; readers reject frames

@@ -38,7 +38,6 @@ type vm_rt = {
 
 type t = {
   engine : Engine.t;
-  params : Perf_model.params;
   mutable config : Configuration.t;
   rts : vm_rt array;
   vjobs : Vjob.t array;
@@ -55,7 +54,6 @@ type t = {
 let storage t = t.storage
 
 let engine t = t.engine
-let params t = t.params
 let config t = t.config
 let now t = Engine.now t.engine
 let vjobs t = Array.to_list t.vjobs
@@ -104,8 +102,8 @@ let busy ?except t node_id =
 (* -- contention ------------------------------------------------------------ *)
 
 let node_decel t node_id =
-  if t.remote_ops.(node_id) > 0 then t.params.Perf_model.decel_remote
-  else if t.local_ops.(node_id) > 0 then t.params.Perf_model.decel_local
+  if t.remote_ops.(node_id) > 0 then Perf_model.decel_remote
+  else if t.local_ops.(node_id) > 0 then Perf_model.decel_local
   else 1.
 
 let register_op t ~nodes ~local =
@@ -334,8 +332,7 @@ let crash_node t node_id =
 
 (* -- construction ----------------------------------------------------------- *)
 
-let create ?(params = Perf_model.defaults) ?storage ~engine ~config ~vjobs
-    ~programs () =
+let create ?storage ~engine ~config ~vjobs ~programs () =
   let rts =
     Array.map
       (fun vm ->
@@ -354,7 +351,6 @@ let create ?(params = Perf_model.defaults) ?storage ~engine ~config ~vjobs
   let t =
     {
       engine;
-      params;
       config;
       rts;
       vjobs = Array.of_list vjobs;

@@ -6,14 +6,13 @@ open Entropy_core
 type t
 
 val create :
-  ?params:Perf_model.params -> ?storage:Storage.t -> engine:Engine.t ->
+  ?storage:Storage.t -> engine:Engine.t ->
   config:Configuration.t -> vjobs:Vjob.t list ->
   programs:(Vm.id -> Vworkload.Program.t) -> unit -> t
 
 val storage : t -> Storage.t option
 
 val engine : t -> Engine.t
-val params : t -> Perf_model.params
 val config : t -> Configuration.t
 val now : t -> float
 val vjobs : t -> Vjob.t list

@@ -92,11 +92,6 @@ let rec first_dead cluster = function
   | nd :: rest ->
     if Cluster.node_alive cluster nd then first_dead cluster rest else nd
 
-let is_pipelined = function
-  | Action.Suspend _ | Action.Resume _ | Action.Suspend_ram _
-  | Action.Resume_ram _ -> true
-  | Action.Run _ | Action.Stop _ | Action.Migrate _ -> false
-
 let kind_name = function
   | Action.Run _ -> "run"
   | Action.Stop _ -> "stop"
@@ -172,7 +167,6 @@ let resolve ?injector ?policy () =
 let run_action ?emit ?(switch = 0) ?(pool = 0) cluster ~injector ~policy
     ~tally action ~on_complete =
   let engine = Cluster.engine cluster in
-  let params = Cluster.params cluster in
   let vm = Action.vm action in
   let nodes = touched_nodes action in
   let all_nodes = involved_nodes action in
@@ -217,7 +211,7 @@ let run_action ?emit ?(switch = 0) ?(pool = 0) cluster ~injector ~policy
       let config = Cluster.config cluster in
       let busy node = Cluster.busy ~except:vm cluster node in
       let decision = Injector.decide injector action in
-      let dur = Perf_model.action_duration ~params ~busy action config in
+      let dur = Perf_model.action_duration ~busy action config in
       (* NFS bandwidth sharing: concurrent image transfers on the same
          storage server stretch each other *)
       let storage_transfer =
@@ -359,11 +353,10 @@ let execute ?injector ?policy ?(abort_on_failure = false) ?emit ?switch
     cluster plan ~on_done =
   let injector, policy = resolve ?injector ?policy () in
   let engine = Cluster.engine cluster in
-  let params = Cluster.params cluster in
   let started_at = Engine.now engine in
   let cost = Plan.cost (Cluster.config cluster) plan in
   let pools = Array.of_list (Plan.pools plan) in
-  let gap = params.Perf_model.pipeline_gap_s in
+  let gap = Schedule.durations.pipeline_gap_s in
   let tally = mk_tally () in
   let rec run_pool i =
     if i >= Array.length pools then
@@ -401,7 +394,7 @@ let execute ?injector ?policy ?(abort_on_failure = false) ?emit ?switch
       List.iter
         (fun action ->
           let offset =
-            if is_pipelined action then begin
+            if Schedule.is_pipelined action then begin
               let o = float_of_int !k *. gap in
               incr k;
               o
@@ -424,10 +417,9 @@ let execute_continuous ?injector ?policy ?(abort_on_failure = false) ?emit
     ?switch ?vjobs cluster plan ~on_done =
   let injector, policy = resolve ?injector ?policy () in
   let engine = Cluster.engine cluster in
-  let params = Cluster.params cluster in
   let started_at = Engine.now engine in
   let cost = Plan.cost (Cluster.config cluster) plan in
-  let gap = params.Perf_model.pipeline_gap_s in
+  let gap = Schedule.durations.pipeline_gap_s in
   let pending = ref (Continuous.group_actions ?vjobs plan) in
   let prereq = Continuous.vm_prerequisites plan in
   let completed = Array.make (Array.length prereq) false in

@@ -34,7 +34,6 @@ val duration : record -> float
 val pp_record : Format.formatter -> record -> unit
 
 val touched_nodes : Action.t -> Node.id list
-val is_pipelined : Action.t -> bool
 
 val execute :
   ?injector:Entropy_fault.Injector.t ->

@@ -2,7 +2,7 @@
    measurements of section 2.3 / Figure 3 of the paper:
 
    - booting a VM takes ~6 s and a clean shutdown ~25 s, independent of
-     the memory size (a hard shutdown is much faster);
+     the memory size;
    - migration, suspend and resume durations grow linearly with the
      memory allocated to the VM;
    - performing the suspend or resume remotely (image pushed with
@@ -11,7 +11,7 @@
      both the operation and the busy VMs slow down: deceleration ~1.3
      for local operations, ~1.5 for remote ones (up to 50% loss).
 
-   Default rates reproduce the figure's end points:
+   The rates reproduce the figure's end points:
      migrate(2048 MB)        ~ 26 s
      suspend local(2048)     ~ 100 s   suspend+scp(2048) ~ 195 s
      resume local(2048)      ~ 80 s    resume remote     ~ 160 s *)
@@ -25,122 +25,77 @@ let transfer_to_string = function
   | Scp -> "scp"
   | Rsync -> "rsync"
 
-type params = {
-  boot_s : float;
-  clean_shutdown_s : float;
-  hard_stop_s : float;
-  migration_rate_mb_s : float;   (* live-migration page transfer rate *)
-  migration_latency_s : float;   (* setup + final stop-and-copy *)
-  suspend_disk_mb_s : float;     (* memory image write rate *)
-  resume_disk_mb_s : float;      (* memory image read rate *)
-  scp_mb_s : float;              (* scp push rate *)
-  rsync_mb_s : float;            (* rsync push rate *)
-  decel_local : float;           (* deceleration with co-hosted busy VMs *)
-  decel_remote : float;
-  pipeline_gap_s : float;        (* delay between pipelined suspends/resumes *)
-  ram_suspend_s : float;         (* pause a VM, image kept in RAM *)
-  ram_resume_s : float;
-}
-
-let defaults =
-  {
-    boot_s = 6.;
-    clean_shutdown_s = 25.;
-    hard_stop_s = 1.;
-    migration_rate_mb_s = 85.;
-    migration_latency_s = 1.8;
-    suspend_disk_mb_s = 21.;
-    resume_disk_mb_s = 26.;
-    scp_mb_s = 22.;
-    rsync_mb_s = 24.;
-    decel_local = 1.3;
-    decel_remote = 1.5;
-    pipeline_gap_s = 1.;
-    ram_suspend_s = 1.;
-    ram_resume_s = 0.5;
-  }
+(* The contention-free durations are [Schedule.durations], the one
+   Figure 3 table; this module adds the rsync push variant that
+   [figure3_rows] prints and the deceleration under contention. *)
+let d = Schedule.durations
+let rsync_mb_s = 24.           (* rsync push rate; scp is [transfer_mb_s] *)
+let decel_local = 1.3          (* deceleration with co-hosted busy VMs *)
+let decel_remote = 1.5
 
 let mb = float_of_int
 
 (* -- raw durations (no contention) ---------------------------------------- *)
 
-let boot p = p.boot_s
-let clean_shutdown p = p.clean_shutdown_s
-let hard_stop p = p.hard_stop_s
+let boot = d.boot_s
+let clean_shutdown = d.shutdown_s
 
-let migrate p ~memory_mb =
-  p.migration_latency_s +. (mb memory_mb /. p.migration_rate_mb_s)
+let migrate ~memory_mb =
+  d.migrate_latency_s +. (mb memory_mb /. d.migrate_mb_s)
 
-let suspend p ~memory_mb ~transfer =
-  let write = mb memory_mb /. p.suspend_disk_mb_s in
-  match transfer with
-  | Local -> write
-  | Scp -> write +. (mb memory_mb /. p.scp_mb_s)
-  | Rsync -> write +. (mb memory_mb /. p.rsync_mb_s)
+let push ~memory_mb = function
+  | Local -> 0.
+  | Scp -> mb memory_mb /. d.transfer_mb_s
+  | Rsync -> mb memory_mb /. rsync_mb_s
 
-let resume p ~memory_mb ~transfer =
-  let read = mb memory_mb /. p.resume_disk_mb_s in
-  match transfer with
-  | Local -> read
-  | Scp -> read +. (mb memory_mb /. p.scp_mb_s)
-  | Rsync -> read +. (mb memory_mb /. p.rsync_mb_s)
+let suspend ~memory_mb ~transfer =
+  (mb memory_mb /. d.suspend_mb_s) +. push ~memory_mb transfer
+
+let resume ~memory_mb ~transfer =
+  (mb memory_mb /. d.resume_mb_s) +. push ~memory_mb transfer
 
 (* -- contention ------------------------------------------------------------ *)
 
 (* Deceleration factor applied to an operation (and, symmetrically, to
    the busy VMs of the nodes it touches) while it runs. *)
-let deceleration p ~local ~busy_coresident =
+let deceleration ~local ~busy_coresident =
   if not busy_coresident then 1.
-  else if local then p.decel_local
-  else p.decel_remote
+  else if local then decel_local
+  else decel_remote
 
 (* -- durations of reconfiguration actions ---------------------------------- *)
 
 (* [busy node] tells whether the node hosts at least one busy VM other
-   than the manipulated one. *)
-let action_duration ?(params = defaults) ~busy action =
-  let vm_memory config vm = Vm.memory_mb (Configuration.vm config vm) in
-  fun config ->
-    match action with
-    | Action.Run _ -> boot params
-    | Action.Stop _ -> clean_shutdown params
-    | Action.Migrate { vm; src; dst } ->
-      let raw = migrate params ~memory_mb:(vm_memory config vm) in
-      raw
-      *. deceleration params ~local:false
-           ~busy_coresident:(busy src || busy dst)
-    | Action.Suspend { vm; host } ->
-      let raw =
-        suspend params ~memory_mb:(vm_memory config vm) ~transfer:Local
-      in
-      raw *. deceleration params ~local:true ~busy_coresident:(busy host)
-    | Action.Resume { vm; src; dst } ->
-      let transfer = if src = dst then Local else Scp in
-      let raw = resume params ~memory_mb:(vm_memory config vm) ~transfer in
-      let local = src = dst in
-      raw
-      *. deceleration params ~local ~busy_coresident:(busy src || busy dst)
-    (* suspend-to-RAM operations are pause/unpause: no image transfer,
-       no memory-led term, negligible contention impact *)
-    | Action.Suspend_ram _ -> params.ram_suspend_s
-    | Action.Resume_ram _ -> params.ram_resume_s
+   than the manipulated one. Suspend-to-RAM operations are
+   pause/unpause: no image transfer, negligible contention impact. *)
+let action_duration ~busy action config =
+  let raw = Schedule.action_duration config action in
+  match action with
+  | Action.Run _ | Action.Stop _ | Action.Suspend_ram _ | Action.Resume_ram _
+    -> raw
+  | Action.Migrate { src; dst; _ } ->
+    raw *. deceleration ~local:false ~busy_coresident:(busy src || busy dst)
+  | Action.Suspend { host; _ } ->
+    raw *. deceleration ~local:true ~busy_coresident:(busy host)
+  | Action.Resume { src; dst; _ } ->
+    raw *. deceleration ~local:(src = dst) ~busy_coresident:(busy src || busy dst)
 
 (* Figure 3 sweep: durations for the paper's three memory sizes. *)
 let figure3_memory_sizes = [ 512; 1024; 2048 ]
 
-let figure3_rows ?(params = defaults) () =
+let figure3_rows () =
   List.map
     (fun m ->
       ( m,
         [
-          ("start/run", boot params);
-          ("stop/shutdown", clean_shutdown params);
-          ("migrate", migrate params ~memory_mb:m);
-          ("suspend local", suspend params ~memory_mb:m ~transfer:Local);
-          ("suspend local+scp", suspend params ~memory_mb:m ~transfer:Scp);
-          ("suspend local+rsync", suspend params ~memory_mb:m ~transfer:Rsync);
-          ("resume local", resume params ~memory_mb:m ~transfer:Local);
-          ("resume local+scp", resume params ~memory_mb:m ~transfer:Scp);
-          ("resume local+rsync", resume params ~memory_mb:m ~transfer:Rsync);
+          ("start/run", boot);
+          ("stop/shutdown", clean_shutdown);
+          ("migrate", migrate ~memory_mb:m);
+          ("suspend local", suspend ~memory_mb:m ~transfer:Local);
+          ("suspend local+scp", suspend ~memory_mb:m ~transfer:Scp);
+          ("suspend local+rsync", suspend ~memory_mb:m ~transfer:Rsync);
+          ("resume local", resume ~memory_mb:m ~transfer:Local);
+          ("resume local+scp", resume ~memory_mb:m ~transfer:Scp);
+          ("resume local+rsync", resume ~memory_mb:m ~transfer:Rsync);
         ] ))
     figure3_memory_sizes

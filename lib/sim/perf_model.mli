@@ -7,45 +7,30 @@ type transfer = Local | Scp | Rsync
 
 val transfer_to_string : transfer -> string
 
-type params = {
-  boot_s : float;
-  clean_shutdown_s : float;
-  hard_stop_s : float;
-  migration_rate_mb_s : float;
-  migration_latency_s : float;
-  suspend_disk_mb_s : float;
-  resume_disk_mb_s : float;
-  scp_mb_s : float;
-  rsync_mb_s : float;
-  decel_local : float;
-  decel_remote : float;
-  pipeline_gap_s : float;
-  ram_suspend_s : float;
-  ram_resume_s : float;
-}
+val decel_local : float
+val decel_remote : float
 
-val defaults : params
+(** Contention-free durations, from {!Entropy_core.Schedule.durations}
+    (scp pushes at its [transfer_mb_s]; rsync at 24 MB/s). *)
 
-val boot : params -> float
-val clean_shutdown : params -> float
-val hard_stop : params -> float
-val migrate : params -> memory_mb:int -> float
-val suspend : params -> memory_mb:int -> transfer:transfer -> float
-val resume : params -> memory_mb:int -> transfer:transfer -> float
+val boot : float
+val clean_shutdown : float
+val migrate : memory_mb:int -> float
+val suspend : memory_mb:int -> transfer:transfer -> float
+val resume : memory_mb:int -> transfer:transfer -> float
 
-val deceleration : params -> local:bool -> busy_coresident:bool -> float
+val deceleration : local:bool -> busy_coresident:bool -> float
 (** 1.0 without co-resident busy VMs, else 1.3 (local) / 1.5 (remote). *)
 
 val action_duration :
-  ?params:params -> busy:(Node.id -> bool) -> Action.t ->
-  Configuration.t -> float
+  busy:(Node.id -> bool) -> Action.t -> Configuration.t -> float
 (** Wall-clock duration of a reconfiguration action, contention
-    included. [busy n] tells whether node [n] hosts busy VMs other than
-    the manipulated one. *)
+    included: {!Entropy_core.Schedule.action_duration} times the
+    deceleration. [busy n] tells whether node [n] hosts busy VMs other
+    than the manipulated one. *)
 
 val figure3_memory_sizes : int list
 
-val figure3_rows :
-  ?params:params -> unit -> (int * (string * float) list) list
+val figure3_rows : unit -> (int * (string * float) list) list
 (** The Figure 3 table: durations of every operation for 512/1024/2048
     MB VMs. *)

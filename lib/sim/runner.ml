@@ -63,17 +63,21 @@ let setup ?(arrival_spacing = 0.) ~nodes ~traces () =
   in
   (config, vjobs, fun vm_id -> programs.(vm_id))
 
+(* The control loop re-decides every [period] seconds, samples metrics
+   every [sample_period] and polls the monitors every [poll_period]; a
+   degraded switch is chased by at most [max_repairs] repair plans. *)
+let period = 30.
+let sample_period = 30.
+let poll_period = 5.
+let max_repairs = 4
+
 (* Run the control loop over an arbitrary initial configuration (VMs may
    already be running/sleeping). *)
-let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
-    ?(sample_period = 30.) ?(poll_period = 5.) ?(cp_timeout = 1.0)
-    ?(max_time = 1_000_000.) ?decision ?injector ?policy ?(max_repairs = 4)
-    ?storage ?(execution = `Pools) ?journal ?kill_at ?initial ~config ~vjobs
-    ~programs () =
+let run_custom ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
+    ?injector ?policy ?(execution = `Pools) ?journal ?kill_at ?initial ~config
+    ~vjobs ~programs () =
   let engine = Engine.create () in
-  let cluster =
-    Cluster.create ~params ?storage ~engine ~config ~vjobs ~programs ()
-  in
+  let cluster = Cluster.create ~engine ~config ~vjobs ~programs () in
   let collector =
     Vmonitor.Collector.create (fun () ->
         (Engine.now engine, Cluster.cpu_readings cluster))
@@ -204,25 +208,21 @@ let run_custom ?(params = Perf_model.defaults) ?(period = 30.)
     killed;
   }
 
-let run_entropy ?params ?period ?sample_period ?poll_period ?cp_timeout
-    ?max_time ?decision ?injector ?policy ?max_repairs ?arrival_spacing
-    ?storage ?execution ?journal ?kill_at ~nodes ~traces () =
+let run_entropy ?cp_timeout ?max_time ?decision ?injector ?policy
+    ?arrival_spacing ?execution ?journal ?kill_at ~nodes ~traces () =
   let config, vjobs, programs = setup ?arrival_spacing ~nodes ~traces () in
-  run_custom ?params ?period ?sample_period ?poll_period ?cp_timeout
-    ?max_time ?decision ?injector ?policy ?max_repairs ?storage ?execution
+  run_custom ?cp_timeout ?max_time ?decision ?injector ?policy ?execution
     ?journal ?kill_at ~config ~vjobs ~programs ()
 
 (* -- crash recovery ----------------------------------------------------------- *)
 
-let resume ?params ?period ?sample_period ?poll_period ?cp_timeout ?max_time
-    ?decision ?injector ?policy ?max_repairs ?storage ?execution ?journal
-    ?kill_at ~records ~observed ~vjobs ~programs () =
+let resume ?cp_timeout ?max_time ?decision ?injector ?policy ?execution
+    ?journal ?kill_at ~records ~observed ~vjobs ~programs () =
   Recovery.replay records
   |> Option.map (fun state ->
          let r = Recovery.resume_plan ~vjobs ~observed state in
          ( r,
-           run_custom ?params ?period ?sample_period ?poll_period ?cp_timeout
-             ?max_time ?decision ?injector ?policy ?max_repairs ?storage
+           run_custom ?cp_timeout ?max_time ?decision ?injector ?policy
              ?execution ?journal ?kill_at
              ~initial:(r.Recovery.target, r.Recovery.plan) ~config:observed
              ~vjobs ~programs () ))

@@ -30,29 +30,27 @@ val setup :
     j * spacing; default: all at t=0 as in the paper). *)
 
 val run_custom :
-  ?params:Perf_model.params -> ?period:float -> ?sample_period:float ->
-  ?poll_period:float -> ?cp_timeout:float -> ?max_time:float ->
-  ?decision:Decision.t -> ?injector:Entropy_fault.Injector.t ->
-  ?policy:Entropy_fault.Supervisor.policy -> ?max_repairs:int ->
-  ?storage:Storage.t -> ?execution:[ `Pools | `Continuous ] ->
+  ?cp_timeout:float -> ?max_time:float -> ?decision:Decision.t ->
+  ?injector:Entropy_fault.Injector.t ->
+  ?policy:Entropy_fault.Supervisor.policy ->
+  ?execution:[ `Pools | `Continuous ] ->
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
   ?initial:Configuration.t * Plan.t ->
   config:Configuration.t -> vjobs:Vjob.t list ->
   programs:(Vm.id -> Vworkload.Program.t) -> unit -> result
 (** Run the control loop over an arbitrary initial configuration (VMs
-    may already be running or sleeping): every [period] seconds, decide
-    over the submitted, unterminated vjobs and hand the result to a
-    {!Session}, which commits it — an empty plan's bookkeeping directly,
-    a non-empty plan as one journaled, supervised switch. [execution]
-    selects pool-based (default, the paper's model) or continuous switch
-    execution.
+    may already be running or sleeping): every 30 s, decide over the
+    submitted, unterminated vjobs and hand the result to a {!Session},
+    which commits it — an empty plan's bookkeeping directly, a non-empty
+    plan as one journaled, supervised switch. Monitors are polled every
+    5 s and metrics sampled every 30 s. [execution] selects pool-based
+    (default, the paper's model) or continuous switch execution.
 
     With [injector], actions run supervised under [policy] (default
     {!Entropy_fault.Supervisor.default_policy}), scripted node crashes
     fire on the engine, and a switch that terminally loses actions
-    aborts and is chased by at most [max_repairs] (default 4) immediate
-    repair plans — salvage or FFD replan — before the periodic loop
-    resumes.
+    aborts and is chased by at most 4 immediate repair plans — salvage
+    or FFD replan — before the periodic loop resumes.
 
     With [journal], every switch is bracketed by write-ahead records
     ([Switch_begin] before the first action, [Switch_end] after the
@@ -66,12 +64,10 @@ val run_custom :
     the periodic loop. *)
 
 val run_entropy :
-  ?params:Perf_model.params -> ?period:float -> ?sample_period:float ->
-  ?poll_period:float -> ?cp_timeout:float -> ?max_time:float ->
-  ?decision:Decision.t -> ?injector:Entropy_fault.Injector.t ->
-  ?policy:Entropy_fault.Supervisor.policy -> ?max_repairs:int ->
-  ?arrival_spacing:float -> ?storage:Storage.t ->
-  ?execution:[ `Pools | `Continuous ] ->
+  ?cp_timeout:float -> ?max_time:float -> ?decision:Decision.t ->
+  ?injector:Entropy_fault.Injector.t ->
+  ?policy:Entropy_fault.Supervisor.policy ->
+  ?arrival_spacing:float -> ?execution:[ `Pools | `Continuous ] ->
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
   nodes:Node.t array -> traces:Vworkload.Trace.t list -> unit -> result
 (** Run the control loop until every vjob has completed and been
@@ -80,11 +76,10 @@ val run_entropy :
     [kill_at] the crash-tolerance pipeline (see {!run_custom}). *)
 
 val resume :
-  ?params:Perf_model.params -> ?period:float -> ?sample_period:float ->
-  ?poll_period:float -> ?cp_timeout:float -> ?max_time:float ->
-  ?decision:Decision.t -> ?injector:Entropy_fault.Injector.t ->
-  ?policy:Entropy_fault.Supervisor.policy -> ?max_repairs:int ->
-  ?storage:Storage.t -> ?execution:[ `Pools | `Continuous ] ->
+  ?cp_timeout:float -> ?max_time:float -> ?decision:Decision.t ->
+  ?injector:Entropy_fault.Injector.t ->
+  ?policy:Entropy_fault.Supervisor.policy ->
+  ?execution:[ `Pools | `Continuous ] ->
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
   records:Entropy_journal.Record.t list -> observed:Configuration.t ->
   vjobs:Vjob.t list -> programs:(Vm.id -> Vworkload.Program.t) -> unit ->

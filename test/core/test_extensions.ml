@@ -429,7 +429,7 @@ let test_schedule_pools_sequential () =
       ]
   in
   let sched = Schedule.of_plan config plan in
-  let suspend_dur = 1024. /. Schedule.default_durations.Schedule.suspend_mb_s in
+  let suspend_dur = 1024. /. Schedule.durations.Schedule.suspend_mb_s in
   check_float 0.01 "makespan" (suspend_dur +. 6.) (Schedule.makespan sched);
   match Schedule.entry_for sched 1 with
   | Some e -> check_float 0.01 "pool 2 starts after pool 1" suspend_dur e.Schedule.start
@@ -456,7 +456,7 @@ let test_schedule_pipelines_suspends () =
     check_float 0.001 "1s stagger" 1. (b.Schedule.start -. a.Schedule.start)
   | _ -> Alcotest.fail "expected both entries");
   (* overlapping, not sequential *)
-  let single = 512. /. Schedule.default_durations.Schedule.suspend_mb_s in
+  let single = 512. /. Schedule.durations.Schedule.suspend_mb_s in
   check_float 0.01 "overlap" (single +. 1.) (Schedule.makespan sched)
 
 let test_schedule_remote_resume_longer () =

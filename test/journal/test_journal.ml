@@ -1,4 +1,4 @@
-(* Tests for the write-ahead switch journal: record codec round trips,
+(* Tests for the write-ahead switch journal: binary codec round trips,
    checksum and torn-tail handling, the two backends, journal replay,
    and reconciliation of a journaled switch against an observation. *)
 
@@ -117,17 +117,6 @@ let all_records = switch_records @ daemon_records
 
 (* -- record codec ------------------------------------------------------------- *)
 
-let test_record_round_trip () =
-  List.iter
-    (fun r ->
-      let line = Record.to_line r in
-      check_bool "line has no newline" false (String.contains line '\n');
-      check_bool
-        (Format.asprintf "round trip: %a" Record.pp r)
-        true
-        (Record.equal r (Record.of_line line)))
-    all_records
-
 let test_record_accessors () =
   List.iter
     (fun r -> check_int "switch id" 3 (Record.switch r))
@@ -136,24 +125,6 @@ let test_record_accessors () =
     (fun r -> check_int "daemon record switch id" (-1) (Record.switch r))
     daemon_records;
   Alcotest.(check (float 1e-9)) "begin time" 12.5 (Record.at_s rich_begin)
-
-let test_checksum_detects_corruption () =
-  let line = Record.to_line rich_begin in
-  (* flip one payload character; the crc no longer matches *)
-  let i = String.length line - 3 in
-  let corrupt =
-    String.mapi
-      (fun j c -> if j = i then (if c = 'x' then 'y' else 'x') else c)
-      line
-  in
-  check_bool "of_line rejects a flipped byte" true
-    (match Record.of_line corrupt with
-    | exception Record.Corrupt _ -> true
-    | _ -> false);
-  check_bool "of_line rejects garbage" true
-    (match Record.of_line "not json at all" with
-    | exception Record.Corrupt _ -> true
-    | _ -> false)
 
 let test_checksum_reference () =
   (* FNV-1a 32-bit reference values — pins the on-disk format *)
@@ -209,26 +180,6 @@ let test_file_backend () =
   check_int "appended after reopen"
     (List.length all_records + 1)
     (List.length (fst (Journal.load path)));
-  Sys.remove path
-
-let test_torn_tail () =
-  let path = temp_journal () in
-  let good = List.map Record.to_line all_records in
-  let oc = open_out path in
-  List.iteri
-    (fun i line ->
-      (* corrupt the third line; everything after it must be dropped,
-         even the later well-formed lines *)
-      if i = 2 then output_string oc "{\"crc\":1,\"rec\":\"torn"
-      else output_string oc line;
-      output_char oc '\n')
-    good;
-  close_out oc;
-  let loaded, dropped = Journal.load path in
-  check_int "valid prefix ends at the torn line" 2 (List.length loaded);
-  check_int "torn + distrusted tail counted"
-    (List.length all_records - 2)
-    dropped;
   Sys.remove path
 
 (* -- binary frame form -------------------------------------------------------- *)
@@ -411,39 +362,28 @@ let test_next_switch_after_reopen () =
   Journal.close j2;
   Sys.remove path
 
-let test_json_auto_detect () =
-  (* a journal written by the pre-binary format: one JSON line/record *)
+let test_json_lines_refused () =
+  (* a journal written in the pre-binary format (one checksummed JSON
+     line per record): both readers refuse it, and [open_file] must not
+     truncate it as a torn tail *)
   let path = temp_journal () in
-  let oc = open_out path in
-  List.iter
-    (fun r ->
-      output_string oc (Record.to_line r);
-      output_char oc '\n')
-    all_records;
+  let contents =
+    "{\"crc\":1,\"rec\":\"{\\\"t\\\":\\\"end\\\"}\"}\n"
+  in
+  let oc = open_out_bin path in
+  output_string oc contents;
   close_out oc;
-  let loaded, dropped = Journal.load path in
-  check_int "no drops" 0 dropped;
-  check_bool "legacy journal loads" true
-    (List.for_all2 Record.equal all_records loaded);
-  (* reopening a legacy journal rewrites it as binary frames *)
-  let j = Journal.open_file path in
-  check_int "length counts legacy records" (List.length all_records)
-    (Journal.length j);
-  Journal.close j;
+  let expected =
+    Sys_error (path ^ ": JSON-lines journal (pre-binary format) is not supported")
+  in
+  Alcotest.check_raises "load refuses it" expected (fun () ->
+      ignore (Journal.load path));
+  Alcotest.check_raises "open_file refuses it" expected (fun () ->
+      ignore (Journal.open_file path));
   let ic = open_in_bin path in
-  let c = input_char ic in
+  let after = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  check_bool "file rewritten as binary" true (c <> '{');
-  let reread, dropped = Journal.load path in
-  check_int "no drops after rewrite" 0 dropped;
-  check_bool "records survive the rewrite" true
-    (List.length reread = List.length all_records
-    && List.for_all2 Record.equal all_records reread);
-  let j = Journal.open_file path in
-  Journal.append j (Record.Switch_end { switch = 9; at_s = 99.; aborted = false });
-  Journal.close j;
-  check_int "append readable" (List.length all_records + 1)
-    (List.length (fst (Journal.load path)));
+  check_string "file left byte-identical" contents after;
   Sys.remove path
 
 let test_group_commit_flush_rules () =
@@ -492,68 +432,6 @@ let test_group_commit_flush_rules () =
     (List.length (fst (Journal.load path)));
   Journal.close j2;
   Sys.remove path
-
-(* binary and JSON journals of the same run must replay and reconcile
-   identically — the debug export is a faithful view of the WAL *)
-let test_binary_json_parity () =
-  let mig vm = Action.Migrate { vm; src = 0; dst = 1 } in
-  let records =
-    [
-      Record.Switch_begin
-        {
-          switch = 0;
-          at_s = 1.;
-          source =
-            mk_config ~nodes:3 ~vm_count:2
-              Configuration.[ Running 0; Running 0 ];
-          target =
-            mk_config ~nodes:3 ~vm_count:2
-              Configuration.[ Running 1; Running 1 ];
-          plan = Plan.make [ [ mig 0; mig 1 ] ];
-          demand = Demand.uniform ~vm_count:2 40;
-          seed = Some 7;
-        };
-      Record.Action_started
-        { switch = 0; pool = 0; attempt = 1; at_s = 2.; action = mig 0 };
-      Record.Action_done { switch = 0; pool = 0; at_s = 3.; action = mig 0 };
-      Record.Action_started
-        { switch = 0; pool = 0; attempt = 1; at_s = 2.5; action = mig 1 };
-    ]
-  in
-  let bin_path = temp_journal () and json_path = temp_journal () in
-  let j = Journal.open_file bin_path in
-  List.iter (Journal.append j) records;
-  Journal.close j;
-  let oc = open_out json_path in
-  List.iter
-    (fun r ->
-      output_string oc (Record.to_line r);
-      output_char oc '\n')
-    records;
-  close_out oc;
-  let bin_records = fst (Journal.load bin_path) in
-  let json_records = fst (Journal.load json_path) in
-  check_bool "same records from both codecs" true
-    (List.length bin_records = List.length json_records
-    && List.for_all2 Record.equal bin_records json_records);
-  let observed =
-    mk_config ~nodes:3 ~vm_count:2 Configuration.[ Running 1; Running 0 ]
-  in
-  (match (Recovery.replay bin_records, Recovery.replay json_records) with
-  | Some sb, Some sj ->
-    let rb = Recovery.reconcile ~state:sb ~observed () in
-    let rj = Recovery.reconcile ~state:sj ~observed () in
-    Alcotest.(check (list int))
-      "same done VMs" rj.Recovery.done_vms rb.Recovery.done_vms;
-    Alcotest.(check (list int))
-      "same pending VMs" rj.Recovery.pending_vms rb.Recovery.pending_vms;
-    Alcotest.(check (list int))
-      "same frozen VMs" rj.Recovery.frozen_vms rb.Recovery.frozen_vms;
-    check_bool "same salvaged target" true
-      (Configuration.equal rb.Recovery.target rj.Recovery.target)
-  | _ -> Alcotest.fail "replay lost the switch on one codec");
-  Sys.remove bin_path;
-  Sys.remove json_path
 
 (* -- randomized codec properties ---------------------------------------------- *)
 
@@ -1093,10 +971,7 @@ let () =
     [
       ( "record",
         [
-          Alcotest.test_case "round trip" `Quick test_record_round_trip;
           Alcotest.test_case "accessors" `Quick test_record_accessors;
-          Alcotest.test_case "corruption detected" `Quick
-            test_checksum_detects_corruption;
           Alcotest.test_case "checksum reference" `Quick
             test_checksum_reference;
         ] );
@@ -1105,7 +980,6 @@ let () =
           Alcotest.test_case "mem" `Quick test_mem_backend;
           Alcotest.test_case "of_records" `Quick test_of_records;
           Alcotest.test_case "file" `Quick test_file_backend;
-          Alcotest.test_case "torn tail" `Quick test_torn_tail;
         ] );
       ( "binary",
         [
@@ -1119,12 +993,10 @@ let () =
             test_reopen_after_torn_tail;
           Alcotest.test_case "next switch after reopen" `Quick
             test_next_switch_after_reopen;
-          Alcotest.test_case "legacy json auto-detect" `Quick
-            test_json_auto_detect;
+          Alcotest.test_case "json-lines journal refused" `Quick
+            test_json_lines_refused;
           Alcotest.test_case "group commit flush rules" `Quick
             test_group_commit_flush_rules;
-          Alcotest.test_case "binary/json parity" `Quick
-            test_binary_json_parity;
           QCheck_alcotest.to_alcotest prop_binary_round_trip;
           QCheck_alcotest.to_alcotest prop_sequence_with_torn_suffix;
           QCheck_alcotest.to_alcotest prop_shrunk_records_still_round_trip;

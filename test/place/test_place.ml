@@ -31,7 +31,8 @@ let instance ~nodes ~vms ~seed =
 let probe54 = lazy (instance ~nodes:15 ~vms:54 ~seed:42)
 
 (* the acceptance shape: 216 VMs / 54 nodes under a 1 s deadline, at
-   the seed where CP alone times out solution-less (see bench) *)
+   the seed where CP alone times out without a solution (DESIGN.md
+   §15) *)
 let probe216 = lazy (instance ~nodes:54 ~vms:216 ~seed:2)
 
 let seeded_state (config, demand, _vjobs, outcome) =

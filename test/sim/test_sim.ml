@@ -181,30 +181,28 @@ let test_engine_rejects_past () =
 
 (* -- perf model (Figure 3 calibration) -------------------------------------- *)
 
-let p = Vsim.Perf_model.defaults
-
 let test_perf_boot_stop_memory_independent () =
-  check_float 1e-9 "boot" (Vsim.Perf_model.boot p) 6.;
-  check_float 1e-9 "shutdown" (Vsim.Perf_model.clean_shutdown p) 25.
+  check_float 1e-9 "boot" Vsim.Perf_model.boot 6.;
+  check_float 1e-9 "shutdown" Vsim.Perf_model.clean_shutdown 25.
 
 let test_perf_migrate_scales_with_memory () =
-  let d512 = Vsim.Perf_model.migrate p ~memory_mb:512 in
-  let d2048 = Vsim.Perf_model.migrate p ~memory_mb:2048 in
+  let d512 = Vsim.Perf_model.migrate ~memory_mb:512 in
+  let d2048 = Vsim.Perf_model.migrate ~memory_mb:2048 in
   check_bool "larger VM slower" true (d2048 > d512);
   (* paper: migrating a 2 GB VM takes up to ~26 s *)
   check_bool "2GB ~26s" true (d2048 > 20. && d2048 < 30.);
   check_bool "512MB <= 10s" true (d512 < 10.)
 
 let test_perf_suspend_remote_doubles () =
-  let local = Vsim.Perf_model.suspend p ~memory_mb:2048 ~transfer:Vsim.Perf_model.Local in
-  let scp = Vsim.Perf_model.suspend p ~memory_mb:2048 ~transfer:Vsim.Perf_model.Scp in
+  let local = Vsim.Perf_model.suspend ~memory_mb:2048 ~transfer:Vsim.Perf_model.Local in
+  let scp = Vsim.Perf_model.suspend ~memory_mb:2048 ~transfer:Vsim.Perf_model.Scp in
   check_bool "local ~100s" true (local > 80. && local < 120.);
   check_bool "scp roughly doubles" true
     (scp > 1.7 *. local && scp < 2.3 *. local)
 
 let test_perf_resume_remote_vs_local () =
-  let local = Vsim.Perf_model.resume p ~memory_mb:2048 ~transfer:Vsim.Perf_model.Local in
-  let scp = Vsim.Perf_model.resume p ~memory_mb:2048 ~transfer:Vsim.Perf_model.Scp in
+  let local = Vsim.Perf_model.resume ~memory_mb:2048 ~transfer:Vsim.Perf_model.Local in
+  let scp = Vsim.Perf_model.resume ~memory_mb:2048 ~transfer:Vsim.Perf_model.Scp in
   check_bool "local ~80s" true (local > 60. && local < 110.);
   check_bool "remote roughly 2x" true (scp > 1.7 *. local && scp < 2.4 *. local);
   (* the paper reports remote resumes of up to ~3 minutes *)
@@ -212,11 +210,11 @@ let test_perf_resume_remote_vs_local () =
 
 let test_perf_deceleration () =
   check_float 1e-9 "no busy" 1.
-    (Vsim.Perf_model.deceleration p ~local:true ~busy_coresident:false);
+    (Vsim.Perf_model.deceleration ~local:true ~busy_coresident:false);
   check_float 1e-9 "local busy" 1.3
-    (Vsim.Perf_model.deceleration p ~local:true ~busy_coresident:true);
+    (Vsim.Perf_model.deceleration ~local:true ~busy_coresident:true);
   check_float 1e-9 "remote busy" 1.5
-    (Vsim.Perf_model.deceleration p ~local:false ~busy_coresident:true)
+    (Vsim.Perf_model.deceleration ~local:false ~busy_coresident:true)
 
 let test_perf_figure3_rows () =
   let rows = Vsim.Perf_model.figure3_rows () in
@@ -245,6 +243,39 @@ let test_perf_action_duration_contention () =
   let quiet = Vsim.Perf_model.action_duration ~busy:(fun _ -> false) action config in
   let busy = Vsim.Perf_model.action_duration ~busy:(fun _ -> true) action config in
   check_float 1e-6 "busy = 1.5x quiet" (quiet *. 1.5) busy
+
+(* one duration table: without contention the simulator's durations are
+   the planner's estimates, bit for bit *)
+let test_perf_quiet_equals_schedule () =
+  let nodes = [| Node.testbed ~id:0 ~name:"N0"; Node.testbed ~id:1 ~name:"N1" |] in
+  let sizes = [ 512; 1024; 2048 ] in
+  let vms =
+    Array.of_list
+      (List.mapi
+         (fun i m -> Vm.make ~id:i ~name:(Printf.sprintf "vm%d" i) ~memory_mb:m)
+         sizes)
+  in
+  let config = Configuration.make ~nodes ~vms in
+  List.iteri
+    (fun vm m ->
+      List.iter
+        (fun action ->
+          check_bool
+            (Format.asprintf "%d MB %a" m Action.pp action)
+            true
+            (Vsim.Perf_model.action_duration ~busy:(fun _ -> false) action config
+            = Schedule.action_duration config action))
+        [
+          Action.Run { vm; dst = 0 };
+          Action.Stop { vm; host = 0 };
+          Action.Migrate { vm; src = 0; dst = 1 };
+          Action.Suspend { vm; host = 0 };
+          Action.Resume { vm; src = 0; dst = 0 };
+          Action.Resume { vm; src = 0; dst = 1 };
+          Action.Suspend_ram { vm; host = 0 };
+          Action.Resume_ram { vm; host = 0 };
+        ])
+    sizes
 
 (* -- cluster ----------------------------------------------------------------- *)
 
@@ -462,7 +493,7 @@ let test_executor_pipelines_suspends () =
   | None -> Alcotest.fail "executor did not finish"
   | Some r ->
     let single =
-      Vsim.Perf_model.suspend p ~memory_mb:512 ~transfer:Vsim.Perf_model.Local
+      Vsim.Perf_model.suspend ~memory_mb:512 ~transfer:Vsim.Perf_model.Local
     in
     (* pipelined: second starts 1 s after the first, both overlap *)
     check_bool "overlapping, staggered by 1s" true
@@ -1626,6 +1657,8 @@ let () =
           Alcotest.test_case "figure 3 rows" `Quick test_perf_figure3_rows;
           Alcotest.test_case "contended action" `Quick
             test_perf_action_duration_contention;
+          Alcotest.test_case "quiet durations equal schedule" `Quick
+            test_perf_quiet_equals_schedule;
         ] );
       ( "cluster",
         [
