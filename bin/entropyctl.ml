@@ -308,9 +308,16 @@ let simulate path cp_timeout ram trace metrics =
    observability layer forced on: prints the plan summary, the per-phase
    wall-time table (from the trace spans) and the counter registry. *)
 
+(* Ring size for [profile]: a traced search records one span per
+   propagating node, several hundred thousand per second, and the
+   default ring would wrap inside a sub-second search. Same size as the
+   benchmark's traced runs. *)
+let profile_trace_capacity = 1 lsl 20
+
 let profile vms cp_timeout engine restarts seed json trace metrics =
   Obs.enabled := true;
   Obs.reset ();
+  Entropy_obs.Trace.set_capacity profile_trace_capacity;
   let instance =
     Obs.span ~cat:"profile" ~name:"profile.generate" (fun () ->
         Vworkload.Generator.generate

@@ -303,7 +303,7 @@ let random_model rng =
   in
   let pick () = vars.(Random.State.int rng nvars) in
   let post_one () =
-    match Random.State.int rng 10 with
+    match Random.State.int rng 11 with
     | 0 -> Arith.le store (pick ()) (pick ())
     | 1 -> Arith.lt store (pick ()) (pick ())
     | 2 -> Arith.eq_offset store (pick ()) (pick ()) (Random.State.int rng 3 - 1)
@@ -332,10 +332,32 @@ let random_model rng =
     | 8 ->
       let b = Store.new_var ~name:"b" store ~lo:0 ~hi:1 in
       Reif.eq_const store (pick ()) (Random.State.int rng 4) b
-    | _ ->
+    | 9 ->
       Linear.sum_le store
         [ (1, pick ()); (2, pick ()) ]
         (4 + Random.State.int rng 10)
+    | _ ->
+      let items =
+        Array.init
+          (2 + Random.State.int rng 2)
+          (fun _ ->
+            let stay = Random.State.int rng 4 in
+            Movecost.item (pick ()) ~home:(Random.State.int rng 4) ~stay
+              ~move:(stay + Random.State.int rng 5))
+      in
+      (* a cost cap somewhere between all-stay and all-move, so the
+         forcing prunings fire *)
+      let floor, gaps =
+        Array.fold_left
+          (fun (f, g) it ->
+            (f + it.Movecost.stay, g + it.Movecost.move - it.Movecost.stay))
+          (0, 0) items
+      in
+      let obj =
+        Store.new_var ~name:"cost" store ~lo:0
+          ~hi:(floor + Random.State.int rng (gaps + 1))
+      in
+      Movecost.post store ~items ~obj
   in
   let nconstraints = 2 + Random.State.int rng 4 in
   (try

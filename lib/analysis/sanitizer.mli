@@ -45,5 +45,5 @@ val probe : ?steps:int -> ?seed:int -> Store.t -> finding list
 
 val random_sweep : ?models:int -> ?steps:int -> seed:int -> unit -> finding list
 (** Generate [models] random CSPs spanning every propagator family
-    (arith, element, alldiff, count, table, reif, linear, pack,
-    knapsack) and {!probe} each. Deterministic in [seed]. *)
+    (arith, element, alldiff, count, table, reif, linear, movecost,
+    pack, knapsack) and {!probe} each. Deterministic in [seed]. *)

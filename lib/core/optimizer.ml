@@ -9,8 +9,12 @@
    Encoding:
    - one placement variable per running VM, valued over the nodes;
    - two bin-packing constraints (CPU, memory) for viability;
-   - one element constraint per moved VM channelling its placement to
-     its action cost, summed into the objective;
+   - one movement-cost constraint ([Fdcp.Movecost]) for the objective:
+     every VM whose cost table is not constant contributes [stay] on its
+     home node and [move] anywhere else, both read off [cost_table]. It
+     reaches the fixpoint of a per-VM element channel into a cost
+     variable plus a linear sum, with incremental trailed sums instead
+     of n + 2 propagators over n extra cost variables;
    - first-fail branching treating the most demanding VMs first, value
      ordering preferring the VM's current location (running VMs) or the
      node storing its image (sleeping VMs);
@@ -246,29 +250,18 @@ let build_model_impl ~rules ~current ~demand ~placed ~target_base () =
          | Configuration.Sleeping _ | Configuration.Terminated -> ())
        harr
    with Store.Inconsistent _ -> rules_postable := false);
-  (* objective: sum of local action costs *)
-  let cost_terms = ref [] in
-  Array.iteri
-    (fun i h ->
-      let vm_id = placed_arr.(i) in
-      let table = cost_table current vm_id ~node_count:n in
-      let distinct = List.sort_uniq Int.compare (Array.to_list table) in
-      match distinct with
-      | [ _ ] -> () (* constant cost: no influence on the search *)
-      | _ ->
-        let c =
-          Store.new_var_of_values
-            ~name:(Printf.sprintf "c%d" vm_id)
-            store distinct
-        in
-        Element.post store h table c;
-        cost_terms := (1, c) :: !cost_terms)
-    harr;
-  let ub =
-    List.fold_left (fun acc (_, c) -> acc + Var.hi c) 0 !cost_terms
+  (* objective: sum of local action costs, each two-valued (stay home
+     or move) *)
+  let items =
+    Array.mapi
+      (fun i h ->
+        Movecost.of_table h (cost_table current placed_arr.(i) ~node_count:n))
+      harr
+    |> Array.to_list |> List.filter_map Fun.id |> Array.of_list
   in
+  let ub = Array.fold_left (fun acc it -> acc + it.Movecost.move) 0 items in
   let obj = Store.new_var ~name:"obj" store ~lo:0 ~hi:(max ub 0) in
-  Linear.sum_var store !cost_terms obj;
+  Movecost.post store ~items ~obj;
   {
     store;
     hvars = harr;

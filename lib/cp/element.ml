@@ -1,9 +1,10 @@
 (* Element constraint:  y = table.(x).
 
-   Used by the Entropy optimiser to channel a VM's placement variable to
-   the migration/resume cost that placement implies. The index variable is
-   always enumerable (node indices); the result variable is pruned at the
-   value level when its own domain is enumerable, at the bounds otherwise. *)
+   The index variable must be enumerable; the result variable is pruned
+   at the value level when its own domain is enumerable, at the bounds
+   otherwise. One element channel per VM, summed by [Linear.sum_var], is
+   the reference encoding of the optimiser's objective that [Movecost]
+   is tested against. *)
 
 let post store x table y =
   let len = Array.length table in

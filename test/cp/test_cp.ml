@@ -345,6 +345,302 @@ let test_element_index_out_of_range () =
   check_int "x lo" 0 (Var.lo x);
   check_int "x hi" 1 (Var.hi x)
 
+(* ----------------------------------------------------------- Movecost -- *)
+
+(* Items over placements 0..3; [specs] lists (home, stay, move). *)
+let movecost_store specs ~obj_lo ~obj_hi =
+  let s = Store.create () in
+  let xs = Array.map (fun _ -> Store.new_var s ~lo:0 ~hi:3) specs in
+  let obj = Store.new_var ~name:"obj" s ~lo:obj_lo ~hi:obj_hi in
+  let items =
+    Array.mapi
+      (fun i (home, stay, move) -> Movecost.item xs.(i) ~home ~stay ~move)
+      specs
+  in
+  Movecost.post s ~items ~obj;
+  (s, xs, obj)
+
+let test_movecost_bounds () =
+  let s, _, obj =
+    movecost_store [| (0, 0, 4); (1, 2, 5) |] ~obj_lo:0 ~obj_hi:100
+  in
+  Store.propagate s;
+  check_int "obj lo: every item stays" 2 (Var.lo obj);
+  check_int "obj hi: every item moves" 9 (Var.hi obj)
+
+let test_movecost_forces_home () =
+  (* obj <= 5 leaves a slack of 3 over the all-stay sum 2: item 0's move
+     (+4) no longer fits, item 1's (+3) still does *)
+  let s, xs, obj =
+    movecost_store [| (0, 0, 4); (1, 2, 5) |] ~obj_lo:0 ~obj_hi:5
+  in
+  Store.propagate s;
+  check_list "item 0 forced home" [ 0 ] (Dom.to_list (Var.dom xs.(0)));
+  check_int "item 1 untouched" 4 (Var.size xs.(1));
+  check_int "obj hi" 5 (Var.hi obj)
+
+let test_movecost_forbids_home () =
+  (* obj >= 6 with an all-move sum of 9: staying would give up 4 on item
+     0 (too much) and 3 on item 1 (fits) *)
+  let s, xs, obj =
+    movecost_store [| (0, 0, 4); (1, 2, 5) |] ~obj_lo:6 ~obj_hi:100
+  in
+  Store.propagate s;
+  check_list "item 0 loses home" [ 1; 2; 3 ] (Dom.to_list (Var.dom xs.(0)));
+  check_int "item 1 untouched" 4 (Var.size xs.(1));
+  check_int "obj lo" 6 (Var.lo obj);
+  check_int "obj hi" 9 (Var.hi obj)
+
+let test_movecost_min_exceeds_hi () =
+  let s, xs, _ =
+    movecost_store [| (0, 0, 4); (1, 2, 5) |] ~obj_lo:0 ~obj_hi:8
+  in
+  Store.propagate s;
+  Store.remove s xs.(0) 0;
+  Store.remove s xs.(1) 1;
+  check_bool "both moved: 9 > 8 fails" true
+    (match Store.propagate s with
+    | () -> false
+    | exception Store.Inconsistent _ -> true)
+
+let test_movecost_undo_restores_sums () =
+  let s, xs, obj =
+    movecost_store [| (0, 0, 4); (1, 2, 5) |] ~obj_lo:0 ~obj_hi:100
+  in
+  Store.propagate s;
+  let m = Store.mark s in
+  Store.instantiate s xs.(0) 2;
+  Store.propagate s;
+  check_int "item 0 moved: obj lo" 6 (Var.lo obj);
+  Store.instantiate s xs.(1) 1;
+  Store.propagate s;
+  check_int "obj fixed" 6 (Var.value_exn obj);
+  Store.undo_to s m;
+  check_int "obj lo restored" 2 (Var.lo obj);
+  check_int "obj hi restored" 9 (Var.hi obj);
+  (* a second descent sees the root sums, not the undone ones *)
+  Store.instantiate s xs.(1) 3;
+  Store.propagate s;
+  check_int "item 1 moved: obj lo" 5 (Var.lo obj);
+  check_int "item 1 moved: obj hi" 9 (Var.hi obj)
+
+let test_movecost_of_table () =
+  let s = Store.create () in
+  let x = Store.new_var s ~lo:0 ~hi:2 in
+  check_bool "constant table" true (Movecost.of_table x [| 5; 5; 5 |] = None);
+  (match Movecost.of_table x [| 7; 3; 7 |] with
+  | Some it ->
+    check_int "home" 1 it.Movecost.home;
+    check_int "stay" 3 it.Movecost.stay;
+    check_int "move" 7 it.Movecost.move
+  | None -> Alcotest.fail "two-valued table read as constant");
+  let raises table =
+    match Movecost.of_table x table with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "three values raise" true (raises [| 1; 2; 3 |]);
+  check_bool "two cheap nodes raise" true (raises [| 1; 1; 2 |])
+
+(* Equivalence gate: on seeded random instances (placement variables
+   under a [Pack] capacity constraint), [Movecost] must reach exactly the
+   fixpoint of the encoding it replaced in the optimiser — an [Element]
+   channel per item into a cost variable, summed by [Linear.sum_var] —
+   along the same random descents, and branch & bound must walk the same
+   tree on both. *)
+
+type mc_instance = {
+  homes : int array;
+  stays : int array;
+  moves : int array;
+  sizes : int array;
+  caps : int array;
+  banned : (int * int) list;  (* (item, node) removed before posting *)
+}
+
+let random_mc_instance rng =
+  let vms = 2 + Random.State.int rng 7 and nodes = 2 + Random.State.int rng 4 in
+  let stays = Array.init vms (fun _ -> Random.State.int rng 6) in
+  let sizes = Array.init vms (fun _ -> 1 + Random.State.int rng 4) in
+  let total = Array.fold_left ( + ) 0 sizes in
+  {
+    homes = Array.init vms (fun _ -> Random.State.int rng nodes);
+    stays;
+    moves = Array.map (fun st -> st + 1 + Random.State.int rng 6) stays;
+    sizes;
+    caps =
+      Array.init nodes (fun _ ->
+          1 + Random.State.int rng (max 2 ((2 * total / nodes) + 2)));
+    banned =
+      List.init (Random.State.int rng 3) (fun _ ->
+          (Random.State.int rng vms, Random.State.int rng nodes));
+  }
+
+(* Post an instance on a fresh store; [reference] selects the
+   element/linear encoding. Returns [None] when posting already fails. *)
+let build_mc ~reference inst =
+  let s = Store.create () in
+  let nodes = Array.length inst.caps in
+  let xs =
+    Array.mapi
+      (fun i _ ->
+        Store.new_var ~name:(Printf.sprintf "x%d" i) s ~lo:0 ~hi:(nodes - 1))
+      inst.homes
+  in
+  let ub = Array.fold_left ( + ) 0 inst.moves in
+  match
+    List.iter (fun (i, j) -> Store.remove s xs.(i) j) inst.banned;
+    Pack.post s
+      ~items:(Array.mapi (fun i x -> Pack.item x inst.sizes.(i)) xs)
+      ~capacities:inst.caps ();
+    if reference then begin
+      let terms =
+        Array.to_list
+          (Array.mapi
+             (fun i x ->
+               let table =
+                 Array.init nodes (fun j ->
+                     if j = inst.homes.(i) then inst.stays.(i)
+                     else inst.moves.(i))
+               in
+               let c =
+                 Store.new_var_of_values s [ inst.stays.(i); inst.moves.(i) ]
+               in
+               Element.post s x table c;
+               (1, c))
+             xs)
+      in
+      let obj = Store.new_var ~name:"obj" s ~lo:0 ~hi:ub in
+      Linear.sum_var s terms obj;
+      obj
+    end
+    else begin
+      let obj = Store.new_var ~name:"obj" s ~lo:0 ~hi:ub in
+      let items =
+        Array.mapi
+          (fun i x ->
+            Movecost.item x ~home:inst.homes.(i) ~stay:inst.stays.(i)
+              ~move:inst.moves.(i))
+          xs
+      in
+      Movecost.post s ~items ~obj;
+      obj
+    end
+  with
+  | obj -> Some (s, xs, obj)
+  | exception Store.Inconsistent _ -> None
+
+let mc_state (_, xs, obj) =
+  (Array.map (fun x -> Dom.to_list (Var.dom x)) xs, Var.lo obj, Var.hi obj)
+
+let test_movecost_equivalence () =
+  let rng = Random.State.make [| 0x30c0; 15 |] in
+  let instances = 250 in
+  let descents = ref 0 and searched = ref 0 in
+  for k = 1 to instances do
+    let inst = random_mc_instance rng in
+    let ctx = Printf.sprintf "instance %d" k in
+    match (build_mc ~reference:true inst, build_mc ~reference:false inst) with
+    | None, None -> ()
+    | Some _, None | None, Some _ -> Alcotest.failf "%s: posting differs" ctx
+    | Some ((ra, xa, oa) as a), Some ((rb, xb, ob) as b) ->
+      let step what fa fb =
+        let ok s f =
+          match
+            f ();
+            Store.propagate s
+          with
+          | () -> true
+          | exception Store.Inconsistent _ -> false
+        in
+        let oka = ok ra fa and okb = ok rb fb in
+        check_bool (Printf.sprintf "%s: %s fails alike" ctx what) oka okb;
+        if oka then
+          check_bool
+            (Printf.sprintf "%s: %s reaches the same fixpoint" ctx what)
+            true
+            (mc_state a = mc_state b);
+        oka
+      in
+      if step "root" ignore ignore then begin
+        (* random instantiate / remove / tighten / undo walk *)
+        let marks = ref [] in
+        for _ = 1 to 30 do
+          let push () = marks := (Store.mark ra, Store.mark rb) :: !marks in
+          let undo_top () =
+            match !marks with
+            | (ma, mb) :: rest ->
+              Store.undo_to ra ma;
+              Store.undo_to rb mb;
+              marks := rest
+            | [] -> ()
+          in
+          let open_vars =
+            List.filter
+              (fun i -> Var.size xa.(i) > 1)
+              (List.init (Array.length xa) Fun.id)
+          in
+          let pick l = List.nth l (Random.State.int rng (List.length l)) in
+          let pick_value x = pick (Dom.to_list (Var.dom x)) in
+          let obj_value () =
+            Var.lo oa + Random.State.int rng (Var.hi oa - Var.lo oa + 1)
+          in
+          let apply what fa fb =
+            push ();
+            incr descents;
+            if not (step what fa fb) then undo_top ()
+          in
+          match (Random.State.int rng 10, open_vars) with
+          | (0 | 1 | 2 | 3 | 4), (_ :: _ as open_vars) ->
+            let i = pick open_vars in
+            let v = pick_value xa.(i) in
+            apply "instantiate"
+              (fun () -> Store.instantiate ra xa.(i) v)
+              (fun () -> Store.instantiate rb xb.(i) v)
+          | (5 | 6), (_ :: _ as open_vars) ->
+            let i = pick open_vars in
+            let v = pick_value xa.(i) in
+            apply "remove"
+              (fun () -> Store.remove ra xa.(i) v)
+              (fun () -> Store.remove rb xb.(i) v)
+          | 7, _ ->
+            let v = obj_value () in
+            apply "obj <="
+              (fun () -> Store.remove_above ra oa v)
+              (fun () -> Store.remove_above rb ob v)
+          | 8, _ ->
+            let v = obj_value () in
+            apply "obj >="
+              (fun () -> Store.remove_below ra oa v)
+              (fun () -> Store.remove_below rb ob v)
+          | _ ->
+            for _ = 0 to Random.State.int rng 3 do
+              undo_top ()
+            done;
+            check_bool (ctx ^ ": undo restores alike") true
+              (mc_state a = mc_state b)
+        done
+      end;
+      (* branch & bound on fresh stores, same orderings and node limit *)
+      let node_limit = 20 + Random.State.int rng 300 in
+      let run reference =
+        match build_mc ~reference inst with
+        | None -> Alcotest.failf "%s: rebuild failed" ctx
+        | Some (s, xs, obj) ->
+          let best, st = Search.minimize s ~vars:xs ~obj ~node_limit () in
+          ( best,
+            (st.Search.nodes, st.Search.fails, st.Search.backtracks,
+             st.Search.solutions, st.Search.timed_out) )
+      in
+      let best_a, stats_a = run true and best_b, stats_b = run false in
+      incr searched;
+      check_bool (ctx ^ ": same search stats") true (stats_a = stats_b);
+      check_bool (ctx ^ ": same best (obj, snapshot)") true (best_a = best_b)
+  done;
+  (* the generator must exercise both halves of the gate *)
+  check_bool "descents exercised" true (!descents > instances * 10);
+  check_bool "searches exercised" true (!searched > instances / 2)
+
 (* --------------------------------------------------------------- Pack -- *)
 
 let test_pack_prunes_full_bin () =
@@ -1009,6 +1305,19 @@ let () =
             test_element_dup_values;
           Alcotest.test_case "index clamped" `Quick
             test_element_index_out_of_range;
+        ] );
+      ( "movecost",
+        [
+          Alcotest.test_case "bounds" `Quick test_movecost_bounds;
+          Alcotest.test_case "forces home" `Quick test_movecost_forces_home;
+          Alcotest.test_case "forbids home" `Quick test_movecost_forbids_home;
+          Alcotest.test_case "minimum above obj fails" `Quick
+            test_movecost_min_exceeds_hi;
+          Alcotest.test_case "undo restores sums" `Quick
+            test_movecost_undo_restores_sums;
+          Alcotest.test_case "of_table" `Quick test_movecost_of_table;
+          Alcotest.test_case "equivalent to element + linear" `Quick
+            test_movecost_equivalence;
         ] );
       ( "pack",
         [
