@@ -314,7 +314,7 @@ let simulate path cp_timeout ram trace metrics =
    benchmark's traced runs. *)
 let profile_trace_capacity = 1 lsl 20
 
-let profile vms cp_timeout engine restarts seed json trace metrics =
+let profile vms cp_timeout engine seed json trace metrics =
   Obs.enabled := true;
   Obs.reset ();
   Entropy_obs.Trace.set_capacity profile_trace_capacity;
@@ -328,17 +328,16 @@ let profile vms cp_timeout engine restarts seed json trace metrics =
     Obs.span ~cat:"profile" ~name:"profile.rjsp" (fun () ->
         Rjsp.solve ~config ~demand ~queue:vjobs ())
   in
-  let restarts = if restarts = 0 then None else Some restarts in
   let placed = List.concat_map Vjob.vms outcome.Rjsp.running in
-  (* [--engine cp] keeps the direct-optimiser probe, so [--restarts]
-     reaches the Luby-restart search; the other engines go through the
+  (* [--engine cp] probes the optimiser directly, so the counters and
+     phases are the CP search's alone; the other engines go through the
      portfolio *)
   let report =
     Obs.span ~cat:"loop" ~name:"loop.decide" (fun () ->
         match engine with
         | `Cp ->
           let result =
-            Optimizer.optimize ~timeout:cp_timeout ?restarts ~vjobs
+            Optimizer.optimize ~timeout:cp_timeout ~vjobs
               ~current:config ~demand ~placed
               ~target_base:outcome.Rjsp.ffd_config
               ~fallback:outcome.Rjsp.ffd_config ()
@@ -1331,12 +1330,6 @@ let profile_cmd =
       & info [ "vms" ] ~docv:"N"
           ~doc:"Number of VMs in the generated instance.")
   in
-  let restarts_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "restarts" ] ~docv:"N"
-          ~doc:"Luby restarts for the CP search (0 = plain search).")
-  in
   let seed_arg =
     Arg.(
       value & opt int 0
@@ -1357,9 +1350,9 @@ let profile_cmd =
          "Time one optimisation over a generated Figure 10-style instance \
           and print the per-phase table")
     Term.(
-      const (fun () vms t e r s js tr m -> profile vms t e r s js tr m)
-      $ logs_term $ vms_arg $ timeout_arg $ engine_arg $ restarts_arg
-      $ seed_arg $ json_arg $ trace_arg $ metrics_arg)
+      const (fun () vms t e s js tr m -> profile vms t e s js tr m)
+      $ logs_term $ vms_arg $ timeout_arg $ engine_arg $ seed_arg $ json_arg
+      $ trace_arg $ metrics_arg)
 
 let chaos_cmd =
   let vms_arg =

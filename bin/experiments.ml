@@ -65,7 +65,7 @@ let table1 () =
 
 (* -- Figure 10 ---------------------------------------------------------------- *)
 
-let fig10_sample ~timeout ?restarts instance =
+let fig10_sample ~timeout instance =
   let { Generator.config; demand; vjobs } = instance in
   let outcome = Rjsp.solve ~config ~demand ~queue:vjobs () in
   let target =
@@ -76,31 +76,25 @@ let fig10_sample ~timeout ?restarts instance =
   | ffd_plan ->
     let ffd_cost = Plan.cost config ffd_plan in
     let result =
-      Optimizer.optimize ~timeout ?restarts ~vjobs ~current:config ~demand
+      Optimizer.optimize ~timeout ~vjobs ~current:config ~demand
         ~placed:(List.concat_map Vjob.vms outcome.Rjsp.running)
         ~target_base:outcome.Rjsp.ffd_config
         ~fallback:outcome.Rjsp.ffd_config ()
     in
     Some (ffd_cost, result.Optimizer.cost)
 
-let fig10 samples timeout restarts () =
-  let restarts = if restarts = 0 then None else Some restarts in
+let fig10 samples timeout () =
   Exp_common.header
     (Printf.sprintf
        "Figure 10: reconfiguration cost, 200 nodes (FFD vs Entropy, %d \
-        samples per point, CP timeout %.1fs%s)"
-       samples timeout
-       (match restarts with
-       | Some r -> Printf.sprintf ", %d Luby restarts" r
-       | None -> ""));
+        samples per point, CP timeout %.1fs)"
+       samples timeout);
   Printf.printf "%8s%16s%16s%12s%10s\n" "VMs" "FFD cost" "Entropy cost"
     "reduction" "samples";
   List.iter
     (fun vm_count ->
       let instances = Generator.figure10_instances ~samples ~vm_count () in
-      let results =
-        List.filter_map (fig10_sample ~timeout ?restarts) instances
-      in
+      let results = List.filter_map (fig10_sample ~timeout) instances in
       let n = List.length results in
       if n = 0 then Printf.printf "%8d%16s\n" vm_count "(no sample)"
       else begin
@@ -405,7 +399,7 @@ let continuous samples timeout () =
 let all samples timeout cls () =
   fig3 ();
   table1 ();
-  fig10 samples timeout 0 ();
+  fig10 samples timeout ();
   fig11 cls timeout ();
   fig12 cls ();
   fig13 cls timeout None ();
@@ -445,15 +439,9 @@ let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 let fig3_cmd = cmd "fig3" "Figure 3: transition durations" Term.(const fig3 $ const ())
 let table1_cmd = cmd "table1" "Table 1: action costs" Term.(const table1 $ const ())
 
-let restarts_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "restarts" ]
-        ~doc:"Luby restarts for the CP search (0 = single run).")
-
 let fig10_cmd =
   cmd "fig10" "Figure 10: FFD vs Entropy reconfiguration cost"
-    Term.(const fig10 $ samples_arg $ timeout_arg $ restarts_arg $ const ())
+    Term.(const fig10 $ samples_arg $ timeout_arg $ const ())
 
 let fig11_cmd =
   cmd "fig11" "Figure 11: switch costs and durations"

@@ -41,9 +41,10 @@ let () =
   Printf.printf "strict FCFS (makespan %.0fs):\n" strict.Rms.makespan;
   gantt ~capacity strict;
 
-  let easy = Rms.easy ~capacity jobs in
-  Printf.printf "\nFCFS + EASY backfilling (makespan %.0fs):\n" easy.Rms.makespan;
-  gantt ~capacity easy;
+  let backfill = Rms.backfill ~capacity jobs in
+  Printf.printf "\nFCFS + EASY backfilling (makespan %.0fs):\n"
+    backfill.Rms.makespan;
+  gantt ~capacity backfill;
 
   let bound = Rms.preemptive_lower_bound ~capacity jobs in
   Printf.printf

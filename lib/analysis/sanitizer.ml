@@ -303,7 +303,7 @@ let random_model rng =
   in
   let pick () = vars.(Random.State.int rng nvars) in
   let post_one () =
-    match Random.State.int rng 11 with
+    match Random.State.int rng 9 with
     | 0 -> Arith.le store (pick ()) (pick ())
     | 1 -> Arith.lt store (pick ()) (pick ())
     | 2 -> Arith.eq_offset store (pick ()) (pick ()) (Random.State.int rng 3 - 1)
@@ -319,20 +319,6 @@ let random_model rng =
         ~value:(Random.State.int rng 4)
         ~count:(1 + Random.State.int rng 2)
     | 7 ->
-      let x = pick () and y = pick () in
-      if x.Var.id <> y.Var.id then begin
-        let tuples =
-          List.init
-            (3 + Random.State.int rng 5)
-            (fun _ ->
-              [| Random.State.int rng 6; Random.State.int rng 6 |])
-        in
-        Table.post store [ x; y ] tuples
-      end
-    | 8 ->
-      let b = Store.new_var ~name:"b" store ~lo:0 ~hi:1 in
-      Reif.eq_const store (pick ()) (Random.State.int rng 4) b
-    | 9 ->
       Linear.sum_le store
         [ (1, pick ()); (2, pick ()) ]
         (4 + Random.State.int rng 10)
@@ -365,39 +351,26 @@ let random_model rng =
        post_one ()
      done;
      (* one global packing model on top: the kernel's workhorse *)
-     if Random.State.int rng 2 = 0 then begin
-       let nbins = 2 + Random.State.int rng 2 in
-       let items =
-         Array.map
-           (fun v ->
-             (* placement variables constrained to the bins *)
-             Store.remove_above store v (nbins - 1);
-             Pack.item v (1 + Random.State.int rng 3))
-           vars
-       in
-       let capacities =
-         Array.init nbins (fun _ -> 3 + Random.State.int rng 5)
-       in
-       Pack.post store ~items ~capacities ()
-     end
-     else begin
-       let selectors =
-         Array.init 3 (fun i ->
-             Store.new_var ~name:(Printf.sprintf "s%d" i) store ~lo:0 ~hi:1)
-       in
-       let sizes = Array.init 3 (fun _ -> 1 + Random.State.int rng 4) in
-       let load = Store.new_var ~name:"load" store ~lo:0 ~hi:12 in
-       ignore (Knapsack.post store ~sizes ~selectors ~load)
-     end
+     let nbins = 2 + Random.State.int rng 2 in
+     let items =
+       Array.map
+         (fun v ->
+           (* placement variables constrained to the bins *)
+           Store.remove_above store v (nbins - 1);
+           Pack.item v (1 + Random.State.int rng 3))
+         vars
+     in
+     let capacities = Array.init nbins (fun _ -> 3 + Random.State.int rng 5) in
+     Pack.post store ~items ~capacities ()
    with Store.Inconsistent _ -> ());
   store
 
-let random_sweep ?(models = 30) ?(steps = 30) ~seed () =
+let random_models ?(models = 30) ~seed () =
   let rng = Random.State.make [| 0xca5e; seed |] in
-  let findings = ref [] in
-  for i = 1 to models do
-    let store = random_model rng in
-    let fs = probe ~steps ~seed:(seed + (i * 7919)) store in
-    findings := !findings @ fs
-  done;
-  !findings
+  List.init models (fun _ -> random_model rng)
+
+let random_sweep ?models ?(steps = 30) ~seed () =
+  random_models ?models ~seed ()
+  |> List.mapi (fun i store ->
+         probe ~steps ~seed:(seed + ((i + 1) * 7919)) store)
+  |> List.concat

@@ -43,7 +43,10 @@ val probe : ?steps:int -> ?seed:int -> Store.t -> finding list
     closures are temporarily wrapped for read tracking and restored on
     exit. *)
 
+val random_models : ?models:int -> seed:int -> unit -> Store.t list
+(** [models] (default 30) random CSPs spanning every propagator family
+    (arith, element, alldiff, count, linear, movecost) with a pack model
+    on top. Deterministic in [seed]. *)
+
 val random_sweep : ?models:int -> ?steps:int -> seed:int -> unit -> finding list
-(** Generate [models] random CSPs spanning every propagator family
-    (arith, element, alldiff, count, table, reif, linear, movecost,
-    pack, knapsack) and {!probe} each. Deterministic in [seed]. *)
+(** {!probe} each of [random_models ?models ~seed ()]. *)

@@ -52,11 +52,6 @@ let transition = function
   | Suspend _ | Suspend_ram _ -> Lifecycle.Suspend
   | Resume _ | Resume_ram _ -> Lifecycle.Resume
 
-(* Whether the action frees resources without needing any. *)
-let always_feasible = function
-  | Stop _ | Suspend _ | Suspend_ram _ -> true
-  | Run _ | Migrate _ | Resume _ | Resume_ram _ -> false
-
 (* Resources the action claims on its destination: [(node, cpu, mem)].
    A RAM resume claims no memory (it never left the host); a same-node
    migration claims nothing. *)

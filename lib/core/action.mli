@@ -24,10 +24,6 @@ val is_local : t -> bool
 
 val transition : t -> Lifecycle.transition
 
-val always_feasible : t -> bool
-(** Suspends (disk or RAM) and stops free resources and are feasible in
-    any state. *)
-
 val claim : Configuration.t -> Demand.t -> t -> (Node.id * int * int) option
 (** Resources the action claims on its destination as
     [(node, cpu, mem)]; [None] for freeing actions. A RAM resume claims

@@ -94,11 +94,6 @@ let host t vm_id =
   | Running n -> Some n
   | Waiting | Sleeping _ | Sleeping_ram _ | Terminated -> None
 
-let image_host t vm_id =
-  match state t vm_id with
-  | Sleeping n | Sleeping_ram n -> Some n
-  | Waiting | Running _ | Terminated -> None
-
 let lifecycle_of_state = function
   | Waiting -> Lifecycle.Waiting
   | Running _ -> Lifecycle.Running
@@ -118,15 +113,6 @@ let running_on t node_id =
        (fun acc id -> function
          | Running n when n = node_id -> id :: acc
          | Running _ | Waiting | Sleeping _ | Sleeping_ram _ | Terminated ->
-           acc)
-       [] t)
-
-let sleeping_on t node_id =
-  List.rev
-    (fold_vms
-       (fun acc id -> function
-         | Sleeping n when n = node_id -> id :: acc
-         | Sleeping _ | Waiting | Running _ | Sleeping_ram _ | Terminated ->
            acc)
        [] t)
 
@@ -181,9 +167,6 @@ let loads t demand =
     t.states;
   (cpu, mem)
 
-let node_viable t demand node_id =
-  free_cpu t demand node_id >= 0 && free_mem t node_id >= 0
-
 let is_viable t demand =
   let cpu, mem = loads t demand in
   let ok = ref true in
@@ -216,8 +199,6 @@ let vjob_state t (vjob : Vjob.t) =
   | first :: rest ->
     let s = lifecycle t first in
     if List.for_all (fun v -> lifecycle t v = s) rest then Some s else None
-
-let vjob_consistent t vjob = Option.is_some (vjob_state t vjob)
 
 let vjob_terminated t vjob =
   List.for_all (fun vm -> state t vm = Terminated) (Vjob.vms vjob)

@@ -45,14 +45,10 @@ val set_state : t -> Vm.id -> vm_state -> t
 val host : t -> Vm.id -> Node.id option
 (** Hosting node of a running VM. *)
 
-val image_host : t -> Vm.id -> Node.id option
-(** Node storing a sleeping VM's image. *)
-
 val lifecycle : t -> Vm.id -> Lifecycle.state
 val lifecycle_of_state : vm_state -> Lifecycle.state
 
 val running_on : t -> Node.id -> Vm.id list
-val sleeping_on : t -> Node.id -> Vm.id list
 val ram_sleeping_on : t -> Node.id -> Vm.id list
 val running_vms : t -> Vm.id list
 
@@ -64,7 +60,6 @@ val free_mem : t -> Node.id -> int
 val loads : t -> Demand.t -> int array * int array
 (** [(cpu, mem)] load of every node, in one O(vms + nodes) pass. *)
 
-val node_viable : t -> Demand.t -> Node.id -> bool
 val is_viable : t -> Demand.t -> bool
 val overloaded_nodes : t -> Demand.t -> Node.id list
 
@@ -74,8 +69,6 @@ val fits : t -> Demand.t -> cpu:int -> mem:int -> Node.id -> bool
 val vjob_state : t -> Vjob.t -> Lifecycle.state option
 (** The common life-cycle state of a vjob's VMs, or [None] when the VMs
     disagree (transient during a cluster-wide context switch). *)
-
-val vjob_consistent : t -> Vjob.t -> bool
 
 val vjob_terminated : t -> Vjob.t -> bool
 (** Every VM of the vjob is [Terminated]: the vjob has left the cluster. *)

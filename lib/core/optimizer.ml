@@ -278,7 +278,7 @@ let build_model ?(rules = []) ~current ~demand ~placed ~target_base () =
     (fun () ->
       build_model_impl ~rules ~current ~demand ~placed ~target_base ())
 
-let optimize ?(timeout = default_timeout) ?node_limit ?restarts ?vjobs
+let optimize ?(timeout = default_timeout) ?node_limit ?vjobs
     ?(rules = []) ?incumbent_cost ~current ~demand ~placed ~target_base
     ~fallback () =
   let fallback_plan, fallback_cost = plan_for ?vjobs ~current ~demand fallback in
@@ -360,19 +360,6 @@ let optimize ?(timeout = default_timeout) ?node_limit ?restarts ?vjobs
       if pref >= 0 && Var.mem pref v then f pref;
       Array.iter (fun node -> if node <> pref && Var.mem node v then f node) order
     in
-    (* list-based twin of [val_iter] for the restart strategy, which
-       needs materialised lists to shuffle their tails *)
-    let val_select v =
-      let values =
-        Array.fold_right
-          (fun node acc -> if Var.mem node v then node :: acc else acc)
-          order []
-      in
-      let pref = prefer_of.(Var.id v) in
-      if pref >= 0 && Var.mem pref v then
-        pref :: List.filter (fun x -> x <> pref) values
-      else values
-    in
     (* seed branch & bound with the fallback's movement cost and any
        caller-supplied incumbent (true plan cost, e.g. a local-search
        solution): the objective is an admissible lower bound of the true
@@ -405,13 +392,8 @@ let optimize ?(timeout = default_timeout) ?node_limit ?restarts ?vjobs
           ~args:
             [ ("vms", Trace.I (Array.length harr)); ("nodes", Trace.I n) ]
           (fun () ->
-            match restarts with
-            | Some restarts ->
-              Search.minimize_restarts store ~vars:harr ~obj ~var_select
-                ~val_select ~restarts ~timeout ()
-            | None ->
-              Search.minimize store ~vars:harr ~obj ~var_select ~val_iter
-                ~timeout ?node_limit ())
+            Search.minimize store ~vars:harr ~obj ~var_select ~val_iter
+              ~timeout ?node_limit ())
     in
     if !Obs.enabled then flush_cp_stats store;
     Core_log.debug (fun m ->

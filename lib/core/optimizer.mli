@@ -48,7 +48,7 @@ val build_model :
     sanitizer, [entropyctl lint]). *)
 
 val optimize :
-  ?timeout:float -> ?node_limit:int -> ?restarts:int ->
+  ?timeout:float -> ?node_limit:int ->
   ?vjobs:Vjob.t list -> ?rules:Placement_rules.t list ->
   ?incumbent_cost:int ->
   current:Configuration.t -> demand:Demand.t -> placed:Vm.id list ->

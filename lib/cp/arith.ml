@@ -4,10 +4,6 @@ let div_floor a b =
   (* b > 0 *)
   if a >= 0 then a / b else -(((-a) + b - 1) / b)
 
-let div_ceil a b =
-  (* b > 0 *)
-  if a >= 0 then (a + b - 1) / b else -((-a) / b)
-
 (* x <= y + c *)
 let le_offset store x y c =
   let p =

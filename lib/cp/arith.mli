@@ -3,9 +3,6 @@
 val div_floor : int -> int -> int
 (** [div_floor a b] is [floor (a / b)] for [b > 0]. *)
 
-val div_ceil : int -> int -> int
-(** [div_ceil a b] is [ceil (a / b)] for [b > 0]. *)
-
 val le : Store.t -> Var.t -> Var.t -> unit
 (** [le s x y] posts [x <= y]. *)
 

@@ -4,9 +4,9 @@
 
    The [scheduled] flag keeps each propagator at most once in the
    propagation queue. [priority] selects the queue: [Cheap] propagators
-   (arithmetic, element, ...) drain before any [Expensive] one
-   (pack/knapsack) runs, so the costly global constraints see domains
-   already at the cheap fixpoint.
+   (arithmetic, element, ...) drain before any [Expensive] one (pack)
+   runs, so the costly global constraint sees domains already at the
+   cheap fixpoint.
 
    Wake events: a propagator subscribes per variable to the weakest
    event it can exploit. Events are ordered by strength —

@@ -10,7 +10,7 @@ type event =
 
 type priority =
   | Cheap      (** drained first: arithmetic, element, counting, ... *)
-  | Expensive  (** drained when no cheap propagator is queued: pack, knapsack *)
+  | Expensive  (** drained when no cheap propagator is queued: pack *)
 
 type t = {
   id : int;

@@ -42,7 +42,6 @@ let m_fails = lazy (Metrics.counter "cp.search.fails")
 let m_backtracks = lazy (Metrics.counter "cp.search.backtracks")
 let m_solutions = lazy (Metrics.counter "cp.search.solutions")
 let m_timeouts = lazy (Metrics.counter "cp.search.timeouts")
-let m_restarts = lazy (Metrics.counter "cp.search.restarts")
 let m_improvements = lazy (Metrics.counter "cp.search.improvements")
 
 type var_select = Var.t array -> Var.t option
@@ -53,15 +52,6 @@ exception Stop
 exception Timed_out
 
 (* -- variable orderings -------------------------------------------------- *)
-
-let in_order vars =
-  let n = Array.length vars in
-  let rec go i =
-    if i >= n then None
-    else if not (Var.is_bound vars.(i)) then Some vars.(i)
-    else go (i + 1)
-  in
-  go 0
 
 let first_fail vars =
   let best = ref None in
@@ -215,25 +205,6 @@ let find_first store ~vars ?var_select ?val_select ?val_iter ?timeout
   in
   (!snapshot, stats)
 
-(* Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
-let rec luby i =
-  (* find k with 2^k - 1 = i -> 2^(k-1); else recurse on the prefix *)
-  let rec pow2 k = if k = 0 then 1 else 2 * pow2 (k - 1) in
-  let rec find k = if pow2 k - 1 > i then k - 1 else find (k + 1) in
-  let k = find 1 in
-  if pow2 k - 1 = i then pow2 (k - 1) else luby (i - pow2 k + 1)
-
-(* Fisher-Yates over a list. *)
-let shuffle rng l =
-  let a = Array.of_list l in
-  for i = Array.length a - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  Array.to_list a
-
 let minimize store ~vars ~obj ?(var_select = first_fail)
     ?(val_select = min_value) ?val_iter ?timeout ?node_limit ?incumbent_obj
     ?(on_improve = fun _ -> ()) () =
@@ -268,102 +239,3 @@ let minimize store ~vars ~obj ?(var_select = first_fail)
   solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
     ~on_node ~on_solution stats;
   (!best_snapshot, stats)
-
-(* Restart-based minimisation: repeated bounded searches following the
-   Luby sequence, each restart shuffling the non-preferred tail of the
-   value order to diversify, and re-seeding branch & bound with the
-   incumbent. Stops early when a run completes within its budget (the
-   incumbent is then proven optimal). *)
-let minimize_restarts store ~vars ~obj ?(var_select = first_fail)
-    ?(val_select = min_value) ?(base_node_limit = 1000) ?(restarts = 8)
-    ?(seed = 0x5eed) ?timeout ?incumbent_obj () =
-  let rng = Random.State.make [| seed |] in
-  let best = ref None in
-  let total = fresh_stats () in
-  let deadline = Option.map (fun t -> now () +. t) timeout in
-  let time_left () =
-    match deadline with
-    | None -> None
-    | Some d -> Some (Float.max 0.01 (d -. now ()))
-  in
-  let out_of_time () =
-    match deadline with Some d -> now () >= d | None -> false
-  in
-  (* [proved] records that optimality was established (a run completed
-     within budget, or the incumbent-tightening wiped the store);
-     [last_timed_out] whether the most recent run hit its own budget.
-     The combination decides [total.timed_out]: exhausting the restart
-     schedule is only a timeout if the search was actually cut short. *)
-  let proved = ref false in
-  let last_timed_out = ref false in
-  let exception Done in
-  (try
-     for i = 0 to restarts - 1 do
-       if out_of_time () then raise Done;
-       (* tighten with the incumbent (ours, or the caller-supplied warm
-          start): restarts only look for better *)
-       let bound =
-         match (!best, incumbent_obj) with
-         | Some (v, _), Some b -> Some (min v b)
-         | Some (v, _), None -> Some v
-         | None, b -> b
-       in
-       (match bound with
-       | Some v -> (
-         try
-           Store.remove_above store obj (v - 1);
-           Store.propagate store
-         with Store.Inconsistent _ ->
-           (* nothing better than the incumbent exists: optimal *)
-           proved := true;
-           raise Done)
-       | None -> ());
-       let val_select_i x =
-         let vs = val_select x in
-         if i = 0 then vs
-         else
-           match vs with
-           | preferred :: tail -> preferred :: shuffle rng tail
-           | [] -> []
-       in
-       let node_limit = base_node_limit * luby (i + 1) in
-       if i > 0 then begin
-         Log.debug (fun m ->
-             m "restart %d: node_limit=%d incumbent=%s" i node_limit
-               (match !best with
-               | Some (v, _) -> string_of_int v
-               | None -> "none"));
-         if !Obs.enabled then begin
-           Obs.instant ~cat:"cp"
-             ~args:
-               [ ("restart", Trace.I i); ("node_limit", Trace.I node_limit) ]
-             "cp.restart";
-           Metrics.incr (Lazy.force m_restarts)
-         end
-       end;
-       let result, stats =
-         minimize store ~vars ~obj ~var_select ~val_select:val_select_i
-           ?timeout:(time_left ()) ~node_limit ()
-       in
-       total.nodes <- total.nodes + stats.nodes;
-       total.fails <- total.fails + stats.fails;
-       total.backtracks <- total.backtracks + stats.backtracks;
-       total.solutions <- total.solutions + stats.solutions;
-       total.elapsed <- total.elapsed +. stats.elapsed;
-       last_timed_out := stats.timed_out;
-       (match result with
-       | Some (v, snap) -> (
-         match !best with
-         | Some (bv, _) when bv <= v -> ()
-         | _ -> best := Some (v, snap))
-       | None -> ());
-       (* a run that finished within its budget proved optimality of the
-          incumbent under the current bound *)
-       if not stats.timed_out then begin
-         proved := true;
-         raise Done
-       end
-     done
-   with Done -> ());
-  total.timed_out <- (not !proved) && (!last_timed_out || out_of_time ());
-  (!best, total)

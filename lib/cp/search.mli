@@ -33,7 +33,6 @@ type val_iter = Var.t -> (int -> unit) -> unit
 exception Stop
 (** Raise from [on_solution] to stop the search. *)
 
-val in_order : var_select
 val first_fail : var_select
 (** Smallest current domain first (Haralick & Elliott). *)
 
@@ -71,19 +70,3 @@ val minimize :
     snapshot of [vars] at that solution (the incumbent at timeout if the
     search did not complete). [incumbent_obj] warm-starts the bound: only
     assignments with [obj] strictly below it are explored or returned. *)
-
-val luby : int -> int
-(** The Luby restart sequence (1-indexed): 1 1 2 1 1 2 4 ... *)
-
-val minimize_restarts :
-  Store.t -> vars:Var.t array -> obj:Var.t -> ?var_select:var_select ->
-  ?val_select:val_select -> ?base_node_limit:int -> ?restarts:int ->
-  ?seed:int -> ?timeout:float -> ?incumbent_obj:int -> unit ->
-  (int * int array) option * stats
-(** Restart-based branch & bound: Luby-bounded runs, shuffled value-order
-    tails after the first run, incumbent carried across restarts. Note
-    the store's objective domain is tightened in place across runs (use
-    a dedicated store). Stops early when a run completes (optimality
-    proven). [timed_out] in the returned stats is set only when the
-    search was actually cut short: the last run hit its node budget or
-    the deadline expired before optimality was proven. *)

@@ -5,7 +5,6 @@
 
 type level = Full | Shrunk | Heuristic | Defer
 
-let levels = [ Full; Shrunk; Heuristic; Defer ]
 let index = function Full -> 0 | Shrunk -> 1 | Heuristic -> 2 | Defer -> 3
 
 let of_index = function

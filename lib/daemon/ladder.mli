@@ -26,9 +26,6 @@
 
 type level = Full | Shrunk | Heuristic | Defer
 
-val levels : level list
-(** Best to worst. *)
-
 val index : level -> int
 (** Ordinal, 0 = {!Full} — the form journaled in ladder records. *)
 

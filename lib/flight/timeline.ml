@@ -236,62 +236,3 @@ let continuous_mode sw =
   && Array.for_all
        (fun a -> (not (executed a)) || a.record_pool = 0)
        sw.actions
-
-type occ_point = { at_s : float; busy : int; cpu : int; mem : int }
-
-let occupancy sw =
-  (* +/- deltas at action start and finish, per touched node, then a
-     prefix-sum sweep into step curves *)
-  let deltas = Hashtbl.create 16 in
-  let push node d = Hashtbl.replace deltas node (d :: Option.value ~default:[] (Hashtbl.find_opt deltas node)) in
-  Array.iter
-    (fun a ->
-      match first_start a with
-      | None -> ()
-      | Some t0 ->
-        let t1 = Float.max t0 (finish_time sw a) in
-        let claim = Action.claim sw.source sw.demand a.action in
-        let touchpoints =
-          match (Action.destination a.action, Action.source a.action) with
-          | Some d, Some s when d <> s -> [ d; s ]
-          | Some d, _ -> [ d ]
-          | None, Some s -> [ s ]
-          | None, None -> []
-        in
-        List.iter
-          (fun node ->
-            let cpu, mem =
-              match claim with
-              | Some (cn, cpu, mem) when cn = node -> (cpu, mem)
-              | _ -> (0, 0)
-            in
-            push node (t0, 1, cpu, mem);
-            push node (t1, -1, -cpu, -mem))
-          touchpoints)
-    sw.actions;
-  Hashtbl.fold (fun node ds acc -> (node, ds) :: acc) deltas []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (node, ds) ->
-         let ds =
-           List.sort
-             (fun (t1, d1, _, _) (t2, d2, _, _) ->
-               match Float.compare t1 t2 with 0 -> compare d1 d2 | c -> c)
-             ds
-         in
-         let busy = ref 0 and cpu = ref 0 and mem = ref 0 in
-         let points =
-           List.map
-             (fun (t, db, dc, dm) ->
-               busy := !busy + db;
-               cpu := !cpu + dc;
-               mem := !mem + dm;
-               { at_s = t; busy = !busy; cpu = !cpu; mem = !mem })
-             ds
-         in
-         (* coalesce samples at the same instant, keeping the last *)
-         let rec dedup = function
-           | a :: (b :: _ as rest) when a.at_s = b.at_s -> dedup rest
-           | a :: rest -> a :: dedup rest
-           | [] -> []
-         in
-         (node, dedup points))

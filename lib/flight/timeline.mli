@@ -70,11 +70,3 @@ val continuous_mode : switch_tl -> bool
 (** True when the records show barrier-free (continuous) execution:
     multi-pool plan, yet every record carries pool 0 and no pool ever
     committed. *)
-
-type occ_point = { at_s : float; busy : int; cpu : int; mem : int }
-(** Step-curve sample: actions touching the node, and the CPU/memory
-    the in-flight claims hold on it, from this instant on. *)
-
-val occupancy : switch_tl -> (Node.id * occ_point list) list
-(** Per-node utilization curves over the switch (nodes with at least
-    one touching action, ascending id; samples ascending in time). *)

@@ -120,11 +120,6 @@ let projected_config state =
 
 type vm_class = Done | Pending | Frozen
 
-let pp_vm_class ppf = function
-  | Done -> Fmt.string ppf "done"
-  | Pending -> Fmt.string ppf "pending"
-  | Frozen -> Fmt.string ppf "frozen"
-
 type reconciliation = {
   target : Configuration.t;
   plan : Plan.t option;

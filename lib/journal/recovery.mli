@@ -46,8 +46,6 @@ val projected_config : switch_state -> Configuration.t
 
 type vm_class = Done | Pending | Frozen
 
-val pp_vm_class : Format.formatter -> vm_class -> unit
-
 type reconciliation = {
   target : Configuration.t;
       (** normalized, salvaged target the resume aims at *)

@@ -27,8 +27,6 @@ let latest t = match t.samples with [] -> None | s :: _ -> Some s
 
 let length t = t.length
 
-let newest_first t = t.samples
-
 (* Samples within the time window [now - span, now]. *)
 let window t ~now ~span =
   List.filter (fun s -> Sample.time s >= now -. span) t.samples

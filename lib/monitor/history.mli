@@ -13,7 +13,6 @@ val add : t -> Sample.t -> unit
 
 val latest : t -> Sample.t option
 val length : t -> int
-val newest_first : t -> Sample.t list
 
 val window : t -> now:float -> span:float -> Sample.t list
 (** Samples no older than [now -. span], newest first. *)

@@ -1,8 +1,6 @@
 (* One monitoring sample: the CPU consumption of every VM at an instant,
    as a Ganglia-like daemon would report it. *)
 
-open Entropy_core
-
 type t = {
   time : float;
   cpu : int array; (* per-VM CPU consumption, hundredths of a core *)
@@ -18,8 +16,6 @@ let cpu t vm_id =
   else t.cpu.(vm_id)
 
 let vm_count t = Array.length t.cpu
-
-let to_demand t = Demand.of_fn ~vm_count:(Array.length t.cpu) (cpu t)
 
 let pp ppf t =
   Fmt.pf ppf "t=%.1f [%a]" t.time Fmt.(array ~sep:sp int) t.cpu

@@ -14,5 +14,4 @@ val cpu : t -> Vm.id -> int
     [Invalid_argument] on an unknown VM id. *)
 
 val vm_count : t -> int
-val to_demand : t -> Demand.t
 val pp : Format.formatter -> t -> unit

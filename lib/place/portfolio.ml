@@ -31,12 +31,6 @@ let engine_to_string = function
   | `Anneal -> "anneal"
   | `Portfolio -> "portfolio"
 
-let engine_of_string = function
-  | "cp" -> Some `Cp
-  | "anneal" -> Some `Anneal
-  | "portfolio" -> Some `Portfolio
-  | _ -> None
-
 type report = {
   result : Optimizer.result;
   winner : string;  (* "ffd", "sa", "lns" or "cp" *)

@@ -11,7 +11,6 @@ type engine = [ `Cp | `Anneal | `Portfolio ]
     remaining budget with the incumbent posted as an upper bound. *)
 
 val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
 
 type report = {
   result : Optimizer.result;  (** best verifier-viable outcome *)

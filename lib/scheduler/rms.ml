@@ -9,8 +9,8 @@
 
    With simultaneous arrivals (the paper's section 5.2 workload), EASY
    and conservative backfilling coincide: both reduce to in-order
-   earliest-fit with out-of-order starts. They are exposed separately
-   for clarity and for staggered-arrival scenarios. *)
+   earliest-fit with out-of-order starts, which is what [backfill]
+   implements. *)
 
 type release = Walltime | Actual
 
@@ -82,9 +82,6 @@ let backfill ?(release = Walltime) ~capacity jobs =
       [] jobs
   in
   mk_schedule release capacity placements
-
-let easy = backfill
-let conservative = backfill
 
 (* Lower bound with ideal preemption: jobs can run partially and move
    freely (what cluster-wide context switches enable, Figure 1 (c)):

@@ -17,10 +17,6 @@ val fcfs : ?release:release -> capacity:int -> Job.t list -> schedule
 val backfill : ?release:release -> capacity:int -> Job.t list -> schedule
 (** Earliest-fit in arrival order; later jobs may fill earlier holes. *)
 
-val easy : ?release:release -> capacity:int -> Job.t list -> schedule
-val conservative : ?release:release -> capacity:int -> Job.t list -> schedule
-(** With simultaneous arrivals both coincide with {!backfill}. *)
-
 val preemptive_lower_bound : capacity:int -> Job.t list -> float
 (** Ideal-preemption makespan bound (Figure 1 (c) intuition). *)
 

@@ -30,12 +30,11 @@ let nodes_required ~node_cpu ~node_mem trace =
 let default_overestimate = 1.5
 
 (* Build the rigid job a user would submit for this trace. *)
-let job_of_trace ?(overestimate = default_overestimate) ~node_cpu ~node_mem
-    ~id trace =
+let job_of_trace ~node_cpu ~node_mem ~id trace =
   let actual = Trace.min_duration trace in
   Job.make ~id ~name:trace.Trace.name
     ~nodes_required:(nodes_required ~node_cpu ~node_mem trace)
-    ~walltime:(actual *. overestimate)
+    ~walltime:(actual *. default_overestimate)
     ~actual ()
 
 type run = {
@@ -43,19 +42,13 @@ type run = {
   traces : (Job.t * Trace.t) list;
 }
 
-let run ?overestimate ?(release = Rms.Walltime)
-    ?(policy = `Fcfs) ~capacity ~node_cpu ~node_mem traces =
+let run ~capacity ~node_cpu ~node_mem traces =
   let jobs_traces =
     List.mapi
-      (fun i t -> (job_of_trace ?overestimate ~node_cpu ~node_mem ~id:i t, t))
+      (fun i t -> (job_of_trace ~node_cpu ~node_mem ~id:i t, t))
       traces
   in
-  let jobs = List.map fst jobs_traces in
-  let schedule =
-    match policy with
-    | `Fcfs -> Rms.fcfs ~release ~capacity jobs
-    | `Backfill -> Rms.backfill ~release ~capacity jobs
-  in
+  let schedule = Rms.fcfs ~capacity (List.map fst jobs_traces) in
   { schedule; traces = jobs_traces }
 
 let makespan run = run.schedule.Rms.makespan

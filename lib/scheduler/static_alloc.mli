@@ -10,19 +10,18 @@ val nodes_required : node_cpu:int -> node_mem:int -> Trace.t -> int
 val default_overestimate : float
 (** Users overestimate their walltime (x1.5 by default). *)
 
-val job_of_trace :
-  ?overestimate:float -> node_cpu:int -> node_mem:int -> id:int ->
-  Trace.t -> Job.t
+val job_of_trace : node_cpu:int -> node_mem:int -> id:int -> Trace.t -> Job.t
+(** The rigid job a user submits: {!nodes_required} nodes for the
+    trace's dedicated-resource duration times {!default_overestimate}. *)
 
 type run = {
   schedule : Rms.schedule;
   traces : (Job.t * Trace.t) list;
 }
 
-val run :
-  ?overestimate:float -> ?release:Rms.release ->
-  ?policy:[ `Fcfs | `Backfill ] -> capacity:int -> node_cpu:int ->
-  node_mem:int -> Trace.t list -> run
+val run : capacity:int -> node_cpu:int -> node_mem:int -> Trace.t list -> run
+(** Strict FCFS ({!Rms.fcfs}) over the traces' jobs, slots held for the
+    whole walltime. *)
 
 val makespan : run -> float
 

@@ -46,12 +46,9 @@ type t = {
   remote_ops : int array;
   totals : int array;           (* recompute scratch: per-node demand *)
   alive : bool array;           (* per-node; false after a crash *)
-  storage : Storage.t option;   (* NFS bandwidth sharing, when modelled *)
   completions : (Vjob.id, float) Hashtbl.t;
   mutable on_change : unit -> unit;
 }
-
-let storage t = t.storage
 
 let engine t = t.engine
 let config t = t.config
@@ -332,7 +329,7 @@ let crash_node t node_id =
 
 (* -- construction ----------------------------------------------------------- *)
 
-let create ?storage ~engine ~config ~vjobs ~programs () =
+let create ~engine ~config ~vjobs ~programs () =
   let rts =
     Array.map
       (fun vm ->
@@ -359,7 +356,6 @@ let create ?storage ~engine ~config ~vjobs ~programs () =
       remote_ops = Array.make n 0;
       totals = Array.make n 0;
       alive = Array.make n true;
-      storage;
       completions = Hashtbl.create 16;
       on_change = (fun () -> ());
     }
@@ -370,8 +366,3 @@ let create ?storage ~engine ~config ~vjobs ~programs () =
 
 let all_complete t =
   Array.for_all (fun vj -> Hashtbl.mem t.completions (Vjob.id vj)) t.vjobs
-
-let remaining_work t =
-  Array.fold_left
-    (fun acc rt -> acc +. Program.total_compute rt.phases)
-    0. t.rts

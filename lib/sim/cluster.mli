@@ -6,11 +6,8 @@ open Entropy_core
 type t
 
 val create :
-  ?storage:Storage.t -> engine:Engine.t ->
-  config:Configuration.t -> vjobs:Vjob.t list ->
+  engine:Engine.t -> config:Configuration.t -> vjobs:Vjob.t list ->
   programs:(Vm.id -> Vworkload.Program.t) -> unit -> t
-
-val storage : t -> Storage.t option
 
 val engine : t -> Engine.t
 val config : t -> Configuration.t
@@ -54,4 +51,3 @@ val crash_node : t -> Node.id -> Vjob.id list
 val completions : t -> (Vjob.id * float) list
 val completed : t -> Vjob.t -> bool
 val all_complete : t -> bool
-val remaining_work : t -> float

@@ -11,9 +11,8 @@
      action precedence.
 
    In both, an in-flight operation registers contention on the nodes it
-   touches, durations account for co-resident busy VMs and NFS bandwidth
-   sharing (Perf_model, Storage), and the configuration changes when the
-   action completes.
+   touches, durations account for co-resident busy VMs (Perf_model), and
+   the configuration changes when the action completes.
 
    Every action runs supervised: a fault injector decides per attempt
    whether the hypervisor operation fails or is slowed down, the
@@ -212,24 +211,9 @@ let run_action ?emit ?(switch = 0) ?(pool = 0) cluster ~injector ~policy
       let busy node = Cluster.busy ~except:vm cluster node in
       let decision = Injector.decide injector action in
       let dur = Perf_model.action_duration ~busy action config in
-      (* NFS bandwidth sharing: concurrent image transfers on the same
-         storage server stretch each other *)
-      let storage_transfer =
-        match Cluster.storage cluster with
-        | Some st when Storage.uses_storage action -> Some st
-        | Some _ | None -> None
-      in
-      let dur =
-        match storage_transfer with
-        | Some st ->
-          let factor = Storage.slowdown st vm in
-          Storage.begin_transfer st vm;
-          dur *. factor
-        | None -> dur
-      in
       (* the supervisor's expectation is what the executor itself would
-         predict (contention and storage sharing included): only
-         injected slowdowns beyond the factor trip the timeout *)
+         predict (contention included): only injected slowdowns beyond
+         the factor trip the timeout *)
       let deadline = Supervisor.timeout_s policy ~expected_s:dur in
       let dur = dur *. decision.Injector.slowdown in
       let timed_out = dur > deadline in
@@ -249,9 +233,6 @@ let run_action ?emit ?(switch = 0) ?(pool = 0) cluster ~injector ~policy
       Cluster.recompute cluster;
       ignore
         (Engine.schedule_after engine ~delay:run_for (fun () ->
-             (match storage_transfer with
-             | Some st -> Storage.end_transfer st vm
-             | None -> ());
              Cluster.unregister_op cluster ~nodes ~local;
              match first_dead cluster all_nodes with
              | node when node >= 0 ->

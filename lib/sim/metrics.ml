@@ -86,14 +86,6 @@ let points t = List.rev t.points
 let peak_cpu_demand t =
   List.fold_left (fun acc p -> Float.max acc p.cpu_demand_pct) 0. (points t)
 
-let mean f t =
-  match points t with
-  | [] -> 0.
-  | ps -> List.fold_left (fun acc p -> acc +. f p) 0. ps /. float_of_int (List.length ps)
-
-let mean_cpu_used t = mean (fun p -> p.cpu_used_pct) t
-let mean_mem_used t = mean (fun p -> float_of_int p.mem_used_mb) t
-
 (* Energy proxy: integral of active nodes over time (node-seconds), the
    quantity power-aware placement (Verma et al., cited in the paper's
    introduction) minimises. *)

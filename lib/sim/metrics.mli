@@ -32,8 +32,6 @@ val to_json : t -> Entropy_obs.Json.t
 (** [{"period": ..., "points": [...]}] — the Figure 13 series as JSON. *)
 
 val peak_cpu_demand : t -> float
-val mean_cpu_used : t -> float
-val mean_mem_used : t -> float
 
 val node_seconds : t -> float
 (** Integral of active nodes over time — the energy proxy power-aware

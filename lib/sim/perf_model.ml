@@ -20,11 +20,6 @@ open Entropy_core
 
 type transfer = Local | Scp | Rsync
 
-let transfer_to_string = function
-  | Local -> "local"
-  | Scp -> "scp"
-  | Rsync -> "rsync"
-
 (* The contention-free durations are [Schedule.durations], the one
    Figure 3 table; this module adds the rsync push variant that
    [figure3_rows] prints and the deceleration under contention. *)

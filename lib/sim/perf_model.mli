@@ -5,8 +5,6 @@ open Entropy_core
 
 type transfer = Local | Scp | Rsync
 
-val transfer_to_string : transfer -> string
-
 val decel_local : float
 val decel_remote : float
 

@@ -369,12 +369,87 @@ let test_sanitizer_catches_silent_wipeout () =
          | Sanitizer.Silent_wipeout { var = "y" } -> true | _ -> false)
        findings)
 
+(* shared by the sweep and its coverage test, so both see the same models *)
+let sweep_models = 25
+let sweep_seed = 1789
+
 (* the kernel's own propagators must survive the randomized sweep *)
 let test_sanitizer_kernel_clean () =
-  let findings = Sanitizer.random_sweep ~models:25 ~steps:25 ~seed:1789 () in
+  let findings =
+    Sanitizer.random_sweep ~models:sweep_models ~steps:25 ~seed:sweep_seed ()
+  in
   check_bool
     (Fmt.str "kernel sweep clean: %s" (pp_s findings))
     true (findings = [])
+
+(* The propagator families posted on a store, read off its variables'
+   watchers. Pack is the one Expensive propagator and is named by its
+   caller (the optimizer posts "cpu" and "mem"), so it is keyed by its
+   priority instead. *)
+let families store =
+  List.concat_map
+    (fun (v : Var.t) ->
+      List.map
+        (fun (_, (p : Prop.t)) ->
+          match p.Prop.priority with
+          | Prop.Expensive -> "pack"
+          | Prop.Cheap -> p.Prop.name)
+        v.Var.watchers)
+    (Store.vars store)
+  |> List.sort_uniq String.compare
+
+(* The optimizer's model on [examples/cluster.ecl] (spread and quota
+   rules) and on the 54-VM / 15-node seed-42 probe. *)
+let production_families () =
+  let model ?rules ~config ~demand vjobs =
+    let outcome = Rjsp.solve ?rules ~config ~demand ~queue:vjobs () in
+    (Optimizer.build_model ?rules ~current:config ~demand
+       ~placed:(List.concat_map Vjob.vms outcome.Rjsp.running)
+       ~target_base:outcome.Rjsp.ffd_config ())
+      .Optimizer.store
+  in
+  let fixture =
+    let { Entropy_cli.Spec.config; demand; vjobs; rules; _ } =
+      Entropy_cli.Spec.load "../../examples/cluster.ecl"
+    in
+    model ~rules ~config ~demand vjobs
+  in
+  let probe54 =
+    let { Vworkload.Generator.config; demand; vjobs } =
+      Vworkload.Generator.generate
+        {
+          Vworkload.Generator.default_spec with
+          node_count = 15;
+          vm_target = 54;
+          seed = 42;
+        }
+    in
+    model ~config ~demand vjobs
+  in
+  List.sort_uniq String.compare (families fixture @ families probe54)
+
+(* Every family production posts is probed by the tier-1 sweep, in a
+   model whose root fixpoint holds (the probe checks nothing past a
+   failed root). Guards the sweep's family list against a trim that
+   drops one the optimizer relies on. *)
+let test_sanitizer_sweep_covers_production () =
+  let production = production_families () in
+  List.iter
+    (fun family ->
+      check_bool ("production posts " ^ family) true
+        (List.mem family production))
+    [ "pack"; "count_at_most"; "movecost" ];
+  let swept =
+    Sanitizer.random_models ~models:sweep_models ~seed:sweep_seed ()
+    |> List.concat_map (fun store ->
+           match Store.propagate store with
+           | () -> families store
+           | exception Store.Inconsistent _ -> [])
+  in
+  List.iter
+    (fun family ->
+      check_bool ("sweep probes " ^ family) true (List.mem family swept))
+    production
 
 (* -- linter ----------------------------------------------------------------- *)
 
@@ -523,6 +598,8 @@ let () =
             test_sanitizer_catches_silent_wipeout;
           Alcotest.test_case "kernel survives randomized sweep" `Slow
             test_sanitizer_kernel_clean;
+          Alcotest.test_case "sweep covers production families" `Quick
+            test_sanitizer_sweep_covers_production;
         ] );
       ( "linter",
         [

@@ -1,124 +1,11 @@
-(* Tests for the I/O layers: the trace format, the SWF reader and the
-   entropyctl cluster-description language. *)
+(* Tests for the entropyctl cluster-description language. *)
 
 open Entropy_core
-module Trace = Vworkload.Trace
-module Trace_io = Vworkload.Trace_io
-module Nasgrid = Vworkload.Nasgrid
 module Program = Vworkload.Program
 module Spec = Entropy_cli.Spec
-module Swf = Batch.Swf
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_float eps = Alcotest.(check (float eps))
-
-(* -- trace_io -------------------------------------------------------------- *)
-
-let test_trace_roundtrip () =
-  let traces =
-    [
-      Trace.make ~seed:1 ~vm_count:9 Nasgrid.Ed Nasgrid.W;
-      Trace.make ~seed:2 ~vm_count:18 Nasgrid.Hc Nasgrid.B;
-    ]
-  in
-  let parsed = Trace_io.of_string (Trace_io.to_string traces) in
-  check_int "count" 2 (List.length parsed);
-  List.iter2
-    (fun a b ->
-      Alcotest.(check string) "name" a.Trace.name b.Trace.name;
-      check_bool "memories" true (a.Trace.memories = b.Trace.memories);
-      check_bool "programs" true (a.Trace.programs = b.Trace.programs))
-    traces parsed
-
-let test_trace_parse_handwritten () =
-  let text =
-    "# a hand-written workload\n\
-     trace my.job family=MB class=A\n\
-     vm mem=512 program=C60\n\
-     vm mem=1024 program=I30,C60.5,I10\n"
-  in
-  match Trace_io.of_string text with
-  | [ t ] ->
-    Alcotest.(check string) "name" "my.job" t.Trace.name;
-    check_int "vms" 2 t.Trace.vm_count;
-    check_bool "family" true (t.Trace.family = Nasgrid.Mb);
-    (match List.nth t.Trace.programs 1 with
-    | [ Program.Idle 30.; Program.Compute w; Program.Idle 10. ] ->
-      check_float 1e-9 "fractional work" 60.5 w
-    | p -> Alcotest.failf "unexpected program %a" Program.pp p)
-  | l -> Alcotest.failf "expected 1 trace, got %d" (List.length l)
-
-let test_trace_parse_errors () =
-  let expect_error text =
-    check_bool "rejected" true
-      (try
-         ignore (Trace_io.of_string text);
-         false
-       with Trace_io.Parse_error _ -> true)
-  in
-  expect_error "vm mem=512 program=C60\n";
-  expect_error "trace x family=ZZ class=W\nvm mem=512 program=C60\n";
-  expect_error "trace x family=ED class=W\nvm mem=-1 program=C60\n";
-  expect_error "trace x family=ED class=W\nvm mem=512 program=X60\n";
-  expect_error "trace x family=ED class=W\n" (* no VMs *)
-
-let test_trace_parse_error_line_number () =
-  let text = "trace x family=ED class=W\nvm mem=512 program=C60\nnonsense\n" in
-  try
-    ignore (Trace_io.of_string text);
-    Alcotest.fail "expected parse error"
-  with Trace_io.Parse_error { line; _ } -> check_int "line" 3 line
-
-(* -- swf --------------------------------------------------------------------- *)
-
-let sample_swf =
-  "; SWF header comment\n\
-   ; MaxNodes: 128\n\
-   1 0 10 3600 16 -1 -1 16 7200 -1 1 1 1 -1 1 -1 -1 -1\n\
-   2 60 0 1800 8 -1 -1 -1 -1 -1 1 2 1 -1 1 -1 -1 -1\n\
-   3 120 5 -1 4 -1 -1 4 600 -1 0 3 1 -1 1 -1 -1 -1\n"
-
-let test_swf_parses_jobs () =
-  let jobs = Swf.of_string sample_swf in
-  (* job 3 has runtime -1: skipped *)
-  check_int "two jobs" 2 (List.length jobs);
-  let j1 = List.hd jobs in
-  check_int "id" 1 j1.Batch.Job.id;
-  check_float 1e-9 "arrival" 0. j1.Batch.Job.arrival;
-  check_int "nodes" 16 j1.Batch.Job.nodes_required;
-  check_float 1e-9 "walltime" 7200. j1.Batch.Job.walltime;
-  check_float 1e-9 "actual" 3600. j1.Batch.Job.actual
-
-let test_swf_fallbacks () =
-  let jobs = Swf.of_string sample_swf in
-  let j2 = List.nth jobs 1 in
-  (* requested procs/time absent: falls back to used/run *)
-  check_int "nodes from used" 8 j2.Batch.Job.nodes_required;
-  check_float 1e-9 "walltime from runtime" 1800. j2.Batch.Job.walltime
-
-let test_swf_roundtrip () =
-  let jobs = Swf.of_string sample_swf in
-  let jobs' = Swf.of_string (Swf.to_string jobs) in
-  check_int "count" (List.length jobs) (List.length jobs');
-  List.iter2
-    (fun (a : Batch.Job.t) (b : Batch.Job.t) ->
-      check_int "nodes" a.Batch.Job.nodes_required b.Batch.Job.nodes_required;
-      check_float 1e-9 "actual" a.Batch.Job.actual b.Batch.Job.actual)
-    jobs jobs'
-
-let test_swf_schedulable () =
-  let jobs = Swf.of_string sample_swf in
-  let s = Batch.Rms.backfill ~capacity:32 jobs in
-  check_bool "finite makespan" true (s.Batch.Rms.makespan > 0.);
-  check_int "all placed" 2 (List.length s.Batch.Rms.placements)
-
-let test_swf_rejects_garbage () =
-  check_bool "rejected" true
-    (try
-       ignore (Swf.of_string "not a number at all\n");
-       false
-     with Swf.Parse_error _ -> true)
 
 (* -- spec --------------------------------------------------------------------- *)
 
@@ -248,41 +135,9 @@ let test_spec_plan_roundtrip () =
   check_bool "rules hold" true
     (Placement_rules.check_all result.Optimizer.target spec.Spec.rules)
 
-let prop_trace_roundtrip =
-  QCheck.Test.make ~name:"trace_io roundtrips the whole catalogue" ~count:1
-    QCheck.unit
-    (fun () ->
-      let traces = Trace.catalogue () in
-      let parsed = Trace_io.of_string (Trace_io.to_string traces) in
-      List.length parsed = List.length traces
-      && List.for_all2
-           (fun a b ->
-             a.Trace.memories = b.Trace.memories
-             && a.Trace.programs = b.Trace.programs)
-           traces parsed)
-
-let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
-
 let () =
   Alcotest.run "io"
     [
-      ( "trace_io",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "handwritten" `Quick test_trace_parse_handwritten;
-          Alcotest.test_case "errors" `Quick test_trace_parse_errors;
-          Alcotest.test_case "error line" `Quick
-            test_trace_parse_error_line_number;
-        ]
-        @ qsuite [ prop_trace_roundtrip ] );
-      ( "swf",
-        [
-          Alcotest.test_case "parses" `Quick test_swf_parses_jobs;
-          Alcotest.test_case "fallbacks" `Quick test_swf_fallbacks;
-          Alcotest.test_case "roundtrip" `Quick test_swf_roundtrip;
-          Alcotest.test_case "schedulable" `Quick test_swf_schedulable;
-          Alcotest.test_case "rejects garbage" `Quick test_swf_rejects_garbage;
-        ] );
       ( "spec",
         [
           Alcotest.test_case "parses" `Quick test_spec_parses;

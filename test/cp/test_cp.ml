@@ -697,73 +697,6 @@ let test_pack_feasible_assignment () =
     check_bool "bin0 ok" true (load.(0) <= 10);
     check_bool "bin1 ok" true (load.(1) <= 10)
 
-(* ----------------------------------------------------------- Knapsack -- *)
-
-let test_knapsack_prunes_load () =
-  let s = Store.create () in
-  let sel = Array.init 3 (fun _ -> Store.new_var s ~lo:0 ~hi:1) in
-  let load = Store.new_var s ~lo:0 ~hi:12 in
-  ignore (Knapsack.post s ~sizes:[| 4; 5; 6 |] ~selectors:sel ~load);
-  Store.propagate s;
-  (* reachable sums within 0..12: 0 4 5 6 9 10 11 *)
-  check_bool "7 unreachable" false (Var.mem 7 load);
-  check_bool "9 reachable" true (Var.mem 9 load);
-  check_bool "12 unreachable" false (Var.mem 12 load)
-
-let test_knapsack_forces_item () =
-  let s = Store.create () in
-  let sel = Array.init 2 (fun _ -> Store.new_var s ~lo:0 ~hi:1) in
-  let load = Store.new_var s ~lo:9 ~hi:9 in
-  ignore (Knapsack.post s ~sizes:[| 4; 5 |] ~selectors:sel ~load);
-  Store.propagate s;
-  check_int "item0 forced" 1 (Var.value_exn sel.(0));
-  check_int "item1 forced" 1 (Var.value_exn sel.(1))
-
-let test_knapsack_forbids_item () =
-  let s = Store.create () in
-  let sel = Array.init 2 (fun _ -> Store.new_var s ~lo:0 ~hi:1) in
-  let load = Store.new_var s ~lo:4 ~hi:4 in
-  ignore (Knapsack.post s ~sizes:[| 4; 5 |] ~selectors:sel ~load);
-  Store.propagate s;
-  check_int "item0 forced in" 1 (Var.value_exn sel.(0));
-  check_int "item1 forced out" 0 (Var.value_exn sel.(1))
-
-let test_knapsack_infeasible () =
-  let s = Store.create () in
-  let sel = Array.init 2 (fun _ -> Store.new_var s ~lo:0 ~hi:1) in
-  let load = Store.new_var s ~lo:7 ~hi:8 in
-  ignore (Knapsack.post s ~sizes:[| 4; 2 |] ~selectors:sel ~load);
-  check_bool "fails" true
-    (try
-       Store.propagate s;
-       false
-     with Store.Inconsistent _ -> true)
-
-let knapsack_agrees_with_bruteforce =
-  QCheck.Test.make ~name:"knapsack propagation sound vs brute force"
-    ~count:200
-    QCheck.(small_list (int_range 1 9))
-    (fun sizes ->
-      QCheck.assume (List.length sizes <= 8);
-      let sizes = Array.of_list sizes in
-      let n = Array.length sizes in
-      let total = Array.fold_left ( + ) 0 sizes in
-      let s = Store.create () in
-      let sel = Array.init n (fun _ -> Store.new_var s ~lo:0 ~hi:1) in
-      let load = Store.new_var s ~lo:0 ~hi:total in
-      ignore (Knapsack.post s ~sizes ~selectors:sel ~load);
-      (try Store.propagate s with Store.Inconsistent _ -> ());
-      (* every brute-force achievable sum must still be in the domain *)
-      let ok = ref true in
-      for mask = 0 to (1 lsl n) - 1 do
-        let sum = ref 0 in
-        for i = 0 to n - 1 do
-          if mask land (1 lsl i) <> 0 then sum := !sum + sizes.(i)
-        done;
-        if not (Var.mem !sum load) then ok := false
-      done;
-      !ok)
-
 (* -------------------------------------------------------------- Count -- *)
 
 let test_count_at_most_saturation () =
@@ -812,83 +745,6 @@ let test_count_exactly () =
        ());
   check_int "3 choose 2 solutions" 3 !count
 
-(* ------------------------------------------------------------ Maxvar -- *)
-
-let test_maxvar_bounds () =
-  let s = Store.create () in
-  let a = Store.new_var s ~lo:0 ~hi:5 in
-  let b = Store.new_var s ~lo:2 ~hi:8 in
-  let y = Store.new_var s ~lo:0 ~hi:100 in
-  Maxvar.post s [ a; b ] y;
-  Store.propagate s;
-  check_int "y hi" 8 (Var.hi y);
-  check_int "y lo" 2 (Var.lo y);
-  Store.remove_above s y 4;
-  Store.propagate s;
-  check_int "b capped" 4 (Var.hi b)
-
-let test_maxvar_forces_single_reacher () =
-  let s = Store.create () in
-  let a = Store.new_var s ~lo:0 ~hi:3 in
-  let b = Store.new_var s ~lo:0 ~hi:9 in
-  let y = Store.new_var s ~lo:7 ~hi:9 in
-  Maxvar.post s [ a; b ] y;
-  Store.propagate s;
-  (* only b can reach 7: it must *)
-  check_int "b raised" 7 (Var.lo b)
-
-let test_maxvar_infeasible () =
-  let s = Store.create () in
-  let a = Store.new_var s ~lo:0 ~hi:3 in
-  let y = Store.new_var s ~lo:5 ~hi:9 in
-  Maxvar.post s [ a ] y;
-  check_bool "fails" true
-    (try
-       Store.propagate s;
-       false
-     with Store.Inconsistent _ -> true)
-
-(* -------------------------------------------------------------- Table -- *)
-
-let test_table_gac () =
-  let s = Store.create () in
-  let x = Store.new_var s ~lo:0 ~hi:3 in
-  let y = Store.new_var s ~lo:0 ~hi:3 in
-  Table.post s [ x; y ] [ [| 0; 1 |]; [| 1; 2 |]; [| 2; 0 |] ];
-  Store.propagate s;
-  check_list "x supported" [ 0; 1; 2 ] (Dom.to_list (Var.dom x));
-  check_list "y supported" [ 0; 1; 2 ] (Dom.to_list (Var.dom y));
-  Store.instantiate s x 1;
-  Store.propagate s;
-  check_int "y follows" 2 (Var.value_exn y)
-
-let test_table_no_tuple_fails () =
-  let s = Store.create () in
-  let x = Store.new_var s ~lo:5 ~hi:9 in
-  Table.post s [ x ] [ [| 0 |]; [| 1 |] ];
-  check_bool "fails" true
-    (try
-       Store.propagate s;
-       false
-     with Store.Inconsistent _ -> true)
-
-let test_table_enumeration () =
-  let s = Store.create () in
-  let x = Store.new_var s ~lo:0 ~hi:3 in
-  let y = Store.new_var s ~lo:0 ~hi:3 in
-  let tuples = [ [| 0; 1 |]; [| 1; 2 |]; [| 3; 3 |] ] in
-  Table.post s [ x; y ] tuples;
-  let seen = ref [] in
-  ignore
-    (Search.solve s ~vars:[| x; y |]
-       ~on_solution:(fun () ->
-         seen := [| Var.value_exn x; Var.value_exn y |] :: !seen)
-       ());
-  check_int "exactly the tuples" 3 (List.length !seen);
-  List.iter
-    (fun t -> check_bool "tuple allowed" true (List.mem t tuples))
-    !seen
-
 (* ------------------------------------------------------------ Alldiff -- *)
 
 let test_alldiff_forward_checking () =
@@ -922,31 +778,6 @@ let test_alldiff_permutation_count () =
   in
   check_int "3! solutions" 6 !count;
   check_int "stats solutions" 6 stats.Search.solutions
-
-(* --------------------------------------------------------------- Reif -- *)
-
-let test_reif_channels_both_ways () =
-  let s = Store.create () in
-  let x = Store.new_var s ~lo:0 ~hi:3 in
-  let b = Store.new_var s ~lo:0 ~hi:1 in
-  Reif.eq_const s x 2 b;
-  Store.instantiate s b 1;
-  Store.propagate s;
-  check_int "x forced" 2 (Var.value_exn x);
-  let s = Store.create () in
-  let x = Store.new_var s ~lo:0 ~hi:3 in
-  let b = Store.new_var s ~lo:0 ~hi:1 in
-  Reif.eq_const s x 2 b;
-  Store.instantiate s b 0;
-  Store.propagate s;
-  check_bool "2 removed" false (Var.mem 2 x);
-  let s = Store.create () in
-  let x = Store.new_var s ~lo:0 ~hi:3 in
-  let b = Store.new_var s ~lo:0 ~hi:1 in
-  Reif.eq_const s x 2 b;
-  Store.remove s x 2;
-  Store.propagate s;
-  check_int "b false" 0 (Var.value_exn b)
 
 (* ------------------------------------------------------------- Search -- *)
 
@@ -1057,85 +888,6 @@ let test_search_minimize_proves_optimum () =
   | Some (v, _) -> check_int "optimum" 3 v
   | None -> Alcotest.fail "expected optimum"
 
-let test_luby_sequence () =
-  Alcotest.(check (list int))
-    "first 15 terms"
-    [ 1; 1; 2; 1; 1; 2; 4; 1; 1; 2; 1; 1; 2; 4; 8 ]
-    (List.init 15 (fun i -> Search.luby (i + 1)))
-
-let test_minimize_restarts_optimum () =
-  let s = Store.create () in
-  let vars = Array.init 3 (fun _ -> Store.new_var s ~lo:0 ~hi:5) in
-  let obj = Store.new_var s ~lo:0 ~hi:15 in
-  Alldiff.post s (Array.to_list vars);
-  Linear.sum_var s (Array.to_list (Array.map (fun v -> (1, v)) vars)) obj;
-  let best, stats =
-    Search.minimize_restarts s ~vars ~obj ~base_node_limit:50 ~restarts:6 ()
-  in
-  check_bool "found" true (best <> None);
-  (match best with
-  | Some (v, _) -> check_int "optimum" 3 v
-  | None -> ());
-  check_bool "did some work" true (stats.Search.nodes > 0)
-
-let test_minimize_restarts_respects_timeout () =
-  let s = Store.create () in
-  let vars = Array.init 12 (fun _ -> Store.new_var s ~lo:0 ~hi:9) in
-  let obj = Store.new_var s ~lo:0 ~hi:200 in
-  Linear.sum_var s (Array.to_list (Array.map (fun v -> (1, v)) vars)) obj;
-  let t0 = Unix.gettimeofday () in
-  let best, _ =
-    Search.minimize_restarts s ~vars ~obj ~val_select:Search.max_value
-      ~base_node_limit:10 ~restarts:1000 ~timeout:0.2 ()
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  check_bool "stopped near the deadline" true (elapsed < 2.);
-  check_bool "kept an incumbent" true (best <> None)
-
-let test_restarts_completion_clears_timed_out () =
-  (* a run that completes within budget proves optimality: the stats
-     must not claim a timeout even though a deadline was supplied *)
-  let s = Store.create () in
-  let vars = Array.init 3 (fun _ -> Store.new_var s ~lo:0 ~hi:5) in
-  let obj = Store.new_var s ~lo:0 ~hi:15 in
-  Alldiff.post s (Array.to_list vars);
-  Linear.sum_var s (Array.to_list (Array.map (fun v -> (1, v)) vars)) obj;
-  let best, stats =
-    Search.minimize_restarts s ~vars ~obj ~base_node_limit:2000 ~restarts:6
-      ~timeout:30. ()
-  in
-  check_bool "found" true (best <> None);
-  check_bool "not timed out" false stats.Search.timed_out
-
-let test_restarts_timed_out_on_node_budget () =
-  (* every run exhausts its node budget without completing: the final
-     stats must record a cut-short search *)
-  let s = Store.create () in
-  let vars = Array.init 12 (fun _ -> Store.new_var s ~lo:0 ~hi:9) in
-  let obj = Store.new_var s ~lo:0 ~hi:200 in
-  Linear.sum_var s (Array.to_list (Array.map (fun v -> (1, v)) vars)) obj;
-  let _, stats =
-    Search.minimize_restarts s ~vars ~obj ~val_select:Search.max_value
-      ~base_node_limit:5 ~restarts:3 ()
-  in
-  check_bool "timed out" true stats.Search.timed_out
-
-let test_restarts_timed_out_on_deadline () =
-  (* the deadline expires before optimality is proven: a cut-short
-     search, even when the loop exits through the out-of-time path
-     rather than a run's own budget (an already-expired deadline makes
-     the exit deterministic) *)
-  let s = Store.create () in
-  let vars = Array.init 14 (fun _ -> Store.new_var s ~lo:0 ~hi:9) in
-  let obj = Store.new_var s ~lo:0 ~hi:200 in
-  Linear.sum_var s (Array.to_list (Array.map (fun v -> (1, v)) vars)) obj;
-  let best, stats =
-    Search.minimize_restarts s ~vars ~obj ~val_select:Search.max_value
-      ~base_node_limit:50 ~restarts:10_000 ~timeout:0. ()
-  in
-  check_bool "no proof happened" true (best = None);
-  check_bool "timed out" true stats.Search.timed_out
-
 (* Canary: exact node/fail counts on a fixed instance pin the search
    trajectory. If this test moves, propagation strength, wake-up events
    or the branching order changed — intentionally or not. *)
@@ -1181,39 +933,6 @@ let test_val_iter_matches_val_select () =
   Alcotest.(check (option int)) "same optimum" b2 b1;
   check_int "same nodes" n2 n1;
   check_int "same fails" f2 f1
-
-let restarts_match_plain_minimize =
-  QCheck.Test.make ~name:"restart search finds the same optimum" ~count:50
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 4) (int_range 1 4))
-        (list_of_size (Gen.int_range 1 4) (int_range (-3) 4)))
-    (fun (his, coefs) ->
-      let n = min (List.length his) (List.length coefs) in
-      QCheck.assume (n >= 1);
-      let his = Array.of_list his and coefs = Array.of_list coefs in
-      let build () =
-        let s = Store.create () in
-        let vars = Array.init n (fun i -> Store.new_var s ~lo:0 ~hi:his.(i)) in
-        let lo_obj = ref 0 and hi_obj = ref 0 in
-        for i = 0 to n - 1 do
-          if coefs.(i) >= 0 then hi_obj := !hi_obj + (coefs.(i) * his.(i))
-          else lo_obj := !lo_obj + (coefs.(i) * his.(i))
-        done;
-        let obj = Store.new_var s ~lo:!lo_obj ~hi:!hi_obj in
-        Linear.sum_var s (List.init n (fun i -> (coefs.(i), vars.(i)))) obj;
-        (s, vars, obj)
-      in
-      let s1, vars1, obj1 = build () in
-      let plain, _ = Search.minimize s1 ~vars:vars1 ~obj:obj1 () in
-      let s2, vars2, obj2 = build () in
-      let restarted, _ =
-        Search.minimize_restarts s2 ~vars:vars2 ~obj:obj2 ~restarts:4 ()
-      in
-      match (plain, restarted) with
-      | Some (a, _), Some (b, _) -> a = b
-      | None, None -> true
-      | _ -> false)
 
 let minimize_matches_bruteforce =
   QCheck.Test.make ~name:"minimize equals brute force on random linear goal"
@@ -1329,27 +1048,6 @@ let () =
           Alcotest.test_case "feasible assignment" `Quick
             test_pack_feasible_assignment;
         ] );
-      ( "knapsack",
-        [
-          Alcotest.test_case "prunes load" `Quick test_knapsack_prunes_load;
-          Alcotest.test_case "forces item" `Quick test_knapsack_forces_item;
-          Alcotest.test_case "forbids item" `Quick test_knapsack_forbids_item;
-          Alcotest.test_case "infeasible" `Quick test_knapsack_infeasible;
-        ]
-        @ qsuite [ knapsack_agrees_with_bruteforce ] );
-      ( "maxvar",
-        [
-          Alcotest.test_case "bounds" `Quick test_maxvar_bounds;
-          Alcotest.test_case "single reacher" `Quick
-            test_maxvar_forces_single_reacher;
-          Alcotest.test_case "infeasible" `Quick test_maxvar_infeasible;
-        ] );
-      ( "table",
-        [
-          Alcotest.test_case "gac" `Quick test_table_gac;
-          Alcotest.test_case "no tuple" `Quick test_table_no_tuple_fails;
-          Alcotest.test_case "enumeration" `Quick test_table_enumeration;
-        ] );
       ( "count",
         [
           Alcotest.test_case "at_most saturation" `Quick
@@ -1367,7 +1065,6 @@ let () =
           Alcotest.test_case "permutation count" `Quick
             test_alldiff_permutation_count;
         ] );
-      ("reif", [ Alcotest.test_case "channels" `Quick test_reif_channels_both_ways ]);
       ( "search",
         [
           Alcotest.test_case "enumerates all" `Quick
@@ -1388,22 +1085,11 @@ let () =
             test_search_timeout_returns_incumbent;
           Alcotest.test_case "proves optimum" `Quick
             test_search_minimize_proves_optimum;
-          Alcotest.test_case "luby sequence" `Quick test_luby_sequence;
-          Alcotest.test_case "restarts find optimum" `Quick
-            test_minimize_restarts_optimum;
-          Alcotest.test_case "restarts honor timeout" `Quick
-            test_minimize_restarts_respects_timeout;
-          Alcotest.test_case "restarts completion clears timed_out" `Quick
-            test_restarts_completion_clears_timed_out;
-          Alcotest.test_case "restarts timed_out on node budget" `Quick
-            test_restarts_timed_out_on_node_budget;
-          Alcotest.test_case "restarts timed_out on deadline" `Quick
-            test_restarts_timed_out_on_deadline;
           Alcotest.test_case "stats regression" `Quick
             test_search_stats_regression;
           Alcotest.test_case "val_iter matches val_select" `Quick
             test_val_iter_matches_val_select;
         ]
-        @ qsuite [ minimize_matches_bruteforce; restarts_match_plain_minimize ]
+        @ qsuite [ minimize_matches_bruteforce ]
       );
     ]

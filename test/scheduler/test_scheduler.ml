@@ -200,23 +200,6 @@ let test_profile_min_free () =
   check_int "early window" 6 (Profile.min_free p ~start:0. ~finish:4.);
   check_int "free tail" 10 (Profile.min_free p ~start:8. ~finish:20.)
 
-let test_static_backfill_policy () =
-  let traces =
-    List.init 4 (fun i ->
-        let family = List.nth Nasgrid.families (i mod 4) in
-        Trace.make ~seed:i ~vm_count:9 family Nasgrid.W)
-  in
-  let fcfs =
-    Static_alloc.run ~policy:`Fcfs ~capacity:11 ~node_cpu:200 ~node_mem:3584
-      traces
-  in
-  let bf =
-    Static_alloc.run ~policy:`Backfill ~capacity:11 ~node_cpu:200
-      ~node_mem:3584 traces
-  in
-  check_bool "backfill never worse" true
-    (Static_alloc.makespan bf <= Static_alloc.makespan fcfs +. 1e-9)
-
 let test_static_series_shape () =
   let traces = [ Trace.make ~seed:0 ~vm_count:9 Nasgrid.Ed Nasgrid.W ] in
   let run = Static_alloc.run ~capacity:11 ~node_cpu:200 ~node_mem:3584 traces in
@@ -351,8 +334,6 @@ let () =
           Alcotest.test_case "fits capacity" `Quick
             test_static_run_fits_capacity;
           Alcotest.test_case "demand at" `Quick test_static_demand_at;
-          Alcotest.test_case "backfill policy" `Quick
-            test_static_backfill_policy;
           Alcotest.test_case "series shape" `Quick test_static_series_shape;
         ] );
     ]

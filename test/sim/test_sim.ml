@@ -814,76 +814,6 @@ let test_runner_continuous_execution_completes () =
   in
   check_int "all complete" 4 (List.length r.Vsim.Runner.completions)
 
-(* -- storage ---------------------------------------------------------------------- *)
-
-let test_storage_sharding_and_counts () =
-  let st = Vsim.Storage.create ~server_count:3 () in
-  check_int "vm0 -> server 0" 0 (Vsim.Storage.server_of_vm st 0);
-  check_int "vm4 -> server 1" 1 (Vsim.Storage.server_of_vm st 4);
-  Vsim.Storage.begin_transfer st 0;
-  Vsim.Storage.begin_transfer st 3;
-  (* both on server 0 *)
-  check_int "two active" 2 (Vsim.Storage.active_on st 0);
-  check_float 1e-9 "third shares three ways" 3. (Vsim.Storage.slowdown st 6);
-  check_float 1e-9 "other server free" 1. (Vsim.Storage.slowdown st 1);
-  Vsim.Storage.end_transfer st 0;
-  check_int "one active" 1 (Vsim.Storage.active_on st 0)
-
-let test_storage_only_disk_images () =
-  check_bool "suspend uses storage" true
-    (Vsim.Storage.uses_storage (Action.Suspend { vm = 0; host = 0 }));
-  check_bool "resume uses storage" true
-    (Vsim.Storage.uses_storage (Action.Resume { vm = 0; src = 0; dst = 1 }));
-  check_bool "migration streams directly" false
-    (Vsim.Storage.uses_storage (Action.Migrate { vm = 0; src = 0; dst = 1 }));
-  check_bool "ram suspend stays on host" false
-    (Vsim.Storage.uses_storage (Action.Suspend_ram { vm = 0; host = 0 }))
-
-let test_storage_contention_stretches_suspends () =
-  (* two simultaneous suspends of same-server VMs take ~2x; on distinct
-     servers they overlap freely *)
-  let run ~server_count vms_hosts =
-    let engine = Vsim.Engine.create () in
-    let storage = Vsim.Storage.create ~server_count () in
-    let nodes = testbed_nodes 4 in
-    let vms =
-      Array.of_list
-        (List.mapi
-           (fun i _ -> Vm.make ~id:i ~name:(Printf.sprintf "vm%d" i) ~memory_mb:512)
-           vms_hosts)
-    in
-    let config = Configuration.make ~nodes ~vms in
-    let vjobs =
-      [ Vjob.make ~id:0 ~name:"j" ~vms:(List.mapi (fun i _ -> i) vms_hosts) () ]
-    in
-    let cluster =
-      Vsim.Cluster.create ~storage ~engine ~config ~vjobs
-        ~programs:(fun _ -> [ Program.Compute 10000. ])
-        ()
-    in
-    let config =
-      List.fold_left
-        (fun cfg (vm, node) -> Action.apply cfg (Action.Run { vm; dst = node }))
-        (Vsim.Cluster.config cluster) vms_hosts
-    in
-    Vsim.Cluster.set_config cluster config;
-    let plan =
-      Plan.make
-        [ List.map (fun (vm, node) -> Action.Suspend { vm; host = node }) vms_hosts ]
-    in
-    let record = ref None in
-    Vsim.Executor.execute cluster plan ~on_done:(fun r -> record := Some r);
-    Vsim.Engine.run engine;
-    match !record with
-    | Some r -> Vsim.Executor.duration r
-    | None -> Alcotest.fail "executor did not finish"
-  in
-  (* one server: the two image writes share it *)
-  let contended = run ~server_count:1 [ (0, 0); (1, 1) ] in
-  (* many servers: vm0 -> s0, vm1 -> s1 *)
-  let parallel = run ~server_count:2 [ (0, 0); (1, 1) ] in
-  check_bool "contention visible" true (contended > 1.4 *. parallel)
-
 (* -- online rms ------------------------------------------------------------------ *)
 
 let test_rms_simulate_frees_early () =
@@ -1751,15 +1681,6 @@ let () =
             test_session_commits_bookkeeping;
           Alcotest.test_case "runner ngb base 45 terminates" `Quick
             test_runner_ngb_base45_terminates;
-        ] );
-      ( "storage",
-        [
-          Alcotest.test_case "sharding + counts" `Quick
-            test_storage_sharding_and_counts;
-          Alcotest.test_case "disk images only" `Quick
-            test_storage_only_disk_images;
-          Alcotest.test_case "contention stretches" `Quick
-            test_storage_contention_stretches_suspends;
         ] );
       ( "online-rms",
         [

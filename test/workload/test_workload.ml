@@ -101,108 +101,6 @@ let test_class_scaling () =
   and b = Nasgrid.task_work Nasgrid.B in
   check_bool "W < A < B" true (w < a && a < b)
 
-(* -- dag -------------------------------------------------------------------- *)
-
-module Dag = Vworkload.Dag
-
-let test_dag_validation () =
-  check_bool "dangling dep rejected" true
-    (try
-       ignore (Dag.make ~vm_count:1 [ Dag.task ~id:0 ~vm:0 ~work:1. ~deps:[ 5 ] () ]);
-       false
-     with Dag.Invalid _ -> true);
-  check_bool "unknown vm rejected" true
-    (try
-       ignore (Dag.make ~vm_count:1 [ Dag.task ~id:0 ~vm:3 ~work:1. () ]);
-       false
-     with Dag.Invalid _ -> true)
-
-let test_dag_cycle_detected () =
-  let d =
-    Dag.make ~vm_count:1
-      [
-        Dag.task ~id:0 ~vm:0 ~work:1. ~deps:[ 1 ] ();
-        Dag.task ~id:1 ~vm:0 ~work:1. ~deps:[ 0 ] ();
-      ]
-  in
-  check_bool "cycle" true
-    (try
-       ignore (Dag.topological_order d);
-       false
-     with Dag.Invalid _ -> true)
-
-let test_dag_schedule_chain () =
-  (* a -> b on distinct VMs: b waits for a *)
-  let d =
-    Dag.make ~vm_count:2
-      [
-        Dag.task ~id:0 ~vm:0 ~work:10. ();
-        Dag.task ~id:1 ~vm:1 ~work:5. ~deps:[ 0 ] ();
-      ]
-  in
-  let start, finish = Dag.schedule d in
-  check_float "b starts at 10" 10. start.(1);
-  check_float "critical path" 15. (Array.fold_left Float.max 0. finish)
-
-let test_dag_compile_inserts_idle () =
-  let d =
-    Dag.make ~vm_count:2
-      [
-        Dag.task ~id:0 ~vm:0 ~work:10. ();
-        Dag.task ~id:1 ~vm:1 ~work:5. ~deps:[ 0 ] ();
-      ]
-  in
-  match Dag.compile d with
-  | [ p0; p1 ] ->
-    check_bool "vm0 computes immediately" true (p0 = [ Program.Compute 10. ]);
-    check_bool "vm1 idles then computes" true
-      (p1 = [ Program.Idle 10.; Program.Compute 5. ])
-  | _ -> Alcotest.fail "expected 2 programs"
-
-let test_dag_ed_matches_handwritten () =
-  let dag = Dag.ed ~vms:9 ~work:60. in
-  check_bool "same programs" true (Dag.compile dag = Nasgrid.ed ~vms:9 ~work:60.)
-
-let test_dag_hc_matches_handwritten () =
-  let dag = Dag.hc ~rounds:3 ~vms:9 ~work:60. () in
-  let compiled = Dag.compile dag in
-  let handwritten = Nasgrid.hc ~rounds:3 ~vms:9 ~work:60. () in
-  List.iter2
-    (fun a b ->
-      check_float "same compute" (Program.total_compute b)
-        (Program.total_compute a);
-      check_float "same span" (Program.min_duration b)
-        (Program.min_duration a))
-    compiled handwritten
-
-let test_dag_families_consistency () =
-  (* for every family: compiled programs carry all the DAG's work, and
-     the longest program equals the dedicated-resource critical path *)
-  List.iter
-    (fun family ->
-      let dag = Dag.of_family family ~vms:9 ~work:30. in
-      let programs = Dag.compile dag in
-      let compute =
-        List.fold_left (fun acc p -> acc +. Program.total_compute p) 0. programs
-      in
-      check_float
-        (Nasgrid.family_to_string family ^ " work preserved")
-        (Dag.total_work dag) compute;
-      let span =
-        List.fold_left (fun acc p -> Float.max acc (Program.min_duration p)) 0.
-          programs
-      in
-      check_float
-        (Nasgrid.family_to_string family ^ " span = critical path")
-        (Dag.critical_path dag) span)
-    Nasgrid.families
-
-let test_dag_hc_serializes_cpu () =
-  (* in a helical chain at most one VM computes at a time: the total
-     work equals the critical path *)
-  let dag = Dag.hc ~rounds:2 ~vms:5 ~work:7. () in
-  check_float "serial" (Dag.total_work dag) (Dag.critical_path dag)
-
 (* -- trace ----------------------------------------------------------------- *)
 
 let test_trace_catalogue_81 () =
@@ -422,22 +320,6 @@ let () =
           Alcotest.test_case "MB unequal layers" `Quick
             test_mb_unequal_layers;
           Alcotest.test_case "class scaling" `Quick test_class_scaling;
-        ] );
-      ( "dag",
-        [
-          Alcotest.test_case "validation" `Quick test_dag_validation;
-          Alcotest.test_case "cycle detected" `Quick test_dag_cycle_detected;
-          Alcotest.test_case "schedule chain" `Quick test_dag_schedule_chain;
-          Alcotest.test_case "compile inserts idle" `Quick
-            test_dag_compile_inserts_idle;
-          Alcotest.test_case "ED matches handwritten" `Quick
-            test_dag_ed_matches_handwritten;
-          Alcotest.test_case "HC matches handwritten" `Quick
-            test_dag_hc_matches_handwritten;
-          Alcotest.test_case "families consistent" `Quick
-            test_dag_families_consistency;
-          Alcotest.test_case "HC serializes CPU" `Quick
-            test_dag_hc_serializes_cpu;
         ] );
       ( "trace",
         [
