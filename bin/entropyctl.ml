@@ -805,16 +805,11 @@ let resume vms nodes seed fail_rate timeout_factor retries cp_timeout
       ()
   in
   let journal = Entropy_journal.Journal.open_file journal_path in
-  let outcome =
-    match state with
-    | None -> None
-    | Some st ->
-      let observed = Entropy_journal.Recovery.projected_config st in
-      Vsim.Runner.resume ~cp_timeout ~max_time ~injector ~policy ~journal
-        ~records ~observed ~vjobs ~programs ()
-  in
   let info, result =
-    match outcome with
+    match
+      Vsim.Runner.resume ~cp_timeout ~max_time ~injector ~policy ~journal
+        ~records ~vjobs ~programs ()
+    with
     | Some (info, result) -> (Some info, result)
     | None ->
       (* no switch had begun: nothing to reconcile, run from scratch *)

@@ -286,21 +286,11 @@ let ablation cls cp_timeout () =
         Decision.consolidation ~cp_timeout ~heuristic:Ffd.Worst_fit () );
     ]
   in
-  let variants =
-    variants
-    @ [
-        ( "continuous switch execution",
-          Decision.consolidation ~cp_timeout () );
-      ]
-  in
   Printf.printf "%-34s%12s%10s%12s%10s\n" "variant" "makespan" "switches"
     "mean dur" "suspends";
   List.iter
     (fun (name, decision) ->
-      let execution =
-        if name = "continuous switch execution" then `Continuous else `Pools
-      in
-      let r = Vsim.Runner.run_entropy ~decision ~execution ~nodes ~traces () in
+      let r = Vsim.Runner.run_entropy ~decision ~nodes ~traces () in
       let suspends =
         List.fold_left
           (fun acc (s : Vsim.Executor.record) -> acc + s.Vsim.Executor.suspends)

@@ -7,7 +7,7 @@
    the approach the authors later adopted in Entropy 2/BtrPlace to
    shorten the cluster-wide context switch.
 
-   Semantics (matching the executor's):
+   Semantics (the pool executor's per-action rules, without barriers):
    - an action's claim (see {!Action.claim}) is reserved when it starts;
    - the resources it frees become available when it completes
      (migrate/suspend/stop free their source, a RAM suspend frees CPU);
@@ -48,9 +48,7 @@ let frees config demand action =
    order: two actions on the same VM (a bypass migration and its second
    leg, a disk-break suspend and its resume) must execute in that
    order, which the resource ledger alone cannot see. *)
-type group = { actions : (int * Action.t) list }
-
-let group_actions_internal ?(vjobs = []) plan =
+let group_actions ?(vjobs = []) plan =
   let all = List.mapi (fun i a -> (i, a)) (Plan.actions plan) in
   let vjob_of vm =
     List.find_opt (fun vj -> List.mem vm (Vjob.vms vj)) vjobs
@@ -84,12 +82,7 @@ let group_actions_internal ?(vjobs = []) plan =
         Hashtbl.replace table key acc;
         order := key :: !order)
     keyed;
-  List.rev_map
-    (fun key -> { actions = List.rev !(Hashtbl.find table key) })
-    !order
-
-let group_actions ?vjobs plan =
-  List.map (fun g -> g.actions) (group_actions_internal ?vjobs plan)
+  List.rev_map (fun key -> List.rev !(Hashtbl.find table key)) !order
 
 (* prereq.(i) = index of the previous plan action on the same VM. *)
 let vm_prerequisites plan =
@@ -119,7 +112,7 @@ let schedule ?vjobs ~current ~demand ~plan () =
         Node.memory_mb (Configuration.node current i) - mem_load.(i))
   in
   let gap = Schedule.durations.pipeline_gap_s in
-  let pending = ref (group_actions_internal ?vjobs plan) in
+  let pending = ref (group_actions ?vjobs plan) in
   let prereq = vm_prerequisites plan in
   let completed = Array.make (Array.length prereq) false in
   (* completion events: (time, index, frees) *)
@@ -131,7 +124,7 @@ let schedule ?vjobs ~current ~demand ~plan () =
     List.for_all
       (fun (i, _) ->
         match prereq.(i) with None -> true | Some j -> completed.(j))
-      g.actions
+      g
     &&
     let need_cpu = Array.make n 0 and need_mem = Array.make n 0 in
     List.iter
@@ -141,7 +134,7 @@ let schedule ?vjobs ~current ~demand ~plan () =
           need_cpu.(node) <- need_cpu.(node) + cpu;
           need_mem.(node) <- need_mem.(node) + mem
         | None -> ())
-      g.actions;
+      g;
     let ok = ref true in
     for i = 0 to n - 1 do
       (* only nodes the group claims on matter: an unrelated node may
@@ -162,15 +155,13 @@ let schedule ?vjobs ~current ~demand ~plan () =
           free_cpu.(node) <- free_cpu.(node) - cpu;
           free_mem.(node) <- free_mem.(node) - mem
         | None -> ());
-        let offset =
-          if List.length g.actions > 1 then float_of_int k *. gap else 0.
-        in
+        let offset = if List.length g > 1 then float_of_int k *. gap else 0. in
         let start = !now +. offset in
         let finish = start +. Schedule.action_duration current a in
         entries := { action = a; start; finish } :: !entries;
         if finish > !makespan then makespan := finish;
         events := (finish, i, frees current demand a) :: !events)
-      g.actions
+      g
   in
   let try_start () =
     let rec scan () =

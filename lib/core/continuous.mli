@@ -1,7 +1,9 @@
 (** Continuous (event-driven) scheduling of a reconfiguration plan: each
     action starts as soon as its claim fits, instead of waiting for pool
     barriers — the Entropy 2 / BtrPlace refinement of the paper's pool
-    execution. vjob suspend/resume grouping is preserved. *)
+    execution. vjob suspend/resume grouping is preserved. It is an
+    estimate only: every switch executes pool by pool, and this schedule
+    answers what dropping the barriers would save. *)
 
 type entry = { action : Action.t; start : float; finish : float }
 type t
@@ -21,11 +23,6 @@ val schedule :
 
 val entries : t -> entry list
 (** In increasing start order. *)
-
-val group_actions : ?vjobs:Vjob.t list -> Plan.t -> (int * Action.t) list list
-(** The plan's actions with their pool-order index, grouped so that a
-    vjob's suspends (resp. resumes) start together. Used by event-driven
-    executors. *)
 
 val vm_prerequisites : Plan.t -> int option array
 (** [prereq.(i)] is the index of the previous plan action on the same VM

@@ -319,7 +319,7 @@ let run_core (c : config) (b : boot) =
   let session =
     Session.create ~cluster ~collector ~journal:b.journal
       ~injector:(Some injector) ~policy:(Some Supervisor.default_policy)
-      ~max_repairs ~execution:`Pools ~queue:live_admitted
+      ~max_repairs ~queue:live_admitted
       ~on_switch:(fun r -> switches := r :: !switches)
       ~on_repair:(fun _ -> incr repairs)
   in

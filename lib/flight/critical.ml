@@ -346,16 +346,6 @@ let what_if_free sw idx = replay ~free:idx sw
 
 (* -- estimates ------------------------------------------------------------- *)
 
-let estimated_makespan sw =
-  if T.continuous_mode sw then
-    try
-      Continuous.makespan
-        (Continuous.schedule ~current:sw.T.source ~demand:sw.T.demand
-           ~plan:sw.T.plan ())
-    with Continuous.Stuck _ ->
-      Schedule.makespan (Schedule.of_plan sw.T.source sw.T.plan)
-  else Schedule.makespan (Schedule.of_plan sw.T.source sw.T.plan)
-
 let action_drift sw =
   Array.to_list sw.T.actions
   |> List.filter_map (fun (a : T.action_tl) ->
@@ -417,7 +407,8 @@ let analyze ?(top_k = 3) sw =
     exact;
     what_if;
     no_barrier_makespan_s = replay ~barriers:false sw;
-    est_makespan_s = estimated_makespan sw;
+    est_makespan_s =
+      Schedule.makespan (Schedule.of_plan sw.T.source sw.T.plan);
     est_cost_mb = est_cost;
     rederived_cost_mb = rederived;
     drift = action_drift sw;

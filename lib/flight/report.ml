@@ -33,11 +33,10 @@ let edge_label sw = function
 let pp ppf ((sw, an) : analysis) =
   let b = an.C.buckets in
   let total = an.C.makespan_s in
-  Fmt.pf ppf "@[<v>switch %d: %d actions in %d pools%s, makespan %.2f s%s@,"
+  Fmt.pf ppf "@[<v>switch %d: %d actions in %d pools, makespan %.2f s%s@,"
     sw.T.switch
     (Plan.action_count sw.T.plan)
     (Plan.pool_count sw.T.plan)
-    (if T.continuous_mode sw then " (continuous)" else "")
     total
     (match sw.T.end_at with
     | Some _ when sw.T.aborted -> " [aborted]"
@@ -186,7 +185,6 @@ let switch_json ((sw, an) : analysis) =
       ("makespan_s", Json.Float an.C.makespan_s);
       ("actions", Json.Int (Plan.action_count sw.T.plan));
       ("pools", Json.Int (Plan.pool_count sw.T.plan));
-      ("continuous", Json.Bool (T.continuous_mode sw));
       ("ended", Json.Bool (sw.T.end_at <> None));
       ("aborted", Json.Bool sw.T.aborted);
       ("unmatched_records", Json.Int sw.T.unmatched);

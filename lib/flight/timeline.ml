@@ -228,11 +228,3 @@ let first_start a =
 
 let finish_time sw a =
   match a.terminal with Some t -> terminal_at t | None -> sw.last_event
-
-let continuous_mode sw =
-  Plan.pool_count sw.plan > 1
-  && sw.commits = []
-  && Array.exists (fun a -> executed a && a.plan_pool > 0) sw.actions
-  && Array.for_all
-       (fun a -> (not (executed a)) || a.record_pool = 0)
-       sw.actions

@@ -25,9 +25,11 @@ type action_tl = {
   action : Action.t;
   plan_pool : int;  (** pool the plan put the action in *)
   record_pool : int;
-      (** pool the journal records carried: equals [plan_pool] under
-          pool execution, 0 under continuous execution (which ignores
-          barriers) — barrier reasoning follows this field *)
+      (** pool the journal records carried ([plan_pool] when the
+          action was never journaled). It equals [plan_pool] for
+          journals the executor wrote; barrier reasoning follows this
+          field, so a journal whose records disagree with the plan is
+          analysed by the pools it observed *)
   prereq : int option;  (** previous plan action on the same VM *)
   attempts : float list;  (** supervised attempt start times, ascending *)
   terminal : terminal option;  (** [None]: still in flight at the cut *)
@@ -65,8 +67,3 @@ val executed : action_tl -> bool
 val first_start : action_tl -> float option
 val finish_time : switch_tl -> action_tl -> float
 (** Terminal time, or the switch horizon for in-flight actions. *)
-
-val continuous_mode : switch_tl -> bool
-(** True when the records show barrier-free (continuous) execution:
-    multi-pool plan, yet every record carries pool 0 and no pool ever
-    committed. *)

@@ -1,16 +1,8 @@
-(* Execute a reconfiguration plan on the simulated cluster.
-
-   Two execution models are provided:
-   - [execute]: the paper's pool model — pools run sequentially; inside
-     a pool every action starts in parallel, except the suspends and
-     resumes, which are pipelined one second apart (in the order the
-     consistency pass sorted them);
-   - [execute_continuous]: the event-driven model (Entropy 2 /
-     BtrPlace) — each action (or vjob suspend/resume group) starts as
-     soon as its claim fits the live free resources, honouring per-VM
-     action precedence.
-
-   In both, an in-flight operation registers contention on the nodes it
+(* Execute a reconfiguration plan on the simulated cluster with the
+   paper's pool model: pools run sequentially; inside a pool every
+   action starts in parallel, except the suspends and resumes, which are
+   pipelined one second apart (in the order the consistency pass sorted
+   them). An in-flight operation registers contention on the nodes it
    touches, durations account for co-resident busy VMs (Perf_model), and
    the configuration changes when the action completes.
 
@@ -102,7 +94,7 @@ let kind_name = function
 
 (* -- supervision ------------------------------------------------------------- *)
 
-(* Per-execution failure bookkeeping, shared by both execution models. *)
+(* Per-execution failure bookkeeping. *)
 type tally = {
   mutable t_failed : int;
   mutable t_retries : int;
@@ -163,7 +155,7 @@ let resolve ?injector ?policy () =
    anyone else (the completion callback runs after the append), so a
    crash between the two is indistinguishable from a crash right before
    the transition — the write-ahead property recovery relies on. *)
-let run_action ?emit ?(switch = 0) ?(pool = 0) cluster ~injector ~policy
+let run_action ?emit ?(switch = 0) ~pool cluster ~injector ~policy
     ~tally action ~on_complete =
   let engine = Cluster.engine cluster in
   let vm = Action.vm action in
@@ -391,113 +383,3 @@ let execute ?injector ?policy ?(abort_on_failure = false) ?emit ?switch
     end
   in
   run_pool 0
-
-(* -- continuous (event-driven) execution ------------------------------------- *)
-
-let execute_continuous ?injector ?policy ?(abort_on_failure = false) ?emit
-    ?switch ?vjobs cluster plan ~on_done =
-  let injector, policy = resolve ?injector ?policy () in
-  let engine = Cluster.engine cluster in
-  let started_at = Engine.now engine in
-  let cost = Plan.cost (Cluster.config cluster) plan in
-  let gap = Schedule.durations.pipeline_gap_s in
-  let pending = ref (Continuous.group_actions ?vjobs plan) in
-  let prereq = Continuous.vm_prerequisites plan in
-  let completed = Array.make (Array.length prereq) false in
-  let tally = mk_tally () in
-  let in_flight = ref 0 in
-  let n = Configuration.node_count (Cluster.config cluster) in
-  let aborting () = abort_on_failure && tally.t_failed > 0 in
-  (* claims reserved by in-flight actions, on top of the live loads *)
-  let claimed_cpu = Array.make n 0 and claimed_mem = Array.make n 0 in
-  let group_feasible g =
-    let config = Cluster.config cluster in
-    let demand = Cluster.demand cluster in
-    List.for_all
-      (fun (i, _) ->
-        match prereq.(i) with None -> true | Some j -> completed.(j))
-      g
-    &&
-    let need_cpu = Array.make n 0 and need_mem = Array.make n 0 in
-    List.iter
-      (fun (_, a) ->
-        match Action.claim config demand a with
-        | Some (node, cpu, mem) ->
-          need_cpu.(node) <- need_cpu.(node) + cpu;
-          need_mem.(node) <- need_mem.(node) + mem
-        | None -> ())
-      g;
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if
-        (need_cpu.(i) > 0 || need_mem.(i) > 0)
-        && (need_cpu.(i) > Configuration.free_cpu config demand i - claimed_cpu.(i)
-           || need_mem.(i) > Configuration.free_mem config i - claimed_mem.(i))
-      then ok := false
-    done;
-    !ok
-  in
-  let finished () =
-    on_done
-      (mk_record cluster plan ~started_at ~cost ~pools:1 ~tally
-         ~aborted:(aborting () && !pending <> []))
-  in
-  let rec start_group g =
-    let config = Cluster.config cluster in
-    let demand = Cluster.demand cluster in
-    List.iteri
-      (fun k (i, a) ->
-        let claim = Action.claim config demand a in
-        (match claim with
-        | Some (node, cpu, mem) ->
-          claimed_cpu.(node) <- claimed_cpu.(node) + cpu;
-          claimed_mem.(node) <- claimed_mem.(node) + mem
-        | None -> ());
-        incr in_flight;
-        let offset = if List.length g > 1 then float_of_int k *. gap else 0. in
-        ignore
-          (Engine.schedule_after engine ~delay:offset (fun () ->
-               (* the continuous model has no pool boundaries: every
-                  action journals under pool 0 *)
-               run_action ?emit ?switch ~pool:0 cluster ~injector ~policy
-                 ~tally a ~on_complete:(fun _applied ->
-                   completed.(i) <- true;
-                   (match claim with
-                   | Some (node, cpu, mem) ->
-                     claimed_cpu.(node) <- claimed_cpu.(node) - cpu;
-                     claimed_mem.(node) <- claimed_mem.(node) - mem
-                   | None -> ());
-                   decr in_flight;
-                   try_start ();
-                   if !in_flight = 0 && (!pending = [] || aborting ()) then
-                     finished ()))))
-      g
-  and try_start () =
-    if not (aborting ()) then begin
-      let rec scan () =
-        let started = ref false in
-        pending :=
-          List.filter
-            (fun g ->
-              if group_feasible g then begin
-                start_group g;
-                started := true;
-                false
-              end
-              else true)
-            !pending;
-        if !started then scan ()
-      in
-      scan ();
-      (* live demands can drift from the planning-time ones: when nothing
-         can start and nothing is in flight, force the oldest group (the
-         plan's own order is a valid execution under planning demands) *)
-      if !in_flight = 0 then
-        match !pending with
-        | g :: rest ->
-          pending := rest;
-          start_group g
-        | [] -> ()
-    end
-  in
-  if !pending = [] then finished () else try_start ()

@@ -64,20 +64,3 @@ val execute :
     [Pool_committed] when a pool drains), tagged with switch id
     [switch] (default 0). Terminal records are appended before the
     completion callback observes the new configuration. *)
-
-val execute_continuous :
-  ?injector:Entropy_fault.Injector.t ->
-  ?policy:Entropy_fault.Supervisor.policy ->
-  ?abort_on_failure:bool ->
-  ?emit:(Entropy_journal.Record.t -> unit) ->
-  ?switch:int ->
-  ?vjobs:Vjob.t list -> Cluster.t ->
-  Plan.t -> on_done:(record -> unit) -> unit
-(** Event-driven execution (Entropy 2 / BtrPlace model): each action —
-    or vjob suspend/resume group when [vjobs] is given — starts as soon
-    as its claim fits the live free resources, honouring per-VM action
-    precedence. Typically shortens the switch vs {!execute}; the
-    record's [pools] field is 1. Supervision and journaling as in
-    {!execute} (all journal records carry pool 0 and no
-    [Pool_committed] is emitted); with [abort_on_failure], no further
-    group starts after a terminal failure. *)

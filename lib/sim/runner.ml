@@ -72,10 +72,11 @@ let poll_period = 5.
 let max_repairs = 4
 
 (* Run the control loop over an arbitrary initial configuration (VMs may
-   already be running/sleeping). *)
-let run_custom ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
-    ?injector ?policy ?(execution = `Pools) ?journal ?kill_at ?initial ~config
-    ~vjobs ~programs () =
+   already be running/sleeping). [initial], set only by [resume],
+   executes a recovery-derived (target, plan) before the first
+   decision. *)
+let run_loop ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
+    ?injector ?policy ?journal ?kill_at ?initial ~config ~vjobs ~programs () =
   let engine = Engine.create () in
   let cluster = Cluster.create ~engine ~config ~vjobs ~programs () in
   let collector =
@@ -127,7 +128,7 @@ let run_custom ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
       (Injector.node_crashes inj));
   let session =
     Session.create ~cluster ~collector ~journal ~injector ~policy ~max_repairs
-      ~execution ~queue:live_queue
+      ~queue:live_queue
       ~on_switch:(fun r -> switches := r :: !switches)
       ~on_repair:(fun r -> repairs := r :: !repairs)
   in
@@ -208,22 +209,26 @@ let run_custom ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
     killed;
   }
 
+let run_custom = run_loop ?initial:None
+
 let run_entropy ?cp_timeout ?max_time ?decision ?injector ?policy
-    ?arrival_spacing ?execution ?journal ?kill_at ~nodes ~traces () =
+    ?arrival_spacing ?journal ?kill_at ~nodes ~traces () =
   let config, vjobs, programs = setup ?arrival_spacing ~nodes ~traces () in
-  run_custom ?cp_timeout ?max_time ?decision ?injector ?policy ?execution
-    ?journal ?kill_at ~config ~vjobs ~programs ()
+  run_custom ?cp_timeout ?max_time ?decision ?injector ?policy ?journal
+    ?kill_at ~config ~vjobs ~programs ()
 
 (* -- crash recovery ----------------------------------------------------------- *)
 
-let resume ?cp_timeout ?max_time ?decision ?injector ?policy ?execution
-    ?journal ?kill_at ~records ~observed ~vjobs ~programs () =
+let resume ?cp_timeout ?max_time ?decision ?injector ?policy ?journal
+    ?kill_at ~records ~vjobs ~programs () =
   Recovery.replay records
   |> Option.map (fun state ->
+         (* the simulated cluster is where the journal says it was *)
+         let observed = Recovery.projected_config state in
          let r = Recovery.resume_plan ~vjobs ~observed state in
          ( r,
-           run_custom ?cp_timeout ?max_time ?decision ?injector ?policy
-             ?execution ?journal ?kill_at
+           run_loop ?cp_timeout ?max_time ?decision ?injector ?policy
+             ?journal ?kill_at
              ~initial:(r.Recovery.target, r.Recovery.plan) ~config:observed
              ~vjobs ~programs () ))
 

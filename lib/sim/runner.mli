@@ -33,9 +33,7 @@ val run_custom :
   ?cp_timeout:float -> ?max_time:float -> ?decision:Decision.t ->
   ?injector:Entropy_fault.Injector.t ->
   ?policy:Entropy_fault.Supervisor.policy ->
-  ?execution:[ `Pools | `Continuous ] ->
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
-  ?initial:Configuration.t * Plan.t ->
   config:Configuration.t -> vjobs:Vjob.t list ->
   programs:(Vm.id -> Vworkload.Program.t) -> unit -> result
 (** Run the control loop over an arbitrary initial configuration (VMs
@@ -43,8 +41,8 @@ val run_custom :
     submitted, unterminated vjobs and hand the result to a {!Session},
     which commits it — an empty plan's bookkeeping directly, a non-empty
     plan as one journaled, supervised switch. Monitors are polled every
-    5 s and metrics sampled every 30 s. [execution] selects pool-based
-    (default, the paper's model) or continuous switch execution.
+    5 s and metrics sampled every 30 s. Every switch runs pool by pool
+    ({!Executor.execute}, the paper's model).
 
     With [injector], actions run supervised under [policy] (default
     {!Entropy_fault.Supervisor.default_policy}), scripted node crashes
@@ -58,16 +56,13 @@ val run_custom :
     (see {!Executor.execute}). [kill_at] stops the discrete-event engine
     at that simulated time — the controller crash: no [Switch_end] is
     written for an in-flight switch and [result.killed] is set when
-    vjobs were left incomplete. [initial] executes a given
-    [(target, plan)] first (at t=0.5s) instead of consulting the
-    decision module — the resume path; an empty plan falls through to
-    the periodic loop. *)
+    vjobs were left incomplete. *)
 
 val run_entropy :
   ?cp_timeout:float -> ?max_time:float -> ?decision:Decision.t ->
   ?injector:Entropy_fault.Injector.t ->
   ?policy:Entropy_fault.Supervisor.policy ->
-  ?arrival_spacing:float -> ?execution:[ `Pools | `Continuous ] ->
+  ?arrival_spacing:float ->
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
   nodes:Node.t array -> traces:Vworkload.Trace.t list -> unit -> result
 (** Run the control loop until every vjob has completed and been
@@ -79,17 +74,18 @@ val resume :
   ?cp_timeout:float -> ?max_time:float -> ?decision:Decision.t ->
   ?injector:Entropy_fault.Injector.t ->
   ?policy:Entropy_fault.Supervisor.policy ->
-  ?execution:[ `Pools | `Continuous ] ->
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
-  records:Entropy_journal.Record.t list -> observed:Configuration.t ->
+  records:Entropy_journal.Record.t list ->
   vjobs:Vjob.t list -> programs:(Vm.id -> Vworkload.Program.t) -> unit ->
   (Entropy_journal.Recovery.resume * result) option
 (** Idempotently resume a run from a crashed controller's journal:
-    replay [records], derive the resume plan against [observed]
+    replay [records], restart the simulated cluster in the configuration
+    the journal projects ({!Entropy_journal.Recovery.projected_config}),
+    derive the resume plan against it
     ({!Entropy_journal.Recovery.resume_plan}: reconciliation, or repair
-    on divergence), execute it and then run the periodic loop to
-    completion. [None]
-    when the journal holds no switch — nothing to resume; start a fresh
+    on divergence), execute it first (at t=0.5s, an empty plan falls
+    through) and then run the periodic loop to completion. [None] when
+    the journal holds no switch — nothing to resume; start a fresh
     run instead. Pass the same [journal] to keep appending: the resumed
     switch takes the next free switch id. The journaled injector seed is
     available as [state.seed] for rebuilding a deterministic injector;

@@ -45,14 +45,13 @@ type t = {
   injector : Injector.t option;
   policy : Entropy_fault.Supervisor.policy option;
   budget : int;  (* repairs one degraded switch may chase *)
-  execution : [ `Pools | `Continuous ];
   queue : unit -> Vjob.t list;
   on_switch : Executor.record -> unit;
   on_repair : repair -> unit;
 }
 
 let create ~cluster ~collector ~journal ~injector ~policy ~max_repairs
-    ~execution ~queue ~on_switch ~on_repair =
+    ~queue ~on_switch ~on_repair =
   {
     cluster;
     collector;
@@ -62,7 +61,6 @@ let create ~cluster ~collector ~journal ~injector ~policy ~max_repairs
     policy;
     (* unsupervised actions never abort a switch: nothing to chase *)
     budget = (if Option.is_some injector then max_repairs else 0);
-    execution;
     queue;
     on_switch;
     on_repair;
@@ -107,14 +105,8 @@ let rec execute_at t ~depth ~demand ~target plan ~on_settled =
     end
   in
   let abort_on_failure = Option.is_some t.injector in
-  let injector = t.injector and policy = t.policy and emit = t.emit in
-  match t.execution with
-  | `Pools ->
-    Executor.execute ?injector ?policy ~abort_on_failure ?emit ~switch:sw
-      t.cluster plan ~on_done
-  | `Continuous ->
-    Executor.execute_continuous ?injector ?policy ~abort_on_failure ?emit
-      ~switch:sw ~vjobs:(t.queue ()) t.cluster plan ~on_done
+  Executor.execute ?injector:t.injector ?policy:t.policy ~abort_on_failure
+    ?emit:t.emit ~switch:sw t.cluster plan ~on_done
 
 and chase t ~depth ~target (r : Executor.record) ~on_settled =
   Collector.poll t.collector;

@@ -8,9 +8,8 @@
       suspended image discarded, a waiting VM cancelled);
     - the write-ahead bracket: [Switch_begin] durable before the first
       action, [Switch_end] after the executor reports back;
-    - pool-based or continuous execution, aborting at the next pool
-      boundary after a terminal failure exactly when an injector is
-      given;
+    - pool-based execution, aborting at the next pool boundary after a
+      terminal failure exactly when an injector is given;
     - the chase of a degraded switch by at most [max_repairs]
       {!Entropy_fault.Repair.repair} plans. *)
 
@@ -45,11 +44,11 @@ val create :
   journal:Entropy_journal.Journal.t option ->
   injector:Entropy_fault.Injector.t option ->
   policy:Entropy_fault.Supervisor.policy option -> max_repairs:int ->
-  execution:[ `Pools | `Continuous ] -> queue:(unit -> Vjob.t list) ->
+  queue:(unit -> Vjob.t list) ->
   on_switch:(Executor.record -> unit) -> on_repair:(repair -> unit) -> t
-(** [queue] yields the live vjobs repairs and continuous execution plan
-    over. [on_switch] receives every executed switch's record (repairs
-    included) and [on_repair] every repair plan, just before it runs.
+(** [queue] yields the live vjobs repairs plan over. [on_switch]
+    receives every executed switch's record (repairs included) and
+    [on_repair] every repair plan, just before it runs.
     Switch ids come from {!Entropy_journal.Journal.next_switch}, or are
     0 without a journal. *)
 

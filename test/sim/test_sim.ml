@@ -708,112 +708,6 @@ let test_executor_failure_keeps_state () =
   check_bool "still waiting" true
     (Configuration.state (Vsim.Cluster.config cluster) 0 = Configuration.Waiting)
 
-let test_executor_continuous_applies_plan () =
-  let engine, cluster, _ =
-    mk_cluster
-      ~programs:[ [ Program.Compute 1000. ]; [ Program.Compute 1000. ] ]
-      ~memories:[ 512; 512 ] ()
-  in
-  let plan =
-    Plan.make
-      [ [ Action.Run { vm = 0; dst = 0 }; Action.Run { vm = 1; dst = 1 } ] ]
-  in
-  let record = ref None in
-  Vsim.Executor.execute_continuous cluster plan ~on_done:(fun r ->
-      record := Some r);
-  Vsim.Engine.run ~until:50. engine;
-  (match !record with
-  | None -> Alcotest.fail "did not finish"
-  | Some r -> check_int "runs" 2 r.Vsim.Executor.runs);
-  check_bool "both running" true
-    (Configuration.running_vms (Vsim.Cluster.config cluster) = [ 0; 1 ])
-
-let test_executor_continuous_overlaps_pools () =
-  (* pool plan: pool1 = suspend(2 GB, ~100 s) + migrate(512 MB, ~8 s);
-     pool2 = resume(2 GB, ~80 s) waiting only on the migration. The
-     continuous executor overlaps the resume with the suspend. *)
-  let engine, cluster, _ =
-    mk_cluster ~node_count:3 ~mem:2048
-      ~programs:
-        [
-          [ Program.Compute 10000. ];
-          [ Program.Compute 10000. ];
-          [ Program.Compute 10000. ];
-        ]
-      ~memories:[ 2048; 512; 2048 ] ()
-  in
-  let config =
-    List.fold_left
-      (fun cfg (vm, node) -> Action.apply cfg (Action.Run { vm; dst = node }))
-      (Vsim.Cluster.config cluster)
-      [ (0, 0); (1, 1); (2, 1) ]
-  in
-  let config = Action.apply config (Action.Suspend { vm = 2; host = 1 }) in
-  Vsim.Cluster.set_config cluster config;
-  let plan =
-    Plan.make
-      [
-        [
-          Action.Suspend { vm = 0; host = 0 };
-          Action.Migrate { vm = 1; src = 1; dst = 2 };
-        ];
-        [ Action.Resume { vm = 2; src = 1; dst = 1 } ];
-      ]
-  in
-  let run exec =
-    let record = ref None in
-    exec cluster plan ~on_done:(fun r -> record := Some r);
-    Vsim.Engine.run ~until:(Vsim.Engine.now engine +. 1000.) engine;
-    match !record with
-    | Some r -> Vsim.Executor.duration r
-    | None -> Alcotest.fail "did not finish"
-  in
-  (* run once continuous on this cluster; rebuild an identical cluster
-     for the pool run *)
-  let continuous =
-    run (fun cluster plan ~on_done ->
-        Vsim.Executor.execute_continuous cluster plan ~on_done)
-  in
-  let engine2, cluster2, _ =
-    mk_cluster ~node_count:3 ~mem:2048
-      ~programs:
-        [
-          [ Program.Compute 10000. ];
-          [ Program.Compute 10000. ];
-          [ Program.Compute 10000. ];
-        ]
-      ~memories:[ 2048; 512; 2048 ] ()
-  in
-  let config2 =
-    List.fold_left
-      (fun cfg (vm, node) -> Action.apply cfg (Action.Run { vm; dst = node }))
-      (Vsim.Cluster.config cluster2)
-      [ (0, 0); (1, 1); (2, 1) ]
-  in
-  let config2 = Action.apply config2 (Action.Suspend { vm = 2; host = 1 }) in
-  Vsim.Cluster.set_config cluster2 config2;
-  let record2 = ref None in
-  Vsim.Executor.execute cluster2 plan ~on_done:(fun r -> record2 := Some r);
-  Vsim.Engine.run ~until:1000. engine2;
-  let pooled =
-    match !record2 with
-    | Some r -> Vsim.Executor.duration r
-    | None -> Alcotest.fail "pool run did not finish"
-  in
-  check_bool "continuous much faster" true (continuous < 0.8 *. pooled)
-
-let test_runner_continuous_execution_completes () =
-  let traces =
-    List.init 4 (fun i ->
-        let family = List.nth Nasgrid.families (i mod 4) in
-        Trace.make ~seed:i ~vm_count:9 family Nasgrid.W)
-  in
-  let r =
-    Vsim.Runner.run_entropy ~cp_timeout:0.2 ~execution:`Continuous
-      ~nodes:(testbed_nodes 11) ~traces ()
-  in
-  check_int "all complete" 4 (List.length r.Vsim.Runner.completions)
-
 (* -- online rms ------------------------------------------------------------------ *)
 
 let test_rms_simulate_frees_early () =
@@ -1219,10 +1113,9 @@ let test_runner_kill_and_resume () =
   let records = Journal.records journal in
   match Recovery.replay records with
   | None -> Alcotest.fail "a 30 s kill must land after a switch began"
-  | Some st ->
-    let observed = Recovery.projected_config st in
+  | Some _ ->
     (match
-       Vsim.Runner.resume ~cp_timeout:0.2 ~journal ~records ~observed ~vjobs
+       Vsim.Runner.resume ~cp_timeout:0.2 ~journal ~records ~vjobs
          ~programs ()
      with
     | None -> Alcotest.fail "resume must find the switch"
@@ -1272,8 +1165,8 @@ let test_crash_at_every_record_boundary () =
     | Some st ->
       let observed = Recovery.projected_config st in
       (match
-         Vsim.Runner.resume ~cp_timeout:0.2 ~records:prefix ~observed ~vjobs
-           ~programs ()
+         Vsim.Runner.resume ~cp_timeout:0.2 ~records:prefix ~vjobs ~programs
+           ()
        with
       | None -> Alcotest.fail (label "resume lost the switch")
       | Some (info, r) ->
@@ -1379,11 +1272,9 @@ let test_crash_at_every_boundary_file_backend () =
     let prefix = List.filteri (fun i _ -> i < cut) prefix in
     match Recovery.replay prefix with
     | None -> () (* pre-switch crash: fresh-run case, covered above *)
-    | Some st -> (
-      let observed = Recovery.projected_config st in
+    | Some _ -> (
       match
-        Vsim.Runner.resume ~cp_timeout:0.2 ~records:prefix ~observed ~vjobs
-          ~programs ()
+        Vsim.Runner.resume ~cp_timeout:0.2 ~records:prefix ~vjobs ~programs ()
       with
       | None -> Alcotest.fail (label "resume lost the switch")
       | Some (_, r) ->
@@ -1424,7 +1315,7 @@ let session_fixture ~max_repairs fails =
   let session =
     Vsim.Session.create ~cluster ~collector ~journal:(Some journal)
       ~injector:(Some (Injector.of_predicate fails))
-      ~policy:(Some Supervisor.no_retry) ~max_repairs ~execution:`Pools
+      ~policy:(Some Supervisor.no_retry) ~max_repairs
       ~queue:(fun () -> vjobs)
       ~on_switch:(fun _ -> incr switches)
       ~on_repair:(fun r -> repairs := r :: !repairs)
@@ -1637,15 +1528,6 @@ let () =
             test_runner_recovers_from_failures;
           Alcotest.test_case "failure keeps state" `Quick
             test_executor_failure_keeps_state;
-        ] );
-      ( "continuous-executor",
-        [
-          Alcotest.test_case "applies plan" `Quick
-            test_executor_continuous_applies_plan;
-          Alcotest.test_case "overlaps pools" `Quick
-            test_executor_continuous_overlaps_pools;
-          Alcotest.test_case "runner completes" `Quick
-            test_runner_continuous_execution_completes;
         ] );
       ( "fault",
         [
