@@ -758,6 +758,14 @@ let chaos vms nodes seed fail_rate crashes timeout_factor retries cp_timeout
 
 (* -- resume -------------------------------------------------------------------- *)
 
+(* Records and torn-tail count of a journal file; an unreadable file (or
+   a pre-binary JSON-lines journal) exits 2. *)
+let load_journal_or_exit path =
+  try Entropy_journal.Journal.load path
+  with Sys_error e ->
+    Printf.eprintf "%s\n" e;
+    exit 2
+
 (* Pick up a crashed chaos run from its write-ahead journal: regenerate
    the same instance from (vms, nodes, seed), replay the journal,
    reconcile the in-flight switch against the journal-projected
@@ -773,12 +781,7 @@ let resume vms nodes seed fail_rate timeout_factor retries cp_timeout
   obs_setup trace metrics;
   let config, vjobs, programs = chaos_instance ~vms ~nodes ~seed in
   let vm_count = Configuration.vm_count config in
-  let records, dropped_lines =
-    try Entropy_journal.Journal.load journal_path
-    with Sys_error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
-  in
+  let records, dropped_lines = load_journal_or_exit journal_path in
   Printf.printf "resume: %d journal records from %s%s\n" (List.length records)
     journal_path
     (if dropped_lines = 0 then ""
@@ -939,12 +942,7 @@ let explain vms nodes seed cp_timeout max_time journal_path switch_sel top
   let records =
     match journal_path with
     | Some path ->
-      let records, dropped =
-        try Entropy_journal.Journal.load path
-        with Sys_error e ->
-          Printf.eprintf "%s\n" e;
-          exit 2
-      in
+      let records, dropped = load_journal_or_exit path in
       Printf.printf "explain: %d journal records from %s%s\n"
         (List.length records) path
         (if dropped = 0 then ""
@@ -1067,12 +1065,7 @@ let daemon_resume subs nodes seed cap batch arrivals burst debounce fail_rate
     daemon_config subs nodes seed cap batch arrivals burst debounce fail_rate
       crashes deterministic None max_time
   in
-  let records, dropped =
-    try Entropy_journal.Journal.load journal_path
-    with Sys_error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
-  in
+  let records, dropped = load_journal_or_exit journal_path in
   Printf.printf "daemon resume: %d journal records from %s%s\n"
     (List.length records) journal_path
     (if dropped > 0 then Printf.sprintf " (%d torn dropped)" dropped else "");
@@ -1092,6 +1085,36 @@ let timeout_arg =
   Arg.(
     value & opt float 1.0
     & info [ "cp-timeout" ] ~doc:"CP solving timeout in seconds.")
+
+(* chaos, resume and explain: a shorter CP budget than plan's *)
+let sim_timeout_arg =
+  Arg.(
+    value & opt float 0.25
+    & info [ "cp-timeout" ] ~doc:"CP solving timeout in seconds.")
+
+let max_time_arg =
+  Arg.(
+    value & opt float 1_000_000.
+    & info [ "max-time" ] ~docv:"S"
+        ~doc:"Give up after this much simulated time.")
+
+let fail_rate_arg =
+  Arg.(
+    value & opt float 0.1
+    & info [ "fail-rate" ] ~docv:"P"
+        ~doc:"Per-attempt action failure probability, in [0,1].")
+
+let timeout_factor_arg =
+  Arg.(
+    value & opt float 3.0
+    & info [ "timeout-factor" ] ~docv:"F"
+        ~doc:"Supervisor timeout = F x expected action duration.")
+
+let retries_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "retries" ] ~docv:"N"
+        ~doc:"Supervised retries per action (exponential backoff).")
 
 let ram_arg =
   Arg.(
@@ -1367,12 +1390,6 @@ let chaos_cmd =
       & info [ "seed" ] ~docv:"SEED"
           ~doc:"Seed for both the instance generator and the injector.")
   in
-  let fail_rate_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "fail-rate" ] ~docv:"P"
-          ~doc:"Per-attempt action failure probability, in [0,1].")
-  in
   let crash_arg =
     Arg.(
       value
@@ -1381,29 +1398,6 @@ let chaos_cmd =
           ~doc:
             "Crash node $(i,NODE) permanently at simulated time $(i,TIME) \
              seconds (repeatable).")
-  in
-  let timeout_factor_arg =
-    Arg.(
-      value & opt float 3.0
-      & info [ "timeout-factor" ] ~docv:"F"
-          ~doc:"Supervisor timeout = F x expected action duration.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Supervised retries per action (exponential backoff).")
-  in
-  let chaos_timeout_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "cp-timeout" ] ~doc:"CP solving timeout in seconds.")
-  in
-  let max_time_arg =
-    Arg.(
-      value & opt float 1_000_000.
-      & info [ "max-time" ] ~docv:"S"
-          ~doc:"Give up after this much simulated time.")
   in
   let kill_at_arg =
     Arg.(
@@ -1440,7 +1434,7 @@ let chaos_cmd =
       const (fun () v n s fr cr tf re t mt ka jp js tr m ->
           chaos v n s fr cr tf re t mt ka jp js tr m)
       $ logs_term $ vms_arg $ nodes_arg $ seed_arg $ fail_rate_arg
-      $ crash_arg $ timeout_factor_arg $ retries_arg $ chaos_timeout_arg
+      $ crash_arg $ timeout_factor_arg $ retries_arg $ sim_timeout_arg
       $ max_time_arg $ kill_at_arg $ journal_arg $ json_arg $ trace_arg
       $ metrics_arg)
 
@@ -1466,38 +1460,6 @@ let resume_cmd =
             "Instance generator seed; the injector seed is recovered from \
              the journal when present.")
   in
-  let fail_rate_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "fail-rate" ] ~docv:"P"
-          ~doc:"Per-attempt action failure probability, in [0,1].")
-  in
-  let timeout_factor_arg =
-    Arg.(
-      value & opt float 3.0
-      & info [ "timeout-factor" ] ~docv:"F"
-          ~doc:"Supervisor timeout = F x expected action duration.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Supervised retries per action (exponential backoff).")
-  in
-  let resume_timeout_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "cp-timeout" ] ~doc:"CP solving timeout in seconds.")
-  in
-  let max_time_arg =
-    Arg.(
-      value & opt float 1_000_000.
-      & info [ "max-time" ] ~docv:"S"
-          ~doc:"Give up after this much simulated time.")
-  in
-  let journal_pos =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"JOURNAL")
-  in
   let json_arg =
     Arg.(
       value
@@ -1515,8 +1477,8 @@ let resume_cmd =
       const (fun () v n s fr tf re t mt jp js tr m ->
           resume v n s fr tf re t mt jp js tr m)
       $ logs_term $ vms_arg $ nodes_arg $ seed_arg $ fail_rate_arg
-      $ timeout_factor_arg $ retries_arg $ resume_timeout_arg $ max_time_arg
-      $ journal_pos $ json_arg $ trace_arg $ metrics_arg)
+      $ timeout_factor_arg $ retries_arg $ sim_timeout_arg $ max_time_arg
+      $ file_arg 0 "JOURNAL" $ json_arg $ trace_arg $ metrics_arg)
 
 let explain_cmd =
   let vms_arg =
@@ -1535,17 +1497,6 @@ let explain_cmd =
       value & opt int 42
       & info [ "seed" ] ~docv:"SEED"
           ~doc:"Instance generator seed (no --journal).")
-  in
-  let explain_timeout_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "cp-timeout" ] ~doc:"CP solving timeout in seconds.")
-  in
-  let max_time_arg =
-    Arg.(
-      value & opt float 1_000_000.
-      & info [ "max-time" ] ~docv:"S"
-          ~doc:"Give up after this much simulated time.")
   in
   let journal_arg =
     Arg.(
@@ -1595,7 +1546,7 @@ let explain_cmd =
     Term.(
       const (fun () v n s t mt jp sw top js g tr m ->
           explain v n s t mt jp sw top js g tr m)
-      $ logs_term $ vms_arg $ nodes_arg $ seed_arg $ explain_timeout_arg
+      $ logs_term $ vms_arg $ nodes_arg $ seed_arg $ sim_timeout_arg
       $ max_time_arg $ journal_arg $ switch_arg $ top_arg $ json_arg
       $ gantt_arg $ trace_arg $ metrics_arg)
 
@@ -1607,12 +1558,7 @@ let explain_cmd =
    pre-binary JSON-lines journal) exits 2. *)
 
 let journal_dump journal_path strict =
-  let records, dropped =
-    try Entropy_journal.Journal.load journal_path
-    with Sys_error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
-  in
+  let records, dropped = load_journal_or_exit journal_path in
   List.iter
     (fun r ->
       print_endline
@@ -1626,9 +1572,6 @@ let journal_dump journal_path strict =
   end
 
 let journal_cmd =
-  let journal_pos =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"JOURNAL")
-  in
   let strict_arg =
     Arg.(
       value & flag
@@ -1643,7 +1586,7 @@ let journal_cmd =
             record as one JSON line on stdout")
       Term.(
         const (fun () p s -> journal_dump p s)
-        $ logs_term $ journal_pos $ strict_arg)
+        $ logs_term $ file_arg 0 "JOURNAL" $ strict_arg)
   in
   Cmd.group
     (Cmd.info "journal" ~doc:"Inspect write-ahead switch journals")
@@ -1701,12 +1644,6 @@ let daemon_cmd =
       & info [ "debounce" ] ~docv:"S"
           ~doc:"Trigger coalescing window in simulated seconds.")
   in
-  let fail_rate_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "fail-rate" ] ~docv:"P"
-          ~doc:"Per-attempt action failure probability, in [0,1].")
-  in
   let crashes_arg =
     Arg.(
       value & opt int 0
@@ -1723,12 +1660,6 @@ let daemon_cmd =
             "Replace the wall-clock-bounded solver portfolio with the \
              FFD incumbent at every ladder rung: the whole episode \
              becomes a pure function of $(b,--seed).")
-  in
-  let max_time_arg =
-    Arg.(
-      value & opt float 1_000_000.
-      & info [ "max-time" ] ~docv:"S"
-          ~doc:"Give up after this much simulated time.")
   in
   let json_arg =
     Arg.(
@@ -1771,9 +1702,6 @@ let daemon_cmd =
         $ journal_arg $ json_arg $ trace_arg $ metrics_arg)
   in
   let resume_cmd =
-    let journal_pos =
-      Arg.(required & pos 0 (some file) None & info [] ~docv:"JOURNAL")
-    in
     Cmd.v
       (Cmd.info "resume"
          ~doc:
@@ -1785,8 +1713,8 @@ let daemon_cmd =
             daemon_resume su n se c b a bu d fr cr det mt jp js tr m)
         $ logs_term $ subs_arg $ nodes_arg $ seed_arg $ cap_arg $ batch_arg
         $ arrivals_arg $ burst_arg $ debounce_arg $ fail_rate_arg
-        $ crashes_arg $ deterministic_arg $ max_time_arg $ journal_pos
-        $ json_arg $ trace_arg $ metrics_arg)
+        $ crashes_arg $ deterministic_arg $ max_time_arg
+        $ file_arg 0 "JOURNAL" $ json_arg $ trace_arg $ metrics_arg)
   in
   Cmd.group
     (Cmd.info "daemon"

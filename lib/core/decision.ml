@@ -145,27 +145,19 @@ let weighted ?(cp_timeout = Optimizer.default_timeout) ?cp_node_limit
   { name = "weighted-consolidation"; decide }
 
 (* Ablation: the plain FFD heuristic, no CP optimisation — the baseline
-   of Figure 10. *)
-let ffd_only ?(heuristic = Ffd.First_fit) () =
-  let decide obs =
-    let live_queue = List.filter (fun v -> not (is_finished obs v)) obs.queue in
-    let config_after_stops = apply_stops obs.config obs.queue obs.finished in
-    let outcome =
-      Rjsp.solve ~heuristic ~config:config_after_stops ~demand:obs.demand
-        ~queue:live_queue ()
-    in
-    let target = outcome.Rjsp.ffd_config in
-    let plan =
-      Planner.build_plan ~vjobs:live_queue ~current:obs.config ~target
-        ~demand:obs.demand ()
-    in
-    {
-      Optimizer.target;
-      plan;
-      cost = Plan.cost obs.config plan;
-      improved = false;
-      rules_satisfied = true;
-      stats = None;
-    }
-  in
-  { name = Printf.sprintf "%s-only" (Ffd.heuristic_to_string heuristic); decide }
+   of Figure 10. The consolidation flow with a placement step that keeps
+   the RJSP's first-fit configuration as it is. *)
+let ffd_only () =
+  consolidation_with ~name:"first-fit-only"
+    (fun ~current ~demand ~vjobs ~placed:_ ~target_base ->
+      let plan =
+        Planner.build_plan ~vjobs ~current ~target:target_base ~demand ()
+      in
+      {
+        Optimizer.target = target_base;
+        plan;
+        cost = Plan.cost current plan;
+        improved = false;
+        rules_satisfied = true;
+        stats = None;
+      })

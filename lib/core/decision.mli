@@ -52,6 +52,6 @@ val weighted :
     decreasing weight (FCFS among equals), so heavier vjobs are admitted
     first and suspended last. *)
 
-val ffd_only : ?heuristic:Ffd.heuristic -> unit -> t
+val ffd_only : unit -> t
 (** Ablation / Figure 10 baseline: first viable FFD configuration, no
     cost optimisation. *)

@@ -9,11 +9,6 @@
 
 type heuristic = First_fit | Best_fit | Worst_fit
 
-let heuristic_to_string = function
-  | First_fit -> "first-fit"
-  | Best_fit -> "best-fit"
-  | Worst_fit -> "worst-fit"
-
 (* Decreasing (memory, cpu) order. *)
 let sort_decreasing config demand vm_ids =
   let key vm_id =

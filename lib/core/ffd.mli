@@ -4,8 +4,6 @@
 
 type heuristic = First_fit | Best_fit | Worst_fit
 
-val heuristic_to_string : heuristic -> string
-
 val sort_decreasing :
   Configuration.t -> Demand.t -> Vm.id list -> Vm.id list
 (** Decreasing (memory, CPU) demand order. *)

@@ -45,7 +45,6 @@ let m_timeouts = lazy (Metrics.counter "cp.search.timeouts")
 let m_improvements = lazy (Metrics.counter "cp.search.improvements")
 
 type var_select = Var.t array -> Var.t option
-type val_select = Var.t -> int list
 type val_iter = Var.t -> (int -> unit) -> unit
 
 exception Stop
@@ -75,17 +74,11 @@ let by_key key vars =
     vars;
   !best
 
-(* -- value orderings ------------------------------------------------------ *)
+(* -- value ordering -------------------------------------------------------- *)
 
-let min_value x = Dom.to_list (Var.dom x)
-
-let max_value x = List.rev (Dom.to_list (Var.dom x))
-
-let prefer preferred x =
-  let vs = Dom.to_list (Var.dom x) in
-  match preferred x with
-  | Some p when Var.mem p x -> p :: List.filter (fun v -> v <> p) vs
-  | _ -> vs
+(* The domain is snapshotted first: the search undoes its trail between
+   values, so the live domain changes under the callback. *)
+let ascending x f = List.iter f (Dom.to_list (Var.dom x))
 
 (* -- DFS ------------------------------------------------------------------ *)
 
@@ -95,9 +88,6 @@ let now () = Unix.gettimeofday ()
    more than a typical node expansion, so the deadline is only checked
    every [deadline_stride] nodes; node limits stay exact. *)
 let deadline_stride_mask = 63
-
-let iter_of_select (sel : val_select) : val_iter =
- fun x f -> List.iter f (sel x)
 
 let solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
     ~on_node ~on_solution stats =
@@ -180,39 +170,30 @@ let solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
     if stats.timed_out then Metrics.incr (Lazy.force m_timeouts)
   end
 
-let resolve_val_iter val_select val_iter =
-  match val_iter with Some it -> it | None -> iter_of_select val_select
-
-let solve store ~vars ?(var_select = first_fail) ?(val_select = min_value)
-    ?val_iter ?timeout ?node_limit ~on_solution () =
+let solve store ~vars ?(var_select = first_fail) ?(val_iter = ascending)
+    ?timeout ?node_limit ~on_solution () =
   let stats = fresh_stats () in
-  let val_iter = resolve_val_iter val_select val_iter in
   solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
     ~on_node:(fun () -> ())
     ~on_solution stats;
   stats
 
-let find_first store ~vars ?var_select ?val_select ?val_iter ?timeout
-    ?node_limit () =
+let find_first store ~vars ?var_select ?val_iter ?timeout ?node_limit () =
   let snapshot = ref None in
   let on_solution () =
     snapshot := Some (Array.map Var.value_exn vars);
     raise Stop
   in
   let stats =
-    solve store ~vars ?var_select ?val_select ?val_iter ?timeout ?node_limit
-      ~on_solution ()
+    solve store ~vars ?var_select ?val_iter ?timeout ?node_limit ~on_solution
+      ()
   in
   (!snapshot, stats)
 
 let minimize store ~vars ~obj ?(var_select = first_fail)
-    ?(val_select = min_value) ?val_iter ?timeout ?node_limit ?incumbent_obj
-    ?(on_improve = fun _ -> ()) () =
+    ?(val_iter = ascending) ?timeout ?node_limit () =
   let stats = fresh_stats () in
-  let val_iter = resolve_val_iter val_select val_iter in
-  (* warm start: only assignments strictly better than a caller-supplied
-     incumbent are explored (and reported) *)
-  let best = ref (Option.value incumbent_obj ~default:max_int) in
+  let best = ref max_int in
   let best_snapshot = ref None in
   let on_node () =
     (* branch & bound: require strict improvement over the incumbent *)
@@ -232,8 +213,7 @@ let minimize store ~vars ~obj ?(var_select = first_fail)
           ~args:[ ("cost", Trace.I value); ("nodes", Trace.I stats.nodes) ]
           "cp.improvement";
         Metrics.incr (Lazy.force m_improvements)
-      end;
-      on_improve value
+      end
     end
   in
   solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit

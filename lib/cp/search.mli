@@ -17,18 +17,14 @@ val fresh_stats : unit -> stats
 type var_select = Var.t array -> Var.t option
 (** Picks the next unbound variable to branch on ([None] = all bound). *)
 
-type val_select = Var.t -> int list
-(** Candidate values, in the order they should be tried. *)
-
 type val_iter = Var.t -> (int -> unit) -> unit
-(** Allocation-free value ordering: applies the callback to each
-    candidate value in order. When supplied to the search entry points
-    it takes precedence over [val_select] on the hot path (the
-    list-based selector is then only a fallback). The iterator is
-    called on the domain as it stands at the node; it must not rely on
-    the domain staying unchanged across callback invocations — the
-    search undoes its trail between values, so the domain seen by the
-    iterator is restored before each subsequent callback. *)
+(** Value ordering: applies the callback to each candidate value in the
+    order it should be tried (default: the domain in increasing order).
+    The iterator is called on the domain as it stands at the node; it
+    must not rely on the domain staying unchanged across callback
+    invocations — the search undoes its trail between values, so the
+    domain seen by the iterator is restored before each subsequent
+    callback. *)
 
 exception Stop
 (** Raise from [on_solution] to stop the search. *)
@@ -40,33 +36,25 @@ val by_key : (Var.t -> int) -> var_select
 (** Unbound variable minimising the key. Use a negated key for
     "largest demand first" orderings. *)
 
-val min_value : val_select
-val max_value : val_select
-
-val prefer : (Var.t -> int option) -> val_select
-(** [prefer f] tries [f x] first when still in the domain — e.g. a VM's
-    current node — then the remaining values in increasing order. *)
-
 val solve :
   Store.t -> vars:Var.t array -> ?var_select:var_select ->
-  ?val_select:val_select -> ?val_iter:val_iter -> ?timeout:float ->
-  ?node_limit:int -> on_solution:(unit -> unit) -> unit -> stats
+  ?val_iter:val_iter -> ?timeout:float -> ?node_limit:int -> on_solution:(unit -> unit) -> unit -> stats
 (** Enumerate solutions (assignments of [vars]); [on_solution] runs with
     the store instantiated and may read any variable. The store is
     restored to its root state before returning. *)
 
 val find_first :
   Store.t -> vars:Var.t array -> ?var_select:var_select ->
-  ?val_select:val_select -> ?val_iter:val_iter -> ?timeout:float ->
-  ?node_limit:int -> unit -> int array option * stats
+  ?val_iter:val_iter -> ?timeout:float -> ?node_limit:int -> unit ->
+  int array option * stats
 (** First solution as a value snapshot of [vars]. *)
 
 val minimize :
   Store.t -> vars:Var.t array -> obj:Var.t -> ?var_select:var_select ->
-  ?val_select:val_select -> ?val_iter:val_iter -> ?timeout:float ->
-  ?node_limit:int -> ?incumbent_obj:int -> ?on_improve:(int -> unit) ->
-  unit -> (int * int array) option * stats
+  ?val_iter:val_iter -> ?timeout:float -> ?node_limit:int -> unit ->
+  (int * int array) option * stats
 (** Branch & bound on [obj]. Returns the best objective value with the
     snapshot of [vars] at that solution (the incumbent at timeout if the
-    search did not complete). [incumbent_obj] warm-starts the bound: only
-    assignments with [obj] strictly below it are explored or returned. *)
+    search did not complete). A caller that knows a bound up front
+    (e.g. a heuristic solution's cost) posts it on [obj] before the
+    call. *)

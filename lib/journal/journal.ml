@@ -26,8 +26,6 @@ type file = {
   path : string;
   oc : out_channel;
   buf : Buffer.t;  (* encoded records not yet written to [oc] *)
-  flush_bytes : int;
-  flush_records : int;
   mutable buffered : int;  (* records currently in [buf] *)
   mutable closed : bool;
 }
@@ -42,8 +40,10 @@ type t = {
   mutable next_switch : int;  (* one past the highest switch id seen *)
 }
 
-let default_flush_bytes = 64 * 1024
-let default_flush_records = 64
+(* group-commit bounds: between commit points, the buffer flushes once
+   it holds this many bytes or records *)
+let flush_bytes = 64 * 1024
+let flush_records = 64
 
 let mem () =
   { backend = Mem { mem_buf = Buffer.create 4096 }; length = 0; next_switch = 0 }
@@ -96,8 +96,7 @@ let encode_valid_prefix records =
   List.iter (Record.write_frame b) records;
   Buffer.contents b
 
-let open_file ?(flush_bytes = default_flush_bytes)
-    ?(flush_records = default_flush_records) path =
+let open_file path =
   let contents = if Sys.file_exists path then read_file path else "" in
   let records, dropped = decode_contents path contents in
   (* Truncate a torn tail before appending: new records written after
@@ -131,8 +130,6 @@ let open_file ?(flush_bytes = default_flush_bytes)
           path;
           oc;
           buf = Buffer.create 4096;
-          flush_bytes;
-          flush_records;
           buffered = 0;
           closed = false;
         };
@@ -168,8 +165,8 @@ let append t record =
     f.buffered <- f.buffered + 1;
     if
       Record.commit_point record
-      || f.buffered >= f.flush_records
-      || Buffer.length f.buf >= f.flush_bytes
+      || f.buffered >= flush_records
+      || Buffer.length f.buf >= flush_bytes
     then flush_file f);
   t.length <- t.length + 1;
   t.next_switch <- advance t.next_switch record;

@@ -24,13 +24,12 @@ val mem : unit -> t
 (** Volatile journal held in memory (as encoded binary frames, so its
     cost profile matches the file backend minus the I/O). *)
 
-val open_file : ?flush_bytes:int -> ?flush_records:int -> string -> t
+val open_file : string -> t
 (** Open (creating or appending to) a file journal at the given path.
     If the existing file ends in a torn or corrupt tail, it is truncated
     to its valid prefix so new appends land inside the durable region.
-    Raises [Sys_error] on a pre-binary JSON-lines journal.
-    [flush_bytes] (default 64 KiB) and [flush_records] (default 64)
-    bound how much may sit in the group-commit buffer between commit
+    Raises [Sys_error] on a pre-binary JSON-lines journal. At most
+    64 KiB and 64 records sit in the group-commit buffer between commit
     points. *)
 
 val path : t -> string option

@@ -4,7 +4,7 @@
    demand vector.
 
    The paper reports that Entropy accumulates fresh monitoring data for
-   about 10 seconds before each iteration; [smoothing_span] models that
+   about 10 seconds before each iteration; [smoothing_span] is that
    accumulation window. *)
 
 open Entropy_core
@@ -16,22 +16,17 @@ let m_dropped = lazy (Metrics.counter "monitor.dropped_samples")
 type source = unit -> float * int array
 (* current time, per-VM CPU consumption *)
 
+let smoothing_span = 10.
+
 type t = {
   source : source;
   history : History.t;
-  smoothing_span : float;
   mutable polls : int;
   mutable dropped : int;
 }
 
-let create ?(capacity = 128) ?(smoothing_span = 10.) source =
-  {
-    source;
-    history = History.create ~capacity ();
-    smoothing_span;
-    polls = 0;
-    dropped = 0;
-  }
+let create source =
+  { source; history = History.create (); polls = 0; dropped = 0 }
 
 (* A real monitoring bus delivers garbage now and then: readings with a
    clock that jumped backwards (reordered delivery, a resynced NTP
@@ -70,7 +65,7 @@ let demand t =
     let vm_count = Sample.vm_count latest in
     Demand.of_fn ~vm_count (fun vm_id ->
         match
-          History.average_cpu t.history ~now ~span:t.smoothing_span vm_id
+          History.average_cpu t.history ~now ~span:smoothing_span vm_id
         with
         | Some v -> v
         | None -> 0)

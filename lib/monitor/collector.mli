@@ -8,9 +8,10 @@ type source = unit -> float * int array
 
 type t
 
-val create : ?capacity:int -> ?smoothing_span:float -> source -> t
-(** [smoothing_span] (default 10 s) is the accumulation window the paper
-    reports before each loop iteration. *)
+val create : source -> t
+(** A collector keeping the 128 most recent readings. Demand is smoothed
+    over a 10 s window, the accumulation the paper reports before each
+    loop iteration. *)
 
 val poll : t -> unit
 (** Take one reading from the source. Readings that fail validation —

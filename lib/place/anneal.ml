@@ -14,24 +14,14 @@ let m_moves = lazy (Metrics.counter "place.moves")
 let m_accepted = lazy (Metrics.counter "place.accepted")
 let m_incumbents = lazy (Metrics.counter "place.incumbents")
 
-type params = {
-  t0 : float;  (* initial temperature, objective (MB) units *)
-  cooling : float;  (* geometric factor applied every step *)
-  tenure : int;
-  candidates : int;
-  swap_bias : int;
-  check_every : int;  (* steps between wall-clock reads *)
-}
+(* initial temperature, in objective (MB) units *)
+let t0 = 1024.
 
-let default_params =
-  {
-    t0 = 1024.;
-    cooling = 0.9995;
-    tenure = 8;
-    candidates = 16;
-    swap_bias = 30;
-    check_every = 64;
-  }
+(* geometric cooling factor, applied every step *)
+let cooling = 0.9995
+
+(* steps between wall-clock reads *)
+let check_every = 64
 
 type outcome = {
   best_cost : int;  (* objective (estimator) value, not plan cost *)
@@ -43,15 +33,12 @@ type outcome = {
 
 let now () = Unix.gettimeofday ()
 
-let run ?(params = default_params) ?max_steps ?(seed = 0x5a11)
-    ?(on_incumbent = fun ~cost:_ _ -> ()) ~deadline state =
+let run ?max_steps ?(seed = 0x5a11) ?(on_incumbent = fun ~cost:_ _ -> ())
+    ~deadline state =
   Obs.span ~cat:"place" ~name:"place.sa" @@ fun () ->
-  let gen =
-    Moves.make_gen ~tenure:params.tenure ~candidates:params.candidates
-      ~swap_bias:params.swap_bias ~seed state
-  in
+  let gen = Moves.make_gen ~seed state in
   let rng = Random.State.make [| seed lxor 0x5eed |] in
-  let temp = ref params.t0 in
+  let temp = ref t0 in
   let best_cost = ref (State.cost state) in
   let best_hosts = ref (State.copy_hosts state) in
   let steps = ref 0 and accepted = ref 0 and incumbents = ref 0 in
@@ -77,9 +64,9 @@ let run ?(params = default_params) ?max_steps ?(seed = 0x5a11)
           on_incumbent ~cost:c !best_hosts
         end
       end);
-    temp := !temp *. params.cooling;
+    temp := !temp *. cooling;
     if !temp < 1. then temp := 1.;
-    if !steps mod params.check_every = 0 && now () >= deadline then
+    if !steps mod check_every = 0 && now () >= deadline then
       stop := true
   done;
   (* leave the state at the best placement seen *)

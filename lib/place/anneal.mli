@@ -2,17 +2,6 @@
     geometric cooling, deadline- and step-bounded, monotone incumbent
     stream. *)
 
-type params = {
-  t0 : float;  (** initial temperature, in objective (MB) units *)
-  cooling : float;  (** geometric cooling factor, applied every step *)
-  tenure : int;
-  candidates : int;
-  swap_bias : int;
-  check_every : int;  (** steps between wall-clock reads *)
-}
-
-val default_params : params
-
 type outcome = {
   best_cost : int;
       (** best objective (estimator) value seen — not the plan cost *)
@@ -23,11 +12,13 @@ type outcome = {
 }
 
 val run :
-  ?params:params -> ?max_steps:int -> ?seed:int ->
+  ?max_steps:int -> ?seed:int ->
   ?on_incumbent:(cost:int -> int array -> unit) ->
   deadline:float -> State.t -> outcome
 (** Anneal the (complete) state until the absolute [deadline]
-    (Unix time) or the step budget. [on_incumbent] fires on each strict
+    (Unix time, read every 64 steps) or the step budget. The
+    temperature starts at 1024 MB and cools by 0.9995 per step, floored
+    at 1. [on_incumbent] fires on each strict
     improvement of the best cost with a host snapshot (owned by the
     annealer until the next improvement — copy to keep). On return the
     state is loaded with the best placement seen. Deterministic in

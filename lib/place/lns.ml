@@ -17,12 +17,11 @@ let m_moves = lazy (Metrics.counter "place.moves")
 let m_accepted = lazy (Metrics.counter "place.accepted")
 let m_incumbents = lazy (Metrics.counter "place.incumbents")
 
-type params = {
-  destroy_max : int;  (* VMs ejected by the random neighbourhood *)
-  check_every : int;  (* rounds between wall-clock reads *)
-}
+(* VMs ejected by the random neighbourhood *)
+let destroy_max = 8
 
-let default_params = { destroy_max = 8; check_every = 8 }
+(* rounds between wall-clock reads *)
+let check_every = 8
 
 type outcome = {
   best_cost : int;  (* objective (estimator) value, not plan cost *)
@@ -66,8 +65,7 @@ let repair state ejected =
       else false)
     order
 
-let run ?(params = default_params) ?max_rounds ?(seed = 0x1a5)
-    ?(vjobs = []) ?(on_incumbent = fun ~cost:_ _ -> ()) ~deadline state =
+let run ?max_rounds ?(seed = 0x1a5) ?(vjobs = []) ~deadline state =
   Obs.span ~cat:"place" ~name:"place.lns" @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let k = State.vm_count state and n = State.node_count state in
@@ -94,7 +92,7 @@ let run ?(params = default_params) ?max_rounds ?(seed = 0x1a5)
         vjob_sets.(Random.State.int rng (Array.length vjob_sets))
       | 1 -> State.placed_on state (Random.State.int rng n)
       | _ ->
-        let m = min params.destroy_max k in
+        let m = min destroy_max k in
         let seen = Hashtbl.create m in
         for _ = 1 to m do
           Hashtbl.replace seen (Random.State.int rng k) ()
@@ -113,8 +111,7 @@ let run ?(params = default_params) ?max_rounds ?(seed = 0x1a5)
         if c < !best_cost then begin
           best_cost := c;
           best_hosts := State.copy_hosts state;
-          incr incumbents;
-          on_incumbent ~cost:c !best_hosts
+          incr incumbents
         end
       end
       else begin
@@ -125,7 +122,7 @@ let run ?(params = default_params) ?max_rounds ?(seed = 0x1a5)
         List.iter (fun (i, j) -> State.assign state i j) saved
       end
     end;
-    if !rounds mod params.check_every = 0 && now () >= deadline then
+    if !rounds mod check_every = 0 && now () >= deadline then
       stop := true
   done;
   if State.cost state > !best_cost then State.load_hosts state !best_hosts;

@@ -4,13 +4,6 @@
 
 open Entropy_core
 
-type params = {
-  destroy_max : int;  (** VMs ejected by the random neighbourhood *)
-  check_every : int;  (** rounds between wall-clock reads *)
-}
-
-val default_params : params
-
 type outcome = {
   best_cost : int;
       (** best objective (estimator) value seen — not the plan cost *)
@@ -21,10 +14,9 @@ type outcome = {
 }
 
 val run :
-  ?params:params -> ?max_rounds:int -> ?seed:int -> ?vjobs:Vjob.t list ->
-  ?on_incumbent:(cost:int -> int array -> unit) ->
-  deadline:float -> State.t -> outcome
-(** Destroy/repair until the absolute [deadline] (Unix time) or the
-    round budget. [vjobs] enables the vjob-eject neighbourhood.
-    [on_incumbent] as in {!Anneal.run}. On return the state holds the
-    best placement seen. *)
+  ?max_rounds:int -> ?seed:int -> ?vjobs:Vjob.t list -> deadline:float ->
+  State.t -> outcome
+(** Destroy/repair until the absolute [deadline] (Unix time, read every
+    8 rounds) or the round budget. The random neighbourhood ejects up to
+    8 VMs; [vjobs] enables the vjob-eject neighbourhood. On return the
+    state holds the best placement seen. *)

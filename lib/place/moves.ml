@@ -14,23 +14,26 @@ type t =
   | Migrate of { idx : int; dst : int }
   | Swap of { a : int; b : int }
 
+(* steps during which a just-moved VM is not proposed again *)
+let tenure = 8
+
+(* the distance limit: draws attempted per proposal *)
+let candidates = 16
+
+(* percentage of draws that try a swap *)
+let swap_bias = 30
+
 type gen = {
   rng : Random.State.t;
   tabu : int array;  (* tabu.(i): clock tick until which VM i is tabu *)
   mutable clock : int;
-  tenure : int;
-  candidates : int;  (* distance limit: draws attempted per proposal *)
-  swap_bias : int;  (* percentage of proposals that try a swap *)
 }
 
-let make_gen ?(tenure = 8) ?(candidates = 16) ?(swap_bias = 30) ~seed state =
+let make_gen ~seed state =
   {
     rng = Random.State.make [| seed |];
     tabu = Array.make (max 1 (State.vm_count state)) 0;
     clock = 0;
-    tenure;
-    candidates;
-    swap_bias;
   }
 
 let delta state = function
@@ -47,11 +50,11 @@ let apply gen state m =
   match m with
   | Migrate { idx; dst } ->
     State.move state idx dst;
-    gen.tabu.(idx) <- gen.clock + gen.tenure
+    gen.tabu.(idx) <- gen.clock + tenure
   | Swap { a; b } ->
     State.swap state a b;
-    gen.tabu.(a) <- gen.clock + gen.tenure;
-    gen.tabu.(b) <- gen.clock + gen.tenure
+    gen.tabu.(a) <- gen.clock + tenure;
+    gen.tabu.(b) <- gen.clock + tenure
 
 let propose gen state =
   let k = State.vm_count state and n = State.node_count state in
@@ -63,7 +66,7 @@ let propose gen state =
         let i = Random.State.int gen.rng k in
         if gen.tabu.(i) > gen.clock then draw (attempts - 1)
         else if
-          k > 1 && Random.State.int gen.rng 100 < gen.swap_bias
+          k > 1 && Random.State.int gen.rng 100 < swap_bias
         then begin
           let b = Random.State.int gen.rng k in
           if b <> i && gen.tabu.(b) <= gen.clock && State.can_swap state i b
@@ -77,4 +80,4 @@ let propose gen state =
           else draw (attempts - 1)
         end
     in
-    draw gen.candidates
+    draw candidates

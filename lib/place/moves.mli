@@ -8,13 +8,10 @@ type t =
 
 type gen
 
-val make_gen :
-  ?tenure:int -> ?candidates:int -> ?swap_bias:int -> seed:int ->
-  State.t -> gen
-(** [tenure] steps during which a just-moved VM is not proposed again;
-    [candidates] random draws attempted before a proposal round gives
-    up; [swap_bias] percentage of draws that try a swap. Deterministic
-    in [seed]. *)
+val make_gen : seed:int -> State.t -> gen
+(** A just-moved VM is not proposed again for 8 steps; a proposal round
+    gives up after 16 random draws, 30 % of which try a swap.
+    Deterministic in [seed]. *)
 
 val propose : gen -> State.t -> t option
 (** A feasible, non-tabu move, or [None] when the bounded draws found

@@ -16,7 +16,6 @@ type point = {
 
 type t = {
   mutable points : point list; (* newest first *)
-  period : float;
   mutable stopped : bool;
   mutable pending : Engine.handle option; (* next scheduled sample *)
 }
@@ -57,18 +56,16 @@ let snapshot cluster =
     active_nodes;
   }
 
-let start ?(period = 30.) cluster =
-  if period <= 0. then
-    invalid_arg
-      (Printf.sprintf "Metrics.start: period must be positive (got %g)"
-         period);
-  let t = { points = []; period; stopped = false; pending = None } in
+let period = 30.
+
+let start cluster =
+  let t = { points = []; stopped = false; pending = None } in
   let engine = Cluster.engine cluster in
   let rec sample () =
     t.pending <- None;
     if not t.stopped then begin
       t.points <- snapshot cluster :: t.points;
-      t.pending <- Some (Engine.schedule_after engine ~delay:t.period sample)
+      t.pending <- Some (Engine.schedule_after engine ~delay:period sample)
     end
   in
   sample ();
@@ -105,7 +102,7 @@ let points_to_json points = Entropy_obs.Json.List (List.map point_to_json points
 
 let to_json t =
   let open Entropy_obs.Json in
-  Obj [ ("period", Float t.period); ("points", points_to_json (points t)) ]
+  Obj [ ("period", Float period); ("points", points_to_json (points t)) ]
 
 let node_seconds t =
   match points t with

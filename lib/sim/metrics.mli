@@ -13,11 +13,9 @@ type t
 
 val snapshot : Cluster.t -> point
 
-val start : ?period:float -> Cluster.t -> t
-(** Begin periodic sampling on the cluster's engine (default 30 s).
-    Raises [Invalid_argument] when [period] is not positive (a zero
-    delay would re-enqueue the sampler at the same simulated instant,
-    flooding the event queue). *)
+val start : Cluster.t -> t
+(** Begin sampling on the cluster's engine: one point now, then one
+    every 30 s of simulated time. *)
 
 val stop : t -> unit
 (** Stop sampling and cancel the pending sample event. Idempotent. *)

@@ -63,11 +63,11 @@ let setup ?(arrival_spacing = 0.) ~nodes ~traces () =
   in
   (config, vjobs, fun vm_id -> programs.(vm_id))
 
-(* The control loop re-decides every [period] seconds, samples metrics
-   every [sample_period] and polls the monitors every [poll_period]; a
-   degraded switch is chased by at most [max_repairs] repair plans. *)
+(* The control loop re-decides every [period] seconds and polls the
+   monitors every [poll_period] (metrics sample every 30 s on their
+   own); a degraded switch is chased by at most [max_repairs] repair
+   plans. *)
 let period = 30.
-let sample_period = 30.
 let poll_period = 5.
 let max_repairs = 4
 
@@ -88,7 +88,7 @@ let run_loop ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
     | Some d -> d
     | None -> Decision.consolidation ~cp_timeout ()
   in
-  let metrics = Metrics.start ~period:sample_period cluster in
+  let metrics = Metrics.start cluster in
   let switches = ref [] in
   let repairs = ref [] in
   let crashes = ref [] in

@@ -843,14 +843,6 @@ let test_search_first_fail_order () =
   | Some v -> check_int "picks small" (Var.id small) (Var.id v)
   | None -> Alcotest.fail "expected a variable"
 
-let test_search_prefer_value () =
-  let s = Store.create () in
-  let x = Store.new_var s ~lo:0 ~hi:4 in
-  let order = Search.prefer (fun _ -> Some 3) x in
-  check_list "preferred first" [ 3; 0; 1; 2; 4 ] order;
-  let order = Search.prefer (fun _ -> Some 9) x in
-  check_list "absent preference ignored" [ 0; 1; 2; 3; 4 ] order
-
 let test_search_node_limit () =
   let s = Store.create () in
   let vars = Array.init 8 (fun _ -> Store.new_var s ~lo:0 ~hi:7) in
@@ -866,11 +858,11 @@ let test_search_timeout_returns_incumbent () =
   let vars = Array.init n (fun _ -> Store.new_var s ~lo:0 ~hi:9) in
   let obj = Store.new_var s ~lo:0 ~hi:200 in
   Linear.sum_var s (Array.to_list (Array.map (fun v -> (1, v)) vars)) obj;
-  (* max-value ordering finds the worst solution first (obj = 90); the
-     tiny node budget stops the search right after that incumbent *)
+  (* descending value order finds the worst solution first (obj = 90);
+     the tiny node budget stops the search right after that incumbent *)
+  let descending x f = List.iter f (List.rev (Dom.to_list (Var.dom x))) in
   let best, stats =
-    Search.minimize s ~vars ~obj ~node_limit:15
-      ~val_select:Search.max_value ()
+    Search.minimize s ~vars ~obj ~node_limit:15 ~val_iter:descending ()
   in
   check_bool "timed out" true stats.Search.timed_out;
   check_bool "still has incumbent" true (best <> None)
@@ -907,32 +899,6 @@ let test_search_stats_regression () =
   check_bool "complete" false stats.Search.timed_out;
   check_int "nodes" 219 stats.Search.nodes;
   check_int "fails" 326 stats.Search.fails
-
-let test_val_iter_matches_val_select () =
-  (* the allocation-free iterator must explore the same tree as the
-     equivalent list-based selector *)
-  let run use_iter =
-    let s = Store.create () in
-    let vars = Array.init 6 (fun _ -> Store.new_var s ~lo:0 ~hi:4) in
-    Alldiff.post s (Array.to_list vars |> List.filteri (fun i _ -> i < 5));
-    let obj = Store.new_var s ~lo:0 ~hi:30 in
-    Linear.sum_var s (Array.to_list (Array.map (fun v -> (1, v)) vars)) obj;
-    let desc x f =
-      List.iter f (List.rev (Dom.to_list (Var.dom x)))
-    in
-    let best, stats =
-      if use_iter then Search.minimize s ~vars ~obj ~val_iter:desc ()
-      else
-        Search.minimize s ~vars ~obj
-          ~val_select:(fun x -> List.rev (Dom.to_list (Var.dom x)))
-          ()
-    in
-    (Option.map fst best, stats.Search.nodes, stats.Search.fails)
-  in
-  let b1, n1, f1 = run true and b2, n2, f2 = run false in
-  Alcotest.(check (option int)) "same optimum" b2 b1;
-  check_int "same nodes" n2 n1;
-  check_int "same fails" f2 f1
 
 let minimize_matches_bruteforce =
   QCheck.Test.make ~name:"minimize equals brute force on random linear goal"
@@ -1079,7 +1045,6 @@ let () =
             test_search_minimize_restores_store;
           Alcotest.test_case "first fail order" `Quick
             test_search_first_fail_order;
-          Alcotest.test_case "prefer value" `Quick test_search_prefer_value;
           Alcotest.test_case "node limit" `Quick test_search_node_limit;
           Alcotest.test_case "timeout keeps incumbent" `Quick
             test_search_timeout_returns_incumbent;
@@ -1087,8 +1052,6 @@ let () =
             test_search_minimize_proves_optimum;
           Alcotest.test_case "stats regression" `Quick
             test_search_stats_regression;
-          Alcotest.test_case "val_iter matches val_select" `Quick
-            test_val_iter_matches_val_select;
         ]
         @ qsuite [ minimize_matches_bruteforce ]
       );

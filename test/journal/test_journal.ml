@@ -422,13 +422,15 @@ let test_group_commit_flush_rules () =
   check_int "explicit flush drains the buffer" 3
     (List.length (fst (Journal.load path)));
   Journal.close j;
-  (* the record-count threshold also forces a flush *)
-  let j2 = Journal.open_file ~flush_records:2 path in
-  Journal.append j2 (started 2);
+  (* the record-count threshold (64) also forces a flush *)
+  let j2 = Journal.open_file path in
+  for n = 2 to 64 do
+    Journal.append j2 (started n)
+  done;
   check_int "below threshold: buffered" 3
     (List.length (fst (Journal.load path)));
-  Journal.append j2 (started 3);
-  check_int "threshold reached: flushed" 5
+  Journal.append j2 (started 65);
+  check_int "threshold reached: flushed" 67
     (List.length (fst (Journal.load path)));
   Journal.close j2;
   Sys.remove path

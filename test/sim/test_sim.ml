@@ -510,7 +510,7 @@ let test_metrics_overload_visible () =
         [ [ Program.Compute 50. ]; [ Program.Compute 50. ]; [ Program.Compute 50. ] ]
       ~memories:[ 512; 512; 512 ] ()
   in
-  let metrics = Vsim.Metrics.start ~period:10. cluster in
+  let metrics = Vsim.Metrics.start cluster in
   let config =
     List.fold_left
       (fun cfg (vm, node) -> Action.apply cfg (Action.Run { vm; dst = node }))
@@ -540,25 +540,12 @@ let test_metrics_overload_visible () =
   check_bool "node-seconds accumulated" true
     (Vsim.Metrics.node_seconds metrics > 0.)
 
-let test_metrics_rejects_nonpositive_period () =
-  let _, cluster, _ =
-    mk_cluster ~programs:[ [ Program.Compute 50. ] ] ~memories:[ 512 ] ()
-  in
-  (* a zero period would re-enqueue the sampler at the same simulated
-     instant forever: an event storm *)
-  Alcotest.check_raises "zero period"
-    (Invalid_argument "Metrics.start: period must be positive (got 0)")
-    (fun () -> ignore (Vsim.Metrics.start ~period:0. cluster));
-  Alcotest.check_raises "negative period"
-    (Invalid_argument "Metrics.start: period must be positive (got -5)")
-    (fun () -> ignore (Vsim.Metrics.start ~period:(-5.) cluster))
-
 let test_metrics_stop_idempotent () =
   let engine, cluster, _ =
     mk_cluster ~programs:[ [ Program.Compute 50. ] ] ~memories:[ 512 ] ()
   in
-  let metrics = Vsim.Metrics.start ~period:10. cluster in
-  Vsim.Engine.run ~until:35. engine;
+  let metrics = Vsim.Metrics.start cluster in
+  Vsim.Engine.run ~until:95. engine;
   let before = List.length (Vsim.Metrics.points metrics) in
   check_int "sampled while running" 4 before;
   Vsim.Metrics.stop metrics;
@@ -573,8 +560,8 @@ let test_metrics_to_json () =
   let engine, cluster, _ =
     mk_cluster ~programs:[ [ Program.Compute 50. ] ] ~memories:[ 512 ] ()
   in
-  let metrics = Vsim.Metrics.start ~period:10. cluster in
-  Vsim.Engine.run ~until:25. engine;
+  let metrics = Vsim.Metrics.start cluster in
+  Vsim.Engine.run ~until:65. engine;
   Vsim.Metrics.stop metrics;
   let module Json = Entropy_obs.Json in
   let json = Vsim.Metrics.to_json metrics in
@@ -775,7 +762,7 @@ let test_collector_smoothing () =
       clock := !clock +. 5.;
       (!clock, [| r |])
   in
-  let collector = Vmonitor.Collector.create ~smoothing_span:10. source in
+  let collector = Vmonitor.Collector.create source in
   readings := [ 100; 0; 100 ];
   Vmonitor.Collector.poll collector;
   Vmonitor.Collector.poll collector;
@@ -816,7 +803,7 @@ let scripted_collector readings =
       remaining := rest;
       r
   in
-  Vmonitor.Collector.create ~smoothing_span:10. source
+  Vmonitor.Collector.create source
 
 let test_collector_drops_bad_samples () =
   let c =
@@ -1509,8 +1496,6 @@ let () =
         [
           Alcotest.test_case "overload visible" `Quick
             test_metrics_overload_visible;
-          Alcotest.test_case "rejects bad period" `Quick
-            test_metrics_rejects_nonpositive_period;
           Alcotest.test_case "stop idempotent" `Quick
             test_metrics_stop_idempotent;
           Alcotest.test_case "to_json" `Quick test_metrics_to_json;
