@@ -12,8 +12,8 @@ exception Stuck of string
 (** Raised when the greedy earliest-start rule starves: on very tight
     clusters, an eagerly started action can occupy the pivot node a
     pending bypass migration was counting on. Rare (the plan's own pool
-    order is always a valid execution); callers fall back to pool-based
-    execution ({!Schedule}) when it happens. *)
+    order is always a valid execution); callers fall back to the
+    pool-based estimate ({!Schedule}) when it happens. *)
 
 val schedule :
   ?vjobs:Vjob.t list -> current:Configuration.t -> demand:Demand.t ->

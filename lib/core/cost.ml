@@ -44,7 +44,9 @@ let plan config pools =
 
 (* Admissible lower bound on the cost of any plan reaching [target] from
    [current]: every VM pays at least its local action cost, ignoring
-   sequencing penalties. Used by the optimiser's branch & bound. *)
+   sequencing penalties. The optimiser does not call it: it is the
+   reference the admissibility argument behind the CP objective is
+   checked against (plans never cost less, a tier-1 property). *)
 let lower_bound ~current ~target =
   let acc = ref 0 in
   for vm_id = 0 to Configuration.vm_count current - 1 do

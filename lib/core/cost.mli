@@ -17,4 +17,5 @@ val plan : Configuration.t -> Action.t list list -> int
 
 val lower_bound : current:Configuration.t -> target:Configuration.t -> int
 (** Admissible lower bound on any plan between two configurations (sum of
-    unavoidable local costs); used by branch & bound. *)
+    unavoidable local costs). Not on the search path: it is the reference
+    a tier-1 property checks every built plan's cost against. *)

@@ -6,8 +6,7 @@
    the FFD idiom: ejected VMs in decreasing (memory, CPU) demand order,
    each to the cheapest feasible node by its Table 1 cost table (ties to
    the freest node). A round that cannot repair, or repairs to a worse
-   placement, is rolled back, so the state never degrades and the
-   incumbent stream is monotone. *)
+   placement, is rolled back, so the state never degrades. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics

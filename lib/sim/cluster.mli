@@ -19,7 +19,8 @@ val set_config : t -> Configuration.t -> unit
     newly launched vjobs and recomputes all progress rates. *)
 
 val on_change : t -> (unit -> unit) -> unit
-(** Hook called after every rate recomputation (metrics sampling). *)
+(** Hook called after every rate recomputation. The daemon uses it to
+    raise its completion trigger. *)
 
 val demand : t -> Demand.t
 (** Current per-VM CPU demand (full processing unit while computing). *)
