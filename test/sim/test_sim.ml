@@ -501,6 +501,56 @@ let test_executor_pipelines_suspends () =
       && Vsim.Executor.duration r <= single +. 1.5);
     check_int "two suspends" 2 r.Vsim.Executor.suspends
 
+(* -- continuous estimate --------------------------------------------------- *)
+
+let test_continuous_estimate_beats_pool_execution () =
+  (* pool 1 = suspend(2 GB, ~100 s) + migrate(512 MB, ~8 s); pool 2 =
+     resume(2 GB, ~80 s), which needs only the migration's memory. The
+     barrier-free estimate overlaps the resume with the suspend, so it
+     stays well under what the pool executor takes on the same plan. *)
+  let engine, cluster, _ =
+    mk_cluster ~node_count:3 ~mem:2048
+      ~programs:
+        [
+          [ Program.Compute 10000. ];
+          [ Program.Compute 10000. ];
+          [ Program.Compute 10000. ];
+        ]
+      ~memories:[ 2048; 512; 2048 ] ()
+  in
+  let config =
+    List.fold_left
+      (fun cfg (vm, node) -> Action.apply cfg (Action.Run { vm; dst = node }))
+      (Vsim.Cluster.config cluster)
+      [ (0, 0); (1, 1); (2, 1) ]
+  in
+  let config = Action.apply config (Action.Suspend { vm = 2; host = 1 }) in
+  Vsim.Cluster.set_config cluster config;
+  let plan =
+    Plan.make
+      [
+        [
+          Action.Suspend { vm = 0; host = 0 };
+          Action.Migrate { vm = 1; src = 1; dst = 2 };
+        ];
+        [ Action.Resume { vm = 2; src = 1; dst = 1 } ];
+      ]
+  in
+  let estimate =
+    Continuous.schedule ~current:config ~demand:(Vsim.Cluster.demand cluster)
+      ~plan ()
+  in
+  check_int "every action scheduled" (Plan.action_count plan)
+    (List.length (Continuous.entries estimate));
+  let record = ref None in
+  Vsim.Executor.execute cluster plan ~on_done:(fun r -> record := Some r);
+  Vsim.Engine.run ~until:1000. engine;
+  match !record with
+  | None -> Alcotest.fail "pool run did not finish"
+  | Some r ->
+    check_bool "estimate much shorter than the pools" true
+      (Continuous.makespan estimate < 0.8 *. Vsim.Executor.duration r)
+
 (* -- metrics ------------------------------------------------------------------ *)
 
 let test_metrics_overload_visible () =
@@ -1491,6 +1541,11 @@ let () =
             test_executor_pools_sequential;
           Alcotest.test_case "pipelined suspends" `Quick
             test_executor_pipelines_suspends;
+        ] );
+      ( "continuous-estimate",
+        [
+          Alcotest.test_case "beats pool execution" `Quick
+            test_continuous_estimate_beats_pool_execution;
         ] );
       ( "metrics",
         [
