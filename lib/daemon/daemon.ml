@@ -565,9 +565,9 @@ let run_core (c : config) (b : boot) =
                trigger_raise "node crash"
              end)))
     b.future_crashes;
-  let completions_seen = ref (List.length (Cluster.completions cluster)) in
+  let completions_seen = ref (Cluster.completion_count cluster) in
   Cluster.on_change cluster (fun () ->
-      let n = List.length (Cluster.completions cluster) in
+      let n = Cluster.completion_count cluster in
       if n > !completions_seen then begin
         completions_seen := n;
         (* freed capacity: parked vjobs get a fresh (cheap) wake retry *)
@@ -575,18 +575,23 @@ let run_core (c : config) (b : boot) =
         trigger_raise "vjob completion"
       end);
   (* periodic monitoring poll; an overload onset is the load-spike
-     trigger (a VM leaving its idle phase, a crash shrinking capacity) *)
+     trigger (a VM leaving its idle phase, a crash shrinking capacity).
+     Loads move only at a recompute, so the check reruns only then. *)
   let overloaded = ref false in
+  let checked_version = ref (-1) in
   let rec poll_loop () =
     if not !done_flag then begin
       Collector.poll collector;
-      let over =
-        Configuration.overloaded_nodes (Cluster.config cluster)
-          (Cluster.demand cluster)
-        <> []
-      in
-      if over && not !overloaded then trigger_raise "load spike";
-      overloaded := over;
+      if Cluster.version cluster <> !checked_version then begin
+        checked_version := Cluster.version cluster;
+        let over =
+          Configuration.overloaded_nodes (Cluster.config cluster)
+            (Cluster.demand cluster)
+          <> []
+        in
+        if over && not !overloaded then trigger_raise "load spike";
+        overloaded := over
+      end;
       ignore (Engine.schedule_after engine ~delay:poll_period poll_loop)
     end
   in

@@ -21,12 +21,19 @@ let smoothing_span = 10.
 type t = {
   source : source;
   history : History.t;
+  mutable last_cpu : int array;  (* source array of the latest sample *)
   mutable polls : int;
   mutable dropped : int;
 }
 
 let create source =
-  { source; history = History.create (); polls = 0; dropped = 0 }
+  {
+    source;
+    history = History.create ();
+    last_cpu = [||];
+    polls = 0;
+    dropped = 0;
+  }
 
 (* A real monitoring bus delivers garbage now and then: readings with a
    clock that jumped backwards (reordered delivery, a resynced NTP
@@ -41,10 +48,20 @@ let valid t ~time ~cpu =
      | None -> true)
   && Array.for_all (fun c -> c >= 0) cpu
 
+(* A source returning the very array of the latest sample promises
+   unchanged readings: the new sample shares the latest one's copy. *)
 let poll t =
   let time, cpu = t.source () in
   t.polls <- t.polls + 1;
-  if valid t ~time ~cpu then History.add t.history (Sample.make ~time ~cpu)
+  if valid t ~time ~cpu then begin
+    let sample =
+      match History.latest t.history with
+      | Some latest when cpu == t.last_cpu -> Sample.retime latest ~time
+      | Some _ | None -> Sample.make ~time ~cpu
+    in
+    t.last_cpu <- cpu;
+    History.add t.history sample
+  end
   else begin
     t.dropped <- t.dropped + 1;
     if !Obs.enabled then Metrics.incr (Lazy.force m_dropped)
@@ -54,8 +71,9 @@ let polls t = t.polls
 let dropped t = t.dropped
 let history t = t.history
 
-(* Smoothed demand: per-VM average over the accumulation window. An
-   empty history triggers an immediate poll. *)
+(* Smoothed demand: per-VM average over the accumulation window, which
+   is filtered once for all VMs. An empty history triggers an immediate
+   poll. *)
 let demand t =
   if History.latest t.history = None then poll t;
   match History.latest t.history with
@@ -63,9 +81,8 @@ let demand t =
   | Some latest ->
     let now = Sample.time latest in
     let vm_count = Sample.vm_count latest in
+    let window = History.window t.history ~now ~span:smoothing_span in
     Demand.of_fn ~vm_count (fun vm_id ->
-        match
-          History.average_cpu t.history ~now ~span:smoothing_span vm_id
-        with
+        match History.average_of t.history window vm_id with
         | Some v -> v
         | None -> 0)

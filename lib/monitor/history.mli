@@ -9,13 +9,17 @@ val create : ?capacity:int -> unit -> t
     [Invalid_argument] when [capacity <= 0]. *)
 
 val add : t -> Sample.t -> unit
-(** Appends; the oldest sample is dropped once over capacity. *)
+(** Appends in O(1); the oldest sample is dropped once over capacity. *)
 
 val latest : t -> Sample.t option
 val length : t -> int
 
 val window : t -> now:float -> span:float -> Sample.t list
 (** Samples no older than [now -. span], newest first. *)
+
+val average_of : t -> Sample.t list -> Vm.id -> int option
+(** Mean CPU of a VM over samples taken from {!window}; the latest
+    sample's reading when the list is empty. *)
 
 val average_cpu : t -> now:float -> span:float -> Vm.id -> int option
 (** Mean CPU of a VM over the window; latest sample when empty. *)

@@ -15,9 +15,12 @@
      iteration).
 
    Rates change only at discrete events (action start/end, phase end,
-   launch); the cluster re-synchronises progress and re-schedules phase
-   completions at each such event. Stale completion events are detected
-   with per-VM epochs. *)
+   launch, crash). At each such event the cluster recomputes every
+   running VM's rate, but banks progress and re-schedules the phase end
+   only of the VMs whose rate changed or that are [stale] (phase
+   advanced, launched, or reset by a crash); every other VM keeps its
+   pending phase-end event. A superseded event is cancelled, so the
+   engine's queue holds one live phase-end event per progressing VM. *)
 
 (* capture the simulator's own log source before [open Entropy_core]
    shadows it with the core's *)
@@ -31,9 +34,12 @@ type vm_rt = {
   mutable phases : Program.t;   (* remaining program, head = current *)
   mutable launched : bool;
   mutable finished : bool;
-  mutable last_sync : float;
+  mutable last_sync : float;    (* [phases] is exact as of this instant *)
   mutable rate : float;         (* current phase progress per wall second *)
-  mutable epoch : int;
+  mutable stale : bool;         (* phase advanced, launched or reset since
+                                   the last recompute: reschedule even if
+                                   the rate is unchanged *)
+  mutable phase_end : Engine.handle option;  (* pending phase-end event *)
 }
 
 type t = {
@@ -41,12 +47,16 @@ type t = {
   mutable config : Configuration.t;
   rts : vm_rt array;
   vjobs : Vjob.t array;
+  owner : int array;            (* VM -> index in [vjobs], -1 for none *)
   programs : Vm.id -> Program.t;  (* original programs, for resubmission *)
   local_ops : int array;        (* per-node running local operations *)
   remote_ops : int array;
   totals : int array;           (* recompute scratch: per-node demand *)
   alive : bool array;           (* per-node; false after a crash *)
   completions : (Vjob.id, float) Hashtbl.t;
+  mutable version : int;        (* recomputes so far *)
+  mutable readings : int array; (* [cpu_readings] as of [readings_version] *)
+  mutable readings_version : int;
   mutable on_change : unit -> unit;
 }
 
@@ -56,6 +66,7 @@ let now t = Engine.now t.engine
 let vjobs t = Array.to_list t.vjobs
 
 let on_change t f = t.on_change <- f
+let version t = t.version
 
 (* -- demand --------------------------------------------------------------- *)
 
@@ -77,12 +88,19 @@ let demand t =
       | Configuration.Sleeping_ram _ | Configuration.Waiting ->
         vm_demand t vm_id)
 
-(* Monitoring reading: same vector, as a raw array. *)
+(* Monitoring reading: same vector, as a raw array. Every change to a
+   state or a phase is followed by a recompute, so the array is rebuilt
+   at most once per recompute and shared between readers. *)
 let cpu_readings t =
-  Array.init (Array.length t.rts) (fun vm_id ->
-      match Configuration.state t.config vm_id with
-      | Configuration.Terminated -> 0
-      | _ -> vm_demand t vm_id)
+  if t.readings_version <> t.version then begin
+    t.readings <-
+      Array.init (Array.length t.rts) (fun vm_id ->
+          match Configuration.state t.config vm_id with
+          | Configuration.Terminated -> 0
+          | _ -> vm_demand t vm_id);
+    t.readings_version <- t.version
+  end;
+  t.readings
 
 (* A node is busy when it hosts a launched running VM computing at full
    speed (other than [except]). *)
@@ -132,11 +150,8 @@ let sync_vm t rt =
   rt.last_sync <- now t
 
 let vjob_of_vm t vm_id =
-  let found = ref None in
-  Array.iter
-    (fun vj -> if List.mem vm_id (Vjob.vms vj) then found := Some vj)
-    t.vjobs;
-  !found
+  let i = t.owner.(vm_id) in
+  if i < 0 then None else Some t.vjobs.(i)
 
 let check_vjob_completion t rt =
   match vjob_of_vm t rt.vm.Vm.id with
@@ -153,26 +168,36 @@ let completions t =
   |> List.sort compare
 
 let completed t vjob = Hashtbl.mem t.completions (Vjob.id vjob)
+let completion_count t = Hashtbl.length t.completions
 
-let rec advance_phase t vm_id epoch () =
+let cancel_phase_end rt =
+  Option.iter Engine.cancel rt.phase_end;
+  rt.phase_end <- None
+
+let rec advance_phase t vm_id () =
   let rt = t.rts.(vm_id) in
-  if rt.epoch = epoch && not rt.finished then begin
-    sync_vm t rt;
-    (match rt.phases with
-    | [] -> ()
-    | _ :: rest -> rt.phases <- Program.normalize rest);
-    if Program.is_empty rt.phases then begin
-      rt.finished <- true;
-      check_vjob_completion t rt
-    end;
-    (* demand changed: every node sharing resources with this VM is
-       affected, recompute globally (cheap at our scales) *)
-    recompute t
-  end
+  rt.phase_end <- None;
+  sync_vm t rt;
+  (match rt.phases with
+  | [] -> ()
+  | _ :: rest -> rt.phases <- Program.normalize rest);
+  if Program.is_empty rt.phases then begin
+    rt.finished <- true;
+    check_vjob_completion t rt
+  end;
+  rt.stale <- true;
+  (* the VM's demand may have changed, and with it the share of every
+     VM on its node: recompute, which reschedules only the VMs whose
+     rate moved *)
+  recompute t
 
-(* Set a VM's progress rate and reschedule its phase-completion event. *)
+(* Bank the progress made at the old rate, switch to [rate] and replace
+   the pending phase-end event. *)
 and set_rate t vm_id rt rate =
+  sync_vm t rt;
+  cancel_phase_end rt;
   rt.rate <- rate;
+  rt.stale <- false;
   if rate > 0. then begin
     let remaining =
       match rt.phases with
@@ -181,16 +206,15 @@ and set_rate t vm_id rt rate =
       | [] -> 0.
     in
     let delay = if remaining > 0. then remaining /. rate else 0. in
-    ignore (Engine.schedule_after t.engine ~delay (advance_phase t vm_id rt.epoch))
+    rt.phase_end <-
+      Some (Engine.schedule_after t.engine ~delay (advance_phase t vm_id))
   end
 
-(* Recompute every running VM's rate and reschedule its phase end. *)
+(* Recompute every VM's rate; reschedule the phase end of those whose
+   rate changed or that are stale. *)
 and recompute t =
   let nvm = Array.length t.rts in
-  (* first synchronise all progress at the current instant *)
-  for vm_id = 0 to nvm - 1 do
-    sync_vm t t.rts.(vm_id)
-  done;
+  t.version <- t.version + 1;
   (* per-node demand totals, into the preallocated scratch array *)
   let totals = t.totals in
   Array.fill totals 0 (Array.length totals) 0;
@@ -201,63 +225,78 @@ and recompute t =
   done;
   for vm_id = 0 to nvm - 1 do
     let rt = t.rts.(vm_id) in
-    rt.epoch <- rt.epoch + 1;
-    if rt.finished || not rt.launched then rt.rate <- 0.
-    else
-      match Configuration.state t.config vm_id with
-      | Configuration.Running node -> (
-        match rt.phases with
-        | Program.Idle _ :: _ -> set_rate t vm_id rt 1.
-        | Program.Compute _ :: _ ->
-          let cap = float_of_int (Node.cpu_capacity (Configuration.node t.config node)) in
-          let total = float_of_int (max totals.(node) 1) in
-          let scale = Float.min 1. (cap /. total) in
-          let alloc =
-            float_of_int (vm_demand t vm_id) *. scale /. 100.
-          in
-          let rate = alloc /. node_decel t node in
-          set_rate t vm_id rt rate
-        | [] -> rt.rate <- 0.)
-      | Configuration.Waiting | Configuration.Sleeping _
-      | Configuration.Sleeping_ram _ | Configuration.Terminated ->
-        rt.rate <- 0.
+    let rate =
+      if rt.finished || not rt.launched then 0.
+      else
+        match Configuration.state t.config vm_id with
+        | Configuration.Running node -> (
+          match rt.phases with
+          | Program.Idle _ :: _ -> 1.
+          | Program.Compute _ :: _ ->
+            let cap = float_of_int (Node.cpu_capacity (Configuration.node t.config node)) in
+            let total = float_of_int (max totals.(node) 1) in
+            let scale = Float.min 1. (cap /. total) in
+            let alloc =
+              float_of_int (vm_demand t vm_id) *. scale /. 100.
+            in
+            alloc /. node_decel t node
+          | [] -> 0.)
+        | Configuration.Waiting | Configuration.Sleeping _
+        | Configuration.Sleeping_ram _ | Configuration.Terminated ->
+          0.
+    in
+    if rt.stale || rate <> rt.rate then set_rate t vm_id rt rate
   done;
   t.on_change ()
 
-(* Launch the vjobs whose VMs are all running for the first time. *)
-let check_launches t =
-  Array.iter
-    (fun vj ->
-      let vms = Vjob.vms vj in
-      let all_running =
-        List.for_all
-          (fun vm_id ->
-            match Configuration.state t.config vm_id with
-            | Configuration.Running _ -> true
-            | _ -> false)
-          vms
-      in
-      let any_unlaunched =
-        List.exists (fun vm_id -> not t.rts.(vm_id).launched) vms
-      in
-      if all_running && any_unlaunched then
-        List.iter
-          (fun vm_id ->
-            let rt = t.rts.(vm_id) in
-            if not rt.launched then begin
-              rt.launched <- true;
-              rt.last_sync <- now t;
-              if Program.is_empty rt.phases then begin
-                rt.finished <- true;
-                check_vjob_completion t rt
-              end
-            end)
-          vms)
-    t.vjobs
+(* Launch the vjob if its VMs are all running for the first time. *)
+let check_launch t vj =
+  let vms = Vjob.vms vj in
+  let all_running =
+    List.for_all
+      (fun vm_id ->
+        match Configuration.state t.config vm_id with
+        | Configuration.Running _ -> true
+        | _ -> false)
+      vms
+  in
+  let any_unlaunched =
+    List.exists (fun vm_id -> not t.rts.(vm_id).launched) vms
+  in
+  if all_running && any_unlaunched then
+    List.iter
+      (fun vm_id ->
+        let rt = t.rts.(vm_id) in
+        if not rt.launched then begin
+          rt.launched <- true;
+          rt.last_sync <- now t;
+          rt.stale <- true;
+          if Program.is_empty rt.phases then begin
+            rt.finished <- true;
+            check_vjob_completion t rt
+          end
+        end)
+      vms
 
+(* Only a vjob owning a VM whose state changed can have become
+   launchable; check those, in vjob order. *)
 let set_config t config =
+  let old = t.config in
   t.config <- config;
-  check_launches t;
+  let touched = ref [] in
+  for vm_id = 0 to Array.length t.rts - 1 do
+    let i = t.owner.(vm_id) in
+    if
+      i >= 0
+      && not
+           (Configuration.equal_vm_state
+              (Configuration.state old vm_id)
+              (Configuration.state config vm_id))
+    then touched := i :: !touched
+  done;
+  List.iter
+    (fun i -> check_launch t t.vjobs.(i))
+    (List.sort_uniq Int.compare !touched);
   recompute t
 
 (* -- node crashes ----------------------------------------------------------- *)
@@ -304,7 +343,8 @@ let crash_node t node_id =
               rt.launched <- false;
               rt.finished <- false;
               rt.rate <- 0.;
-              rt.epoch <- rt.epoch + 1;
+              rt.stale <- true;
+              cancel_phase_end rt;
               rt.last_sync <- now t)
           (Vjob.vms vj))
       affected;
@@ -340,10 +380,15 @@ let create ~engine ~config ~vjobs ~programs () =
           finished = false;
           last_sync = Engine.now engine;
           rate = 0.;
-          epoch = 0;
+          stale = false;
+          phase_end = None;
         })
       (Configuration.vms config)
   in
+  let owner = Array.make (Array.length rts) (-1) in
+  List.iteri
+    (fun i vj -> List.iter (fun vm_id -> owner.(vm_id) <- i) (Vjob.vms vj))
+    vjobs;
   let n = Configuration.node_count config in
   let t =
     {
@@ -351,16 +396,20 @@ let create ~engine ~config ~vjobs ~programs () =
       config;
       rts;
       vjobs = Array.of_list vjobs;
+      owner;
       programs;
       local_ops = Array.make n 0;
       remote_ops = Array.make n 0;
       totals = Array.make n 0;
       alive = Array.make n true;
       completions = Hashtbl.create 16;
+      version = 0;
+      readings = [||];
+      readings_version = -1;
       on_change = (fun () -> ());
     }
   in
-  check_launches t;
+  Array.iter (check_launch t) t.vjobs;
   recompute t;
   t
 

@@ -15,19 +15,28 @@ val now : t -> float
 val vjobs : t -> Vjob.t list
 
 val set_config : t -> Configuration.t -> unit
-(** Install a new configuration (after an action completes): checks for
-    newly launched vjobs and recomputes all progress rates. *)
+(** Install a new configuration (after an action completes): launches
+    the vjobs of the VMs whose state changed once all their VMs run,
+    then recomputes progress rates. *)
 
 val on_change : t -> (unit -> unit) -> unit
 (** Hook called after every rate recomputation. The daemon uses it to
     raise its completion trigger. *)
+
+val version : t -> int
+(** Number of rate recomputations so far. Every change to a VM's state
+    or phase is followed by one, so readings derived from the cluster
+    ({!demand}, {!cpu_readings}) can be cached until it moves. *)
 
 val demand : t -> Demand.t
 (** Current per-VM CPU demand (full processing unit while computing). *)
 
 val vm_demand : t -> Vm.id -> int
 val cpu_readings : t -> int array
-(** What the monitoring daemons report. *)
+(** What the monitoring daemons report. The array is cached until the
+    next recomputation and shared between callers: it must not be
+    mutated. A caller seeing the same physical array again may assume
+    its contents are unchanged. *)
 
 val busy : ?except:Vm.id -> t -> Node.id -> bool
 (** Node hosts a running VM computing at full speed. *)
@@ -37,6 +46,10 @@ val register_op : t -> nodes:Node.id list -> local:bool -> unit
 val unregister_op : t -> nodes:Node.id list -> local:bool -> unit
 
 val recompute : t -> unit
+(** Recompute every VM's progress rate. Only VMs whose rate changed, or
+    whose phase advanced, that launched or that a crash reset, bank
+    their progress and get a new phase-end event (the superseded one is
+    cancelled); every other VM keeps its pending event. *)
 
 val node_alive : t -> Node.id -> bool
 
@@ -50,5 +63,10 @@ val crash_node : t -> Node.id -> Vjob.id list
     ids; idempotent (a second crash of the same node returns []). *)
 
 val completions : t -> (Vjob.id * float) list
+(** Completed vjobs and their completion times, sorted by id. *)
+
+val completion_count : t -> int
+(** [List.length (completions t)], in O(1). *)
+
 val completed : t -> Vjob.t -> bool
 val all_complete : t -> bool

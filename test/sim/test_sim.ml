@@ -305,14 +305,15 @@ let mk_cluster ?(node_count = 2) ?(cpu = 200) ?(mem = 3584) ~programs
   in
   (engine, cluster, vjobs)
 
+let run_vms cluster vms_hosts =
+  Vsim.Cluster.set_config cluster
+    (List.fold_left
+       (fun cfg (vm, node) -> Action.apply cfg (Action.Run { vm; dst = node }))
+       (Vsim.Cluster.config cluster) vms_hosts)
+
 let run_all vms_hosts engine cluster =
   (* place VMs and let the engine drain *)
-  let config =
-    List.fold_left
-      (fun cfg (vm, node) -> Action.apply cfg (Action.Run { vm; dst = node }))
-      (Vsim.Cluster.config cluster) vms_hosts
-  in
-  Vsim.Cluster.set_config cluster config;
+  run_vms cluster vms_hosts;
   Vsim.Engine.run engine
 
 let test_cluster_full_speed_compute () =
@@ -425,6 +426,100 @@ let test_cluster_decel_during_op () =
   let _, t = List.hd (Vsim.Cluster.completions cluster) in
   (* 60 s at 1/1.5 speed = 40 cpu-s done, then 60 more at full speed *)
   check_float 1.0 "decelerated" 120. t
+
+let test_cluster_unchanged_rate_keeps_event () =
+  let engine, cluster, _ =
+    mk_cluster ~node_count:3
+      ~programs:[ [ Program.Compute 100. ]; [ Program.Compute 100. ] ]
+      ~memories:[ 512; 512 ] ()
+  in
+  run_vms cluster [ (0, 0); (1, 1) ];
+  check_int "one phase end per VM" 2 (Vsim.Engine.pending engine);
+  Vsim.Engine.run ~until:10. engine;
+  Vsim.Cluster.recompute cluster;
+  check_int "idle recompute schedules nothing" 2 (Vsim.Engine.pending engine);
+  (* an operation on the empty node 2 moves no VM's rate *)
+  Vsim.Cluster.register_op cluster ~nodes:[ 2 ] ~local:false;
+  Vsim.Cluster.recompute cluster;
+  check_int "untouched rates keep their events" 2 (Vsim.Engine.pending engine);
+  check_int "nothing cancelled" 0 (Vsim.Engine.cancelled engine);
+  (* one on node 1 slows VM 1: its event is replaced, not duplicated *)
+  Vsim.Cluster.register_op cluster ~nodes:[ 1 ] ~local:false;
+  Vsim.Cluster.recompute cluster;
+  check_int "replaced, not added" 2 (Vsim.Engine.pending engine);
+  check_int "superseded event cancelled" 1 (Vsim.Engine.cancelled engine)
+
+let test_cluster_untouched_vm_matches_eager_resync () =
+  (* VM 0 shares node 0 (1.5 cores) with VM 1: both progress at 0.75.
+     VM 2 on node 1 is slowed and sped up by operations at awkward
+     instants, each a recompute; VM 0's rate never moves, so it keeps
+     the event scheduled at launch. *)
+  let engine, cluster, _ =
+    mk_cluster ~cpu:150
+      ~programs:
+        [
+          [ Program.Compute 100.; Program.Idle 1000. ];
+          [ Program.Compute 1000. ];
+          [ Program.Compute 1000. ];
+        ]
+      ~memories:[ 512; 512; 512 ] ()
+  in
+  run_vms cluster [ (0, 0); (1, 0); (2, 1) ];
+  let rate = 0.75 in
+  let ends = ref [] in
+  Vsim.Cluster.on_change cluster (fun () ->
+      if Vsim.Cluster.vm_demand cluster 0 = Program.idle_demand && !ends = []
+      then ends := [ Vsim.Engine.now engine ]);
+  let recomputes = List.init 40 (fun i -> 0.1 +. (float_of_int i *. 3.3)) in
+  List.iteri
+    (fun i at ->
+      ignore
+        (Vsim.Engine.schedule engine ~at (fun () ->
+             if i mod 2 = 0 then
+               Vsim.Cluster.register_op cluster ~nodes:[ 1 ] ~local:true
+             else Vsim.Cluster.unregister_op cluster ~nodes:[ 1 ] ~local:true;
+             Vsim.Cluster.recompute cluster)))
+    recomputes;
+  Vsim.Engine.run ~until:200. engine;
+  (* the end time an eager resync at every recompute would compute *)
+  let eager =
+    let remaining = ref 100. and last = ref 0. and end_ = ref (100. /. rate) in
+    List.iter
+      (fun at ->
+        if at < !end_ then begin
+          remaining := !remaining -. (rate *. (at -. !last));
+          last := at;
+          end_ := at +. (!remaining /. rate)
+        end)
+      recomputes;
+    !end_
+  in
+  match !ends with
+  | [ t ] -> check_float 1e-9 "phase end as eagerly resynced" eager t
+  | _ -> Alcotest.fail "VM 0 never finished its compute phase"
+
+let test_cluster_launch_and_crash_reschedule () =
+  let engine, cluster, _ =
+    mk_cluster
+      ~programs:[ [ Program.Compute 100. ]; [ Program.Compute 100. ] ]
+      ~memories:[ 512; 512 ] ()
+  in
+  run_vms cluster [ (0, 0) ];
+  check_int "not launched: no phase end" 0 (Vsim.Engine.pending engine);
+  run_vms cluster [ (1, 1) ];
+  check_int "launch schedules both" 2 (Vsim.Engine.pending engine);
+  (* at t=10 the crash resets the vjob: both events go, with nothing to
+     replace them; resubmitted on node 1 it relaunches with its whole
+     program *)
+  ignore
+    (Vsim.Engine.schedule engine ~at:10. (fun () ->
+         check_bool "vjob reset" true (Vsim.Cluster.crash_node cluster 0 = [ 0 ]);
+         check_int "reset cancels both" 0 (Vsim.Engine.pending engine);
+         run_vms cluster [ (0, 1); (1, 1) ];
+         check_int "relaunch schedules both" 2 (Vsim.Engine.pending engine)));
+  Vsim.Engine.run engine;
+  let _, t = List.hd (Vsim.Cluster.completions cluster) in
+  check_float 1e-9 "program restarts at the relaunch" 110. t
 
 (* -- executor ----------------------------------------------------------------- *)
 
@@ -924,6 +1019,78 @@ let test_history_window_and_eviction () =
   | None -> Alcotest.fail "expected latest");
   check_int "window size" 2
     (List.length (Vmonitor.History.window h ~now:30. ~span:10.))
+
+(* The ring-buffer history against a newest-first list reference, on
+   random capacities and timestamps (repeats and reorderings included),
+   queried at every window that matters. *)
+let history_matches_list_model =
+  QCheck.Test.make ~name:"ring history agrees with a list model" ~count:300
+    QCheck.(
+      pair (int_range 1 8)
+        (list_of_size Gen.(0 -- 20) (pair (int_bound 6) (int_bound 300))))
+    (fun (capacity, adds) ->
+      let h = Vmonitor.History.create ~capacity () in
+      let model = ref [] in
+      let view s = (Vmonitor.Sample.time s, Vmonitor.Sample.cpu s 0) in
+      List.for_all
+        (fun (time, cpu) ->
+          let time = float_of_int time in
+          Vmonitor.History.add h (Vmonitor.Sample.make ~time ~cpu:[| cpu |]);
+          model := List.filteri (fun i _ -> i < capacity) ((time, cpu) :: !model);
+          let window ~now ~span =
+            List.filter (fun (t, _) -> t >= now -. span) !model
+          in
+          let average ~now ~span =
+            match window ~now ~span with
+            | [] -> Option.map snd (List.nth_opt !model 0)
+            | w -> Some (List.fold_left (fun a (_, c) -> a + c) 0 w / List.length w)
+          in
+          Vmonitor.History.length h = List.length !model
+          && Option.map view (Vmonitor.History.latest h) = List.nth_opt !model 0
+          && List.for_all
+               (fun (now, span) ->
+                 List.map view (Vmonitor.History.window h ~now ~span)
+                 = window ~now ~span
+                 && Vmonitor.History.average_cpu h ~now ~span 0
+                    = average ~now ~span)
+               (List.concat_map
+                  (fun now -> List.map (fun span -> (now, span)) [ 0.; 1.; 2.5; 10. ])
+                  [ 0.; 2.; 3.; 6.; 9. ]))
+        adds)
+
+(* Collector.demand is the per-VM window average, also when the source
+   hands back the array of its previous reading. *)
+let collector_demand_is_history_average =
+  QCheck.Test.make ~name:"collector demand = per-VM history average" ~count:200
+    QCheck.(
+      list_of_size Gen.(1 -- 30)
+        (triple (int_bound 4) bool (array_of_size (Gen.return 3) (int_bound 200))))
+    (fun readings ->
+      let clock = ref 0. and last = ref [||] and script = ref readings in
+      let source () =
+        match !script with
+        | [] -> (!clock, !last)
+        | (step, reuse, cpu) :: rest ->
+          script := rest;
+          clock := !clock +. float_of_int step;
+          if not (reuse && Array.length !last = 3) then last := cpu;
+          (!clock, !last)
+      in
+      let c = Vmonitor.Collector.create source in
+      List.for_all
+        (fun _ ->
+          Vmonitor.Collector.poll c;
+          let d = Vmonitor.Collector.demand c in
+          let h = Vmonitor.Collector.history c in
+          List.for_all
+            (fun vm ->
+              Some (Demand.cpu d vm)
+              = Vmonitor.History.average_cpu h ~now:!clock ~span:10. vm
+              && Option.map (fun s -> Vmonitor.Sample.cpu s vm)
+                   (Vmonitor.History.latest h)
+                 = Some !last.(vm))
+            [ 0; 1; 2 ])
+        readings)
 
 (* -- fault injection ----------------------------------------------------------- *)
 
@@ -1533,6 +1700,12 @@ let () =
             test_cluster_demand_follows_phases;
           Alcotest.test_case "operation decelerates" `Quick
             test_cluster_decel_during_op;
+          Alcotest.test_case "unchanged rate keeps its event" `Quick
+            test_cluster_unchanged_rate_keeps_event;
+          Alcotest.test_case "untouched VM matches eager resync" `Quick
+            test_cluster_untouched_vm_matches_eager_resync;
+          Alcotest.test_case "launch and crash reschedule" `Quick
+            test_cluster_launch_and_crash_reschedule;
         ] );
       ( "executor",
         [
@@ -1630,5 +1803,8 @@ let () =
             test_collector_drop_counter_metric;
           Alcotest.test_case "engine max events" `Quick
             test_engine_max_events;
-        ] );
+        ]
+        @ qsuite
+            [ history_matches_list_model; collector_demand_is_history_average ]
+      );
     ]
