@@ -16,8 +16,8 @@ val vjobs : t -> Vjob.t list
 
 val set_config : t -> Configuration.t -> unit
 (** Install a new configuration (after an action completes): launches
-    the vjobs of the VMs whose state changed once all their VMs run,
-    then recomputes progress rates. *)
+    each vjob that owns a VM whose state changed and now has all its
+    VMs running for the first time, then recomputes progress rates. *)
 
 val on_change : t -> (unit -> unit) -> unit
 (** Hook called after every rate recomputation. The daemon uses it to
