@@ -19,8 +19,8 @@
    running VM's rate, but banks progress and re-schedules the phase end
    only of the VMs whose rate changed or that are [stale] (phase
    advanced, launched, or reset by a crash); every other VM keeps its
-   pending phase-end event. A superseded event is cancelled, so the
-   engine's queue holds one live phase-end event per progressing VM. *)
+   pending phase-end event. A superseded event is cancelled: it stays
+   queued until popped, but it neither runs nor counts as pending. *)
 
 (* capture the simulator's own log source before [open Entropy_core]
    shadows it with the core's *)
@@ -55,8 +55,6 @@ type t = {
   alive : bool array;           (* per-node; false after a crash *)
   completions : (Vjob.id, float) Hashtbl.t;
   mutable version : int;        (* recomputes so far *)
-  mutable readings : int array; (* [cpu_readings] as of [readings_version] *)
-  mutable readings_version : int;
   mutable on_change : unit -> unit;
 }
 
@@ -88,19 +86,12 @@ let demand t =
       | Configuration.Sleeping_ram _ | Configuration.Waiting ->
         vm_demand t vm_id)
 
-(* Monitoring reading: same vector, as a raw array. Every change to a
-   state or a phase is followed by a recompute, so the array is rebuilt
-   at most once per recompute and shared between readers. *)
+(* Monitoring reading: same vector, as a raw array. *)
 let cpu_readings t =
-  if t.readings_version <> t.version then begin
-    t.readings <-
-      Array.init (Array.length t.rts) (fun vm_id ->
-          match Configuration.state t.config vm_id with
-          | Configuration.Terminated -> 0
-          | _ -> vm_demand t vm_id);
-    t.readings_version <- t.version
-  end;
-  t.readings
+  Array.init (Array.length t.rts) (fun vm_id ->
+      match Configuration.state t.config vm_id with
+      | Configuration.Terminated -> 0
+      | _ -> vm_demand t vm_id)
 
 (* A node is busy when it hosts a launched running VM computing at full
    speed (other than [except]). *)
@@ -278,25 +269,9 @@ let check_launch t vj =
         end)
       vms
 
-(* Only a vjob owning a VM whose state changed can have become
-   launchable; check those, in vjob order. *)
 let set_config t config =
-  let old = t.config in
   t.config <- config;
-  let touched = ref [] in
-  for vm_id = 0 to Array.length t.rts - 1 do
-    let i = t.owner.(vm_id) in
-    if
-      i >= 0
-      && not
-           (Configuration.equal_vm_state
-              (Configuration.state old vm_id)
-              (Configuration.state config vm_id))
-    then touched := i :: !touched
-  done;
-  List.iter
-    (fun i -> check_launch t t.vjobs.(i))
-    (List.sort_uniq Int.compare !touched);
+  Array.iter (check_launch t) t.vjobs;
   recompute t
 
 (* -- node crashes ----------------------------------------------------------- *)
@@ -404,8 +379,6 @@ let create ~engine ~config ~vjobs ~programs () =
       alive = Array.make n true;
       completions = Hashtbl.create 16;
       version = 0;
-      readings = [||];
-      readings_version = -1;
       on_change = (fun () -> ());
     }
   in

@@ -15,9 +15,8 @@ val now : t -> float
 val vjobs : t -> Vjob.t list
 
 val set_config : t -> Configuration.t -> unit
-(** Install a new configuration (after an action completes): launches
-    each vjob that owns a VM whose state changed and now has all its
-    VMs running for the first time, then recomputes progress rates. *)
+(** Install a new configuration (after an action completes): checks for
+    newly launched vjobs and recomputes progress rates. *)
 
 val on_change : t -> (unit -> unit) -> unit
 (** Hook called after every rate recomputation. The daemon uses it to
@@ -25,18 +24,15 @@ val on_change : t -> (unit -> unit) -> unit
 
 val version : t -> int
 (** Number of rate recomputations so far. Every change to a VM's state
-    or phase is followed by one, so readings derived from the cluster
-    ({!demand}, {!cpu_readings}) can be cached until it moves. *)
+    or phase is followed by one, so a check derived from the cluster's
+    demand (the daemon's overload check) can be cached until it moves. *)
 
 val demand : t -> Demand.t
 (** Current per-VM CPU demand (full processing unit while computing). *)
 
 val vm_demand : t -> Vm.id -> int
 val cpu_readings : t -> int array
-(** What the monitoring daemons report. The array is cached until the
-    next recomputation and shared between callers: it must not be
-    mutated. A caller seeing the same physical array again may assume
-    its contents are unchanged. *)
+(** What the monitoring daemons report: a fresh array per call. *)
 
 val busy : ?except:Vm.id -> t -> Node.id -> bool
 (** Node hosts a running VM computing at full speed. *)
