@@ -21,12 +21,19 @@ let smoothing_span = 10.
 type t = {
   source : source;
   history : History.t;
+  mutable last_cpu : int array;  (* source array of the latest sample *)
   mutable polls : int;
   mutable dropped : int;
 }
 
 let create source =
-  { source; history = History.create (); polls = 0; dropped = 0 }
+  {
+    source;
+    history = History.create ();
+    last_cpu = [||];
+    polls = 0;
+    dropped = 0;
+  }
 
 (* A real monitoring bus delivers garbage now and then: readings with a
    clock that jumped backwards (reordered delivery, a resynced NTP
@@ -41,10 +48,20 @@ let valid t ~time ~cpu =
      | None -> true)
   && Array.for_all (fun c -> c >= 0) cpu
 
+(* A source returning the very array of the latest sample promises
+   unchanged readings: the new sample shares the latest one's copy. *)
 let poll t =
   let time, cpu = t.source () in
   t.polls <- t.polls + 1;
-  if valid t ~time ~cpu then History.add t.history (Sample.make ~time ~cpu)
+  if valid t ~time ~cpu then begin
+    let sample =
+      match History.latest t.history with
+      | Some latest when cpu == t.last_cpu -> Sample.retime latest ~time
+      | Some _ | None -> Sample.make ~time ~cpu
+    in
+    t.last_cpu <- cpu;
+    History.add t.history sample
+  end
   else begin
     t.dropped <- t.dropped + 1;
     if !Obs.enabled then Metrics.incr (Lazy.force m_dropped)

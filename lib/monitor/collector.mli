@@ -4,7 +4,10 @@
 open Entropy_core
 
 type source = unit -> float * int array
-(** A reading: current time and per-VM CPU consumption. *)
+(** A reading: current time and per-VM CPU consumption. A source that
+    returns the same physical array as its previous reading promises
+    that the readings are unchanged; the collector then shares the
+    previous sample's copy instead of copying again. *)
 
 type t
 

@@ -8,6 +8,8 @@ type t = {
 
 let make ~time ~cpu = { time; cpu = Array.copy cpu }
 
+let retime t ~time = { t with time }
+
 let time t = t.time
 
 let cpu t vm_id =

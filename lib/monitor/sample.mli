@@ -7,6 +7,9 @@ type t
 val make : time:float -> cpu:int array -> t
 (** [cpu] is copied: later caller mutation does not alter the sample. *)
 
+val retime : t -> time:float -> t
+(** The same readings at another instant (shares the readings). *)
+
 val time : t -> float
 
 val cpu : t -> Vm.id -> int

@@ -55,6 +55,8 @@ type t = {
   alive : bool array;           (* per-node; false after a crash *)
   completions : (Vjob.id, float) Hashtbl.t;
   mutable version : int;        (* recomputes so far *)
+  mutable readings : int array; (* [cpu_readings] as of [readings_version] *)
+  mutable readings_version : int;
   mutable on_change : unit -> unit;
 }
 
@@ -86,12 +88,19 @@ let demand t =
       | Configuration.Sleeping_ram _ | Configuration.Waiting ->
         vm_demand t vm_id)
 
-(* Monitoring reading: same vector, as a raw array. *)
+(* Monitoring reading: same vector, as a raw array. Every change to a
+   state or a phase is followed by a recompute, so the array is rebuilt
+   at most once per recompute and shared between readers. *)
 let cpu_readings t =
-  Array.init (Array.length t.rts) (fun vm_id ->
-      match Configuration.state t.config vm_id with
-      | Configuration.Terminated -> 0
-      | _ -> vm_demand t vm_id)
+  if t.readings_version <> t.version then begin
+    t.readings <-
+      Array.init (Array.length t.rts) (fun vm_id ->
+          match Configuration.state t.config vm_id with
+          | Configuration.Terminated -> 0
+          | _ -> vm_demand t vm_id);
+    t.readings_version <- t.version
+  end;
+  t.readings
 
 (* A node is busy when it hosts a launched running VM computing at full
    speed (other than [except]). *)
@@ -379,6 +388,8 @@ let create ~engine ~config ~vjobs ~programs () =
       alive = Array.make n true;
       completions = Hashtbl.create 16;
       version = 0;
+      readings = [||];
+      readings_version = -1;
       on_change = (fun () -> ());
     }
   in

@@ -24,15 +24,18 @@ val on_change : t -> (unit -> unit) -> unit
 
 val version : t -> int
 (** Number of rate recomputations so far. Every change to a VM's state
-    or phase is followed by one, so a check derived from the cluster's
-    demand (the daemon's overload check) can be cached until it moves. *)
+    or phase is followed by one, so readings derived from the cluster
+    ({!demand}, {!cpu_readings}) can be cached until it moves. *)
 
 val demand : t -> Demand.t
 (** Current per-VM CPU demand (full processing unit while computing). *)
 
 val vm_demand : t -> Vm.id -> int
 val cpu_readings : t -> int array
-(** What the monitoring daemons report: a fresh array per call. *)
+(** What the monitoring daemons report. The array is cached until the
+    next recomputation and shared between callers: it must not be
+    mutated. A caller seeing the same physical array again may assume
+    its contents are unchanged. *)
 
 val busy : ?except:Vm.id -> t -> Node.id -> bool
 (** Node hosts a running VM computing at full speed. *)
