@@ -129,8 +129,8 @@ let lint ?obj store =
           (Unbounded_objective
              { var = Var.name o; lo = Dom.lo o.Var.dom; hi = Dom.hi o.Var.dom })
     | None -> ())
-  | exception Store.Inconsistent message ->
-    note (Inconsistent_model { message }));
+  | exception Store.Inconsistent failure ->
+    note (Inconsistent_model { message = Store.message failure }));
   Store.undo_to store m;
   List.rev !findings
 

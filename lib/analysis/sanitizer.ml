@@ -184,9 +184,11 @@ let probe ?(steps = 40) ?(seed = 0) store =
                        after = dom_str after.(i);
                      }))
             before
-        | exception Store.Inconsistent message ->
+        | exception Store.Inconsistent failure ->
           note ("late", p.Prop.name, p.Prop.id, 0)
-            (Late_failure { prop = Fmt.str "%a" Prop.pp p; message }));
+            (Late_failure
+               { prop = Fmt.str "%a" Prop.pp p;
+                 message = Store.message failure }));
         Store.undo_to store m)
       props
   in
@@ -195,7 +197,7 @@ let probe ?(steps = 40) ?(seed = 0) store =
     | () ->
       check_wipeout ();
       Solved (snapshot ())
-    | exception Store.Inconsistent m -> Failed m
+    | exception Store.Inconsistent f -> Failed (Store.message f)
   in
   let unbound () =
     (* strictly more than one value: empty domains (a detected silent
@@ -241,7 +243,7 @@ let probe ?(steps = 40) ?(seed = 0) store =
           | () ->
             check_wipeout ();
             Solved (snapshot ())
-          | exception Store.Inconsistent msg -> Failed msg
+          | exception Store.Inconsistent f -> Failed (Store.message f)
         in
         let first = descend () in
         Store.undo_to store m;

@@ -188,7 +188,9 @@ let post_rules store rules ~placed_arr ~hvars ~target_base ~node_count =
             let fixed =
               Option.value ~default:0 (Hashtbl.find_opt fixed_on node)
             in
-            if fixed > k then Store.fail "quota on node %d already exceeded" node;
+            if fixed > k then
+              Store.fail (fun () ->
+                  Fmt.str "quota on node %d already exceeded" node);
             Count.at_most store hvars ~value:node ~count:(k - fixed))
           nodes)
     rules

@@ -26,7 +26,8 @@ let post store vars =
             Dom.iter (fun v -> Hashtbl.replace union v ()) (Var.dom x)
           else enumerable_all := false)
         vars;
-      if !enumerable_all && Hashtbl.length union < Array.length vars then
-        Store.fail "alldiff: %d variables, %d values" (Array.length vars)
-          (Hashtbl.length union));
+      let nvalues = Hashtbl.length union and nvars = Array.length vars in
+      if !enumerable_all && nvalues < nvars then
+        Store.fail (fun () ->
+            Fmt.str "alldiff: %d variables, %d values" nvars nvalues));
   Store.post store p ~on:(Array.to_list vars)

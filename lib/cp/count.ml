@@ -20,8 +20,9 @@ let at_most store ?(name = "count_at_most") vars ~value ~count =
     (fun () ->
       let bound, _ = occurrences vars value in
       if bound > count then
-        Store.fail "%s: %d variables already equal %d (max %d)" name bound
-          value count;
+        Store.fail (fun () ->
+            Fmt.str "%s: %d variables already equal %d (max %d)" name bound
+              value count);
       if bound = count then
         (* saturated: the value leaves every unbound domain *)
         Array.iter
@@ -36,10 +37,12 @@ let at_least store ?(name = "count_at_least") vars ~value ~count =
   p.Prop.run <-
     (fun () ->
       let bound, candidates = occurrences vars value in
-      if bound + candidates < count then
-        Store.fail "%s: at most %d variables can equal %d (need %d)" name
-          (bound + candidates) value count;
-      if bound + candidates = count then
+      let possible = bound + candidates in
+      if possible < count then
+        Store.fail (fun () ->
+            Fmt.str "%s: at most %d variables can equal %d (need %d)" name
+              possible value count);
+      if possible = count then
         (* every candidate is forced *)
         Array.iter
           (fun x ->

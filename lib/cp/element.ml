@@ -26,7 +26,8 @@ let post store x table y =
           if w < !vmin then vmin := w;
           if w > !vmax then vmax := w)
         (Var.dom x);
-      if !vmin > !vmax then Store.fail "element: no feasible index";
+      if !vmin > !vmax then
+        Store.fail (fun () -> "element: no feasible index");
       Store.remove_below store y !vmin;
       Store.remove_above store y !vmax;
       if Dom.enumerable (Var.dom y) then begin

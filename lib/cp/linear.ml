@@ -12,7 +12,8 @@ let max_contrib (a, x) = if a >= 0 then a * Var.hi x else a * Var.lo x
 let propagate_le store terms c () =
   let s_min = List.fold_left (fun s t -> s + min_contrib t) 0 terms in
   if s_min > c then
-    Store.fail "linear_le: minimal sum %d exceeds bound %d" s_min c;
+    Store.fail (fun () ->
+        Fmt.str "linear_le: minimal sum %d exceeds bound %d" s_min c);
   let prune ((a, x) as t) =
     if a <> 0 then begin
       let slack = c - (s_min - min_contrib t) in

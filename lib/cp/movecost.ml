@@ -32,7 +32,11 @@
    an item inside the walk updates the sums at once, so the slacks the
    rest of the walk sees are exact and one pass reaches the fixpoint.
    Tightening obj to [smin, smax] cannot enable more pruning: an open
-   item's gap never exceeds smax - smin. *)
+   item's gap never exceeds smax - smin.
+
+   A run builds no closure (beyond a failure's message thunk): [save],
+   [close] and [check] are built once, at post time, and the only
+   per-run scratch, the [saved] flag, is reset on entry to [run]. *)
 
 type item = { var : Var.t; home : int; stay : int; move : int }
 
@@ -78,75 +82,81 @@ let post store ~items ~obj =
   let by_gap = Array.init n Fun.id in
   let gap i = items.(i).move - items.(i).stay in
   Array.stable_sort (fun a b -> Int.compare (gap b) (gap a)) by_gap;
-  let p = Prop.make ~name:"movecost" (fun () -> ()) in
-  p.Prop.run <-
-    (fun () ->
-      let saved = ref false in
-      let save () =
-        if not !saved then begin
-          saved := true;
-          Store.save_cell store sums 0;
-          Store.save_cell store sums 1;
-          Store.save_cell store nopen 0
-        end
-      in
-      (* move item [i] out of the open prefix; its contribution is now
-         fixed: [home_kept] says which *)
-      let close i ~home_kept =
-        save ();
+  (* per-run scratch: true once this run trailed the sums and the
+     prefix length; reset on entry to [run] *)
+  let saved = ref false in
+  let save () =
+    if not !saved then begin
+      saved := true;
+      Store.save_cell store sums 0;
+      Store.save_cell store sums 1;
+      Store.save_cell store nopen 0
+    end
+  in
+  (* move item [i] out of the open prefix; its contribution is now
+     fixed: [home_kept] says which *)
+  let close i ~home_kept =
+    save ();
+    let g = gap i in
+    if home_kept then sums.(1) <- sums.(1) - g
+    else sums.(0) <- sums.(0) + g;
+    let last = nopen.(0) - 1 in
+    let k = pos.(i) in
+    let j = perm.(last) in
+    perm.(k) <- j;
+    pos.(j) <- k;
+    perm.(last) <- i;
+    pos.(i) <- last;
+    nopen.(0) <- last
+  in
+  let check ~lo ~hi =
+    let smin = sums.(0) and smax = sums.(1) in
+    if smin > hi then
+      Store.fail (fun () ->
+          Fmt.str "movecost: minimal cost %d exceeds %s <= %d" smin
+            (Var.name obj) hi);
+    if smax < lo then
+      Store.fail (fun () ->
+          Fmt.str "movecost: maximal cost %d below %s >= %d" smax
+            (Var.name obj) lo)
+  in
+  let run () =
+    saved := false;
+    let k = ref 0 in
+    while !k < nopen.(0) do
+      let i = perm.(!k) in
+      let it = items.(i) in
+      if not (Var.mem it.home it.var) then close i ~home_kept:false
+      else if Var.size it.var = 1 then close i ~home_kept:true
+      else incr k
+      (* a closed item is swapped with the prefix's last one: k then
+         holds an unscanned item *)
+    done;
+    let lo = Var.lo obj and hi = Var.hi obj in
+    check ~lo ~hi;
+    let r = ref 0 in
+    let fits = ref false in
+    while (not !fits) && !r < n do
+      let i = by_gap.(!r) in
+      incr r;
+      if pos.(i) < nopen.(0) then begin
         let g = gap i in
-        if home_kept then sums.(1) <- sums.(1) - g
-        else sums.(0) <- sums.(0) + g;
-        let last = nopen.(0) - 1 in
-        let k = pos.(i) in
-        let j = perm.(last) in
-        perm.(k) <- j;
-        pos.(j) <- k;
-        perm.(last) <- i;
-        pos.(i) <- last;
-        nopen.(0) <- last
-      in
-      let k = ref 0 in
-      while !k < nopen.(0) do
-        let i = perm.(!k) in
-        let it = items.(i) in
-        if not (Var.mem it.home it.var) then close i ~home_kept:false
-        else if Var.size it.var = 1 then close i ~home_kept:true
-        else incr k
-        (* a closed item is swapped with the prefix's last one: k then
-           holds an unscanned item *)
-      done;
-      let lo = Var.lo obj and hi = Var.hi obj in
-      let check () =
-        if sums.(0) > hi then
-          Store.fail "movecost: minimal cost %d exceeds %s <= %d" sums.(0)
-            (Var.name obj) hi;
-        if sums.(1) < lo then
-          Store.fail "movecost: maximal cost %d below %s >= %d" sums.(1)
-            (Var.name obj) lo
-      in
-      check ();
-      let r = ref 0 in
-      let fits = ref false in
-      while (not !fits) && !r < n do
-        let i = by_gap.(!r) in
-        incr r;
-        if pos.(i) < nopen.(0) then begin
-          let g = gap i in
-          if g > hi - sums.(0) then begin
-            Store.instantiate store items.(i).var items.(i).home;
-            close i ~home_kept:true
-          end
-          else if g > sums.(1) - lo then begin
-            Store.remove store items.(i).var items.(i).home;
-            close i ~home_kept:false
-          end
-          else fits := true
+        if g > hi - sums.(0) then begin
+          Store.instantiate store items.(i).var items.(i).home;
+          close i ~home_kept:true
         end
-      done;
-      check ();
-      Store.remove_below store obj sums.(0);
-      Store.remove_above store obj sums.(1));
+        else if g > sums.(1) - lo then begin
+          Store.remove store items.(i).var items.(i).home;
+          close i ~home_kept:false
+        end
+        else fits := true
+      end
+    done;
+    check ~lo ~hi;
+    Store.remove_below store obj sums.(0);
+    Store.remove_above store obj sums.(1)
+  in
+  let p = Prop.make ~name:"movecost" run in
   Store.post_on store p
     ~on:
       [

@@ -24,7 +24,15 @@
    run primes the invariant by checking every bin once; afterwards
    "slack(b) < size(i) implies b pruned from i" holds at every fixpoint
    by induction, because undo restores domains and propagator state to a
-   point where it held. *)
+   point where it held.
+
+   A wake-up builds no closure (beyond a failure's message thunk). The
+   helpers below are built once, at post time, and share the per-run
+   scratch: the touched-bin list ([touched], [ntouched], [is_touched])
+   and the [saved_globals] flag. [run] resets [ntouched] and
+   [saved_globals] on entry; [clear_touched] lowers [is_touched] on the
+   way out, from a plain handler when the run raises, so the next run
+   starts with every mark down. *)
 
 type item = { var : Var.t; size : int }
 
@@ -40,102 +48,115 @@ let post store ?(name = "pack") ~items ~capacities () =
   Array.iter (fun it -> state.(1) <- state.(1) + it.size) items;
   let unassigned = Array.init n Fun.id in
   let nun = Array.make 1 n in
-  (* scratch, reset at the end of every run (not trailed) *)
+  (* per-run scratch (not trailed): reset on entry to [run], except
+     [is_touched], which [clear_touched] lowers on the way out *)
   let touched = Array.make (max nbins 1) 0 in
+  let ntouched = ref 0 in
   let is_touched = Array.make nbins false in
+  let saved_globals = ref false in
   (* largest item size: a bin with at least this much slack can never
      prune anything, so its scan is skipped outright *)
   let max_size = Array.fold_left (fun acc it -> max acc it.size) 0 items in
   let primed = ref false in
-  let p = Prop.make ~name ~priority:Prop.Expensive (fun () -> ()) in
-  p.Prop.run <-
-    (fun () ->
-      let ntouched = ref 0 in
-      (* [touch] doubles as the trail point for committed.(b): it runs
-         exactly once per bin per wake-up, before the first mutation *)
-      let touch b =
-        if not is_touched.(b) then begin
-          is_touched.(b) <- true;
-          touched.(!ntouched) <- b;
-          incr ntouched;
-          Store.save_cell store committed b
-        end
-      in
-      let saved_globals = ref false in
-      let save_globals () =
-        if not !saved_globals then begin
-          saved_globals := true;
-          Store.save_cell store state 0;
-          Store.save_cell store state 1;
-          Store.save_cell store nun 0
-          (* the swapped [unassigned] cells are NOT trailed: the array
-             stays a permutation of all item indices with the committed
-             items parked at positions >= nun.(0) in commit order, so
-             restoring nun.(0) alone restores the unassigned prefix as a
-             set — and only the set matters *)
-        end
-      in
-      let commit_new_items () =
-        (* scan only the unassigned prefix for newly bound items *)
-        let k = ref 0 in
-        while !k < nun.(0) do
-          let i = unassigned.(!k) in
-          let it = items.(i) in
-          if Var.is_bound it.var then begin
-            let b = Var.value_exn it.var in
-            save_globals ();
-            state.(1) <- state.(1) - it.size;
-            if b >= 0 && b < nbins then begin
-              let old_slack = capacities.(b) - committed.(b) in
-              let new_slack = old_slack - it.size in
-              if new_slack < 0 then
-                Store.fail "%s: bin %d overloaded (%d > %d)" name b
-                  (committed.(b) + it.size) capacities.(b);
-              touch b;
-              committed.(b) <- committed.(b) + it.size;
-              state.(0) <- state.(0) - (max old_slack 0 - max new_slack 0)
-            end;
-            (* swap-remove from the unassigned prefix *)
-            let last = nun.(0) - 1 in
-            unassigned.(!k) <- unassigned.(last);
-            unassigned.(last) <- i;
-            nun.(0) <- last
-            (* do not advance k: it now holds the swapped-in item *)
-          end
-          else incr k
-        done
-      in
-      let prune_bin b =
-        let slack = capacities.(b) - committed.(b) in
-        if slack < max_size then
-          for k = 0 to nun.(0) - 1 do
-            let it = items.(unassigned.(k)) in
-            if it.size > slack then Store.remove store it.var b
-            (* a removal may instantiate the item; it is committed on the
-               next wake-up, and the prefix only changes there too *)
-          done
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          for j = 0 to !ntouched - 1 do
-            is_touched.(touched.(j)) <- false
-          done)
-        (fun () ->
-          commit_new_items ();
-          if state.(1) > state.(0) then
-            Store.fail "%s: %d units of unassigned demand, %d residual" name
-              state.(1) state.(0);
-          if not !primed then begin
-            primed := true;
-            for b = 0 to nbins - 1 do
-              prune_bin b
-            done
-          end
-          else
-            for j = 0 to !ntouched - 1 do
-              prune_bin touched.(j)
-            done))
-  ;
+  (* [touch] doubles as the trail point for committed.(b): it runs
+     exactly once per bin per wake-up, before the first mutation *)
+  let touch b =
+    if not is_touched.(b) then begin
+      is_touched.(b) <- true;
+      touched.(!ntouched) <- b;
+      incr ntouched;
+      Store.save_cell store committed b
+    end
+  in
+  let save_globals () =
+    if not !saved_globals then begin
+      saved_globals := true;
+      Store.save_cell store state 0;
+      Store.save_cell store state 1;
+      Store.save_cell store nun 0
+      (* the swapped [unassigned] cells are NOT trailed: the array
+         stays a permutation of all item indices with the committed
+         items parked at positions >= nun.(0) in commit order, so
+         restoring nun.(0) alone restores the unassigned prefix as a
+         set — and only the set matters *)
+    end
+  in
+  let commit_new_items () =
+    (* scan only the unassigned prefix for newly bound items *)
+    let k = ref 0 in
+    while !k < nun.(0) do
+      let i = unassigned.(!k) in
+      let it = items.(i) in
+      if Var.is_bound it.var then begin
+        let b = Var.value_exn it.var in
+        save_globals ();
+        state.(1) <- state.(1) - it.size;
+        if b >= 0 && b < nbins then begin
+          let old_slack = capacities.(b) - committed.(b) in
+          let new_slack = old_slack - it.size in
+          if new_slack < 0 then begin
+            let load = committed.(b) + it.size and cap = capacities.(b) in
+            Store.fail (fun () ->
+                Fmt.str "%s: bin %d overloaded (%d > %d)" name b load cap)
+          end;
+          touch b;
+          committed.(b) <- committed.(b) + it.size;
+          state.(0) <- state.(0) - (max old_slack 0 - max new_slack 0)
+        end;
+        (* swap-remove from the unassigned prefix *)
+        let last = nun.(0) - 1 in
+        unassigned.(!k) <- unassigned.(last);
+        unassigned.(last) <- i;
+        nun.(0) <- last
+        (* do not advance k: it now holds the swapped-in item *)
+      end
+      else incr k
+    done
+  in
+  let prune_bin b =
+    let slack = capacities.(b) - committed.(b) in
+    if slack < max_size then
+      for k = 0 to nun.(0) - 1 do
+        let it = items.(unassigned.(k)) in
+        if it.size > slack then Store.remove store it.var b
+        (* a removal may instantiate the item; it is committed on the
+           next wake-up, and the prefix only changes there too *)
+      done
+  in
+  let clear_touched () =
+    for j = 0 to !ntouched - 1 do
+      is_touched.(touched.(j)) <- false
+    done
+  in
+  let run () =
+    ntouched := 0;
+    saved_globals := false;
+    commit_new_items ();
+    if state.(1) > state.(0) then begin
+      let demand = state.(1) and residual = state.(0) in
+      Store.fail (fun () ->
+          Fmt.str "%s: %d units of unassigned demand, %d residual" name
+            demand residual)
+    end;
+    if not !primed then begin
+      primed := true;
+      for b = 0 to nbins - 1 do
+        prune_bin b
+      done
+    end
+    else
+      for j = 0 to !ntouched - 1 do
+        prune_bin touched.(j)
+      done
+  in
+  let p =
+    Prop.make ~name ~priority:Prop.Expensive (fun () ->
+        match run () with
+        | () -> clear_touched ()
+        | exception e ->
+          clear_touched ();
+          raise e)
+  in
   Store.post_on store p
     ~on:
       [ ( Prop.On_instantiate,

@@ -18,9 +18,17 @@
 module Obs = Entropy_obs.Obs
 module Trace = Entropy_obs.Trace
 
-exception Inconsistent of string
+(* A failure carries its message unformatted: the search catches and
+   drops almost every [Inconsistent], so the text is built only when a
+   reader asks for it. The thunk closes over values read at the moment
+   of failure, never over live state, so [message] still reports them
+   after the store has been undone. *)
+type failure = unit -> string
 
-let fail fmt = Fmt.kstr (fun s -> raise (Inconsistent s)) fmt
+exception Inconsistent of failure
+
+let fail (message : failure) = raise (Inconsistent message)
+let message (f : failure) = f ()
 
 (* Per-propagator observability counters, populated only while
    [Obs.enabled]: wake events (a watched variable fired a subscribed
@@ -92,10 +100,11 @@ let prop_stats t =
   |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
 
 let new_var ?(name = "") t ~lo ~hi =
-  if lo > hi then
-    fail "new_var %s: empty initial domain [%d,%d]"
-      (if name = "" then "v" ^ string_of_int t.nvars else name)
-      lo hi;
+  if lo > hi then begin
+    let shown = if name = "" then "v" ^ string_of_int t.nvars else name in
+    fail (fun () ->
+        Fmt.str "new_var %s: empty initial domain [%d,%d]" shown lo hi)
+  end;
   let v =
     { Var.id = t.nvars; name; dom = Dom.interval lo hi; watchers = [] }
   in
@@ -105,7 +114,7 @@ let new_var ?(name = "") t ~lo ~hi =
 
 let new_var_of_values ?name t values =
   let d = Dom.of_list values in
-  if Dom.is_empty d then fail "new_var_of_values: empty domain";
+  if Dom.is_empty d then fail (fun () -> "new_var_of_values: empty domain");
   let v = new_var ?name t ~lo:(Dom.lo d) ~hi:(Dom.hi d) in
   v.Var.dom <- d;
   v
@@ -150,15 +159,18 @@ let schedule t (p : Prop.t) =
       | Prop.Expensive -> t.queue_expensive)
   end
 
-let schedule_watchers t (v : Var.t) ~fired =
-  List.iter
-    (fun (mask, p) -> if mask land fired <> 0 then schedule t p)
-    v.watchers
+(* A top-level recursion rather than [List.iter] with a closure over
+   [t] and [fired]: it runs on every effective domain update. *)
+let rec schedule_watchers t fired = function
+  | [] -> ()
+  | (mask, p) :: rest ->
+    if mask land fired <> 0 then schedule t p;
+    schedule_watchers t fired rest
 
 let set_dom t (v : Var.t) d =
   if Dom.is_empty d then begin
     (* wake nobody; the search will undo *)
-    fail "%s: domain wiped out" (Var.name v)
+    fail (fun () -> Fmt.str "%s: domain wiped out" (Var.name v))
   end;
   let old = v.Var.dom in
   if Dom.size d < Dom.size old then begin
@@ -172,7 +184,7 @@ let set_dom t (v : Var.t) d =
            else 0)
       lor (if Dom.is_bound d then Prop.fired_instantiate else 0)
     in
-    schedule_watchers t v ~fired
+    schedule_watchers t fired v.Var.watchers
   end
 
 let remove t v x = set_dom t v (Dom.remove x (Var.dom v))
@@ -180,9 +192,12 @@ let remove_below t v x = set_dom t v (Dom.remove_below x (Var.dom v))
 let remove_above t v x = set_dom t v (Dom.remove_above x (Var.dom v))
 
 let instantiate t v x =
-  if not (Var.mem x v) then
-    fail "%s: cannot instantiate to %d (not in %a)" (Var.name v) x Dom.pp
-      (Var.dom v);
+  if not (Var.mem x v) then begin
+    let d = Var.dom v in
+    fail (fun () ->
+        Fmt.str "%s: cannot instantiate to %d (not in %a)" (Var.name v) x
+          Dom.pp d)
+  end;
   set_dom t v (Dom.keep_only x (Var.dom v))
 
 (* -- propagation --------------------------------------------------------- *)
@@ -210,19 +225,20 @@ let run_one t (p : Prop.t) =
   end
   else p.Prop.run ()
 
+(* Top-level, like [schedule_watchers]: a local loop would allocate a
+   closure over [t] on every call. *)
+let rec drain t =
+  if not (Queue.is_empty t.queue_cheap) then begin
+    run_one t (Queue.pop t.queue_cheap);
+    drain t
+  end
+  else if not (Queue.is_empty t.queue_expensive) then begin
+    run_one t (Queue.pop t.queue_expensive);
+    drain t
+  end
+
 let propagate_plain t =
-  try
-    let rec loop () =
-      if not (Queue.is_empty t.queue_cheap) then begin
-        run_one t (Queue.pop t.queue_cheap);
-        loop ()
-      end
-      else if not (Queue.is_empty t.queue_expensive) then begin
-        run_one t (Queue.pop t.queue_expensive);
-        loop ()
-      end
-    in
-    loop ()
+  try drain t
   with Inconsistent _ as e ->
     clear_queue t;
     raise e

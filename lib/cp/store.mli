@@ -5,13 +5,28 @@
     to reach a fixpoint; the {!Search} module drives the
     mark/instantiate/undo cycle. *)
 
-exception Inconsistent of string
+type failure
+(** The unformatted message of a failure. *)
+
+exception Inconsistent of failure
 (** Raised when a propagator or update proves the current state has no
     solution. The store's propagation queues are cleared before the
-    exception escapes {!propagate}. *)
+    exception escapes {!propagate}. The payload is not a string: the
+    search catches and drops almost every failure, so its text is built
+    only when {!message} reads it. *)
 
-val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** [fail fmt ...] raises {!Inconsistent} with a formatted message. *)
+val message : failure -> string
+(** [message f] renders a failure's text. It reports the values at the
+    moment of failure, also when read after {!undo_to} has restored an
+    earlier state. *)
+
+val fail : (unit -> string) -> 'a
+(** [fail (fun () -> text)] raises {!Inconsistent}; the thunk runs only
+    when {!message} reads the failure, so a search step that fails
+    formats nothing. The thunk must close over values read before the
+    call (a load, a bound, a domain), never over mutable state it reads
+    later: [committed.(b)] read inside the thunk would show the undone
+    value. *)
 
 type t
 type mark

@@ -528,9 +528,12 @@ let test_linter_inconsistent_and_unbounded () =
   let x = Store.new_var ~name:"x" store ~lo:0 ~hi:5 in
   Linear.sum_le store [ (1, x) ] (-1);
   let findings = Linter.lint store in
-  check_bool "root inconsistency flagged" true
-    (List.exists
-       (function Linter.Inconsistent_model _ -> true | _ -> false)
+  Alcotest.(check (list string))
+    "root inconsistency flagged, with the failure's text"
+    [ "linear_le: minimal sum 0 exceeds bound -1" ]
+    (List.filter_map
+       (function
+         | Linter.Inconsistent_model { message } -> Some message | _ -> None)
        findings);
   let store = Store.create () in
   let x = Store.new_var ~name:"x" store ~lo:0 ~hi:5 in

@@ -173,13 +173,121 @@ let test_store_trail () =
 
 let test_store_wipeout () =
   let s = Store.create () in
-  let x = Store.new_var s ~lo:0 ~hi:3 in
-  Alcotest.check_raises "wipeout raises"
-    (Store.Inconsistent "x: domain wiped out") (fun () ->
-      let x = { x with Var.name = "x" } in
-      ignore x;
-      Store.remove_below s x 10)
-  |> ignore
+  let x = Store.new_var ~name:"x" s ~lo:0 ~hi:3 in
+  match Store.remove_below s x 10 with
+  | () -> Alcotest.fail "wipeout must raise"
+  | exception Store.Inconsistent failure ->
+    Alcotest.(check string)
+      "wipeout message" "x: domain wiped out" (Store.message failure)
+
+(* Every failure site of the kernel with the text its eagerly formatted
+   message had. The test reads each message after [Store.undo_to] a mark
+   taken before the failing call, so a message that read live state
+   instead of the values at the failure would show the undone state. *)
+let failure_sites () =
+  let named s ~lo ~hi name = Store.new_var ~name s ~lo ~hi in
+  [
+    ( "new_var",
+      "new_var v0: empty initial domain [3,1]",
+      fun s -> ignore (Store.new_var s ~lo:3 ~hi:1) );
+    ( "new_var_of_values",
+      "new_var_of_values: empty domain",
+      fun s -> ignore (Store.new_var_of_values s []) );
+    ( "wipeout",
+      "x: domain wiped out",
+      fun s -> Store.remove_below s (named s ~lo:0 ~hi:3 "x") 10 );
+    ( "instantiate",
+      "y: cannot instantiate to 2 (not in {0, 1,\n3})",
+      (* the domain at the failure is {0, 1, 3}; undo restores [0..3] *)
+      fun s ->
+        let y = named s ~lo:0 ~hi:3 "y" in
+        Store.remove s y 2;
+        Store.instantiate s y 2 );
+    ( "pack overload",
+      "cpu: bin 0 overloaded (6 > 5)",
+      (* a is committed to bin 0 in the failing run; undo uncommits it *)
+      fun s ->
+        let a = named s ~lo:0 ~hi:1 "a" and b = named s ~lo:0 ~hi:1 "b" in
+        Pack.post s ~name:"cpu" ~items:[| Pack.item a 3; Pack.item b 3 |]
+          ~capacities:[| 5; 10 |] ();
+        Store.instantiate s a 0;
+        Store.instantiate s b 0;
+        Store.propagate s );
+    ( "pack demand",
+      "pack: 6 units of unassigned demand, 4 residual",
+      fun s ->
+        let vars = Array.init 2 (fun _ -> Store.new_var s ~lo:0 ~hi:1) in
+        Pack.post s ~items:(Array.map (fun v -> Pack.item v 3) vars)
+          ~capacities:[| 2; 2 |] ();
+        Store.propagate s );
+    ( "movecost min",
+      "movecost: minimal cost 5 exceeds obj <= 3",
+      (* x leaves home: the run raises the minimal cost from 1 to 5 and
+         trails the old sums, which undo restores *)
+      fun s ->
+        let x = named s ~lo:0 ~hi:1 "x" and obj = named s ~lo:0 ~hi:3 "obj" in
+        Movecost.post s
+          ~items:[| Movecost.item x ~home:0 ~stay:1 ~move:5 |]
+          ~obj;
+        Store.remove s x 0;
+        Store.propagate s );
+    ( "movecost max",
+      "movecost: maximal cost 5 below obj >= 20",
+      fun s ->
+        let x = named s ~lo:0 ~hi:1 "x" in
+        let obj = named s ~lo:20 ~hi:30 "obj" in
+        Movecost.post s
+          ~items:[| Movecost.item x ~home:0 ~stay:1 ~move:5 |]
+          ~obj;
+        Store.propagate s );
+    ( "count at_most",
+      "count_at_most: 2 variables already equal 1 (max 1)",
+      fun s ->
+        let vars = Array.init 3 (fun _ -> Store.new_var s ~lo:0 ~hi:2) in
+        Count.at_most s vars ~value:1 ~count:1;
+        Store.instantiate s vars.(0) 1;
+        Store.instantiate s vars.(2) 1;
+        Store.propagate s );
+    ( "count at_least",
+      "count_at_least: at most 0 variables can equal 7 (need 1)",
+      fun s ->
+        let vars = Array.init 2 (fun _ -> Store.new_var s ~lo:0 ~hi:2) in
+        Count.at_least s vars ~value:7 ~count:1;
+        Store.propagate s );
+    ( "alldiff",
+      "alldiff: 3 variables, 2 values",
+      fun s ->
+        Alldiff.post s (List.init 3 (fun _ -> Store.new_var s ~lo:0 ~hi:1));
+        Store.propagate s );
+    ( "linear",
+      "linear_le: minimal sum 6 exceeds bound 4",
+      fun s ->
+        let x = Store.new_var s ~lo:3 ~hi:5 in
+        let y = Store.new_var s ~lo:3 ~hi:5 in
+        Linear.sum_le s [ (1, x); (1, y) ] 4;
+        Store.propagate s );
+    ( "element",
+      "i: domain wiped out",
+      (* no index maps into y: the pruning wipes the index out. That is
+         how an element failure surfaces; its own "no feasible index"
+         check cannot fire, as the store never leaves a domain empty *)
+      fun s ->
+        let x = named s ~lo:0 ~hi:2 "i" and y = named s ~lo:7 ~hi:9 "e" in
+        Element.post s x [| 1; 2; 3 |] y;
+        Store.propagate s );
+  ]
+
+let test_failure_messages () =
+  List.iter
+    (fun (site, expected, f) ->
+      let s = Store.create () in
+      let m = Store.mark s in
+      match f s with
+      | () -> Alcotest.failf "%s: expected a failure" site
+      | exception Store.Inconsistent failure ->
+        Store.undo_to s m;
+        Alcotest.(check string) site expected (Store.message failure))
+    (failure_sites ())
 
 let test_store_instantiate () =
   let s = Store.create () in
@@ -963,6 +1071,7 @@ let () =
         [
           Alcotest.test_case "trail" `Quick test_store_trail;
           Alcotest.test_case "wipeout" `Quick test_store_wipeout;
+          Alcotest.test_case "failure messages" `Quick test_failure_messages;
           Alcotest.test_case "instantiate" `Quick test_store_instantiate;
           Alcotest.test_case "nested marks" `Quick test_store_nested_marks;
         ] );

@@ -1648,6 +1648,79 @@ let test_runner_ngb_base45_terminates () =
     true
     (r.Vsim.Runner.iterations < 100)
 
+(* -- CP search canaries ---------------------------------------------------- *)
+
+(* The optimiser's model on a fixed instance: the second decision of the
+   paper's section 5.2 run (8 NGB vjobs of 9 VMs on 11 nodes, trace base
+   0) under the benchmark's 5000-node budget. The first decision has all
+   VMs waiting and is solved in some 200 nodes; the second one is the
+   first to spend the whole budget. *)
+exception Canary_instance of (unit -> Optimizer.result)
+
+let ngb_canary_instance () =
+  let traces =
+    List.init 8 (fun i ->
+        Trace.make ~seed:i ~vm_count:9
+          (List.nth Nasgrid.families (i mod 4))
+          Nasgrid.W)
+  in
+  let calls = ref 0 in
+  let decision =
+    Decision.consolidation_with ~name:"canary"
+      (fun ~current ~demand ~vjobs ~placed ~target_base ->
+        let optimize () =
+          Optimizer.optimize ~timeout:60. ~node_limit:5000 ~vjobs ~current
+            ~demand ~placed ~target_base ~fallback:target_base ()
+        in
+        incr calls;
+        if !calls = 2 then raise (Canary_instance optimize) else optimize ())
+  in
+  match
+    Vsim.Runner.run_entropy ~decision ~nodes:(testbed_nodes 11) ~traces ()
+  with
+  | _ -> Alcotest.fail "the run ended before its second decision"
+  | exception Canary_instance optimize -> optimize
+
+let search_stats (r : Optimizer.result) =
+  match r.Optimizer.stats with
+  | Some s -> s
+  | None -> Alcotest.fail "the optimiser ran no search"
+
+(* Pins the search trajectory: a kernel change that prunes differently
+   (or not at all) moves the node and fail counts or the plan cost. *)
+let test_optimizer_trajectory_canary () =
+  let r = (ngb_canary_instance ()) () in
+  let s = search_stats r in
+  check_int "nodes" 5000 s.Fdcp.Search.nodes;
+  check_int "fails" 14773 s.Fdcp.Search.fails;
+  check_int "cost" 79360 r.Optimizer.cost
+
+(* Minor-heap words per search step (node or fail) over the whole
+   optimisation, model building and plan derivation included; the count
+   is exact, so the bound needs no room for noise. The kernel formats no
+   failure message and its propagators allocate no closure per run: the
+   figure is 107 words, and it was 588 when every failure formatted its
+   message and Pack and Movecost built their helpers on every run.
+   Bringing back the formatting (392 words), Pack's per-run closures
+   (236) or Movecost's (155) crosses the bound. *)
+let words_per_step_bound = 140.
+
+let test_optimizer_allocation_canary () =
+  let optimize = ngb_canary_instance () in
+  (* a first run keeps one-time set-up out of the count *)
+  ignore (optimize ());
+  let w0 = Gc.minor_words () in
+  let r = optimize () in
+  let words = Gc.minor_words () -. w0 in
+  let s = search_stats r in
+  let steps = s.Fdcp.Search.nodes + s.Fdcp.Search.fails in
+  let per_step = words /. float_of_int steps in
+  check_bool
+    (Printf.sprintf "%.1f minor words per search step, bound %.0f" per_step
+       words_per_step_bound)
+    true
+    (per_step < words_per_step_bound)
+
 let () =
   Alcotest.run "vsim"
     [
@@ -1741,6 +1814,10 @@ let () =
             test_runner_recovers_from_failures;
           Alcotest.test_case "failure keeps state" `Quick
             test_executor_failure_keeps_state;
+          Alcotest.test_case "optimizer trajectory canary" `Quick
+            test_optimizer_trajectory_canary;
+          Alcotest.test_case "optimizer allocation canary" `Quick
+            test_optimizer_allocation_canary;
         ] );
       ( "fault",
         [
