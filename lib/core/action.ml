@@ -81,10 +81,10 @@ exception Invalid of string
 
 let invalid fmt = Fmt.kstr (fun s -> raise (Invalid s)) fmt
 
-(* Apply an action to a configuration, checking the source state. *)
-let apply config action =
+(* Apply one action to an edit, checking the source state. *)
+let apply_in e action =
   let check vm expected =
-    let got = Configuration.state config vm in
+    let got = Configuration.read e vm in
     if not (Configuration.equal_vm_state got expected) then
       invalid "action on VM %d: expected state %a, found %a" vm
         Configuration.pp_vm_state expected Configuration.pp_vm_state got
@@ -92,25 +92,30 @@ let apply config action =
   match action with
   | Run { vm; dst } ->
     check vm Configuration.Waiting;
-    Configuration.set_state config vm (Configuration.Running dst)
+    Configuration.write e vm (Configuration.Running dst)
   | Stop { vm; host } ->
     check vm (Configuration.Running host);
-    Configuration.set_state config vm Configuration.Terminated
+    Configuration.write e vm Configuration.Terminated
   | Migrate { vm; src; dst } ->
     check vm (Configuration.Running src);
-    Configuration.set_state config vm (Configuration.Running dst)
+    Configuration.write e vm (Configuration.Running dst)
   | Suspend { vm; host } ->
     check vm (Configuration.Running host);
-    Configuration.set_state config vm (Configuration.Sleeping host)
+    Configuration.write e vm (Configuration.Sleeping host)
   | Resume { vm; src; dst } ->
     check vm (Configuration.Sleeping src);
-    Configuration.set_state config vm (Configuration.Running dst)
+    Configuration.write e vm (Configuration.Running dst)
   | Suspend_ram { vm; host } ->
     check vm (Configuration.Running host);
-    Configuration.set_state config vm (Configuration.Sleeping_ram host)
+    Configuration.write e vm (Configuration.Sleeping_ram host)
   | Resume_ram { vm; host } ->
     check vm (Configuration.Sleeping_ram host);
-    Configuration.set_state config vm (Configuration.Running host)
+    Configuration.write e vm (Configuration.Running host)
+
+let apply_all config actions =
+  Configuration.edit config (fun e -> List.iter (apply_in e) actions)
+
+let apply config action = apply_all config [ action ]
 
 let equal (a : t) b = a = b
 

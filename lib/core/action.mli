@@ -37,7 +37,14 @@ exception Invalid of string
 
 val apply : Configuration.t -> t -> Configuration.t
 (** Execute the action. Raises {!Invalid} when the VM is not in the state
-    the action expects (e.g. resuming a VM that is not sleeping). *)
+    the action expects (e.g. resuming a VM that is not sleeping). One
+    O(vms) copy of the state vector, like {!Configuration.set_state}. *)
+
+val apply_all : Configuration.t -> t list -> Configuration.t
+(** [List.fold_left apply] for one state-vector copy: the actions apply
+    in order, each checked against the states the earlier ones left.
+    Raises the {!Invalid} of the first action {!apply} would reject,
+    with the same text. Used for a planner pool and every plan replay. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -83,11 +83,27 @@ let state t vm_id =
     invalid_arg "Configuration.state: unknown VM"
   else t.states.(vm_id)
 
-let set_state t vm_id s =
-  ignore (state t vm_id);
-  let states = Array.copy t.states in
-  states.(vm_id) <- s;
-  { t with states }
+(* Batched writes: the state vector is copied on the first write only,
+   so an edit that writes nothing returns [t] itself. [copy == base]
+   until then. *)
+type editor = { base : vm_state array; mutable copy : vm_state array }
+
+let read e vm_id =
+  if vm_id < 0 || vm_id >= Array.length e.copy then
+    invalid_arg "Configuration.state: unknown VM"
+  else e.copy.(vm_id)
+
+let write e vm_id s =
+  ignore (read e vm_id);
+  if e.copy == e.base then e.copy <- Array.copy e.base;
+  e.copy.(vm_id) <- s
+
+let edit t f =
+  let e = { base = t.states; copy = t.states } in
+  f e;
+  if e.copy == e.base then t else { t with states = e.copy }
+
+let set_state t vm_id s = edit t (fun e -> write e vm_id s)
 
 let host t vm_id =
   match state t vm_id with
@@ -186,6 +202,15 @@ let overloaded_nodes t demand =
     then acc := i :: !acc
   done;
   !acc
+
+type free = { cpu : int array; mem : int array }
+
+let free_view t demand =
+  let cpu_load, mem_load = loads t demand in
+  {
+    cpu = Array.mapi (fun i n -> Node.cpu_capacity n - cpu_load.(i)) t.nodes;
+    mem = Array.mapi (fun i n -> Node.memory_mb n - mem_load.(i)) t.nodes;
+  }
 
 (* Room for one more VM with the given demands on the given node. *)
 let fits t demand ~cpu ~mem node_id =

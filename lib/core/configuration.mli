@@ -40,7 +40,25 @@ val vm : t -> Vm.id -> Vm.t
 
 val state : t -> Vm.id -> vm_state
 val set_state : t -> Vm.id -> vm_state -> t
-(** Functional update (copy-on-write). *)
+(** Functional update (copy-on-write): copies the whole state vector,
+    O(vms) time and words, for a single write. A loop writing several
+    VMs uses {!edit}. *)
+
+type editor
+(** Write access to one copy of a configuration's state vector, valid
+    only inside the {!edit} callback that received it. *)
+
+val edit : t -> (editor -> unit) -> t
+(** [edit t f] lets [f] make any number of writes for one O(vms) copy,
+    taken at the first write (an edit that writes nothing returns [t]
+    itself). [t] is unchanged; the result holds the writes. *)
+
+val read : editor -> Vm.id -> vm_state
+(** Current state, the edit's earlier writes included. Raises
+    [Invalid_argument] for an unknown VM, like {!state}. *)
+
+val write : editor -> Vm.id -> vm_state -> unit
+(** Raises [Invalid_argument] for an unknown VM, like {!set_state}. *)
 
 val host : t -> Vm.id -> Node.id option
 (** Hosting node of a running VM. *)
@@ -59,6 +77,16 @@ val free_mem : t -> Node.id -> int
 
 val loads : t -> Demand.t -> int array * int array
 (** [(cpu, mem)] load of every node, in one O(vms + nodes) pass. *)
+
+type free = { cpu : int array; mem : int array }
+(** Free resources per node, indexed by [Node.id]. *)
+
+val free_view : t -> Demand.t -> free
+(** Capacity minus {!loads} for every node, in one O(vms + nodes) pass:
+    the free-resources view that placement and pool building take once
+    and then update in O(1) per claim, instead of calling {!free_cpu} /
+    {!free_mem} / {!fits} (each O(vms)) per claim. The arrays are
+    fresh; callers mutate them. *)
 
 val is_viable : t -> Demand.t -> bool
 val overloaded_nodes : t -> Demand.t -> Node.id list

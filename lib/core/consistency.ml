@@ -37,6 +37,30 @@ let move_actions pools pred ~to_pool =
 
 (* -- cycle-break re-validation (ROADMAP open item 4) ---------------------- *)
 
+(* Whether [pools] hold a suspend followed, in a later pool, by a
+   cross-node resume of the same VM from the suspend's host: the only
+   pair [revalidate_cycle_breaks] can rewrite. *)
+let has_detour pools =
+  (* (vm, src) of the cross-node resumes in the pools after this one *)
+  let later = Hashtbl.create 16 in
+  List.exists
+    (fun pool ->
+      List.exists
+        (function
+          | Action.Suspend { vm; host } -> Hashtbl.mem later (vm, host)
+          | _ -> false)
+        pool
+      || begin
+           List.iter
+             (function
+               | Action.Resume { vm; src; dst } when dst <> src ->
+                 Hashtbl.replace later (vm, src) ()
+               | _ -> ())
+             pool;
+           false
+         end)
+    (List.rev pools)
+
 (* A disk-route cycle break materialises as a Suspend at pool [i] paired
    with a Resume of the same VM at a later pool [j]: the suspend stood in
    for a migration that was infeasible when the planner reached it. The
@@ -48,12 +72,12 @@ let move_actions pools pred ~to_pool =
    when the whole plan still validates (sibling claims in pool [i] or in
    the pools between [i] and [j] could otherwise overflow). *)
 let revalidate_cycle_breaks ~config ~demand plan =
-  let final_config plan =
-    List.fold_left
-      (fun c pool -> List.fold_left Action.apply c pool)
-      config (Plan.pools plan)
+  let target =
+    if not (has_detour (Plan.pools plan)) then None
+    else
+      try Some (Action.apply_all config (List.concat (Plan.pools plan)))
+      with Action.Invalid _ -> None
   in
-  let target = try Some (final_config plan) with Action.Invalid _ -> None in
   match target with
   | None -> plan
   | Some target ->
@@ -68,7 +92,7 @@ let revalidate_cycle_breaks ~config ~demand plan =
         Array.iteri
           (fun i pool ->
             starts.(i) <- !c;
-            c := List.fold_left Action.apply !c pool)
+            c := Action.apply_all !c pool)
           pools;
         (* first detour whose direct migration fits at its pool start *)
         let detour = ref None in

@@ -24,19 +24,19 @@ let is_finished obs vjob = List.mem (Vjob.id vjob) obs.finished
 
 (* Mark the running VMs of the finished vjobs as terminated. *)
 let apply_stops config queue finished =
-  List.fold_left
-    (fun cfg vjob ->
-      if List.mem (Vjob.id vjob) finished then
-        List.fold_left
-          (fun cfg vm_id ->
-            match Configuration.state cfg vm_id with
-            | Configuration.Running _ | Configuration.Sleeping _
-            | Configuration.Sleeping_ram _ | Configuration.Waiting ->
-              Configuration.set_state cfg vm_id Configuration.Terminated
-            | Configuration.Terminated -> cfg)
-          cfg (Vjob.vms vjob)
-      else cfg)
-    config queue
+  Configuration.edit config (fun e ->
+      List.iter
+        (fun vjob ->
+          if List.mem (Vjob.id vjob) finished then
+            List.iter
+              (fun vm_id ->
+                match Configuration.read e vm_id with
+                | Configuration.Running _ | Configuration.Sleeping _
+                | Configuration.Sleeping_ram _ | Configuration.Waiting ->
+                  Configuration.write e vm_id Configuration.Terminated
+                | Configuration.Terminated -> ())
+              (Vjob.vms vjob))
+        queue)
 
 (* Suspend-to-RAM preference (paper section 7): a vjob that must leave
    the cluster keeps its images in its hosts' RAM when the target

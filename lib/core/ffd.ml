@@ -20,22 +20,7 @@ let sort_decreasing config demand vm_ids =
       match Int.compare mb ma with 0 -> Int.compare cb ca | c -> c)
     vm_ids
 
-(* Mutable free-resource view of a configuration. *)
-type free = { cpu : int array; mem : int array }
-
-let free_view config demand =
-  let cpu_load, mem_load = Configuration.loads config demand in
-  let n = Configuration.node_count config in
-  {
-    cpu =
-      Array.init n (fun i ->
-          Node.cpu_capacity (Configuration.node config i) - cpu_load.(i));
-    mem =
-      Array.init n (fun i ->
-          Node.memory_mb (Configuration.node config i) - mem_load.(i));
-  }
-
-let pick_node heuristic free ~ok ~cpu ~mem =
+let pick_node heuristic (free : Configuration.free) ~ok ~cpu ~mem =
   let n = Array.length free.cpu in
   let fits i = ok i && free.cpu.(i) >= cpu && free.mem.(i) >= mem in
   match heuristic with
@@ -111,15 +96,24 @@ let record_placement rule_states vm node =
           rs.hosts <- node :: rs.hosts)
     rule_states
 
-(* Assign [vm_ids] as Running on [config]; None when some VM cannot be
-   placed. The input configuration's running VMs keep their hosts. *)
-let place ?(heuristic = First_fit) ?(rules = []) config demand vm_ids =
-  let free = free_view config demand in
+(* Assign [vm_ids] as Running on [config], claiming their resources in
+   [free] (the free view of [config], updated in place); None when some
+   VM cannot be placed, with [free] then partly claimed. The input
+   configuration's running VMs keep their hosts. The placements are
+   written in one edit. *)
+let place_in ?(heuristic = First_fit) ?(rules = []) (free : Configuration.free)
+    config demand vm_ids =
   let n = Array.length free.cpu in
   let rule_states = init_rules config rules in
   let ordered = sort_decreasing config demand vm_ids in
-  let rec go config = function
-    | [] -> Some config
+  let rec go placed = function
+    | [] ->
+      Some
+        (Configuration.edit config (fun e ->
+             List.iter
+               (fun (vm_id, node) ->
+                 Configuration.write e vm_id (Configuration.Running node))
+               placed))
     | vm_id :: rest -> (
       let cpu = Demand.cpu demand vm_id in
       (* a RAM-suspended VM is pinned to the node holding its image, and
@@ -144,11 +138,13 @@ let place ?(heuristic = First_fit) ?(rules = []) config demand vm_ids =
         free.cpu.(node) <- free.cpu.(node) - cpu;
         free.mem.(node) <- free.mem.(node) - mem;
         record_placement rule_states vm_id node;
-        go
-          (Configuration.set_state config vm_id (Configuration.Running node))
-          rest)
+        go ((vm_id, node) :: placed) rest)
   in
-  go config ordered
+  go [] ordered
+
+let place ?heuristic ?rules config demand vm_ids =
+  place_in ?heuristic ?rules (Configuration.free_view config demand) config
+    demand vm_ids
 
 (* Convenience: can the VMs fit at all (placement discarded)? *)
 let fits ?heuristic ?rules config demand vm_ids =

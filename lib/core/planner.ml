@@ -31,27 +31,19 @@ let stuck fmt = Fmt.kstr (fun s -> raise (Stuck s)) fmt
    [config]: claims are accounted against the pool-start free resources,
    so resources freed by actions of this same pool are not reused. *)
 let select_pool config demand actions =
-  let n = Configuration.node_count config in
-  let claimed_cpu = Array.make n 0 and claimed_mem = Array.make n 0 in
-  let selected, postponed =
-    List.partition
-      (fun a ->
-        match Action.claim config demand a with
-        | None -> true (* suspend/stop: always feasible *)
-        | Some (dst, cpu, mem) ->
-          let ok =
-            Configuration.free_cpu config demand dst - claimed_cpu.(dst)
-              >= cpu
-            && Configuration.free_mem config dst - claimed_mem.(dst) >= mem
-          in
-          if ok then begin
-            claimed_cpu.(dst) <- claimed_cpu.(dst) + cpu;
-            claimed_mem.(dst) <- claimed_mem.(dst) + mem
-          end;
-          ok)
-      actions
-  in
-  (selected, postponed)
+  let free = Configuration.free_view config demand in
+  List.partition
+    (fun a ->
+      match Action.claim config demand a with
+      | None -> true (* suspend/stop: always feasible *)
+      | Some (dst, cpu, mem) ->
+        let ok = free.cpu.(dst) >= cpu && free.mem.(dst) >= mem in
+        if ok then begin
+          free.cpu.(dst) <- free.cpu.(dst) - cpu;
+          free.mem.(dst) <- free.mem.(dst) - mem
+        end;
+        ok)
+    actions
 
 (* -- cycle detection ------------------------------------------------------ *)
 
@@ -99,6 +91,7 @@ let bypass_migration config demand cycle =
   let cycle_nodes =
     List.concat_map (fun (_, src, dst) -> [ src; dst ]) cycle
   in
+  let free = Configuration.free_view config demand in
   let candidates =
     List.concat_map
       (fun (vm, src, _) ->
@@ -109,7 +102,7 @@ let bypass_migration config demand cycle =
             let id = Node.id node in
             if
               (not (List.mem id cycle_nodes))
-              && Configuration.fits config demand ~cpu ~mem id
+              && free.cpu.(id) >= cpu && free.mem.(id) >= mem
             then Some (Action.Migrate { vm; src; dst = id }, mem)
             else None)
           (Array.to_list (Configuration.nodes config)))
@@ -139,7 +132,7 @@ let build ~current ~target ~demand () =
           Metrics.incr (Lazy.force m_pools);
           Metrics.add (Lazy.force m_actions) (List.length selected)
         end;
-        let config' = List.fold_left Action.apply config selected in
+        let config' = Action.apply_all config selected in
         loop config' (selected :: pools) (iter + 1)
       end
       else

@@ -24,30 +24,27 @@ let target_of_current config vm_id =
    -> sleeping on its host), terminated VMs terminated. The FFD trials
    then re-admit vjobs one by one. *)
 let base_configuration config queue =
-  List.fold_left
-    (fun cfg vjob ->
-      List.fold_left
-        (fun cfg vm_id ->
-          Configuration.set_state cfg vm_id (target_of_current cfg vm_id))
-        cfg (Vjob.vms vjob))
-    config queue
+  Configuration.edit config (fun e ->
+      List.iter
+        (fun vjob ->
+          List.iter
+            (fun vm_id ->
+              Configuration.write e vm_id (target_of_current config vm_id))
+            (Vjob.vms vjob))
+        queue)
 
 (* A vjob whose VMs are RAM-suspended can only resume in place: its
    images cannot move. Re-admission checks the CPU room on each image's
-   host (the memory never left). *)
-let resume_ram_in_place cfg demand vjob =
-  let claims = Hashtbl.create 8 in
+   host in the free view (the memory never left), claiming it there. *)
+let resume_ram_in_place (free : Configuration.free) cfg demand vjob =
   let ok =
     List.for_all
       (fun vm_id ->
         match Configuration.state cfg vm_id with
         | Configuration.Sleeping_ram host ->
-          let already =
-            Option.value ~default:0 (Hashtbl.find_opt claims host)
-          in
           let cpu = Demand.cpu demand vm_id in
-          if Configuration.free_cpu cfg demand host - already >= cpu then begin
-            Hashtbl.replace claims host (already + cpu);
+          if free.cpu.(host) >= cpu then begin
+            free.cpu.(host) <- free.cpu.(host) - cpu;
             true
           end
           else false
@@ -58,13 +55,14 @@ let resume_ram_in_place cfg demand vjob =
   if not ok then None
   else
     Some
-      (List.fold_left
-         (fun cfg vm_id ->
-           match Configuration.state cfg vm_id with
-           | Configuration.Sleeping_ram host ->
-             Configuration.set_state cfg vm_id (Configuration.Running host)
-           | _ -> cfg)
-         cfg (Vjob.vms vjob))
+      (Configuration.edit cfg (fun e ->
+           List.iter
+             (fun vm_id ->
+               match Configuration.state cfg vm_id with
+               | Configuration.Sleeping_ram host ->
+                 Configuration.write e vm_id (Configuration.Running host)
+               | _ -> ())
+             (Vjob.vms vjob)))
 
 let all_ram_suspended cfg vjob =
   List.for_all
@@ -74,22 +72,28 @@ let all_ram_suspended cfg vjob =
       | _ -> false)
     (Vjob.vms vjob)
 
+(* One free view follows the scan: a trial claims on a copy of it (two
+   node-sized arrays), which replaces it when the vjob is selected. *)
 let solve ?(heuristic = Ffd.First_fit) ?(rules = []) ~config ~demand ~queue
     () =
   let queue = List.sort Vjob.compare_fcfs queue in
   let base = base_configuration config queue in
-  let running, ready, ffd_config =
+  let running, ready, ffd_config, _ =
     List.fold_left
-      (fun (running, ready, cfg) vjob ->
+      (fun (running, ready, cfg, (free : Configuration.free)) vjob ->
+        let trial =
+          { Configuration.cpu = Array.copy free.cpu; mem = Array.copy free.mem }
+        in
         let placement =
           if all_ram_suspended cfg vjob then
-            resume_ram_in_place cfg demand vjob
-          else Ffd.place ~heuristic ~rules cfg demand (Vjob.vms vjob)
+            resume_ram_in_place trial cfg demand vjob
+          else Ffd.place_in ~heuristic ~rules trial cfg demand (Vjob.vms vjob)
         in
         match placement with
-        | Some cfg' -> (vjob :: running, ready, cfg')
-        | None -> (running, vjob :: ready, cfg))
-      ([], [], base) queue
+        | Some cfg' -> (vjob :: running, ready, cfg', trial)
+        | None -> (running, vjob :: ready, cfg, free))
+      ([], [], base, Configuration.free_view base demand)
+      queue
   in
   { running = List.rev running; ready = List.rev ready; ffd_config }
 

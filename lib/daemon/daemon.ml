@@ -575,23 +575,14 @@ let run_core (c : config) (b : boot) =
         trigger_raise "vjob completion"
       end);
   (* periodic monitoring poll; an overload onset is the load-spike
-     trigger (a VM leaving its idle phase, a crash shrinking capacity).
-     Loads move only at a recompute, so the check reruns only then. *)
+     trigger (a VM leaving its idle phase, a crash shrinking capacity) *)
   let overloaded = ref false in
-  let checked_version = ref (-1) in
   let rec poll_loop () =
     if not !done_flag then begin
       Collector.poll collector;
-      if Cluster.version cluster <> !checked_version then begin
-        checked_version := Cluster.version cluster;
-        let over =
-          Configuration.overloaded_nodes (Cluster.config cluster)
-            (Cluster.demand cluster)
-          <> []
-        in
-        if over && not !overloaded then trigger_raise "load spike";
-        overloaded := over
-      end;
+      let over = Cluster.overloaded cluster in
+      if over && not !overloaded then trigger_raise "load spike";
+      overloaded := over;
       ignore (Engine.schedule_after engine ~delay:poll_period poll_loop)
     end
   in

@@ -51,7 +51,9 @@ type t = {
   programs : Vm.id -> Program.t;  (* original programs, for resubmission *)
   local_ops : int array;        (* per-node running local operations *)
   remote_ops : int array;
-  totals : int array;           (* recompute scratch: per-node demand *)
+  totals : int array;           (* per-node CPU demand of running VMs *)
+  mem_used : int array;         (* per-node memory, running + RAM-suspended *)
+  busy_count : int array;       (* per-node VMs that [is_busy] *)
   alive : bool array;           (* per-node; false after a crash *)
   completions : (Vjob.id, float) Hashtbl.t;
   mutable version : int;        (* recomputes so far *)
@@ -66,7 +68,6 @@ let now t = Engine.now t.engine
 let vjobs t = Array.to_list t.vjobs
 
 let on_change t f = t.on_change <- f
-let version t = t.version
 
 (* -- demand --------------------------------------------------------------- *)
 
@@ -102,17 +103,34 @@ let cpu_readings t =
   end;
   t.readings
 
-(* A node is busy when it hosts a launched running VM computing at full
-   speed (other than [except]). *)
+(* A launched VM computing at full speed, wherever it is. *)
+let is_busy rt =
+  rt.launched && (not rt.finished)
+  && match rt.phases with Program.Compute _ :: _ -> true | _ -> false
+
+(* A node is busy when it hosts a running busy VM (other than
+   [except]). Every state or phase change is followed by a recompute,
+   so its per-node counts are current. *)
 let busy ?except t node_id =
-  List.exists
-    (fun vm_id ->
-      (match except with Some e -> vm_id <> e | None -> true)
-      &&
-      let rt = t.rts.(vm_id) in
-      rt.launched && (not rt.finished)
-      && match rt.phases with Program.Compute _ :: _ -> true | _ -> false)
-    (Configuration.running_on t.config node_id)
+  let own =
+    match except with
+    | Some e -> (
+      match Configuration.state t.config e with
+      | Configuration.Running n when n = node_id && is_busy t.rts.(e) -> 1
+      | _ -> 0)
+    | None -> 0
+  in
+  t.busy_count.(node_id) - own > 0
+
+let overloaded t =
+  let nodes = Configuration.nodes t.config in
+  let rec from i =
+    i < Array.length nodes
+    && (t.totals.(i) > Node.cpu_capacity nodes.(i)
+       || t.mem_used.(i) > Node.memory_mb nodes.(i)
+       || from (i + 1))
+  in
+  from 0
 
 (* -- contention ------------------------------------------------------------ *)
 
@@ -215,13 +233,23 @@ and set_rate t vm_id rt rate =
 and recompute t =
   let nvm = Array.length t.rts in
   t.version <- t.version + 1;
-  (* per-node demand totals, into the preallocated scratch array *)
-  let totals = t.totals in
-  Array.fill totals 0 (Array.length totals) 0;
+  (* per-node totals, into the preallocated arrays *)
+  let totals = t.totals and mem_used = t.mem_used and busy_count = t.busy_count in
+  let nn = Array.length totals in
+  Array.fill totals 0 nn 0;
+  Array.fill mem_used 0 nn 0;
+  Array.fill busy_count 0 nn 0;
   for vm_id = 0 to nvm - 1 do
     match Configuration.state t.config vm_id with
-    | Configuration.Running node -> totals.(node) <- totals.(node) + vm_demand t vm_id
-    | _ -> ()
+    | Configuration.Running node ->
+      let rt = t.rts.(vm_id) in
+      totals.(node) <- totals.(node) + vm_demand_rt rt;
+      mem_used.(node) <- mem_used.(node) + Vm.memory_mb rt.vm;
+      if is_busy rt then busy_count.(node) <- busy_count.(node) + 1
+    | Configuration.Sleeping_ram node ->
+      mem_used.(node) <- mem_used.(node) + Vm.memory_mb t.rts.(vm_id).vm
+    | Configuration.Waiting | Configuration.Sleeping _
+    | Configuration.Terminated -> ()
   done;
   for vm_id = 0 to nvm - 1 do
     let rt = t.rts.(vm_id) in
@@ -281,6 +309,15 @@ let check_launch t vj =
 let set_config t config =
   t.config <- config;
   Array.iter (check_launch t) t.vjobs;
+  recompute t
+
+(* Only the owner of the action's VM can launch: every other vjob's VMs
+   kept their states, and a vjob whose VMs all run was launched by the
+   check that followed the change completing it. *)
+let apply_action t action =
+  let vm_id = Action.vm action in
+  t.config <- Action.apply t.config action;
+  if t.owner.(vm_id) >= 0 then check_launch t t.vjobs.(t.owner.(vm_id));
   recompute t
 
 (* -- node crashes ----------------------------------------------------------- *)
@@ -385,6 +422,8 @@ let create ~engine ~config ~vjobs ~programs () =
       local_ops = Array.make n 0;
       remote_ops = Array.make n 0;
       totals = Array.make n 0;
+      mem_used = Array.make n 0;
+      busy_count = Array.make n 0;
       alive = Array.make n true;
       completions = Hashtbl.create 16;
       version = 0;

@@ -15,17 +15,21 @@ val now : t -> float
 val vjobs : t -> Vjob.t list
 
 val set_config : t -> Configuration.t -> unit
-(** Install a new configuration (after an action completes): checks for
-    newly launched vjobs and recomputes progress rates. *)
+(** Install a new configuration wholesale (a crash, a bookkeeping
+    commit): checks every vjob for launch, O(VMs of all vjobs), and
+    recomputes progress rates. *)
+
+val apply_action : t -> Action.t -> unit
+(** Apply one completed action ({!Action.apply}, whose {!Action.Invalid}
+    it raises with the cluster unchanged), check launch only for the
+    vjob owning the action's VM, and recompute. This is {!set_config}
+    for the one-VM change the executor makes: no other vjob can launch,
+    since a vjob whose VMs all run was launched by the check that
+    followed the change completing it. *)
 
 val on_change : t -> (unit -> unit) -> unit
 (** Hook called after every rate recomputation. The daemon uses it to
     raise its completion trigger. *)
-
-val version : t -> int
-(** Number of rate recomputations so far. Every change to a VM's state
-    or phase is followed by one, so readings derived from the cluster
-    ({!demand}, {!cpu_readings}) can be cached until it moves. *)
 
 val demand : t -> Demand.t
 (** Current per-VM CPU demand (full processing unit while computing). *)
@@ -38,7 +42,15 @@ val cpu_readings : t -> int array
     its contents are unchanged. *)
 
 val busy : ?except:Vm.id -> t -> Node.id -> bool
-(** Node hosts a running VM computing at full speed. *)
+(** Node hosts a running VM computing at full speed, [except] aside.
+    O(1): reads a per-node count taken at the last {!recompute}, which
+    every state or phase change is followed by. *)
+
+val overloaded : t -> bool
+(** Some node's running VMs demand more CPU, or its running and
+    RAM-suspended VMs more memory, than it has: [Configuration.overloaded_nodes
+    (config t) (demand t) <> []], in O(nodes) from the per-node totals of
+    the last {!recompute}. *)
 
 val node_decel : t -> Node.id -> float
 val register_op : t -> nodes:Node.id list -> local:bool -> unit

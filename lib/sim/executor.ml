@@ -243,9 +243,8 @@ let run_action ?emit ?(switch = 0) ~pool cluster ~injector ~policy
                  settle n Supervisor.Fault_injected
                end
                else begin
-                 match Action.apply (Cluster.config cluster) action with
-                 | config ->
-                   Cluster.set_config cluster config;
+                 match Cluster.apply_action cluster action with
+                 | () ->
                    emit_done ();
                    on_complete true
                  | exception Action.Invalid reason ->

@@ -66,6 +66,17 @@ let test_exhaustive_clean () =
   check_bool "executor conformance ran" true
     (r.Checker.stats.Checker.sim_runs > 0)
 
+(* The seed-4 instance (9 VMs, 3 nodes): regrouping leaves a disk-route
+   cycle break whose direct migration fits. Crash cuts of the plan find
+   the detour unless [Consistency] still rewrites it after skipping the
+   plans that hold no suspend/cross-node-resume pair. *)
+let test_exhaustive_cycle_break () =
+  let source, target, demand, vjobs, plan = derived ~vms:8 ~nodes:3 ~seed:4 in
+  let limits = { Checker.default_limits with exhaustive = true } in
+  let r = Checker.check ~vjobs ~limits ~source ~target ~demand plan in
+  check_int "no violations" 0 (List.length r.Checker.violations);
+  check_bool "exploration complete" true r.Checker.complete
+
 let test_bounded_clean () =
   let source, target, demand, vjobs, plan = derived ~vms:6 ~nodes:3 ~seed:42 in
   let limits = { Checker.default_limits with depth = 4; sim_runs = 2 } in
@@ -277,6 +288,8 @@ let () =
           Alcotest.test_case "exhaustive clean switch" `Quick
             test_exhaustive_clean;
           Alcotest.test_case "bounded clean switch" `Quick test_bounded_clean;
+          Alcotest.test_case "seed-4 cycle break" `Quick
+            test_exhaustive_cycle_break;
         ] );
       ( "counterexamples",
         [

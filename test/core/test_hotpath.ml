@@ -1,0 +1,426 @@
+(* The decide path's batched writes and threaded free views against the
+   code they replaced. Each reference below is the former implementation,
+   kept here verbatim in behaviour (one [Configuration.set_state] copy
+   per write, an O(vms) free-resource query per claim): the fast paths
+   must agree with it exactly, error texts included. *)
+
+open Entropy_core
+module Generator = Vworkload.Generator
+module Verifier = Entropy_analysis.Verifier
+
+(* -- Action.apply_all ------------------------------------------------------- *)
+
+let ref_apply config action =
+  let check vm expected =
+    let got = Configuration.state config vm in
+    if not (Configuration.equal_vm_state got expected) then
+      raise
+        (Action.Invalid
+           (Fmt.str "action on VM %d: expected state %a, found %a" vm
+              Configuration.pp_vm_state expected Configuration.pp_vm_state got))
+  in
+  let set = Configuration.set_state config in
+  match action with
+  | Action.Run { vm; dst } ->
+    check vm Configuration.Waiting;
+    set vm (Configuration.Running dst)
+  | Action.Stop { vm; host } ->
+    check vm (Configuration.Running host);
+    set vm Configuration.Terminated
+  | Action.Migrate { vm; src; dst } ->
+    check vm (Configuration.Running src);
+    set vm (Configuration.Running dst)
+  | Action.Suspend { vm; host } ->
+    check vm (Configuration.Running host);
+    set vm (Configuration.Sleeping host)
+  | Action.Resume { vm; src; dst } ->
+    check vm (Configuration.Sleeping src);
+    set vm (Configuration.Running dst)
+  | Action.Suspend_ram { vm; host } ->
+    check vm (Configuration.Running host);
+    set vm (Configuration.Sleeping_ram host)
+  | Action.Resume_ram { vm; host } ->
+    check vm (Configuration.Sleeping_ram host);
+    set vm (Configuration.Running host)
+
+let outcome f =
+  match f () with
+  | c -> Ok (Fmt.str "%a" Configuration.pp c)
+  | exception Action.Invalid msg -> Error ("Invalid: " ^ msg)
+  | exception Invalid_argument msg -> Error ("Invalid_argument: " ^ msg)
+
+let small_config rng =
+  let nodes =
+    Array.init 3 (fun i ->
+        Node.make ~id:i ~name:(Printf.sprintf "N%d" i) ~cpu_capacity:200
+          ~memory_mb:4096)
+  in
+  let vms =
+    Array.init 6 (fun i ->
+        Vm.make ~id:i ~name:(Printf.sprintf "VM%d" i) ~memory_mb:512)
+  in
+  let states =
+    Array.init 6 (fun _ ->
+        let n = Random.State.int rng 3 in
+        match Random.State.int rng 5 with
+        | 0 -> Configuration.Waiting
+        | 1 -> Configuration.Running n
+        | 2 -> Configuration.Sleeping n
+        | 3 -> Configuration.Sleeping_ram n
+        | _ -> Configuration.Terminated)
+  in
+  Configuration.with_states (Configuration.make ~nodes ~vms) states
+
+(* Mostly actions that apply to the VM's state at that point of the
+   list, so that long lists stay valid; the rest are arbitrary, some on
+   an unknown VM. *)
+let random_actions rng config =
+  let node () = Random.State.int rng 3 in
+  let rec go cfg k acc =
+    if k = 0 then List.rev acc
+    else
+      (* an unknown VM one time in twenty *)
+      let vm =
+        if Random.State.int rng 20 = 0 then
+          if Random.State.bool rng then -1 else 6
+        else Random.State.int rng 6
+      in
+      let arbitrary () =
+        match Random.State.int rng 7 with
+        | 0 -> Action.Run { vm; dst = node () }
+        | 1 -> Action.Stop { vm; host = node () }
+        | 2 -> Action.Migrate { vm; src = node (); dst = node () }
+        | 3 -> Action.Suspend { vm; host = node () }
+        | 4 -> Action.Resume { vm; src = node (); dst = node () }
+        | 5 -> Action.Suspend_ram { vm; host = node () }
+        | _ -> Action.Resume_ram { vm; host = node () }
+      in
+      let a =
+        if vm < 0 || vm >= 6 || Random.State.int rng 8 = 0 then arbitrary ()
+        else
+          match Configuration.state cfg vm with
+          | Configuration.Waiting -> Action.Run { vm; dst = node () }
+          | Configuration.Running h -> (
+            match Random.State.int rng 4 with
+            | 0 -> Action.Stop { vm; host = h }
+            | 1 -> Action.Migrate { vm; src = h; dst = node () }
+            | 2 -> Action.Suspend { vm; host = h }
+            | _ -> Action.Suspend_ram { vm; host = h })
+          | Configuration.Sleeping h -> Action.Resume { vm; src = h; dst = node () }
+          | Configuration.Sleeping_ram h -> Action.Resume_ram { vm; host = h }
+          | Configuration.Terminated -> arbitrary ()
+      in
+      let cfg = try ref_apply cfg a with Action.Invalid _ | Invalid_argument _ -> cfg in
+      go cfg (k - 1) (a :: acc)
+  in
+  go config (Random.State.int rng 12) []
+
+let test_apply_all_matches_fold () =
+  let rng = Random.State.make [| 20 |] in
+  let valid = ref 0 and invalid = ref 0 in
+  for _ = 1 to 3000 do
+    let config = small_config rng in
+    let before = Fmt.str "%a" Configuration.pp config in
+    let actions = random_actions rng config in
+    let expected = outcome (fun () -> List.fold_left ref_apply config actions) in
+    let got = outcome (fun () -> Action.apply_all config actions) in
+    Alcotest.(check (result string string))
+      (Fmt.str "%a" Fmt.(list ~sep:sp Action.pp) actions)
+      expected got;
+    (* and one action at a time through [apply] *)
+    Alcotest.(check (result string string))
+      "fold of apply" expected
+      (outcome (fun () -> List.fold_left Action.apply config actions));
+    Alcotest.(check string) "input unchanged" before
+      (Fmt.str "%a" Configuration.pp config);
+    match expected with Ok _ -> incr valid | Error _ -> incr invalid
+  done;
+  (* both outcomes are exercised *)
+  Alcotest.(check bool) "valid lists" true (!valid > 500);
+  Alcotest.(check bool) "invalid lists" true (!invalid > 500)
+
+let test_edit () =
+  let rng = Random.State.make [| 3 |] in
+  let config = small_config rng in
+  Alcotest.(check bool) "no write, no copy" true
+    (Configuration.edit config (fun _ -> ()) == config);
+  Alcotest.check_raises "unknown VM"
+    (Invalid_argument "Configuration.state: unknown VM") (fun () ->
+      ignore
+        (Configuration.edit config (fun e ->
+             Configuration.write e 6 Configuration.Waiting)))
+
+(* -- RJSP with one threaded free view --------------------------------------- *)
+
+let target_of_current config vm_id =
+  match Configuration.state config vm_id with
+  | Configuration.Running host -> Configuration.Sleeping host
+  | s -> s
+
+let ref_base_configuration config queue =
+  List.fold_left
+    (fun cfg vjob ->
+      List.fold_left
+        (fun cfg vm_id ->
+          Configuration.set_state cfg vm_id (target_of_current cfg vm_id))
+        cfg (Vjob.vms vjob))
+    config queue
+
+let ref_resume_ram_in_place cfg demand vjob =
+  let claims = Hashtbl.create 8 in
+  let ok =
+    List.for_all
+      (fun vm_id ->
+        match Configuration.state cfg vm_id with
+        | Configuration.Sleeping_ram host ->
+          let already = Option.value ~default:0 (Hashtbl.find_opt claims host) in
+          let cpu = Demand.cpu demand vm_id in
+          if Configuration.free_cpu cfg demand host - already >= cpu then begin
+            Hashtbl.replace claims host (already + cpu);
+            true
+          end
+          else false
+        | _ -> false)
+      (Vjob.vms vjob)
+  in
+  if not ok then None
+  else
+    Some
+      (List.fold_left
+         (fun cfg vm_id ->
+           match Configuration.state cfg vm_id with
+           | Configuration.Sleeping_ram host ->
+             Configuration.set_state cfg vm_id (Configuration.Running host)
+           | _ -> cfg)
+         cfg (Vjob.vms vjob))
+
+(* each trial packs against a view rebuilt from the whole configuration *)
+let ref_solve ~heuristic ~rules ~config ~demand ~queue =
+  let queue = List.sort Vjob.compare_fcfs queue in
+  let base = ref_base_configuration config queue in
+  let running, ready, cfg =
+    List.fold_left
+      (fun (running, ready, cfg) vjob ->
+        let all_ram =
+          List.for_all
+            (fun v ->
+              match Configuration.state cfg v with
+              | Configuration.Sleeping_ram _ -> true
+              | _ -> false)
+            (Vjob.vms vjob)
+        in
+        let placement =
+          if all_ram then ref_resume_ram_in_place cfg demand vjob
+          else Ffd.place ~heuristic ~rules cfg demand (Vjob.vms vjob)
+        in
+        match placement with
+        | Some cfg' -> (vjob :: running, ready, cfg')
+        | None -> (running, vjob :: ready, cfg))
+      ([], [], base) queue
+  in
+  (List.rev running, List.rev ready, cfg)
+
+(* A Figure 10 instance with half of its running vjobs suspended to
+   their hosts' RAM, and random Ban, Fence and Quota rules. *)
+let instance seed =
+  let rng = Random.State.make [| seed; 77 |] in
+  let vm_target = 54 * (1 + Random.State.int rng 3) in
+  (* room for between half and all of the VMs' CPU *)
+  let nodes = (vm_target / 4) + Random.State.int rng (vm_target / 4) in
+  let { Generator.config; demand; vjobs } =
+    Generator.generate
+      { Generator.default_spec with node_count = nodes; vm_target; seed }
+  in
+  let config =
+    Configuration.edit config (fun e ->
+        List.iter
+          (fun vj ->
+            let hosts =
+              List.map (fun v -> Configuration.host config v) (Vjob.vms vj)
+            in
+            if List.for_all Option.is_some hosts && Random.State.bool rng
+            then
+              List.iter2
+                (fun v h ->
+                  Configuration.write e v
+                    (Configuration.Sleeping_ram (Option.get h)))
+                (Vjob.vms vj) hosts)
+          vjobs)
+  in
+  let vm_count = Configuration.vm_count config in
+  let some_vms () =
+    List.init (1 + Random.State.int rng 8) (fun _ -> Random.State.int rng vm_count)
+    |> List.sort_uniq Int.compare
+  in
+  let some_nodes () =
+    List.init (1 + Random.State.int rng 3) (fun _ -> Random.State.int rng nodes)
+    |> List.sort_uniq Int.compare
+  in
+  let rules =
+    List.init (Random.State.int rng 4) (fun _ ->
+        match Random.State.int rng 3 with
+        | 0 -> Placement_rules.Ban (some_vms (), some_nodes ())
+        | 1 -> Placement_rules.Fence (some_vms (), some_nodes ())
+        | _ -> Placement_rules.Quota (some_nodes (), 1 + Random.State.int rng 4))
+  in
+  (config, demand, vjobs, rules)
+
+let heuristics = [ Ffd.First_fit; Ffd.Best_fit; Ffd.Worst_fit ]
+let ids vjobs = List.map Vjob.id vjobs
+
+let test_rjsp_matches_per_trial_ffd () =
+  let ram = ref 0 and ruled = ref 0 in
+  for seed = 0 to 39 do
+    let config, demand, vjobs, rules = instance seed in
+    let heuristic = List.nth heuristics (seed mod 3) in
+    let running, ready, cfg =
+      ref_solve ~heuristic ~rules ~config ~demand ~queue:vjobs
+    in
+    let o = Rjsp.solve ~heuristic ~rules ~config ~demand ~queue:vjobs () in
+    let tag = Printf.sprintf "seed %d" seed in
+    Alcotest.(check (list int)) (tag ^ ": running") (ids running)
+      (ids o.Rjsp.running);
+    Alcotest.(check (list int)) (tag ^ ": ready") (ids ready) (ids o.Rjsp.ready);
+    Alcotest.(check string) (tag ^ ": ffd_config")
+      (Fmt.str "%a" Configuration.pp cfg)
+      (Fmt.str "%a" Configuration.pp o.Rjsp.ffd_config);
+    if
+      List.exists
+        (fun vj ->
+          List.for_all
+            (fun v ->
+              match Configuration.state config v with
+              | Configuration.Sleeping_ram _ -> true
+              | _ -> false)
+            (Vjob.vms vj))
+        o.Rjsp.running
+    then incr ram;
+    if rules <> [] then incr ruled
+  done;
+  (* the instances reach the RAM resume path and the rules *)
+  Alcotest.(check bool) "RAM-suspended vjobs resumed" true (!ram >= 5);
+  Alcotest.(check bool) "instances with rules" true (!ruled >= 20)
+
+let test_plans_clean () =
+  for seed = 0 to 39 do
+    let config, demand, vjobs, rules = instance seed in
+    let heuristic = List.nth heuristics (seed mod 3) in
+    let o = Rjsp.solve ~heuristic ~rules ~config ~demand ~queue:vjobs () in
+    let target = o.Rjsp.ffd_config in
+    let plan = Planner.build_plan ~vjobs ~current:config ~target ~demand () in
+    let tag = Printf.sprintf "seed %d" seed in
+    Alcotest.(check int) (tag ^ ": Plan.validate") 0
+      (List.length
+         (Plan.validate ~current:config
+            ~target:(Rgraph.normalize_sleeping ~current:config target)
+            ~demand plan));
+    Alcotest.(check bool) (tag ^ ": verifier clean") true
+      (Verifier.is_clean ~vjobs ~current:config ~target ~demand plan)
+  done
+
+(* -- decide-stage allocation canary -------------------------------------- *)
+
+(* A pinned observation at the burst-daemon's scale: 24 nodes of 4 cores
+   and 4096 MB, 500 submissions of 1-2 VMs (751 VMs). The first 200
+   vjobs have left, the next 100 are admitted (two thirds running where
+   their memory fits, the rest sleeping on disk), four of those have
+   finished, and the other 200 wait outside the queue. *)
+let burst_observation () =
+  let rng = Random.State.make [| 0xb0257 |] in
+  let node_count = 24 in
+  let nodes =
+    Array.init node_count (fun i ->
+        Node.make ~id:i ~name:(Printf.sprintf "N%d" i) ~cpu_capacity:400
+          ~memory_mb:4096)
+  in
+  let next = ref 0 in
+  let vjobs =
+    List.init 500 (fun j ->
+        let nv = 1 + Random.State.int rng 2 in
+        let ids = List.init nv (fun k -> !next + k) in
+        next := !next + nv;
+        Vjob.make ~id:j ~name:(Printf.sprintf "sub%04d" j) ~vms:ids
+          ~submit_time:(float_of_int j) ())
+  in
+  let vm_count = !next in
+  let vms =
+    Array.init vm_count (fun id ->
+        Vm.make ~id ~name:(Printf.sprintf "vm%d" id)
+          ~memory_mb:(512 + (256 * Random.State.int rng 3)))
+  in
+  let demand = Demand.make ~vm_count ~default:5 in
+  let states = Array.make vm_count Configuration.Waiting in
+  let free_mem = Array.make node_count 4096 in
+  List.iteri
+    (fun j vj ->
+      List.iter
+        (fun v ->
+          if j < 200 then states.(v) <- Configuration.Terminated
+          else if j < 300 && j mod 3 = 2 then
+            states.(v) <- Configuration.Sleeping (Random.State.int rng node_count)
+          else if j < 300 then begin
+            let mem = Vm.memory_mb vms.(v) in
+            let start = Random.State.int rng node_count in
+            let rec fit k =
+              if k < node_count then
+                let n = (start + k) mod node_count in
+                if free_mem.(n) >= mem then begin
+                  free_mem.(n) <- free_mem.(n) - mem;
+                  states.(v) <- Configuration.Running n;
+                  Demand.set demand v 100
+                end
+                else fit (k + 1)
+            in
+            fit 0
+          end)
+        (Vjob.vms vj))
+    vjobs;
+  let config =
+    Configuration.with_states (Configuration.make ~nodes ~vms) states
+  in
+  let queue = List.filteri (fun j _ -> j >= 200 && j < 300) vjobs in
+  { Decision.config; demand; queue; finished = [ 201; 204; 207; 210 ] }
+
+let decide_words obs =
+  let d = Decision.ffd_only () in
+  ignore (d.Decision.decide obs);
+  let before = Gc.allocated_bytes () in
+  let r = d.Decision.decide obs in
+  let words = (Gc.allocated_bytes () -. before) /. 8. in
+  (r, words)
+
+(* Words one FFD-only decide allocates on the pinned observation (a
+   142-action plan): 249.6k after the batched writes and free views,
+   743.2k before them. The bound is 1.5x the current count: bringing
+   back a state-vector copy per write fails it (a copy per action in
+   [Action.apply_all] alone reads 534k). A per-claim O(vms) free query
+   costs time but few words, so this canary does not see one. *)
+let test_decide_allocation () =
+  let obs = burst_observation () in
+  let r, words = decide_words obs in
+  Printf.printf "decide: %d actions, %.0f words\n"
+    (Plan.action_count r.Optimizer.plan) words;
+  Alcotest.(check bool) "plan moves VMs" true
+    (Plan.action_count r.Optimizer.plan > 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words under 375k" words)
+    true (words < 375e3)
+
+let () =
+  Alcotest.run "entropy_core_hotpath"
+    [
+      ( "apply-all",
+        [
+          Alcotest.test_case "matches a fold of apply" `Quick
+            test_apply_all_matches_fold;
+          Alcotest.test_case "edit" `Quick test_edit;
+        ] );
+      ( "rjsp-view",
+        [
+          Alcotest.test_case "matches per-trial ffd" `Quick
+            test_rjsp_matches_per_trial_ffd;
+          Alcotest.test_case "plans clean" `Quick test_plans_clean;
+        ] );
+      ( "decide-alloc",
+        [ Alcotest.test_case "burst-scale decide" `Quick test_decide_allocation ] );
+    ]

@@ -339,6 +339,34 @@ let check_soak_report tag (r : Daemon.report) =
   check_bool (tag ^ ": degradation bounded") true r.Daemon.degradation_bounded;
   check_bool (tag ^ ": crashes hit") true (List.length r.Daemon.crashes > 0)
 
+(* The burst-scale episode (the [burst0] runtest rule) journals the
+   same bytes on every run: a change to any plan, timestamp or record
+   order moves the digest. It comes from
+   [entropyctl daemon run --deterministic --seed 0 --subs 500 --nodes 24
+   --fail-rate 0.05 --crashes 2 --journal burst0.wal]; when an episode
+   moves on purpose, update it and say why. *)
+let burst0_journal_md5 = "19cb60e101578477aa20f35b1247271e"
+
+let test_burst0_journal_bytes () =
+  let path = Filename.temp_file "daemon_burst0" ".wal" in
+  Sys.remove path;
+  let journal = Journal.open_file path in
+  ignore
+    (Daemon.run ~journal
+       {
+         Daemon.default_config with
+         Daemon.seed = 0;
+         nodes = 24;
+         submissions = 500;
+         fail_rate = 0.05;
+         crashes = 2;
+         deterministic = true;
+       });
+  Journal.close journal;
+  let digest = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  Alcotest.(check string) "journal digest" burst0_journal_md5 digest
+
 let test_soak () =
   let r = Daemon.run soak_config in
   check_int "soak: every submission disposed" 2000 r.Daemon.submissions;
@@ -406,6 +434,8 @@ let () =
           Alcotest.test_case "ladder moves" `Quick test_daemon_ladder_moves;
           Alcotest.test_case "journals admission" `Quick
             test_daemon_journals_admission;
+          Alcotest.test_case "burst0 journal bytes" `Quick
+            test_burst0_journal_bytes;
         ] );
       ( "soak",
         [

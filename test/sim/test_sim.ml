@@ -1498,6 +1498,221 @@ let test_crash_at_every_boundary_file_backend () =
   Sys.remove path;
   Sys.remove cut_path
 
+(* -- cluster aggregates ------------------------------------------------------ *)
+
+(* A burst-scale episode (24 nodes of 4 cores, 500 vjobs of 1-2 VMs
+   arriving 2 s apart, FFD decisions every 30 s through a session that
+   park vjobs in their hosts' RAM where it fits, 5% action failures and
+   a node crash). After every recompute, the
+   cluster's per-node aggregates answer as from-scratch scans do, and
+   no vjob whose VMs all run is still unlaunched: the invariant that
+   lets an action check launch for its VM's owner only. A VM counts as
+   launched once it has been seen computing (every program starts with
+   a Compute phase, and a launch is followed by a recompute). *)
+let test_cluster_aggregates_match_scans () =
+  let rng = Random.State.make [| 0xa66 |] in
+  let node_count = 24 in
+  let nodes =
+    Array.init node_count (fun i ->
+        Node.make ~id:i ~name:(Printf.sprintf "N%d" i) ~cpu_capacity:400
+          ~memory_mb:4096)
+  in
+  let sizes = List.init 500 (fun _ -> 1 + Random.State.int rng 2) in
+  let vm_count = List.fold_left ( + ) 0 sizes in
+  let vms =
+    Array.init vm_count (fun id ->
+        Vm.make ~id ~name:(Printf.sprintf "vm%d" id)
+          ~memory_mb:(512 + (256 * Random.State.int rng 3)))
+  in
+  let programs =
+    Array.init vm_count (fun _ ->
+        let work = 240. +. float_of_int (Random.State.int rng 480) in
+        if Random.State.int rng 4 = 0 then
+          [
+            Program.Compute (work /. 2.);
+            Program.Idle (60. +. float_of_int (Random.State.int rng 120));
+            Program.Compute (work /. 2.);
+          ]
+        else [ Program.Compute work ])
+  in
+  let next = ref 0 in
+  let vjobs =
+    List.mapi
+      (fun j nv ->
+        let ids = List.init nv (fun k -> !next + k) in
+        next := !next + nv;
+        Vjob.make ~id:j ~name:(Printf.sprintf "sub%04d" j) ~vms:ids
+          ~submit_time:(2. *. float_of_int j) ())
+      sizes
+  in
+  let engine = Vsim.Engine.create () in
+  let cluster =
+    Vsim.Cluster.create ~engine
+      ~config:(Configuration.make ~nodes ~vms)
+      ~vjobs ~programs:(fun vm -> programs.(vm)) ()
+  in
+  let computed = Array.make vm_count false in
+  (* checked quietly: Alcotest would log each of the millions of checks *)
+  let expect want got fmt =
+    if want = got then Printf.ikfprintf ignore () fmt
+    else
+      Printf.ksprintf
+        (fun what ->
+          Alcotest.failf "%s at t=%.3f: expected %b" what
+            (Vsim.Engine.now engine) want)
+        fmt
+  in
+  let recomputes = ref 0 and busy_seen = ref 0 and over_seen = ref 0 in
+  let ram_seen = ref 0 in
+  Vsim.Cluster.on_change cluster (fun () ->
+      incr recomputes;
+      let config = Vsim.Cluster.config cluster in
+      let busy_vm v =
+        Vsim.Cluster.vm_demand cluster v = Program.compute_demand
+      in
+      for v = 0 to vm_count - 1 do
+        match Configuration.state config v with
+        | Configuration.Running _ -> if busy_vm v then computed.(v) <- true
+        | Configuration.Waiting -> computed.(v) <- false
+        | Configuration.Sleeping_ram _ -> incr ram_seen
+        | Configuration.Sleeping _ | Configuration.Terminated -> ()
+      done;
+      (* [running_on] for every node, in one pass *)
+      let running = Array.make node_count [] in
+      for v = vm_count - 1 downto 0 do
+        match Configuration.state config v with
+        | Configuration.Running n -> running.(n) <- v :: running.(n)
+        | _ -> ()
+      done;
+      for node = 0 to node_count - 1 do
+        let on_node = running.(node) in
+        let scan except =
+          List.exists (fun v -> Some v <> except && busy_vm v) on_node
+        in
+        let busy = Vsim.Cluster.busy cluster node in
+        if busy then incr busy_seen;
+        expect (scan None) busy "busy N%d" node;
+        List.iter
+          (fun v ->
+            expect (scan (Some v))
+              (Vsim.Cluster.busy ~except:v cluster node)
+              "busy N%d except VM%d" node v)
+          on_node;
+        (* a VM elsewhere changes nothing *)
+        let other = (node + 1) mod node_count in
+        match running.(other) with
+        | v :: _ ->
+          expect (scan None)
+            (Vsim.Cluster.busy ~except:v cluster node)
+            "busy N%d except VM%d elsewhere" node v
+        | [] -> ()
+      done;
+      let over =
+        Configuration.overloaded_nodes config (Vsim.Cluster.demand cluster)
+        <> []
+      in
+      if over then incr over_seen;
+      expect over (Vsim.Cluster.overloaded cluster) "overloaded";
+      List.iter
+        (fun vj ->
+          let vms = Vjob.vms vj in
+          if
+            List.for_all
+              (fun v ->
+                match Configuration.state config v with
+                | Configuration.Running _ -> true
+                | _ -> false)
+              vms
+          then
+            expect true
+              (List.for_all (fun v -> computed.(v)) vms)
+              "vjob %d running: launched" (Vjob.id vj))
+        vjobs);
+  let collector =
+    Vmonitor.Collector.create (fun () ->
+        (Vsim.Engine.now engine, Vsim.Cluster.cpu_readings cluster))
+  in
+  let live () =
+    let config = Vsim.Cluster.config cluster in
+    List.filter
+      (fun vj ->
+        Vjob.submit_time vj <= Vsim.Engine.now engine
+        && not (Configuration.vjob_terminated config vj))
+      vjobs
+  in
+  let session =
+    Vsim.Session.create ~cluster ~collector ~journal:None
+      ~injector:
+        (Some
+           (Injector.create ~seed:7
+              [ Injector.Fail_rate { kind = None; rate = 0.05 } ]))
+      ~policy:None ~max_repairs:4 ~queue:live ~on_switch:ignore
+      ~on_repair:ignore
+  in
+  ignore
+    (Vsim.Engine.schedule engine ~at:600. (fun () ->
+         ignore (Vsim.Cluster.crash_node cluster 3)));
+  (* FFD placement, parking vjobs in their hosts' RAM where it fits *)
+  let decision =
+    Decision.consolidation_with ~name:"ffd+ram" ~suspend_to_ram:true
+      (fun ~current ~demand ~vjobs ~placed:_ ~target_base ->
+        let plan =
+          Planner.build_plan ~vjobs ~current ~target:target_base ~demand ()
+        in
+        {
+          Optimizer.target = target_base;
+          plan;
+          cost = Plan.cost current plan;
+          improved = false;
+          rules_satisfied = true;
+          stats = None;
+        })
+  in
+  let rec iterate () =
+    let config = Vsim.Cluster.config cluster in
+    if not (List.for_all (Configuration.vjob_terminated config) vjobs) then
+      match live () with
+      | [] -> next ()
+      | queue ->
+        Vmonitor.Collector.poll collector;
+        let demand = Vmonitor.Collector.demand collector in
+        let finished =
+          List.filter_map
+            (fun vj ->
+              if Vsim.Cluster.completed cluster vj then Some (Vjob.id vj)
+              else None)
+            queue
+        in
+        let obs = { Decision.config; demand; queue; finished } in
+        Vsim.Session.decided session obs
+          (decision.Decision.decide obs)
+          ~on_settled:(fun _ -> next ())
+  and next () = ignore (Vsim.Engine.schedule_after engine ~delay:30. iterate) in
+  ignore (Vsim.Engine.schedule engine ~at:0.5 iterate);
+  Vsim.Engine.run ~until:100_000. engine;
+  check_bool "every vjob terminated" true
+    (List.for_all
+       (Configuration.vjob_terminated (Vsim.Cluster.config cluster))
+       vjobs);
+  (* the episode exercises both answers of both aggregates, and parks
+     vjobs in RAM *)
+  check_bool "RAM suspends" true (!ram_seen > 0);
+  (* the episode's RAM images always fit their hosts' memory (the
+     decision only parks an image where it fits); one that does not *)
+  let _, small, _ =
+    mk_cluster ~node_count:1 ~mem:1024
+      ~programs:[ [ Program.Compute 10. ]; [ Program.Compute 10. ] ]
+      ~memories:[ 512; 768 ] ()
+  in
+  Vsim.Cluster.set_config small
+    (Configuration.with_states (Vsim.Cluster.config small)
+       [| Configuration.Running 0; Configuration.Sleeping_ram 0 |]);
+  check_bool "RAM image overloads memory" true
+    (Vsim.Cluster.overloaded small);
+  check_bool "many recomputes" true (!recomputes > 1000);
+  check_bool "busy nodes seen" true (!busy_seen > 0);
+  check_bool "overloads seen" true (!over_seen > 0)
+
 (* -- run -------------------------------------------------------------------------- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -1779,6 +1994,8 @@ let () =
             test_cluster_untouched_vm_matches_eager_resync;
           Alcotest.test_case "launch and crash reschedule" `Quick
             test_cluster_launch_and_crash_reschedule;
+          Alcotest.test_case "aggregates match scans" `Quick
+            test_cluster_aggregates_match_scans;
         ] );
       ( "executor",
         [
