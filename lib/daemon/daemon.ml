@@ -33,7 +33,6 @@ module Engine = Vsim.Engine
 module Cluster = Vsim.Cluster
 module Executor = Vsim.Executor
 module Session = Vsim.Session
-module Collector = Vmonitor.Collector
 open Entropy_core
 
 type config = {
@@ -75,15 +74,12 @@ let default_config =
 
 (* Fixed for every episode: the node shape, the ladder thresholds
    ([Ladder.default_config]), the portfolio wall deadlines at the Full
-   and Shrunk rungs, supervised execution under
-   [Supervisor.default_policy], the repair-chain bound per switch and the
-   monitoring poll that detects load spikes. *)
+   and Shrunk rungs and supervised execution under
+   [Supervisor.default_policy]. *)
 let node_cpu = 400  (* hundredths of a core per node *)
 let node_mem = 4096  (* MB per node *)
 let full_deadline = 0.02
 let shrunk_deadline = 0.005
-let max_repairs = 4
-let poll_period = 5.
 
 type report = {
   submissions : int;
@@ -229,7 +225,7 @@ let crash_schedule (c : config) instance =
 
 (* What distinguishes a cold start from a resume: already-settled
    admission state, arrivals still owed, crashes already enacted, the
-   ladder's rung and a reconciled in-flight plan. *)
+   ladder's rung and the journal's resume point. *)
 type boot = {
   instance : instance;
   journal : Journal.t option;
@@ -242,7 +238,7 @@ type boot = {
   future_crashes : (Node.id * float) list;
   level0 : Ladder.level;
   initial_config : Configuration.t;
-  initial_plan : (Configuration.t * Plan.t) option;
+  recovered : Recovery.resume option;
   resumed : bool;
 }
 
@@ -256,16 +252,6 @@ let decide_model_s = function
 
 let run_core (c : config) (b : boot) =
   let instance = b.instance in
-  let engine = Engine.create () in
-  let cluster =
-    Cluster.create ~engine ~config:b.initial_config
-      ~vjobs:(Array.to_list instance.vjobs)
-      ~programs:instance.programs ()
-  in
-  let collector =
-    Collector.create (fun () ->
-        (Engine.now engine, Cluster.cpu_readings cluster))
-  in
   let injector =
     Injector.create ~seed:c.seed
       [ Injector.Fail_rate { kind = None; rate = c.fail_rate } ]
@@ -295,7 +281,6 @@ let run_core (c : config) (b : boot) =
     | Ladder.Shrunk -> d_shrunk
     | Ladder.Heuristic | Ladder.Defer -> ffd
   in
-  let done_flag = ref false in
   let rounds = ref 0 in
   let deferred_rounds = ref 0 in
   let defer_streak = ref 0 in
@@ -307,8 +292,8 @@ let run_core (c : config) (b : boot) =
   let transitions = ref [] in
   let arrivals_left = ref (List.length b.missed + List.length b.pending) in
   (* deterministic queue order: hashtable fold order is not *)
-  let live_admitted () =
-    let cfg = Cluster.config cluster in
+  let live_admitted s =
+    let cfg = Session.config s in
     Hashtbl.fold
       (fun id () acc ->
         let vj = instance.vjobs.(id) in
@@ -316,304 +301,283 @@ let run_core (c : config) (b : boot) =
       admitted []
     |> List.sort (fun a b -> compare (Vjob.id a) (Vjob.id b))
   in
-  let session =
-    Session.create ~cluster ~collector ~journal:b.journal
-      ~injector:(Some injector) ~policy:(Some Supervisor.default_policy)
-      ~max_repairs ~queue:live_admitted
-      ~on_switch:(fun r -> switches := r :: !switches)
-      ~on_repair:(fun _ -> incr repairs)
-  in
-  let work_done () =
-    !arrivals_left = 0 && Admission.depth adm = 0 && live_admitted () = []
-  in
-  (* a parked vjob (any VM suspended or still waiting) generates no
-     events of its own: only a re-decision can move it *)
-  let parked () =
-    let cfg = Cluster.config cluster in
-    List.exists
-      (fun vj ->
-        List.exists
-          (fun vm ->
-            match Configuration.state cfg vm with
-            | Configuration.Running _ | Configuration.Terminated -> false
-            | Configuration.Sleeping _ | Configuration.Sleeping_ram _
-            | Configuration.Waiting -> true)
-          (Vjob.vms vj))
-      (live_admitted ())
-  in
-  let wake_backoff = ref c.debounce_s in
-  let note_queue_metrics now =
-    if !Obs.enabled then begin
-      let d = float_of_int (Admission.depth adm) in
-      Metrics.set (Lazy.force m_depth) d;
-      Metrics.set_max (Lazy.force m_peak) d;
-      Metrics.set (Lazy.force m_age) (Admission.oldest_age adm ~now)
-    end
-  in
-  let rec on_fire () =
-    if !done_flag then ()
-    else
-      match Triggers.fire trig with
-      | None -> ()
-      | Some p ->
-        let now = Engine.now engine in
-        let lag = Float.max 0. (now -. p.Triggers.first_at) in
-        incr rounds;
-        if !Obs.enabled then begin
-          Metrics.incr (Lazy.force m_rounds);
-          Metrics.observe (Lazy.force m_lag) lag;
-          Obs.instant ~cat:"daemon"
-            ~args:
-              [
-                ("reasons", Trace.S (String.concat "," p.Triggers.reasons));
-                ("events", Trace.I p.Triggers.events);
-              ]
-            "daemon.round"
-        end;
-        let pressure =
-          {
-            Ladder.queue_fill = Admission.fill adm;
-            oldest_age_s = Admission.oldest_age adm ~now;
-            decision_lag_s = lag;
-          }
-        in
-        (match Ladder.observe ladder ~now pressure with
-        | Some tr ->
-          transitions := tr :: !transitions;
-          jappend
-            (Jrecord.Ladder
-               {
-                 at_s = now;
-                 from_level = Ladder.index tr.Ladder.from_level;
-                 to_level = Ladder.index tr.Ladder.to_level;
-                 reason = tr.Ladder.cause;
-               });
-          if !Obs.enabled then
-            Metrics.set (Lazy.force m_level)
-              (float_of_int (Ladder.index tr.Ladder.to_level));
-          if tr.Ladder.to_level = Ladder.Defer then begin
-            (* the hold is the bottom rung's exit ticket: make sure a
-               trigger exists to take it *)
-            let at = Float.max (now +. 0.001) (Ladder.defer_until ladder) in
-            ignore
-              (Engine.schedule engine ~at (fun () ->
-                   trigger_raise "defer hold expired"))
-          end
-        | None -> ());
-        (match Ladder.level ladder with
-        | Ladder.Defer ->
-          (* serve the current configuration: no admission, no decision *)
-          incr deferred_rounds;
-          if !Obs.enabled then Metrics.incr (Lazy.force m_deferred);
-          incr defer_streak;
-          if !defer_streak > !max_defer_streak then
-            max_defer_streak := !defer_streak;
-          Log.debug (fun m ->
-              m "round %d deferred (%a)" !rounds Ladder.pp_pressure pressure);
-          settle_and_rearm ()
-        | level ->
-          defer_streak := 0;
-          let entries = Admission.take adm ~max:c.admit_batch in
-          List.iter
-            (fun (e : Admission.entry) ->
-              Hashtbl.replace admitted e.Admission.vjob ();
-              if !Obs.enabled then Metrics.incr (Lazy.force m_admitted);
-              jappend
-                (Jrecord.Submission
-                   {
-                     at_s = now;
-                     vjob = e.Admission.vjob;
-                     vms = e.Admission.vms;
-                     disposition = Jrecord.Admitted;
-                   }))
-            entries;
-          note_queue_metrics now;
-          let delay = decide_model_s level in
-          if delay <= 0. then decide level
-          else
-            ignore (Engine.schedule_after engine ~delay (fun () -> decide level)))
-  and decide level =
-    if !done_flag then ()
-    else begin
-      Collector.poll collector;
-      let demand = Collector.demand collector in
-      let queue = live_admitted () in
-      if queue = [] then settle_and_rearm ()
-      else begin
-        let cfg = Cluster.config cluster in
-        let finished =
-          List.filter_map
-            (fun vj ->
-              if Cluster.completed cluster vj then Some (Vjob.id vj) else None)
-            queue
-        in
-        let obs = { Decision.config = cfg; demand; queue; finished } in
-        let d = decision_of level in
-        let result =
+  (* the event-driven pacing: debounced triggers, admission and the
+     degradation ladder *)
+  let pace s =
+    let engine = Session.engine s in
+    let cluster = Session.cluster s in
+    let work_done () =
+      !arrivals_left = 0 && Admission.depth adm = 0 && live_admitted s = []
+    in
+    (* a parked vjob (any VM suspended or still waiting) generates no
+       events of its own: only a re-decision can move it *)
+    let parked () =
+      let cfg = Cluster.config cluster in
+      List.exists
+        (fun vj ->
+          List.exists
+            (fun vm ->
+              match Configuration.state cfg vm with
+              | Configuration.Running _ | Configuration.Terminated -> false
+              | Configuration.Sleeping _ | Configuration.Sleeping_ram _
+              | Configuration.Waiting -> true)
+            (Vjob.vms vj))
+        (live_admitted s)
+    in
+    let wake_backoff = ref c.debounce_s in
+    let note_queue_metrics now =
+      if !Obs.enabled then begin
+        let d = float_of_int (Admission.depth adm) in
+        Metrics.set (Lazy.force m_depth) d;
+        Metrics.set_max (Lazy.force m_peak) d;
+        Metrics.set (Lazy.force m_age) (Admission.oldest_age adm ~now)
+      end
+    in
+    let rec on_fire () =
+      if Session.finished s then ()
+      else
+        match Triggers.fire trig with
+        | None -> ()
+        | Some p ->
+          let now = Engine.now engine in
+          let lag = Float.max 0. (now -. p.Triggers.first_at) in
+          incr rounds;
+          if !Obs.enabled then begin
+            Metrics.incr (Lazy.force m_rounds);
+            Metrics.observe (Lazy.force m_lag) lag;
+            Obs.instant ~cat:"daemon"
+              ~args:
+                [
+                  ("reasons", Trace.S (String.concat "," p.Triggers.reasons));
+                  ("events", Trace.I p.Triggers.events);
+                ]
+              "daemon.round"
+          end;
+          let pressure =
+            {
+              Ladder.queue_fill = Admission.fill adm;
+              oldest_age_s = Admission.oldest_age adm ~now;
+              decision_lag_s = lag;
+            }
+          in
+          (match Ladder.observe ladder ~now pressure with
+          | Some tr ->
+            transitions := tr :: !transitions;
+            jappend
+              (Jrecord.Ladder
+                 {
+                   at_s = now;
+                   from_level = Ladder.index tr.Ladder.from_level;
+                   to_level = Ladder.index tr.Ladder.to_level;
+                   reason = tr.Ladder.cause;
+                 });
+            if !Obs.enabled then
+              Metrics.set (Lazy.force m_level)
+                (float_of_int (Ladder.index tr.Ladder.to_level));
+            if tr.Ladder.to_level = Ladder.Defer then begin
+              (* the hold is the bottom rung's exit ticket: make sure a
+                 trigger exists to take it *)
+              let at = Float.max (now +. 0.001) (Ladder.defer_until ladder) in
+              ignore
+                (Engine.schedule engine ~at (fun () ->
+                     trigger_raise "defer hold expired"))
+            end
+          | None -> ());
+          (match Ladder.level ladder with
+          | Ladder.Defer ->
+            (* serve the current configuration: no admission, no decision *)
+            incr deferred_rounds;
+            if !Obs.enabled then Metrics.incr (Lazy.force m_deferred);
+            incr defer_streak;
+            if !defer_streak > !max_defer_streak then
+              max_defer_streak := !defer_streak;
+            Log.debug (fun m ->
+                m "round %d deferred (%a)" !rounds Ladder.pp_pressure pressure);
+            settle_and_rearm ()
+          | level ->
+            defer_streak := 0;
+            let entries = Admission.take adm ~max:c.admit_batch in
+            List.iter
+              (fun (e : Admission.entry) ->
+                Hashtbl.replace admitted e.Admission.vjob ();
+                if !Obs.enabled then Metrics.incr (Lazy.force m_admitted);
+                jappend
+                  (Jrecord.Submission
+                     {
+                       at_s = now;
+                       vjob = e.Admission.vjob;
+                       vms = e.Admission.vms;
+                       disposition = Jrecord.Admitted;
+                     }))
+              entries;
+            note_queue_metrics now;
+            let delay = decide_model_s level in
+            if delay <= 0. then decide level
+            else
+              ignore (Engine.schedule_after engine ~delay (fun () -> decide level)))
+    and decide level =
+      let d = decision_of level in
+      Session.round s
+        ~decide:(fun obs ->
           if !Obs.enabled then
             Obs.span ~cat:"daemon" ~name:"daemon.decide"
               ~args:[ ("level", Trace.S (Ladder.to_string level)) ]
               (fun () -> d.Decision.decide obs)
-          else d.Decision.decide obs
-        in
-        Session.decided session obs result ~on_settled:settled
+          else d.Decision.decide obs)
+        ~on_settled:settled
+    (* a switch still degraded after the whole repair chain is the
+       livelock guard: counted, never spun on *)
+    and settled outcome =
+      if outcome = Session.Exhausted then incr livelock_episodes;
+      settle_and_rearm ()
+    and settle_and_rearm () =
+      let now = Engine.now engine in
+      if work_done () then begin
+        Session.finish s;
+        ignore (Triggers.settle trig ~now)
       end
-    end
-  (* a switch still degraded after the whole repair chain is the
-     livelock guard: counted, never spun on *)
-  and settled outcome =
-    if outcome = Session.Exhausted then incr livelock_episodes;
-    settle_and_rearm ()
-  and settle_and_rearm () =
-    let now = Engine.now engine in
-    if work_done () then begin
-      done_flag := true;
-      ignore (Triggers.settle trig ~now)
-    end
-    else begin
-      match Triggers.settle trig ~now with
-      | Some at -> ignore (Engine.schedule engine ~at on_fire)
-      | None ->
-        (* no raise arrived while busy, but leftover work must not
-           strand: a queued backlog re-arms at once, parked vjobs retry
-           on an exponential backoff (a wake can keep failing — a crash
-           may have eaten the capacity for good) *)
-        if Admission.depth adm > 0 then trigger_raise "queued backlog"
-        else if parked () then begin
-          let delay = !wake_backoff in
-          wake_backoff := Float.min 600. (!wake_backoff *. 2.);
-          ignore
-            (Engine.schedule_after engine ~delay (fun () ->
-                 trigger_raise "parked vjobs"))
-        end
-    end
-  and trigger_raise reason =
-    if not !done_flag then begin
-      let now = Engine.now engine in
-      if !Obs.enabled then Metrics.incr (Lazy.force m_raised);
-      match Triggers.raise_ trig ~now ~reason with
-      | Some at -> ignore (Engine.schedule engine ~at on_fire)
-      | None -> ()
-    end
+      else begin
+        match Triggers.settle trig ~now with
+        | Some at -> ignore (Engine.schedule engine ~at on_fire)
+        | None ->
+          (* no raise arrived while busy, but leftover work must not
+             strand: a queued backlog re-arms at once, parked vjobs retry
+             on an exponential backoff (a wake can keep failing — a crash
+             may have eaten the capacity for good) *)
+          if Admission.depth adm > 0 then trigger_raise "queued backlog"
+          else if parked () then begin
+            let delay = !wake_backoff in
+            wake_backoff := Float.min 600. (!wake_backoff *. 2.);
+            ignore
+              (Engine.schedule_after engine ~delay (fun () ->
+                   trigger_raise "parked vjobs"))
+          end
+      end
+    and trigger_raise reason =
+      if not (Session.finished s) then begin
+        let now = Engine.now engine in
+        if !Obs.enabled then Metrics.incr (Lazy.force m_raised);
+        match Triggers.raise_ trig ~now ~reason with
+        | Some at -> ignore (Engine.schedule engine ~at on_fire)
+        | None -> ()
+      end
+    in
+    let submit_vjob id =
+      decr arrivals_left;
+      if not (Session.finished s) then begin
+        let now = Engine.now engine in
+        let vj = instance.vjobs.(id) in
+        let vm_ids = Vjob.vms vj in
+        let nvms = List.length vm_ids in
+        if !Obs.enabled then Metrics.incr (Lazy.force m_subs);
+        let unsatisfiable =
+          List.exists
+            (fun vm_id ->
+              Vm.memory_mb (Configuration.vm instance.config0 vm_id)
+              > instance.max_node_mem)
+            vm_ids
+        in
+        let disposition =
+          if unsatisfiable then
+            (* no queue slot can help a VM no node could ever host *)
+            `Rejected "unsatisfiable: VM memory exceeds node capacity"
+          else Admission.submit adm ~now ~vjob:id ~vms:nvms
+        in
+        match disposition with
+        | `Queued ->
+          jappend
+            (Jrecord.Submission
+               { at_s = now; vjob = id; vms = nvms; disposition = Jrecord.Queued });
+          note_queue_metrics now;
+          trigger_raise "vjob arrival"
+        | `Rejected reason ->
+          incr rejected;
+          if !Obs.enabled then Metrics.incr (Lazy.force m_rejected);
+          jappend
+            (Jrecord.Submission
+               {
+                 at_s = now;
+                 vjob = id;
+                 vms = nvms;
+                 disposition = Jrecord.Rejected reason;
+               })
+      end
+    in
+    List.iter
+      (fun id ->
+        ignore (Engine.schedule engine ~at:0.001 (fun () -> submit_vjob id)))
+      b.missed;
+    List.iter
+      (fun (id, at) ->
+        ignore
+          (Engine.schedule engine ~at:(Float.max 0.002 at) (fun () ->
+               submit_vjob id)))
+      b.pending;
+    (* crashes already enacted before the kill but not yet reflected in
+       the journal-projected configuration: re-enact them silently *)
+    List.iter
+      (fun (node, _) -> ignore (Cluster.crash_node cluster node))
+      b.pre_crashes;
+    let completions_seen = ref (Cluster.completion_count cluster) in
+    Cluster.on_change cluster (fun () ->
+        let n = Cluster.completion_count cluster in
+        if n > !completions_seen then begin
+          completions_seen := n;
+          (* freed capacity: parked vjobs get a fresh (cheap) wake retry *)
+          wake_backoff := c.debounce_s;
+          trigger_raise "vjob completion"
+        end);
+    (* periodic monitoring poll; an overload onset is the load-spike
+       trigger (a VM leaving its idle phase, a crash shrinking capacity) *)
+    let overloaded = ref false in
+    {
+      Session.start =
+        (fun ~resumed ->
+          if resumed then begin
+            (* the reconciled in-flight switch runs first. Claim the
+               trigger machine for it (Idle -> Armed -> Busy) so an early
+               arrival cannot start a second, overlapping decision round —
+               everything raised meanwhile coalesces and re-arms at
+               settle *)
+            ignore (Triggers.raise_ trig ~now:0. ~reason:"resume reconciliation");
+            ignore (Triggers.fire trig)
+          end
+          else
+            (* a resume can come back with parked vjobs or a requeued
+               backlog and no event in sight: kick one boot round *)
+            ignore
+              (Engine.schedule engine ~at:0.004 (fun () ->
+                   if Admission.depth adm > 0 || parked () then
+                     trigger_raise "daemon start")));
+      on_settled = settled;
+      on_poll =
+        (fun () ->
+          let over = Cluster.overloaded cluster in
+          if over && not !overloaded then trigger_raise "load spike";
+          overloaded := over);
+      on_crash =
+        (fun node affected ->
+          crash_log := (node, Session.now s) :: !crash_log;
+          Log.info (fun m ->
+              m "node N%d crashed at %.0fs: %d vjobs reset" node (Session.now s)
+                (List.length affected));
+          trigger_raise "node crash");
+      complete = work_done;
+    }
   in
-  let submit_vjob id =
-    decr arrivals_left;
-    if not !done_flag then begin
-      let now = Engine.now engine in
-      let vj = instance.vjobs.(id) in
-      let vm_ids = Vjob.vms vj in
-      let nvms = List.length vm_ids in
-      if !Obs.enabled then Metrics.incr (Lazy.force m_subs);
-      let unsatisfiable =
-        List.exists
-          (fun vm_id ->
-            Vm.memory_mb (Configuration.vm instance.config0 vm_id)
-            > instance.max_node_mem)
-          vm_ids
-      in
-      let disposition =
-        if unsatisfiable then
-          (* no queue slot can help a VM no node could ever host *)
-          `Rejected "unsatisfiable: VM memory exceeds node capacity"
-        else Admission.submit adm ~now ~vjob:id ~vms:nvms
-      in
-      match disposition with
-      | `Queued ->
-        jappend
-          (Jrecord.Submission
-             { at_s = now; vjob = id; vms = nvms; disposition = Jrecord.Queued });
-        note_queue_metrics now;
-        trigger_raise "vjob arrival"
-      | `Rejected reason ->
-        incr rejected;
-        if !Obs.enabled then Metrics.incr (Lazy.force m_rejected);
-        jappend
-          (Jrecord.Submission
-             {
-               at_s = now;
-               vjob = id;
-               vms = nvms;
-               disposition = Jrecord.Rejected reason;
-             })
-    end
+  let o =
+    Session.loop ~config:b.initial_config
+      ~vjobs:(Array.to_list instance.vjobs)
+      ~programs:instance.programs ~journal:b.journal
+      ~injector:(Some injector) ~policy:(Some Supervisor.default_policy)
+      ~queue:live_admitted
+      ~on_switch:(fun r -> switches := r :: !switches)
+      ~on_repair:(fun _ -> incr repairs)
+      ~crashes:
+        (List.map (fun (node, at) -> (node, Float.max 0.003 at)) b.future_crashes)
+      ~resume:b.recovered ~kill_at:c.kill_at ~max_time:c.max_time pace
   in
-  List.iter
-    (fun id ->
-      ignore (Engine.schedule engine ~at:0.001 (fun () -> submit_vjob id)))
-    b.missed;
-  List.iter
-    (fun (id, at) ->
-      ignore
-        (Engine.schedule engine ~at:(Float.max 0.002 at) (fun () ->
-             submit_vjob id)))
-    b.pending;
-  (* crashes already enacted before the kill but not yet reflected in
-     the journal-projected configuration: re-enact them silently *)
-  List.iter
-    (fun (node, _) -> ignore (Cluster.crash_node cluster node))
-    b.pre_crashes;
-  List.iter
-    (fun (node, at) ->
-      ignore
-        (Engine.schedule engine ~at:(Float.max 0.003 at) (fun () ->
-             if (not !done_flag) && Cluster.node_alive cluster node then begin
-               let affected = Cluster.crash_node cluster node in
-               crash_log := (node, Engine.now engine) :: !crash_log;
-               Log.info (fun m ->
-                   m "node N%d crashed at %.0fs: %d vjobs reset" node
-                     (Engine.now engine) (List.length affected));
-               trigger_raise "node crash"
-             end)))
-    b.future_crashes;
-  let completions_seen = ref (Cluster.completion_count cluster) in
-  Cluster.on_change cluster (fun () ->
-      let n = Cluster.completion_count cluster in
-      if n > !completions_seen then begin
-        completions_seen := n;
-        (* freed capacity: parked vjobs get a fresh (cheap) wake retry *)
-        wake_backoff := c.debounce_s;
-        trigger_raise "vjob completion"
-      end);
-  (* periodic monitoring poll; an overload onset is the load-spike
-     trigger (a VM leaving its idle phase, a crash shrinking capacity) *)
-  let overloaded = ref false in
-  let rec poll_loop () =
-    if not !done_flag then begin
-      Collector.poll collector;
-      let over = Cluster.overloaded cluster in
-      if over && not !overloaded then trigger_raise "load spike";
-      overloaded := over;
-      ignore (Engine.schedule_after engine ~delay:poll_period poll_loop)
-    end
-  in
-  poll_loop ();
-  (match b.initial_plan with
-  | Some (target, plan) when not (Plan.is_empty plan) ->
-    (* the resume path: finish the reconciled in-flight switch first.
-       Claim the trigger machine for it (Idle -> Armed -> Busy) so an
-       early arrival cannot start a second, overlapping decision round —
-       everything raised meanwhile coalesces and re-arms at settle *)
-    ignore (Triggers.raise_ trig ~now:0. ~reason:"resume reconciliation");
-    ignore (Triggers.fire trig);
-    ignore
-      (Engine.schedule engine ~at:0.5 (fun () ->
-           Collector.poll collector;
-           let demand = Collector.demand collector in
-           Session.execute session ~demand ~target plan ~on_settled:settled))
-  | Some _ | None ->
-    (* a resume can come back with parked vjobs or a requeued backlog
-       and no event in sight: kick one boot round *)
-    ignore
-      (Engine.schedule engine ~at:0.004 (fun () ->
-           if Admission.depth adm > 0 || parked () then
-             trigger_raise "daemon start")));
-  let horizon =
-    match c.kill_at with
-    | Some k -> Float.min k c.max_time
-    | None -> c.max_time
-  in
-  Engine.run ~until:horizon engine;
-  let final_config = Cluster.config cluster in
+  let final_config = o.Session.final_config in
   let admitted_ids =
     Hashtbl.fold (fun id () acc -> id :: acc) admitted []
     |> List.sort compare
@@ -639,12 +603,6 @@ let run_core (c : config) (b : boot) =
   let final_viable =
     Configuration.is_viable final_config
       (Demand.uniform ~vm_count Vworkload.Program.compute_demand)
-  in
-  let makespan =
-    List.fold_left
-      (fun acc (_, t) -> Float.max acc t)
-      0.
-      (Cluster.completions cluster)
   in
   let defer_round_bound =
     1
@@ -684,9 +642,9 @@ let run_core (c : config) (b : boot) =
     repairs = !repairs;
     action_failures;
     crashes = List.rev !crash_log;
-    killed = c.kill_at <> None && not (work_done ());
+    killed = o.Session.killed;
     resumed = b.resumed;
-    makespan;
+    makespan = o.Session.makespan;
     final_config;
   }
 
@@ -718,7 +676,7 @@ let run ?journal c =
       future_crashes = crash_schedule c instance;
       level0 = Ladder.Full;
       initial_config = instance.config0;
-      initial_plan = None;
+      recovered = None;
       resumed = false;
     }
 
@@ -745,12 +703,6 @@ let resume ~journal ~records c =
       | Jrecord.Action_done _ | Jrecord.Action_failed _
       | Jrecord.Pool_committed _ | Jrecord.Switch_end _ -> ())
     records;
-  let state = Recovery.replay records in
-  let observed =
-    match state with
-    | Some st -> Recovery.projected_config st
-    | None -> instance.config0
-  in
   let admitted0 = Hashtbl.create 97 in
   let rejected0 = ref 0 in
   let requeued = ref [] in
@@ -789,17 +741,12 @@ let resume ~journal ~records c =
       (fun (n, t) -> if t > crash_time then Some (n, t -. crash_time) else None)
       all_crashes
   in
-  let initial_plan =
-    match state with
-    | Some st when not st.Recovery.ended ->
-      let admitted =
-        List.filter
-          (fun vj -> Hashtbl.mem admitted0 (Vjob.id vj))
-          (Array.to_list instance.vjobs)
-      in
-      let r = Recovery.resume_plan ~vjobs:admitted ~observed st in
-      Some (r.Recovery.target, r.Recovery.plan)
-    | Some _ | None -> None
+  let recovered =
+    Session.recover records
+      ~vjobs:
+        (List.filter
+           (fun vj -> Hashtbl.mem admitted0 (Vjob.id vj))
+           (Array.to_list instance.vjobs))
   in
   Log.info (fun m ->
       m "daemon resume: %d records, crash at %.0fs, %d admitted / %d \
@@ -820,8 +767,9 @@ let resume ~journal ~records c =
       pre_crashes;
       future_crashes;
       level0 = !level0;
-      initial_config = observed;
-      initial_plan;
+      initial_config =
+        (match recovered with Some (c, _) -> c | None -> instance.config0);
+      recovered = Option.map snd recovered;
       resumed = true;
     }
 

@@ -15,7 +15,6 @@ open Entropy_core
 module Trace = Vworkload.Trace
 module Obs = Entropy_obs.Obs
 module Injector = Entropy_fault.Injector
-module Recovery = Entropy_journal.Recovery
 
 type result = {
   makespan : float;  (* completion time of the last vjob *)
@@ -63,153 +62,96 @@ let setup ?(arrival_spacing = 0.) ~nodes ~traces () =
   in
   (config, vjobs, fun vm_id -> programs.(vm_id))
 
-(* The control loop re-decides every [period] seconds and polls the
-   monitors every [poll_period] (metrics sample every 30 s on their
-   own); a degraded switch is chased by at most [max_repairs] repair
-   plans. *)
+(* The periodic pacing of the session's loop: re-decide every [period]
+   seconds over the submitted, unterminated vjobs. [resume], set only
+   by {!resume}, runs a recovery-derived plan first. *)
 let period = 30.
-let poll_period = 5.
-let max_repairs = 4
 
-(* Run the control loop over an arbitrary initial configuration (VMs may
-   already be running/sleeping). [initial], set only by [resume],
-   executes a recovery-derived (target, plan) before the first
-   decision. *)
-let run_loop ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
-    ?injector ?policy ?journal ?kill_at ?initial ~config ~vjobs ~programs () =
-  let engine = Engine.create () in
-  let cluster = Cluster.create ~engine ~config ~vjobs ~programs () in
-  let collector =
-    Vmonitor.Collector.create (fun () ->
-        (Engine.now engine, Cluster.cpu_readings cluster))
-  in
+let run_periodic ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
+    ?injector ?policy ?journal ?kill_at ~resume ~config ~vjobs ~programs () =
   let decision =
     match decision with
     | Some d -> d
     | None -> Decision.consolidation ~cp_timeout ()
   in
-  let metrics = Metrics.start cluster in
+  let decide obs =
+    (* skip span construction entirely when tracing is off: this is the
+       per-iteration hot path of the control loop *)
+    if !Obs.enabled then
+      Obs.span ~cat:"loop" ~name:"loop.decide" (fun () ->
+          decision.Decision.decide obs)
+    else decision.Decision.decide obs
+  in
   let switches = ref [] in
   let repairs = ref [] in
   let crashes = ref [] in
   let iterations = ref 0 in
-  let done_flag = ref false in
-  (* periodic monitoring polls, Ganglia style *)
-  let rec poll_loop () =
-    if not !done_flag then begin
-      Vmonitor.Collector.poll collector;
-      ignore (Engine.schedule_after engine ~delay:poll_period poll_loop)
-    end
-  in
-  poll_loop ();
-  let live_queue () =
-    let config = Cluster.config cluster in
-    let now = Engine.now engine in
+  let metrics = ref None in
+  let live_queue s =
+    let config = Session.config s in
+    let now = Session.now s in
     List.filter
       (fun vj ->
         Vjob.submit_time vj <= now
         && not (Configuration.vjob_terminated config vj))
       vjobs
   in
-  (* scripted node crashes fire on the engine, whatever the loop is
-     doing; the executor notices in-flight actions touching the dead
-     node, the next (re)plan sees the reset vjobs and shrunk capacity *)
-  (match injector with
-  | None -> ()
-  | Some inj ->
-    List.iter
-      (fun (node, at_s) ->
-        ignore
-          (Engine.schedule engine ~at:at_s (fun () ->
-               if Cluster.node_alive cluster node then begin
-                 let affected = Cluster.crash_node cluster node in
-                 crashes := (node, Engine.now engine, affected) :: !crashes
-               end)))
-      (Injector.node_crashes inj));
-  let session =
-    Session.create ~cluster ~collector ~journal ~injector ~policy ~max_repairs
+  let pace s =
+    let m = Metrics.start (Session.cluster s) in
+    metrics := Some m;
+    let all_terminated () =
+      List.for_all (Configuration.vjob_terminated (Session.config s)) vjobs
+    in
+    let rec iterate () =
+      if all_terminated () then begin
+        Session.finish s;
+        Metrics.stop m
+      end
+      else if live_queue s = [] then
+        (* nothing submitted yet: wait for the next arrivals *)
+        next_period ()
+      else begin
+        incr iterations;
+        (* however the switch settles, the next period takes over *)
+        Session.round s ~decide ~on_settled:(fun _ -> next_period ())
+      end
+    and next_period () =
+      ignore (Engine.schedule_after (Session.engine s) ~delay:period iterate)
+    in
+    {
+      Session.start =
+        (fun ~resumed ->
+          if not resumed then
+            ignore (Engine.schedule_after (Session.engine s) ~delay:0.5 iterate));
+      on_settled = (fun _ -> next_period ());
+      on_poll = ignore;
+      on_crash =
+        (fun node affected ->
+          crashes := (node, Session.now s, affected) :: !crashes);
+      complete = all_terminated;
+    }
+  in
+  let o =
+    Session.loop ~config ~vjobs ~programs ~journal ~injector ~policy
       ~queue:live_queue
       ~on_switch:(fun r -> switches := r :: !switches)
       ~on_repair:(fun r -> repairs := r :: !repairs)
-  in
-  let rec iterate () =
-    let config = Cluster.config cluster in
-    let queue = live_queue () in
-    if List.for_all (Configuration.vjob_terminated config) vjobs then begin
-      done_flag := true;
-      Metrics.stop metrics
-    end
-    else if queue = [] then
-      (* nothing submitted yet: wait for the next arrivals *)
-      next_period ()
-    else begin
-      incr iterations;
-      Vmonitor.Collector.poll collector;
-      let demand = Vmonitor.Collector.demand collector in
-      let finished =
-        List.filter_map
-          (fun vj ->
-            if Cluster.completed cluster vj then Some (Vjob.id vj) else None)
-          queue
-      in
-      let obs = { Decision.config; demand; queue; finished } in
-      let result =
-        (* skip span construction entirely when tracing is off: this is
-           the per-iteration hot path of the control loop *)
-        if !Obs.enabled then
-          Obs.span ~cat:"loop" ~name:"loop.decide" (fun () ->
-              decision.Decision.decide obs)
-        else decision.Decision.decide obs
-      in
-      (* however the switch settles, the periodic loop takes over *)
-      Session.decided session obs result ~on_settled:(fun _ -> next_period ())
-    end
-  and next_period () =
-    ignore (Engine.schedule_after engine ~delay:period iterate)
-  in
-  (match initial with
-  | Some (target, plan) when not (Plan.is_empty plan) ->
-    (* the resume path: execute a recovery-derived plan first, then fall
-       back into the periodic loop *)
-    ignore
-      (Engine.schedule_after engine ~delay:0.5 (fun () ->
-           Vmonitor.Collector.poll collector;
-           let demand = Vmonitor.Collector.demand collector in
-           Session.execute session ~demand ~target plan ~on_settled:(fun _ ->
-               next_period ())))
-  | Some _ | None -> ignore (Engine.schedule_after engine ~delay:0.5 iterate));
-  let horizon =
-    match kill_at with Some k -> Float.min k max_time | None -> max_time
-  in
-  Engine.run ~until:horizon engine;
-  let completions =
-    List.filter_map
-      (fun (id, time) ->
-        List.find_opt (fun vj -> Vjob.id vj = id) vjobs
-        |> Option.map (fun vj -> (vj, time)))
-      (Cluster.completions cluster)
-  in
-  let makespan =
-    List.fold_left (fun acc (_, t) -> Float.max acc t) 0. completions
-  in
-  let final_config = Cluster.config cluster in
-  let killed =
-    kill_at <> None
-    && not (List.for_all (Configuration.vjob_terminated final_config) vjobs)
+      ~crashes:(Option.fold ~none:[] ~some:Injector.node_crashes injector)
+      ~resume ~kill_at ~max_time pace
   in
   {
-    makespan;
-    completions;
+    makespan = o.Session.makespan;
+    completions = o.Session.completions;
     switches = List.rev !switches;
     repairs = List.rev !repairs;
     crashes = List.rev !crashes;
-    series = Metrics.points metrics;
+    series = Metrics.points (Option.get !metrics);
     iterations = !iterations;
-    final_config;
-    killed;
+    final_config = o.Session.final_config;
+    killed = o.Session.killed;
   }
 
-let run_custom = run_loop ?initial:None
+let run_custom = run_periodic ~resume:None
 
 let run_entropy ?cp_timeout ?max_time ?decision ?injector ?policy
     ?arrival_spacing ?journal ?kill_at ~nodes ~traces () =
@@ -217,20 +159,13 @@ let run_entropy ?cp_timeout ?max_time ?decision ?injector ?policy
   run_custom ?cp_timeout ?max_time ?decision ?injector ?policy ?journal
     ?kill_at ~config ~vjobs ~programs ()
 
-(* -- crash recovery ----------------------------------------------------------- *)
-
 let resume ?cp_timeout ?max_time ?decision ?injector ?policy ?journal
     ?kill_at ~records ~vjobs ~programs () =
-  Recovery.replay records
-  |> Option.map (fun state ->
-         (* the simulated cluster is where the journal says it was *)
-         let observed = Recovery.projected_config state in
-         let r = Recovery.resume_plan ~vjobs ~observed state in
+  Session.recover ~vjobs records
+  |> Option.map (fun (config, r) ->
          ( r,
-           run_loop ?cp_timeout ?max_time ?decision ?injector ?policy
-             ?journal ?kill_at
-             ~initial:(r.Recovery.target, r.Recovery.plan) ~config:observed
-             ~vjobs ~programs () ))
+           run_periodic ?cp_timeout ?max_time ?decision ?injector ?policy
+             ?journal ?kill_at ~resume:(Some r) ~config ~vjobs ~programs () ))
 
 let mean_switch_duration result =
   match result.switches with

@@ -1,6 +1,11 @@
-(* One cluster-wide context switch, from a decision's result to a
-   settled cluster: the execute half of the paper's Fig. 4 loop, shared
-   by the periodic runner and the event-driven daemon.
+(* The paper's Fig. 4 loop — observe, decide, plan, execute — over one
+   simulated cluster, written once for both of its pacings: the
+   periodic runner re-decides on a 30 s timer, the event-driven daemon
+   on debounced events. Everything but the pacing lives here: the
+   engine, cluster and monitoring collector; the 5 s monitor poll; the
+   scripted node crashes; the decision round; the resume point a
+   crashed controller's journal yields and the resumed switch that runs
+   first; the run to the horizon; and the execute half.
 
    An empty plan can still carry state (a finished vjob's image to
    discard, a waiting VM to cancel): it is committed directly. A
@@ -11,7 +16,7 @@
    a fault injector, actions run supervised, a switch that terminally
    loses actions aborts at the pool boundary, and it is chased by at
    most [max_repairs] immediate repair plans — salvage the surviving
-   plan or FFD-replan — before the caller's loop takes over again. *)
+   plan or FFD-replan — before the caller's pacing takes over again. *)
 
 (* capture the simulator's own log source before [open Entropy_core]
    shadows it with the core's *)
@@ -23,6 +28,7 @@ module Repair = Entropy_fault.Repair
 module Journal = Entropy_journal.Journal
 module Jrecord = Entropy_journal.Record
 module Collector = Vmonitor.Collector
+module Recovery = Entropy_journal.Recovery
 
 type repair = {
   at : float;
@@ -38,6 +44,7 @@ type repair = {
 type settled = Clean | Nothing_to_repair | Exhausted
 
 type t = {
+  engine : Engine.t;
   cluster : Cluster.t;
   collector : Collector.t;
   journal : Journal.t option;
@@ -45,16 +52,27 @@ type t = {
   injector : Injector.t option;
   policy : Entropy_fault.Supervisor.policy option;
   budget : int;  (* repairs one degraded switch may chase *)
-  queue : unit -> Vjob.t list;
+  queue : t -> Vjob.t list;
   on_switch : Executor.record -> unit;
   on_repair : repair -> unit;
+  mutable finished : bool;
 }
 
-let create ~cluster ~collector ~journal ~injector ~policy ~max_repairs
-    ~queue ~on_switch ~on_repair =
+(* a degraded switch is chased by at most [max_repairs] repair plans;
+   the monitors are polled every [poll_period] seconds *)
+let max_repairs = 4
+let poll_period = 5.
+
+let create ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
+    ~on_switch ~on_repair =
+  let engine = Engine.create () in
+  let cluster = Cluster.create ~engine ~config ~vjobs ~programs () in
   {
+    engine;
     cluster;
-    collector;
+    collector =
+      Collector.create (fun () ->
+          (Engine.now engine, Cluster.cpu_readings cluster));
     journal;
     emit = Option.map (fun j r -> Journal.append j r) journal;
     injector;
@@ -64,9 +82,15 @@ let create ~cluster ~collector ~journal ~injector ~policy ~max_repairs
     queue;
     on_switch;
     on_repair;
+    finished = false;
   }
 
-let now t = Engine.now (Cluster.engine t.cluster)
+let engine t = t.engine
+let cluster t = t.cluster
+let config t = Cluster.config t.cluster
+let now t = Engine.now t.engine
+let finish t = t.finished <- true
+let finished t = t.finished
 
 let next_switch t =
   match t.journal with Some j -> Journal.next_switch j | None -> 0
@@ -112,7 +136,7 @@ and chase t ~depth ~target (r : Executor.record) ~on_settled =
   Collector.poll t.collector;
   let before = Cluster.config t.cluster in
   let demand = Collector.demand t.collector in
-  let queue = t.queue () in
+  let queue = t.queue t in
   match
     Repair.repair ~vjobs:queue ~current:before ~target ~demand ~queue
       ~failed_vms:r.Executor.failed_vms ~lost_nodes:r.Executor.lost_nodes ()
@@ -162,3 +186,101 @@ let decided t (obs : Decision.observation) (result : Optimizer.result)
     end;
     on_settled Clean
   end
+
+(* -- the loop around a switch ---------------------------------------------- *)
+
+let round t ~decide ~on_settled =
+  if not t.finished then begin
+    Collector.poll t.collector;
+    let demand = Collector.demand t.collector in
+    match t.queue t with
+    | [] -> on_settled Clean
+    | queue ->
+      let finished =
+        List.filter_map
+          (fun vj ->
+            if Cluster.completed t.cluster vj then Some (Vjob.id vj) else None)
+          queue
+      in
+      let obs = { Decision.config = config t; demand; queue; finished } in
+      decided t obs (decide obs) ~on_settled
+  end
+
+let recover ~vjobs records =
+  Recovery.replay records
+  |> Option.map (fun state ->
+         (* the simulated cluster is where the journal says it was *)
+         let observed = Recovery.projected_config state in
+         (observed, Recovery.resume_plan ~vjobs ~observed state))
+
+type pacing = {
+  start : resumed:bool -> unit;
+  on_settled : settled -> unit;
+  on_poll : unit -> unit;
+  on_crash : Node.id -> Vjob.id list -> unit;
+  complete : unit -> bool;
+}
+
+type outcome = {
+  completions : (Vjob.t * float) list;
+  makespan : float;
+  final_config : Configuration.t;
+  killed : bool;
+}
+
+let loop ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
+    ~on_switch ~on_repair ~crashes ~resume ~kill_at ~max_time pace =
+  let t =
+    create ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
+      ~on_switch ~on_repair
+  in
+  let p = pace t in
+  (* Ganglia-style monitoring polls *)
+  let rec poll () =
+    if not t.finished then begin
+      Collector.poll t.collector;
+      p.on_poll ();
+      ignore (Engine.schedule_after t.engine ~delay:poll_period poll)
+    end
+  in
+  poll ();
+  (* scripted node crashes fire on the engine, whatever the loop is
+     doing; the executor notices in-flight actions touching the dead
+     node, the next (re)plan sees the reset vjobs and shrunk capacity *)
+  List.iter
+    (fun (node, at) ->
+      ignore
+        (Engine.schedule t.engine ~at (fun () ->
+             if (not t.finished) && Cluster.node_alive t.cluster node then
+               p.on_crash node (Cluster.crash_node t.cluster node))))
+    crashes;
+  let resumed =
+    match resume with
+    | Some { Recovery.target; plan; _ } when not (Plan.is_empty plan) ->
+      ignore
+        (Engine.schedule t.engine ~at:0.5 (fun () ->
+             Collector.poll t.collector;
+             execute t ~demand:(Collector.demand t.collector) ~target plan
+               ~on_settled:p.on_settled));
+      true
+    | Some _ | None -> false
+  in
+  p.start ~resumed;
+  let horizon =
+    match kill_at with Some k -> Float.min k max_time | None -> max_time
+  in
+  Engine.run ~until:horizon t.engine;
+  let completions =
+    List.filter_map
+      (fun (id, time) ->
+        List.find_opt (fun vj -> Vjob.id vj = id) vjobs
+        |> Option.map (fun vj -> (vj, time)))
+      (Cluster.completions t.cluster)
+  in
+  {
+    completions;
+    makespan =
+      List.fold_left (fun acc (_, time) -> Float.max acc time) 0. completions;
+    final_config = Cluster.config t.cluster;
+    killed = kill_at <> None && not (p.complete ());
+  }

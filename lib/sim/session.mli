@@ -1,16 +1,26 @@
-(** One cluster-wide context switch, carried from a decision's result to
-    a settled cluster — the execute half of the paper's Fig. 4 loop,
-    shared by the periodic {!Runner} and the event-driven daemon.
-
-    A session owns, in order:
-    - the direct commit of an empty plan whose target differs from the
-      current configuration by bookkeeping alone (a finished vjob's
-      suspended image discarded, a waiting VM cancelled);
-    - the write-ahead bracket: [Switch_begin] durable before the first
-      action, [Switch_end] after the executor reports back;
-    - pool-based execution, aborting at the next pool boundary after a
-      terminal failure exactly when an injector is given;
-    - the chase of a degraded switch by at most [max_repairs]
+(** The paper's Fig. 4 loop — observe, decide, plan, execute — over one
+    simulated cluster, written once for its two pacings. The periodic
+    {!Runner} re-decides on a 30 s timer over the submitted vjobs; the
+    event-driven daemon re-decides on debounced events, through its
+    admission queue and degradation ladder. Each brings only its pacing
+    ({!pacing}); {!loop} owns the rest:
+    - the discrete-event engine, the simulated cluster and the
+      monitoring collector;
+    - the monitor poll every 5 s;
+    - the scripted node crashes, ignored once the loop is {!finish}ed;
+    - the decision round: poll, demand, observation, decide, commit
+      ({!round});
+    - the resume point a crashed controller's journal yields
+      ({!recover}), whose plan runs first;
+    - the run to the horizon and its {!outcome};
+    - the execute half, in order: the direct commit of an empty plan
+      whose target differs from the current configuration by
+      bookkeeping alone (a finished vjob's suspended image discarded, a
+      waiting VM cancelled); the write-ahead bracket ([Switch_begin]
+      durable before the first action, [Switch_end] after the executor
+      reports back); pool-based execution, aborting at the next pool
+      boundary after a terminal failure exactly when an injector is
+      given; the chase of a degraded switch by at most {!max_repairs}
       {!Entropy_fault.Repair.repair} plans. *)
 
 open Entropy_core
@@ -39,18 +49,90 @@ type settled =
 
 type t
 
+val max_repairs : int
+(** Repair plans one degraded switch may chase (4). *)
+
 val create :
-  cluster:Cluster.t -> collector:Vmonitor.Collector.t ->
+  config:Configuration.t -> vjobs:Vjob.t list ->
+  programs:(Vm.id -> Vworkload.Program.t) ->
   journal:Entropy_journal.Journal.t option ->
   injector:Entropy_fault.Injector.t option ->
-  policy:Entropy_fault.Supervisor.policy option -> max_repairs:int ->
-  queue:(unit -> Vjob.t list) ->
+  policy:Entropy_fault.Supervisor.policy option -> queue:(t -> Vjob.t list) ->
   on_switch:(Executor.record -> unit) -> on_repair:(repair -> unit) -> t
-(** [queue] yields the live vjobs repairs plan over. [on_switch]
-    receives every executed switch's record (repairs included) and
-    [on_repair] every repair plan, just before it runs.
-    Switch ids come from {!Entropy_journal.Journal.next_switch}, or are
-    0 without a journal. *)
+(** A session over a fresh engine at time 0, a cluster in [config]
+    running [vjobs] on [programs], and a collector polling it; nothing
+    is scheduled. [queue] yields the live vjobs a round decides over and
+    repairs plan over. [on_switch] receives every executed switch's
+    record (repairs included) and [on_repair] every repair plan, just
+    before it runs. Switch ids come from
+    {!Entropy_journal.Journal.next_switch}, or are 0 without a
+    journal. *)
+
+val engine : t -> Engine.t
+val cluster : t -> Cluster.t
+val config : t -> Configuration.t
+val now : t -> float
+
+val finish : t -> unit
+(** Mark the loop done: polls, scripted crashes and rounds stop. *)
+
+val finished : t -> bool
+
+val round :
+  t -> decide:(Decision.observation -> Optimizer.result) ->
+  on_settled:(settled -> unit) -> unit
+(** One decision round, a no-op once finished: poll, observe the
+    configuration, the smoothed demand and the [queue], [decide], and
+    carry the result through {!decided}. With an empty queue there is
+    nothing to decide: settle [Clean] at once. *)
+
+val recover :
+  vjobs:Vjob.t list -> Entropy_journal.Record.t list ->
+  (Configuration.t * Entropy_journal.Recovery.resume) option
+(** The resume point of a crashed controller's journal: replay it, take
+    the configuration it projects
+    ({!Entropy_journal.Recovery.projected_config}, where the restarted
+    cluster starts) and derive the resume plan against it over [vjobs]
+    ({!Entropy_journal.Recovery.resume_plan}: reconciliation, or repair
+    on divergence), whether or not the last switch ended. [None] when
+    the journal holds no switch. *)
+
+type pacing = {
+  start : resumed:bool -> unit;
+      (** schedule the first round; [resumed] when a non-empty resume
+          plan runs first, at 0.5 s *)
+  on_settled : settled -> unit;  (** the resume plan's switch settled *)
+  on_poll : unit -> unit;  (** after each monitor poll *)
+  on_crash : Node.id -> Vjob.id list -> unit;
+      (** a scripted crash fired: the node and the vjobs it reset *)
+  complete : unit -> bool;  (** no work is left *)
+}
+(** What a caller's pacing adds to the loop. *)
+
+type outcome = {
+  completions : (Vjob.t * float) list;  (** vjob, completion time *)
+  makespan : float;  (** completion time of the last vjob *)
+  final_config : Configuration.t;
+  killed : bool;
+      (** the run stopped at [kill_at] before [complete] held — the
+          simulated controller crash *)
+}
+
+val loop :
+  config:Configuration.t -> vjobs:Vjob.t list ->
+  programs:(Vm.id -> Vworkload.Program.t) ->
+  journal:Entropy_journal.Journal.t option ->
+  injector:Entropy_fault.Injector.t option ->
+  policy:Entropy_fault.Supervisor.policy option -> queue:(t -> Vjob.t list) ->
+  on_switch:(Executor.record -> unit) -> on_repair:(repair -> unit) ->
+  crashes:(Node.id * float) list ->
+  resume:Entropy_journal.Recovery.resume option -> kill_at:float option ->
+  max_time:float -> (t -> pacing) -> outcome
+(** Run the loop: {!create} the session and hand it to the pacing
+    builder (which may schedule its own events), start the monitor poll
+    and the [crashes] script, schedule a non-empty [resume] plan, start
+    the pacing, run the engine to [min kill_at max_time] and fold the
+    cluster's completions. *)
 
 val decided :
   t -> Decision.observation -> Optimizer.result ->

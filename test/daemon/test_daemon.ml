@@ -400,6 +400,49 @@ let test_soak_kill_resume () =
     resumed.Daemon.submissions;
   check_soak_report "resume" resumed
 
+(* The CI soak (seed 3, 120 submissions, 12 nodes, one crash) killed
+   just after each of its switches ended: whatever the cut, the resumed
+   daemon terminates every admitted vjob in a viable configuration,
+   within its queue and degradation bounds. Resume reconciles the ended
+   switch too, as the periodic runner does. *)
+let ci_soak_config =
+  {
+    Daemon.default_config with
+    Daemon.nodes = 12;
+    submissions = 120;
+    deterministic = true;
+    fail_rate = 0.05;
+    crashes = 1;
+    seed = 3;
+  }
+
+let test_resume_after_every_switch_end () =
+  let journal = Journal.mem () in
+  ignore (Daemon.run ~journal ci_soak_config);
+  let cuts =
+    List.fold_left
+      (fun (prefix, cuts) r ->
+        let prefix = r :: prefix in
+        match r with
+        | Record.Switch_end _ -> (prefix, List.rev prefix :: cuts)
+        | _ -> (prefix, cuts))
+      ([], []) (Journal.records journal)
+    |> snd |> List.rev
+  in
+  check_int "switch ends" 38 (List.length cuts);
+  List.iteri
+    (fun k records ->
+      let r =
+        Daemon.resume ~journal:(Journal.of_records records) ~records
+          ci_soak_config
+      in
+      let tag what = Printf.sprintf "cut after switch end %d: %s" k what in
+      check_bool (tag "all terminated") true r.Daemon.all_terminated;
+      check_bool (tag "final viable") true r.Daemon.final_viable;
+      check_bool (tag "queue bounded") true r.Daemon.queue_bounded;
+      check_bool (tag "degradation bounded") true r.Daemon.degradation_bounded)
+    cuts
+
 let () =
   Alcotest.run "daemon"
     [
@@ -436,6 +479,8 @@ let () =
             test_daemon_journals_admission;
           Alcotest.test_case "burst0 journal bytes" `Quick
             test_burst0_journal_bytes;
+          Alcotest.test_case "resume after every switch end" `Quick
+            test_resume_after_every_switch_end;
         ] );
       ( "soak",
         [

@@ -1240,6 +1240,39 @@ let test_runner_node_crash_resubmits () =
     (Configuration.vms final);
   check_bool "finite" true (r.Vsim.Runner.makespan < 10_000.)
 
+let test_runner_crash_after_done_ignored () =
+  (* a scripted crash that fires once the loop is done changes nothing:
+     it is not enacted, not reported, and the run is the crash-free one *)
+  let traces =
+    List.init 2 (fun i -> Trace.make ~seed:i ~vm_count:4 Nasgrid.Ed Nasgrid.W)
+  in
+  let run models =
+    Vsim.Runner.run_entropy
+      ~decision:(Decision.consolidation ~cp_timeout:60. ~cp_node_limit:5000 ())
+      ~injector:(Injector.create models) ~nodes:(testbed_nodes 4) ~traces ()
+  in
+  let rows (r : Vsim.Runner.result) =
+    List.map
+      (fun (s : Vsim.Executor.record) ->
+        (s.Vsim.Executor.cost, Vsim.Executor.duration s, s.Vsim.Executor.pools))
+      r.Vsim.Runner.switches
+  in
+  let plain = run [] in
+  let late =
+    run
+      [
+        Injector.Crash_node
+          { node = 0; at_s = plain.Vsim.Runner.makespan +. 3600. };
+      ]
+  in
+  check_int "no crash reported" 0 (List.length late.Vsim.Runner.crashes);
+  check_bool "same switches" true (rows plain = rows late);
+  check_float 0. "same makespan" plain.Vsim.Runner.makespan
+    late.Vsim.Runner.makespan;
+  check_bool "same final configuration" true
+    (Configuration.equal plain.Vsim.Runner.final_config
+       late.Vsim.Runner.final_config)
+
 (* -- journal + crash resume ----------------------------------------------------- *)
 
 module Journal = Entropy_journal.Journal
@@ -1545,12 +1578,28 @@ let test_cluster_aggregates_match_scans () =
           ~submit_time:(2. *. float_of_int j) ())
       sizes
   in
-  let engine = Vsim.Engine.create () in
-  let cluster =
-    Vsim.Cluster.create ~engine
-      ~config:(Configuration.make ~nodes ~vms)
-      ~vjobs ~programs:(fun vm -> programs.(vm)) ()
+  let live s =
+    let config = Vsim.Session.config s in
+    List.filter
+      (fun vj ->
+        Vjob.submit_time vj <= Vsim.Session.now s
+        && not (Configuration.vjob_terminated config vj))
+      vjobs
   in
+  let session =
+    Vsim.Session.create
+      ~config:(Configuration.make ~nodes ~vms)
+      ~vjobs
+      ~programs:(fun vm -> programs.(vm))
+      ~journal:None
+      ~injector:
+        (Some
+           (Injector.create ~seed:7
+              [ Injector.Fail_rate { kind = None; rate = 0.05 } ]))
+      ~policy:None ~queue:live ~on_switch:ignore ~on_repair:ignore
+  in
+  let engine = Vsim.Session.engine session in
+  let cluster = Vsim.Session.cluster session in
   let computed = Array.make vm_count false in
   (* checked quietly: Alcotest would log each of the millions of checks *)
   let expect want got fmt =
@@ -1628,27 +1677,6 @@ let test_cluster_aggregates_match_scans () =
               (List.for_all (fun v -> computed.(v)) vms)
               "vjob %d running: launched" (Vjob.id vj))
         vjobs);
-  let collector =
-    Vmonitor.Collector.create (fun () ->
-        (Vsim.Engine.now engine, Vsim.Cluster.cpu_readings cluster))
-  in
-  let live () =
-    let config = Vsim.Cluster.config cluster in
-    List.filter
-      (fun vj ->
-        Vjob.submit_time vj <= Vsim.Engine.now engine
-        && not (Configuration.vjob_terminated config vj))
-      vjobs
-  in
-  let session =
-    Vsim.Session.create ~cluster ~collector ~journal:None
-      ~injector:
-        (Some
-           (Injector.create ~seed:7
-              [ Injector.Fail_rate { kind = None; rate = 0.05 } ]))
-      ~policy:None ~max_repairs:4 ~queue:live ~on_switch:ignore
-      ~on_repair:ignore
-  in
   ignore
     (Vsim.Engine.schedule engine ~at:600. (fun () ->
          ignore (Vsim.Cluster.crash_node cluster 3)));
@@ -1671,21 +1699,10 @@ let test_cluster_aggregates_match_scans () =
   let rec iterate () =
     let config = Vsim.Cluster.config cluster in
     if not (List.for_all (Configuration.vjob_terminated config) vjobs) then
-      match live () with
+      match live session with
       | [] -> next ()
-      | queue ->
-        Vmonitor.Collector.poll collector;
-        let demand = Vmonitor.Collector.demand collector in
-        let finished =
-          List.filter_map
-            (fun vj ->
-              if Vsim.Cluster.completed cluster vj then Some (Vjob.id vj)
-              else None)
-            queue
-        in
-        let obs = { Decision.config; demand; queue; finished } in
-        Vsim.Session.decided session obs
-          (decision.Decision.decide obs)
+      | _ ->
+        Vsim.Session.round session ~decide:decision.Decision.decide
           ~on_settled:(fun _ -> next ())
   and next () = ignore (Vsim.Engine.schedule_after engine ~delay:30. iterate) in
   ignore (Vsim.Engine.schedule engine ~at:0.5 iterate);
@@ -1720,25 +1737,35 @@ let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 (* -- switch session ------------------------------------------------------------ *)
 
 (* a one-VM cluster whose session fails the attempts [fails] selects *)
-let session_fixture ~max_repairs fails =
-  let engine, cluster, vjobs =
-    mk_cluster ~programs:[ [ Program.Compute 1000. ] ] ~memories:[ 512 ] ()
+let session_fixture fails =
+  let config =
+    Configuration.make
+      ~nodes:
+        (Array.init 2 (fun i ->
+             Node.make ~id:i ~name:(Printf.sprintf "N%d" i) ~cpu_capacity:200
+               ~memory_mb:3584))
+      ~vms:[| Vm.make ~id:0 ~name:"vm0" ~memory_mb:512 |]
   in
+  let vjobs = [ Vjob.make ~id:0 ~name:"j0" ~vms:[ 0 ] () ] in
+  let journal = Journal.mem () in
+  let switches = ref 0 and repairs = ref [] in
+  let session =
+    Vsim.Session.create ~config ~vjobs
+      ~programs:(fun _ -> [ Program.Compute 1000. ])
+      ~journal:(Some journal)
+      ~injector:(Some (Injector.of_predicate fails))
+      ~policy:(Some Supervisor.no_retry)
+      ~queue:(fun _ -> vjobs)
+      ~on_switch:(fun _ -> incr switches)
+      ~on_repair:(fun r -> repairs := r :: !repairs)
+  in
+  let engine = Vsim.Session.engine session in
+  let cluster = Vsim.Session.cluster session in
   let collector =
     Vmonitor.Collector.create (fun () ->
         (Vsim.Engine.now engine, Vsim.Cluster.cpu_readings cluster))
   in
   Vmonitor.Collector.poll collector;
-  let journal = Journal.mem () in
-  let switches = ref 0 and repairs = ref [] in
-  let session =
-    Vsim.Session.create ~cluster ~collector ~journal:(Some journal)
-      ~injector:(Some (Injector.of_predicate fails))
-      ~policy:(Some Supervisor.no_retry) ~max_repairs
-      ~queue:(fun () -> vjobs)
-      ~on_switch:(fun _ -> incr switches)
-      ~on_repair:(fun r -> repairs := r :: !repairs)
-  in
   let run_vm0 ~on_settled =
     let target =
       Configuration.set_state (Vsim.Cluster.config cluster) 0
@@ -1762,9 +1789,9 @@ let test_session_chain_exhausts () =
   (* every attempt fails: the switch and each of its repair plans
      degrade, each journaled under the next dense id, until the chain is
      reported exhausted *)
-  let max_repairs = 2 in
+  let max_repairs = Vsim.Session.max_repairs in
   let _, cluster, _, journal, _, switches, repairs, run_vm0 =
-    session_fixture ~max_repairs (fun _ -> true)
+    session_fixture (fun _ -> true)
   in
   let settled = ref [] in
   run_vm0 ~on_settled:(fun s -> settled := s :: !settled);
@@ -1772,9 +1799,12 @@ let test_session_chain_exhausts () =
     (!settled = [ Vsim.Session.Exhausted ]);
   check_int "switch plus every repair executed" (max_repairs + 1) !switches;
   Alcotest.(check (list int))
-    "dense switch ids" [ 0; 1; 2 ] (begun_ids journal);
+    "dense switch ids"
+    (List.init (max_repairs + 1) Fun.id)
+    (begun_ids journal);
   Alcotest.(check (list int))
-    "each repair names the switch it runs under" [ 1; 2 ]
+    "each repair names the switch it runs under"
+    (List.init max_repairs (fun i -> i + 1))
     (List.rev_map (fun r -> r.Vsim.Session.switch) !repairs);
   check_int "next switch" (max_repairs + 1) (Journal.next_switch journal);
   check_bool "vm0 still waiting" true
@@ -1784,7 +1814,7 @@ let test_session_repairs_then_settles_clean () =
   (* the first attempt fails; the immediate repair plan succeeds *)
   let first = ref true in
   let _, cluster, _, journal, _, switches, repairs, run_vm0 =
-    session_fixture ~max_repairs:4 (fun _ ->
+    session_fixture (fun _ ->
         let f = !first in
         first := false;
         f)
@@ -1804,7 +1834,7 @@ let test_session_commits_bookkeeping () =
   (* an empty plan whose target differs by bookkeeping alone (a waiting
      VM cancelled) is committed directly, without a switch *)
   let _, cluster, collector, journal, session, switches, _, _ =
-    session_fixture ~max_repairs:4 (fun _ -> false)
+    session_fixture (fun _ -> false)
   in
   let config = Vsim.Cluster.config cluster in
   let target = Configuration.set_state config 0 Configuration.Terminated in
@@ -2048,6 +2078,8 @@ let () =
             test_runner_repairs_failed_migration;
           Alcotest.test_case "node crash resubmits" `Quick
             test_runner_node_crash_resubmits;
+          Alcotest.test_case "crash after done ignored" `Quick
+            test_runner_crash_after_done_ignored;
         ] );
       ( "journal",
         [
