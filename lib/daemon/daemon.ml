@@ -1,17 +1,18 @@
 (* entropyd: the overload-tolerant online control plane.
 
-   One discrete-event episode: open-arrival submissions stream in
+   One discrete-event episode of the session's loop (Vsim.Session.loop),
+   paced by events: open-arrival submissions stream in
    (Vworkload.Arrivals), every event — arrival, completion, load spike,
    node crash — raises a debounced trigger (Triggers), each trigger fire
    runs one decision round at the degradation ladder's current rung
    (Ladder), admitting at most a batch from the bounded submission
    queue (Admission) and re-placing the admitted, still-live vjobs
-   through the usual decision/executor/repair machinery of the
-   simulator. Admission decisions and ladder transitions ride the
-   write-ahead journal next to the switch records, so a killed daemon
-   resumes mid-storm: settled dispositions are replayed, the in-flight
-   switch is reconciled and completed idempotently, missed arrivals are
-   re-submitted, and the ladder restarts on its journaled rung.
+   through the session's decision round. Admission decisions and ladder
+   transitions ride the write-ahead journal next to the switch records,
+   so a killed daemon resumes mid-storm: settled dispositions are
+   replayed, the last switch is reconciled and completed idempotently,
+   missed arrivals are re-submitted, and the ladder restarts on its
+   journaled rung.
 
    Determinism: the instance, the arrival schedule and the crash script
    all derive from [config.seed]; with [deterministic = true] the
@@ -237,8 +238,8 @@ type boot = {
   pre_crashes : (Node.id * float) list;
   future_crashes : (Node.id * float) list;
   level0 : Ladder.level;
-  initial_config : Configuration.t;
-  recovered : Recovery.resume option;
+  recovered : (Configuration.t * Recovery.resume) option;
+      (* the journal's resume point *)
   resumed : bool;
 }
 
@@ -286,8 +287,6 @@ let run_core (c : config) (b : boot) =
   let defer_streak = ref 0 in
   let max_defer_streak = ref 0 in
   let livelock_episodes = ref 0 in
-  let switches = ref [] in
-  let repairs = ref 0 in
   let crash_log = ref [] in
   let transitions = ref [] in
   let arrivals_left = ref (List.length b.missed + List.length b.pending) in
@@ -414,17 +413,12 @@ let run_core (c : config) (b : boot) =
             let delay = decide_model_s level in
             if delay <= 0. then decide level
             else
-              ignore (Engine.schedule_after engine ~delay (fun () -> decide level)))
+              ignore
+                (Engine.schedule_after engine ~delay (fun () -> decide level)))
     and decide level =
-      let d = decision_of level in
-      Session.round s
-        ~decide:(fun obs ->
-          if !Obs.enabled then
-            Obs.span ~cat:"daemon" ~name:"daemon.decide"
-              ~args:[ ("level", Trace.S (Ladder.to_string level)) ]
-              (fun () -> d.Decision.decide obs)
-          else d.Decision.decide obs)
-        ~on_settled:settled
+      Session.round s ~cat:"daemon" ~name:"daemon.decide"
+        ~args:[ ("level", Trace.S (Ladder.to_string level)) ]
+        (decision_of level) ~on_settled:settled
     (* a switch still degraded after the whole repair chain is the
        livelock guard: counted, never spun on *)
     and settled outcome =
@@ -487,7 +481,12 @@ let run_core (c : config) (b : boot) =
         | `Queued ->
           jappend
             (Jrecord.Submission
-               { at_s = now; vjob = id; vms = nvms; disposition = Jrecord.Queued });
+               {
+                 at_s = now;
+                 vjob = id;
+                 vms = nvms;
+                 disposition = Jrecord.Queued;
+               });
           note_queue_metrics now;
           trigger_raise "vjob arrival"
         | `Rejected reason ->
@@ -534,12 +533,13 @@ let run_core (c : config) (b : boot) =
       Session.start =
         (fun ~resumed ->
           if resumed then begin
-            (* the reconciled in-flight switch runs first. Claim the
-               trigger machine for it (Idle -> Armed -> Busy) so an early
+            (* the journal's resume plan runs first. Claim the trigger
+               machine for it (Idle -> Armed -> Busy) so an early
                arrival cannot start a second, overlapping decision round —
                everything raised meanwhile coalesces and re-arms at
                settle *)
-            ignore (Triggers.raise_ trig ~now:0. ~reason:"resume reconciliation");
+            ignore
+              (Triggers.raise_ trig ~now:0. ~reason:"resume reconciliation");
             ignore (Triggers.fire trig)
           end
           else
@@ -566,16 +566,19 @@ let run_core (c : config) (b : boot) =
     }
   in
   let o =
-    Session.loop ~config:b.initial_config
+    Session.loop
+      ~config:(Option.fold ~none:instance.config0 ~some:fst b.recovered)
       ~vjobs:(Array.to_list instance.vjobs)
       ~programs:instance.programs ~journal:b.journal
       ~injector:(Some injector) ~policy:(Some Supervisor.default_policy)
       ~queue:live_admitted
-      ~on_switch:(fun r -> switches := r :: !switches)
-      ~on_repair:(fun _ -> incr repairs)
       ~crashes:
-        (List.map (fun (node, at) -> (node, Float.max 0.003 at)) b.future_crashes)
-      ~resume:b.recovered ~kill_at:c.kill_at ~max_time:c.max_time pace
+        (* after the arrivals owed at 0.001 s and 0.002 s *)
+        (List.map
+           (fun (node, at) -> (node, Float.max 0.003 at))
+           b.future_crashes)
+      ~resume:(Option.map snd b.recovered) ~kill_at:c.kill_at
+      ~max_time:c.max_time pace
   in
   let final_config = o.Session.final_config in
   let admitted_ids =
@@ -613,7 +616,7 @@ let run_core (c : config) (b : boot) =
   in
   let action_failures =
     List.fold_left (fun a (r : Executor.record) -> a + r.Executor.failed) 0
-      !switches
+      o.Session.switches
   in
   {
     submissions = List.length admitted_ids + !rejected + Admission.depth adm;
@@ -638,8 +641,8 @@ let run_core (c : config) (b : boot) =
     final_level = Ladder.level ladder;
     triggers_raised = Triggers.raised_total trig;
     triggers_coalesced = Triggers.coalesced_total trig;
-    switches = List.length !switches;
-    repairs = !repairs;
+    switches = List.length o.Session.switches;
+    repairs = List.length o.Session.repairs;
     action_failures;
     crashes = List.rev !crash_log;
     killed = o.Session.killed;
@@ -653,11 +656,9 @@ let run_core (c : config) (b : boot) =
 let run ?journal c =
   let instance = build_instance c in
   let pending =
-    let acc = ref [] in
-    Array.iteri
-      (fun j (a : Arrivals.arrival) -> acc := (j, a.Arrivals.at_s) :: !acc)
-      instance.arrivals;
-    List.rev !acc
+    List.mapi
+      (fun j (a : Arrivals.arrival) -> (j, a.Arrivals.at_s))
+      (Array.to_list instance.arrivals)
   in
   Log.info (fun m ->
       m "daemon run: %d submissions over %d nodes (seed %d), cap %d, %d \
@@ -675,7 +676,6 @@ let run ?journal c =
       pre_crashes = [];
       future_crashes = crash_schedule c instance;
       level0 = Ladder.Full;
-      initial_config = instance.config0;
       recovered = None;
       resumed = false;
     }
@@ -734,12 +734,8 @@ let resume ~journal ~records c =
         if a.Arrivals.at_s <= crash_time then missed := id :: !missed
         else pending := (id, a.Arrivals.at_s -. crash_time) :: !pending)
     instance.arrivals;
-  let all_crashes = crash_schedule c instance in
-  let pre_crashes = List.filter (fun (_, t) -> t <= crash_time) all_crashes in
-  let future_crashes =
-    List.filter_map
-      (fun (n, t) -> if t > crash_time then Some (n, t -. crash_time) else None)
-      all_crashes
+  let pre_crashes, future_crashes =
+    List.partition (fun (_, t) -> t <= crash_time) (crash_schedule c instance)
   in
   let recovered =
     Session.recover records
@@ -765,11 +761,10 @@ let resume ~journal ~records c =
       missed = List.rev !missed;
       pending = List.rev !pending;
       pre_crashes;
-      future_crashes;
+      future_crashes =
+        List.map (fun (n, t) -> (n, t -. crash_time)) future_crashes;
       level0 = !level0;
-      initial_config =
-        (match recovered with Some (c, _) -> c | None -> instance.config0);
-      recovered = Option.map snd recovered;
+      recovered;
       resumed = true;
     }
 

@@ -1,10 +1,10 @@
-(** The online control-plane daemon: an event-driven loop around the
-    simulated cluster that survives overload.
+(** The online control-plane daemon: the event-driven pacing of the
+    control loop ({!Vsim.Session.loop}), made to survive overload.
 
-    Where {!Vsim.Runner} polls on a fixed period over a closed set of
-    vjobs, the daemon reacts to events — open-arrival submissions
-    ({!Vworkload.Arrivals}), vjob completions, load spikes, scripted
-    node crashes — through three overload defences:
+    Where {!Vsim.Runner} re-decides on a fixed period over a closed set
+    of vjobs, the daemon re-decides on events — open-arrival
+    submissions ({!Vworkload.Arrivals}), vjob completions, load spikes,
+    scripted node crashes — through three overload defences:
 
     - {!Admission}: a hard-bounded FIFO submission queue; a storm can
       fill it to [cap - 1] but never past it, and everything beyond is
@@ -19,9 +19,9 @@
     write-ahead journal ({!Entropy_journal.Record.Submission} /
     [Ladder] records) alongside the usual switch records, so
     {!resume} can rebuild the daemon mid-storm: queued-but-unadmitted
-    submissions are re-queued, the in-flight switch is reconciled and
-    re-executed idempotently, missed arrivals are re-submitted and the
-    ladder restarts on its journaled rung. *)
+    submissions are re-queued, the last switch is reconciled and
+    re-executed idempotently ({!Vsim.Session.recover}), missed arrivals
+    are re-submitted and the ladder restarts on its journaled rung. *)
 
 open Entropy_core
 

@@ -1,8 +1,7 @@
 (* End-to-end simulated runs of the Entropy control loop (the paper's
-   section 5.2 experiment): a cluster, a set of vjobs submitted at time
-   zero running NGB-like workloads, the monitoring collector, the
-   decision module and the plan executor, wired on the discrete-event
-   engine.
+   section 5.2 experiment): a set of vjobs submitted at time zero
+   running NGB-like workloads, paced by a 30 s timer over the session's
+   loop (cluster, monitoring, decision, execution).
 
    With a fault injector, the run becomes a chaos experiment: scripted
    node crashes fire on the engine, actions run supervised (timeouts,
@@ -13,7 +12,6 @@
 
 open Entropy_core
 module Trace = Vworkload.Trace
-module Obs = Entropy_obs.Obs
 module Injector = Entropy_fault.Injector
 
 type result = {
@@ -74,16 +72,6 @@ let run_periodic ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
     | Some d -> d
     | None -> Decision.consolidation ~cp_timeout ()
   in
-  let decide obs =
-    (* skip span construction entirely when tracing is off: this is the
-       per-iteration hot path of the control loop *)
-    if !Obs.enabled then
-      Obs.span ~cat:"loop" ~name:"loop.decide" (fun () ->
-          decision.Decision.decide obs)
-    else decision.Decision.decide obs
-  in
-  let switches = ref [] in
-  let repairs = ref [] in
   let crashes = ref [] in
   let iterations = ref 0 in
   let metrics = ref None in
@@ -113,7 +101,8 @@ let run_periodic ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
       else begin
         incr iterations;
         (* however the switch settles, the next period takes over *)
-        Session.round s ~decide ~on_settled:(fun _ -> next_period ())
+        Session.round s ~cat:"loop" ~name:"loop.decide" ~args:[] decision
+          ~on_settled:(fun _ -> next_period ())
       end
     and next_period () =
       ignore (Engine.schedule_after (Session.engine s) ~delay:period iterate)
@@ -122,7 +111,8 @@ let run_periodic ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
       Session.start =
         (fun ~resumed ->
           if not resumed then
-            ignore (Engine.schedule_after (Session.engine s) ~delay:0.5 iterate));
+            ignore
+              (Engine.schedule_after (Session.engine s) ~delay:0.5 iterate));
       on_settled = (fun _ -> next_period ());
       on_poll = ignore;
       on_crash =
@@ -134,16 +124,14 @@ let run_periodic ?(cp_timeout = 1.0) ?(max_time = 1_000_000.) ?decision
   let o =
     Session.loop ~config ~vjobs ~programs ~journal ~injector ~policy
       ~queue:live_queue
-      ~on_switch:(fun r -> switches := r :: !switches)
-      ~on_repair:(fun r -> repairs := r :: !repairs)
       ~crashes:(Option.fold ~none:[] ~some:Injector.node_crashes injector)
       ~resume ~kill_at ~max_time pace
   in
   {
     makespan = o.Session.makespan;
     completions = o.Session.completions;
-    switches = List.rev !switches;
-    repairs = List.rev !repairs;
+    switches = o.Session.switches;
+    repairs = o.Session.repairs;
     crashes = List.rev !crashes;
     series = Metrics.points (Option.get !metrics);
     iterations = !iterations;

@@ -1,6 +1,7 @@
 (** End-to-end simulated Entropy runs (the section 5.2 experiment),
     optionally under fault injection with supervised execution and
-    immediate plan repair. *)
+    immediate plan repair: the control loop ({!Session.loop}) paced by a
+    30 s timer. The daemon paces the same loop on debounced events. *)
 
 open Entropy_core
 
@@ -36,27 +37,18 @@ val run_custom :
   ?journal:Entropy_journal.Journal.t -> ?kill_at:float ->
   config:Configuration.t -> vjobs:Vjob.t list ->
   programs:(Vm.id -> Vworkload.Program.t) -> unit -> result
-(** Run the control loop over an arbitrary initial configuration (VMs
-    may already be running or sleeping): every 30 s, decide over the
-    submitted, unterminated vjobs and hand the result to a {!Session},
-    which commits it — an empty plan's bookkeeping directly, a non-empty
-    plan as one journaled, supervised switch. Monitors are polled every
-    5 s and metrics sampled every 30 s. Every switch runs pool by pool
-    ({!Executor.execute}, the paper's model).
+(** Run the control loop ({!Session.loop}) over an arbitrary initial
+    configuration (VMs may already be running or sleeping), paced by a
+    30 s timer: each period a {!Session.round} decides over the
+    submitted, unterminated vjobs; with nothing submitted yet, the loop
+    waits a period. Metrics are sampled every 30 s.
 
     With [injector], actions run supervised under [policy] (default
-    {!Entropy_fault.Supervisor.default_policy}), scripted node crashes
-    fire on the engine, and a switch that terminally loses actions
-    aborts and is chased by at most 4 immediate repair plans — salvage
-    or FFD replan — before the periodic loop resumes.
-
-    With [journal], every switch is bracketed by write-ahead records
-    ([Switch_begin] before the first action, [Switch_end] after the
-    executor reports) and every action state transition is journaled
-    (see {!Executor.execute}). [kill_at] stops the discrete-event engine
-    at that simulated time — the controller crash: no [Switch_end] is
-    written for an in-flight switch and [result.killed] is set when
-    vjobs were left incomplete. *)
+    {!Entropy_fault.Supervisor.default_policy}) and its scripted node
+    crashes fire until the loop is done. With [journal], every switch
+    and every action state transition is journaled. [kill_at] stops the
+    engine at that simulated time — the controller crash:
+    [result.killed] is set when vjobs were left incomplete. *)
 
 val run_entropy :
   ?cp_timeout:float -> ?max_time:float -> ?decision:Decision.t ->
@@ -79,16 +71,14 @@ val resume :
   vjobs:Vjob.t list -> programs:(Vm.id -> Vworkload.Program.t) -> unit ->
   (Entropy_journal.Recovery.resume * result) option
 (** Idempotently resume a run from a crashed controller's journal:
-    replay [records], restart the simulated cluster in the configuration
-    the journal projects ({!Entropy_journal.Recovery.projected_config}),
-    derive the resume plan against it
-    ({!Entropy_journal.Recovery.resume_plan}: reconciliation, or repair
-    on divergence), execute it first (at t=0.5s, an empty plan falls
-    through) and then run the periodic loop to completion. [None] when
-    the journal holds no switch — nothing to resume; start a fresh
-    run instead. Pass the same [journal] to keep appending: the resumed
-    switch takes the next free switch id. The journaled injector seed is
-    available as [state.seed] for rebuilding a deterministic injector;
-    [injector] itself stays the caller's choice. *)
+    restart the simulated cluster at the journal's resume point
+    ({!Session.recover}), execute the resume plan first (at t=0.5s, an
+    empty plan falls through) and then run the periodic loop to
+    completion. [None] when the journal holds no switch — nothing to
+    resume; start a fresh run instead. Pass the same [journal] to keep
+    appending: the resumed switch takes the next free switch id. The
+    journaled injector seed is available as [state.seed] for rebuilding
+    a deterministic injector; [injector] itself stays the caller's
+    choice. *)
 
 val mean_switch_duration : result -> float

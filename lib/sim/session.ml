@@ -1,22 +1,6 @@
-(* The paper's Fig. 4 loop — observe, decide, plan, execute — over one
-   simulated cluster, written once for both of its pacings: the
-   periodic runner re-decides on a 30 s timer, the event-driven daemon
-   on debounced events. Everything but the pacing lives here: the
-   engine, cluster and monitoring collector; the 5 s monitor poll; the
-   scripted node crashes; the decision round; the resume point a
-   crashed controller's journal yields and the resumed switch that runs
-   first; the run to the horizon; and the execute half.
-
-   An empty plan can still carry state (a finished vjob's image to
-   discard, a waiting VM to cancel): it is committed directly. A
-   non-empty plan runs as one switch bracketed by write-ahead journal
-   records — Switch_begin goes durable before the first action starts,
-   Switch_end only after the executor reports back, so a kill anywhere
-   in between leaves a journal that replays to the in-flight state. With
-   a fault injector, actions run supervised, a switch that terminally
-   loses actions aborts at the pool boundary, and it is chased by at
-   most [max_repairs] immediate repair plans — salvage the surviving
-   plan or FFD-replan — before the caller's pacing takes over again. *)
+(* The paper's Fig. 4 loop, written once for its periodic and
+   event-driven pacings. A kill anywhere inside a switch's write-ahead
+   bracket leaves a journal that replays to the in-flight state. *)
 
 (* capture the simulator's own log source before [open Entropy_core]
    shadows it with the core's *)
@@ -29,6 +13,7 @@ module Journal = Entropy_journal.Journal
 module Jrecord = Entropy_journal.Record
 module Collector = Vmonitor.Collector
 module Recovery = Entropy_journal.Recovery
+module Obs = Entropy_obs.Obs
 
 type repair = {
   at : float;
@@ -44,58 +29,33 @@ type repair = {
 type settled = Clean | Nothing_to_repair | Exhausted
 
 type t = {
-  engine : Engine.t;
   cluster : Cluster.t;
   collector : Collector.t;
   journal : Journal.t option;
-  emit : (Jrecord.t -> unit) option;
   injector : Injector.t option;
   policy : Entropy_fault.Supervisor.policy option;
   budget : int;  (* repairs one degraded switch may chase *)
   queue : t -> Vjob.t list;
-  on_switch : Executor.record -> unit;
-  on_repair : repair -> unit;
+  mutable switches : Executor.record list;  (* newest first *)
+  mutable repairs : repair list;  (* newest first *)
   mutable finished : bool;
 }
 
-(* a degraded switch is chased by at most [max_repairs] repair plans;
-   the monitors are polled every [poll_period] seconds *)
-let max_repairs = 4
-let poll_period = 5.
+let max_repairs = 4  (* repair plans one degraded switch may chase *)
+let poll_period = 5.  (* seconds between monitor polls *)
 
-let create ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
-    ~on_switch ~on_repair =
-  let engine = Engine.create () in
-  let cluster = Cluster.create ~engine ~config ~vjobs ~programs () in
-  {
-    engine;
-    cluster;
-    collector =
-      Collector.create (fun () ->
-          (Engine.now engine, Cluster.cpu_readings cluster));
-    journal;
-    emit = Option.map (fun j r -> Journal.append j r) journal;
-    injector;
-    policy;
-    (* unsupervised actions never abort a switch: nothing to chase *)
-    budget = (if Option.is_some injector then max_repairs else 0);
-    queue;
-    on_switch;
-    on_repair;
-    finished = false;
-  }
-
-let engine t = t.engine
+let engine t = Cluster.engine t.cluster
 let cluster t = t.cluster
 let config t = Cluster.config t.cluster
-let now t = Engine.now t.engine
+let now t = Engine.now (engine t)
 let finish t = t.finished <- true
 let finished t = t.finished
 
 let next_switch t =
   match t.journal with Some j -> Journal.next_switch j | None -> 0
 
-let rec execute_at t ~depth ~demand ~target plan ~on_settled =
+(* run a plan as one switch, the [depth]-th of its repair chain *)
+let rec execute t ~depth ~demand ~target plan ~on_settled =
   let sw = next_switch t in
   Option.iter
     (fun j ->
@@ -118,7 +78,7 @@ let rec execute_at t ~depth ~demand ~target plan ~on_settled =
           (Jrecord.Switch_end
              { switch = sw; at_s = now t; aborted = r.Executor.aborted }))
       t.journal;
-    t.on_switch r;
+    t.switches <- r :: t.switches;
     if r.Executor.failed = 0 then on_settled Clean
     else if depth < t.budget then chase t ~depth ~target r ~on_settled
     else begin
@@ -128,9 +88,10 @@ let rec execute_at t ~depth ~demand ~target plan ~on_settled =
       on_settled Exhausted
     end
   in
-  let abort_on_failure = Option.is_some t.injector in
-  Executor.execute ?injector:t.injector ?policy:t.policy ~abort_on_failure
-    ?emit:t.emit ~switch:sw t.cluster plan ~on_done
+  Executor.execute ?injector:t.injector ?policy:t.policy
+    ~abort_on_failure:(Option.is_some t.injector)
+    ?emit:(Option.map Journal.append t.journal) ~switch:sw t.cluster plan
+    ~on_done
 
 and chase t ~depth ~target (r : Executor.record) ~on_settled =
   Collector.poll t.collector;
@@ -148,7 +109,7 @@ and chase t ~depth ~target (r : Executor.record) ~on_settled =
           (now t) r.Executor.failed r.Executor.node_losses Repair.pp_source
           o.Repair.source
           (Plan.action_count o.Repair.plan));
-    t.on_repair
+    t.repairs <-
       {
         at = now t;
         (* the id the chased switch below journals under *)
@@ -159,19 +120,17 @@ and chase t ~depth ~target (r : Executor.record) ~on_settled =
         demand;
         queue;
         plan = o.Repair.plan;
-      };
-    execute_at t ~depth:(depth + 1) ~demand ~target:o.Repair.target
+      }
+      :: t.repairs;
+    execute t ~depth:(depth + 1) ~demand ~target:o.Repair.target
       o.Repair.plan ~on_settled
   | None -> on_settled Nothing_to_repair
-
-let execute t ~demand ~target plan ~on_settled =
-  execute_at t ~depth:0 ~demand ~target plan ~on_settled
 
 let decided t (obs : Decision.observation) (result : Optimizer.result)
     ~on_settled =
   let plan = result.Optimizer.plan and target = result.Optimizer.target in
   if not (Plan.is_empty plan) then
-    execute t ~demand:obs.Decision.demand ~target plan ~on_settled
+    execute t ~depth:0 ~demand:obs.Decision.demand ~target plan ~on_settled
   else begin
     (* every current/target difference that derives no action is pure
        bookkeeping: commit it directly or the vjob never reaches
@@ -189,7 +148,7 @@ let decided t (obs : Decision.observation) (result : Optimizer.result)
 
 (* -- the loop around a switch ---------------------------------------------- *)
 
-let round t ~decide ~on_settled =
+let round t ~cat ~name ~args (decision : Decision.t) ~on_settled =
   if not t.finished then begin
     Collector.poll t.collector;
     let demand = Collector.demand t.collector in
@@ -203,7 +162,14 @@ let round t ~decide ~on_settled =
           queue
       in
       let obs = { Decision.config = config t; demand; queue; finished } in
-      decided t obs (decide obs) ~on_settled
+      let result =
+        (* skip span construction entirely when tracing is off: this is
+           the per-round hot path of the loop *)
+        if !Obs.enabled then
+          Obs.span ~cat ~name ~args (fun () -> decision.Decision.decide obs)
+        else decision.Decision.decide obs
+      in
+      decided t obs result ~on_settled
   end
 
 let recover ~vjobs records =
@@ -222,6 +188,8 @@ type pacing = {
 }
 
 type outcome = {
+  switches : Executor.record list;
+  repairs : repair list;
   completions : (Vjob.t * float) list;
   makespan : float;
   final_config : Configuration.t;
@@ -229,10 +197,25 @@ type outcome = {
 }
 
 let loop ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
-    ~on_switch ~on_repair ~crashes ~resume ~kill_at ~max_time pace =
+    ~crashes ~resume ~kill_at ~max_time pace =
+  let engine = Engine.create () in
+  let cluster = Cluster.create ~engine ~config ~vjobs ~programs () in
   let t =
-    create ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
-      ~on_switch ~on_repair
+    {
+      cluster;
+      collector =
+        Collector.create (fun () ->
+            (Engine.now engine, Cluster.cpu_readings cluster));
+      journal;
+      injector;
+      policy;
+      (* unsupervised actions never abort a switch: nothing to chase *)
+      budget = (if Option.is_some injector then max_repairs else 0);
+      queue;
+      switches = [];
+      repairs = [];
+      finished = false;
+    }
   in
   let p = pace t in
   (* Ganglia-style monitoring polls *)
@@ -240,7 +223,7 @@ let loop ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
     if not t.finished then begin
       Collector.poll t.collector;
       p.on_poll ();
-      ignore (Engine.schedule_after t.engine ~delay:poll_period poll)
+      ignore (Engine.schedule_after engine ~delay:poll_period poll)
     end
   in
   poll ();
@@ -250,7 +233,7 @@ let loop ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
   List.iter
     (fun (node, at) ->
       ignore
-        (Engine.schedule t.engine ~at (fun () ->
+        (Engine.schedule engine ~at (fun () ->
              if (not t.finished) && Cluster.node_alive t.cluster node then
                p.on_crash node (Cluster.crash_node t.cluster node))))
     crashes;
@@ -258,26 +241,24 @@ let loop ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
     match resume with
     | Some { Recovery.target; plan; _ } when not (Plan.is_empty plan) ->
       ignore
-        (Engine.schedule t.engine ~at:0.5 (fun () ->
+        (Engine.schedule engine ~at:0.5 (fun () ->
              Collector.poll t.collector;
-             execute t ~demand:(Collector.demand t.collector) ~target plan
-               ~on_settled:p.on_settled));
+             let demand = Collector.demand t.collector in
+             execute t ~depth:0 ~demand ~target plan ~on_settled:p.on_settled));
       true
     | Some _ | None -> false
   in
   p.start ~resumed;
-  let horizon =
-    match kill_at with Some k -> Float.min k max_time | None -> max_time
-  in
-  Engine.run ~until:horizon t.engine;
+  Engine.run engine
+    ~until:(Option.fold ~none:max_time ~some:(Float.min max_time) kill_at);
   let completions =
-    List.filter_map
-      (fun (id, time) ->
-        List.find_opt (fun vj -> Vjob.id vj = id) vjobs
-        |> Option.map (fun vj -> (vj, time)))
+    List.map
+      (fun (id, time) -> (List.find (fun vj -> Vjob.id vj = id) vjobs, time))
       (Cluster.completions t.cluster)
   in
   {
+    switches = List.rev t.switches;
+    repairs = List.rev t.repairs;
     completions;
     makespan =
       List.fold_left (fun acc (_, time) -> Float.max acc time) 0. completions;

@@ -1,27 +1,16 @@
-(** The paper's Fig. 4 loop — observe, decide, plan, execute — over one
-    simulated cluster, written once for its two pacings. The periodic
-    {!Runner} re-decides on a 30 s timer over the submitted vjobs; the
-    event-driven daemon re-decides on debounced events, through its
-    admission queue and degradation ladder. Each brings only its pacing
-    ({!pacing}); {!loop} owns the rest:
-    - the discrete-event engine, the simulated cluster and the
-      monitoring collector;
-    - the monitor poll every 5 s;
-    - the scripted node crashes, ignored once the loop is {!finish}ed;
-    - the decision round: poll, demand, observation, decide, commit
-      ({!round});
-    - the resume point a crashed controller's journal yields
-      ({!recover}), whose plan runs first;
-    - the run to the horizon and its {!outcome};
-    - the execute half, in order: the direct commit of an empty plan
-      whose target differs from the current configuration by
-      bookkeeping alone (a finished vjob's suspended image discarded, a
-      waiting VM cancelled); the write-ahead bracket ([Switch_begin]
-      durable before the first action, [Switch_end] after the executor
-      reports back); pool-based execution, aborting at the next pool
-      boundary after a terminal failure exactly when an injector is
-      given; the chase of a degraded switch by at most {!max_repairs}
-      {!Entropy_fault.Repair.repair} plans. *)
+(** The paper's Fig. 4 loop — observe, decide, plan, execute — written
+    once for its two pacings: the periodic {!Runner} re-decides on a
+    30 s timer, the event-driven daemon on debounced events. A caller
+    brings only its {!pacing}; the session owns the engine, cluster and
+    collector, the 5 s monitor poll, the scripted crashes, the decision
+    round, the journal's resume point and the switch execution: an
+    empty plan's bookkeeping (a finished vjob's image discarded, a
+    waiting VM cancelled) is committed directly; a non-empty plan runs
+    pool by pool inside the write-ahead bracket ([Switch_begin] durable
+    before the first action, [Switch_end] after the executor reports),
+    aborting at the next pool boundary after a terminal failure when an
+    injector is given, and a degraded switch is chased by at most 4
+    {!Entropy_fault.Repair.repair} plans. *)
 
 open Entropy_core
 
@@ -49,25 +38,6 @@ type settled =
 
 type t
 
-val max_repairs : int
-(** Repair plans one degraded switch may chase (4). *)
-
-val create :
-  config:Configuration.t -> vjobs:Vjob.t list ->
-  programs:(Vm.id -> Vworkload.Program.t) ->
-  journal:Entropy_journal.Journal.t option ->
-  injector:Entropy_fault.Injector.t option ->
-  policy:Entropy_fault.Supervisor.policy option -> queue:(t -> Vjob.t list) ->
-  on_switch:(Executor.record -> unit) -> on_repair:(repair -> unit) -> t
-(** A session over a fresh engine at time 0, a cluster in [config]
-    running [vjobs] on [programs], and a collector polling it; nothing
-    is scheduled. [queue] yields the live vjobs a round decides over and
-    repairs plan over. [on_switch] receives every executed switch's
-    record (repairs included) and [on_repair] every repair plan, just
-    before it runs. Switch ids come from
-    {!Entropy_journal.Journal.next_switch}, or are 0 without a
-    journal. *)
-
 val engine : t -> Engine.t
 val cluster : t -> Cluster.t
 val config : t -> Configuration.t
@@ -79,43 +49,40 @@ val finish : t -> unit
 val finished : t -> bool
 
 val round :
-  t -> decide:(Decision.observation -> Optimizer.result) ->
-  on_settled:(settled -> unit) -> unit
-(** One decision round, a no-op once finished: poll, observe the
-    configuration, the smoothed demand and the [queue], [decide], and
-    carry the result through {!decided}. With an empty queue there is
-    nothing to decide: settle [Clean] at once. *)
+  t -> cat:string -> name:string -> args:(string * Entropy_obs.Trace.arg) list ->
+  Decision.t -> on_settled:(settled -> unit) -> unit
+(** One decision round unless finished: poll, observe, decide over the
+    [queue] (traced as span [name]), then commit an empty plan's
+    bookkeeping or execute the plan as one switch; [Clean] at once on an
+    empty queue. *)
 
 val recover :
   vjobs:Vjob.t list -> Entropy_journal.Record.t list ->
   (Configuration.t * Entropy_journal.Recovery.resume) option
-(** The resume point of a crashed controller's journal: replay it, take
-    the configuration it projects
-    ({!Entropy_journal.Recovery.projected_config}, where the restarted
-    cluster starts) and derive the resume plan against it over [vjobs]
-    ({!Entropy_journal.Recovery.resume_plan}: reconciliation, or repair
-    on divergence), whether or not the last switch ended. [None] when
-    the journal holds no switch. *)
+(** A crashed controller's resume point: the configuration its journal
+    projects ({!Entropy_journal.Recovery.projected_config}) and the
+    resume plan against it over [vjobs]
+    ({!Entropy_journal.Recovery.resume_plan}), whether or not the last
+    switch ended. [None] when the journal holds no switch. *)
 
 type pacing = {
   start : resumed:bool -> unit;
-      (** schedule the first round; [resumed] when a non-empty resume
-          plan runs first, at 0.5 s *)
-  on_settled : settled -> unit;  (** the resume plan's switch settled *)
+      (** schedule the first round; [resumed] when a resume plan runs
+          first, at 0.5 s *)
+  on_settled : settled -> unit;  (** the resume plan settled *)
   on_poll : unit -> unit;  (** after each monitor poll *)
   on_crash : Node.id -> Vjob.id list -> unit;
-      (** a scripted crash fired: the node and the vjobs it reset *)
+      (** a scripted crash fired: the node, the vjobs it reset *)
   complete : unit -> bool;  (** no work is left *)
 }
-(** What a caller's pacing adds to the loop. *)
 
 type outcome = {
+  switches : Executor.record list;  (** executed switches, repairs included *)
+  repairs : repair list;  (** repair plans, each recorded before it ran *)
   completions : (Vjob.t * float) list;  (** vjob, completion time *)
   makespan : float;  (** completion time of the last vjob *)
   final_config : Configuration.t;
-  killed : bool;
-      (** the run stopped at [kill_at] before [complete] held — the
-          simulated controller crash *)
+  killed : bool;  (** stopped at [kill_at] before [complete] held *)
 }
 
 val loop :
@@ -124,25 +91,12 @@ val loop :
   journal:Entropy_journal.Journal.t option ->
   injector:Entropy_fault.Injector.t option ->
   policy:Entropy_fault.Supervisor.policy option -> queue:(t -> Vjob.t list) ->
-  on_switch:(Executor.record -> unit) -> on_repair:(repair -> unit) ->
   crashes:(Node.id * float) list ->
   resume:Entropy_journal.Recovery.resume option -> kill_at:float option ->
   max_time:float -> (t -> pacing) -> outcome
-(** Run the loop: {!create} the session and hand it to the pacing
-    builder (which may schedule its own events), start the monitor poll
-    and the [crashes] script, schedule a non-empty [resume] plan, start
-    the pacing, run the engine to [min kill_at max_time] and fold the
-    cluster's completions. *)
-
-val decided :
-  t -> Decision.observation -> Optimizer.result ->
-  on_settled:(settled -> unit) -> unit
-(** Carry a decision through: commit an empty plan's bookkeeping and
-    settle [Clean] at once, or {!execute} a non-empty one. *)
-
-val execute :
-  t -> demand:Demand.t -> target:Configuration.t -> Plan.t ->
-  on_settled:(settled -> unit) -> unit
-(** Run a non-empty plan as one switch (the resume path enters here with
-    a recovery-derived plan) and call [on_settled] once the switch and
-    its repair chain are over. *)
+(** Run the loop: build a session over a fresh engine, a cluster in
+    [config] and a collector polling it, then its pacing; start the
+    monitor poll and the [crashes]; schedule a non-empty [resume] plan;
+    start the pacing; run to [min kill_at max_time]. [queue] yields the
+    live vjobs rounds decide over and repairs plan over. Switch ids come
+    from the journal (0 without one). *)

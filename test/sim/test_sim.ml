@@ -1586,100 +1586,8 @@ let test_cluster_aggregates_match_scans () =
         && not (Configuration.vjob_terminated config vj))
       vjobs
   in
-  let session =
-    Vsim.Session.create
-      ~config:(Configuration.make ~nodes ~vms)
-      ~vjobs
-      ~programs:(fun vm -> programs.(vm))
-      ~journal:None
-      ~injector:
-        (Some
-           (Injector.create ~seed:7
-              [ Injector.Fail_rate { kind = None; rate = 0.05 } ]))
-      ~policy:None ~queue:live ~on_switch:ignore ~on_repair:ignore
-  in
-  let engine = Vsim.Session.engine session in
-  let cluster = Vsim.Session.cluster session in
-  let computed = Array.make vm_count false in
-  (* checked quietly: Alcotest would log each of the millions of checks *)
-  let expect want got fmt =
-    if want = got then Printf.ikfprintf ignore () fmt
-    else
-      Printf.ksprintf
-        (fun what ->
-          Alcotest.failf "%s at t=%.3f: expected %b" what
-            (Vsim.Engine.now engine) want)
-        fmt
-  in
   let recomputes = ref 0 and busy_seen = ref 0 and over_seen = ref 0 in
   let ram_seen = ref 0 in
-  Vsim.Cluster.on_change cluster (fun () ->
-      incr recomputes;
-      let config = Vsim.Cluster.config cluster in
-      let busy_vm v =
-        Vsim.Cluster.vm_demand cluster v = Program.compute_demand
-      in
-      for v = 0 to vm_count - 1 do
-        match Configuration.state config v with
-        | Configuration.Running _ -> if busy_vm v then computed.(v) <- true
-        | Configuration.Waiting -> computed.(v) <- false
-        | Configuration.Sleeping_ram _ -> incr ram_seen
-        | Configuration.Sleeping _ | Configuration.Terminated -> ()
-      done;
-      (* [running_on] for every node, in one pass *)
-      let running = Array.make node_count [] in
-      for v = vm_count - 1 downto 0 do
-        match Configuration.state config v with
-        | Configuration.Running n -> running.(n) <- v :: running.(n)
-        | _ -> ()
-      done;
-      for node = 0 to node_count - 1 do
-        let on_node = running.(node) in
-        let scan except =
-          List.exists (fun v -> Some v <> except && busy_vm v) on_node
-        in
-        let busy = Vsim.Cluster.busy cluster node in
-        if busy then incr busy_seen;
-        expect (scan None) busy "busy N%d" node;
-        List.iter
-          (fun v ->
-            expect (scan (Some v))
-              (Vsim.Cluster.busy ~except:v cluster node)
-              "busy N%d except VM%d" node v)
-          on_node;
-        (* a VM elsewhere changes nothing *)
-        let other = (node + 1) mod node_count in
-        match running.(other) with
-        | v :: _ ->
-          expect (scan None)
-            (Vsim.Cluster.busy ~except:v cluster node)
-            "busy N%d except VM%d elsewhere" node v
-        | [] -> ()
-      done;
-      let over =
-        Configuration.overloaded_nodes config (Vsim.Cluster.demand cluster)
-        <> []
-      in
-      if over then incr over_seen;
-      expect over (Vsim.Cluster.overloaded cluster) "overloaded";
-      List.iter
-        (fun vj ->
-          let vms = Vjob.vms vj in
-          if
-            List.for_all
-              (fun v ->
-                match Configuration.state config v with
-                | Configuration.Running _ -> true
-                | _ -> false)
-              vms
-          then
-            expect true
-              (List.for_all (fun v -> computed.(v)) vms)
-              "vjob %d running: launched" (Vjob.id vj))
-        vjobs);
-  ignore
-    (Vsim.Engine.schedule engine ~at:600. (fun () ->
-         ignore (Vsim.Cluster.crash_node cluster 3)));
   (* FFD placement, parking vjobs in their hosts' RAM where it fits *)
   let decision =
     Decision.consolidation_with ~name:"ffd+ram" ~suspend_to_ram:true
@@ -1696,20 +1604,123 @@ let test_cluster_aggregates_match_scans () =
           stats = None;
         })
   in
-  let rec iterate () =
-    let config = Vsim.Cluster.config cluster in
-    if not (List.for_all (Configuration.vjob_terminated config) vjobs) then
-      match live session with
-      | [] -> next ()
-      | _ ->
-        Vsim.Session.round session ~decide:decision.Decision.decide
-          ~on_settled:(fun _ -> next ())
-  and next () = ignore (Vsim.Engine.schedule_after engine ~delay:30. iterate) in
-  ignore (Vsim.Engine.schedule engine ~at:0.5 iterate);
-  Vsim.Engine.run ~until:100_000. engine;
+  let pace session =
+    let engine = Vsim.Session.engine session in
+    let cluster = Vsim.Session.cluster session in
+    let computed = Array.make vm_count false in
+    (* checked quietly: Alcotest would log each of the millions of checks *)
+    let expect want got fmt =
+      if want = got then Printf.ikfprintf ignore () fmt
+      else
+        Printf.ksprintf
+          (fun what ->
+            Alcotest.failf "%s at t=%.3f: expected %b" what
+              (Vsim.Engine.now engine) want)
+          fmt
+    in
+    Vsim.Cluster.on_change cluster (fun () ->
+        incr recomputes;
+        let config = Vsim.Cluster.config cluster in
+        let busy_vm v =
+          Vsim.Cluster.vm_demand cluster v = Program.compute_demand
+        in
+        for v = 0 to vm_count - 1 do
+          match Configuration.state config v with
+          | Configuration.Running _ -> if busy_vm v then computed.(v) <- true
+          | Configuration.Waiting -> computed.(v) <- false
+          | Configuration.Sleeping_ram _ -> incr ram_seen
+          | Configuration.Sleeping _ | Configuration.Terminated -> ()
+        done;
+        (* [running_on] for every node, in one pass *)
+        let running = Array.make node_count [] in
+        for v = vm_count - 1 downto 0 do
+          match Configuration.state config v with
+          | Configuration.Running n -> running.(n) <- v :: running.(n)
+          | _ -> ()
+        done;
+        for node = 0 to node_count - 1 do
+          let on_node = running.(node) in
+          let scan except =
+            List.exists (fun v -> Some v <> except && busy_vm v) on_node
+          in
+          let busy = Vsim.Cluster.busy cluster node in
+          if busy then incr busy_seen;
+          expect (scan None) busy "busy N%d" node;
+          List.iter
+            (fun v ->
+              expect (scan (Some v))
+                (Vsim.Cluster.busy ~except:v cluster node)
+                "busy N%d except VM%d" node v)
+            on_node;
+          (* a VM elsewhere changes nothing *)
+          let other = (node + 1) mod node_count in
+          match running.(other) with
+          | v :: _ ->
+            expect (scan None)
+              (Vsim.Cluster.busy ~except:v cluster node)
+              "busy N%d except VM%d elsewhere" node v
+          | [] -> ()
+        done;
+        let over =
+          Configuration.overloaded_nodes config (Vsim.Cluster.demand cluster)
+          <> []
+        in
+        if over then incr over_seen;
+        expect over (Vsim.Cluster.overloaded cluster) "overloaded";
+        List.iter
+          (fun vj ->
+            let vms = Vjob.vms vj in
+            if
+              List.for_all
+                (fun v ->
+                  match Configuration.state config v with
+                  | Configuration.Running _ -> true
+                  | _ -> false)
+                vms
+            then
+              expect true
+                (List.for_all (fun v -> computed.(v)) vms)
+                "vjob %d running: launched" (Vjob.id vj))
+          vjobs);
+    let all_terminated () =
+      List.for_all
+        (Configuration.vjob_terminated (Vsim.Cluster.config cluster))
+        vjobs
+    in
+    let rec iterate () =
+      if all_terminated () then Vsim.Session.finish session
+      else
+        match live session with
+        | [] -> next ()
+        | _ ->
+          Vsim.Session.round session ~cat:"test" ~name:"test.decide"
+            ~args:[] decision ~on_settled:(fun _ -> next ())
+    and next () = ignore (Vsim.Engine.schedule_after engine ~delay:30. iterate) in
+    {
+      Vsim.Session.start =
+        (fun ~resumed:_ -> ignore (Vsim.Engine.schedule engine ~at:0.5 iterate));
+      on_settled = ignore;
+      on_poll = ignore;
+      on_crash = (fun _ _ -> ());
+      complete = all_terminated;
+    }
+  in
+  let o =
+    Vsim.Session.loop
+      ~config:(Configuration.make ~nodes ~vms)
+      ~vjobs
+      ~programs:(fun vm -> programs.(vm))
+      ~journal:None
+      ~injector:
+        (Some
+           (Injector.create ~seed:7
+              [ Injector.Fail_rate { kind = None; rate = 0.05 } ]))
+      ~policy:None ~queue:live ~crashes:[ (3, 600.) ] ~resume:None ~kill_at:None ~max_time:100_000.
+      pace
+  in
   check_bool "every vjob terminated" true
     (List.for_all
-       (Configuration.vjob_terminated (Vsim.Cluster.config cluster))
+       (Configuration.vjob_terminated o.Vsim.Session.final_config)
        vjobs);
   (* the episode exercises both answers of both aggregates, and parks
      vjobs in RAM *)
@@ -1736,8 +1747,10 @@ let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 (* -- switch session ------------------------------------------------------------ *)
 
-(* a one-VM cluster whose session fails the attempts [fails] selects *)
-let session_fixture fails =
+(* a one-VM cluster whose session fails the attempts [fails] selects:
+   the loop runs [act] on the session at its start, then 1000 s of
+   simulated time *)
+let session_fixture fails act =
   let config =
     Configuration.make
       ~nodes:
@@ -1748,37 +1761,48 @@ let session_fixture fails =
   in
   let vjobs = [ Vjob.make ~id:0 ~name:"j0" ~vms:[ 0 ] () ] in
   let journal = Journal.mem () in
-  let switches = ref 0 and repairs = ref [] in
-  let session =
-    Vsim.Session.create ~config ~vjobs
+  let o =
+    Vsim.Session.loop ~config ~vjobs
       ~programs:(fun _ -> [ Program.Compute 1000. ])
       ~journal:(Some journal)
       ~injector:(Some (Injector.of_predicate fails))
       ~policy:(Some Supervisor.no_retry)
       ~queue:(fun _ -> vjobs)
-      ~on_switch:(fun _ -> incr switches)
-      ~on_repair:(fun r -> repairs := r :: !repairs)
+      ~crashes:[] ~resume:None ~kill_at:None ~max_time:1000.
+      (fun session ->
+        {
+          Vsim.Session.start = (fun ~resumed:_ -> act session);
+          on_settled = ignore;
+          on_poll = ignore;
+          on_crash = (fun _ _ -> ());
+          complete = (fun () -> true);
+        })
   in
-  let engine = Vsim.Session.engine session in
-  let cluster = Vsim.Session.cluster session in
-  let collector =
-    Vmonitor.Collector.create (fun () ->
-        (Vsim.Engine.now engine, Vsim.Cluster.cpu_readings cluster))
+  ( o.Vsim.Session.final_config,
+    journal,
+    List.length o.Vsim.Session.switches,
+    o.Vsim.Session.repairs )
+
+(* one round of a decision that always answers [plan] towards vm0 in
+   [state] *)
+let decide_vm0 settled state plan session =
+  let decide (obs : Decision.observation) =
+    {
+      Optimizer.target = Configuration.set_state obs.Decision.config 0 state;
+      plan;
+      cost = 0;
+      improved = false;
+      rules_satisfied = true;
+      stats = None;
+    }
   in
-  Vmonitor.Collector.poll collector;
-  let run_vm0 ~on_settled =
-    let target =
-      Configuration.set_state (Vsim.Cluster.config cluster) 0
-        (Configuration.Running 0)
-    in
-    Vsim.Session.execute session
-      ~demand:(Vmonitor.Collector.demand collector)
-      ~target
-      (Plan.make [ [ Action.Run { vm = 0; dst = 0 } ] ])
-      ~on_settled;
-    Vsim.Engine.run ~until:1000. engine
-  in
-  (engine, cluster, collector, journal, session, switches, repairs, run_vm0)
+  Vsim.Session.round session ~cat:"test" ~name:"test.decide" ~args:[]
+    { Decision.name = "vm0"; decide }
+    ~on_settled:(fun s -> settled := s :: !settled)
+
+let run_vm0 settled =
+  decide_vm0 settled (Configuration.Running 0)
+    (Plan.make [ [ Action.Run { vm = 0; dst = 0 } ] ])
 
 let begun_ids journal =
   List.filter_map
@@ -1789,15 +1813,14 @@ let test_session_chain_exhausts () =
   (* every attempt fails: the switch and each of its repair plans
      degrade, each journaled under the next dense id, until the chain is
      reported exhausted *)
-  let max_repairs = Vsim.Session.max_repairs in
-  let _, cluster, _, journal, _, switches, repairs, run_vm0 =
-    session_fixture (fun _ -> true)
-  in
+  let max_repairs = 4 (* the session's repair budget *) in
   let settled = ref [] in
-  run_vm0 ~on_settled:(fun s -> settled := s :: !settled);
+  let final, journal, switches, repairs =
+    session_fixture (fun _ -> true) (run_vm0 settled)
+  in
   check_bool "settled once, chain exhausted" true
     (!settled = [ Vsim.Session.Exhausted ]);
-  check_int "switch plus every repair executed" (max_repairs + 1) !switches;
+  check_int "switch plus every repair executed" (max_repairs + 1) switches;
   Alcotest.(check (list int))
     "dense switch ids"
     (List.init (max_repairs + 1) Fun.id)
@@ -1805,65 +1828,46 @@ let test_session_chain_exhausts () =
   Alcotest.(check (list int))
     "each repair names the switch it runs under"
     (List.init max_repairs (fun i -> i + 1))
-    (List.rev_map (fun r -> r.Vsim.Session.switch) !repairs);
+    (List.map (fun r -> r.Vsim.Session.switch) repairs);
   check_int "next switch" (max_repairs + 1) (Journal.next_switch journal);
   check_bool "vm0 still waiting" true
-    (Configuration.state (Vsim.Cluster.config cluster) 0 = Configuration.Waiting)
+    (Configuration.state final 0 = Configuration.Waiting)
 
 let test_session_repairs_then_settles_clean () =
   (* the first attempt fails; the immediate repair plan succeeds *)
   let first = ref true in
-  let _, cluster, _, journal, _, switches, repairs, run_vm0 =
-    session_fixture (fun _ ->
+  let settled = ref [] in
+  let final, journal, switches, repairs =
+    session_fixture
+      (fun _ ->
         let f = !first in
         first := false;
         f)
+      (run_vm0 settled)
   in
-  let settled = ref [] in
-  run_vm0 ~on_settled:(fun s -> settled := s :: !settled);
   check_bool "settled clean" true (!settled = [ Vsim.Session.Clean ]);
-  check_int "degraded switch + one repair" 2 !switches;
-  check_int "one repair" 1 (List.length !repairs);
+  check_int "degraded switch + one repair" 2 switches;
+  check_int "one repair" 1 (List.length repairs);
   Alcotest.(check (list int)) "two switches journaled" [ 0; 1 ]
     (begun_ids journal);
   check_bool "vm0 running" true
-    (Configuration.state (Vsim.Cluster.config cluster) 0
-    = Configuration.Running 0)
+    (Configuration.state final 0 = Configuration.Running 0)
 
 let test_session_commits_bookkeeping () =
   (* an empty plan whose target differs by bookkeeping alone (a waiting
      VM cancelled) is committed directly, without a switch *)
-  let _, cluster, collector, journal, session, switches, _, _ =
-    session_fixture (fun _ -> false)
-  in
-  let config = Vsim.Cluster.config cluster in
-  let target = Configuration.set_state config 0 Configuration.Terminated in
-  let obs =
-    {
-      Decision.config;
-      demand = Vmonitor.Collector.demand collector;
-      queue = [];
-      finished = [ 0 ];
-    }
-  in
-  let result =
-    {
-      Optimizer.target;
-      plan = Plan.empty;
-      cost = 0;
-      improved = false;
-      rules_satisfied = true;
-      stats = None;
-    }
-  in
   let settled = ref [] in
-  Vsim.Session.decided session obs result ~on_settled:(fun s ->
-      settled := s :: !settled);
-  check_bool "settled clean at once" true (!settled = [ Vsim.Session.Clean ]);
+  let final, journal, switches, _ =
+    session_fixture
+      (fun _ -> false)
+      (fun session ->
+        decide_vm0 settled Configuration.Terminated Plan.empty session;
+        check_bool "settled clean at once" true
+          (!settled = [ Vsim.Session.Clean ]))
+  in
   check_bool "target committed" true
-    (Configuration.state (Vsim.Cluster.config cluster) 0
-    = Configuration.Terminated);
-  check_int "no switch executed" 0 !switches;
+    (Configuration.state final 0 = Configuration.Terminated);
+  check_int "no switch executed" 0 switches;
   check_int "nothing journaled" 0 (Journal.length journal)
 
 let test_runner_ngb_base45_terminates () =
