@@ -21,7 +21,7 @@ let smoothing_span = 10.
 type t = {
   source : source;
   history : History.t;
-  mutable last_cpu : int array;  (* source array of the latest sample *)
+  mutable last_cpu : int array;  (* the latest admitted sample's array *)
   mutable polls : int;
   mutable dropped : int;
 }
@@ -40,27 +40,24 @@ let create source =
    source) or impossible CPU values. Admitting them would corrupt the
    smoothing window the decisions are made from, so validation rejects
    the sample whole. Equal timestamps are fine — several services
-   legitimately poll within the same instant. *)
+   legitimately poll within the same instant. The array of the latest
+   admitted sample was checked then and never changes since (the
+   source's promise): it is not scanned again. *)
 let valid t ~time ~cpu =
   Float.is_finite time
   && (match History.latest t.history with
      | Some latest -> time >= Sample.time latest
      | None -> true)
-  && Array.for_all (fun c -> c >= 0) cpu
+  && (cpu == t.last_cpu || Array.for_all (fun c -> c >= 0) cpu)
 
-(* A source returning the very array of the latest sample promises
-   unchanged readings: the new sample shares the latest one's copy. *)
+(* Samples keep the source's array: a reading that did not change since
+   the last poll shares it with the latest sample. *)
 let poll t =
   let time, cpu = t.source () in
   t.polls <- t.polls + 1;
   if valid t ~time ~cpu then begin
-    let sample =
-      match History.latest t.history with
-      | Some latest when cpu == t.last_cpu -> Sample.retime latest ~time
-      | Some _ | None -> Sample.make ~time ~cpu
-    in
     t.last_cpu <- cpu;
-    History.add t.history sample
+    History.add t.history (Sample.make ~time ~cpu)
   end
   else begin
     t.dropped <- t.dropped + 1;

@@ -4,10 +4,12 @@
 open Entropy_core
 
 type source = unit -> float * int array
-(** A reading: current time and per-VM CPU consumption. A source that
-    returns the same physical array as its previous reading promises
-    that the readings are unchanged; the collector then shares the
-    previous sample's copy instead of copying again. *)
+(** A reading: current time and per-VM CPU consumption. The collector
+    keeps the array itself in its history, without copying it, so a
+    source must never mutate an array it has returned: new readings
+    come in a new array (the simulated cluster's readings are
+    copy-on-write), and returning the same physical array again means
+    the readings are unchanged. *)
 
 type t
 
@@ -21,8 +23,10 @@ val poll : t -> unit
     a non-finite timestamp, a timestamp strictly before the latest
     sample's (reordered delivery or a clock jump; equal timestamps are
     admitted), or any negative CPU value — are dropped whole: they never
-    enter the smoothing window. Drops are counted ({!dropped}, and the
-    [monitor.dropped_samples] counter when observability is on). *)
+    enter the smoothing window. The array of the latest admitted sample
+    is not scanned again when the source returns it once more. Drops
+    are counted ({!dropped}, and the [monitor.dropped_samples] counter
+    when observability is on). *)
 
 val polls : t -> int
 

@@ -6,9 +6,7 @@ type t = {
   cpu : int array; (* per-VM CPU consumption, hundredths of a core *)
 }
 
-let make ~time ~cpu = { time; cpu = Array.copy cpu }
-
-let retime t ~time = { t with time }
+let make ~time ~cpu = { time; cpu }
 
 let time t = t.time
 

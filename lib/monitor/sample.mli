@@ -5,10 +5,8 @@ open Entropy_core
 type t
 
 val make : time:float -> cpu:int array -> t
-(** [cpu] is copied: later caller mutation does not alter the sample. *)
-
-val retime : t -> time:float -> t
-(** The same readings at another instant (shares the readings). *)
+(** Keeps [cpu] itself, without copying: the caller must never mutate it
+    afterwards (a {!Collector.source} promises exactly that). *)
 
 val time : t -> float
 

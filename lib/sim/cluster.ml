@@ -15,12 +15,23 @@
      iteration).
 
    Rates change only at discrete events (action start/end, phase end,
-   launch, crash). At each such event the cluster recomputes every
-   running VM's rate, but banks progress and re-schedules the phase end
-   only of the VMs whose rate changed or that are [stale] (phase
-   advanced, launched, or reset by a crash); every other VM keeps its
-   pending phase-end event. A superseded event is cancelled: it stays
-   queued until popped, but it neither runs nor counts as pending. *)
+   launch, crash), and an event costs only the VMs it touches. Each
+   mutator marks what it changed: [apply_action], [advance_phase] and
+   [check_launch] the VMs, [register_op]/[unregister_op] the nodes whose
+   contention factor moved. [recompute] then refreshes the touched VMs'
+   contributions to the per-node totals and their readings, and re-rates
+   the touched VMs plus every VM running on a node whose total,
+   contention or capacity changed, in ascending VM id (the order a full
+   scan would schedule their events in). Of those, only the VMs whose
+   rate changed or that are [stale] (phase advanced, launched, or reset
+   by a crash) bank progress and get a new phase-end event; a superseded
+   event is cancelled: it stays queued until popped, but it neither runs
+   nor counts as pending. [create] and [set_config] (a crash, a
+   bookkeeping commit) mark every VM and run the same refresh.
+
+   The readings array is copy-on-write: the refresh writes it in place,
+   copying it first only if [cpu_readings] has handed it out since, so
+   an array a caller holds never changes. *)
 
 (* capture the simulator's own log source before [open Entropy_core]
    shadows it with the core's *)
@@ -28,6 +39,12 @@ module Sim_log = Log
 
 open Entropy_core
 module Program = Vworkload.Program
+
+module Obs = Entropy_obs.Obs
+module Metrics = Entropy_obs.Metrics
+
+let m_recomputes = lazy (Metrics.counter "sim.recompute")
+let m_rated = lazy (Metrics.counter "sim.recompute.rated")
 
 type vm_rt = {
   vm : Vm.t;
@@ -40,6 +57,13 @@ type vm_rt = {
                                    the last recompute: reschedule even if
                                    the rate is unchanged *)
   mutable phase_end : Engine.handle option;  (* pending phase-end event *)
+  (* what the VM adds to the per-node totals, as of the last recompute *)
+  mutable cpu_node : int;       (* node its CPU counts on (Running), -1 *)
+  mutable cpu : int;            (* its CPU demand there, 0 for none *)
+  mutable busy : bool;          (* [is_busy] there *)
+  mutable mem_node : int;       (* node holding its memory (Running,
+                                   Sleeping_ram), -1 for none *)
+  mutable touched : bool;       (* queued for the next recompute *)
 }
 
 type t = {
@@ -54,11 +78,16 @@ type t = {
   totals : int array;           (* per-node CPU demand of running VMs *)
   mem_used : int array;         (* per-node memory, running + RAM-suspended *)
   busy_count : int array;       (* per-node VMs that [is_busy] *)
+  running : int list array;     (* per-node VMs whose CPU counts there *)
   alive : bool array;           (* per-node; false after a crash *)
   completions : (Vjob.id, float) Hashtbl.t;
-  mutable version : int;        (* recomputes so far *)
-  mutable readings : int array; (* [cpu_readings] as of [readings_version] *)
-  mutable readings_version : int;
+  queue : int array;            (* touched VMs, then the VMs to re-rate *)
+  mutable queued : int;         (* [queue] prefix in use *)
+  node_touched : bool array;
+  touched_nodes : int array;    (* nodes to re-rate, first [nodes_touched] *)
+  mutable nodes_touched : int;
+  mutable readings : int array; (* [cpu_readings], refreshed in place *)
+  mutable readings_held : bool; (* handed out since: copy before writing *)
   mutable on_change : unit -> unit;
 }
 
@@ -68,6 +97,23 @@ let now t = Engine.now t.engine
 let vjobs t = Array.to_list t.vjobs
 
 let on_change t f = t.on_change <- f
+
+(* -- touched set ---------------------------------------------------------- *)
+
+let touch_vm t vm_id =
+  let rt = t.rts.(vm_id) in
+  if not rt.touched then begin
+    rt.touched <- true;
+    t.queue.(t.queued) <- vm_id;
+    t.queued <- t.queued + 1
+  end
+
+let touch_node t node_id =
+  if not t.node_touched.(node_id) then begin
+    t.node_touched.(node_id) <- true;
+    t.touched_nodes.(t.nodes_touched) <- node_id;
+    t.nodes_touched <- t.nodes_touched + 1
+  end
 
 (* -- demand --------------------------------------------------------------- *)
 
@@ -90,18 +136,14 @@ let demand t =
         vm_demand t vm_id)
 
 (* Monitoring reading: same vector, as a raw array. Every change to a
-   state or a phase is followed by a recompute, so the array is rebuilt
-   at most once per recompute and shared between readers. *)
+   state or a phase is followed by a recompute, which refreshes the
+   touched VMs' entries; once handed out, the array is never written
+   again. *)
 let cpu_readings t =
-  if t.readings_version <> t.version then begin
-    t.readings <-
-      Array.init (Array.length t.rts) (fun vm_id ->
-          match Configuration.state t.config vm_id with
-          | Configuration.Terminated -> 0
-          | _ -> vm_demand t vm_id);
-    t.readings_version <- t.version
-  end;
+  t.readings_held <- true;
   t.readings
+
+let rate t vm_id = t.rts.(vm_id).rate
 
 (* A launched VM computing at full speed, wherever it is. *)
 let is_busy rt =
@@ -110,14 +152,13 @@ let is_busy rt =
 
 (* A node is busy when it hosts a running busy VM (other than
    [except]). Every state or phase change is followed by a recompute,
-   so its per-node counts are current. *)
+   so its per-node counts and the VMs' contributions are current. *)
 let busy ?except t node_id =
   let own =
     match except with
-    | Some e -> (
-      match Configuration.state t.config e with
-      | Configuration.Running n when n = node_id && is_busy t.rts.(e) -> 1
-      | _ -> 0)
+    | Some e ->
+      let rt = t.rts.(e) in
+      if rt.busy && rt.cpu_node = node_id then 1 else 0
     | None -> 0
   in
   t.busy_count.(node_id) - own > 0
@@ -139,19 +180,18 @@ let node_decel t node_id =
   else if t.local_ops.(node_id) > 0 then Perf_model.decel_local
   else 1.
 
-let register_op t ~nodes ~local =
+(* A node's VMs need re-rating only when its factor moves. *)
+let add_ops t ~nodes ~local delta =
   List.iter
     (fun n ->
-      if local then t.local_ops.(n) <- t.local_ops.(n) + 1
-      else t.remote_ops.(n) <- t.remote_ops.(n) + 1)
+      let before = node_decel t n in
+      if local then t.local_ops.(n) <- t.local_ops.(n) + delta
+      else t.remote_ops.(n) <- t.remote_ops.(n) + delta;
+      if node_decel t n <> before then touch_node t n)
     nodes
 
-let unregister_op t ~nodes ~local =
-  List.iter
-    (fun n ->
-      if local then t.local_ops.(n) <- t.local_ops.(n) - 1
-      else t.remote_ops.(n) <- t.remote_ops.(n) - 1)
-    nodes
+let register_op t ~nodes ~local = add_ops t ~nodes ~local 1
+let unregister_op t ~nodes ~local = add_ops t ~nodes ~local (-1)
 
 (* -- progress -------------------------------------------------------------- *)
 
@@ -192,6 +232,89 @@ let cancel_phase_end rt =
   Option.iter Engine.cancel rt.phase_end;
   rt.phase_end <- None
 
+(* Bring a touched VM's contribution to the per-node totals and its
+   reading up to date; mark the nodes whose CPU total it moved. *)
+let refresh t vm_id =
+  let rt = t.rts.(vm_id) in
+  let state = Configuration.state t.config vm_id in
+  let cpu_node, mem_node =
+    match state with
+    | Configuration.Running n -> (n, n)
+    | Configuration.Sleeping_ram n -> (-1, n)
+    | Configuration.Waiting | Configuration.Sleeping _
+    | Configuration.Terminated -> (-1, -1)
+  in
+  let cpu = if cpu_node < 0 then 0 else vm_demand_rt rt in
+  let busy = cpu_node >= 0 && is_busy rt in
+  if rt.busy then
+    t.busy_count.(rt.cpu_node) <- t.busy_count.(rt.cpu_node) - 1;
+  if busy then t.busy_count.(cpu_node) <- t.busy_count.(cpu_node) + 1;
+  rt.busy <- busy;
+  if cpu_node <> rt.cpu_node || cpu <> rt.cpu then begin
+    if rt.cpu_node >= 0 then begin
+      t.totals.(rt.cpu_node) <- t.totals.(rt.cpu_node) - rt.cpu;
+      touch_node t rt.cpu_node
+    end;
+    if cpu_node >= 0 then begin
+      t.totals.(cpu_node) <- t.totals.(cpu_node) + cpu;
+      touch_node t cpu_node
+    end;
+    if cpu_node <> rt.cpu_node then begin
+      if rt.cpu_node >= 0 then
+        t.running.(rt.cpu_node) <-
+          List.filter (fun (v : int) -> v <> vm_id) t.running.(rt.cpu_node);
+      if cpu_node >= 0 then t.running.(cpu_node) <- vm_id :: t.running.(cpu_node)
+    end;
+    rt.cpu_node <- cpu_node;
+    rt.cpu <- cpu
+  end;
+  if mem_node <> rt.mem_node then begin
+    let mem = Vm.memory_mb rt.vm in
+    if rt.mem_node >= 0 then
+      t.mem_used.(rt.mem_node) <- t.mem_used.(rt.mem_node) - mem;
+    if mem_node >= 0 then t.mem_used.(mem_node) <- t.mem_used.(mem_node) + mem;
+    rt.mem_node <- mem_node
+  end;
+  let reading =
+    match state with Configuration.Terminated -> 0 | _ -> vm_demand_rt rt
+  in
+  if t.readings.(vm_id) <> reading then begin
+    if t.readings_held then begin
+      t.readings <- Array.copy t.readings;
+      t.readings_held <- false
+    end;
+    t.readings.(vm_id) <- reading
+  end
+
+let rate_of t rt =
+  if rt.finished || not rt.launched then 0.
+  else
+    match rt.cpu_node with
+    | -1 -> 0.
+    | node -> (
+      match rt.phases with
+      | Program.Idle _ :: _ -> 1.
+      | Program.Compute _ :: _ ->
+        let cap = float_of_int (Node.cpu_capacity (Configuration.node t.config node)) in
+        let total = float_of_int (max t.totals.(node) 1) in
+        let scale = Float.min 1. (cap /. total) in
+        let alloc = float_of_int (vm_demand_rt rt) *. scale /. 100. in
+        alloc /. node_decel t node
+      | [] -> 0.)
+
+(* Ascending VM id: insertion sort, as the prefix is short and mostly
+   sorted (a full refresh queues the ids in order). *)
+let sort_prefix a n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 let rec advance_phase t vm_id () =
   let rt = t.rts.(vm_id) in
   rt.phase_end <- None;
@@ -207,6 +330,7 @@ let rec advance_phase t vm_id () =
   (* the VM's demand may have changed, and with it the share of every
      VM on its node: recompute, which reschedules only the VMs whose
      rate moved *)
+  touch_vm t vm_id;
   recompute t
 
 (* Bank the progress made at the old rate, switch to [rate] and replace
@@ -228,53 +352,33 @@ and set_rate t vm_id rt rate =
       Some (Engine.schedule_after t.engine ~delay (advance_phase t vm_id))
   end
 
-(* Recompute every VM's rate; reschedule the phase end of those whose
-   rate changed or that are stale. *)
+(* Refresh the touched VMs, queue every VM running on a touched node,
+   and re-rate the queue in ascending VM id; reschedule the phase end of
+   those whose rate changed or that are stale. *)
 and recompute t =
-  let nvm = Array.length t.rts in
-  t.version <- t.version + 1;
-  (* per-node totals, into the preallocated arrays *)
-  let totals = t.totals and mem_used = t.mem_used and busy_count = t.busy_count in
-  let nn = Array.length totals in
-  Array.fill totals 0 nn 0;
-  Array.fill mem_used 0 nn 0;
-  Array.fill busy_count 0 nn 0;
-  for vm_id = 0 to nvm - 1 do
-    match Configuration.state t.config vm_id with
-    | Configuration.Running node ->
-      let rt = t.rts.(vm_id) in
-      totals.(node) <- totals.(node) + vm_demand_rt rt;
-      mem_used.(node) <- mem_used.(node) + Vm.memory_mb rt.vm;
-      if is_busy rt then busy_count.(node) <- busy_count.(node) + 1
-    | Configuration.Sleeping_ram node ->
-      mem_used.(node) <- mem_used.(node) + Vm.memory_mb t.rts.(vm_id).vm
-    | Configuration.Waiting | Configuration.Sleeping _
-    | Configuration.Terminated -> ()
+  for i = 0 to t.queued - 1 do
+    refresh t t.queue.(i)
   done;
-  for vm_id = 0 to nvm - 1 do
+  for i = 0 to t.nodes_touched - 1 do
+    let node_id = t.touched_nodes.(i) in
+    t.node_touched.(node_id) <- false;
+    List.iter (touch_vm t) t.running.(node_id)
+  done;
+  t.nodes_touched <- 0;
+  let rated = t.queued in
+  sort_prefix t.queue rated;
+  for i = 0 to rated - 1 do
+    let vm_id = t.queue.(i) in
     let rt = t.rts.(vm_id) in
-    let rate =
-      if rt.finished || not rt.launched then 0.
-      else
-        match Configuration.state t.config vm_id with
-        | Configuration.Running node -> (
-          match rt.phases with
-          | Program.Idle _ :: _ -> 1.
-          | Program.Compute _ :: _ ->
-            let cap = float_of_int (Node.cpu_capacity (Configuration.node t.config node)) in
-            let total = float_of_int (max totals.(node) 1) in
-            let scale = Float.min 1. (cap /. total) in
-            let alloc =
-              float_of_int (vm_demand t vm_id) *. scale /. 100.
-            in
-            alloc /. node_decel t node
-          | [] -> 0.)
-        | Configuration.Waiting | Configuration.Sleeping _
-        | Configuration.Sleeping_ram _ | Configuration.Terminated ->
-          0.
-    in
+    rt.touched <- false;
+    let rate = rate_of t rt in
     if rt.stale || rate <> rt.rate then set_rate t vm_id rt rate
   done;
+  t.queued <- 0;
+  if !Obs.enabled then begin
+    Metrics.incr (Lazy.force m_recomputes);
+    Metrics.add (Lazy.force m_rated) rated
+  end;
   t.on_change ()
 
 (* Launch the vjob if its VMs are all running for the first time. *)
@@ -299,6 +403,7 @@ let check_launch t vj =
           rt.launched <- true;
           rt.last_sync <- now t;
           rt.stale <- true;
+          touch_vm t vm_id;
           if Program.is_empty rt.phases then begin
             rt.finished <- true;
             check_vjob_completion t rt
@@ -306,9 +411,13 @@ let check_launch t vj =
         end)
       vms
 
+(* Any VM may have changed, and any node's capacity: re-rate them all. *)
 let set_config t config =
   t.config <- config;
   Array.iter (check_launch t) t.vjobs;
+  for vm_id = 0 to Array.length t.rts - 1 do
+    touch_vm t vm_id
+  done;
   recompute t
 
 (* Only the owner of the action's VM can launch: every other vjob's VMs
@@ -317,6 +426,7 @@ let set_config t config =
 let apply_action t action =
   let vm_id = Action.vm action in
   t.config <- Action.apply t.config action;
+  touch_vm t vm_id;
   if t.owner.(vm_id) >= 0 then check_launch t t.vjobs.(t.owner.(vm_id));
   recompute t
 
@@ -380,8 +490,8 @@ let crash_node t node_id =
     Sim_log.info (fun m ->
         m "node N%d crashed at %.0fs: %d vjobs reset for resubmission"
           node_id (now t) (List.length affected));
-    if !Entropy_obs.Obs.enabled then
-      Entropy_obs.Obs.sim_instant ~at_s:(now t)
+    if !Obs.enabled then
+      Obs.sim_instant ~at_s:(now t)
         ~args:[ ("node", Entropy_obs.Trace.I node_id) ]
         "fault.node_crash";
     set_config t !config;
@@ -403,6 +513,11 @@ let create ~engine ~config ~vjobs ~programs () =
           rate = 0.;
           stale = false;
           phase_end = None;
+          cpu_node = -1;
+          cpu = 0;
+          busy = false;
+          mem_node = -1;
+          touched = false;
         })
       (Configuration.vms config)
   in
@@ -424,16 +539,20 @@ let create ~engine ~config ~vjobs ~programs () =
       totals = Array.make n 0;
       mem_used = Array.make n 0;
       busy_count = Array.make n 0;
+      running = Array.make n [];
       alive = Array.make n true;
       completions = Hashtbl.create 16;
-      version = 0;
-      readings = [||];
-      readings_version = -1;
+      queue = Array.make (Array.length rts) 0;
+      queued = 0;
+      node_touched = Array.make n false;
+      touched_nodes = Array.make n 0;
+      nodes_touched = 0;
+      readings = Array.make (Array.length rts) 0;
+      readings_held = false;
       on_change = (fun () -> ());
     }
   in
-  Array.iter (check_launch t) t.vjobs;
-  recompute t;
+  set_config t config;
   t
 
 let all_complete t =

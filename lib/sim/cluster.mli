@@ -16,8 +16,8 @@ val vjobs : t -> Vjob.t list
 
 val set_config : t -> Configuration.t -> unit
 (** Install a new configuration wholesale (a crash, a bookkeeping
-    commit): checks every vjob for launch, O(VMs of all vjobs), and
-    recomputes progress rates. *)
+    commit): checks every vjob for launch, marks every VM
+    touched and recomputes, O(VMs). {!create} ends with the same call. *)
 
 val apply_action : t -> Action.t -> unit
 (** Apply one completed action ({!Action.apply}, whose {!Action.Invalid}
@@ -36,31 +36,48 @@ val demand : t -> Demand.t
 
 val vm_demand : t -> Vm.id -> int
 val cpu_readings : t -> int array
-(** What the monitoring daemons report. The array is cached until the
-    next recomputation and shared between callers: it must not be
-    mutated. A caller seeing the same physical array again may assume
-    its contents are unchanged. *)
+(** What the monitoring daemons report: per VM, {!vm_demand}, or 0 once
+    Terminated. O(1). The array is copy-on-write: a {!recompute} writes
+    the entries of the VMs it touched in place, but copies the array
+    first if this function has returned it since. So an array it has
+    returned never changes, and a caller seeing the same physical array
+    again may assume the readings are unchanged. It must not be
+    mutated. *)
+
+val rate : t -> Vm.id -> float
+(** The VM's progress rate as of the last {!recompute}: phase progress
+    per wall second (0 unless launched, unfinished and running). *)
 
 val busy : ?except:Vm.id -> t -> Node.id -> bool
 (** Node hosts a running VM computing at full speed, [except] aside.
-    O(1): reads a per-node count taken at the last {!recompute}, which
-    every state or phase change is followed by. *)
+    O(1): reads a per-node count and [except]'s contribution, both kept
+    by {!recompute}, which every state or phase change is followed by. *)
 
 val overloaded : t -> bool
 (** Some node's running VMs demand more CPU, or its running and
     RAM-suspended VMs more memory, than it has: [Configuration.overloaded_nodes
-    (config t) (demand t) <> []], in O(nodes) from the per-node totals of
-    the last {!recompute}. *)
+    (config t) (demand t) <> []], in O(nodes) from the per-node totals
+    that {!recompute} keeps from the touched VMs' contributions. *)
 
 val node_decel : t -> Node.id -> float
 val register_op : t -> nodes:Node.id list -> local:bool -> unit
 val unregister_op : t -> nodes:Node.id list -> local:bool -> unit
 
 val recompute : t -> unit
-(** Recompute every VM's progress rate. Only VMs whose rate changed, or
-    whose phase advanced, that launched or that a crash reset, bank
-    their progress and get a new phase-end event (the superseded one is
-    cancelled); every other VM keeps its pending event. *)
+(** Bring the cluster up to date with the changes made since the last
+    call. Each mutator marks the VMs and nodes it changed
+    ({!apply_action}, a phase end and a launch their VMs,
+    {!register_op}/{!unregister_op} the nodes whose contention factor
+    moved). The touched VMs' contributions to the per-node totals and
+    their readings are refreshed; then the touched VMs and every VM
+    running on a node whose CPU total, contention or capacity changed
+    are re-rated, in ascending VM id. Of those, only VMs whose rate
+    changed, or whose phase advanced, that launched or that a crash
+    reset, bank their progress and get a new phase-end event (the
+    superseded one is cancelled); every other VM keeps its pending
+    event. Costs O(touched VMs + VMs on touched nodes), which the
+    [sim.recompute.rated] counter sums (with [sim.recompute] counting
+    the calls) when observability is on. *)
 
 val node_alive : t -> Node.id -> bool
 

@@ -347,25 +347,50 @@ let check_soak_report tag (r : Daemon.report) =
    moves on purpose, update it and say why. *)
 let burst0_journal_md5 = "19cb60e101578477aa20f35b1247271e"
 
+let burst0_config =
+  {
+    Daemon.default_config with
+    Daemon.seed = 0;
+    nodes = 24;
+    submissions = 500;
+    fail_rate = 0.05;
+    crashes = 2;
+    deterministic = true;
+  }
+
 let test_burst0_journal_bytes () =
   let path = Filename.temp_file "daemon_burst0" ".wal" in
   Sys.remove path;
   let journal = Journal.open_file path in
-  ignore
-    (Daemon.run ~journal
-       {
-         Daemon.default_config with
-         Daemon.seed = 0;
-         nodes = 24;
-         submissions = 500;
-         fail_rate = 0.05;
-         crashes = 2;
-         deterministic = true;
-       });
+  ignore (Daemon.run ~journal burst0_config);
   Journal.close journal;
   let digest = Digest.to_hex (Digest.file path) in
   Sys.remove path;
   Alcotest.(check string) "journal digest" burst0_journal_md5 digest
+
+(* A simulator event costs the VMs it touches, not the cluster: over the
+   burst-scale episode (about 750 VMs), a recompute re-rates at most 16
+   VMs on average (4.2 when this was written; a full scan re-rated them
+   all). *)
+let test_burst0_rated_per_recompute () =
+  let module Obs = Entropy_obs.Obs in
+  let module Metrics = Entropy_obs.Metrics in
+  let was = !Obs.enabled in
+  Obs.reset ();
+  Obs.enabled := true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.enabled := was;
+      Obs.reset ())
+    (fun () ->
+      ignore (Daemon.run burst0_config);
+      let count name = Metrics.counter_value (Metrics.counter name) in
+      let calls = count "sim.recompute" and rated = count "sim.recompute.rated" in
+      check_bool "recomputes counted" true (calls > 1000);
+      let mean = float_of_int rated /. float_of_int calls in
+      if mean > 16. then
+        Alcotest.failf "%.1f VMs re-rated per recompute (%d over %d), above 16"
+          mean rated calls)
 
 let test_soak () =
   let r = Daemon.run soak_config in
@@ -479,6 +504,8 @@ let () =
             test_daemon_journals_admission;
           Alcotest.test_case "burst0 journal bytes" `Quick
             test_burst0_journal_bytes;
+          Alcotest.test_case "burst0 re-rated per recompute" `Quick
+            test_burst0_rated_per_recompute;
           Alcotest.test_case "resume after every switch end" `Quick
             test_resume_after_every_switch_end;
         ] );

@@ -984,6 +984,24 @@ let test_collector_keeps_equal_timestamps () =
   check_int "all samples kept" 3
     (Vmonitor.History.length (Vmonitor.Collector.history c))
 
+(* The array of the latest admitted sample is not scanned again: a
+   source that (against its contract) writes a negative value into the
+   array it returned before gets it admitted, which shows the skip. A
+   fresh array with a negative value is still dropped. *)
+let test_collector_scans_once () =
+  let cpu = [| 10; 20 |] in
+  let c =
+    scripted_collector [ (1., cpu); (2., cpu); (3., [| -1; 20 |]) ]
+  in
+  Vmonitor.Collector.poll c;
+  cpu.(0) <- -1;
+  Vmonitor.Collector.poll c;
+  check_int "same array not rescanned" 0 (Vmonitor.Collector.dropped c);
+  Vmonitor.Collector.poll c;
+  check_int "fresh negative array dropped" 1 (Vmonitor.Collector.dropped c);
+  check_int "two samples kept" 2
+    (Vmonitor.History.length (Vmonitor.Collector.history c))
+
 let test_collector_drop_counter_metric () =
   let module Obs = Entropy_obs.Obs in
   let module Metrics = Entropy_obs.Metrics in
@@ -1541,7 +1559,16 @@ let test_crash_at_every_boundary_file_backend () =
    no vjob whose VMs all run is still unlaunched: the invariant that
    lets an action check launch for its VM's owner only. A VM counts as
    launched once it has been seen computing (every program starts with
-   a Compute phase, and a launch is followed by a recompute). *)
+   a Compute phase, and a launch is followed by a recompute).
+
+   Every VM's rate also equals the formula over per-node scans (its
+   share of the node's capacity among the running VMs' summed demand,
+   slowed by the node's contention), although a recompute re-rates only
+   the VMs it touched; the readings equal a fresh per-VM array; and the
+   readings array of the previous recompute still holds its contents:
+   the copy-on-write promise. A launched VM whose demand is idle is in
+   its Idle phase (rate 1) after its first compute run of a three-phase
+   program, and finished (rate 0) otherwise. *)
 let test_cluster_aggregates_match_scans () =
   let rng = Random.State.make [| 0xa66 |] in
   let node_count = 24 in
@@ -1608,6 +1635,11 @@ let test_cluster_aggregates_match_scans () =
     let engine = Vsim.Session.engine session in
     let cluster = Vsim.Session.cluster session in
     let computed = Array.make vm_count false in
+    (* compute runs seen since the VM last waited, and the demand of the
+       previous recompute *)
+    let runs = Array.make vm_count 0 in
+    let last_demand = Array.make vm_count Program.idle_demand in
+    let held = ref [||] and held_copy = ref [||] in
     (* checked quietly: Alcotest would log each of the millions of checks *)
     let expect want got fmt =
       if want = got then Printf.ikfprintf ignore () fmt
@@ -1625,6 +1657,13 @@ let test_cluster_aggregates_match_scans () =
           Vsim.Cluster.vm_demand cluster v = Program.compute_demand
         in
         for v = 0 to vm_count - 1 do
+          let d = Vsim.Cluster.vm_demand cluster v in
+          (match Configuration.state config v with
+          | Configuration.Waiting -> runs.(v) <- 0
+          | _ ->
+            if d = Program.compute_demand && last_demand.(v) <> d then
+              runs.(v) <- runs.(v) + 1);
+          last_demand.(v) <- d;
           match Configuration.state config v with
           | Configuration.Running _ -> if busy_vm v then computed.(v) <- true
           | Configuration.Waiting -> computed.(v) <- false
@@ -1667,6 +1706,50 @@ let test_cluster_aggregates_match_scans () =
         in
         if over then incr over_seen;
         expect over (Vsim.Cluster.overloaded cluster) "overloaded";
+        (* rates, from the per-node scans *)
+        let total node =
+          List.fold_left
+            (fun acc v -> acc + Vsim.Cluster.vm_demand cluster v)
+            0 running.(node)
+        in
+        for v = 0 to vm_count - 1 do
+          let want =
+            match Configuration.state config v with
+            | Configuration.Running node ->
+              let d = Vsim.Cluster.vm_demand cluster v in
+              if d = Program.compute_demand then
+                let cap =
+                  float_of_int
+                    (Node.cpu_capacity (Configuration.node config node))
+                in
+                let scale =
+                  Float.min 1. (cap /. float_of_int (max (total node) 1))
+                in
+                float_of_int d *. scale /. 100.
+                /. Vsim.Cluster.node_decel cluster node
+              else if runs.(v) = 1 && List.length programs.(v) = 3 then 1.
+              else 0.
+            | _ -> 0.
+          in
+          let got = Vsim.Cluster.rate cluster v in
+          if want <> got then
+            Alcotest.failf "rate of VM%d at t=%.3f: expected %g, got %g" v
+              (Vsim.Engine.now engine) want got
+        done;
+        (* readings: fresh, and the previous array unchanged *)
+        let readings = Vsim.Cluster.cpu_readings cluster in
+        let fresh =
+          Array.init vm_count (fun v ->
+              match Configuration.state config v with
+              | Configuration.Terminated -> 0
+              | _ -> Vsim.Cluster.vm_demand cluster v)
+        in
+        expect true (readings = fresh) "readings match a fresh array";
+        expect true (!held = !held_copy) "held readings unchanged";
+        if readings != !held then begin
+          held := readings;
+          held_copy := Array.copy readings
+        end;
         List.iter
           (fun vj ->
             let vms = Vjob.vms vj in
@@ -2129,6 +2212,8 @@ let () =
             test_collector_drops_bad_samples;
           Alcotest.test_case "keeps equal timestamps" `Quick
             test_collector_keeps_equal_timestamps;
+          Alcotest.test_case "scans an unchanged reading once" `Quick
+            test_collector_scans_once;
           Alcotest.test_case "drop counter metric" `Quick
             test_collector_drop_counter_metric;
           Alcotest.test_case "engine max events" `Quick
