@@ -358,15 +358,42 @@ let burst0_config =
     deterministic = true;
   }
 
-let test_burst0_journal_bytes () =
+let burst0_journal () =
   let path = Filename.temp_file "daemon_burst0" ".wal" in
   Sys.remove path;
   let journal = Journal.open_file path in
   ignore (Daemon.run ~journal burst0_config);
   Journal.close journal;
+  path
+
+let test_burst0_journal_bytes () =
+  let path = burst0_journal () in
   let digest = Digest.to_hex (Digest.file path) in
   Sys.remove path;
   Alcotest.(check string) "journal digest" burst0_journal_md5 digest
+
+(* The flight recorder's reading of that journal is pinned the same way:
+   the bytes [entropyctl explain --journal burst0.wal --json F] writes
+   to F (194,864 of them). A change to how the journal is folded into
+   timelines, or to the critical-path attribution, moves the digest. *)
+let burst0_explain_md5 = "1dbf8fa14c722c5e3b17964c2bac2b46"
+
+let test_burst0_explain_bytes () =
+  let module Report = Entropy_flight.Report in
+  let path = burst0_journal () in
+  let records, dropped = Journal.load path in
+  Sys.remove path;
+  check_int "no torn records" 0 dropped;
+  let analyses = Report.analyze_records ~top_k:3 records in
+  check_bool "every switch healthy" true (List.for_all Report.healthy analyses);
+  let json =
+    Json.to_string
+      (Report.to_json ~trace_dropped:(Entropy_obs.Trace.dropped ()) analyses)
+    ^ "\n"
+  in
+  Alcotest.(check string)
+    "explain digest" burst0_explain_md5
+    (Digest.to_hex (Digest.string json))
 
 (* A simulator event costs the VMs it touches, not the cluster: over the
    burst-scale episode (about 750 VMs), a recompute re-rates at most 16
@@ -504,6 +531,8 @@ let () =
             test_daemon_journals_admission;
           Alcotest.test_case "burst0 journal bytes" `Quick
             test_burst0_journal_bytes;
+          Alcotest.test_case "burst0 explain bytes" `Quick
+            test_burst0_explain_bytes;
           Alcotest.test_case "burst0 re-rated per recompute" `Quick
             test_burst0_rated_per_recompute;
           Alcotest.test_case "resume after every switch end" `Quick
