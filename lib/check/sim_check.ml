@@ -108,27 +108,23 @@ let one_run ctx prefix =
         viols :=
           violation Write_ahead !steps "sim: journal trace did not replay"
           :: !viols
-      | Some st ->
+      | Some sw ->
+        (* every slot Done leaves none failed or in flight *)
+        let done_ = List.length (Recovery.done_actions sw)
+        and slots = Array.length sw.Recovery.slots in
         if
-          (not st.Recovery.ended)
-          || st.Recovery.in_flight <> []
-          || st.Recovery.failed_actions <> []
-          || List.length st.Recovery.done_actions
-             <> Plan.action_count ctx.Model.plan
+          sw.Recovery.end_at = None || done_ < slots
+          || sw.Recovery.unmatched > 0
         then
           viols :=
             violation Write_ahead !steps
               (Printf.sprintf
-                 "sim: journal trace malformed (ended=%b inflight=%d \
-                  failed=%d done=%d/%d)"
-                 st.Recovery.ended
-                 (List.length st.Recovery.in_flight)
-                 (List.length st.Recovery.failed_actions)
-                 (List.length st.Recovery.done_actions)
-                 (Plan.action_count ctx.Model.plan))
+                 "sim: journal trace malformed (ended=%b done=%d/%d \
+                  unmatched=%d)"
+                 (sw.Recovery.end_at <> None) done_ slots sw.Recovery.unmatched)
             :: !viols
         else if
-          not (Configuration.equal (Recovery.projected_config st) final)
+          not (Configuration.equal (Recovery.projected_config sw) final)
         then
           viols :=
             violation Write_ahead !steps

@@ -79,7 +79,6 @@ let repair ?heuristic ?rules ?vjobs ~current ~target ~demand ~queue
 
 type residue = { failed_vms : Vm.id list; lost_nodes : Node.id list }
 
-let no_residue = { failed_vms = []; lost_nodes = [] }
 let residue_ok r = r.failed_vms = [] && r.lost_nodes = []
 
 let pp_residue ppf r =
@@ -88,18 +87,3 @@ let pp_residue ppf r =
     r.failed_vms
     Fmt.(Dump.list int)
     r.lost_nodes
-
-let repair_residue ?heuristic ?rules ?vjobs ~current ~target ~demand ~queue
-    residue () =
-  repair ?heuristic ?rules ?vjobs ~current ~target ~demand ~queue
-    ~failed_vms:residue.failed_vms ~lost_nodes:residue.lost_nodes ()
-
-let resubmission_vjobs config vjobs ~lost_nodes =
-  let on_lost vm =
-    match Configuration.state config vm with
-    | Configuration.Running n
-    | Configuration.Sleeping n
-    | Configuration.Sleeping_ram n -> List.mem n lost_nodes
-    | Configuration.Waiting | Configuration.Terminated -> false
-  in
-  List.filter (fun vj -> List.exists on_lost (Vjob.vms vj)) vjobs

@@ -19,20 +19,14 @@ val salvage :
     configuration — the dependency closure over the surviving actions.
     [None] when nothing survives or the planner is stuck. *)
 
-val ffd_replan :
-  ?heuristic:Ffd.heuristic -> ?rules:Placement_rules.t list ->
-  ?vjobs:Vjob.t list -> config:Configuration.t -> demand:Demand.t ->
-  queue:Vjob.t list -> unit -> outcome option
-(** Re-run RJSP over the live queue and plan towards its FFD packing.
-    [None] when the packing needs no actions or the planner is stuck. *)
-
 val repair :
   ?heuristic:Ffd.heuristic -> ?rules:Placement_rules.t list ->
   ?vjobs:Vjob.t list -> current:Configuration.t -> target:Configuration.t ->
   demand:Demand.t -> queue:Vjob.t list -> failed_vms:Vm.id list ->
   lost_nodes:Node.id list -> unit -> outcome option
-(** Salvage when no node was lost, FFD replan otherwise (and as fallback
-    when salvage yields nothing). [queue] is the live, unterminated vjob
+(** Salvage when no node was lost; otherwise re-run RJSP over the live
+    queue and plan towards its FFD packing (also the fallback when
+    salvage yields nothing). [queue] is the live, unterminated vjob
     list — vjobs reset to Waiting by a node crash resubmit through it. *)
 
 type residue = { failed_vms : Vm.id list; lost_nodes : Node.id list }
@@ -41,18 +35,5 @@ type residue = { failed_vms : Vm.id list; lost_nodes : Node.id list }
     cannot carry forward, and crashed nodes the original target still
     uses. A clean residue means the resumed plan needs no repair. *)
 
-val no_residue : residue
 val residue_ok : residue -> bool
 val pp_residue : Format.formatter -> residue -> unit
-
-val repair_residue :
-  ?heuristic:Ffd.heuristic -> ?rules:Placement_rules.t list ->
-  ?vjobs:Vjob.t list -> current:Configuration.t -> target:Configuration.t ->
-  demand:Demand.t -> queue:Vjob.t list -> residue -> unit -> outcome option
-(** {!repair} driven by a reconciliation residue instead of an in-switch
-    execution report. *)
-
-val resubmission_vjobs :
-  Configuration.t -> Vjob.t list -> lost_nodes:Node.id list -> Vjob.t list
-(** The vjobs with a VM running on — or an image stored on — a lost
-    node: the set to reset and resubmit through RJSP. *)

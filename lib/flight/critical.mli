@@ -35,9 +35,7 @@ type buckets = {
   recovery_s : float;
 }
 
-val zero_buckets : buckets
 val bucket_total : buckets -> float
-val add_buckets : buckets -> buckets -> buckets
 
 type edge =
   | Start  (** enabled by the switch itself *)

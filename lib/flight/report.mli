@@ -26,12 +26,9 @@ val pp_summary : Format.formatter -> analysis list -> unit
 
 val to_json : ?trace_dropped:int -> analysis list -> Entropy_obs.Json.t
 
-val gantt_events :
-  analysis list -> Entropy_obs.Trace.event list * (int * string) list
-(** Events and [(tid, name)] thread labels for {!Entropy_obs.Trace.export}:
+val write_gantt : string -> analysis list -> unit
+(** Chrome trace of the analyses ({!Entropy_obs.Trace.export}):
     per-node action tracks, a switch-marker track (begin / pool
     commits / end) and a critical-path track. Timestamps are simulated
     seconds scaled to microseconds, matching lib/obs' simulated-time
     track convention. *)
-
-val write_gantt : string -> analysis list -> unit

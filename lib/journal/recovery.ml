@@ -1,8 +1,11 @@
-(* Crash recovery: journal replay and observation-driven reconciliation.
+(* The one reader of switch records, and crash recovery on top of it.
 
-   Replay is a pure fold over the record stream; the last Switch_begin
-   wins and later records of that switch mutate its reconstructed
-   state. Reconciliation never trusts the journal over the cluster: the
+   [switches] folds the record stream into one value per switch, a slot
+   per plan action collecting its attempt starts and terminal outcome.
+   The records are sparse (a terminal may come with no start, a killed
+   controller writes no Switch_end), so the fold assumes none of them.
+
+   Reconciliation never trusts the journal over the cluster: the
    journal tells us what the controller *intended* (the plan, and which
    actions reached a terminal record), the observation tells us what
    actually holds, and every VM is classified by where its observed
@@ -22,7 +25,19 @@ let m_done = lazy (Metrics.counter "journal.resume.done")
 let m_pending = lazy (Metrics.counter "journal.resume.pending")
 let m_frozen = lazy (Metrics.counter "journal.resume.frozen")
 
-type switch_state = {
+type terminal = Done of float | Failed of float
+
+let terminal_at = function Done t | Failed t -> t
+
+type slot = {
+  action : Action.t;
+  plan_pool : int;
+  record_pool : int;
+  attempts : float list;
+  terminal : terminal option;
+}
+
+type switch = {
   switch : int;
   begun_at : float;
   source : Configuration.t;
@@ -30,100 +45,159 @@ type switch_state = {
   plan : Plan.t;
   demand : Demand.t;
   seed : int option;
-  done_actions : (int * Action.t) list;
-  failed_actions : (int * Action.t) list;
-  in_flight : (int * Action.t) list;
-  committed_pools : int list;
-  ended : bool;
+  slots : slot array;
+  commits : (int * float) list;
+  end_at : float option;
   aborted : bool;
+  last_event : float;
+  unmatched : int;
 }
 
-let fresh_state ~switch ~begun_at ~source ~target ~plan ~demand ~seed =
+let opened ~switch ~at_s ~source ~target ~plan ~demand ~seed =
+  let slot p action =
+    { action; plan_pool = p; record_pool = p; attempts = []; terminal = None }
+  in
   {
     switch;
-    begun_at;
+    begun_at = at_s;
     source;
     target;
     plan;
     demand;
     seed;
-    done_actions = [];
-    failed_actions = [];
-    in_flight = [];
-    committed_pools = [];
-    ended = false;
+    slots =
+      Array.of_list
+        (List.concat
+           (List.mapi (fun p -> List.map (slot p)) (Plan.pools plan)));
+    commits = [];
+    end_at = None;
     aborted = false;
+    last_event = at_s;
+    unmatched = 0;
   }
 
-let drop_in_flight st action =
-  List.filter (fun (_, a) -> not (Action.equal a action)) st.in_flight
+(* The slot an action record belongs to. Plans almost never repeat an
+   identical action, but the match still prefers a slot without a
+   terminal outcome, then one whose plan pool agrees with the record's,
+   then (for a terminal) one already started, so even adversarial
+   journals attach records deterministically. Comparing VM ids first
+   keeps the scan off the polymorphic equality. *)
+let find_slot sw ~pool ~action ~terminal =
+  let vm = Action.vm action in
+  let best = ref (-1) and best_rank = ref min_int in
+  for i = 0 to Array.length sw.slots - 1 do
+    let s = sw.slots.(i) in
+    if Action.vm s.action = vm && Action.equal s.action action then begin
+      let rank =
+        (if s.terminal = None then 4 else 0)
+        + (if s.plan_pool = pool then 2 else 0)
+        + if terminal = (s.attempts <> []) then 1 else 0
+      in
+      if rank > !best_rank then begin
+        best_rank := rank;
+        best := i
+      end
+    end
+  done;
+  if !best < 0 then None else Some !best
 
-let step acc record =
-  match (record, acc) with
-  | Record.Switch_begin { switch; at_s; source; target; plan; demand; seed }, _
-    ->
-    Some (fresh_state ~switch ~begun_at:at_s ~source ~target ~plan ~demand ~seed)
+let touch sw at_s =
+  if at_s > sw.last_event then { sw with last_event = at_s } else sw
+
+(* The fold owns each switch's slot array: a matched record rewrites its
+   slot in place. *)
+let attach ~pool ~at_s ~action terminal sw =
+  let sw = touch sw at_s in
+  match find_slot sw ~pool ~action ~terminal:(terminal <> None) with
+  | None -> { sw with unmatched = sw.unmatched + 1 }
+  | Some i ->
+    let s = sw.slots.(i) in
+    sw.slots.(i) <-
+      (if terminal = None then
+         { s with record_pool = pool; attempts = s.attempts @ [ at_s ] }
+       else { s with record_pool = pool; terminal });
+    sw
+
+(* [begun] holds the switches most recent begin first; a record updates
+   the most recent switch begun with its id, and one with no begun
+   switch changes nothing. *)
+let rec update id f = function
+  | [] -> []
+  | sw :: rest when sw.switch = id -> f sw :: rest
+  | sw :: rest -> sw :: update id f rest
+
+let step begun = function
+  | Record.Switch_begin { switch; at_s; source; target; plan; demand; seed } ->
+    opened ~switch ~at_s ~source ~target ~plan ~demand ~seed :: begun
+  | Record.Action_started { switch; pool; at_s; action; _ } ->
+    update switch (attach ~pool ~at_s ~action None) begun
+  | Record.Action_done { switch; pool; at_s; action } ->
+    update switch (attach ~pool ~at_s ~action (Some (Done at_s))) begun
+  | Record.Action_failed { switch; pool; at_s; action } ->
+    update switch (attach ~pool ~at_s ~action (Some (Failed at_s))) begun
+  | Record.Pool_committed { switch; pool; at_s } ->
+    update switch
+      (fun sw ->
+        { (touch sw at_s) with commits = sw.commits @ [ (pool, at_s) ] })
+      begun
+  | Record.Switch_end { switch; at_s; aborted } ->
+    update switch
+      (fun sw -> { (touch sw at_s) with end_at = Some at_s; aborted })
+      begun
   (* daemon-level records (admission decisions, ladder transitions) are
      not part of any switch: the daemon's own resume path folds them *)
-  | (Record.Submission _ | Record.Ladder _), _ -> acc
-  | _, None ->
-    Log.warn (fun m ->
-        m "ignoring record before any switch begin: %a" Record.pp record);
-    None
-  | r, Some st when Record.switch r <> st.switch || st.ended ->
-    Log.warn (fun m -> m "ignoring stray record: %a" Record.pp r);
-    acc
-  | Record.Action_started { pool; action; _ }, Some st ->
-    Some { st with in_flight = drop_in_flight st action @ [ (pool, action) ] }
-  | Record.Action_done { pool; action; _ }, Some st ->
-    Some
-      {
-        st with
-        done_actions = st.done_actions @ [ (pool, action) ];
-        in_flight = drop_in_flight st action;
-      }
-  | Record.Action_failed { pool; action; _ }, Some st ->
-    Some
-      {
-        st with
-        failed_actions = st.failed_actions @ [ (pool, action) ];
-        in_flight = drop_in_flight st action;
-      }
-  | Record.Pool_committed { pool; _ }, Some st ->
-    if List.mem pool st.committed_pools then acc
-    else Some { st with committed_pools = st.committed_pools @ [ pool ] }
-  | Record.Switch_end { aborted; _ }, Some st ->
-    Some { st with ended = true; aborted }
+  | Record.Submission _ | Record.Ladder _ -> begun
+
+let switches records = List.rev (List.fold_left step [] records)
+
+let slot_actions keep sw =
+  Array.fold_right
+    (fun s acc -> if keep s then s.action :: acc else acc)
+    sw.slots []
+
+let done_actions =
+  slot_actions (fun s ->
+      match s.terminal with Some (Done _) -> true | _ -> false)
+
+let failed_actions =
+  slot_actions (fun s ->
+      match s.terminal with Some (Failed _) -> true | _ -> false)
+
+let in_flight = slot_actions (fun s -> s.attempts <> [] && s.terminal = None)
 
 let replay records =
   Obs.span ~cat:"journal" ~name:"journal.replay"
     ~args:[ ("records", Entropy_obs.Trace.I (List.length records)) ]
     (fun () ->
-      let state = List.fold_left step None records in
-      (match state with
-      | Some st ->
+      (* only the last switch begun matters: fold from its begin *)
+      let rec last found = function
+        | [] -> found
+        | Record.Switch_begin _ :: rest as from -> last from rest
+        | _ :: rest -> last found rest
+      in
+      match switches (last [] records) with
+      | sw :: _ ->
         Log.info (fun m ->
             m "replayed switch %d: %d done, %d failed, %d in flight%s"
-              st.switch
-              (List.length st.done_actions)
-              (List.length st.failed_actions)
-              (List.length st.in_flight)
-              (if st.ended then " (ended)" else ""))
-      | None -> Log.info (fun m -> m "replay: empty journal"));
-      state)
+              sw.switch
+              (List.length (done_actions sw))
+              (List.length (failed_actions sw))
+              (List.length (in_flight sw))
+              (if sw.end_at <> None then " (ended)" else ""));
+        Some sw
+      | [] ->
+        Log.info (fun m -> m "replay: empty journal");
+        None)
 
-let projected_config state =
+let projected_config sw =
   List.fold_left
-    (fun config (_, action) ->
+    (fun config action ->
       try Action.apply config action with Action.Invalid _ -> config)
-    state.source state.done_actions
-
-type vm_class = Done | Pending | Frozen
+    sw.source (done_actions sw)
 
 type reconciliation = {
   target : Configuration.t;
   plan : Plan.t option;
-  classes : (Vm.id * vm_class) list;
   done_vms : Vm.id list;
   pending_vms : Vm.id list;
   frozen_vms : Vm.id list;
@@ -134,7 +208,7 @@ type reconciliation = {
    starting at its source state. Applying only this VM's actions over
    the full source configuration is sound because [Action.apply] checks
    life-cycle preconditions, not resources. *)
-let state_chain (state : switch_state) vm =
+let state_chain (state : switch) vm =
   let actions =
     List.filter (fun a -> Action.vm a = vm) (Plan.actions state.plan)
   in
@@ -168,19 +242,19 @@ let reconcile ?vjobs ~state ~observed () =
         let obs = Configuration.state observed vm in
         let final = List.nth chain (List.length chain - 1) in
         let cls =
-          if Configuration.equal_vm_state obs final then Done
+          if Configuration.equal_vm_state obs final then `Done
           else if List.exists (Configuration.equal_vm_state obs) chain then
-            Pending
-          else Frozen
+            `Pending
+          else `Frozen
         in
         (vm, cls))
   in
   let of_class c =
     List.filter_map (fun (vm, k) -> if k = c then Some vm else None) classes
   in
-  let done_vms = of_class Done
-  and pending_vms = of_class Pending
-  and frozen_vms = of_class Frozen in
+  let done_vms = of_class `Done
+  and pending_vms = of_class `Pending
+  and frozen_vms = of_class `Frozen in
   let frozen vm = List.mem vm frozen_vms in
   (* A VM observed Terminated that the plan never terminates simply
      finished while the controller was down: frozen (Terminated moves
@@ -191,10 +265,10 @@ let reconcile ?vjobs ~state ~observed () =
   in
   let failed_not_done =
     List.filter_map
-      (fun (_, a) ->
+      (fun a ->
         let vm = Action.vm a in
         if List.mem vm done_vms then None else Some vm)
-      state.failed_actions
+      (failed_actions state)
   in
   let residue_failed =
     List.sort_uniq compare
@@ -249,10 +323,10 @@ let reconcile ?vjobs ~state ~observed () =
            | Some p -> Fmt.str "resume plan of %d actions" (Plan.action_count p)
            | None -> "planner stuck"
          else Fmt.str "residue (%a)" Repair.pp_residue residue));
-  { target; plan; classes; done_vms; pending_vms; frozen_vms; residue }
+  { target; plan; done_vms; pending_vms; frozen_vms; residue }
 
 type resume = {
-  state : switch_state;
+  state : switch;
   reconciliation : reconciliation;
   target : Configuration.t;
   plan : Plan.t;
@@ -274,10 +348,11 @@ let resume_plan ~vjobs ~observed state =
     match reconciliation.plan with
     | Some plan -> (reconciliation.target, plan, false)
     | None -> (
+      let { Repair.failed_vms; lost_nodes } = reconciliation.residue in
       match
-        Repair.repair_residue ~vjobs:queue ~current:observed
+        Repair.repair ~vjobs:queue ~current:observed
           ~target:reconciliation.target ~demand:state.demand ~queue
-          reconciliation.residue ()
+          ~failed_vms ~lost_nodes ()
       with
       | Some o -> (o.Repair.target, o.Repair.plan, true)
       | None -> (reconciliation.target, Plan.empty, true))

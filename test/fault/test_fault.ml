@@ -362,56 +362,15 @@ let test_repair_lost_node_replans () =
         | Action.Resume_ram _ -> ())
       (Plan.actions o.Repair.plan)
 
-let test_resubmission_vjobs () =
-  let config =
-    mk_config ~nodes:2 ~vm_count:2
-      [ Configuration.Running 0; Configuration.Sleeping 1 ]
-  in
-  let vjobs =
-    [
-      Vjob.make ~id:0 ~name:"j0" ~vms:[ 0 ] ();
-      Vjob.make ~id:1 ~name:"j1" ~vms:[ 1 ] ();
-    ]
-  in
-  let hit = Repair.resubmission_vjobs config vjobs ~lost_nodes:[ 1 ] in
-  Alcotest.(check (list int))
-    "only the vjob on the lost node" [ 1 ]
-    (List.map Vjob.id hit);
-  check_bool "nothing lost, nothing resubmitted" true
-    (Repair.resubmission_vjobs config vjobs ~lost_nodes:[] = [])
-
-(* Journal reconciliation hands repair a residue record; the
-   residue-driven entry point must behave exactly like spelling the
-   failure sets out by hand. *)
+(* A reconciliation residue is clean only when it names no failed VM
+   and no lost node. *)
 let test_repair_residue () =
-  check_bool "no_residue is ok" true (Repair.residue_ok Repair.no_residue);
-  let residue = { Repair.failed_vms = [ 0 ]; lost_nodes = [] } in
-  check_bool "failed VM is residue" false (Repair.residue_ok residue);
-  let current =
-    mk_config ~nodes:3 ~vm_count:2
-      [ Configuration.Running 0; Configuration.Running 0 ]
-  in
-  let target =
-    mk_config ~nodes:3 ~vm_count:2
-      [ Configuration.Running 1; Configuration.Running 1 ]
-  in
-  let by_residue =
-    Repair.repair_residue ~current ~target ~demand:demand2 ~queue:[] residue
-      ()
-  in
-  let by_hand =
-    Repair.repair ~current ~target ~demand:demand2 ~queue:[] ~failed_vms:[ 0 ]
-      ~lost_nodes:[] ()
-  in
-  match (by_residue, by_hand) with
-  | Some r, Some h ->
-    check_bool "same source" true (r.Repair.source = h.Repair.source);
-    check_bool "same target" true
-      (Configuration.equal r.Repair.target h.Repair.target);
-    check_int "same plan size"
-      (Plan.action_count h.Repair.plan)
-      (Plan.action_count r.Repair.plan)
-  | _ -> Alcotest.fail "expected repairs from both entry points"
+  check_bool "empty residue is ok" true
+    (Repair.residue_ok { Repair.failed_vms = []; lost_nodes = [] });
+  check_bool "failed VM is residue" false
+    (Repair.residue_ok { Repair.failed_vms = [ 0 ]; lost_nodes = [] });
+  check_bool "lost node is residue" false
+    (Repair.residue_ok { Repair.failed_vms = []; lost_nodes = [ 1 ] })
 
 (* -- node crash primitive ------------------------------------------------------- *)
 
@@ -470,7 +429,6 @@ let () =
             test_repair_salvage_empty_falls_back;
           Alcotest.test_case "lost node replans" `Quick
             test_repair_lost_node_replans;
-          Alcotest.test_case "resubmission set" `Quick test_resubmission_vjobs;
           Alcotest.test_case "residue entry point" `Quick test_repair_residue;
         ] );
     ]

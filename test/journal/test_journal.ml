@@ -716,14 +716,10 @@ let test_replay_mid_switch () =
   | None -> Alcotest.fail "expected a switch state"
   | Some st ->
     check_int "switch id" 0 st.Recovery.switch;
-    check_bool "not ended" false st.Recovery.ended;
-    check_int "one done" 1 (List.length st.Recovery.done_actions);
-    check_bool "vm0 done" true
-      (List.exists (fun (_, a) -> Action.equal a (mig 0)) st.Recovery.done_actions);
-    check_int "one in flight" 1 (List.length st.Recovery.in_flight);
-    check_bool "vm1 in flight" true
-      (List.exists (fun (_, a) -> Action.equal a (mig 1)) st.Recovery.in_flight);
-    check_int "no failures" 0 (List.length st.Recovery.failed_actions);
+    check_bool "not ended" true (st.Recovery.end_at = None);
+    check_bool "vm0 done" true (Recovery.done_actions st = [ mig 0 ]);
+    check_bool "vm1 in flight" true (Recovery.in_flight st = [ mig 1 ]);
+    check_int "no failures" 0 (List.length (Recovery.failed_actions st));
     (* the journal-projected config has vm0 moved, vm1 untouched *)
     let proj = Recovery.projected_config st in
     check_bool "vm0 projected onto N1" true
@@ -748,11 +744,13 @@ let test_replay_complete_switch () =
   match Recovery.replay records with
   | None -> Alcotest.fail "expected a switch state"
   | Some st ->
-    check_bool "ended" true st.Recovery.ended;
+    check_bool "ended" true (st.Recovery.end_at = Some 5.);
     check_bool "aborted" true st.Recovery.aborted;
-    check_int "failed recorded" 1 (List.length st.Recovery.failed_actions);
-    check_int "nothing in flight" 0 (List.length st.Recovery.in_flight);
-    Alcotest.(check (list int)) "pool committed" [ 0 ] st.Recovery.committed_pools
+    check_int "failed recorded" 1 (List.length (Recovery.failed_actions st));
+    check_int "nothing in flight" 0 (List.length (Recovery.in_flight st));
+    Alcotest.(check (list int))
+      "pool committed" [ 0 ]
+      (List.map fst st.Recovery.commits)
 
 let test_replay_last_begin_wins () =
   let records =
@@ -769,10 +767,7 @@ let test_replay_last_begin_wins () =
   | Some st ->
     check_int "last switch" 1 st.Recovery.switch;
     check_bool "fresh state: only switch 1's record" true
-      (List.for_all
-         (fun (_, a) -> Action.equal a (mig 1))
-         st.Recovery.done_actions
-      && List.length st.Recovery.done_actions = 1));
+      (Recovery.done_actions st = [ mig 1 ]));
   check_int "next id past the highest" 2
     (Journal.next_switch (Journal.of_records records));
   check_int "empty journal starts at 0" 0 (Journal.next_switch (Journal.mem ()))
