@@ -31,8 +31,9 @@ let split_trace state =
   (arr, !last_cp)
 
 let decode_all s =
+  let codec = Record.codec () in
   let rec go pos acc =
-    match Record.read_frame s ~pos with
+    match Record.read_frame codec s ~pos with
     | None -> (List.rev acc, 0)
     | Some (Record.Frame (r, next)) -> go next (r :: acc)
     | Some (Record.Skipped (_, next)) -> go next acc
@@ -40,14 +41,20 @@ let decode_all s =
   in
   go 0 []
 
-(* The torn-tail rule, checked at the codec level: encoding the durable
-   records followed by [cut] bytes of the next frame must decode back
-   to exactly the durable records with one dropped tail. *)
-let check_torn step durable next_frame cut =
+(* The durable records' bytes and the frame [next] is written as after
+   them: encoded with the codec the durable prefix left, as the journal
+   would encode it. *)
+let encode_cut durable next =
+  let codec = Record.codec () in
   let buf = Buffer.create 256 in
-  List.iter (Record.write_frame buf) durable;
-  Buffer.add_string buf (String.sub next_frame 0 cut);
-  let decoded, dropped = decode_all (Buffer.contents buf) in
+  List.iter (Record.write_frame codec buf) durable;
+  (Buffer.contents buf, Record.to_frame codec next)
+
+(* The torn-tail rule, checked at the codec level: the durable bytes
+   followed by [cut] bytes of the next frame must decode back to
+   exactly the durable records with one dropped tail. *)
+let check_torn step durable (prefix, next_frame) cut =
+  let decoded, dropped = decode_all (prefix ^ String.sub next_frame 0 cut) in
   let same =
     List.length decoded = List.length durable
     && List.for_all2 Record.equal decoded durable
@@ -195,13 +202,13 @@ let explore ctx state ~torn ~exhaustive ~seen ~budget ~crash_checks
       (* torn cut partway into the first lost frame *)
       if torn && Model.want ctx Invariant.Write_ahead && cut < n then begin
         let durable = Array.to_list (Array.sub arr 0 cut) in
-        let frame = Record.to_frame arr.(cut) in
+        let ((_, frame) as bytes) = encode_cut durable arr.(cut) in
         List.iter
           (fun c ->
             incr torn_cuts;
             List.iter
               (fun v -> out := ({ Witness.kept; torn = Some c }, v) :: !out)
-              (check_torn state.nsteps durable frame c))
+              (check_torn state.nsteps durable bytes c))
           (torn_offsets ~exhaustive (String.length frame))
       end
     done;
@@ -218,7 +225,7 @@ let check_spec ctx state (crash : Witness.crash) =
   let vs = check_durable ctx state durable in
   match crash.torn with
   | Some c when cut < n ->
-    let frame = Record.to_frame arr.(cut) in
+    let ((_, frame) as bytes) = encode_cut durable arr.(cut) in
     let c = max 1 (min c (String.length frame - 1)) in
-    vs @ check_torn state.nsteps durable frame c
+    vs @ check_torn state.nsteps durable bytes c
   | _ -> vs

@@ -11,10 +11,15 @@
    only lose a tail of non-terminal [Action_started] records, which
    resume re-runs idempotently.
 
-   Journals written before the binary format (one checksummed JSON line
-   per record) are refused, not read: their first byte is '{', which is
-   never a valid frame magic, and both [load] and [open_file] raise
-   [Sys_error] on it before touching the file. *)
+   Each stream of frames has one [Record.codec]: [Mem] keeps its own,
+   and the file backend appends with the codec [open_file]'s decoder
+   reached at the end of the valid prefix.
+
+   Journals in an older format are refused, not read: a pre-binary
+   JSON-lines journal (first byte '{', never a valid frame magic) and a
+   binary journal whose first frame carries an older [Record.version].
+   Both [load] and [open_file] raise [Sys_error] on them before
+   touching the file; a reader keeps no decoder for an older format. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics
@@ -25,13 +30,17 @@ let m_dropped = lazy (Metrics.counter "journal.dropped_records")
 type file = {
   path : string;
   oc : out_channel;
+  codec : Record.codec;  (* the stream's codec after its last frame *)
   buf : Buffer.t;  (* encoded records not yet written to [oc] *)
   mutable buffered : int;  (* records currently in [buf] *)
   mutable closed : bool;
 }
 
 type backend =
-  | Mem of { mem_buf : Buffer.t (* binary frames, oldest first *) }
+  | Mem of {
+      mem_buf : Buffer.t;  (* binary frames, oldest first *)
+      mem_codec : Record.codec;
+    }
   | File of file
 
 type t = {
@@ -46,20 +55,26 @@ let flush_bytes = 64 * 1024
 let flush_records = 64
 
 let mem () =
-  { backend = Mem { mem_buf = Buffer.create 4096 }; length = 0; next_switch = 0 }
+  {
+    backend = Mem { mem_buf = Buffer.create 4096; mem_codec = Record.codec () };
+    length = 0;
+    next_switch = 0;
+  }
 
 (* daemon-level records answer switch -1 and leave the count alone *)
 let advance next record = max next (Record.switch record + 1)
 
 (* -- decoding ----------------------------------------------------------------- *)
 
-let decode_binary src =
+(* [(records, dropped, valid)], with [valid] the byte offset where the
+   valid prefix ends; [codec] ends in the writer's state after it *)
+let decode_binary codec src =
   (* WAL semantics: the valid prefix ends at the first torn or corrupt
      frame; nothing after it is trusted. Frame boundaries inside the
      torn tail are unknowable, so the dropped count is at least 1. *)
   let rec go acc pos =
-    match Record.read_frame src ~pos with
-    | None -> (List.rev acc, 0)
+    match Record.read_frame codec src ~pos with
+    | None -> (List.rev acc, 0, pos)
     | Some (Record.Frame (record, next)) -> go (record :: acc) next
     | Some (Record.Skipped (reason, next)) ->
       (* intact frame from a newer writer: diagnose and keep reading *)
@@ -69,18 +84,28 @@ let decode_binary src =
       Log.warn (fun m ->
           m "dropping torn/corrupt tail (%d bytes): %s"
             (String.length src - pos) reason);
-      (List.rev acc, 1)
+      (List.rev acc, 1, pos)
   in
   go [] 0
 
-(* a pre-binary JSON-lines journal would otherwise decode as a torn
-   tail at byte 0, and [open_file] would truncate it to nothing *)
-let decode_contents path contents =
-  if String.length contents > 0 && contents.[0] = '{' then
+(* an older-format journal would otherwise decode as a torn tail at
+   byte 0, and [open_file] would truncate it to nothing *)
+let decode_contents codec path contents =
+  let n = String.length contents in
+  if n > 0 && contents.[0] = '{' then
     raise
       (Sys_error
          (path ^ ": JSON-lines journal (pre-binary format) is not supported"));
-  decode_binary contents
+  if n >= 3 && String.sub contents 0 2 = Record.magic
+     && Char.code contents.[2] < Record.version
+  then
+    raise
+      (Sys_error
+         (Printf.sprintf
+            "%s: journal format version %d is older than this reader's (%d) \
+             and is not supported"
+            path (Char.code contents.[2]) Record.version));
+  decode_binary codec contents
 
 let read_file path =
   let ic = open_in_bin path in
@@ -91,31 +116,26 @@ let read_file path =
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
-let encode_valid_prefix records =
-  let b = Buffer.create 4096 in
-  List.iter (Record.write_frame b) records;
-  Buffer.contents b
-
 let open_file path =
   let contents = if Sys.file_exists path then read_file path else "" in
-  let records, dropped = decode_contents path contents in
+  let codec = Record.codec () in
+  let records, dropped, valid = decode_contents codec path contents in
   (* Truncate a torn tail before appending: new records written after
      torn garbage would sit beyond the durable prefix and never be
-     replayed. Rewriting the valid prefix makes reopen-after-crash
-     append where recovery reads. *)
-  let valid = encode_valid_prefix records in
+     replayed. Cutting the file at the end of its valid prefix makes
+     reopen-after-crash append where recovery reads, and keeps the
+     intact frames of a newer writer that the decoder skipped. *)
   let oc =
-    if dropped > 0 || String.length valid <> String.length contents then begin
-      if dropped > 0 then
-        Log.warn (fun m ->
-            m "truncating %s to its valid prefix (%d record%s kept)" path
-              (List.length records)
-              (if List.length records = 1 then "" else "s"));
+    if dropped > 0 then begin
+      Log.warn (fun m ->
+          m "truncating %s to its valid prefix (%d record%s kept)" path
+            (List.length records)
+            (if List.length records = 1 then "" else "s"));
       let oc =
         open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
           path
       in
-      output_string oc valid;
+      output_substring oc contents 0 valid;
       flush oc;
       oc
     end
@@ -129,6 +149,7 @@ let open_file path =
         {
           path;
           oc;
+          codec;
           buf = Buffer.create 4096;
           buffered = 0;
           closed = false;
@@ -158,10 +179,10 @@ let flush t =
 
 let append t record =
   (match t.backend with
-  | Mem m -> Record.write_frame m.mem_buf record
+  | Mem m -> Record.write_frame m.mem_codec m.mem_buf record
   | File f ->
     if f.closed then invalid_arg "Journal.append: journal is closed";
-    Record.write_frame f.buf record;
+    Record.write_frame f.codec f.buf record;
     f.buffered <- f.buffered + 1;
     if
       Record.commit_point record
@@ -183,7 +204,9 @@ let close t =
       close_out f.oc)
 
 let load path =
-  let records, dropped = decode_contents path (read_file path) in
+  let records, dropped, _ =
+    decode_contents (Record.codec ()) path (read_file path)
+  in
   if !Obs.enabled && dropped > 0 then
     Metrics.add (Lazy.force m_dropped) dropped;
   Log.info (fun m ->
@@ -197,7 +220,11 @@ let load path =
 
 let records t =
   match t.backend with
-  | Mem m -> fst (decode_binary (Buffer.contents m.mem_buf))
+  | Mem m ->
+    let records, _, _ =
+      decode_binary (Record.codec ()) (Buffer.contents m.mem_buf)
+    in
+    records
   | File f ->
     if not f.closed then flush_file f;
     fst (load f.path)

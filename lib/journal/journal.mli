@@ -13,10 +13,14 @@
 
     {!load} implements the write-ahead-log torn-tail rule: replay stops
     at the first frame that is short, unrecognized, or fails its
-    checksum, and everything after it is dropped. Journals written
-    before the binary format (one checksummed JSON line per record,
-    first byte ['{']) are not read: {!load} and {!open_file} raise
-    [Sys_error] on them and leave the file untouched. *)
+    checksum, and everything after it is dropped. Journals in an older
+    format are not read: a pre-binary JSON-lines journal (first byte
+    ['{']) and a binary journal whose first frame carries an older
+    {!Record.version}. {!load} and {!open_file} raise [Sys_error] on
+    them and leave the file untouched.
+
+    Each journal is one stream of frames with one {!Record.codec}, so a
+    [Switch_begin] writes only what earlier frames did not carry. *)
 
 type t
 
@@ -26,11 +30,14 @@ val mem : unit -> t
 
 val open_file : string -> t
 (** Open (creating or appending to) a file journal at the given path.
-    If the existing file ends in a torn or corrupt tail, it is truncated
-    to its valid prefix so new appends land inside the durable region.
-    Raises [Sys_error] on a pre-binary JSON-lines journal. At most
-    64 KiB and 64 records sit in the group-commit buffer between commit
-    points. *)
+    The existing frames are decoded once; appends continue the stream
+    with the codec that decode ended in. If the file ends in a torn or
+    corrupt tail, it is truncated at the byte where its valid prefix
+    ends, so new appends land inside the durable region; otherwise its
+    bytes are left as they are, intact frames with an unknown record
+    tag included. Raises [Sys_error] on an older-format journal. At
+    most 64 KiB and 64 records sit in the group-commit buffer between
+    commit points. *)
 
 val path : t -> string option
 (** The backing path of a file journal; [None] for {!mem}. *)

@@ -11,9 +11,12 @@
    [to_json] is a one-way debug export (`entropyctl journal dump`);
    nothing decodes it.
 
-   Configurations are serialized in full (nodes with capacities, VMs,
-   states) so a journal is self-contained: recovery does not need the
-   cluster description that produced it. *)
+   A journal is self-contained, a frame is not. A stream codec
+   ([codec]) carries the node and VM tables of the last [Switch_begin]
+   a stream wrote; a later [Switch_begin] refers to them with one byte
+   when they have not changed, and writes its target as the VM states
+   that differ from its source. Recovery still needs no cluster
+   description, only the stream from its first frame. *)
 
 open Entropy_core
 module Json = Entropy_obs.Json
@@ -250,7 +253,7 @@ let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
 (* Frame layout (all multi-byte integers little-endian):
 
      0  2   magic "EJ"
-     2  1   format version (currently 1)
+     2  1   format version (currently 2)
      3  4   payload length (u32)
      7  4   FNV-1a checksum of the payload (u32)
     11  n   payload
@@ -260,10 +263,22 @@ let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
    times, length-prefixed bytes for names. A frame is rejected — ending
    the journal's durable prefix — when the header is short or
    unrecognized, the payload is short, the checksum mismatches, the
-   payload decoder fails, or the payload has trailing bytes. *)
+   payload decoder fails (a table reference with no earlier table in
+   the stream among them), or the payload has trailing bytes.
+
+   A [Switch_begin] payload, after its switch id and time:
+
+     source node table   0 = the codec's, or 1 + count + (name, cpu, mem)*
+     source VM table     0 = the codec's, or 1 + count + (name, mem)*
+     source states       one per VM of the source's VM table
+     target              0 + count + (vm, state)* of the VMs whose state
+                         differs from the source's, when the target's
+                         tables equal the source's; else 1 + the full
+                         node table, VM table and states
+     plan, demand, seed *)
 
 let magic = "EJ"
-let version = 1
+let version = 2
 let header_size = 11
 
 let add_varint b v =
@@ -409,47 +424,160 @@ let read_state r =
   | 4 -> Configuration.Sleeping_ram (read_varint r)
   | t -> corrupt "unknown binary VM-state tag %d" t
 
-let add_config b c =
-  let nodes = Configuration.nodes c in
+let add_nodes b nodes =
   add_varint b (Array.length nodes);
   Array.iter
     (fun n ->
       add_string b (Node.name n);
       add_varint b (Node.cpu_capacity n);
       add_varint b (Node.memory_mb n))
-    nodes;
-  let vms = Configuration.vms c in
+    nodes
+
+let add_vms b vms =
   add_varint b (Array.length vms);
   Array.iter
     (fun vm ->
       add_string b (Vm.name vm);
       add_varint b (Vm.memory_mb vm))
-    vms;
-  for vm = 0 to Array.length vms - 1 do
+    vms
+
+let add_states b c =
+  for vm = 0 to Configuration.vm_count c - 1 do
     add_state b (Configuration.state c vm)
   done
 
-let read_config r =
-  let nodes =
-    Array.init (read_varint r) (fun id ->
-        let name = read_string r in
-        let cpu = read_varint r in
-        let mem = read_varint r in
-        (* [Node.make] rejects non-positive capacities; a zeroed node
-           in a journal is a crashed one (the only way the API builds
-           one), so rebuild it through [Node.crashed] *)
-        if cpu <= 0 || mem <= 0 then
-          Node.crashed
-            (Node.make ~id ~name ~cpu_capacity:(max 1 cpu) ~memory_mb:(max 1 mem))
-        else Node.make ~id ~name ~cpu_capacity:cpu ~memory_mb:mem)
+let read_nodes r =
+  Array.init (read_varint r) (fun id ->
+      let name = read_string r in
+      let cpu = read_varint r in
+      let mem = read_varint r in
+      (* [Node.make] rejects non-positive capacities; a zeroed node
+         in a journal is a crashed one (the only way the API builds
+         one), so rebuild it through [Node.crashed] *)
+      if cpu <= 0 || mem <= 0 then
+        Node.crashed
+          (Node.make ~id ~name ~cpu_capacity:(max 1 cpu) ~memory_mb:(max 1 mem))
+      else Node.make ~id ~name ~cpu_capacity:cpu ~memory_mb:mem)
+
+let read_vms r =
+  Array.init (read_varint r) (fun id ->
+      let name = read_string r in
+      Vm.make ~id ~name ~memory_mb:(read_varint r))
+
+let read_states r n = Array.init n (fun _ -> read_state r)
+
+(* -- stream codec ---------------------------------------------------------------- *)
+
+(* The last [Switch_begin] source a stream carried, for its node and VM
+   tables. Writer and reader update it only after a whole frame, so the
+   reader's codec at the end of a valid prefix is the writer's for the
+   next append. *)
+type codec = { mutable tables : Configuration.t option }
+
+let codec () = { tables = None }
+
+(* Tables compare by field: [Node.equal] and [Vm.equal] compare ids only *)
+let same_node (a : Node.t) (b : Node.t) =
+  a == b
+  || a.id = b.id && String.equal a.name b.name
+     && a.cpu_capacity = b.cpu_capacity && a.memory_mb = b.memory_mb
+
+let same_vm (a : Vm.t) (b : Vm.t) =
+  a == b
+  || a.id = b.id && String.equal a.name b.name && a.memory_mb = b.memory_mb
+
+let same_table same a b =
+  a == b || (Array.length a = Array.length b && Array.for_all2 same a b)
+
+let same_tables a b =
+  same_table same_node (Configuration.nodes a) (Configuration.nodes b)
+  && same_table same_vm (Configuration.vms a) (Configuration.vms b)
+
+(* one table: 0 for "the codec's", else 1 and the table in full *)
+let add_table b same add ~known table =
+  match known with
+  | Some k when same_table same k table -> Buffer.add_char b '\000'
+  | _ ->
+    Buffer.add_char b '\001';
+    add b table
+
+let read_table r read ~known =
+  match read_byte r with
+  | 0 -> (
+    match known with
+    | Some k -> k
+    | None -> corrupt "table reference with no earlier table in the stream")
+  | 1 -> read r
+  | t -> corrupt "unknown binary table tag %d" t
+
+let add_switch_configs codec b ~source ~target =
+  let known f = Option.map f codec.tables in
+  add_table b same_node add_nodes ~known:(known Configuration.nodes)
+    (Configuration.nodes source);
+  add_table b same_vm add_vms ~known:(known Configuration.vms)
+    (Configuration.vms source);
+  add_states b source;
+  if same_tables source target then begin
+    Buffer.add_char b '\000';
+    let differs vm =
+      not
+        (Configuration.equal_vm_state
+           (Configuration.state source vm)
+           (Configuration.state target vm))
+    in
+    let n = Configuration.vm_count source in
+    let count = ref 0 in
+    for vm = 0 to n - 1 do
+      if differs vm then incr count
+    done;
+    add_varint b !count;
+    for vm = 0 to n - 1 do
+      if differs vm then begin
+        add_varint b vm;
+        add_state b (Configuration.state target vm)
+      end
+    done
+  end
+  else begin
+    Buffer.add_char b '\001';
+    add_nodes b (Configuration.nodes target);
+    add_vms b (Configuration.vms target);
+    add_states b target
+  end
+
+(* The source, the target and later switches share the codec's tables:
+   nothing writes a configuration's node or VM array in place. *)
+let read_switch_configs codec r =
+  let known f = Option.map f codec.tables in
+  let nodes = read_table r read_nodes ~known:(known Configuration.nodes) in
+  let vms = read_table r read_vms ~known:(known Configuration.vms) in
+  let tables =
+    match codec.tables with
+    | Some c when Configuration.nodes c == nodes && Configuration.vms c == vms
+      -> c
+    | _ -> Configuration.make ~nodes ~vms
   in
-  let vms =
-    Array.init (read_varint r) (fun id ->
-        let name = read_string r in
-        Vm.make ~id ~name ~memory_mb:(read_varint r))
+  let states = read_states r (Array.length vms) in
+  let source = Configuration.with_states tables states in
+  let target =
+    match read_byte r with
+    | 0 ->
+      let states = Array.copy states in
+      for _ = 1 to read_varint r do
+        let vm = read_varint r in
+        if vm < 0 || vm >= Array.length states then
+          corrupt "target diff names VM %d of %d" vm (Array.length states);
+        states.(vm) <- read_state r
+      done;
+      Configuration.with_states source states
+    | 1 ->
+      let nodes = read_nodes r in
+      let vms = read_vms r in
+      let states = read_states r (Array.length vms) in
+      Configuration.with_states (Configuration.make ~nodes ~vms) states
+    | t -> corrupt "unknown binary target tag %d" t
   in
-  let states = Array.init (Array.length vms) (fun _ -> read_state r) in
-  Configuration.with_states (Configuration.make ~nodes ~vms) states
+  (source, target)
 
 let add_plan b plan =
   let pools = Plan.pools plan in
@@ -476,15 +604,14 @@ let read_demand r =
   let arr = Array.init (read_varint r) (fun _ -> read_varint r) in
   Demand.of_fn ~vm_count:(Array.length arr) (fun vm -> arr.(vm))
 
-let write_payload b r =
+let write_payload codec b r =
   let tag t = Buffer.add_char b (Char.unsafe_chr t) in
   match r with
   | Switch_begin { switch; at_s; source; target; plan; demand; seed } -> (
     tag 1;
     add_varint b switch;
     add_float b at_s;
-    add_config b source;
-    add_config b target;
+    add_switch_configs codec b ~source ~target;
     add_plan b plan;
     add_demand b demand;
     match seed with
@@ -541,13 +668,12 @@ let write_payload b r =
     add_varint b to_level;
     add_string b reason
 
-let read_payload r =
+let read_payload codec r =
   match read_byte r with
   | 1 ->
     let switch = read_varint r in
     let at_s = read_float r in
-    let source = read_config r in
-    let target = read_config r in
+    let source, target = read_switch_configs codec r in
     let plan = read_plan r in
     let demand = read_demand r in
     let seed =
@@ -611,18 +737,23 @@ let read_payload r =
     Ladder { at_s; from_level; to_level; reason = read_string r }
   | t -> corrupt "unknown binary record tag %d" t
 
-(* one shared scratch buffer: frames are built whole before being
-   appended so the header can carry the payload length and checksum *)
 (* Highest record tag this reader decodes; bump alongside new
    constructors in [write_payload]/[read_payload]. Frames with a higher
    tag are skipped, not treated as torn. *)
 let max_binary_tag = 8
 
+(* one shared scratch buffer: frames are built whole before being
+   appended so the header can carry the payload length and checksum *)
 let scratch = Buffer.create 4096
 
-let write_frame b r =
+(* a whole frame moves the codec to its [Switch_begin]'s tables *)
+let advance codec = function
+  | Switch_begin { source; _ } -> codec.tables <- Some source
+  | _ -> ()
+
+let write_frame codec b r =
   Buffer.clear scratch;
-  write_payload scratch r;
+  write_payload codec scratch r;
   let payload = Buffer.contents scratch in
   let len = String.length payload in
   let crc = checksum payload in
@@ -634,11 +765,12 @@ let write_frame b r =
   for i = 0 to 3 do
     Buffer.add_char b (Char.unsafe_chr ((crc lsr (8 * i)) land 0xff))
   done;
-  Buffer.add_string b payload
+  Buffer.add_string b payload;
+  advance codec r
 
-let to_frame r =
+let to_frame codec r =
   let b = Buffer.create 256 in
-  write_frame b r;
+  write_frame codec b r;
   Buffer.contents b
 
 type frame_result =
@@ -652,7 +784,7 @@ let read_u32 s pos =
   lor (Char.code (String.unsafe_get s (pos + 2)) lsl 16)
   lor (Char.code (String.unsafe_get s (pos + 3)) lsl 24)
 
-let read_frame src ~pos =
+let read_frame codec src ~pos =
   let total = String.length src in
   if pos >= total then None
   else if pos + header_size > total then Some (Torn "short frame header")
@@ -682,10 +814,13 @@ let read_frame src ~pos =
              payload_start + len ))
     else
       let r = { src; pos = payload_start; limit = payload_start + len } in
-      match read_payload r with
+      match read_payload codec r with
       | record ->
         if r.pos <> r.limit then Some (Torn "trailing payload bytes")
-        else Some (Frame (record, r.limit))
+        else begin
+          advance codec record;
+          Some (Frame (record, r.limit))
+        end
       | exception Corrupt reason -> Some (Torn reason)
   end
 

@@ -12,7 +12,11 @@
     FNV-1a checksum) followed by a compact binary payload. A torn or
     corrupted frame is detected by the header checks and checksum and
     ends the durable prefix in {!Journal.load}. {!to_json} is a one-way
-    debug export; nothing decodes it. *)
+    debug export; nothing decodes it.
+
+    A journal is self-contained, a frame is not: frames are written and
+    read through a stream {!codec}, and a {!Switch_begin} writes only
+    what the earlier frames of its stream did not already carry. *)
 
 open Entropy_core
 
@@ -77,16 +81,34 @@ val magic : string
     pre-binary JSON-lines journal, which {!Journal} refuses to read. *)
 
 val version : int
-(** Format version carried in every frame header; readers reject frames
-    with a version they do not know. *)
+(** Format version carried in every frame header (2); readers reject
+    frames with a version they do not know. *)
 
 val header_size : int
 (** Bytes of frame header preceding the payload (11). *)
 
-val write_frame : Buffer.t -> t -> unit
-(** Append one binary frame (header + payload) to the buffer. *)
+type codec
+(** The state one stream of frames carries from frame to frame: the
+    node and VM tables of the last {!Switch_begin} it held. A
+    {!Switch_begin} refers to those tables with one byte each when its
+    source's are equal by field (name, capacities, memory), and writes
+    its target as the VM states that differ from its source when the
+    target's tables equal the source's; otherwise it writes them in
+    full. On decode, the source, the target and later switches share
+    one node array and one VM array.
 
-val to_frame : t -> string
+    One type serves both directions: a reader that has decoded a valid
+    prefix holds exactly the codec its writer holds for the next
+    append. A codec moves only past a whole frame. *)
+
+val codec : unit -> codec
+(** The codec of an empty stream. *)
+
+val write_frame : codec -> Buffer.t -> t -> unit
+(** Append one binary frame (header + payload) to the buffer, encoded
+    against the stream's codec, and advance the codec past it. *)
+
+val to_frame : codec -> t -> string
 (** [write_frame] into a fresh string. *)
 
 type frame_result =
@@ -101,11 +123,13 @@ type frame_result =
   | Torn of string
       (** The bytes at this offset are not a valid frame (short header
           or payload, bad magic or version, checksum mismatch, payload
-          decode failure); this ends the journal's durable prefix. *)
+          decode failure, a table reference with no earlier table in
+          the stream); this ends the journal's durable prefix. *)
 
-val read_frame : string -> pos:int -> frame_result option
-(** Decode the frame starting at [pos]; [None] at a clean end of
-    input ([pos >= length]). Never raises. *)
+val read_frame : codec -> string -> pos:int -> frame_result option
+(** Decode the frame starting at [pos] against the stream's codec;
+    [None] at a clean end of input ([pos >= length]). The codec
+    advances only past a decoded {!Frame}. Never raises. *)
 
 val commit_point : t -> bool
 (** Whether a group-committing backend must flush immediately after

@@ -184,14 +184,21 @@ let test_file_backend () =
 
 (* -- binary frame form -------------------------------------------------------- *)
 
+(* the frames of one stream, written with one codec *)
+let stream_frames records =
+  let codec = Record.codec () in
+  List.map (Record.to_frame codec) records
+
 let test_binary_round_trip () =
+  (* frame by frame, with one codec per direction of the stream *)
+  let writer = Record.codec () and reader = Record.codec () in
   List.iter
     (fun r ->
-      let frame = Record.to_frame r in
+      let frame = Record.to_frame writer r in
       check_bool "frame starts with the magic" true
         (String.length frame >= Record.header_size
         && String.sub frame 0 2 = Record.magic);
-      match Record.read_frame frame ~pos:0 with
+      match Record.read_frame reader frame ~pos:0 with
       | Some (Record.Frame (r', next)) ->
         check_bool
           (Format.asprintf "binary round trip: %a" Record.pp r)
@@ -210,9 +217,11 @@ let test_binary_crc_every_offset () =
      prefix must stop exactly before the corrupted frame *)
   let path = temp_journal () in
   let first = List.nth all_records 1 in
-  let frame_a = Record.to_frame first in
-  let frame_b = Record.to_frame rich_begin in
-  let frame_c = Record.to_frame (List.nth all_records 5) in
+  let frame_a, frame_b, frame_c =
+    match stream_frames [ first; rich_begin; List.nth all_records 5 ] with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
+  in
   let base = frame_a ^ frame_b ^ frame_c in
   let a_len = String.length frame_a in
   for k = 0 to String.length frame_b - 1 do
@@ -235,8 +244,11 @@ let test_binary_torn_tail_cuts () =
   (* a crash mid-append can cut anywhere: mid-header, mid-payload, one
      byte in — the valid prefix must survive, the cut frame must not *)
   let path = temp_journal () in
-  let frame_a = Record.to_frame (List.nth all_records 4) in
-  let frame_b = Record.to_frame rich_begin in
+  let frame_a, frame_b =
+    match stream_frames [ List.nth all_records 4; rich_begin ] with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
   List.iter
     (fun cut ->
       let oc = open_out_bin path in
@@ -278,7 +290,7 @@ let test_binary_unknown_tag_skipped () =
      diagnostic — not a crash, and not a torn tail that silently
      truncates the records behind it *)
   let future = craft_frame "\099future-record-payload" in
-  (match Record.read_frame future ~pos:0 with
+  (match Record.read_frame (Record.codec ()) future ~pos:0 with
   | Some (Record.Skipped (reason, next)) ->
     check_bool "diagnostic names the tag" true
       (let needle = "unknown record tag 99" in
@@ -295,8 +307,11 @@ let test_binary_unknown_tag_skipped () =
   | None -> Alcotest.fail "future frame read as end of input");
   (* sandwiched in a journal file the frames behind it must survive *)
   let path = temp_journal () in
-  let frame_a = Record.to_frame (List.nth all_records 1) in
-  let frame_c = Record.to_frame (List.nth all_records 5) in
+  let frame_a, frame_c =
+    match stream_frames [ List.nth all_records 1; List.nth all_records 5 ] with
+    | [ a; c ] -> (a, c)
+    | _ -> assert false
+  in
   let oc = open_out_bin path in
   output_string oc (frame_a ^ future ^ frame_c);
   close_out oc;
@@ -385,6 +400,227 @@ let test_json_lines_refused () =
   close_in ic;
   check_string "file left byte-identical" contents after;
   Sys.remove path
+
+let read_bytes path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* [chaos12_v1.journal] holds the frames of format version 1 that
+   `entropyctl chaos --vms 12 --nodes 4 --seed 42 --journal F` wrote
+   before the stream codec. A current reader refuses it rather than
+   reading its first frame as a torn tail and truncating it. *)
+let test_older_version_refused () =
+  let fixture = "chaos12_v1.journal" in
+  let before = read_bytes fixture in
+  check_bool "fixture is a version-1 binary journal" true
+    (String.sub before 0 2 = Record.magic && Char.code before.[2] = 1);
+  let path = temp_journal () in
+  let oc = open_out_bin path in
+  output_string oc before;
+  close_out oc;
+  let expected =
+    Sys_error
+      (path
+     ^ ": journal format version 1 is older than this reader's (2) and is \
+        not supported")
+  in
+  Alcotest.check_raises "load refuses it" expected (fun () ->
+      ignore (Journal.load path));
+  Alcotest.check_raises "open_file refuses it" expected (fun () ->
+      ignore (Journal.open_file path));
+  check_string "file left byte-identical" before (read_bytes path);
+  Sys.remove path;
+  check_string "fixture untouched" before (read_bytes fixture)
+
+let test_open_keeps_unknown_tag () =
+  (* a clean journal holding a newer writer's frame: opening it and
+     appending keeps every frame on disk *)
+  let a = Record.Switch_end { switch = 0; at_s = 1.; aborted = false } in
+  let b = Record.Switch_end { switch = 1; at_s = 2.; aborted = false } in
+  let c = Record.Switch_end { switch = 2; at_s = 3.; aborted = false } in
+  let frames = stream_frames [ a; b; c ] in
+  let future = craft_frame "\099future-record-payload" in
+  let before = List.nth frames 0 ^ future ^ List.nth frames 1 in
+  let path = temp_journal () in
+  let oc = open_out_bin path in
+  output_string oc before;
+  close_out oc;
+  let j = Journal.open_file path in
+  Journal.append j c;
+  Journal.close j;
+  check_string "all four frames on disk" (before ^ List.nth frames 2)
+    (read_bytes path);
+  let loaded, dropped = Journal.load path in
+  check_int "no torn tail" 0 dropped;
+  check_bool "load returns [A; B; C]" true
+    (List.length loaded = 3 && List.for_all2 Record.equal [ a; b; c ] loaded);
+  Sys.remove path
+
+(* -- stream codec ------------------------------------------------------------- *)
+
+(* [Record.equal] compares configurations by their states; the codec
+   must also carry the tables *)
+let same_config a b =
+  let node n = (Node.id n, Node.name n, Node.cpu_capacity n, Node.memory_mb n) in
+  let vm v = (Vm.id v, Vm.name v, Vm.memory_mb v) in
+  Configuration.equal a b
+  && Array.map node (Configuration.nodes a) = Array.map node (Configuration.nodes b)
+  && Array.map vm (Configuration.vms a) = Array.map vm (Configuration.vms b)
+
+let same_record a b =
+  Record.equal a b
+  &&
+  match (a, b) with
+  | Record.Switch_begin x, Record.Switch_begin y ->
+    same_config x.source y.source && same_config x.target y.target
+  | _ -> true
+
+let check_stream what expected loaded =
+  check_int (what ^ ": record count") (List.length expected)
+    (List.length loaded);
+  List.iteri
+    (fun i (e, l) ->
+      check_bool (Printf.sprintf "%s: record %d" what i) true (same_record e l))
+    (List.combine expected loaded)
+
+let cfg ?crashed ?(vm_count = 4) states =
+  mk_config ?crashed ~nodes:3 ~vm_count (Array.to_list states)
+
+let begin_of switch source target =
+  Record.Switch_begin
+    {
+      switch;
+      at_s = float_of_int switch;
+      source;
+      target;
+      plan = Plan.make [ [ Action.Run { vm = 0; dst = 1 } ] ];
+      demand = Demand.uniform ~vm_count:(Configuration.vm_count source) 30;
+      seed = None;
+    }
+
+let st = Configuration.[| Waiting; Running 0; Sleeping 1; Running 1 |]
+let st' = Configuration.[| Running 1; Running 0; Running 0; Terminated |]
+
+let configs = function
+  | Record.Switch_begin { source; target; _ } -> (source, target)
+  | _ -> Alcotest.fail "not a Switch_begin"
+
+(* A stream where the VM table repeats (physically, and equal by field
+   in fresh arrays), then a node crashes, then the target's tables
+   differ from the source's (a crashed node, a VM more). *)
+let codec_stream () =
+  let s0 = cfg st in
+  [
+    begin_of 0 s0 (Configuration.with_states s0 st');
+    Record.Action_done
+      { switch = 0; pool = 0; at_s = 0.5; action = Action.Run { vm = 0; dst = 1 } };
+    begin_of 1 (Configuration.with_states s0 st') (cfg st);
+    begin_of 2 (cfg st') (cfg st');
+    begin_of 3 (cfg ~crashed:[ 2 ] st') (cfg ~crashed:[ 2 ] st);
+    begin_of 4 (cfg ~crashed:[ 2 ] st) (cfg st);
+    begin_of 5 (cfg st)
+      (cfg ~vm_count:5 Configuration.[| Running 0; Waiting; Waiting; Waiting; Running 2 |]);
+    begin_of 6 (cfg st) (cfg st');
+  ]
+
+let test_codec_round_trip () =
+  let records = codec_stream () in
+  let frames = stream_frames records in
+  let len i = String.length (List.nth frames i) in
+  check_bool "a repeated VM and node table is a reference" true
+    (len 2 < len 0 - 20 && len 3 <= len 2);
+  check_bool "a crashed node rewrites the node table only" true
+    (len 3 < len 4 && len 4 < len 0);
+  check_bool "the full-target fallback writes the target's tables" true
+    (len 5 > len 4 && len 6 > len 0);
+  (* both backends, and a file journal reopened mid-stream *)
+  check_stream "mem" records (Journal.records (Journal.of_records records));
+  let path = temp_journal () in
+  let j = Journal.open_file path in
+  List.iteri (fun i r -> if i < 4 then Journal.append j r) records;
+  Journal.close j;
+  let j = Journal.open_file path in
+  List.iteri (fun i r -> if i >= 4 then Journal.append j r) records;
+  Journal.close j;
+  check_string "reopened writer continues the stream byte for byte"
+    (String.concat "" frames) (read_bytes path);
+  let loaded, dropped = Journal.load path in
+  check_int "clean" 0 dropped;
+  check_stream "file" records loaded;
+  Sys.remove path;
+  (* one node array and one VM array across the stream's switches *)
+  let loaded = Array.of_list loaded in
+  let s0, t0 = configs loaded.(0) and s2, t2 = configs loaded.(3) in
+  let s3, _ = configs loaded.(4) and s4, t4 = configs loaded.(5) in
+  check_bool "target shares the source's VM table" true
+    (Configuration.vms t0 == Configuration.vms s0);
+  check_bool "later switches share the VM table" true
+    (Configuration.vms s2 == Configuration.vms s0
+    && Configuration.vms t2 == Configuration.vms s0
+    && Configuration.nodes s2 == Configuration.nodes s0);
+  check_bool "a crashed node gives a new node table, same VM table" true
+    (Configuration.nodes s3 != Configuration.nodes s0
+    && Node.is_crashed (Configuration.nodes s3).(2)
+    && Configuration.vms s3 == Configuration.vms s0);
+  check_bool "fallback target has tables of its own" true
+    (Configuration.nodes t4 != Configuration.nodes s4
+    && not (Node.is_crashed (Configuration.nodes t4).(2)))
+
+let test_codec_reference_without_table () =
+  let frames = stream_frames [ begin_of 0 (cfg st) (cfg st'); begin_of 1 (cfg st') (cfg st) ] in
+  let second = List.nth frames 1 in
+  (match Record.read_frame (Record.codec ()) second ~pos:0 with
+  | Some (Record.Torn reason) ->
+    check_string "reason" "table reference with no earlier table in the stream"
+      reason
+  | _ -> Alcotest.fail "a dangling table reference must decode as Torn");
+  let path = temp_journal () in
+  let oc = open_out_bin path in
+  output_string oc second;
+  close_out oc;
+  let loaded, dropped = Journal.load path in
+  check_int "nothing loads" 0 (List.length loaded);
+  check_int "torn" 1 dropped;
+  Sys.remove path
+
+let test_codec_cut_every_byte () =
+  (* a crash anywhere inside a table-referencing Switch_begin drops only
+     that frame; reopening and appending continues the stream *)
+  let records = codec_stream () in
+  let prefix = List.filteri (fun i _ -> i < 2) records in
+  let next = List.nth records 2 and after = List.nth records 3 in
+  let frames = stream_frames (prefix @ [ next ]) in
+  let kept = String.concat "" (List.filteri (fun i _ -> i < 2) frames) in
+  let frame = List.nth frames 2 in
+  let path = temp_journal () in
+  for cut = 0 to String.length frame - 1 do
+    let label what = Printf.sprintf "cut %d: %s" cut what in
+    let oc = open_out_bin path in
+    output_string oc (kept ^ String.sub frame 0 cut);
+    close_out oc;
+    let loaded, dropped = Journal.load path in
+    check_stream (label "prefix") prefix loaded;
+    check_int (label "dropped") (if cut = 0 then 0 else 1) dropped;
+    let j = Journal.open_file path in
+    Journal.append j after;
+    Journal.close j;
+    let loaded, dropped = Journal.load path in
+    check_int (label "clean after reopen") 0 dropped;
+    check_stream (label "appended after the cut") (prefix @ [ after ]) loaded
+  done;
+  Sys.remove path
+
+(* The seed-0 burst-daemon journal (the test/daemon [burst0] episode)
+   was 1,921,436 bytes with whole configurations in every
+   Switch_begin. *)
+let test_burst0_journal_size () =
+  let size = String.length (read_bytes "burst0.wal") in
+  if size > 400_000 then
+    Alcotest.failf "burst0.wal is %d bytes, above 400 kB" size;
+  let _, dropped = Journal.load "burst0.wal" in
+  check_int "loads clean" 0 dropped
 
 let test_group_commit_flush_rules () =
   let path = temp_journal () in
@@ -631,7 +867,11 @@ let prop_shrunk_records_still_round_trip =
     arb_record (fun r ->
       let ok = ref true in
       shrink_record r (fun r' ->
-          match Record.read_frame (Record.to_frame r') ~pos:0 with
+          match
+            Record.read_frame (Record.codec ())
+              (Record.to_frame (Record.codec ()) r')
+              ~pos:0
+          with
           | Some (Record.Frame (r'', _)) -> ok := !ok && Record.equal r' r''
           | _ -> ok := false);
       !ok)
@@ -639,7 +879,11 @@ let prop_shrunk_records_still_round_trip =
 let prop_binary_round_trip =
   QCheck.Test.make ~name:"binary codec round-trips any record" ~count:300
     arb_record (fun r ->
-      match Record.read_frame (Record.to_frame r) ~pos:0 with
+      match
+        Record.read_frame (Record.codec ())
+          (Record.to_frame (Record.codec ()) r)
+          ~pos:0
+      with
       | Some (Record.Frame (r', _)) -> Record.equal r r'
       | _ -> false)
 
@@ -655,7 +899,8 @@ let prop_sequence_with_torn_suffix =
             (small_string ~gen:printable)))
     (fun (records, garbage) ->
       let b = Buffer.create 1024 in
-      List.iter (Record.write_frame b) records;
+      let codec = Record.codec () in
+      List.iter (Record.write_frame codec b) records;
       (* prefix the garbage so it can never fake a frame magic *)
       if garbage <> "" then Buffer.add_string b ("X" ^ garbage);
       let path = temp_journal () in
@@ -992,11 +1237,25 @@ let () =
             test_next_switch_after_reopen;
           Alcotest.test_case "json-lines journal refused" `Quick
             test_json_lines_refused;
+          Alcotest.test_case "older format version refused" `Quick
+            test_older_version_refused;
+          Alcotest.test_case "open keeps unknown-tag frames" `Quick
+            test_open_keeps_unknown_tag;
           Alcotest.test_case "group commit flush rules" `Quick
             test_group_commit_flush_rules;
           QCheck_alcotest.to_alcotest prop_binary_round_trip;
           QCheck_alcotest.to_alcotest prop_sequence_with_torn_suffix;
           QCheck_alcotest.to_alcotest prop_shrunk_records_still_round_trip;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "stream round trip" `Quick test_codec_round_trip;
+          Alcotest.test_case "reference without table" `Quick
+            test_codec_reference_without_table;
+          Alcotest.test_case "cut at every byte" `Quick
+            test_codec_cut_every_byte;
+          Alcotest.test_case "burst0 journal at most 400 kB" `Quick
+            test_burst0_journal_size;
         ] );
       ( "replay",
         [

@@ -1493,9 +1493,10 @@ let test_crash_at_every_boundary_file_backend () =
   (* byte offset of every record boundary in the file *)
   let n = List.length records in
   let offsets = Array.make (n + 1) 0 in
+  let codec = Jrecord.codec () in
   List.iteri
     (fun i r ->
-      offsets.(i + 1) <- offsets.(i) + String.length (Jrecord.to_frame r))
+      offsets.(i + 1) <- offsets.(i) + String.length (Jrecord.to_frame codec r))
     records;
   let full_bytes =
     let ic = open_in_bin path in
