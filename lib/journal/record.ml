@@ -476,7 +476,9 @@ type codec = { mutable tables : Configuration.t option }
 
 let codec () = { tables = None }
 
-(* Tables compare by field: [Node.equal] and [Vm.equal] compare ids only *)
+(* Tables compare by field: [Node.equal] and [Vm.equal] compare ids
+   only. The [==] fast path, like the reader's sharing below, rests on
+   nothing writing a configuration's node or VM array in place. *)
 let same_node (a : Node.t) (b : Node.t) =
   a == b
   || a.id = b.id && String.equal a.name b.name
