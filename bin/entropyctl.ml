@@ -330,8 +330,8 @@ let profile vms cp_timeout engine seed json trace metrics =
   in
   let placed = List.concat_map Vjob.vms outcome.Rjsp.running in
   (* [--engine cp] probes the optimiser directly, so the counters and
-     phases are the CP search's alone; the other engines go through the
-     portfolio *)
+     phases are the CP search's alone; [--engine portfolio] goes through
+     the portfolio *)
   let report =
     Obs.span ~cat:"loop" ~name:"loop.decide" (fun () ->
         match engine with
@@ -343,9 +343,9 @@ let profile vms cp_timeout engine seed json trace metrics =
               ~fallback:outcome.Rjsp.ffd_config ()
           in
           None, result
-        | (`Anneal | `Portfolio) as engine ->
+        | `Portfolio ->
           let report =
-            Portfolio.solve ~deadline:cp_timeout ~engine ~vjobs
+            Portfolio.solve ~deadline:cp_timeout ~vjobs
               ~current:config ~demand ~placed
               ~target_base:outcome.Rjsp.ffd_config
               ~fallback:outcome.Rjsp.ffd_config ()
@@ -1124,14 +1124,13 @@ let ram_arg =
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("cp", `Cp); ("anneal", `Anneal); ("portfolio", `Portfolio) ])
-        `Cp
+    & opt (enum [ ("cp", `Cp); ("portfolio", `Portfolio) ]) `Cp
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Placement engine: $(b,cp) (the paper's CP branch & bound), \
-           $(b,anneal) (anytime local search: simulated annealing + LNS) or \
-           $(b,portfolio) (local search, then CP warm-started with the \
-           incumbent, under one deadline).")
+          "Placement engine: $(b,cp) (the paper's CP branch & bound) or \
+           $(b,portfolio) (large-neighbourhood search repaired by CP, then \
+           CP branch & bound bounded by the incumbent, under one \
+           deadline).")
 
 let logs_term =
   let verbose =

@@ -12,6 +12,7 @@
    rule recovers exactly the durable prefix. *)
 
 open Entropy_core
+module Journal = Entropy_journal.Journal
 module Record = Entropy_journal.Record
 module Recovery = Entropy_journal.Recovery
 module Repair = Entropy_fault.Repair
@@ -30,17 +31,6 @@ let split_trace state =
   Array.iteri (fun i r -> if Record.commit_point r then last_cp := i) arr;
   (arr, !last_cp)
 
-let decode_all s =
-  let codec = Record.codec () in
-  let rec go pos acc =
-    match Record.read_frame codec s ~pos with
-    | None -> (List.rev acc, 0)
-    | Some (Record.Frame (r, next)) -> go next (r :: acc)
-    | Some (Record.Skipped (_, next)) -> go next acc
-    | Some (Record.Torn _) -> (List.rev acc, 1)
-  in
-  go 0 []
-
 (* The durable records' bytes and the frame [next] is written as after
    them: encoded with the codec the durable prefix left, as the journal
    would encode it. *)
@@ -50,11 +40,13 @@ let encode_cut durable next =
   List.iter (Record.write_frame codec buf) durable;
   (Buffer.contents buf, Record.to_frame codec next)
 
-(* The torn-tail rule, checked at the codec level: the durable bytes
-   followed by [cut] bytes of the next frame must decode back to
-   exactly the durable records with one dropped tail. *)
+(* The torn-tail rule, checked with the journal's own decoder: the
+   durable bytes followed by [cut] bytes of the next frame must decode
+   back to exactly the durable records with one dropped tail. *)
 let check_torn step durable (prefix, next_frame) cut =
-  let decoded, dropped = decode_all (prefix ^ String.sub next_frame 0 cut) in
+  let decoded, dropped =
+    Journal.decode (prefix ^ String.sub next_frame 0 cut)
+  in
   let same =
     List.length decoded = List.length durable
     && List.for_all2 Record.equal decoded durable

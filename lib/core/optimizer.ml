@@ -90,15 +90,6 @@ let residual_capacities target_base demand ~placed =
   done;
   (cpu, mem)
 
-(* Build the target configuration from a placement snapshot. *)
-let config_of_placement target_base placed snapshot =
-  List.fold_left
-    (fun (cfg, i) vm_id ->
-      ( Configuration.set_state cfg vm_id (Configuration.Running snapshot.(i)),
-        i + 1 ))
-    (target_base, 0) placed
-  |> fst
-
 let plan_for ?vjobs ~current ~demand target =
   Obs.span ~cat:"optimizer" ~name:"optimizer.plan" (fun () ->
       let plan = Planner.build_plan ?vjobs ~current ~target ~demand () in
@@ -195,16 +186,19 @@ let post_rules store rules ~placed_arr ~hvars ~target_base ~node_count =
           nodes)
     rules
 
-(* The CP model of one optimisation, exposed so analysis passes (the
-   model linter, the propagator sanitizer, [entropyctl lint]) can
-   inspect exactly what the search would run on. *)
+(* The CP model of one optimisation and the branching set-up its search
+   runs under. Exposed so analysis passes (the model linter, the
+   propagator sanitizer, [entropyctl lint]) can inspect exactly what the
+   search would run on, and so the portfolio can search one model many
+   times. *)
 type model = {
   store : Fdcp.Store.t;
   hvars : Fdcp.Var.t array;  (* placement variables, one per placed VM *)
   placed_vms : Vm.id array;  (* placed_vms.(i) is hvars.(i)'s VM *)
   obj : Fdcp.Var.t;
-  cap_cpu : int array;
-  cap_mem : int array;
+  home : int array;  (* preferred node of placed_vms.(i), -1 if none *)
+  var_select : Fdcp.Search.var_select;
+  val_iter : Fdcp.Search.val_iter;
   rules_postable : bool;
 }
 
@@ -264,13 +258,61 @@ let build_model_impl ~rules ~current ~demand ~placed ~target_base () =
   let ub = Array.fold_left (fun acc it -> acc + it.Movecost.move) 0 items in
   let obj = Store.new_var ~name:"obj" store ~lo:0 ~hi:(max ub 0) in
   Movecost.post store ~items ~obj;
+  (* branching order: VMs grouped by their current host (an overload
+     on a node is then detected as soon as its group is decided, not
+     at the bottom of the tree), most demanding VMs first inside a
+     group; VMs with no current host (waiting/sleeping) come last *)
+  (* dense lookup tables indexed by [Var.id]: the search consults them
+     at every node, so no hashing on the hot path *)
+  let max_id = Array.fold_left (fun acc h -> max acc (Var.id h)) 0 harr in
+  let key_of = Array.make (max_id + 1) max_int in
+  Array.iteri
+    (fun i h ->
+      let vm_id = placed_arr.(i) in
+      let w =
+        (Vm.memory_mb (Configuration.vm current vm_id) * 10)
+        + Demand.cpu demand vm_id
+      in
+      let group =
+        match Configuration.host current vm_id with
+        | Some host -> host
+        | None -> n (* after every hosted group *)
+      in
+      key_of.(Var.id h) <- (group * 1_000_000) - w)
+    harr;
+  let home =
+    Array.map
+      (fun vm_id -> Option.value ~default:(-1) (preferred_node current vm_id))
+      placed_arr
+  in
+  let prefer_of = Array.make (max_id + 1) (-1) in
+  Array.iteri (fun i h -> prefer_of.(Var.id h) <- home.(i)) harr;
+  (* value ordering: the VM's current location first (free move), then
+     nodes by decreasing residual capacity — retrying the least-loaded
+     nodes first avoids thrashing against the packing constraints.
+     [order] lists the nodes in that fixed rank order once; the search
+     then walks it and filters by domain membership instead of
+     materialising and sorting a value list at every node. *)
+  let order =
+    let scored =
+      Array.init n (fun j -> (j, (cap_mem.(j) * 1000) + cap_cpu.(j)))
+    in
+    Array.sort (fun (_, a) (_, b) -> Int.compare b a) scored;
+    Array.map fst scored
+  in
+  let val_iter v f =
+    let pref = prefer_of.(Var.id v) in
+    if pref >= 0 && Var.mem pref v then f pref;
+    Array.iter (fun node -> if node <> pref && Var.mem node v then f node) order
+  in
   {
     store;
     hvars = harr;
     placed_vms = placed_arr;
     obj;
-    cap_cpu;
-    cap_mem;
+    home;
+    var_select = Search.by_key (fun v -> key_of.(Var.id v));
+    val_iter;
     rules_postable = !rules_postable;
   }
 
@@ -280,87 +322,65 @@ let build_model ?(rules = []) ~current ~demand ~placed ~target_base () =
     (fun () ->
       build_model_impl ~rules ~current ~demand ~placed ~target_base ())
 
+let search ?timeout ?node_limit ?below ?vars m =
+  let open Fdcp in
+  let vars = Option.value ~default:m.hvars vars in
+  let mark = Store.mark m.store in
+  let result =
+    match
+      Option.iter
+        (fun b -> Store.remove_above m.store m.obj (max 0 (b - 1)))
+        below
+    with
+    | exception Store.Inconsistent _ -> (None, Search.fresh_stats ())
+    | () ->
+      Obs.span ~cat:"optimizer" ~name:"optimizer.search"
+        ~args:[ ("vms", Trace.I (Array.length vars)) ]
+        (fun () ->
+          Search.minimize m.store ~vars ~obj:m.obj ~var_select:m.var_select
+            ~val_iter:m.val_iter ?timeout ?node_limit ())
+  in
+  Store.undo_to m.store mark;
+  result
+
+let placement_target m ~target_base hosts =
+  Configuration.edit target_base (fun e ->
+      Array.iteri
+        (fun i vm_id ->
+          Configuration.write e vm_id (Configuration.Running hosts.(i)))
+        m.placed_vms)
+
+let report_stats m =
+  if !Obs.enabled then flush_cp_stats m.store
+
 let optimize ?(timeout = default_timeout) ?node_limit ?vjobs
     ?(rules = []) ?incumbent_cost ~current ~demand ~placed ~target_base
     ~fallback () =
   let fallback_plan, fallback_cost = plan_for ?vjobs ~current ~demand fallback in
+  let fallback_rules_ok = Placement_rules.check_all fallback rules in
   let fallback_result improved stats =
     {
       target = fallback;
       plan = fallback_plan;
       cost = fallback_cost;
       improved;
-      rules_satisfied = Placement_rules.check_all fallback rules;
+      rules_satisfied = fallback_rules_ok;
       stats;
     }
   in
   if placed = [] then fallback_result false None
   else begin
-    let open Fdcp in
     let n = Configuration.node_count current in
-    let { store; hvars = harr; placed_vms = placed_arr; obj; cap_cpu;
-          cap_mem; rules_postable; } =
-      build_model ~rules ~current ~demand ~placed ~target_base ()
-    in
-    let rules_postable = ref rules_postable in
+    let m = build_model ~rules ~current ~demand ~placed ~target_base () in
     (* movement cost of the fallback placement, under the same per-VM
        cost tables the objective sums *)
-    let fallback_obj = ref 0 in
-    Array.iter
-      (fun vm_id ->
-        match Configuration.host fallback vm_id with
-        | Some host ->
-          fallback_obj :=
-            !fallback_obj + (cost_table current vm_id ~node_count:n).(host)
-        | None -> ())
-      placed_arr;
-    (* branching order: VMs grouped by their current host (an overload
-       on a node is then detected as soon as its group is decided, not
-       at the bottom of the tree), most demanding VMs first inside a
-       group; VMs with no current host (waiting/sleeping) come last *)
-    (* dense lookup tables indexed by [Var.id]: the search consults them
-       at every node, so no hashing on the hot path *)
-    let max_id = Array.fold_left (fun acc h -> max acc (Var.id h)) 0 harr in
-    let key_of = Array.make (max_id + 1) max_int in
-    Array.iteri
-      (fun i h ->
-        let vm_id = placed_arr.(i) in
-        let w =
-          (Vm.memory_mb (Configuration.vm current vm_id) * 10)
-          + Demand.cpu demand vm_id
-        in
-        let group =
-          match Configuration.host current vm_id with
-          | Some host -> host
-          | None -> n (* after every hosted group *)
-        in
-        key_of.(Var.id h) <- (group * 1_000_000) - w)
-      harr;
-    let prefer_of = Array.make (max_id + 1) (-1) in
-    Array.iteri
-      (fun i h ->
-        match preferred_node current placed_arr.(i) with
-        | Some p -> prefer_of.(Var.id h) <- p
-        | None -> ())
-      harr;
-    let var_select = Search.by_key (fun v -> key_of.(Var.id v)) in
-    (* value ordering: the VM's current location first (free move), then
-       nodes by decreasing residual capacity — retrying the least-loaded
-       nodes first avoids thrashing against the packing constraints.
-       [order] lists the nodes in that fixed rank order once; the search
-       then walks it and filters by domain membership instead of
-       materialising and sorting a value list at every node. *)
-    let order =
-      let scored =
-        Array.init n (fun j -> (j, (cap_mem.(j) * 1000) + cap_cpu.(j)))
-      in
-      Array.sort (fun (_, a) (_, b) -> Int.compare b a) scored;
-      Array.map fst scored
-    in
-    let val_iter v f =
-      let pref = prefer_of.(Var.id v) in
-      if pref >= 0 && Var.mem pref v then f pref;
-      Array.iter (fun node -> if node <> pref && Var.mem node v then f node) order
+    let fallback_obj =
+      Array.fold_left
+        (fun acc vm_id ->
+          match Configuration.host fallback vm_id with
+          | Some host -> acc + (cost_table current vm_id ~node_count:n).(host)
+          | None -> acc)
+        0 m.placed_vms
     in
     (* seed branch & bound with the fallback's movement cost and any
        caller-supplied incumbent (true plan cost, e.g. a local-search
@@ -369,44 +389,26 @@ let optimize ?(timeout = default_timeout) ?node_limit ?vjobs
        strictly better placements are explored. When the fallback
        violates the placement rules it is not a usable incumbent, so its
        bound is not seeded: any rule-satisfying solution is acceptable. *)
-    let seed_failed = ref false in
-    let seed_bound =
-      let fb =
-        if rules = [] || Placement_rules.check_all fallback rules then
-          Some !fallback_obj
-        else None
-      in
+    let below =
+      let fb = if fallback_rules_ok then Some fallback_obj else None in
       match (fb, incumbent_cost) with
       | Some a, Some b -> Some (min a b)
       | Some a, None -> Some a
       | None, b -> b
     in
-    (match seed_bound with
-    | Some b -> (
-      try Store.remove_above store obj (max 0 (b - 1))
-      with Store.Inconsistent _ -> seed_failed := true)
-    | None -> ());
     let best, stats =
-      if !seed_failed || not !rules_postable then
-        (None, Search.fresh_stats ())
-      else
-        Obs.span ~cat:"optimizer" ~name:"optimizer.search"
-          ~args:
-            [ ("vms", Trace.I (Array.length harr)); ("nodes", Trace.I n) ]
-          (fun () ->
-            Search.minimize store ~vars:harr ~obj ~var_select ~val_iter
-              ~timeout ?node_limit ())
+      if m.rules_postable then search ~timeout ?node_limit ?below m
+      else (None, Fdcp.Search.fresh_stats ())
     in
-    if !Obs.enabled then flush_cp_stats store;
-    Core_log.debug (fun m ->
-        m "optimizer: %d VMs over %d nodes, %a" (Array.length harr) n
-          Search.pp_stats stats);
+    report_stats m;
+    Core_log.debug (fun f ->
+        f "optimizer: %d VMs over %d nodes, %a" (Array.length m.hvars) n
+          Fdcp.Search.pp_stats stats);
     match best with
     | None -> fallback_result false (Some stats)
     | Some (_obj_value, snapshot) ->
-      let target = config_of_placement target_base placed snapshot in
+      let target = placement_target m ~target_base snapshot in
       let plan, cost = plan_for ?vjobs ~current ~demand target in
-      let fallback_rules_ok = Placement_rules.check_all fallback rules in
       if cost < fallback_cost || not fallback_rules_ok then
         {
           target;

@@ -15,24 +15,21 @@ type result = {
 
 val default_timeout : float
 
-val cost_table : Configuration.t -> Vm.id -> node_count:int -> int array
-(** Local action cost of running the VM on each node next iteration,
-    given its current state (0 / Dm / 2Dm, Table 1). *)
-
-val residual_capacities :
-  Configuration.t -> Demand.t -> placed:Vm.id list -> int array * int array
-(** Per-node [(cpu, mem)] capacities left once the VMs of the base
-    configuration that are {e not} being re-placed are accounted for.
-    Shared by the CP model and the local-search engines (lib/place). *)
-
 type model = {
   store : Fdcp.Store.t;
   hvars : Fdcp.Var.t array;
       (** placement variables, one per placed VM, valued over nodes *)
   placed_vms : Vm.id array;  (** [placed_vms.(i)] is [hvars.(i)]'s VM *)
   obj : Fdcp.Var.t;  (** sum of local action costs *)
-  cap_cpu : int array;  (** residual per-node CPU capacities *)
-  cap_mem : int array;  (** residual per-node memory capacities *)
+  home : int array;
+      (** [home.(i)]: the node [placed_vms.(i)] is tried on first (its
+          current host or the node holding its image), [-1] for a
+          waiting VM *)
+  var_select : Fdcp.Search.var_select;
+      (** VMs grouped by current host, most demanding first in a group *)
+  val_iter : Fdcp.Search.val_iter;
+      (** the home node first, then nodes by decreasing residual
+          capacity *)
   rules_postable : bool;
       (** false when posting the placement rules already failed: the
           model is inconsistent and no search should run *)
@@ -43,9 +40,30 @@ val build_model :
   current:Configuration.t -> demand:Demand.t -> placed:Vm.id list ->
   target_base:Configuration.t -> unit -> model
 (** The CP model {!optimize} searches: packing constraints for CPU and
-    memory viability, placement-rule constraints, and the cost
-    objective. Exposed for the analysis passes (model linter, propagator
-    sanitizer, [entropyctl lint]). *)
+    memory viability, placement-rule constraints, the cost objective and
+    the branching order. Exposed for the analysis passes (model linter,
+    propagator sanitizer, [entropyctl lint]) and for the portfolio,
+    which searches one model many times. *)
+
+val search :
+  ?timeout:float -> ?node_limit:int -> ?below:int ->
+  ?vars:Fdcp.Var.t array -> model -> (int * int array) option *
+  Fdcp.Search.stats
+(** Branch & bound on the model's objective under its branching order,
+    as {!optimize} runs it. [below] bounds the objective strictly
+    (posted as [obj <= max 0 (below - 1)]). [vars] (default [hvars])
+    are the variables branched on and snapshotted; the caller binds
+    every other placement variable first. The store is left as it was
+    found. *)
+
+val placement_target :
+  model -> target_base:Configuration.t -> int array -> Configuration.t
+(** [placement_target m ~target_base hosts]: [target_base] with each
+    [m.placed_vms.(i)] Running on [hosts.(i)]. *)
+
+val report_stats : model -> unit
+(** Add the model's per-propagator counters to the metrics registry
+    (when [Obs.enabled]); once per model, after its last search. *)
 
 val optimize :
   ?timeout:float -> ?node_limit:int ->

@@ -42,7 +42,14 @@ let interval lo hi =
   if lo > hi then empty
   else { lo; hi; size = hi - lo + 1; off = lo; bits = None }
 
-let singleton v = interval v v
+(* Singletons of small values are shared, so an instantiation (a node
+   id, for a placement variable) allocates no domain. *)
+let shared_singletons =
+  Array.init 256 (fun v -> { lo = v; hi = v; size = 1; off = v; bits = None })
+
+let singleton v =
+  if v >= 0 && v < Array.length shared_singletons then shared_singletons.(v)
+  else interval v v
 
 (* -- word-level bitset helpers ------------------------------------------- *)
 

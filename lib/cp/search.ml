@@ -150,6 +150,7 @@ let solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
   | Timed_out -> stats.timed_out <- true
   | Stop -> ());
   Store.undo_to store root;
+  Store.release store;
   stats.elapsed <- now () -. start;
   if !Obs.enabled then begin
     Trace.complete ~cat:"cp" ~name:"cp.search"

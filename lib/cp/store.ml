@@ -144,6 +144,16 @@ let undo_to t m =
     | Trail_cell (arr, i, old) -> arr.(i) <- old
   done
 
+(* The slots above the top that hold popped entries are contiguous: a
+   release leaves every slot above the top empty, and pushes fill the
+   slots above the top in order. *)
+let release t =
+  let i = ref t.trail_len in
+  while !i < Array.length t.trail && t.trail.(!i) != dummy_entry do
+    t.trail.(!i) <- dummy_entry;
+    incr i
+  done
+
 (* -- scheduling and updates ---------------------------------------------- *)
 
 let schedule t (p : Prop.t) =

@@ -56,6 +56,13 @@ val prop_stats : t -> (string * int * int * float) list
 val mark : t -> mark
 val undo_to : t -> mark -> unit
 
+val release : t -> unit
+(** Drop the entries {!undo_to} popped. A popped entry stays in its slot
+    until a push overwrites it, and while it does, a minor collection
+    promotes it, and the domain it holds, to the major heap. A search
+    releases its store when it ends; a caller that undoes a long scope
+    many times (a large-neighbourhood search) releases after each undo. *)
+
 val save_cell : t -> int array -> int -> unit
 (** [save_cell t arr i] trails the current value of [arr.(i)]: a later
     {!undo_to} past this point writes it back. Lets propagators keep

@@ -1,25 +1,28 @@
 (* Append-only journal over the binary frame format of [Record], with
    group commit on the file backend.
 
-   Records accumulate in a reused [Buffer] and are written + flushed as
-   a batch: immediately at every commit point (terminal records, pool
-   and switch boundaries — see [Record.commit_point]) and otherwise when
-   the batch passes a byte or record threshold. Because commit points
-   flush synchronously inside [append], a completion callback that runs
-   after its terminal record was appended always observes that record
-   durable — the write-ahead ordering of PR 5 is preserved; a crash can
-   only lose a tail of non-terminal [Action_started] records, which
-   resume re-runs idempotently.
+   Records accumulate in a reused [Buffer] and are written as a batch,
+   then flushed from the channel to the OS: immediately at every commit
+   point (terminal records, pool and switch boundaries — see
+   [Record.commit_point]) and otherwise when the batch passes a byte or
+   record threshold. Because commit points flush synchronously inside
+   [append], a completion callback that runs after its terminal record
+   was appended always finds that record in the file, so a controller
+   kill cannot reorder the write-ahead log; it can only lose a tail of
+   non-terminal [Action_started] records, which resume re-runs
+   idempotently. Nothing is fsynced: a power loss can lose records the
+   OS had not yet written to disk.
 
    Each stream of frames has one [Record.codec]: [Mem] keeps its own,
    and the file backend appends with the codec [open_file]'s decoder
    reached at the end of the valid prefix.
 
-   Journals in an older format are refused, not read: a pre-binary
+   Journals in another format are refused, not read: a pre-binary
    JSON-lines journal (first byte '{', never a valid frame magic) and a
-   binary journal whose first frame carries an older [Record.version].
-   Both [load] and [open_file] raise [Sys_error] on them before
-   touching the file; a reader keeps no decoder for an older format. *)
+   binary journal whose first frame carries any [Record.version] but
+   this reader's, older or newer. Both [load] and [open_file] raise
+   [Sys_error] on them before touching the file; a reader keeps no
+   decoder for another format. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics
@@ -68,7 +71,7 @@ let advance next record = max next (Record.switch record + 1)
 
 (* [(records, dropped, valid)], with [valid] the byte offset where the
    valid prefix ends; [codec] ends in the writer's state after it *)
-let decode_binary codec src =
+let decode_binary ~warn codec src =
   (* WAL semantics: the valid prefix ends at the first torn or corrupt
      frame; nothing after it is trusted. Frame boundaries inside the
      torn tail are unknowable, so the dropped count is at least 1. *)
@@ -78,17 +81,23 @@ let decode_binary codec src =
     | Some (Record.Frame (record, next)) -> go (record :: acc) next
     | Some (Record.Skipped (reason, next)) ->
       (* intact frame from a newer writer: diagnose and keep reading *)
-      Log.warn (fun m -> m "skipping frame at byte %d: %s" pos reason);
+      if warn then
+        Log.warn (fun m -> m "skipping frame at byte %d: %s" pos reason);
       go acc next
     | Some (Record.Torn reason) ->
-      Log.warn (fun m ->
-          m "dropping torn/corrupt tail (%d bytes): %s"
-            (String.length src - pos) reason);
+      if warn then
+        Log.warn (fun m ->
+            m "dropping torn/corrupt tail (%d bytes): %s"
+              (String.length src - pos) reason);
       (List.rev acc, 1, pos)
   in
   go [] 0
 
-(* an older-format journal would otherwise decode as a torn tail at
+let decode src =
+  let records, dropped, _ = decode_binary ~warn:false (Record.codec ()) src in
+  (records, dropped)
+
+(* a journal in another format would otherwise decode as a torn tail at
    byte 0, and [open_file] would truncate it to nothing *)
 let decode_contents codec path contents =
   let n = String.length contents in
@@ -96,16 +105,18 @@ let decode_contents codec path contents =
     raise
       (Sys_error
          (path ^ ": JSON-lines journal (pre-binary format) is not supported"));
-  if n >= 3 && String.sub contents 0 2 = Record.magic
-     && Char.code contents.[2] < Record.version
-  then
-    raise
-      (Sys_error
-         (Printf.sprintf
-            "%s: journal format version %d is older than this reader's (%d) \
-             and is not supported"
-            path (Char.code contents.[2]) Record.version));
-  decode_binary codec contents
+  (if n >= 3 && String.sub contents 0 2 = Record.magic then
+     let v = Char.code contents.[2] in
+     if v <> Record.version then
+       raise
+         (Sys_error
+            (Printf.sprintf
+               "%s: journal format version %d is %s than this reader's (%d) \
+                and is not supported"
+               path v
+               (if v < Record.version then "older" else "newer")
+               Record.version)));
+  decode_binary ~warn:true codec contents
 
 let read_file path =
   let ic = open_in_bin path in
@@ -221,10 +232,7 @@ let load path =
 let records t =
   match t.backend with
   | Mem m ->
-    let records, _, _ =
-      decode_binary (Record.codec ()) (Buffer.contents m.mem_buf)
-    in
-    records
+    fst (decode (Buffer.contents m.mem_buf))
   | File f ->
     if not f.closed then flush_file f;
     fst (load f.path)

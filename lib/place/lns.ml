@@ -1,139 +1,102 @@
-(* Large-neighbourhood search: destroy / repair rounds.
+(* Large-neighbourhood search with exact CP repair.
 
-   Each round ejects a neighbourhood — every placed VM of one node, one
-   vjob's placed VMs (the suspend/resume-vjob neighbourhood: the job's
-   VMs are re-placed together), or k random VMs — and repairs it with
-   the FFD idiom: ejected VMs in decreasing (memory, CPU) demand order,
-   each to the cheapest feasible node by its Table 1 cost table (ties to
-   the freest node). A round that cannot repair, or repairs to a worse
-   placement, is rolled back, so the state never degrades. *)
+   Each round frees a neighbourhood — the VMs on two nodes, or the VMs
+   placed on or homed at one node (so a VM that left its home can come
+   back) — fixes every other VM at its incumbent host between a store
+   mark and its undo, and runs the optimiser's node-limited branch &
+   bound for an objective below the incumbent's. Plain branch & bound on
+   the whole placement stays under its first solution; these repairs
+   move the same CP effort across the whole placement instead.
+
+   The nodes of a neighbourhood are drawn through random VMs (the node a
+   VM runs on, or its home), so no round draws an empty node. A repair
+   is deterministic in its neighbourhood and incumbent, so once
+   [stall_per_vm] rounds per VM in a row have brought no new incumbent,
+   the incumbent is taken for a local optimum and the search stops:
+   every further round costs time and garbage for little chance of a
+   gain. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics
+module Store = Fdcp.Store
 open Entropy_core
 
 let m_moves = lazy (Metrics.counter "place.moves")
 let m_accepted = lazy (Metrics.counter "place.accepted")
-let m_incumbents = lazy (Metrics.counter "place.incumbents")
 
-(* VMs ejected by the random neighbourhood *)
-let destroy_max = 8
-
-(* rounds between wall-clock reads *)
-let check_every = 8
-
-type outcome = {
-  best_cost : int;  (* objective (estimator) value, not plan cost *)
-  best_hosts : int array;
-  rounds : int;
-  improved_rounds : int;
-  incumbents : int;
-}
+let node_limit = 20
+let stall_per_vm = 2
 
 let now () = Unix.gettimeofday ()
 
-(* Repair the ejected indices FFD-style; returns false (nothing placed
-   yet rolled back by the caller) when some VM has no feasible node. *)
-let repair state ejected =
-  let order =
-    List.sort
-      (fun a b ->
-        match Int.compare (State.vm_mem state b) (State.vm_mem state a) with
-        | 0 -> Int.compare (State.vm_cpu state b) (State.vm_cpu state a)
-        | c -> c)
-      ejected
-  in
-  let n = State.node_count state in
-  List.for_all
-    (fun i ->
-      let best = ref (-1) in
-      let best_cost = ref max_int in
-      for j = 0 to n - 1 do
-        if State.fits state i j then begin
-          let c = State.table_cost state i j in
-          if c < !best_cost then begin
-            best_cost := c;
-            best := j
-          end
-        end
-      done;
-      if !best >= 0 then begin
-        State.assign state i !best;
-        true
-      end
-      else false)
-    order
+(* [f ()] with the store restored, and its popped trail entries
+   released, afterwards; [None] when fixing or propagating fails *)
+let scoped (m : Optimizer.model) f =
+  let mark = Store.mark m.store in
+  let r = try f () with Store.Inconsistent _ -> None in
+  Store.undo_to m.store mark;
+  Store.release m.store;
+  r
 
-let run ?max_rounds ?(seed = 0x1a5) ?(vjobs = []) ~deadline state =
+let objective (m : Optimizer.model) hosts =
+  if not m.rules_postable then None
+  else
+    scoped m (fun () ->
+        Array.iteri (fun i h -> Store.instantiate m.store h hosts.(i)) m.hvars;
+        Store.propagate m.store;
+        Some (Fdcp.Var.lo m.obj))
+
+let repair ?timeout ~node_limit (m : Optimizer.model) ~hosts ~objective ~free =
+  scoped m (fun () ->
+      Array.iteri
+        (fun i h ->
+          if not (List.mem i free) then Store.instantiate m.store h hosts.(i))
+        m.hvars;
+      let free = Array.of_list free in
+      let vars = Array.map (fun i -> m.hvars.(i)) free in
+      match Optimizer.search ?timeout ~node_limit ~below:objective ~vars m with
+      | Some (o, snapshot), _ when o < objective ->
+        let hosts = Array.copy hosts in
+        Array.iteri (fun j i -> hosts.(i) <- snapshot.(j)) free;
+        Some (o, hosts)
+      | _ -> None)
+
+let run ?(seed = 0x1a5) ~deadline (m : Optimizer.model) ~hosts ~objective
+    ~accept =
   Obs.span ~cat:"place" ~name:"place.lns" @@ fun () ->
   let rng = Random.State.make [| seed |] in
-  let k = State.vm_count state and n = State.node_count state in
-  (* vjob neighbourhoods, as placed-VM index lists *)
-  let vjob_sets =
-    List.filter_map
-      (fun vj ->
-        match List.filter_map (State.index_of state) (Vjob.vms vj) with
-        | [] -> None
-        | ids -> Some ids)
-      vjobs
-    |> Array.of_list
-  in
-  let best_cost = ref (State.cost state) in
-  let best_hosts = ref (State.copy_hosts state) in
-  let rounds = ref 0 and improved = ref 0 and incumbents = ref 0 in
-  let budget = match max_rounds with Some r -> r | None -> max_int in
-  let stop = ref (k = 0 || n < 2) in
-  while (not !stop) && !rounds < budget do
+  let k = Array.length hosts in
+  let hosts = ref hosts and objective = ref objective in
+  let rounds = ref 0 and accepted = ref 0 and since = ref 0 in
+  while !objective > 0 && !since < stall_per_vm * k && now () < deadline do
     incr rounds;
-    let ejected =
-      match !rounds mod 3 with
-      | 0 when Array.length vjob_sets > 0 ->
-        vjob_sets.(Random.State.int rng (Array.length vjob_sets))
-      | 1 -> State.placed_on state (Random.State.int rng n)
-      | _ ->
-        let m = min destroy_max k in
-        let seen = Hashtbl.create m in
-        for _ = 1 to m do
-          Hashtbl.replace seen (Random.State.int rng k) ()
-        done;
-        Hashtbl.fold (fun i () acc -> i :: acc) seen []
+    incr since;
+    let h = !hosts in
+    let in_hood =
+      let i = Random.State.int rng k in
+      if !rounds land 1 = 1 then
+        let a = h.(i) and b = h.(Random.State.int rng k) in
+        fun j -> h.(j) = a || h.(j) = b
+      else
+        let a = if m.home.(i) >= 0 then m.home.(i) else h.(i) in
+        fun j -> h.(j) = a || m.home.(j) = a
     in
-    let ejected = List.filter (fun i -> State.host state i >= 0) ejected in
-    if ejected <> [] then begin
-      let before = State.cost state in
-      let saved = List.map (fun i -> (i, State.host state i)) ejected in
-      List.iter (State.unassign state) ejected;
-      let ok = repair state ejected in
-      if ok && State.cost state < before then begin
-        incr improved;
-        let c = State.cost state in
-        if c < !best_cost then begin
-          best_cost := c;
-          best_hosts := State.copy_hosts state;
-          incr incumbents
-        end
-      end
-      else begin
-        (* roll back: unassign whatever the repair placed, restore *)
-        List.iter
-          (fun (i, _) -> if State.host state i >= 0 then State.unassign state i)
-          saved;
-        List.iter (fun (i, j) -> State.assign state i j) saved
-      end
-    end;
-    if !rounds mod check_every = 0 && now () >= deadline then
-      stop := true
+    let free = ref [] in
+    for j = k - 1 downto 0 do
+      if in_hood j then free := j :: !free
+    done;
+    match
+      repair ~timeout:(deadline -. now ()) ~node_limit m ~hosts:h
+        ~objective:!objective ~free:!free
+    with
+    | Some (o, h) when accept h ->
+      incr accepted;
+      since := 0;
+      objective := o;
+      hosts := h
+    | Some _ | None -> ()
   done;
-  if State.cost state > !best_cost then State.load_hosts state !best_hosts;
   if !Obs.enabled then begin
     Metrics.add (Lazy.force m_moves) !rounds;
-    Metrics.add (Lazy.force m_accepted) !improved;
-    Metrics.add (Lazy.force m_incumbents) !incumbents
-  end;
-  {
-    best_cost = !best_cost;
-    best_hosts = !best_hosts;
-    rounds = !rounds;
-    improved_rounds = !improved;
-    incumbents = !incumbents;
-  }
+    Metrics.add (Lazy.force m_accepted) !accepted
+  end

@@ -1,26 +1,27 @@
-(** The solver portfolio: FFD seed, interleaved SA/LNS time slices, CP
-    branch & bound warm-started with the incumbent's true cost, all
-    under one wall-clock deadline. Every returned plan is viable per the
+(** The solver portfolio: FFD seed, large-neighbourhood search whose
+    neighbourhoods the CP kernel repairs ({!Lns}), then CP branch &
+    bound bounded by the incumbent, all on one CP model under one
+    wall-clock deadline. Every returned plan is viable per the
     independent verifier. *)
 
 open Entropy_core
 
-type engine = [ `Cp | `Anneal | `Portfolio ]
-(** [`Cp]: CP B&B only (the paper's optimiser). [`Anneal]: local search
-    only (SA + LNS slices). [`Portfolio]: local search, then CP on the
-    remaining budget with the incumbent posted as an upper bound. *)
+type engine = [ `Cp | `Portfolio ]
+(** [`Cp]: CP B&B only (the paper's optimiser), for the whole deadline.
+    [`Portfolio]: LNS for at most 60 % of the deadline, then CP B&B for
+    the rest of it or 25 search nodes per placed VM, whichever ends
+    first, with the incumbent's true cost posted as an upper bound. *)
 
 val engine_to_string : engine -> string
 
 type report = {
   result : Optimizer.result;  (** best verifier-viable outcome *)
   winner : string;  (** engine of the final incumbent:
-                        "ffd", "sa", "lns" or "cp" *)
+                        "ffd", "lns" or "cp" *)
   ffd_cost : int;  (** true plan cost of the FFD fallback *)
   local_cost : int option;
-      (** best local-search true cost, when local search ran and
-          materialised a plan *)
-  deadline : float;
+      (** best LNS true cost, when an LNS repair improved the objective
+          and its plan was materialised *)
   elapsed : float;
 }
 
@@ -30,12 +31,15 @@ val solve :
   current:Configuration.t -> demand:Demand.t -> placed:Vm.id list ->
   target_base:Configuration.t -> fallback:Configuration.t -> unit ->
   report
-(** Race the engines for [deadline] seconds (default 1.0). The contract
+(** Run the engines within [deadline] seconds (default 1.0). The contract
     matches {!Optimizer.optimize}: re-place [placed] on top of
     [target_base], [fallback] (e.g. the RJSP FFD configuration) is the
-    instant incumbent. Relational placement rules (Spread/Gather/Quota)
-    disable the local-search phase; Ban/Fence are honoured as node
-    masks. Deterministic in [seed] up to wall-clock slicing. *)
+    instant incumbent; LNS starts from its placement when that
+    placement satisfies the model (capacities and every placement
+    rule), and CP B&B alone runs otherwise. A rule-satisfying result is
+    preferred over a rule-violating fallback whatever the cost. One CP
+    model serves both phases. Deterministic in [seed] up to the
+    wall-clock cutoffs. *)
 
 val decision :
   ?engine:engine -> ?deadline:float -> ?heuristic:Ffd.heuristic ->

@@ -242,6 +242,16 @@ let test_daemon_episode () =
   check_bool "decisions ran" true (r.Daemon.decision_rounds > 0);
   check_bool "events coalesced" true (r.Daemon.triggers_coalesced > 0)
 
+(* the default path: the portfolio decides at the Full and Shrunk rungs.
+   Its deadline is wall-clock time, so only the episode's properties are
+   checked, not its bytes. *)
+let test_daemon_portfolio_episode () =
+  let r = Daemon.run { quiet_config with Daemon.deterministic = false } in
+  check_bool "all admitted terminated" true r.Daemon.all_terminated;
+  check_bool "final configuration viable" true r.Daemon.final_viable;
+  check_bool "queue bounded" true r.Daemon.queue_bounded;
+  check_bool "degradation bounded" true r.Daemon.degradation_bounded
+
 let test_daemon_reproducible () =
   let a = Daemon.run quiet_config and b = Daemon.run quiet_config in
   Alcotest.(check string)
@@ -523,6 +533,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "episode" `Quick test_daemon_episode;
+          Alcotest.test_case "portfolio episode" `Quick
+            test_daemon_portfolio_episode;
           Alcotest.test_case "reproducible" `Quick test_daemon_reproducible;
           Alcotest.test_case "overload rejects" `Quick
             test_daemon_overload_rejects;

@@ -432,7 +432,35 @@ let test_older_version_refused () =
       ignore (Journal.open_file path));
   check_string "file left byte-identical" before (read_bytes path);
   Sys.remove path;
-  check_string "fixture untouched" before (read_bytes fixture)
+  check_string "fixture untouched" before (read_bytes fixture);
+  (* a journal from a newer writer is refused the same way, not cut to
+     nothing as a torn tail at byte 0 *)
+  let path = temp_journal () in
+  let j = Journal.open_file path in
+  Journal.append j (Record.Switch_end { switch = 0; at_s = 1.; aborted = false });
+  Journal.close j;
+  let current = read_bytes path in
+  let newer =
+    String.mapi
+      (fun i c -> if i = 2 then Char.chr (Record.version + 1) else c)
+      current
+  in
+  let oc = open_out_bin path in
+  output_string oc newer;
+  close_out oc;
+  let expected =
+    Sys_error
+      (Printf.sprintf
+         "%s: journal format version %d is newer than this reader's (%d) \
+          and is not supported"
+         path (Record.version + 1) Record.version)
+  in
+  Alcotest.check_raises "load refuses a newer version" expected (fun () ->
+      ignore (Journal.load path));
+  Alcotest.check_raises "open_file refuses a newer version" expected
+    (fun () -> ignore (Journal.open_file path));
+  check_string "newer journal left byte-identical" newer (read_bytes path);
+  Sys.remove path
 
 let test_open_keeps_unknown_tag () =
   (* a clean journal holding a newer writer's frame: opening it and

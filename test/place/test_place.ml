@@ -1,14 +1,14 @@
-(* Tests for lib/place: delta-evaluator parity, SA incumbent
-   monotonicity, LNS repair viability, portfolio deadline and
-   verifier-viability of every returned plan — plus the CP warm-start
-   regression and the Consistency cycle-break re-validation the seed-4
-   model-checker finding motivated. *)
+(* Tests for lib/place: CP-repaired LNS (deterministic repairs that
+   never raise the objective and stay verifier-clean, placement rules
+   honoured), portfolio deadline and verifier-viability of every
+   returned plan — plus the CP warm-start regression and the
+   Consistency cycle-break re-validation the seed-4 model-checker
+   finding motivated. *)
 
 open Entropy_core
 module Generator = Vworkload.Generator
-module State = Entropy_place.State
-module Moves = Entropy_place.Moves
-module Anneal = Entropy_place.Anneal
+module Obs = Entropy_obs.Obs
+module Metrics = Entropy_obs.Metrics
 module Lns = Entropy_place.Lns
 module Portfolio = Entropy_place.Portfolio
 module Verifier = Entropy_analysis.Verifier
@@ -35,98 +35,122 @@ let probe54 = lazy (instance ~nodes:15 ~vms:54 ~seed:42)
    §15) *)
 let probe216 = lazy (instance ~nodes:54 ~vms:216 ~seed:2)
 
-let seeded_state (config, demand, _vjobs, outcome) =
+(* the optimiser's model of an instance, and the FFD placement of its
+   VMs with that placement's objective *)
+let seeded_model (config, demand, _vjobs, outcome) =
   let placed = List.concat_map Vjob.vms outcome.Rjsp.running in
-  let st =
-    State.create ~current:config ~demand ~placed
+  let m =
+    Optimizer.build_model ~current:config ~demand ~placed
       ~target_base:outcome.Rjsp.ffd_config ()
   in
-  State.seed_from st outcome.Rjsp.ffd_config;
-  st
-
-(* -- delta evaluator ------------------------------------------------------ *)
-
-let test_delta_parity () =
-  let st = seeded_state (Lazy.force probe54) in
-  check_bool "seeded complete" true (State.complete st);
-  check_int "seed parity" (State.recompute_cost st) (State.cost st);
-  let gen = Moves.make_gen ~seed:7 st in
-  let applied = ref 0 in
-  for _ = 1 to 2000 do
-    match Moves.propose gen st with
-    | None -> ()
-    | Some m ->
-      let d = Moves.delta st m in
-      let before = State.cost st in
-      Moves.apply gen st m;
-      incr applied;
-      check_int "announced delta" (before + d) (State.cost st);
-      check_int "incremental == from-scratch" (State.recompute_cost st)
-        (State.cost st)
-  done;
-  check_bool "moves actually applied" true (!applied > 100);
-  check_bool "still complete" true (State.complete st)
-
-(* the estimator is an admissible lower bound of the true plan cost *)
-let test_estimator_admissible () =
-  let ((config, demand, vjobs, _) as inst) = Lazy.force probe54 in
-  let st = seeded_state inst in
-  let gen = Moves.make_gen ~seed:11 st in
-  for _ = 1 to 500 do
-    match Moves.propose gen st with
-    | None -> ()
-    | Some m -> Moves.apply gen st m
-  done;
-  let target = State.to_config st in
-  let plan = Planner.build_plan ~vjobs ~current:config ~target ~demand () in
-  check_bool "estimate <= Plan.cost" true
-    (State.cost st <= Plan.cost config plan)
-
-(* -- simulated annealing -------------------------------------------------- *)
-
-let test_sa_monotone_incumbents () =
-  let st = seeded_state (Lazy.force probe54) in
-  let seed_cost = State.cost st in
-  let stream = ref [] in
-  let outcome =
-    Anneal.run ~seed:3 ~max_steps:30_000
-      ~deadline:(now () +. 10.)
-      ~on_incumbent:(fun ~cost _ -> stream := cost :: !stream)
-      st
+  let hosts =
+    Array.map
+      (fun vm -> Option.get (Configuration.host outcome.Rjsp.ffd_config vm))
+      m.Optimizer.placed_vms
   in
-  let incumbents = List.rev !stream in
-  check_bool "at least one incumbent" true (incumbents <> []);
-  let rec strictly_decreasing = function
-    | a :: (b :: _ as rest) -> a > b && strictly_decreasing rest
-    | _ -> true
+  let objective = Option.get (Lns.objective m hosts) in
+  (m, hosts, objective)
+
+(* the VMs placed on or homed at [node]: a fixed neighbourhood *)
+let on_node (m : Optimizer.model) hosts node =
+  List.filter
+    (fun i -> hosts.(i) = node || m.home.(i) = node)
+    (List.init (Array.length hosts) Fun.id)
+
+(* deterministic repairs (node-limited, no deadline) of every node's
+   VMs in turn, each from the incumbent the previous one left *)
+let repair_each_node ((m : Optimizer.model), hosts, objective) ~nodes =
+  List.fold_left
+    (fun (hosts, objective) node ->
+      match
+        Lns.repair ~node_limit:200 m ~hosts ~objective
+          ~free:(on_node m hosts node)
+      with
+      | Some (o, h) -> (h, o)
+      | None -> (hosts, objective))
+    (hosts, objective) (List.init nodes Fun.id)
+
+let plan_of (config, demand, vjobs, outcome) m hosts =
+  let target =
+    Optimizer.placement_target m ~target_base:outcome.Rjsp.ffd_config hosts
   in
-  check_bool "incumbent stream monotone" true (strictly_decreasing incumbents);
-  check_bool "best <= seed" true (outcome.Anneal.best_cost <= seed_cost);
-  check_int "last incumbent is the best"
-    (List.fold_left min seed_cost incumbents)
-    outcome.Anneal.best_cost;
-  (* the state is left loaded at the best placement *)
-  check_int "state holds best" outcome.Anneal.best_cost (State.cost st);
-  check_int "state parity after run" (State.recompute_cost st) (State.cost st)
+  (target, Planner.build_plan ~vjobs ~current:config ~target ~demand ())
 
 (* -- LNS ------------------------------------------------------------------ *)
 
+(* one repair on a fixed neighbourhood: the same result twice, an
+   objective below the incumbent's that the model confirms, and a
+   verifier-clean plan *)
 let test_lns_repair_viable () =
   let ((config, demand, vjobs, _) as inst) = Lazy.force probe54 in
-  let st = seeded_state inst in
-  let seed_cost = State.cost st in
-  let outcome =
-    Lns.run ~seed:5 ~max_rounds:400 ~vjobs ~deadline:(now () +. 10.) st
+  let m, hosts, objective = seeded_model inst in
+  let repaired =
+    List.filter_map
+      (fun node ->
+        let free = on_node m hosts node in
+        let run () = Lns.repair ~node_limit:500 m ~hosts ~objective ~free in
+        let r = run () in
+        check_bool "deterministic" true (r = run ());
+        Option.map (fun r -> (free, r)) r)
+      (List.init 15 Fun.id)
   in
-  check_bool "never degrades" true (outcome.Lns.best_cost <= seed_cost);
-  check_bool "complete after repair" true (State.complete st);
-  check_int "parity after rounds" (State.recompute_cost st) (State.cost st);
-  let target = State.to_config st in
-  check_bool "repaired placement viable" true
-    (Configuration.is_viable target demand);
-  let plan = Planner.build_plan ~vjobs ~current:config ~target ~demand () in
+  check_bool "some neighbourhood improves" true (repaired <> []);
+  List.iter
+    (fun (free, (o, h)) ->
+      check_bool "objective below the incumbent's" true (o < objective);
+      Alcotest.(check (option int)) "the model agrees" (Some o)
+        (Lns.objective m h);
+      Array.iteri
+        (fun i host ->
+          if not (List.mem i free) then
+            check_int "a VM outside the neighbourhood stays" hosts.(i) host)
+        h;
+      let target, plan = plan_of inst m h in
+      check_bool "repaired placement viable" true
+        (Configuration.is_viable target demand);
+      check_bool "verifier clean" true
+        (Verifier.is_clean ~vjobs ~current:config ~target ~demand plan))
+    repaired;
+  (* the store is left as found: the FFD placement reads the same *)
+  Alcotest.(check (option int)) "store restored" (Some objective)
+    (Lns.objective m hosts)
+
+(* the objective is an admissible lower bound of the true plan cost *)
+let test_objective_admissible () =
+  let inst = Lazy.force probe54 in
+  let ((m, _, _) as seeded) = seeded_model inst in
+  let hosts, objective = repair_each_node seeded ~nodes:15 in
+  let config, _, _, _ = inst in
+  let _, plan = plan_of inst m hosts in
+  check_bool "objective <= Plan.cost" true (objective <= Plan.cost config plan)
+
+(* relational rules are constraints of the model: on the fixture (spread
+   + quota) the local phase runs and its result keeps the rules *)
+let test_lns_rules () =
+  let { Entropy_cli.Spec.config; demand; vjobs; rules; _ } =
+    Entropy_cli.Spec.load "../../examples/cluster.ecl"
+  in
+  let outcome = Rjsp.solve ~rules ~config ~demand ~queue:vjobs () in
+  let placed = List.concat_map Vjob.vms outcome.Rjsp.running in
+  let moves = Metrics.counter "place.moves" in
+  let before = Metrics.counter_value moves in
+  Obs.enabled := true;
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Obs.enabled := false)
+      (fun () ->
+        Portfolio.solve ~deadline:0.3 ~vjobs ~rules ~current:config ~demand
+          ~placed ~target_base:outcome.Rjsp.ffd_config
+          ~fallback:outcome.Rjsp.ffd_config ())
+  in
+  let r = report.Portfolio.result in
+  check_bool "local phase ran" true (Metrics.counter_value moves > before);
+  check_bool "rules satisfied" true
+    (r.Optimizer.rules_satisfied
+    && Placement_rules.check_all r.Optimizer.target rules);
   check_bool "verifier clean" true
-    (Verifier.is_clean ~vjobs ~current:config ~target ~demand plan)
+    (Verifier.is_clean ~vjobs ~current:config ~target:r.Optimizer.target
+       ~demand r.Optimizer.plan)
 
 (* -- portfolio ------------------------------------------------------------ *)
 
@@ -166,7 +190,7 @@ let test_every_engine_verifier_clean () =
         (Portfolio.engine_to_string engine ^ " improved flag consistent")
         true
         (r.Optimizer.improved = (r.Optimizer.cost < report.Portfolio.ffd_cost)))
-    [ `Cp; `Anneal; `Portfolio ]
+    [ `Cp; `Portfolio ]
 
 (* acceptance: on the 216-VM/54-node shape with a 1 s deadline the
    portfolio strictly beats the FFD seed plan *)
@@ -192,12 +216,12 @@ let test_portfolio_decision () =
 
 (* -- CP warm start -------------------------------------------------------- *)
 
-(* [?incumbent_cost] warm-starts branch & bound: with the local-search
-   incumbent's objective posted as an upper bound the node-limited
-   search explores strictly fewer nodes on the 54-VM probe (both runs
-   are deterministic: node-limited, no wall-clock cutoff). *)
+(* [?incumbent_cost] warm-starts branch & bound: with the objective of
+   an LNS incumbent posted as an upper bound the node-limited search
+   explores strictly fewer nodes on the 54-VM probe (both runs are
+   deterministic: node-limited, no wall-clock cutoff). *)
 let test_warm_start_fewer_nodes () =
-  let config, demand, vjobs, outcome = Lazy.force probe54 in
+  let ((config, demand, vjobs, outcome) as inst) = Lazy.force probe54 in
   let placed = List.concat_map Vjob.vms outcome.Rjsp.running in
   let run ?incumbent_cost () =
     Optimizer.optimize ~timeout:60. ~node_limit:3000 ?incumbent_cost ~vjobs
@@ -208,15 +232,14 @@ let test_warm_start_fewer_nodes () =
     match r.Optimizer.stats with Some s -> s.Fdcp.Search.nodes | None -> 0
   in
   let cold = run () in
-  (* a deterministic local-search incumbent (step-bounded, no clock);
-     its objective estimate is the CP objective of a known feasible
-     placement, the tightest sound upper bound *)
-  let st = seeded_state (Lazy.force probe54) in
-  let seed_obj = State.cost st in
-  let sa = Anneal.run ~seed:3 ~max_steps:30_000 ~deadline:infinity st in
-  check_bool "local search improved on the FFD seed objective" true
-    (sa.Anneal.best_cost < seed_obj);
-  let warm = run ~incumbent_cost:sa.Anneal.best_cost () in
+  (* a deterministic LNS incumbent (node-limited repairs, no clock): the
+     objective of a known feasible placement, the tightest sound upper
+     bound *)
+  let ((_, _, seed_obj) as seeded) = seeded_model inst in
+  let _, objective = repair_each_node seeded ~nodes:15 in
+  check_bool "repairs improved on the FFD objective" true
+    (objective < seed_obj);
+  let warm = run ~incumbent_cost:objective () in
   check_bool
     (Printf.sprintf "warm start explores fewer nodes (%d < %d)"
        (nodes_of warm) (nodes_of cold))
@@ -252,22 +275,13 @@ let test_seed4_cycle_break_revalidated () =
 let () =
   Alcotest.run "entropy_place"
     [
-      ( "state",
-        [
-          Alcotest.test_case "delta parity under random moves" `Quick
-            test_delta_parity;
-          Alcotest.test_case "estimator admissible vs Plan.cost" `Quick
-            test_estimator_admissible;
-        ] );
-      ( "anneal",
-        [
-          Alcotest.test_case "monotone incumbent stream" `Quick
-            test_sa_monotone_incumbents;
-        ] );
       ( "lns",
         [
           Alcotest.test_case "repair always viable" `Quick
             test_lns_repair_viable;
+          Alcotest.test_case "objective admissible vs Plan.cost" `Quick
+            test_objective_admissible;
+          Alcotest.test_case "placement rules honoured" `Quick test_lns_rules;
         ] );
       ( "portfolio",
         [
