@@ -24,12 +24,19 @@ let pp_vm_state ppf = function
   | Sleeping_ram n -> Fmt.pf ppf "sleeping-ram@@N%d" n
   | Terminated -> Fmt.string ppf "terminated"
 
-let equal_vm_state (a : vm_state) b = a = b
+let equal_vm_state (a : vm_state) b =
+  match (a, b) with
+  | Waiting, Waiting | Terminated, Terminated -> true
+  | Running n, Running m | Sleeping n, Sleeping m | Sleeping_ram n, Sleeping_ram m
+    -> n = m
+  | (Waiting | Terminated | Running _ | Sleeping _ | Sleeping_ram _), _ -> false
 
+(* The state vector is chunked ({!Chunked}): a write copies the spine
+   and one chunk, and the configuration it came from shares the rest. *)
 type t = {
   nodes : Node.t array;
   vms : Vm.t array;
-  states : vm_state array;
+  states : vm_state Chunked.t;
 }
 
 let check_dense_ids nodes vms =
@@ -46,12 +53,12 @@ let check_dense_ids nodes vms =
 
 let make ~nodes ~vms =
   check_dense_ids nodes vms;
-  { nodes; vms; states = Array.make (Array.length vms) Waiting }
+  { nodes; vms; states = Chunked.make (Array.length vms) Waiting }
 
 let with_states t states =
   if Array.length states <> Array.length t.vms then
     invalid_arg "Configuration.with_states: arity mismatch";
-  { t with states }
+  { t with states = Chunked.of_array states }
 
 let with_nodes t nodes =
   if Array.length nodes <> Array.length t.nodes then
@@ -78,32 +85,33 @@ let vm t id =
     invalid_arg "Configuration.vm: unknown VM"
   else t.vms.(id)
 
-let state t vm_id =
-  if vm_id < 0 || vm_id >= Array.length t.states then
-    invalid_arg "Configuration.state: unknown VM"
-  else t.states.(vm_id)
+(* The chunked accessors reject an index out of range before they read
+   or write anything; the error is renamed for the caller. *)
+let unknown_vm () = invalid_arg "Configuration.state: unknown VM"
 
-(* Batched writes: the state vector is copied on the first write only,
-   so an edit that writes nothing returns [t] itself. [copy == base]
-   until then. *)
-type editor = { base : vm_state array; mutable copy : vm_state array }
+let state t vm_id =
+  match Chunked.get t.states vm_id with
+  | s -> s
+  | exception Invalid_argument _ -> unknown_vm ()
+
+type editor = vm_state Chunked.editor
 
 let read e vm_id =
-  if vm_id < 0 || vm_id >= Array.length e.copy then
-    invalid_arg "Configuration.state: unknown VM"
-  else e.copy.(vm_id)
+  match Chunked.read e vm_id with
+  | s -> s
+  | exception Invalid_argument _ -> unknown_vm ()
 
 let write e vm_id s =
-  ignore (read e vm_id);
-  if e.copy == e.base then e.copy <- Array.copy e.base;
-  e.copy.(vm_id) <- s
+  try Chunked.write e vm_id s with Invalid_argument _ -> unknown_vm ()
 
 let edit t f =
-  let e = { base = t.states; copy = t.states } in
-  f e;
-  if e.copy == e.base then t else { t with states = e.copy }
+  let states = Chunked.edit t.states f in
+  if states == t.states then t else { t with states }
 
-let set_state t vm_id s = edit t (fun e -> write e vm_id s)
+let set_state t vm_id s =
+  match Chunked.set t.states vm_id s with
+  | states -> if states == t.states then t else { t with states }
+  | exception Invalid_argument _ -> unknown_vm ()
 
 let host t vm_id =
   match state t vm_id with
@@ -118,10 +126,7 @@ let lifecycle_of_state = function
 
 let lifecycle t vm_id = lifecycle_of_state (state t vm_id)
 
-let fold_vms f acc t =
-  let acc = ref acc in
-  Array.iteri (fun id s -> acc := f !acc id s) t.states;
-  !acc
+let fold_vms f acc t = Chunked.foldi f acc t.states
 
 let running_on t node_id =
   List.rev
@@ -172,7 +177,7 @@ let free_mem t node_id = Node.memory_mb t.nodes.(node_id) - mem_load t node_id
 let loads t demand =
   let n = Array.length t.nodes in
   let cpu = Array.make n 0 and mem = Array.make n 0 in
-  Array.iteri
+  Chunked.iteri
     (fun vm_id -> function
       | Running node ->
         cpu.(node) <- cpu.(node) + Demand.cpu demand vm_id;
@@ -229,15 +234,16 @@ let vjob_terminated t vjob =
   List.for_all (fun vm -> state t vm = Terminated) (Vjob.vms vjob)
 
 let equal a b =
-  Array.length a.states = Array.length b.states
-  && Array.for_all2 equal_vm_state a.states b.states
+  Chunked.equal equal_vm_state a.states b.states
   && Array.length a.nodes = Array.length b.nodes
+
+let iter_changed f a b = Chunked.iter_changed equal_vm_state f a.states b.states
 
 let pp ppf t =
   let pp_one ppf (vm, s) =
     Fmt.pf ppf "%s:%a" (Vm.name vm) pp_vm_state s
   in
   let entries =
-    Array.to_list (Array.mapi (fun i s -> (t.vms.(i), s)) t.states)
+    List.rev (fold_vms (fun acc i s -> (t.vms.(i), s) :: acc) [] t)
   in
   Fmt.pf ppf "@[<hov>%a@]" Fmt.(list ~sep:sp pp_one) entries

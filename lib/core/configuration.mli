@@ -2,7 +2,11 @@
     or sleeping) a node. A configuration is {e viable} when every running
     VM has sufficient CPU and memory on its host (paper, section 3.2).
 
-    Identifiers are dense: [Vm.id] / [Node.id] index the arrays. *)
+    Identifiers are dense: [Vm.id] / [Node.id] index the arrays.
+
+    The state vector is a {!Chunked} vector: a write copies its spine
+    and the 64-VM chunk it lands in, never the whole vector, and the
+    configuration written from keeps every chunk and stays unchanged. *)
 
 type vm_state =
   | Waiting
@@ -24,7 +28,8 @@ val make : nodes:Node.t array -> vms:Vm.t array -> t
     dense (id = array index). *)
 
 val with_states : t -> vm_state array -> t
-(** Same cluster, explicit state vector (shared, not copied). *)
+(** Same cluster, explicit state vector, copied into chunks: O(vms).
+    Raises [Invalid_argument] when the length is not the VM count. *)
 
 val with_nodes : t -> Node.t array -> t
 (** Same VMs and states over a replaced node set — e.g. a crashed node
@@ -40,18 +45,20 @@ val vm : t -> Vm.id -> Vm.t
 
 val state : t -> Vm.id -> vm_state
 val set_state : t -> Vm.id -> vm_state -> t
-(** Functional update (copy-on-write): copies the whole state vector,
-    O(vms) time and words, for a single write. A loop writing several
-    VMs uses {!edit}. *)
+(** Functional update: copies the spine (one word per 64 VMs) and the
+    written chunk (64 words), and shares every other chunk with [t],
+    which is unchanged. *)
 
 type editor
-(** Write access to one copy of a configuration's state vector, valid
-    only inside the {!edit} callback that received it. *)
+(** Write access to a new version of a configuration's state vector,
+    valid only inside the {!edit} callback that received it. *)
 
 val edit : t -> (editor -> unit) -> t
-(** [edit t f] lets [f] make any number of writes for one O(vms) copy,
-    taken at the first write (an edit that writes nothing returns [t]
-    itself). [t] is unchanged; the result holds the writes. *)
+(** [edit t f] lets [f] make any number of writes; the spine is copied
+    at the first write and each chunk at its first write, so the result
+    costs the spine plus the chunks written (an edit that writes nothing
+    new returns [t] itself). [t] is unchanged, also when [f] raises; the
+    result holds the writes. *)
 
 val read : editor -> Vm.id -> vm_state
 (** Current state, the edit's earlier writes included. Raises
@@ -102,4 +109,14 @@ val vjob_terminated : t -> Vjob.t -> bool
 (** Every VM of the vjob is [Terminated]: the vjob has left the cluster. *)
 
 val equal : t -> t -> bool
+(** Same states and node count; chunks shared between the two are not
+    compared. *)
+
+val iter_changed : (Vm.id -> vm_state -> vm_state -> unit) -> t -> t -> unit
+(** [iter_changed f a b] calls [f vm (state a vm) (state b vm)] on
+    every VM whose state differs between [a] and [b], in ascending id,
+    skipping the chunks [b] shares with [a] (a target written from a
+    source by {!edit} is compared at the cost of the chunks written).
+    Raises [Invalid_argument] when the VM counts differ. *)
+
 val pp : Format.formatter -> t -> unit

@@ -8,11 +8,11 @@ exception Unreachable of string
 
 let unreachable fmt = Fmt.kstr (fun s -> raise (Unreachable s)) fmt
 
-(* The action that moves [vm_id] from its current state to its target
-   state, or [None] when no action is needed. *)
-let action_for ~current ~target vm_id =
+(* The action that moves [vm_id] from state [cur] to state [tgt], or
+   [None] when no action is needed: always so when the two are equal. *)
+let transition vm_id cur tgt =
   let open Configuration in
-  match (state current vm_id, state target vm_id) with
+  match (cur, tgt) with
   | Waiting, Waiting | Terminated, Terminated -> None
   | Waiting, Running dst -> Some (Action.Run { vm = vm_id; dst })
   | Waiting, Terminated -> None (* cancelled before ever running *)
@@ -44,22 +44,36 @@ let action_for ~current ~target vm_id =
   | Terminated, (Waiting | Running _ | Sleeping _ | Sleeping_ram _) ->
     unreachable "VM %d: cannot leave the terminated state" vm_id
 
-(* All pending actions between two configurations. *)
+let action_for ~current ~target vm_id =
+  transition vm_id
+    (Configuration.state current vm_id)
+    (Configuration.state target vm_id)
+
+(* All pending actions between two configurations, in ascending VM id.
+   Only VMs whose states differ can need one, so the chunks the two
+   configurations share are skipped: the planner derives the graph
+   again after each pool, from an edit of the configuration the
+   target was itself written from. The transitions are taken from the
+   last VM down, so an unreachable target names its highest VM. *)
 let actions ~current ~target =
   if Configuration.vm_count current <> Configuration.vm_count target then
     invalid_arg "Rgraph.actions: configurations with different VM sets";
-  let acc = ref [] in
-  for vm_id = Configuration.vm_count current - 1 downto 0 do
-    match action_for ~current ~target vm_id with
-    | Some a -> acc := a :: !acc
-    | None -> ()
-  done;
+  let changed = ref [] in
+  Configuration.iter_changed
+    (fun vm_id cur tgt -> changed := (vm_id, cur, tgt) :: !changed)
+    current target;
+  let acc =
+    List.fold_left
+      (fun acc (vm_id, cur, tgt) ->
+        match transition vm_id cur tgt with Some a -> a :: acc | None -> acc)
+      [] !changed
+  in
   if !Entropy_obs.Obs.enabled then begin
     let module Metrics = Entropy_obs.Metrics in
     Metrics.incr (Metrics.counter "rgraph.derivations");
-    Metrics.add (Metrics.counter "rgraph.actions") (List.length !acc)
+    Metrics.add (Metrics.counter "rgraph.actions") (List.length acc)
   end;
-  !acc
+  acc
 
 (* Salvage after a failed action: every frozen VM (typically the VMs
    whose actions terminally failed) keeps its current state in the

@@ -243,6 +243,8 @@ type boot = {
   resumed : bool;
 }
 
+module Int_set = Set.Make (Int)
+
 let decide_model_s = function
   (* modeled decision latency per rung, in simulated seconds: the whole
      point of stepping down the ladder is buying back this time *)
@@ -290,15 +292,19 @@ let run_core (c : config) (b : boot) =
   let crash_log = ref [] in
   let transitions = ref [] in
   let arrivals_left = ref (List.length b.missed + List.length b.pending) in
-  (* deterministic queue order: hashtable fold order is not *)
+  (* The admitted vjobs not seen terminated yet, in ascending id (the
+     queue order). A terminated VM never leaves that state, so a vjob
+     found terminated is pruned for good when the set is read. *)
+  let live =
+    ref (Hashtbl.fold (fun id () acc -> Int_set.add id acc) admitted Int_set.empty)
+  in
   let live_admitted s =
     let cfg = Session.config s in
-    Hashtbl.fold
-      (fun id () acc ->
-        let vj = instance.vjobs.(id) in
-        if Configuration.vjob_terminated cfg vj then acc else vj :: acc)
-      admitted []
-    |> List.sort (fun a b -> compare (Vjob.id a) (Vjob.id b))
+    live :=
+      Int_set.filter
+        (fun id -> not (Configuration.vjob_terminated cfg instance.vjobs.(id)))
+        !live;
+    List.map (fun id -> instance.vjobs.(id)) (Int_set.elements !live)
   in
   (* the event-driven pacing: debounced triggers, admission and the
      degradation ladder *)
@@ -399,6 +405,7 @@ let run_core (c : config) (b : boot) =
             List.iter
               (fun (e : Admission.entry) ->
                 Hashtbl.replace admitted e.Admission.vjob ();
+                live := Int_set.add e.Admission.vjob !live;
                 if !Obs.enabled then Metrics.incr (Lazy.force m_admitted);
                 jappend
                   (Jrecord.Submission

@@ -464,7 +464,15 @@ let read_vms r =
       let name = read_string r in
       Vm.make ~id ~name ~memory_mb:(read_varint r))
 
-let read_states r n = Array.init n (fun _ -> read_state r)
+(* A full state vector over [base]'s tables, sharing every chunk in
+   which [base] already holds the decoded states. *)
+let read_states r base =
+  Configuration.edit base (fun e ->
+      for vm = 0 to Configuration.vm_count base - 1 do
+        let s = read_state r in
+        if not (Configuration.equal_vm_state (Configuration.read e vm) s) then
+          Configuration.write e vm s
+      done)
 
 (* -- stream codec ---------------------------------------------------------------- *)
 
@@ -520,25 +528,16 @@ let add_switch_configs codec b ~source ~target =
     (Configuration.vms source);
   add_states b source;
   if same_tables source target then begin
+    (* the chunks a target shares with its source hold no difference *)
     Buffer.add_char b '\000';
-    let differs vm =
-      not
-        (Configuration.equal_vm_state
-           (Configuration.state source vm)
-           (Configuration.state target vm))
-    in
-    let n = Configuration.vm_count source in
-    let count = ref 0 in
-    for vm = 0 to n - 1 do
-      if differs vm then incr count
-    done;
-    add_varint b !count;
-    for vm = 0 to n - 1 do
-      if differs vm then begin
+    let diff = ref [] in
+    Configuration.iter_changed (fun vm _ s -> diff := (vm, s) :: !diff) source target;
+    add_varint b (List.length !diff);
+    List.iter
+      (fun (vm, s) ->
         add_varint b vm;
-        add_state b (Configuration.state target vm)
-      end
-    done
+        add_state b s)
+      (List.rev !diff)
   end
   else begin
     Buffer.add_char b '\001';
@@ -559,24 +558,25 @@ let read_switch_configs codec r =
       -> c
     | _ -> Configuration.make ~nodes ~vms
   in
-  let states = read_states r (Array.length vms) in
-  let source = Configuration.with_states tables states in
+  (* the codec's source is the stream's previous one: the new source
+     shares the chunks that did not move since *)
+  let source = read_states r tables in
   let target =
     match read_byte r with
     | 0 ->
-      let states = Array.copy states in
-      for _ = 1 to read_varint r do
-        let vm = read_varint r in
-        if vm < 0 || vm >= Array.length states then
-          corrupt "target diff names VM %d of %d" vm (Array.length states);
-        states.(vm) <- read_state r
-      done;
-      Configuration.with_states source states
+      (* an edit of the source: the target shares its unwritten chunks *)
+      let n = Array.length vms in
+      Configuration.edit source (fun e ->
+          for _ = 1 to read_varint r do
+            let vm = read_varint r in
+            if vm < 0 || vm >= n then
+              corrupt "target diff names VM %d of %d" vm n;
+            Configuration.write e vm (read_state r)
+          done)
     | 1 ->
       let nodes = read_nodes r in
       let vms = read_vms r in
-      let states = read_states r (Array.length vms) in
-      Configuration.with_states (Configuration.make ~nodes ~vms) states
+      read_states r (Configuration.make ~nodes ~vms)
     | t -> corrupt "unknown binary target tag %d" t
   in
   (source, target)

@@ -13,7 +13,7 @@ module Metrics = Entropy_obs.Metrics
 
 let m_dropped = lazy (Metrics.counter "monitor.dropped_samples")
 
-type source = unit -> float * int array
+type source = unit -> float * int Chunked.t
 (* current time, per-VM CPU consumption *)
 
 let smoothing_span = 10.
@@ -21,7 +21,6 @@ let smoothing_span = 10.
 type t = {
   source : source;
   history : History.t;
-  mutable last_cpu : int array;  (* the latest admitted sample's array *)
   mutable polls : int;
   mutable dropped : int;
 }
@@ -30,7 +29,6 @@ let create source =
   {
     source;
     history = History.create ();
-    last_cpu = [||];
     polls = 0;
     dropped = 0;
   }
@@ -40,25 +38,25 @@ let create source =
    source) or impossible CPU values. Admitting them would corrupt the
    smoothing window the decisions are made from, so validation rejects
    the sample whole. Equal timestamps are fine — several services
-   legitimately poll within the same instant. The array of the latest
-   admitted sample was checked then and never changes since (the
-   source's promise): it is not scanned again. *)
+   legitimately poll within the same instant. The chunks a reading
+   shares with the latest admitted sample were checked then, and a
+   chunk never changes once shared: only the new chunks are scanned. *)
 let valid t ~time ~cpu =
+  let sane c = c >= 0 in
   Float.is_finite time
-  && (match History.latest t.history with
-     | Some latest -> time >= Sample.time latest
-     | None -> true)
-  && (cpu == t.last_cpu || Array.for_all (fun c -> c >= 0) cpu)
+  &&
+  match History.latest t.history with
+  | Some latest ->
+    time >= Sample.time latest
+    && Chunked.for_all_fresh ~old:(Sample.readings latest) sane cpu
+  | None -> Chunked.for_all sane cpu
 
-(* Samples keep the source's array: a reading that did not change since
-   the last poll shares it with the latest sample. *)
+(* Samples keep the source's vector: the chunks that did not move since
+   the last poll are shared with the latest sample. *)
 let poll t =
   let time, cpu = t.source () in
   t.polls <- t.polls + 1;
-  if valid t ~time ~cpu then begin
-    t.last_cpu <- cpu;
-    History.add t.history (Sample.make ~time ~cpu)
-  end
+  if valid t ~time ~cpu then History.add t.history (Sample.make ~time ~cpu)
   else begin
     t.dropped <- t.dropped + 1;
     if !Obs.enabled then Metrics.incr (Lazy.force m_dropped)
@@ -69,17 +67,37 @@ let dropped t = t.dropped
 let history t = t.history
 
 (* Smoothed demand: per-VM average over the accumulation window, which
-   is filtered once for all VMs. An empty history triggers an immediate
-   poll. *)
+   is filtered and counted once for all VMs. A chunk every window sample
+   shares with the latest averages to the latest's entries (n equal
+   readings sum to n times one), so it is copied, not summed. An empty
+   window (the latest sample is always in it) would fall back to the
+   latest readings the same way. An empty history triggers an
+   immediate poll. *)
 let demand t =
   if History.latest t.history = None then poll t;
   match History.latest t.history with
   | None -> Demand.make ~vm_count:0 ~default:0
   | Some latest ->
     let now = Sample.time latest in
-    let vm_count = Sample.vm_count latest in
-    let window = History.window t.history ~now ~span:smoothing_span in
-    Demand.of_fn ~vm_count (fun vm_id ->
-        match History.average_of t.history window vm_id with
-        | Some v -> v
-        | None -> 0)
+    let cur = Sample.readings latest in
+    let vm_count = Chunked.length cur in
+    let window =
+      List.map Sample.readings
+        (History.window t.history ~now ~span:smoothing_span)
+    in
+    let n = List.length window in
+    let d = Demand.make ~vm_count ~default:0 in
+    for c = 0 to Chunked.chunk_count cur - 1 do
+      let lo = c * Chunked.width in
+      let hi = min vm_count (lo + Chunked.width) - 1 in
+      if List.for_all (fun r -> Chunked.shares_chunk r cur c) window then
+        for vm = lo to hi do
+          Demand.set d vm (Chunked.get cur vm)
+        done
+      else
+        for vm = lo to hi do
+          Demand.set d vm
+            (List.fold_left (fun acc r -> acc + Chunked.get r vm) 0 window / n)
+        done
+    done;
+    d

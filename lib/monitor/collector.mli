@@ -3,13 +3,14 @@
 
 open Entropy_core
 
-type source = unit -> float * int array
+type source = unit -> float * int Chunked.t
 (** A reading: current time and per-VM CPU consumption. The collector
-    keeps the array itself in its history, without copying it, so a
-    source must never mutate an array it has returned: new readings
-    come in a new array (the simulated cluster's readings are
-    copy-on-write), and returning the same physical array again means
-    the readings are unchanged. *)
+    keeps the vector itself in its history. A source should hand out
+    each new reading as an edit of its previous one ({!Chunked.edit}),
+    so that the chunks that did not move are shared: validation scans
+    only the chunks not shared with the latest admitted sample, and
+    {!demand} copies a chunk the whole window shares instead of
+    summing it. The simulated cluster's readings are such a vector. *)
 
 type t
 
@@ -23,10 +24,10 @@ val poll : t -> unit
     a non-finite timestamp, a timestamp strictly before the latest
     sample's (reordered delivery or a clock jump; equal timestamps are
     admitted), or any negative CPU value — are dropped whole: they never
-    enter the smoothing window. The array of the latest admitted sample
-    is not scanned again when the source returns it once more. Drops
-    are counted ({!dropped}, and the [monitor.dropped_samples] counter
-    when observability is on). *)
+    enter the smoothing window. The chunks a reading shares with the
+    latest admitted sample are not scanned again. Drops are counted
+    ({!dropped}, and the [monitor.dropped_samples] counter when
+    observability is on). *)
 
 val polls : t -> int
 
@@ -35,5 +36,6 @@ val dropped : t -> int
 val history : t -> History.t
 
 val demand : t -> Demand.t
-(** Smoothed per-VM CPU demand (window average, latest reading as
+(** Smoothed per-VM CPU demand: the window average, as
+    {!History.average_cpu} computes it for one VM (latest reading as
     fallback). Polls once when the history is empty. *)

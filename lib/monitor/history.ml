@@ -36,13 +36,11 @@ let window t ~now ~span =
   done;
   !acc
 
-(* Per-VM average CPU over a list of window samples; falls back to the
-   latest sample when the window is empty. *)
-let average_of t samples vm_id =
-  match samples with
+(* Per-VM average CPU over the window; falls back to the latest sample
+   when the window is empty. *)
+let average_cpu t ~now ~span vm_id =
+  match window t ~now ~span with
   | [] -> Option.map (fun s -> Sample.cpu s vm_id) (latest t)
-  | _ ->
+  | samples ->
     let sum = List.fold_left (fun acc s -> acc + Sample.cpu s vm_id) 0 samples in
     Some (sum / List.length samples)
-
-let average_cpu t ~now ~span vm_id = average_of t (window t ~now ~span) vm_id

@@ -17,9 +17,5 @@ val length : t -> int
 val window : t -> now:float -> span:float -> Sample.t list
 (** Samples no older than [now -. span], newest first. *)
 
-val average_of : t -> Sample.t list -> Vm.id -> int option
-(** Mean CPU of a VM over samples taken from {!window}; the latest
-    sample's reading when the list is empty. *)
-
 val average_cpu : t -> now:float -> span:float -> Vm.id -> int option
 (** Mean CPU of a VM over the window; latest sample when empty. *)

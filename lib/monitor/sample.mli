@@ -4,11 +4,14 @@ open Entropy_core
 
 type t
 
-val make : time:float -> cpu:int array -> t
-(** Keeps [cpu] itself, without copying: the caller must never mutate it
-    afterwards (a {!Collector.source} promises exactly that). *)
+val make : time:float -> cpu:int Chunked.t -> t
+(** Keeps [cpu] itself: successive readings of a source share the
+    chunks that did not move ({!Collector.source}). *)
 
 val time : t -> float
+
+val readings : t -> int Chunked.t
+(** The whole reading vector, as given to {!make}. *)
 
 val cpu : t -> Vm.id -> int
 (** Per-VM CPU consumption in hundredths of a core. Raises

@@ -29,9 +29,10 @@
    nor counts as pending. [create] and [set_config] (a crash, a
    bookkeeping commit) mark every VM and run the same refresh.
 
-   The readings array is copy-on-write: the refresh writes it in place,
-   copying it first only if [cpu_readings] has handed it out since, so
-   an array a caller holds never changes. *)
+   The readings are a persistent chunked vector: a recompute writes the
+   changed ones through one edit, which copies only the chunks it
+   writes, so a vector a caller holds never changes and shares every
+   chunk that did not move with the next. *)
 
 (* capture the simulator's own log source before [open Entropy_core]
    shadows it with the core's *)
@@ -86,8 +87,7 @@ type t = {
   node_touched : bool array;
   touched_nodes : int array;    (* nodes to re-rate, first [nodes_touched] *)
   mutable nodes_touched : int;
-  mutable readings : int array; (* [cpu_readings], refreshed in place *)
-  mutable readings_held : bool; (* handed out since: copy before writing *)
+  mutable readings : int Chunked.t;  (* [cpu_readings] *)
   mutable on_change : unit -> unit;
 }
 
@@ -135,13 +135,10 @@ let demand t =
       | Configuration.Sleeping_ram _ | Configuration.Waiting ->
         vm_demand t vm_id)
 
-(* Monitoring reading: same vector, as a raw array. Every change to a
-   state or a phase is followed by a recompute, which refreshes the
-   touched VMs' entries; once handed out, the array is never written
-   again. *)
-let cpu_readings t =
-  t.readings_held <- true;
-  t.readings
+(* Monitoring reading: same vector. Every change to a state or a phase
+   is followed by a recompute, which refreshes the touched VMs'
+   entries. *)
+let cpu_readings t = t.readings
 
 let rate t vm_id = t.rts.(vm_id).rate
 
@@ -233,8 +230,9 @@ let cancel_phase_end rt =
   rt.phase_end <- None
 
 (* Bring a touched VM's contribution to the per-node totals and its
-   reading up to date; mark the nodes whose CPU total it moved. *)
-let refresh t vm_id =
+   reading (through the recompute's edit of the readings) up to date;
+   mark the nodes whose CPU total it moved. *)
+let refresh t readings vm_id =
   let rt = t.rts.(vm_id) in
   let state = Configuration.state t.config vm_id in
   let cpu_node, mem_node =
@@ -275,16 +273,8 @@ let refresh t vm_id =
     if mem_node >= 0 then t.mem_used.(mem_node) <- t.mem_used.(mem_node) + mem;
     rt.mem_node <- mem_node
   end;
-  let reading =
-    match state with Configuration.Terminated -> 0 | _ -> vm_demand_rt rt
-  in
-  if t.readings.(vm_id) <> reading then begin
-    if t.readings_held then begin
-      t.readings <- Array.copy t.readings;
-      t.readings_held <- false
-    end;
-    t.readings.(vm_id) <- reading
-  end
+  Chunked.write readings vm_id
+    (match state with Configuration.Terminated -> 0 | _ -> vm_demand_rt rt)
 
 let rate_of t rt =
   if rt.finished || not rt.launched then 0.
@@ -356,9 +346,11 @@ and set_rate t vm_id rt rate =
    and re-rate the queue in ascending VM id; reschedule the phase end of
    those whose rate changed or that are stale. *)
 and recompute t =
-  for i = 0 to t.queued - 1 do
-    refresh t t.queue.(i)
-  done;
+  t.readings <-
+    Chunked.edit t.readings (fun readings ->
+        for i = 0 to t.queued - 1 do
+          refresh t readings t.queue.(i)
+        done);
   for i = 0 to t.nodes_touched - 1 do
     let node_id = t.touched_nodes.(i) in
     t.node_touched.(node_id) <- false;
@@ -547,8 +539,7 @@ let create ~engine ~config ~vjobs ~programs () =
       node_touched = Array.make n false;
       touched_nodes = Array.make n 0;
       nodes_touched = 0;
-      readings = Array.make (Array.length rts) 0;
-      readings_held = false;
+      readings = Chunked.make (Array.length rts) 0;
       on_change = (fun () -> ());
     }
   in

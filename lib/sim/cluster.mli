@@ -35,14 +35,12 @@ val demand : t -> Demand.t
 (** Current per-VM CPU demand (full processing unit while computing). *)
 
 val vm_demand : t -> Vm.id -> int
-val cpu_readings : t -> int array
+val cpu_readings : t -> int Chunked.t
 (** What the monitoring daemons report: per VM, {!vm_demand}, or 0 once
-    Terminated. O(1). The array is copy-on-write: a {!recompute} writes
-    the entries of the VMs it touched in place, but copies the array
-    first if this function has returned it since. So an array it has
-    returned never changes, and a caller seeing the same physical array
-    again may assume the readings are unchanged. It must not be
-    mutated. *)
+    Terminated. O(1). A {!recompute} writes the readings that changed
+    through one {!Chunked.edit}, so a vector this function returned
+    never changes and shares every chunk that did not move since with
+    the next one. *)
 
 val rate : t -> Vm.id -> float
 (** The VM's progress rate as of the last {!recompute}: phase progress

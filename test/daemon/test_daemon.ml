@@ -429,6 +429,24 @@ let test_burst0_rated_per_recompute () =
         Alcotest.failf "%.1f VMs re-rated per recompute (%d over %d), above 16"
           mean rated calls)
 
+(* Words the burst-scale episode allocates directly on the major heap
+   (major minus promoted): every block over 256 words goes there, as
+   each whole-vector copy of the 750-VM state or readings did, 3.43M
+   words when those vectors were flat arrays. With chunked vectors a
+   write copies a 12-word spine and a 64-word chunk on the minor heap,
+   and 60.6k words are left (mostly 750-entry demand vectors). The bound
+   is twice that: one flat copy per applied action brings back about
+   1.6M words. *)
+let test_burst0_major_words () =
+  Gc.full_major ();
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Daemon.run burst0_config);
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  Printf.printf "burst0: %.0f words allocated directly on the major heap\n" direct;
+  if direct > 120e3 then
+    Alcotest.failf "%.0f direct major-heap words, above 120k" direct
+
 let test_soak () =
   let r = Daemon.run soak_config in
   check_int "soak: every submission disposed" 2000 r.Daemon.submissions;
@@ -547,6 +565,8 @@ let () =
             test_burst0_explain_bytes;
           Alcotest.test_case "burst0 re-rated per recompute" `Quick
             test_burst0_rated_per_recompute;
+          Alcotest.test_case "burst0 direct major-heap words" `Quick
+            test_burst0_major_words;
           Alcotest.test_case "resume after every switch end" `Quick
             test_resume_after_every_switch_end;
         ] );

@@ -901,11 +901,11 @@ let test_collector_smoothing () =
   let clock = ref 0. in
   let source () =
     match !readings with
-    | [] -> (!clock, [| 0 |])
+    | [] -> (!clock, Chunked.make 1 0)
     | r :: rest ->
       readings := rest;
       clock := !clock +. 5.;
-      (!clock, [| r |])
+      (!clock, Chunked.make 1 r)
   in
   let collector = Vmonitor.Collector.create source in
   readings := [ 100; 0; 100 ];
@@ -919,7 +919,7 @@ let test_collector_smoothing () =
 
 let test_history_average_fallback () =
   let h = Vmonitor.History.create () in
-  Vmonitor.History.add h (Vmonitor.Sample.make ~time:0. ~cpu:[| 42 |]);
+  Vmonitor.History.add h (Vmonitor.Sample.make ~time:0. ~cpu:(Chunked.make 1 42));
   (* a window far in the future is empty: fall back to the latest *)
   Alcotest.(check (option int))
     "fallback" (Some 42)
@@ -929,7 +929,7 @@ let test_collector_poll_count_and_bootstrap () =
   let clock = ref 0. in
   let source () =
     clock := !clock +. 1.;
-    (!clock, [| 7 |])
+    (!clock, Chunked.make 1 7)
   in
   let c = Vmonitor.Collector.create source in
   check_int "no polls yet" 0 (Vmonitor.Collector.polls c);
@@ -944,9 +944,9 @@ let scripted_collector readings =
   let source () =
     match !remaining with
     | [] -> Alcotest.fail "collector polled past the script"
-    | r :: rest ->
+    | (time, cpu) :: rest ->
       remaining := rest;
-      r
+      (time, Chunked.of_array cpu)
   in
   Vmonitor.Collector.create source
 
@@ -984,23 +984,50 @@ let test_collector_keeps_equal_timestamps () =
   check_int "all samples kept" 3
     (Vmonitor.History.length (Vmonitor.Collector.history c))
 
-(* The array of the latest admitted sample is not scanned again: a
-   source that (against its contract) writes a negative value into the
-   array it returned before gets it admitted, which shows the skip. A
-   fresh array with a negative value is still dropped. *)
+(* Readings that are edits of the previous one share its unmoved
+   chunks with the latest sample, and a negative value is dropped in
+   whichever chunk it lands: the one chunk validation scans. Over three
+   chunks (130 VMs). *)
 let test_collector_scans_once () =
-  let cpu = [| 10; 20 |] in
-  let c =
-    scripted_collector [ (1., cpu); (2., cpu); (3., [| -1; 20 |]) ]
+  let r0 = Chunked.init 130 (fun vm -> vm) in
+  let r1 = Chunked.set r0 70 5 in
+  let script =
+    ref
+      [
+        (1., r0);
+        (2., r0) (* unchanged: nothing to scan *);
+        (3., r1);
+        (4., Chunked.set r1 129 (-1)) (* negative in the last chunk *);
+        (5., Chunked.set r1 0 (-2)) (* and in the first *);
+        (6., Chunked.set r1 129 3);
+      ]
   in
-  Vmonitor.Collector.poll c;
-  cpu.(0) <- -1;
-  Vmonitor.Collector.poll c;
-  check_int "same array not rescanned" 0 (Vmonitor.Collector.dropped c);
-  Vmonitor.Collector.poll c;
-  check_int "fresh negative array dropped" 1 (Vmonitor.Collector.dropped c);
-  check_int "two samples kept" 2
-    (Vmonitor.History.length (Vmonitor.Collector.history c))
+  let c =
+    Vmonitor.Collector.create (fun () ->
+        match !script with
+        | [] -> Alcotest.fail "collector polled past the script"
+        | r :: rest ->
+          script := rest;
+          r)
+  in
+  for _ = 1 to 6 do
+    Vmonitor.Collector.poll c
+  done;
+  check_int "two negative readings dropped" 2 (Vmonitor.Collector.dropped c);
+  check_int "four samples kept" 4
+    (Vmonitor.History.length (Vmonitor.Collector.history c));
+  (match Vmonitor.History.latest (Vmonitor.Collector.history c) with
+  | Some s ->
+    check_bool "latest shares the unmoved chunks" true
+      (Chunked.shares_chunk (Vmonitor.Sample.readings s) r1 0
+      && Chunked.shares_chunk (Vmonitor.Sample.readings s) r1 1
+      && not (Chunked.shares_chunk (Vmonitor.Sample.readings s) r1 2))
+  | None -> Alcotest.fail "expected a latest sample");
+  (* the window at t=6 (t >= -4) holds all four; VM 70 read 70 then 5 *)
+  let d = Vmonitor.Collector.demand c in
+  check_int "VM 0" 0 (Demand.cpu d 0);
+  check_int "VM 70" ((70 + 70 + 5 + 5) / 4) (Demand.cpu d 70);
+  check_int "VM 129" ((129 + 129 + 129 + 3) / 4) (Demand.cpu d 129)
 
 let test_collector_drop_counter_metric () =
   let module Obs = Entropy_obs.Obs in
@@ -1029,7 +1056,8 @@ let test_engine_max_events () =
 let test_history_window_and_eviction () =
   let h = Vmonitor.History.create ~capacity:3 () in
   List.iter
-    (fun (t, v) -> Vmonitor.History.add h (Vmonitor.Sample.make ~time:t ~cpu:[| v |]))
+    (fun (t, v) ->
+      Vmonitor.History.add h (Vmonitor.Sample.make ~time:t ~cpu:(Chunked.make 1 v)))
     [ (0., 1); (10., 2); (20., 3); (30., 4) ];
   check_int "capacity respected" 3 (Vmonitor.History.length h);
   (match Vmonitor.History.latest h with
@@ -1053,7 +1081,8 @@ let history_matches_list_model =
       List.for_all
         (fun (time, cpu) ->
           let time = float_of_int time in
-          Vmonitor.History.add h (Vmonitor.Sample.make ~time ~cpu:[| cpu |]);
+          Vmonitor.History.add h
+            (Vmonitor.Sample.make ~time ~cpu:(Chunked.make 1 cpu));
           model := List.filteri (fun i _ -> i < capacity) ((time, cpu) :: !model);
           let window ~now ~span =
             List.filter (fun (t, _) -> t >= now -. span) !model
@@ -1076,22 +1105,29 @@ let history_matches_list_model =
                   [ 0.; 2.; 3.; 6.; 9. ]))
         adds)
 
-(* Collector.demand is the per-VM window average, also when the source
-   hands back the array of its previous reading. *)
+(* Collector.demand is the per-VM window average when the source hands
+   out each reading as an edit of the previous one: some polls write
+   nothing (the same vector again), the others a few VMs of a 130-VM
+   reading (three chunks), so windows mix shared and moved chunks. *)
 let collector_demand_is_history_average =
+  let vms = 130 in
   QCheck.Test.make ~name:"collector demand = per-VM history average" ~count:200
     QCheck.(
       list_of_size Gen.(1 -- 30)
-        (triple (int_bound 4) bool (array_of_size (Gen.return 3) (int_bound 200))))
+        (pair (int_bound 4)
+           (list_of_size Gen.(0 -- 3) (pair (int_bound (vms - 1)) (int_bound 200)))))
     (fun readings ->
-      let clock = ref 0. and last = ref [||] and script = ref readings in
+      let clock = ref 0. and last = ref (Chunked.make vms 0) in
+      let script = ref readings in
       let source () =
         match !script with
         | [] -> (!clock, !last)
-        | (step, reuse, cpu) :: rest ->
+        | (step, writes) :: rest ->
           script := rest;
           clock := !clock +. float_of_int step;
-          if not (reuse && Array.length !last = 3) then last := cpu;
+          last :=
+            Chunked.edit !last (fun e ->
+                List.iter (fun (vm, v) -> Chunked.write e vm v) writes);
           (!clock, !last)
       in
       let c = Vmonitor.Collector.create source in
@@ -1106,8 +1142,8 @@ let collector_demand_is_history_average =
               = Vmonitor.History.average_cpu h ~now:!clock ~span:10. vm
               && Option.map (fun s -> Vmonitor.Sample.cpu s vm)
                    (Vmonitor.History.latest h)
-                 = Some !last.(vm))
-            [ 0; 1; 2 ])
+                 = Some (Chunked.get !last vm))
+            (List.init vms Fun.id))
         readings)
 
 (* -- fault injection ----------------------------------------------------------- *)
@@ -1566,11 +1602,12 @@ let test_crash_at_every_boundary_file_backend () =
    Every VM's rate also equals the formula over per-node scans (its
    share of the node's capacity among the running VMs' summed demand,
    slowed by the node's contention), although a recompute re-rates only
-   the VMs it touched; the readings equal a fresh per-VM array; and the
-   readings array of the previous recompute still holds its contents:
-   the copy-on-write promise. A launched VM whose demand is idle is in
-   its Idle phase (rate 1) after its first compute run of a three-phase
-   program, and finished (rate 0) otherwise. *)
+   the VMs it touched; the readings equal a fresh per-VM scan; the
+   readings vector of the previous recompute still holds its contents;
+   and every chunk in which no reading changed is shared with it. A
+   launched VM whose demand is idle is in its Idle phase (rate 1) after
+   its first compute run of a three-phase program, and finished (rate
+   0) otherwise. *)
 let test_cluster_aggregates_match_scans () =
   let rng = Random.State.make [| 0xa66 |] in
   let node_count = 24 in
@@ -1641,7 +1678,7 @@ let test_cluster_aggregates_match_scans () =
        previous recompute *)
     let runs = Array.make vm_count 0 in
     let last_demand = Array.make vm_count Program.idle_demand in
-    let held = ref [||] and held_copy = ref [||] in
+    let held = ref (Chunked.make 0 0) and held_copy = ref [||] in
     (* checked quietly: Alcotest would log each of the millions of checks *)
     let expect want got fmt =
       if want = got then Printf.ikfprintf ignore () fmt
@@ -1738,7 +1775,9 @@ let test_cluster_aggregates_match_scans () =
             Alcotest.failf "rate of VM%d at t=%.3f: expected %g, got %g" v
               (Vsim.Engine.now engine) want got
         done;
-        (* readings: fresh, and the previous array unchanged *)
+        (* readings: match a fresh scan, the vector held from an
+           earlier recompute still reads what it read then, and the
+           chunks without a changed reading are shared with it *)
         let readings = Vsim.Cluster.cpu_readings cluster in
         let fresh =
           Array.init vm_count (fun v ->
@@ -1746,12 +1785,24 @@ let test_cluster_aggregates_match_scans () =
               | Configuration.Terminated -> 0
               | _ -> Vsim.Cluster.vm_demand cluster v)
         in
-        expect true (readings = fresh) "readings match a fresh array";
-        expect true (!held = !held_copy) "held readings unchanged";
-        if readings != !held then begin
-          held := readings;
-          held_copy := Array.copy readings
-        end;
+        expect true (Chunked.to_array readings = fresh)
+          "readings match a fresh scan";
+        expect true (Chunked.to_array !held = !held_copy)
+          "held readings unchanged";
+        if Chunked.length !held = vm_count then
+          for c = 0 to Chunked.chunk_count readings - 1 do
+            let lo = c * Chunked.width in
+            let hi = min vm_count (lo + Chunked.width) - 1 in
+            let moved = ref false in
+            for v = lo to hi do
+              if fresh.(v) <> !held_copy.(v) then moved := true
+            done;
+            if not !moved then
+              expect true (Chunked.shares_chunk readings !held c)
+                "unmoved chunk %d shared" c
+          done;
+        held := readings;
+        held_copy := fresh;
         List.iter
           (fun vj ->
             let vms = Vjob.vms vj in
