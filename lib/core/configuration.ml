@@ -208,6 +208,8 @@ let overloaded_nodes t demand =
   done;
   !acc
 
+let iter_changed f a b = Chunked.iter_changed equal_vm_state f a.states b.states
+
 type free = { cpu : int array; mem : int array }
 
 let free_view t demand =
@@ -216,6 +218,27 @@ let free_view t demand =
     cpu = Array.mapi (fun i n -> Node.cpu_capacity n - cpu_load.(i)) t.nodes;
     mem = Array.mapi (fun i n -> Node.memory_mb n - mem_load.(i)) t.nodes;
   }
+
+(* Only the VMs whose states differ move a node's free resources: a
+   state takes back what its VM held in [a] and charges what it holds
+   in [b]. *)
+let shift_free free demand a b =
+  iter_changed
+    (fun vm_id sa sb ->
+      let cpu = Demand.cpu demand vm_id and mem = Vm.memory_mb a.vms.(vm_id) in
+      (match sa with
+      | Running n ->
+        free.cpu.(n) <- free.cpu.(n) + cpu;
+        free.mem.(n) <- free.mem.(n) + mem
+      | Sleeping_ram n -> free.mem.(n) <- free.mem.(n) + mem
+      | Waiting | Sleeping _ | Terminated -> ());
+      match sb with
+      | Running n ->
+        free.cpu.(n) <- free.cpu.(n) - cpu;
+        free.mem.(n) <- free.mem.(n) - mem
+      | Sleeping_ram n -> free.mem.(n) <- free.mem.(n) - mem
+      | Waiting | Sleeping _ | Terminated -> ())
+    a b
 
 (* Room for one more VM with the given demands on the given node. *)
 let fits t demand ~cpu ~mem node_id =
@@ -236,8 +259,6 @@ let vjob_terminated t vjob =
 let equal a b =
   Chunked.equal equal_vm_state a.states b.states
   && Array.length a.nodes = Array.length b.nodes
-
-let iter_changed f a b = Chunked.iter_changed equal_vm_state f a.states b.states
 
 let pp ppf t =
   let pp_one ppf (vm, s) =

@@ -95,6 +95,13 @@ val free_view : t -> Demand.t -> free
     {!free_mem} / {!fits} (each O(vms)) per claim. The arrays are
     fresh; callers mutate them. *)
 
+val shift_free : free -> Demand.t -> t -> t -> unit
+(** [shift_free view demand a b] turns [a]'s free view into [b]'s, in
+    place: each VM whose state differs ({!iter_changed}) gives back
+    what it held in [a] and takes what it holds in [b] (CPU and memory
+    while running, memory while suspended to RAM). Costs the chunks [b]
+    does not share with [a]. *)
+
 val is_viable : t -> Demand.t -> bool
 val overloaded_nodes : t -> Demand.t -> Node.id list
 

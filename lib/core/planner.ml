@@ -28,10 +28,13 @@ exception Stuck of string
 let stuck fmt = Fmt.kstr (fun s -> raise (Stuck s)) fmt
 
 (* Select a maximal set of actions simultaneously feasible from
-   [config]: claims are accounted against the pool-start free resources,
-   so resources freed by actions of this same pool are not reused. *)
-let select_pool config demand actions =
-  let free = Configuration.free_view config demand in
+   [config]: claims are accounted against a copy of the pool-start free
+   resources [view], so resources freed by actions of this same pool
+   are not reused. *)
+let select_pool (view : Configuration.free) config demand actions =
+  let free =
+    { Configuration.cpu = Array.copy view.cpu; mem = Array.copy view.mem }
+  in
   List.partition
     (fun a ->
       match Action.claim config demand a with
@@ -87,11 +90,10 @@ let find_migration_cycle blocked =
 
 (* Pick a pivot node outside the cycle that can host one of the cycle's
    VMs, and return the corresponding bypass migration. *)
-let bypass_migration config demand cycle =
+let bypass_migration (free : Configuration.free) config demand cycle =
   let cycle_nodes =
     List.concat_map (fun (_, src, dst) -> [ src; dst ]) cycle
   in
-  let free = Configuration.free_view config demand in
   let candidates =
     List.concat_map
       (fun (vm, src, _) ->
@@ -118,30 +120,29 @@ let bypass_migration config demand cycle =
 
 let max_iterations = 10_000
 
-let build ~current ~target ~demand () =
-  Obs.span ~cat:"planner" ~name:"planner.build" @@ fun () ->
-  let target = Rgraph.normalize_sleeping ~current target in
-  let rec loop config pools iter =
-    if iter > max_iterations then stuck "planner did not converge";
-    let remaining = Rgraph.actions ~current:config ~target in
-    if remaining = [] then List.rev pools
-    else
-      let selected, _postponed = select_pool config demand remaining in
-      if selected <> [] then begin
+(* One pool from [config] towards [target], or [None] once there is
+   nothing left to do. [free] is [config]'s free view on entry and the
+   next configuration's on return: it is shifted by the VMs the pool
+   moved, not rebuilt from every VM. *)
+let next_pool free ~target ~demand config =
+  let remaining = Rgraph.actions ~current:config ~target in
+  if remaining = [] then None
+  else
+    let pool =
+      match select_pool free config demand remaining with
+      | (_ :: _ as selected), _postponed ->
         if !Obs.enabled then begin
           Metrics.incr (Lazy.force m_pools);
           Metrics.add (Lazy.force m_actions) (List.length selected)
         end;
-        let config' = Action.apply_all config selected in
-        loop config' (selected :: pools) (iter + 1)
-      end
-      else
+        selected
+      | [], _ -> (
         match find_migration_cycle remaining with
         | None ->
           stuck "no feasible action and no migration cycle: target %s"
             "is not reachable (is it viable?)"
         | Some cycle -> (
-          match bypass_migration config demand cycle with
+          match bypass_migration free config demand cycle with
           | Some bypass ->
             if !Obs.enabled then begin
               (match bypass with
@@ -161,8 +162,7 @@ let build ~current ~target ~demand () =
               Metrics.incr (Lazy.force m_pools);
               Metrics.incr (Lazy.force m_actions)
             end;
-            let config' = Action.apply config bypass in
-            loop config' ([ bypass ] :: pools) (iter + 1)
+            [ bypass ]
           | None -> (
             (* no pivot node has room: break the cycle through the disk
                instead — suspend the smallest VM of the cycle (always
@@ -195,9 +195,21 @@ let build ~current ~target ~demand () =
                 Metrics.incr (Lazy.force m_pools);
                 Metrics.incr (Lazy.force m_actions)
               end;
-              let break = Action.Suspend { vm; host = src } in
-              let config' = Action.apply config break in
-              loop config' ([ break ] :: pools) (iter + 1)))
+              [ Action.Suspend { vm; host = src } ])))
+    in
+    let config' = Action.apply_all config pool in
+    Configuration.shift_free free demand config config';
+    Some (pool, config')
+
+let build ~current ~target ~demand () =
+  Obs.span ~cat:"planner" ~name:"planner.build" @@ fun () ->
+  let target = Rgraph.normalize_sleeping ~current target in
+  let free = Configuration.free_view current demand in
+  let rec loop config pools iter =
+    if iter > max_iterations then stuck "planner did not converge";
+    match next_pool free ~target ~demand config with
+    | None -> List.rev pools
+    | Some (pool, config') -> loop config' (pool :: pools) (iter + 1)
   in
   Plan.make (loop current [] 0)
 

@@ -9,10 +9,12 @@ exception Stuck of string
     disk (suspend, then resume at the destination) otherwise. *)
 
 val select_pool :
-  Configuration.t -> Demand.t -> Action.t list ->
+  Configuration.free -> Configuration.t -> Demand.t -> Action.t list ->
   Action.t list * Action.t list
 (** [(selected, postponed)]: a maximal set of actions simultaneously
-    feasible from the given configuration, and the rest. *)
+    feasible from the given configuration, whose free view
+    ({!Configuration.free_view}) is given, and the rest. Claims are
+    charged to a copy of the view. *)
 
 val find_migration_cycle :
   Action.t list -> (Vm.id * Node.id * Node.id) list option
@@ -20,10 +22,21 @@ val find_migration_cycle :
     [(vm, src, dst)] triples, when one exists. *)
 
 val bypass_migration :
-  Configuration.t -> Demand.t -> (Vm.id * Node.id * Node.id) list ->
-  Action.t option
+  Configuration.free -> Configuration.t -> Demand.t ->
+  (Vm.id * Node.id * Node.id) list -> Action.t option
 (** The cheapest feasible migration of a cycle VM to a pivot node outside
-    the cycle. *)
+    the cycle, given the configuration's free view. *)
+
+val next_pool :
+  Configuration.free -> target:Configuration.t -> demand:Demand.t ->
+  Configuration.t -> (Action.t list * Configuration.t) option
+(** [next_pool view ~target ~demand config]: the next pool from
+    [config] towards [target] (with its sleeping locations normalized,
+    {!Rgraph.normalize_sleeping}) and the configuration it leads to, or
+    [None] when [config] already reaches [target]. [view] must be
+    [config]'s free view on entry; it becomes the next configuration's,
+    shifted by {!Configuration.shift_free}. {!build} is this step from
+    [current] until it returns [None]. Raises like {!build}. *)
 
 val build :
   current:Configuration.t -> target:Configuration.t -> demand:Demand.t ->

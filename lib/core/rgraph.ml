@@ -100,24 +100,24 @@ let salvage_target ~current ~target ~frozen =
 
 (* Expected suspend location of every sleeping VM in [target], given
    where they run in [current]: suspends are local. Used to normalize a
-   decision module's output before planning. *)
+   decision module's output before planning. Only a VM whose state
+   differs can need it, so the chunks the two configurations share are
+   skipped. *)
 let normalize_sleeping ~current target =
-  let result = ref target in
-  for vm_id = 0 to Configuration.vm_count target - 1 do
-    match (Configuration.state current vm_id, Configuration.state target vm_id)
-    with
-    | Configuration.Running host, Configuration.Sleeping loc when loc <> host
-      -> result := Configuration.set_state !result vm_id (Configuration.Sleeping host)
-    | Configuration.Sleeping loc, Configuration.Sleeping loc' when loc <> loc'
-      -> result := Configuration.set_state !result vm_id (Configuration.Sleeping loc)
-    | Configuration.Running host, Configuration.Sleeping_ram loc
-      when loc <> host ->
-      result :=
-        Configuration.set_state !result vm_id (Configuration.Sleeping_ram host)
-    | Configuration.Sleeping_ram loc, Configuration.Sleeping_ram loc'
-      when loc <> loc' ->
-      result :=
-        Configuration.set_state !result vm_id (Configuration.Sleeping_ram loc)
-    | _ -> ()
-  done;
-  !result
+  Configuration.edit target @@ fun e ->
+  let relocate = Configuration.write e in
+  Configuration.iter_changed
+    (fun vm_id cur tgt ->
+      match (cur, tgt) with
+      | Configuration.Running host, Configuration.Sleeping loc when loc <> host
+        -> relocate vm_id (Configuration.Sleeping host)
+      | Configuration.Sleeping loc, Configuration.Sleeping loc' when loc <> loc'
+        -> relocate vm_id (Configuration.Sleeping loc)
+      | Configuration.Running host, Configuration.Sleeping_ram loc
+        when loc <> host ->
+        relocate vm_id (Configuration.Sleeping_ram host)
+      | Configuration.Sleeping_ram loc, Configuration.Sleeping_ram loc'
+        when loc <> loc' ->
+        relocate vm_id (Configuration.Sleeping_ram loc)
+      | _ -> ())
+    current target

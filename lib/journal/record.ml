@@ -281,17 +281,16 @@ let magic = "EJ"
 let version = 2
 let header_size = 11
 
-let add_varint b v =
+(* Top-level recursions, so a call allocates no closure: the codec
+   writes and reads several varints per VM of every table. *)
+let rec add_varint b v =
   (* negative values take the full-width form through [lsr] and
      round-trip exactly on 64-bit; everything we journal is >= 0 *)
-  let rec go v =
-    if v land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr v)
-    else begin
-      Buffer.add_char b (Char.unsafe_chr (v land 0x7f lor 0x80));
-      go (v lsr 7)
-    end
-  in
-  go v
+  if v land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (v land 0x7f lor 0x80));
+    add_varint b (v lsr 7)
+  end
 
 let add_float b f =
   let bits = Int64.bits_of_float f in
@@ -313,14 +312,13 @@ let read_byte r =
   r.pos <- r.pos + 1;
   c
 
-let read_varint r =
-  let rec go shift acc =
-    if shift > 56 then corrupt "binary payload: varint too long";
-    let c = read_byte r in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+let rec read_varint_from r shift acc =
+  if shift > 56 then corrupt "binary payload: varint too long";
+  let c = read_byte r in
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c land 0x80 = 0 then acc else read_varint_from r (shift + 7) acc
+
+let read_varint r = read_varint_from r 0 0
 
 let read_float r =
   let bits = ref 0L in
@@ -602,9 +600,16 @@ let add_demand b d =
     add_varint b (Demand.cpu d vm)
   done
 
+(* One varint of at least a byte per VM: a count past the payload's
+   end is damage, refused before anything is allocated. *)
 let read_demand r =
-  let arr = Array.init (read_varint r) (fun _ -> read_varint r) in
-  Demand.of_fn ~vm_count:(Array.length arr) (fun vm -> arr.(vm))
+  let n = read_varint r in
+  if n < 0 || n > r.limit - r.pos then corrupt "binary payload: truncated";
+  let d = Demand.make ~vm_count:n ~default:0 in
+  for vm = 0 to n - 1 do
+    Demand.set d vm (read_varint r)
+  done;
+  d
 
 let write_payload codec b r =
   let tag t = Buffer.add_char b (Char.unsafe_chr t) in

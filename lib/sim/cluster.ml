@@ -225,8 +225,8 @@ let completions t =
 let completed t vjob = Hashtbl.mem t.completions (Vjob.id vjob)
 let completion_count t = Hashtbl.length t.completions
 
-let cancel_phase_end rt =
-  Option.iter Engine.cancel rt.phase_end;
+let cancel_phase_end t rt =
+  Option.iter (Engine.cancel t.engine) rt.phase_end;
   rt.phase_end <- None
 
 (* Bring a touched VM's contribution to the per-node totals and its
@@ -327,7 +327,7 @@ let rec advance_phase t vm_id () =
    the pending phase-end event. *)
 and set_rate t vm_id rt rate =
   sync_vm t rt;
-  cancel_phase_end rt;
+  cancel_phase_end t rt;
   rt.rate <- rate;
   rt.stale <- false;
   if rate > 0. then begin
@@ -467,7 +467,7 @@ let crash_node t node_id =
               rt.finished <- false;
               rt.rate <- 0.;
               rt.stale <- true;
-              cancel_phase_end rt;
+              cancel_phase_end t rt;
               rt.last_sync <- now t)
           (Vjob.vms vj))
       affected;

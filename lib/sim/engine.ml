@@ -1,74 +1,57 @@
 (* Discrete-event simulation core: a clock and an event heap. Event
-   callbacks may schedule further events. Cancellation is lazy: a
-   cancelled event stays queued until popped, but a shared counter keeps
-   [pending] reporting live events only. *)
+   callbacks may schedule further events. A cancelled event leaves the
+   heap at once (the heap is indexed), so the heap holds live events
+   only. *)
 
 module Obs = Entropy_obs.Obs
 module Metrics = Entropy_obs.Metrics
 
 let m_events = lazy (Metrics.counter "sim.events")
 
-type state = Queued | Cancelled | Done
-
-type event = {
-  mutable state : state;
-  run : unit -> unit;
-  queued_cancelled : int ref;  (* the engine's count of cancelled-but-queued *)
-}
-
 type t = {
   mutable now : float;
-  queue : event Heap.t;
+  queue : (unit -> unit) Heap.t;
   mutable executed : int;
-  queued_cancelled : int ref;
+  mutable cancelled : int;
   mutable chooser : (int -> int) option;
       (* schedule hook: picks which of the n events tied at the next
          timestamp runs first (insertion order); None = FIFO *)
 }
 
 let create () =
-  {
-    now = 0.;
-    queue = Heap.create ();
-    executed = 0;
-    queued_cancelled = ref 0;
-    chooser = None;
-  }
+  { now = 0.; queue = Heap.create (); executed = 0; cancelled = 0; chooser = None }
 
 let set_chooser t chooser = t.chooser <- chooser
 
 let now t = t.now
-let pending t = Heap.length t.queue - !(t.queued_cancelled)
-let cancelled t = !(t.queued_cancelled)
+let pending t = Heap.length t.queue
+let cancelled t = t.cancelled
 let executed t = t.executed
 
-type handle = event
+type handle = (unit -> unit) Heap.entry
 
 let schedule t ~at run =
   if at < t.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule: at=%.3f is in the past (now=%.3f)" at
          t.now);
-  let ev = { state = Queued; run; queued_cancelled = t.queued_cancelled } in
-  Heap.push t.queue at ev;
-  ev
+  Heap.push t.queue at run
 
 let schedule_after t ~delay run = schedule t ~at:(t.now +. delay) run
 
-(* Cancelling an already-run (or already-cancelled) event is a no-op, so
-   late cancels cannot corrupt the pending count. *)
-let cancel (ev : handle) =
-  match ev.state with
-  | Queued ->
-    ev.state <- Cancelled;
-    incr ev.queued_cancelled
-  | Cancelled | Done -> ()
+(* Cancelling an event that already ran (or was already cancelled) is a
+   no-op and is not counted. *)
+let cancel t (ev : handle) =
+  if Heap.mem t.queue ev then begin
+    Heap.remove t.queue ev;
+    t.cancelled <- t.cancelled + 1
+  end
 
 let step t =
   if Heap.is_empty t.queue then false
   else begin
     let time = Heap.top_prio t.queue in
-    let ev =
+    let run =
       match t.chooser with
       | None -> Heap.pop_top t.queue
       | Some choose ->
@@ -77,14 +60,9 @@ let step t =
         else Heap.pop_tied t.queue (choose n)
     in
     if time > t.now then t.now <- time;
-    (match ev.state with
-    | Cancelled -> decr t.queued_cancelled  (* drained *)
-    | Done -> ()
-    | Queued ->
-      ev.state <- Done;
-      t.executed <- t.executed + 1;
-      if !Obs.enabled then Metrics.incr (Lazy.force m_events);
-      ev.run ());
+    t.executed <- t.executed + 1;
+    if !Obs.enabled then Metrics.incr (Lazy.force m_events);
+    run ();
     true
   end
 

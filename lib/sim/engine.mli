@@ -6,11 +6,13 @@ val create : unit -> t
 val now : t -> float
 
 val pending : t -> int
-(** Live (not cancelled) queued events. Cancelled events stay in the
-    heap until drained but are not counted. *)
+(** Queued events. A cancelled event leaves the queue at once, so every
+    queued event is live. *)
 
 val cancelled : t -> int
-(** Cancelled events still sitting in the heap. *)
+(** Effective cancels so far: cancels of events that were still queued.
+    A cancel of an event that already ran or was already cancelled is
+    not counted. *)
 
 val executed : t -> int
 
@@ -21,16 +23,18 @@ val schedule : t -> at:float -> (unit -> unit) -> handle
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 
-val cancel : handle -> unit
-(** Idempotent; cancelling an event that already ran is a no-op. *)
+val cancel : t -> handle -> unit
+(** Remove a queued event from the engine's heap, O(log pending).
+    Idempotent; cancelling an event that already ran, or one from
+    another engine, is a no-op. *)
 
 val set_chooser : t -> (int -> int) option -> unit
 (** Schedule hook for model checking: when set and [n >= 2] events are
     tied at the next timestamp, [chooser n] picks which runs first
     (0-based, insertion order; out-of-range falls back to 0 = FIFO).
     [None] (the default) keeps the deterministic FIFO tie-break and the
-    allocation-free pop. Cancelled-but-queued events still count as
-    ties (draining one is a no-op). *)
+    allocation-free pop. A cancelled event has left the heap, so the
+    ties are exactly the live events at the next timestamp. *)
 
 val step : t -> bool
 (** Execute the next event; [false] when the queue is empty. *)

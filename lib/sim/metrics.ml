@@ -15,6 +15,7 @@ type point = {
 }
 
 type t = {
+  engine : Engine.t;
   mutable points : point list; (* newest first *)
   mutable stopped : bool;
   mutable pending : Engine.handle option; (* next scheduled sample *)
@@ -59,8 +60,8 @@ let snapshot cluster =
 let period = 30.
 
 let start cluster =
-  let t = { points = []; stopped = false; pending = None } in
   let engine = Cluster.engine cluster in
+  let t = { engine; points = []; stopped = false; pending = None } in
   let rec sample () =
     t.pending <- None;
     if not t.stopped then begin
@@ -74,7 +75,7 @@ let start cluster =
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Option.iter Engine.cancel t.pending;
+    Option.iter (Engine.cancel t.engine) t.pending;
     t.pending <- None
   end
 

@@ -252,8 +252,15 @@ let loop ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
   Engine.run engine
     ~until:(Option.fold ~none:max_time ~some:(Float.min max_time) kill_at);
   let completions =
+    (* the first vjob of each id, as a scan of [vjobs] would find it *)
+    let by_id = Hashtbl.create (List.length vjobs) in
+    List.iter
+      (fun vj ->
+        if not (Hashtbl.mem by_id (Vjob.id vj)) then
+          Hashtbl.add by_id (Vjob.id vj) vj)
+      vjobs;
     List.map
-      (fun (id, time) -> (List.find (fun vj -> Vjob.id vj = id) vjobs, time))
+      (fun (id, time) -> (Hashtbl.find by_id id, time))
       (Cluster.completions t.cluster)
   in
   {

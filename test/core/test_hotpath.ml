@@ -411,6 +411,54 @@ let test_decide_allocation () =
     (Printf.sprintf "%.0f words under 28.5k" words)
     true (words < 28.5e3)
 
+(* -- the planner's carried free view ----------------------------------- *)
+
+let pp_free (f : Configuration.free) =
+  Fmt.str "cpu %a / mem %a"
+    Fmt.(array ~sep:sp int) f.cpu Fmt.(array ~sep:sp int) f.mem
+
+(* Step the planner pool by pool, as [Planner.build] does, and compare
+   the view it carries with one rebuilt from every VM of the pool-start
+   configuration; the pools must make [build]'s plan. Returns the
+   number of pools. *)
+let check_carried_view tag ~current ~target ~demand =
+  let normalized = Rgraph.normalize_sleeping ~current target in
+  let view = Configuration.free_view current demand in
+  let rec go config pools =
+    Alcotest.(check string)
+      (Printf.sprintf "%s: view at pool %d" tag (List.length pools))
+      (pp_free (Configuration.free_view config demand))
+      (pp_free view);
+    match Planner.next_pool view ~target:normalized ~demand config with
+    | None -> List.rev pools
+    | Some (pool, config') -> go config' (pool :: pools)
+  in
+  let pools = go current [] in
+  Alcotest.(check string) (tag ^ ": same plan as build")
+    (Fmt.str "%a" Plan.pp (Planner.build ~current ~target ~demand ()))
+    (Fmt.str "%a" Plan.pp (Plan.make pools));
+  List.length pools
+
+let test_carried_free_view () =
+  let pools = ref 0 in
+  for seed = 0 to 39 do
+    let config, demand, vjobs, rules = instance seed in
+    let heuristic = List.nth heuristics (seed mod 3) in
+    let o = Rjsp.solve ~heuristic ~rules ~config ~demand ~queue:vjobs () in
+    pools :=
+      !pools
+      + check_carried_view (Printf.sprintf "seed %d" seed) ~current:config
+          ~target:o.Rjsp.ffd_config ~demand
+  done;
+  let { Decision.config; demand; queue; _ } = burst_observation () in
+  let o = Rjsp.solve ~config ~demand ~queue () in
+  let burst =
+    check_carried_view "burst" ~current:config ~target:o.Rjsp.ffd_config
+      ~demand
+  in
+  Alcotest.(check bool) "burst plan has several pools" true (burst > 1);
+  Alcotest.(check bool) "instances have several pools" true (!pools > 80)
+
 let () =
   Alcotest.run "entropy_core_hotpath"
     [
@@ -426,6 +474,9 @@ let () =
             test_rjsp_matches_per_trial_ffd;
           Alcotest.test_case "plans clean" `Quick test_plans_clean;
         ] );
+      ( "planner-view",
+        [ Alcotest.test_case "carried free view" `Quick test_carried_free_view ]
+      );
       ( "decide-alloc",
         [ Alcotest.test_case "burst-scale decide" `Quick test_decide_allocation ] );
     ]

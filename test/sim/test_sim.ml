@@ -15,7 +15,7 @@ let check_float eps = Alcotest.(check (float eps))
 
 let test_heap_ordering () =
   let h = Vsim.Heap.create () in
-  List.iter (fun (p, v) -> Vsim.Heap.push h p v) [ (3., "c"); (1., "a"); (2., "b") ];
+  List.iter (fun (p, v) -> ignore (Vsim.Heap.push h p v)) [ (3., "c"); (1., "a"); (2., "b") ];
   let pop () = match Vsim.Heap.pop h with Some (_, v) -> v | None -> "!" in
   let first = pop () in
   let second = pop () in
@@ -24,7 +24,7 @@ let test_heap_ordering () =
 
 let test_heap_fifo_ties () =
   let h = Vsim.Heap.create () in
-  List.iter (fun v -> Vsim.Heap.push h 1. v) [ "x"; "y"; "z" ];
+  List.iter (fun v -> ignore (Vsim.Heap.push h 1. v)) [ "x"; "y"; "z" ];
   let pop () = match Vsim.Heap.pop h with Some (_, v) -> v | None -> "!" in
   let first = pop () in
   let second = pop () in
@@ -36,7 +36,7 @@ let heap_pops_sorted =
     QCheck.(list (float_bound_inclusive 1000.))
     (fun prios ->
       let h = Vsim.Heap.create () in
-      List.iter (fun p -> Vsim.Heap.push h p p) prios;
+      List.iter (fun p -> ignore (Vsim.Heap.push h p p)) prios;
       let rec drain acc =
         match Vsim.Heap.pop h with
         | None -> List.rev acc
@@ -47,8 +47,8 @@ let heap_pops_sorted =
 let test_heap_tied_count () =
   let h = Vsim.Heap.create () in
   check_int "empty heap has no ties" 0 (Vsim.Heap.tied_count h);
-  List.iter (fun v -> Vsim.Heap.push h 1. v) [ "x"; "y" ];
-  Vsim.Heap.push h 2. "later";
+  List.iter (fun v -> ignore (Vsim.Heap.push h 1. v)) [ "x"; "y" ];
+  ignore (Vsim.Heap.push h 2. "later");
   check_int "two events tied at the top" 2 (Vsim.Heap.tied_count h);
   ignore (Vsim.Heap.pop h);
   ignore (Vsim.Heap.pop h);
@@ -56,8 +56,8 @@ let test_heap_tied_count () =
 
 let test_heap_pop_tied () =
   let h = Vsim.Heap.create () in
-  List.iter (fun v -> Vsim.Heap.push h 1. v) [ "x"; "y"; "z" ];
-  Vsim.Heap.push h 2. "later";
+  List.iter (fun v -> ignore (Vsim.Heap.push h 1. v)) [ "x"; "y"; "z" ];
+  ignore (Vsim.Heap.push h 2. "later");
   (* k indexes the tied events in insertion order *)
   Alcotest.(check string) "picks the k-th tie" "y" (Vsim.Heap.pop_tied h 1);
   Alcotest.(check string)
@@ -80,7 +80,7 @@ let heap_pop_tied_is_permutation =
     QCheck.(pair (list_of_size Gen.(1 -- 8) (int_bound 3)) (int_bound 7))
     (fun (prios, k) ->
       let h = Vsim.Heap.create () in
-      List.iteri (fun i p -> Vsim.Heap.push h (float_of_int p) i) prios;
+      List.iteri (fun i p -> ignore (Vsim.Heap.push h (float_of_int p) i)) prios;
       let rec drain acc =
         if Vsim.Heap.is_empty h then List.rev acc
         else begin
@@ -98,6 +98,60 @@ let heap_pop_tied_is_permutation =
                 (fun (ok, prev) (p, _) -> (ok && p >= prev, p))
                 (true, neg_infinity) out))
 
+(* Random push / remove / pop sequences against a model: the live
+   entries as a list of (priority, push number). Removes name any entry
+   ever pushed, so some hit entries that were already popped or
+   removed; those must change nothing. After every operation the heap
+   is well formed (every entry's slot indexes itself) and holds exactly
+   the model's entries. *)
+let heap_matches_model =
+  QCheck.Test.make ~name:"indexed heap against a sorted model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 80) (triple (int_bound 2) (int_bound 4) small_nat))
+    (fun ops ->
+      let h = Vsim.Heap.create () in
+      let pushed = ref [||] in
+      let live = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let min_of l =
+        List.fold_left
+          (fun m x -> match m with Some y when compare y x <= 0 -> m | _ -> Some x)
+          None l
+      in
+      List.iter
+        (fun (op, prio, k) ->
+          (match op with
+          | 0 ->
+            let n = Array.length !pushed in
+            let e = Vsim.Heap.push h (float_of_int prio) n in
+            pushed := Array.append !pushed [| e |];
+            live := (prio, n) :: !live
+          | 1 when Array.length !pushed > 0 ->
+            let n = k mod Array.length !pushed in
+            let e = !pushed.(n) in
+            let was_live = List.exists (fun (_, m) -> m = n) !live in
+            expect (Vsim.Heap.mem h e = was_live);
+            let before = Vsim.Heap.length h in
+            Vsim.Heap.remove h e;
+            expect (Vsim.Heap.length h = before - if was_live then 1 else 0);
+            live := List.filter (fun (_, m) -> m <> n) !live
+          | _ -> (
+            match (Vsim.Heap.pop h, min_of !live) with
+            | None, None -> ()
+            | Some (p, v), Some (mp, mn) ->
+              expect (p = float_of_int mp && v = mn);
+              live := List.filter (fun (_, m) -> m <> mn) !live
+            | Some _, None | None, Some _ -> expect false));
+          expect (Vsim.Heap.well_formed h);
+          expect (Vsim.Heap.length h = List.length !live);
+          Array.iteri
+            (fun n e ->
+              expect
+                (Vsim.Heap.mem h e = List.exists (fun (_, m) -> m = n) !live))
+            !pushed)
+        ops;
+      !ok)
+
 (* -- engine ----------------------------------------------------------------- *)
 
 let test_engine_ordering () =
@@ -113,7 +167,7 @@ let test_engine_cancel () =
   let e = Vsim.Engine.create () in
   let fired = ref false in
   let h = Vsim.Engine.schedule e ~at:1. (fun () -> fired := true) in
-  Vsim.Engine.cancel h;
+  Vsim.Engine.cancel e h;
   Vsim.Engine.run e;
   check_bool "not fired" false !fired
 
@@ -1157,16 +1211,18 @@ let test_engine_cancelled_not_pending () =
      heap drained, making "queue empty" checks unreliable *)
   let e = Vsim.Engine.create () in
   let h = Vsim.Engine.schedule e ~at:1. (fun () -> ()) in
-  ignore (Vsim.Engine.schedule e ~at:2. (fun () -> ()));
+  let live = Vsim.Engine.schedule e ~at:2. (fun () -> ()) in
   check_int "two queued" 2 (Vsim.Engine.pending e);
-  Vsim.Engine.cancel h;
+  Vsim.Engine.cancel e h;
   check_int "one live event" 1 (Vsim.Engine.pending e);
   check_int "one cancelled" 1 (Vsim.Engine.cancelled e);
-  Vsim.Engine.cancel h;
+  Vsim.Engine.cancel e h;
   check_int "cancel idempotent" 1 (Vsim.Engine.cancelled e);
   Vsim.Engine.run e;
   check_int "drained" 0 (Vsim.Engine.pending e);
-  check_int "cancelled drained too" 0 (Vsim.Engine.cancelled e);
+  check_int "cancel count kept after the run" 1 (Vsim.Engine.cancelled e);
+  Vsim.Engine.cancel e live;
+  check_int "cancelling a run event counts nothing" 1 (Vsim.Engine.cancelled e);
   check_int "only the live event ran" 1 (Vsim.Engine.executed e)
 
 let test_executor_retry_masks_fault () =
@@ -2116,7 +2172,8 @@ let () =
           Alcotest.test_case "tied count" `Quick test_heap_tied_count;
           Alcotest.test_case "pop tied" `Quick test_heap_pop_tied;
         ]
-        @ qsuite [ heap_pops_sorted; heap_pop_tied_is_permutation ] );
+        @ qsuite
+            [ heap_pops_sorted; heap_pop_tied_is_permutation; heap_matches_model ] );
       ( "engine",
         [
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
