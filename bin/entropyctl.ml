@@ -191,7 +191,7 @@ let actions current_path target_path =
     Rgraph.normalize_sleeping ~current:cur.Spec.config tgt.Spec.config
   in
   match
-    Planner.build_plan ~vjobs:cur.Spec.vjobs ~current:cur.Spec.config ~target
+    Planner.build ~vjobs:cur.Spec.vjobs ~current:cur.Spec.config ~target
       ~demand:cur.Spec.demand ()
   with
   | plan ->
@@ -240,7 +240,7 @@ let lint path =
     Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
   in
   let plan_findings =
-    match Planner.build_plan ~vjobs ~current:config ~target ~demand () with
+    match Planner.build ~vjobs ~current:config ~target ~demand () with
     | plan ->
       let findings =
         Entropy_analysis.Verifier.verify ~vjobs ~current:config ~target
@@ -501,7 +501,7 @@ let derived_switch ~source ~demand ~vjobs ~rules =
   let target =
     Rgraph.normalize_sleeping ~current:source outcome.Rjsp.ffd_config
   in
-  match Planner.build_plan ~vjobs ~current:source ~target ~demand () with
+  match Planner.build ~vjobs ~current:source ~target ~demand () with
   | plan -> (target, plan)
   | exception Planner.Stuck reason ->
     Printf.eprintf "check: planner stuck (%s), nothing to check\n" reason;

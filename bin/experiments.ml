@@ -71,7 +71,7 @@ let fig10_sample ~timeout instance =
   let target =
     Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
   in
-  match Planner.build_plan ~vjobs ~current:config ~target ~demand () with
+  match Planner.build ~vjobs ~current:config ~target ~demand () with
   | exception Planner.Stuck _ -> None
   | ffd_plan ->
     let ffd_cost = Plan.cost config ffd_plan in

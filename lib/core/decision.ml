@@ -151,7 +151,7 @@ let ffd_only () =
   consolidation_with ~name:"first-fit-only"
     (fun ~current ~demand ~vjobs ~placed:_ ~target_base ->
       let plan =
-        Planner.build_plan ~vjobs ~current ~target:target_base ~demand ()
+        Planner.build ~vjobs ~current ~target:target_base ~demand ()
       in
       {
         Optimizer.target = target_base;

@@ -92,7 +92,7 @@ let residual_capacities target_base demand ~placed =
 
 let plan_for ?vjobs ~current ~demand target =
   Obs.span ~cat:"optimizer" ~name:"optimizer.plan" (fun () ->
-      let plan = Planner.build_plan ?vjobs ~current ~target ~demand () in
+      let plan = Planner.build ?vjobs ~current ~target ~demand () in
       (plan, Plan.cost current plan))
 
 (* Flush the per-store CP observability counters into the global metrics

@@ -12,7 +12,12 @@
    3. the reconfiguration graph is re-derived from the resulting
       intermediate configuration, which folds the bypassed VM's pending
       move (pivot -> final destination) back into the graph;
-   4. repeat until the intermediate configuration equals the target. *)
+   4. repeat until the intermediate configuration equals the target.
+
+   Given the vjobs, the planner also keeps section 4.1's consistency
+   rule as it selects pools: a vjob's resumes enter one pool together,
+   a disk-route cycle break suspends the vjob's other blocked VMs in the
+   same pool, and each pool is ordered by VM name. *)
 
 module Obs = Entropy_obs.Obs
 module Trace = Entropy_obs.Trace
@@ -27,26 +32,119 @@ exception Stuck of string
 
 let stuck fmt = Fmt.kstr (fun s -> raise (Stuck s)) fmt
 
+(* -- vjob groups -------------------------------------------------------- *)
+
+(* Section 4.1's consistency rule: a vjob's suspends, and likewise its
+   resumes, run close together. [Grouped of_vm] maps each VM the switch
+   moves to the index of its vjob; {!build} tables it once per plan.
+   Only VMs whose state differs between [current] and [target] ever get
+   an action, so the table holds those alone, not every VM. *)
+type groups = Ungrouped | Grouped of (Vm.id, int) Hashtbl.t
+
+let groups ~current ~target vjobs =
+  let of_vm = Hashtbl.create 16 in
+  List.iteri
+    (fun j vjob ->
+      List.iter
+        (fun vm ->
+          if
+            not
+              (Configuration.equal_vm_state
+                 (Configuration.state current vm)
+                 (Configuration.state target vm))
+          then Hashtbl.replace of_vm vm j)
+        (Vjob.vms vjob))
+    vjobs;
+  Grouped of_vm
+
+let vjob_of of_vm a =
+  Option.value (Hashtbl.find_opt of_vm (Action.vm a)) ~default:(-1)
+
+let is_resume = function
+  | Action.Resume _ | Action.Resume_ram _ -> true
+  | Action.Run _ | Action.Stop _ | Action.Migrate _ | Action.Suspend _
+  | Action.Suspend_ram _ -> false
+
+(* A vjob's resumes in one pool selection: [busy] when the vjob has
+   another pending action; [entered] once decided. *)
+type resume_unit = {
+  mutable busy : bool;
+  mutable members : Action.t list;
+  mutable entered : bool option;
+}
+
 (* Select a maximal set of actions simultaneously feasible from
    [config]: claims are accounted against a copy of the pool-start free
    resources [view], so resources freed by actions of this same pool
-   are not reused. *)
-let select_pool (view : Configuration.free) config demand actions =
+   are not reused. Grouped, a vjob's resumes form one unit, decided at
+   its first member: it enters when the vjob has no other pending action
+   and every member fits. Resumes only claim, so holding one back never
+   blocks another action, and once only resumes remain the target's
+   viability makes every unit fit. *)
+let select_pool groups (view : Configuration.free) config demand actions =
   let free =
     { Configuration.cpu = Array.copy view.cpu; mem = Array.copy view.mem }
   in
-  List.partition
-    (fun a ->
-      match Action.claim config demand a with
-      | None -> true (* suspend/stop: always feasible *)
-      | Some (dst, cpu, mem) ->
-        let ok = free.cpu.(dst) >= cpu && free.mem.(dst) >= mem in
-        if ok then begin
-          free.cpu.(dst) <- free.cpu.(dst) - cpu;
-          free.mem.(dst) <- free.mem.(dst) - mem
-        end;
-        ok)
-    actions
+  let charge sign a =
+    match Action.claim config demand a with
+    | None -> ()
+    | Some (dst, cpu, mem) ->
+      free.cpu.(dst) <- free.cpu.(dst) - (sign * cpu);
+      free.mem.(dst) <- free.mem.(dst) - (sign * mem)
+  in
+  let take a =
+    match Action.claim config demand a with
+    | None -> true (* suspend/stop: always feasible *)
+    | Some (dst, cpu, mem) ->
+      let ok = free.cpu.(dst) >= cpu && free.mem.(dst) >= mem in
+      if ok then charge 1 a;
+      ok
+  in
+  let grouped_resume of_vm a = is_resume a && vjob_of of_vm a >= 0 in
+  match groups with
+  | Grouped of_vm when List.exists (grouped_resume of_vm) actions ->
+    (* each vjob's resumes, and whether it has another pending action *)
+    let units = Hashtbl.create 8 in
+    List.iter
+      (fun a ->
+        let j = vjob_of of_vm a in
+        if j >= 0 then begin
+          let u =
+            match Hashtbl.find_opt units j with
+            | Some u -> u
+            | None ->
+              let u = { busy = false; members = []; entered = None } in
+              Hashtbl.add units j u;
+              u
+          in
+          if is_resume a then u.members <- a :: u.members else u.busy <- true
+        end)
+      actions;
+    let enter u =
+      let rec all taken = function
+        | [] -> true
+        | a :: rest ->
+          if take a then all (a :: taken) rest
+          else begin
+            List.iter (charge (-1)) taken;
+            false
+          end
+      in
+      (not u.busy) && all [] (List.rev u.members)
+    in
+    List.partition
+      (fun a ->
+        if not (grouped_resume of_vm a) then take a
+        else
+          let u = Hashtbl.find units (vjob_of of_vm a) in
+          match u.entered with
+          | Some entered -> entered
+          | None ->
+            let entered = enter u in
+            u.entered <- Some entered;
+            entered)
+      actions
+  | Grouped _ | Ungrouped -> List.partition take actions
 
 (* -- cycle detection ------------------------------------------------------ *)
 
@@ -116,6 +214,46 @@ let bypass_migration (free : Configuration.free) config demand cycle =
   | [] -> None
   | (action, _) :: _ -> Some action
 
+(* A disk-route cycle break suspends [vm] on [src]. Grouped, it also
+   suspends every other VM of [vm]'s vjob whose pending migration is
+   infeasible at pool start, so that the vjob's suspends share this one
+   pool; the verifier accepts each of them as a cycle break. *)
+let disk_break groups (free : Configuration.free) config demand remaining vm
+    src =
+  let break = Action.Suspend { vm; host = src } in
+  match groups with
+  | Ungrouped -> [ break ]
+  | Grouped of_vm ->
+    let j = vjob_of of_vm break in
+    if j < 0 then [ break ]
+    else
+      break
+      :: List.filter_map
+           (function
+             | Action.Migrate { vm = v; src = host; _ } as m
+               when v <> vm && vjob_of of_vm m = j -> (
+               match Action.claim config demand m with
+               | Some (dst, cpu, mem)
+                 when free.cpu.(dst) < cpu || free.mem.(dst) < mem ->
+                 Some (Action.Suspend { vm = v; host })
+               | Some _ | None -> None)
+             | _ -> None)
+           remaining
+
+(* Grouped pools run in VM-name order, which the executor pipelines. *)
+let in_pool_order groups config pool =
+  match groups with
+  | Ungrouped -> pool
+  | Grouped _ ->
+    let by_vm_name a b =
+      let va = Configuration.vm config (Action.vm a) in
+      let vb = Configuration.vm config (Action.vm b) in
+      match String.compare (Vm.name va) (Vm.name vb) with
+      | 0 -> Int.compare (Vm.id va) (Vm.id vb)
+      | c -> c
+    in
+    List.sort by_vm_name pool
+
 (* -- main loop ------------------------------------------------------------ *)
 
 let max_iterations = 10_000
@@ -124,12 +262,12 @@ let max_iterations = 10_000
    nothing left to do. [free] is [config]'s free view on entry and the
    next configuration's on return: it is shifted by the VMs the pool
    moved, not rebuilt from every VM. *)
-let next_pool free ~target ~demand config =
+let next_pool groups free ~target ~demand config =
   let remaining = Rgraph.actions ~current:config ~target in
   if remaining = [] then None
   else
     let pool =
-      match select_pool free config demand remaining with
+      match select_pool groups free config demand remaining with
       | (_ :: _ as selected), _postponed ->
         if !Obs.enabled then begin
           Metrics.incr (Lazy.force m_pools);
@@ -183,6 +321,7 @@ let next_pool free ~target ~demand config =
               Log.debug (fun m ->
                   m "planner: migration cycle with no pivot, breaking \
                      through the disk (suspend VM %d on node %d)" vm src);
+              let pool = disk_break groups free config demand remaining vm src in
               if !Obs.enabled then begin
                 Obs.instant ~cat:"planner"
                   ~args:
@@ -193,28 +332,27 @@ let next_pool free ~target ~demand config =
                   "planner.cycle_break";
                 Metrics.incr (Lazy.force m_cycle_breaks);
                 Metrics.incr (Lazy.force m_pools);
-                Metrics.incr (Lazy.force m_actions)
+                Metrics.add (Lazy.force m_actions) (List.length pool)
               end;
-              [ Action.Suspend { vm; host = src } ])))
+              pool)))
     in
     let config' = Action.apply_all config pool in
     Configuration.shift_free free demand config config';
-    Some (pool, config')
+    Some (in_pool_order groups config pool, config')
 
-let build ~current ~target ~demand () =
+let build ?vjobs ~current ~target ~demand () =
   Obs.span ~cat:"planner" ~name:"planner.build" @@ fun () ->
   let target = Rgraph.normalize_sleeping ~current target in
+  let groups =
+    match vjobs with
+    | None -> Ungrouped
+    | Some vjobs -> groups ~current ~target vjobs
+  in
   let free = Configuration.free_view current demand in
   let rec loop config pools iter =
     if iter > max_iterations then stuck "planner did not converge";
-    match next_pool free ~target ~demand config with
+    match next_pool groups free ~target ~demand config with
     | None -> List.rev pools
     | Some (pool, config') -> loop config' (pool :: pools) (iter + 1)
   in
   Plan.make (loop current [] 0)
-
-let build_plan ?vjobs ~current ~target ~demand () =
-  let pools = build ~current ~target ~demand () in
-  match vjobs with
-  | None -> pools
-  | Some vjobs -> Consistency.enforce ~config:current ~demand ~vjobs pools

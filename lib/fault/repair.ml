@@ -31,7 +31,7 @@ let salvage ?vjobs ~current ~target ~demand ~failed_vms () =
   let target = Rgraph.normalize_sleeping ~current target in
   let frozen vm = List.mem vm failed_vms in
   let target = Rgraph.salvage_target ~current ~target ~frozen in
-  match Planner.build_plan ?vjobs ~current ~target ~demand () with
+  match Planner.build ?vjobs ~current ~target ~demand () with
   | plan when Plan.is_empty plan -> None
   | plan ->
     if !Obs.enabled then Metrics.incr (Lazy.force m_salvages);
@@ -46,7 +46,7 @@ let salvage ?vjobs ~current ~target ~demand ~failed_vms () =
 let ffd_replan ?heuristic ?rules ?vjobs ~config ~demand ~queue () =
   let outcome = Rjsp.solve ?heuristic ?rules ~config ~demand ~queue () in
   let target = Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config in
-  match Planner.build_plan ?vjobs ~current:config ~target ~demand () with
+  match Planner.build ?vjobs ~current:config ~target ~demand () with
   | plan when Plan.is_empty plan -> None
   | plan ->
     if !Obs.enabled then Metrics.incr (Lazy.force m_replans);

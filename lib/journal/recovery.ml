@@ -298,7 +298,7 @@ let reconcile ?vjobs ~state ~observed () =
   let plan =
     if Repair.residue_ok residue then
       match
-        Planner.build_plan ?vjobs ~current:observed ~target
+        Planner.build ?vjobs ~current:observed ~target
           ~demand:state.demand ()
       with
       | plan -> Some plan

@@ -59,7 +59,7 @@ let solve ?(deadline = 1.0) ?(engine = `Portfolio) ?vjobs ?(rules = [])
   let t_start = now () in
   let t_end = t_start +. deadline in
   let fallback_plan =
-    Planner.build_plan ?vjobs ~current ~target:fallback ~demand ()
+    Planner.build ?vjobs ~current ~target:fallback ~demand ()
   in
   let ffd_cost = Plan.cost current fallback_plan in
   let incumbent =
@@ -103,7 +103,7 @@ let solve ?(deadline = 1.0) ?(engine = `Portfolio) ?vjobs ?(rules = [])
      offer it to [record] *)
   let materialise name m hosts =
     let target = Optimizer.placement_target m ~target_base hosts in
-    match Planner.build_plan ?vjobs ~current ~target ~demand () with
+    match Planner.build ?vjobs ~current ~target ~demand () with
     | plan ->
       let cost = Plan.cost current plan in
       if name = "lns" then

@@ -57,7 +57,7 @@ let pp_findings fs = Fmt.str "%a" Verifier.pp_report fs
 
 let verify_planner_plan ?(vjobs = []) ~current ~demand target =
   let target = Rgraph.normalize_sleeping ~current target in
-  let plan = Planner.build_plan ~vjobs ~current ~target ~demand () in
+  let plan = Planner.build ~vjobs ~current ~target ~demand () in
   (plan, Verifier.verify ~vjobs ~current ~target ~demand plan)
 
 let test_verifier_fig7_clean () =
@@ -250,7 +250,7 @@ let test_verifier_fig10_probe () =
       Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
     in
     let ffd_plan =
-      Planner.build_plan ~vjobs ~current:config ~target ~demand ()
+      Planner.build ~vjobs ~current:config ~target ~demand ()
     in
     let findings =
       Verifier.verify ~vjobs ~current:config ~target ~demand ffd_plan

@@ -3,6 +3,7 @@
    vjob consistency, FFD, RJSP and the CP optimiser. *)
 
 open Entropy_core
+module Verifier = Entropy_analysis.Verifier
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -546,17 +547,25 @@ let test_consistency_groups_resumes () =
       |]
   in
   let vjob = Vjob.make ~id:0 ~name:"j" ~vms:[ 1; 2 ] () in
+  let splits plan =
+    List.filter_map
+      (function
+        | Verifier.Vjob_split { kind; _ } -> Some kind
+        | _ -> None)
+      (Verifier.verify ~vjobs:[ vjob ] ~current:config ~target ~demand plan)
+  in
   let raw = Planner.build ~current:config ~target ~demand () in
   (* without grouping, VM2's resume is feasible in pool 0 while VM1's
      waits for the suspend: 2 pools with split resumes *)
-  check_bool "raw plan splits the resumes" false
-    (Consistency.grouped_in_same_pool raw vjob `Resume);
+  check_bool "raw plan splits the resumes" true (splits raw = [ `Resume ]);
   let plan =
-    Planner.build_plan ~vjobs:[ vjob ] ~current:config ~target ~demand ()
+    Planner.build ~vjobs:[ vjob ] ~current:config ~target ~demand ()
   in
-  check_bool "grouped" true (Consistency.grouped_in_same_pool plan vjob `Resume);
+  check_bool "grouped" true (splits plan = []);
   check_bool "still valid" true
-    (Plan.is_valid ~current:config ~target ~demand plan)
+    (Plan.is_valid ~current:config ~target ~demand plan);
+  check_bool "verifier clean" true
+    (Verifier.is_clean ~vjobs:[ vjob ] ~current:config ~target ~demand plan)
 
 let test_consistency_sorts_pools_by_vm_name () =
   let nodes = mk_nodes ~cpu:200 ~mem:4096 2 in
@@ -576,7 +585,7 @@ let test_consistency_sorts_pools_by_vm_name () =
   in
   let vjob = Vjob.make ~id:0 ~name:"j" ~vms:[ 0; 1; 2 ] () in
   let plan =
-    Planner.build_plan ~vjobs:[ vjob ] ~current:config ~target ~demand ()
+    Planner.build ~vjobs:[ vjob ] ~current:config ~target ~demand ()
   in
   match Plan.pools plan with
   | [ pool ] ->

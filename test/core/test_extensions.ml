@@ -633,7 +633,7 @@ let test_continuous_groups_vjob_resumes () =
   in
   let vjob = Vjob.make ~id:0 ~name:"j" ~vms:[ 1; 2 ] () in
   let plan =
-    Planner.build_plan ~vjobs:[ vjob ] ~current:config ~target ~demand ()
+    Planner.build ~vjobs:[ vjob ] ~current:config ~target ~demand ()
   in
   let continuous =
     Continuous.schedule ~vjobs:[ vjob ] ~current:config ~demand ~plan ()
@@ -708,7 +708,7 @@ let prop_ram_plans_valid =
       let target =
         Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
       in
-      match Planner.build_plan ~vjobs ~current:config ~target ~demand () with
+      match Planner.build ~vjobs ~current:config ~target ~demand () with
       | exception Planner.Stuck _ -> QCheck.assume_fail ()
       | plan ->
         Plan.is_valid ~current:config ~target ~demand plan
@@ -730,7 +730,7 @@ let prop_schedule_invariants =
       let target =
         Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
       in
-      match Planner.build_plan ~vjobs ~current:config ~target ~demand () with
+      match Planner.build ~vjobs ~current:config ~target ~demand () with
       | exception Planner.Stuck _ -> QCheck.assume_fail ()
       | plan ->
         let sched = Schedule.of_plan config plan in
@@ -792,7 +792,7 @@ let prop_continuous_never_slower_than_pools =
       let target =
         Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
       in
-      match Planner.build_plan ~vjobs ~current:config ~target ~demand () with
+      match Planner.build ~vjobs ~current:config ~target ~demand () with
       | exception Planner.Stuck _ -> QCheck.assume_fail ()
       | plan -> (
         let pooled = Schedule.of_plan config plan in

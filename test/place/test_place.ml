@@ -1,9 +1,9 @@
 (* Tests for lib/place: CP-repaired LNS (deterministic repairs that
    never raise the objective and stay verifier-clean, placement rules
    honoured), portfolio deadline and verifier-viability of every
-   returned plan — plus the CP warm-start regression and the
-   Consistency cycle-break re-validation the seed-4 model-checker
-   finding motivated. *)
+   returned plan — plus the CP warm-start regression and the seed-4
+   model-checker instance, whose vjob grouping once left a redundant
+   disk-route cycle break. *)
 
 open Entropy_core
 module Generator = Vworkload.Generator
@@ -74,7 +74,7 @@ let plan_of (config, demand, vjobs, outcome) m hosts =
   let target =
     Optimizer.placement_target m ~target_base:outcome.Rjsp.ffd_config hosts
   in
-  (target, Planner.build_plan ~vjobs ~current:config ~target ~demand ())
+  (target, Planner.build ~vjobs ~current:config ~target ~demand ())
 
 (* -- LNS ------------------------------------------------------------------ *)
 
@@ -246,29 +246,22 @@ let test_warm_start_fewer_nodes () =
     true
     (nodes_of warm < nodes_of cold)
 
-(* -- consistency cycle-break re-validation (ROADMAP open item 4) ---------- *)
+(* -- seed-4 cycle break ---------------------------------------------------- *)
 
-(* The seed-4 8-VM/3-node instance: vjob regrouping used to leave a
-   disk-route suspend whose direct migration had become feasible at its
-   pool — flagged by the verifier as an off-graph action. The enforce
-   pass now drops the detour; the derived plan must be verifier-clean. *)
+(* The seed-4 8-VM/3-node instance: a post-pass that regrouped the
+   vjobs' actions after planning once left a disk-route suspend whose
+   direct migration had become feasible at its pool, an off-graph
+   action to the verifier. The planner now groups as it selects pools,
+   so the derived plan must be verifier-clean with its vjobs, grouping
+   (no [Vjob_split]) included. *)
 let test_seed4_cycle_break_revalidated () =
   let config, demand, vjobs, outcome = instance ~nodes:3 ~vms:8 ~seed:4 in
   let target =
     Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
   in
-  let plan = Planner.build_plan ~vjobs ~current:config ~target ~demand () in
+  let plan = Planner.build ~vjobs ~current:config ~target ~demand () in
   check_bool "seed-4 derived plan verifier-clean" true
     (Verifier.is_clean ~vjobs ~current:config ~target ~demand plan);
-  (* grouping survives the re-validation *)
-  List.iter
-    (fun vj ->
-      check_bool "suspends grouped" true
-        (Consistency.grouped_in_same_pool plan vj `Suspend);
-      check_bool "resumes grouped" true
-        (Consistency.grouped_in_same_pool plan vj `Resume))
-    vjobs;
-  (* and the plan still validates end to end *)
   check_bool "plan valid" true
     (Plan.is_valid ~current:config ~target ~demand plan)
 
