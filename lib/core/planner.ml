@@ -100,9 +100,9 @@ let select_pool groups (view : Configuration.free) config demand actions =
       if ok then charge 1 a;
       ok
   in
-  let grouped_resume of_vm a = is_resume a && vjob_of of_vm a >= 0 in
   match groups with
-  | Grouped of_vm when List.exists (grouped_resume of_vm) actions ->
+  | Ungrouped -> List.partition take actions
+  | Grouped of_vm ->
     (* each vjob's resumes, and whether it has another pending action *)
     let units = Hashtbl.create 8 in
     List.iter
@@ -134,9 +134,10 @@ let select_pool groups (view : Configuration.free) config demand actions =
     in
     List.partition
       (fun a ->
-        if not (grouped_resume of_vm a) then take a
+        let j = vjob_of of_vm a in
+        if j < 0 || not (is_resume a) then take a
         else
-          let u = Hashtbl.find units (vjob_of of_vm a) in
+          let u = Hashtbl.find units j in
           match u.entered with
           | Some entered -> entered
           | None ->
@@ -144,7 +145,6 @@ let select_pool groups (view : Configuration.free) config demand actions =
             u.entered <- Some entered;
             entered)
       actions
-  | Grouped _ | Ungrouped -> List.partition take actions
 
 (* -- cycle detection ------------------------------------------------------ *)
 
@@ -215,11 +215,11 @@ let bypass_migration (free : Configuration.free) config demand cycle =
   | (action, _) :: _ -> Some action
 
 (* A disk-route cycle break suspends [vm] on [src]. Grouped, it also
-   suspends every other VM of [vm]'s vjob whose pending migration is
-   infeasible at pool start, so that the vjob's suspends share this one
-   pool; the verifier accepts each of them as a cycle break. *)
-let disk_break groups (free : Configuration.free) config demand remaining vm
-    src =
+   suspends every other VM of [vm]'s vjob that has a pending migration,
+   so that the vjob's suspends share this one pool. Each is a sound
+   cycle break: the pool is empty, so no remaining migration was
+   feasible at pool start, and the verifier accepts it as such. *)
+let disk_break groups remaining vm src =
   let break = Action.Suspend { vm; host = src } in
   match groups with
   | Ungrouped -> [ break ]
@@ -231,12 +231,8 @@ let disk_break groups (free : Configuration.free) config demand remaining vm
       :: List.filter_map
            (function
              | Action.Migrate { vm = v; src = host; _ } as m
-               when v <> vm && vjob_of of_vm m = j -> (
-               match Action.claim config demand m with
-               | Some (dst, cpu, mem)
-                 when free.cpu.(dst) < cpu || free.mem.(dst) < mem ->
-                 Some (Action.Suspend { vm = v; host })
-               | Some _ | None -> None)
+               when v <> vm && vjob_of of_vm m = j ->
+               Some (Action.Suspend { vm = v; host })
              | _ -> None)
            remaining
 
@@ -321,7 +317,7 @@ let next_pool groups free ~target ~demand config =
               Log.debug (fun m ->
                   m "planner: migration cycle with no pivot, breaking \
                      through the disk (suspend VM %d on node %d)" vm src);
-              let pool = disk_break groups free config demand remaining vm src in
+              let pool = disk_break groups remaining vm src in
               if !Obs.enabled then begin
                 Obs.instant ~cat:"planner"
                   ~args:

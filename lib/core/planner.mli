@@ -29,7 +29,8 @@ val next_pool :
     [config]'s free view on entry; it becomes the next configuration's,
     shifted by {!Configuration.shift_free}. When no pivot node can take
     a cycle VM, the pool suspends it and every other VM of its vjob
-    whose pending migration is infeasible. {!build} is this step from
+    with a pending migration (none of which is feasible, since no
+    action is). {!build} is this step from
     [current] until it returns [None]. Raises like {!build}. *)
 
 val build :

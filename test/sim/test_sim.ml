@@ -2130,9 +2130,15 @@ let ngb_verified base =
 
 (* A finished vjob's sleeping VMs are left for a later switch to
    terminate (ROADMAP item 1, defect 2): the only findings the nightly
-   sweep reports without failing. *)
+   sweep reports without failing. Any other wrong final state fails. *)
 let bookkeeping = function
-  | Verifier.Wrong_final_state _ -> true
+  | Verifier.Wrong_final_state
+      {
+        expected = Configuration.Terminated;
+        got = Configuration.(Sleeping _ | Sleeping_ram _);
+        _;
+      } ->
+    true
   | _ -> false
 
 (* Bases 176 and 2080 need cycle breaks in vjobs that must stay
