@@ -758,13 +758,20 @@ let chaos vms nodes seed fail_rate crashes timeout_factor retries cp_timeout
 
 (* -- resume -------------------------------------------------------------------- *)
 
-(* Records and torn-tail count of a journal file; an unreadable file (or
-   a pre-binary JSON-lines journal) exits 2. *)
-let load_journal_or_exit path =
-  try Entropy_journal.Journal.load path
+(* [f path], where a journal that cannot be read (missing, unreadable,
+   or in another format) exits 2. *)
+let journal_or_exit f path =
+  try f path
   with Sys_error e ->
     Printf.eprintf "%s\n" e;
     exit 2
+
+(* Records and torn-tail count of a journal file. *)
+let load_journal_or_exit = journal_or_exit Entropy_journal.Journal.load
+
+(* A journal continued after a crash, with its records and torn-tail
+   count, from one decode of the file. *)
+let reopen_journal_or_exit = journal_or_exit Entropy_journal.Journal.reopen
 
 (* Pick up a crashed chaos run from its write-ahead journal: regenerate
    the same instance from (vms, nodes, seed), replay the journal,
@@ -781,7 +788,7 @@ let resume vms nodes seed fail_rate timeout_factor retries cp_timeout
   obs_setup trace metrics;
   let config, vjobs, programs = chaos_instance ~vms ~nodes ~seed in
   let vm_count = Configuration.vm_count config in
-  let records, dropped_lines = load_journal_or_exit journal_path in
+  let journal, (records, dropped_lines) = reopen_journal_or_exit journal_path in
   Printf.printf "resume: %d journal records from %s%s\n" (List.length records)
     journal_path
     (if dropped_lines = 0 then ""
@@ -807,7 +814,6 @@ let resume vms nodes seed fail_rate timeout_factor retries cp_timeout
     Entropy_fault.Supervisor.make_policy ~timeout_factor ~max_retries:retries
       ()
   in
-  let journal = Entropy_journal.Journal.open_file journal_path in
   let info, result =
     match
       Vsim.Runner.resume ~cp_timeout ~max_time ~injector ~policy ~journal
@@ -1065,11 +1071,10 @@ let daemon_resume subs nodes seed cap batch arrivals burst debounce fail_rate
     daemon_config subs nodes seed cap batch arrivals burst debounce fail_rate
       crashes deterministic None max_time
   in
-  let records, dropped = load_journal_or_exit journal_path in
+  let journal, (records, dropped) = reopen_journal_or_exit journal_path in
   Printf.printf "daemon resume: %d journal records from %s%s\n"
     (List.length records) journal_path
     (if dropped > 0 then Printf.sprintf " (%d torn dropped)" dropped else "");
-  let journal = Entropy_journal.Journal.open_file journal_path in
   let report = Daemon.resume ~journal ~records c in
   Entropy_journal.Journal.close journal;
   daemon_report_out report json trace metrics

@@ -219,10 +219,14 @@ let of_string text =
     Array.of_list (List.map (fun (_, _, _, _, _, p) -> p) vms_decl)
   in
   let config = ref (Configuration.make ~nodes ~vms) in
-  let demand = Demand.make ~vm_count:(Array.length vms) ~default:0 in
+  let demand =
+    let decl = Array.of_list vms_decl in
+    Demand.of_fn ~vm_count:(Array.length vms) (fun i ->
+        let _, _, _, d, _, _ = decl.(i) in
+        d)
+  in
   List.iteri
-    (fun i (lineno, _, _, d, state, _) ->
-      Demand.set demand i d;
+    (fun i (lineno, _, _, _, state, _) ->
       let node_id name = index_of lineno "node" node_names name in
       let st =
         match state with

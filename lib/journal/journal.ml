@@ -127,8 +127,21 @@ let read_file path =
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 
-let open_file path =
-  let contents = if Sys.file_exists path then read_file path else "" in
+(* [load]'s diagnostics for a decoded file *)
+let report_loaded path records dropped =
+  if !Obs.enabled && dropped > 0 then
+    Metrics.add (Lazy.force m_dropped) dropped;
+  Log.info (fun m ->
+      m "loaded %d record%s from %s%s" (List.length records)
+        (if List.length records = 1 then "" else "s")
+        path
+        (if dropped = 0 then ""
+         else Fmt.str " (torn tail dropped, >=%d record%s)" dropped
+                (if dropped = 1 then "" else "s")))
+
+(* A file journal continuing [contents], the bytes at [path], with the
+   records and dropped count its one decode found. *)
+let open_contents path contents =
   let codec = Record.codec () in
   let records, dropped, valid = decode_contents codec path contents in
   (* Truncate a torn tail before appending: new records written after
@@ -154,20 +167,33 @@ let open_file path =
       open_out_gen [ Open_append; Open_creat; Open_wronly; Open_binary ] 0o644
         path
   in
-  {
-    backend =
-      File
-        {
-          path;
-          oc;
-          codec;
-          buf = Buffer.create 4096;
-          buffered = 0;
-          closed = false;
-        };
-    length = List.length records;
-    next_switch = List.fold_left advance 0 records;
-  }
+  let t =
+    {
+      backend =
+        File
+          {
+            path;
+            oc;
+            codec;
+            buf = Buffer.create 4096;
+            buffered = 0;
+            closed = false;
+          };
+      length = List.length records;
+      next_switch = List.fold_left advance 0 records;
+    }
+  in
+  (t, records, dropped)
+
+let open_file path =
+  let contents = if Sys.file_exists path then read_file path else "" in
+  let t, _, _ = open_contents path contents in
+  t
+
+let reopen path =
+  let t, records, dropped = open_contents path (read_file path) in
+  report_loaded path records dropped;
+  (t, (records, dropped))
 
 let path t =
   match t.backend with Mem _ -> None | File { path; _ } -> Some path
@@ -218,15 +244,7 @@ let load path =
   let records, dropped, _ =
     decode_contents (Record.codec ()) path (read_file path)
   in
-  if !Obs.enabled && dropped > 0 then
-    Metrics.add (Lazy.force m_dropped) dropped;
-  Log.info (fun m ->
-      m "loaded %d record%s from %s%s" (List.length records)
-        (if List.length records = 1 then "" else "s")
-        path
-        (if dropped = 0 then ""
-         else Fmt.str " (torn tail dropped, >=%d record%s)" dropped
-                (if dropped = 1 then "" else "s")));
+  report_loaded path records dropped;
   (records, dropped)
 
 let records t =

@@ -41,6 +41,14 @@ val open_file : string -> t
     most 64 KiB and 64 records sit in the group-commit buffer between
     commit points. *)
 
+val reopen : string -> t * (Record.t list * int)
+(** Continue an existing file journal, as a restart does: {!open_file}
+    on it, together with what {!load} would answer (the records of its
+    valid prefix and the dropped count, with {!load}'s diagnostics),
+    from one decode of the file. Raises [Sys_error] when the file does
+    not exist or cannot be read, and on a journal in another format,
+    leaving it untouched. *)
+
 val path : t -> string option
 (** The backing path of a file journal; [None] for {!mem}. *)
 

@@ -12,10 +12,12 @@
    nothing decodes it.
 
    A journal is self-contained, a frame is not. A stream codec
-   ([codec]) carries the node and VM tables of the last [Switch_begin]
-   a stream wrote; a later [Switch_begin] refers to them with one byte
-   when they have not changed, and writes its target as the VM states
-   that differ from its source. Recovery still needs no cluster
+   ([codec]) carries the source and the demand of the last
+   [Switch_begin] a stream wrote; a later [Switch_begin] refers to its
+   node and VM tables with one byte when they have not changed, and
+   writes its source and its demand as what differs from the codec's,
+   its target as what differs from its source. A switch record costs
+   what the switch changed. Recovery still needs no cluster
    description, only the stream from its first frame. *)
 
 open Entropy_core
@@ -253,7 +255,7 @@ let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
 (* Frame layout (all multi-byte integers little-endian):
 
      0  2   magic "EJ"
-     2  1   format version (currently 2)
+     2  1   format version (currently 3)
      3  4   payload length (u32)
      7  4   FNV-1a checksum of the payload (u32)
     11  n   payload
@@ -263,22 +265,31 @@ let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)
    times, length-prefixed bytes for names. A frame is rejected — ending
    the journal's durable prefix — when the header is short or
    unrecognized, the payload is short, the checksum mismatches, the
-   payload decoder fails (a table reference with no earlier table in
-   the stream among them), or the payload has trailing bytes.
+   payload decoder fails (a reference to an earlier table or demand
+   with none in the stream, or a diff naming a VM out of range, among
+   them), or the payload has trailing bytes.
 
-   A [Switch_begin] payload, after its switch id and time:
+   A [Switch_begin] payload, after its switch id and time, where a diff
+   is count + (vm, value)* in ascending VM order:
 
      source node table   0 = the codec's, or 1 + count + (name, cpu, mem)*
-     source VM table     0 = the codec's, or 1 + count + (name, mem)*
-     source states       one per VM of the source's VM table
-     target              0 + count + (vm, state)* of the VMs whose state
-                         differs from the source's, when the target's
-                         tables equal the source's; else 1 + the full
-                         node table, VM table and states
-     plan, demand, seed *)
+     source VM table     0 = the codec's, followed by the source states
+                         as a diff against the codec's source; or
+                         1 + count + (name, mem)* + one state per VM
+     target              0 + a state diff against the source, when the
+                         target's tables equal the source's; else 1 +
+                         the full node table, VM table and states
+     plan                count + (count + action* )* (pools)
+     demand              0 + a diff against the codec's demand, when
+                         the VM counts match; else 1 + count + cpu*
+     seed                0, or 1 + the seed
+
+   The codec moves to the frame's source and demand past a whole frame
+   only, on both sides, so each diff rests on what the reader rebuilt
+   from the frames before it. *)
 
 let magic = "EJ"
-let version = 2
+let version = 3
 let header_size = 11
 
 (* Top-level recursions, so a call allocates no closure: the codec
@@ -319,6 +330,14 @@ let rec read_varint_from r shift acc =
   if c land 0x80 = 0 then acc else read_varint_from r (shift + 7) acc
 
 let read_varint r = read_varint_from r 0 0
+
+(* A count of entries that take at least a byte each: one past the
+   payload's end (or negative) is damage, refused before anything is
+   allocated. *)
+let read_count r =
+  let n = read_varint r in
+  if n < 0 || n > r.limit - r.pos then corrupt "binary payload: truncated";
+  n
 
 let read_float r =
   let bits = ref 0L in
@@ -445,7 +464,7 @@ let add_states b c =
   done
 
 let read_nodes r =
-  Array.init (read_varint r) (fun id ->
+  Array.init (read_count r) (fun id ->
       let name = read_string r in
       let cpu = read_varint r in
       let mem = read_varint r in
@@ -458,9 +477,11 @@ let read_nodes r =
       else Node.make ~id ~name ~cpu_capacity:cpu ~memory_mb:mem)
 
 let read_vms r =
-  Array.init (read_varint r) (fun id ->
+  Array.init (read_count r) (fun id ->
       let name = read_string r in
-      Vm.make ~id ~name ~memory_mb:(read_varint r))
+      let mem = read_varint r in
+      if mem <= 0 then corrupt "VM %d with %d MB of memory" id mem;
+      Vm.make ~id ~name ~memory_mb:mem)
 
 (* A full state vector over [base]'s tables, sharing every chunk in
    which [base] already holds the decoded states. *)
@@ -474,13 +495,17 @@ let read_states r base =
 
 (* -- stream codec ---------------------------------------------------------------- *)
 
-(* The last [Switch_begin] source a stream carried, for its node and VM
-   tables. Writer and reader update it only after a whole frame, so the
+(* The source and the demand of the last [Switch_begin] a stream
+   carried. Writer and reader update it only after a whole frame, so the
    reader's codec at the end of a valid prefix is the writer's for the
-   next append. *)
-type codec = { mutable tables : Configuration.t option }
+   next append. Both are immutable, so the codec holds them as they
+   are. *)
+type codec = {
+  mutable source : Configuration.t option;
+  mutable demand : Demand.t option;
+}
 
-let codec () = { tables = None }
+let codec () = { source = None; demand = None }
 
 (* Tables compare by field: [Node.equal] and [Vm.equal] compare ids
    only. The [==] fast path, like the reader's sharing below, rests on
@@ -501,41 +526,59 @@ let same_tables a b =
   same_table same_node (Configuration.nodes a) (Configuration.nodes b)
   && same_table same_vm (Configuration.vms a) (Configuration.vms b)
 
-(* one table: 0 for "the codec's", else 1 and the table in full *)
-let add_table b same add ~known table =
-  match known with
-  | Some k when same_table same k table -> Buffer.add_char b '\000'
-  | _ ->
-    Buffer.add_char b '\001';
-    add b table
+(* A diff: the count, then (index, value) for each entry of [x] that
+   differs from [base]'s, in ascending index. [iter_changed] skips the
+   chunks [x] shares with [base], so a diff costs the chunks written
+   since [base]. *)
+let add_diff b iter_changed add_value base x =
+  let diff = ref [] in
+  iter_changed (fun i _ v -> diff := (i, v) :: !diff) base x;
+  add_varint b (List.length !diff);
+  List.iter
+    (fun (i, v) ->
+      add_varint b i;
+      add_value b v)
+    (List.rev !diff)
 
-let read_table r read ~known =
-  match read_byte r with
-  | 0 -> (
-    match known with
-    | Some k -> k
-    | None -> corrupt "table reference with no earlier table in the stream")
-  | 1 -> read r
-  | t -> corrupt "unknown binary table tag %d" t
+(* [base] edited by a diff: the result shares every chunk the diff does
+   not write. An index out of range is damage. *)
+let read_diff r ~what length edit write read_value base =
+  let n = length base in
+  edit base (fun e ->
+      for _ = 1 to read_count r do
+        let i = read_varint r in
+        if i < 0 || i >= n then corrupt "%s diff names VM %d of %d" what i n;
+        write e i (read_value r)
+      done)
+
+let add_state_diff b base c =
+  add_diff b Configuration.iter_changed add_state base c
+
+let read_state_diff r base =
+  read_diff r ~what:"state" Configuration.vm_count Configuration.edit
+    Configuration.write read_state base
 
 let add_switch_configs codec b ~source ~target =
-  let known f = Option.map f codec.tables in
-  add_table b same_node add_nodes ~known:(known Configuration.nodes)
-    (Configuration.nodes source);
-  add_table b same_vm add_vms ~known:(known Configuration.vms)
-    (Configuration.vms source);
-  add_states b source;
-  if same_tables source target then begin
-    (* the chunks a target shares with its source hold no difference *)
+  (match codec.source with
+  | Some p
+    when same_table same_node (Configuration.nodes p) (Configuration.nodes source)
+    ->
+    Buffer.add_char b '\000'
+  | _ ->
+    Buffer.add_char b '\001';
+    add_nodes b (Configuration.nodes source));
+  (match codec.source with
+  | Some p when same_table same_vm (Configuration.vms p) (Configuration.vms source)
+    ->
     Buffer.add_char b '\000';
-    let diff = ref [] in
-    Configuration.iter_changed (fun vm _ s -> diff := (vm, s) :: !diff) source target;
-    add_varint b (List.length !diff);
-    List.iter
-      (fun (vm, s) ->
-        add_varint b vm;
-        add_state b s)
-      (List.rev !diff)
+    add_state_diff b p source
+  | _ ->
+    Buffer.add_char b '\001';
+    add_vms b (Configuration.vms source);
+    add_states b source);
+  if same_tables source target then begin
+    Buffer.add_char b '\000';
+    add_state_diff b source target
   end
   else begin
     Buffer.add_char b '\001';
@@ -544,33 +587,48 @@ let add_switch_configs codec b ~source ~target =
     add_states b target
   end
 
-(* The source, the target and later switches share the codec's tables:
-   nothing writes a configuration's node or VM array in place. *)
+let no_earlier_table () =
+  corrupt "table reference with no earlier table in the stream"
+
+(* The codec's source over a frame's node table: its VM array and its
+   state chunks are shared. Only a node table of another size costs a
+   copy of the states. *)
+let over_nodes p nodes =
+  if Configuration.nodes p == nodes then p
+  else if Array.length nodes = Configuration.node_count p then
+    Configuration.with_nodes p nodes
+  else
+    Configuration.with_states
+      (Configuration.make ~nodes ~vms:(Configuration.vms p))
+      (Array.init (Configuration.vm_count p) (Configuration.state p))
+
+(* The source, the target and later switches share the codec's tables
+   and every state chunk no diff wrote: nothing writes a configuration's
+   node or VM array in place. *)
 let read_switch_configs codec r =
-  let known f = Option.map f codec.tables in
-  let nodes = read_table r read_nodes ~known:(known Configuration.nodes) in
-  let vms = read_table r read_vms ~known:(known Configuration.vms) in
-  let tables =
-    match codec.tables with
-    | Some c when Configuration.nodes c == nodes && Configuration.vms c == vms
-      -> c
-    | _ -> Configuration.make ~nodes ~vms
+  let nodes =
+    match read_byte r with
+    | 0 -> (
+      match codec.source with
+      | Some p -> Configuration.nodes p
+      | None -> no_earlier_table ())
+    | 1 -> read_nodes r
+    | t -> corrupt "unknown binary table tag %d" t
   in
-  (* the codec's source is the stream's previous one: the new source
-     shares the chunks that did not move since *)
-  let source = read_states r tables in
+  let source =
+    match read_byte r with
+    | 0 -> (
+      match codec.source with
+      | Some p -> read_state_diff r (over_nodes p nodes)
+      | None -> no_earlier_table ())
+    | 1 ->
+      let vms = read_vms r in
+      read_states r (Configuration.make ~nodes ~vms)
+    | t -> corrupt "unknown binary table tag %d" t
+  in
   let target =
     match read_byte r with
-    | 0 ->
-      (* an edit of the source: the target shares its unwritten chunks *)
-      let n = Array.length vms in
-      Configuration.edit source (fun e ->
-          for _ = 1 to read_varint r do
-            let vm = read_varint r in
-            if vm < 0 || vm >= n then
-              corrupt "target diff names VM %d of %d" vm n;
-            Configuration.write e vm (read_state r)
-          done)
+    | 0 -> read_state_diff r source
     | 1 ->
       let nodes = read_nodes r in
       let vms = read_vms r in
@@ -590,26 +648,36 @@ let add_plan b plan =
 
 let read_plan r =
   Plan.make
-    (List.init (read_varint r) (fun _ ->
-         List.init (read_varint r) (fun _ -> read_action r)))
+    (List.init (read_count r) (fun _ ->
+         List.init (read_count r) (fun _ -> read_action r)))
 
-let add_demand b d =
-  let n = Demand.vm_count d in
-  add_varint b n;
-  for vm = 0 to n - 1 do
-    add_varint b (Demand.cpu d vm)
-  done
+(* 0 and a diff against the codec's demand when the VM counts match,
+   else 1, the count and every demand *)
+let add_demand codec b d =
+  match codec.demand with
+  | Some p when Demand.vm_count p = Demand.vm_count d ->
+    Buffer.add_char b '\000';
+    add_diff b (Chunked.iter_changed Int.equal) add_varint p d
+  | _ ->
+    Buffer.add_char b '\001';
+    let n = Demand.vm_count d in
+    add_varint b n;
+    for vm = 0 to n - 1 do
+      add_varint b (Demand.cpu d vm)
+    done
 
-(* One varint of at least a byte per VM: a count past the payload's
-   end is damage, refused before anything is allocated. *)
-let read_demand r =
-  let n = read_varint r in
-  if n < 0 || n > r.limit - r.pos then corrupt "binary payload: truncated";
-  let d = Demand.make ~vm_count:n ~default:0 in
-  for vm = 0 to n - 1 do
-    Demand.set d vm (read_varint r)
-  done;
-  d
+let read_demand codec r =
+  match read_byte r with
+  | 0 -> (
+    match codec.demand with
+    | Some p ->
+      read_diff r ~what:"demand" Demand.vm_count Demand.edit Demand.write
+        read_varint p
+    | None -> corrupt "demand diff with no earlier demand in the stream")
+  | 1 ->
+    let n = read_count r in
+    Demand.of_fn ~vm_count:n (fun _ -> read_varint r)
+  | t -> corrupt "unknown binary demand tag %d" t
 
 let write_payload codec b r =
   let tag t = Buffer.add_char b (Char.unsafe_chr t) in
@@ -620,7 +688,7 @@ let write_payload codec b r =
     add_float b at_s;
     add_switch_configs codec b ~source ~target;
     add_plan b plan;
-    add_demand b demand;
+    add_demand codec b demand;
     match seed with
     | None -> Buffer.add_char b '\000'
     | Some s ->
@@ -682,7 +750,7 @@ let read_payload codec r =
     let at_s = read_float r in
     let source, target = read_switch_configs codec r in
     let plan = read_plan r in
-    let demand = read_demand r in
+    let demand = read_demand codec r in
     let seed =
       match read_byte r with
       | 0 -> None
@@ -753,9 +821,12 @@ let max_binary_tag = 8
    appended so the header can carry the payload length and checksum *)
 let scratch = Buffer.create 4096
 
-(* a whole frame moves the codec to its [Switch_begin]'s tables *)
+(* a whole frame moves the codec to its [Switch_begin]'s source and
+   demand *)
 let advance codec = function
-  | Switch_begin { source; _ } -> codec.tables <- Some source
+  | Switch_begin { source; demand; _ } ->
+    codec.source <- Some source;
+    codec.demand <- Some demand
   | _ -> ()
 
 let write_frame codec b r =
@@ -847,12 +918,6 @@ let commit_point = function
 
 (* -- equality & printing ------------------------------------------------------ *)
 
-let equal_demand a b =
-  Demand.vm_count a = Demand.vm_count b
-  && List.for_all
-       (fun vm -> Demand.cpu a vm = Demand.cpu b vm)
-       (List.init (Demand.vm_count a) Fun.id)
-
 let equal_plan a b =
   let pa = Plan.pools a and pb = Plan.pools b in
   List.length pa = List.length pb
@@ -867,7 +932,7 @@ let equal a b =
     x.switch = y.switch && x.at_s = y.at_s
     && Configuration.equal x.source y.source
     && Configuration.equal x.target y.target
-    && equal_plan x.plan y.plan && equal_demand x.demand y.demand
+    && equal_plan x.plan y.plan && Demand.equal x.demand y.demand
     && x.seed = y.seed
   | Action_started x, Action_started y ->
     x.switch = y.switch && x.pool = y.pool && x.attempt = y.attempt

@@ -81,7 +81,7 @@ val magic : string
     pre-binary JSON-lines journal, which {!Journal} refuses to read. *)
 
 val version : int
-(** Format version carried in every frame header (2); readers reject
+(** Format version carried in every frame header (3); readers reject
     frames with a version they do not know. *)
 
 val header_size : int
@@ -89,17 +89,24 @@ val header_size : int
 
 type codec
 (** The state one stream of frames carries from frame to frame: the
-    node and VM tables of the last {!Switch_begin} it held. A
-    {!Switch_begin} refers to those tables with one byte each when its
-    source's are equal by field (name, capacities, memory), and writes
-    its target as the VM states that differ from its source when the
-    target's tables equal the source's; otherwise it writes them in
-    full. On decode, the source, the target and later switches share
-    one node array and one VM array.
+    source and the demand of the last {!Switch_begin} it held. A
+    {!Switch_begin} refers to the source's node and VM tables with one
+    byte each when its own are equal by field (name, capacities,
+    memory); with the VM table it then writes its source states as the
+    VMs whose state differs from the codec's source. It writes its
+    demand as the VMs whose demand differs from the codec's when the VM
+    counts match, and its target as the VM states that differ from its
+    source when the target's tables equal the source's. Anything else
+    it writes in full. A switch record so costs what the switch
+    changed. On decode, the source, the target and later switches
+    share one node array and one VM array, and each source, target and
+    demand shares every chunk ({!Entropy_core.Chunked}) no diff wrote
+    with the one it was decoded from.
 
     One type serves both directions: a reader that has decoded a valid
     prefix holds exactly the codec its writer holds for the next
-    append. A codec moves only past a whole frame. *)
+    append. A codec moves only past a whole frame, and holds the
+    immutable source and demand of the record without copying them. *)
 
 val codec : unit -> codec
 (** The codec of an empty stream. *)
@@ -123,8 +130,9 @@ type frame_result =
   | Torn of string
       (** The bytes at this offset are not a valid frame (short header
           or payload, bad magic or version, checksum mismatch, payload
-          decode failure, a table reference with no earlier table in
-          the stream); this ends the journal's durable prefix. *)
+          decode failure: a reference to a table or demand with none
+          earlier in the stream, a diff naming a VM out of range); this
+          ends the journal's durable prefix. *)
 
 val read_frame : codec -> string -> pos:int -> frame_result option
 (** Decode the frame starting at [pos] against the stream's codec;

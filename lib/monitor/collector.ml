@@ -69,9 +69,10 @@ let history t = t.history
 (* Smoothed demand: per-VM average over the accumulation window, which
    is filtered and counted once for all VMs. A chunk every window sample
    shares with the latest averages to the latest's entries (n equal
-   readings sum to n times one), so it is copied, not summed. An empty
-   window (the latest sample is always in it) would fall back to the
-   latest readings the same way. An empty history triggers an
+   readings sum to n times one), so the demand is an edit of the latest
+   readings that rewrites only the other chunks, and shares these. An
+   empty window (the latest sample is always in it) would fall back to
+   the latest readings the same way. An empty history triggers an
    immediate poll. *)
 let demand t =
   if History.latest t.history = None then poll t;
@@ -86,18 +87,15 @@ let demand t =
         (History.window t.history ~now ~span:smoothing_span)
     in
     let n = List.length window in
-    let d = Demand.make ~vm_count ~default:0 in
-    for c = 0 to Chunked.chunk_count cur - 1 do
-      let lo = c * Chunked.width in
-      let hi = min vm_count (lo + Chunked.width) - 1 in
-      if List.for_all (fun r -> Chunked.shares_chunk r cur c) window then
-        for vm = lo to hi do
-          Demand.set d vm (Chunked.get cur vm)
-        done
-      else
-        for vm = lo to hi do
-          Demand.set d vm
-            (List.fold_left (fun acc r -> acc + Chunked.get r vm) 0 window / n)
-        done
-    done;
-    d
+    Demand.edit cur (fun d ->
+        for c = 0 to Chunked.chunk_count cur - 1 do
+          if not (List.for_all (fun r -> Chunked.shares_chunk r cur c) window)
+          then begin
+            let lo = c * Chunked.width in
+            for vm = lo to min vm_count (lo + Chunked.width) - 1 do
+              Demand.write d vm
+                (List.fold_left (fun acc r -> acc + Chunked.get r vm) 0 window
+                / n)
+            done
+          end
+        done)

@@ -9,7 +9,7 @@ type source = unit -> float * int Chunked.t
     each new reading as an edit of its previous one ({!Chunked.edit}),
     so that the chunks that did not move are shared: validation scans
     only the chunks not shared with the latest admitted sample, and
-    {!demand} copies a chunk the whole window shares instead of
+    {!demand} shares a chunk the whole window shares instead of
     summing it. The simulated cluster's readings are such a vector. *)
 
 type t
@@ -38,4 +38,7 @@ val history : t -> History.t
 val demand : t -> Demand.t
 (** Smoothed per-VM CPU demand: the window average, as
     {!History.average_cpu} computes it for one VM (latest reading as
-    fallback). Polls once when the history is empty. *)
+    fallback). It is an edit of the latest readings ({!Demand.edit}):
+    the chunks every sample of the window shares with the latest are
+    the latest's own, and only the others are written. Polls once when
+    the history is empty. *)

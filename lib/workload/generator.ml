@@ -90,7 +90,13 @@ let generate spec =
   in
   let config = Configuration.make ~nodes ~vms in
   (* per-VM demand: the head phase of its program *)
-  let demand = Demand.make ~vm_count:(Array.length vms) ~default:0 in
+  let demand =
+    let programs =
+      Array.of_list (List.concat_map (fun t -> t.Trace.programs) selected)
+    in
+    Demand.of_fn ~vm_count:(Array.length vms) (fun vm_id ->
+        Program.demand programs.(vm_id))
+  in
   let vjobs = ref [] in
   let config = ref config in
   let free_mem =
@@ -101,9 +107,6 @@ let generate spec =
     (fun j t ->
       let ids = List.init t.Trace.vm_count (fun k -> !next_vm + k) in
       next_vm := !next_vm + t.Trace.vm_count;
-      List.iter2
-        (fun vm_id prog -> Demand.set demand vm_id (Program.demand prog))
-        ids t.Trace.programs;
       let state = Random.State.int rng 3 in
       (match state with
       | 0 ->

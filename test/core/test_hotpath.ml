@@ -366,7 +366,7 @@ let burst_observation () =
         Vm.make ~id ~name:(Printf.sprintf "vm%d" id)
           ~memory_mb:(512 + (256 * Random.State.int rng 3)))
   in
-  let demand = Demand.make ~vm_count ~default:5 in
+  let cpus = Array.make vm_count 5 in
   let states = Array.make vm_count Configuration.Waiting in
   let free_mem = Array.make node_count 4096 in
   List.iteri
@@ -385,7 +385,7 @@ let burst_observation () =
                 if free_mem.(n) >= mem then begin
                   free_mem.(n) <- free_mem.(n) - mem;
                   states.(v) <- Configuration.Running n;
-                  Demand.set demand v 100
+                  cpus.(v) <- 100
                 end
                 else fit (k + 1)
             in
@@ -396,6 +396,7 @@ let burst_observation () =
   let config =
     Configuration.with_states (Configuration.make ~nodes ~vms) states
   in
+  let demand = Demand.of_fn ~vm_count (Array.get cpus) in
   let queue = List.filteri (fun j _ -> j >= 200 && j < 300) vjobs in
   { Decision.config; demand; queue; finished = [ 201; 204; 207; 210 ] }
 

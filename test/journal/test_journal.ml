@@ -407,32 +407,41 @@ let read_bytes path =
   close_in ic;
   s
 
-(* [chaos12_v1.journal] holds the frames of format version 1 that
-   `entropyctl chaos --vms 12 --nodes 4 --seed 42 --journal F` wrote
-   before the stream codec. A current reader refuses it rather than
-   reading its first frame as a torn tail and truncating it. *)
+(* [chaos12_v1.journal] and [chaos12_v2.journal] hold the frames that
+   `entropyctl chaos --vms 12 --nodes 4 --seed 42 --journal F` wrote in
+   format version 1 (before the stream codec) and version 2 (before
+   source and demand diffs). A current reader refuses both rather than
+   reading the first frame as a torn tail and truncating the file. *)
 let test_older_version_refused () =
-  let fixture = "chaos12_v1.journal" in
-  let before = read_bytes fixture in
-  check_bool "fixture is a version-1 binary journal" true
-    (String.sub before 0 2 = Record.magic && Char.code before.[2] = 1);
-  let path = temp_journal () in
-  let oc = open_out_bin path in
-  output_string oc before;
-  close_out oc;
-  let expected =
-    Sys_error
-      (path
-     ^ ": journal format version 1 is older than this reader's (2) and is \
-        not supported")
-  in
-  Alcotest.check_raises "load refuses it" expected (fun () ->
-      ignore (Journal.load path));
-  Alcotest.check_raises "open_file refuses it" expected (fun () ->
-      ignore (Journal.open_file path));
-  check_string "file left byte-identical" before (read_bytes path);
-  Sys.remove path;
-  check_string "fixture untouched" before (read_bytes fixture);
+  List.iter
+    (fun (fixture, v) ->
+      let before = read_bytes fixture in
+      check_bool
+        (Printf.sprintf "%s is a version-%d binary journal" fixture v)
+        true
+        (String.sub before 0 2 = Record.magic && Char.code before.[2] = v);
+      let path = temp_journal () in
+      let oc = open_out_bin path in
+      output_string oc before;
+      close_out oc;
+      let expected =
+        Sys_error
+          (Printf.sprintf
+             "%s: journal format version %d is older than this reader's (3) \
+              and is not supported"
+             path v)
+      in
+      Alcotest.check_raises (fixture ^ ": load refuses it") expected (fun () ->
+          ignore (Journal.load path));
+      Alcotest.check_raises (fixture ^ ": open_file refuses it") expected
+        (fun () -> ignore (Journal.open_file path));
+      Alcotest.check_raises (fixture ^ ": reopen refuses it") expected
+        (fun () -> ignore (Journal.reopen path));
+      check_string (fixture ^ ": file left byte-identical") before
+        (read_bytes path);
+      Sys.remove path;
+      check_string (fixture ^ ": fixture untouched") before (read_bytes fixture))
+    [ ("chaos12_v1.journal", 1); ("chaos12_v2.journal", 2) ];
   (* a journal from a newer writer is refused the same way, not cut to
      nothing as a torn tail at byte 0 *)
   let path = temp_journal () in
@@ -641,14 +650,83 @@ let test_codec_cut_every_byte () =
   Sys.remove path
 
 (* The seed-0 burst-daemon journal (the test/daemon [burst0] episode)
-   was 1,921,436 bytes with whole configurations in every
-   Switch_begin. *)
+   was 1,921,436 bytes with whole configurations in every Switch_begin,
+   and 282,550 bytes with every source and demand written in full. *)
 let test_burst0_journal_size () =
   let size = String.length (read_bytes "burst0.wal") in
-  if size > 400_000 then
-    Alcotest.failf "burst0.wal is %d bytes, above 400 kB" size;
+  if size > 230_000 then
+    Alcotest.failf "burst0.wal is %d bytes, above 230 kB" size;
   let _, dropped = Journal.load "burst0.wal" in
   check_int "loads clean" 0 dropped
+
+(* The byte offset of every frame of a clean journal, and its end. *)
+let frame_offsets bytes =
+  let codec = Record.codec () in
+  let rec go acc pos =
+    match Record.read_frame codec bytes ~pos with
+    | None -> Array.of_list (List.rev (pos :: acc))
+    | Some (Record.Frame (_, next)) -> go (pos :: acc) next
+    | Some (Record.Skipped (reason, _) | Record.Torn reason) ->
+      Alcotest.failf "frame at byte %d: %s" pos reason
+  in
+  go [] 0
+
+let is_begin = function Record.Switch_begin _ -> true | _ -> false
+
+(* A controller killed at a record boundary, or partway through the
+   frame after it, reopens its journal and appends the rest of the
+   episode: the result must load as the original records. Every append
+   after the cut rests on the codec the reader rebuilt from the prefix,
+   so this holds only if that codec is the writer's. Checks every
+   [every]-th boundary, the last one, and each boundary on either side
+   of a [Switch_begin] (where the codec moves); returns how many. *)
+let check_reopen ~every file =
+  let bytes = read_bytes file in
+  let records = Array.of_list (fst (Journal.load file)) in
+  let offsets = frame_offsets bytes in
+  let n = Array.length records in
+  if Array.length offsets <> n + 1 then
+    Alcotest.failf "%s: %d frames for %d records" file
+      (Array.length offsets - 1) n;
+  let path = temp_journal () in
+  let reopen_at k cut =
+    let expect what ok =
+      if not ok then
+        Alcotest.failf "%s, %d records, cut at byte %d: %s" file k cut what
+    in
+    let oc = open_out_bin path in
+    output_substring oc bytes 0 cut;
+    close_out oc;
+    let j = Journal.open_file path in
+    expect "records kept" (Journal.length j = k);
+    for i = k to n - 1 do
+      Journal.append j records.(i)
+    done;
+    Journal.close j;
+    let loaded, dropped = Journal.load path in
+    expect "dropped" (dropped = 0);
+    expect "original records"
+      (List.length loaded = n
+      && List.for_all2 Record.equal (Array.to_list records) loaded)
+  in
+  let checked = ref 0 in
+  for k = 0 to n do
+    if
+      k mod every = 0 || k = n
+      || is_begin records.(k)
+      || (k > 0 && is_begin records.(k - 1))
+    then begin
+      incr checked;
+      reopen_at k offsets.(k);
+      if k < n then reopen_at k ((offsets.(k) + offsets.(k + 1)) / 2)
+    end
+  done;
+  Sys.remove path;
+  !checked
+
+let test_reopen_every_boundary () =
+  ignore (check_reopen ~every:1 "soak_kill.wal");
+  ignore (check_reopen ~every:50 "burst0.wal")
 
 let test_group_commit_flush_rules () =
   let path = temp_journal () in
@@ -940,6 +1018,236 @@ let prop_sequence_with_torn_suffix =
       List.length loaded = List.length records
       && List.for_all2 Record.equal records loaded
       && dropped = (if garbage = "" then 0 else 1))
+
+(* -- randomized stream codec ----------------------------------------------------- *)
+
+(* One switch of a random stream, written from the previous switch's
+   source and demand. *)
+type step =
+  | Same  (** the previous source and demand again: empty diffs *)
+  | Rebuilt  (** equal tables and states, in fresh arrays *)
+  | States of (int * int) list  (** source edits: (VM, state code) *)
+  | Crash of int  (** node k crashes or comes back: a new node table *)
+  | Vms of int  (** a VM table of this many VMs *)
+  | Demands of (int * int) list  (** demand edits: (VM, CPU) *)
+  | Demand_length of int  (** a demand of this many VMs *)
+  | Full_target  (** a target over tables other than the source's *)
+
+let pp_step ppf =
+  let edits = Fmt.(list ~sep:comma (pair ~sep:(any ":") int int)) in
+  function
+  | Same -> Fmt.string ppf "same"
+  | Rebuilt -> Fmt.string ppf "rebuilt"
+  | States e -> Fmt.pf ppf "states[%a]" edits e
+  | Crash k -> Fmt.pf ppf "crash %d" k
+  | Vms n -> Fmt.pf ppf "vms %d" n
+  | Demands e -> Fmt.pf ppf "demands[%a]" edits e
+  | Demand_length n -> Fmt.pf ppf "demand length %d" n
+  | Full_target -> Fmt.string ppf "full target"
+
+let stream_node_count = 4
+
+let stream_nodes crashed =
+  Array.map
+    (fun n -> if List.mem (Node.id n) crashed then Node.crashed n else n)
+    (testbed_nodes stream_node_count)
+
+let stream_vms n =
+  Array.init n (fun i ->
+      Vm.make ~id:i ~name:(Printf.sprintf "vm%d" i)
+        ~memory_mb:(512 + (256 * (i mod 3))))
+
+let state_of_code c =
+  let node = c / 5 mod stream_node_count in
+  match c mod 5 with
+  | 0 -> Configuration.Waiting
+  | 1 -> Configuration.Terminated
+  | 2 -> Configuration.Running node
+  | 3 -> Configuration.Sleeping node
+  | _ -> Configuration.Sleeping_ram node
+
+(* Each step's [Switch_begin] and [Switch_end]. The target moves two
+   VMs from the source, except after [Same] (an empty target diff) and
+   [Full_target]. *)
+let stream_of_steps ~vm_count steps =
+  let crashed = ref [] in
+  let source =
+    ref (Configuration.make ~nodes:(stream_nodes []) ~vms:(stream_vms vm_count))
+  in
+  let demand = ref (Demand.of_fn ~vm_count (fun vm -> vm mod 7 * 10)) in
+  let with_vm_count c m =
+    Configuration.with_states
+      (Configuration.make ~nodes:(stream_nodes !crashed) ~vms:(stream_vms m))
+      (Array.init m (fun vm ->
+           if vm < Configuration.vm_count c then Configuration.state c vm
+           else Configuration.Waiting))
+  in
+  List.concat
+    (List.mapi
+       (fun switch step ->
+         let n = Configuration.vm_count !source in
+         (match step with
+         | Same | Full_target -> ()
+         | Rebuilt -> source := with_vm_count !source n
+         | States edits ->
+           source :=
+             Configuration.edit !source (fun e ->
+                 List.iter
+                   (fun (vm, c) -> Configuration.write e (vm mod n) (state_of_code c))
+                   edits)
+         | Crash k ->
+           crashed :=
+             if List.mem k !crashed then List.filter (( <> ) k) !crashed
+             else k :: !crashed;
+           source := Configuration.with_nodes !source (stream_nodes !crashed)
+         | Vms m -> source := with_vm_count !source m
+         | Demands edits ->
+           let len = Demand.vm_count !demand in
+           if len > 0 then
+             demand :=
+               Demand.edit !demand (fun e ->
+                   List.iter (fun (vm, cpu) -> Demand.write e (vm mod len) cpu) edits)
+         | Demand_length m -> demand := Demand.of_fn ~vm_count:m (fun vm -> vm * 37 mod 500));
+         let n = Configuration.vm_count !source in
+         let target =
+           match step with
+           | Same -> !source
+           | Full_target -> with_vm_count !source (n + 1)
+           | _ ->
+             Configuration.edit !source (fun e ->
+                 Configuration.write e 0 (Configuration.Running 1);
+                 Configuration.write e (n - 1) Configuration.Terminated)
+         in
+         [
+           Record.Switch_begin
+             {
+               switch;
+               at_s = float_of_int switch;
+               source = !source;
+               target;
+               plan = Plan.make [ [ Action.Run { vm = 0; dst = 1 } ] ];
+               demand = !demand;
+               seed = None;
+             };
+           Record.Switch_end { switch; at_s = float_of_int switch +. 0.5; aborted = false };
+         ])
+       steps)
+
+let gen_step =
+  let open Gen in
+  let edits bound = list_size (int_bound 6) (pair (int_bound 200) (int_bound bound)) in
+  frequency
+    [
+      (2, return Same);
+      (1, return Rebuilt);
+      (4, map (fun e -> States e) (edits 40));
+      (1, map (fun k -> Crash k) (int_bound (stream_node_count - 1)));
+      (1, map (fun m -> Vms m) (int_range 1 150));
+      (3, map (fun e -> Demands e) (edits 500));
+      (1, map (fun m -> Demand_length m) (int_range 0 150));
+      (1, return Full_target);
+    ]
+
+let rec add_test_varint b v =
+  if v land lnot 0x7f = 0 then Buffer.add_char b (Char.chr v)
+  else begin
+    Buffer.add_char b (Char.chr (v land 0x7f lor 0x80));
+    add_test_varint b (v lsr 7)
+  end
+
+(* A [Switch_begin] payload that references the stream's tables and
+   demand and writes one diff entry at [index] in the diff [where]
+   names; the other diffs are empty. *)
+let crafted_begin ~where index =
+  let b = Buffer.create 32 in
+  let byte c = Buffer.add_char b (Char.chr c) and varint = add_test_varint b in
+  let diff w = if w = where then (varint 1; varint index; byte 0) else varint 0 in
+  byte 1;
+  varint 99;
+  Buffer.add_string b (String.make 8 '\000');
+  byte 0;  (* the codec's node table *)
+  byte 0;  (* the codec's VM table: the source states are a diff *)
+  diff `Source;
+  byte 0;  (* the target is a diff against the source *)
+  diff `Target;
+  varint 0;  (* no pools *)
+  byte 0;  (* the demand is a diff against the codec's *)
+  diff `Demand;
+  byte 0;  (* no seed *)
+  Buffer.contents b
+
+let prop_stream_round_trip =
+  QCheck.Test.make ~name:"switch streams round-trip; damaged diffs are torn"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(fun (vm_count, steps, (frame, pos, byte)) ->
+          Fmt.str "%d VMs, steps [%a], byte %d of frame %d set to %d" vm_count
+            Fmt.(list ~sep:semi pp_step)
+            steps pos frame byte)
+        ~shrink:(fun (n, steps, damage) ->
+          Iter.map (fun steps -> (n, steps, damage)) (Shrink.list steps))
+        Gen.(
+          triple (int_range 1 150)
+            (list_size (int_range 1 12) gen_step)
+            (triple (int_bound 1000) (int_bound 1000) (int_bound 255))))
+    (fun (vm_count, steps, (frame, pos, byte)) ->
+      let records = stream_of_steps ~vm_count steps in
+      let frames = stream_frames records in
+      (* frame by frame through one reader codec *)
+      let reader = Record.codec () in
+      List.iter2
+        (fun r f ->
+          match Record.read_frame reader f ~pos:0 with
+          | Some (Record.Frame (r', next)) when next = String.length f ->
+            if not (same_record r r') then
+              QCheck.Test.fail_reportf "decoded %a differs" Record.pp r
+          | _ -> QCheck.Test.fail_reportf "%a did not decode" Record.pp r)
+        records frames;
+      (* a diff index out of range is damage, whichever diff holds it *)
+      let last_begin =
+        List.fold_left
+          (fun acc r ->
+            match r with
+            | Record.Switch_begin { source; demand; _ } -> Some (source, demand)
+            | _ -> acc)
+          None records
+      in
+      (match last_begin with
+      | None -> ()
+      | Some (source, demand) ->
+        let vms = Configuration.vm_count source in
+        List.iter
+          (fun (where, index) ->
+            match
+              Record.read_frame reader (craft_frame (crafted_begin ~where index)) ~pos:0
+            with
+            | Some (Record.Torn _) -> ()
+            | _ -> QCheck.Test.fail_reportf "diff index %d not torn" index)
+          [
+            (`Source, vms); (`Source, -1); (`Target, vms);
+            (`Demand, Demand.vm_count demand); (`Demand, -1);
+          ]);
+      (* any payload byte changed under a valid checksum decodes, without
+         raising, to a journal that keeps every frame before it *)
+      let i = frame mod List.length frames in
+      let f = List.nth frames i in
+      let payload =
+        Bytes.of_string
+          (String.sub f Record.header_size (String.length f - Record.header_size))
+      in
+      Bytes.set payload (pos mod Bytes.length payload) (Char.chr byte);
+      let damaged =
+        String.concat ""
+          (List.mapi
+             (fun j f -> if j = i then craft_frame (Bytes.to_string payload) else f)
+             frames)
+      in
+      let loaded, _ = Journal.decode damaged in
+      List.length loaded >= i
+      && List.for_all2 Record.equal
+           (List.filteri (fun j _ -> j < i) loaded)
+           (List.filteri (fun j _ -> j < i) records))
 
 (* -- replay ------------------------------------------------------------------- *)
 
@@ -1237,81 +1545,92 @@ let test_reconcile_rejects_shape_mismatch () =
 (* -- run ---------------------------------------------------------------------- *)
 
 let () =
-  Alcotest.run "entropy_journal"
-    [
-      ( "record",
+  match Array.to_list Sys.argv with
+  | _ :: "reopen" :: every :: paths ->
+    List.iter
+      (fun path ->
+        let checked = check_reopen ~every:(int_of_string every) path in
+        Printf.printf "%s: reopened at %d record boundaries\n%!" path checked)
+      paths
+  | _ ->
+      Alcotest.run "entropy_journal"
         [
-          Alcotest.test_case "accessors" `Quick test_record_accessors;
-          Alcotest.test_case "checksum reference" `Quick
-            test_checksum_reference;
-        ] );
-      ( "backends",
-        [
-          Alcotest.test_case "mem" `Quick test_mem_backend;
-          Alcotest.test_case "of_records" `Quick test_of_records;
-          Alcotest.test_case "file" `Quick test_file_backend;
-        ] );
-      ( "binary",
-        [
-          Alcotest.test_case "round trip" `Quick test_binary_round_trip;
-          Alcotest.test_case "crc corruption at every offset" `Quick
-            test_binary_crc_every_offset;
-          Alcotest.test_case "torn tail cuts" `Quick test_binary_torn_tail_cuts;
-          Alcotest.test_case "unknown record tag skipped" `Quick
-            test_binary_unknown_tag_skipped;
-          Alcotest.test_case "reopen after torn tail" `Quick
-            test_reopen_after_torn_tail;
-          Alcotest.test_case "next switch after reopen" `Quick
-            test_next_switch_after_reopen;
-          Alcotest.test_case "json-lines journal refused" `Quick
-            test_json_lines_refused;
-          Alcotest.test_case "older format version refused" `Quick
-            test_older_version_refused;
-          Alcotest.test_case "open keeps unknown-tag frames" `Quick
-            test_open_keeps_unknown_tag;
-          Alcotest.test_case "group commit flush rules" `Quick
-            test_group_commit_flush_rules;
-          QCheck_alcotest.to_alcotest prop_binary_round_trip;
-          QCheck_alcotest.to_alcotest prop_sequence_with_torn_suffix;
-          QCheck_alcotest.to_alcotest prop_shrunk_records_still_round_trip;
-        ] );
-      ( "codec",
-        [
-          Alcotest.test_case "stream round trip" `Quick test_codec_round_trip;
-          Alcotest.test_case "reference without table" `Quick
-            test_codec_reference_without_table;
-          Alcotest.test_case "cut at every byte" `Quick
-            test_codec_cut_every_byte;
-          Alcotest.test_case "burst0 journal at most 400 kB" `Quick
-            test_burst0_journal_size;
-        ] );
-      ( "replay",
-        [
-          Alcotest.test_case "empty" `Quick test_replay_empty;
-          Alcotest.test_case "mid switch" `Quick test_replay_mid_switch;
-          Alcotest.test_case "complete switch" `Quick
-            test_replay_complete_switch;
-          Alcotest.test_case "last begin wins" `Quick
-            test_replay_last_begin_wins;
-        ] );
-      ( "reconcile",
-        [
-          Alcotest.test_case "pending and done" `Quick
-            test_reconcile_pending_and_done;
-          Alcotest.test_case "all done" `Quick test_reconcile_all_done;
-          Alcotest.test_case "divergence freezes" `Quick
-            test_reconcile_divergence_freezes;
-          Alcotest.test_case "terminated is benign" `Quick
-            test_reconcile_terminated_is_benign;
-          Alcotest.test_case "terminated by plan is done" `Quick
-            test_reconcile_terminated_by_plan_is_done;
-          Alcotest.test_case "lost node is residue" `Quick
-            test_reconcile_lost_node_is_residue;
-          Alcotest.test_case "empty plan resume" `Quick
-            test_reconcile_empty_plan_resume;
-          Alcotest.test_case "journaled failure is residue" `Quick
-            test_reconcile_journaled_failure_is_residue;
-          Alcotest.test_case "shape mismatch rejected" `Quick
-            test_reconcile_rejects_shape_mismatch;
-        ] );
-    ]
+          ( "record",
+            [
+              Alcotest.test_case "accessors" `Quick test_record_accessors;
+              Alcotest.test_case "checksum reference" `Quick
+                test_checksum_reference;
+            ] );
+          ( "backends",
+            [
+              Alcotest.test_case "mem" `Quick test_mem_backend;
+              Alcotest.test_case "of_records" `Quick test_of_records;
+              Alcotest.test_case "file" `Quick test_file_backend;
+            ] );
+          ( "binary",
+            [
+              Alcotest.test_case "round trip" `Quick test_binary_round_trip;
+              Alcotest.test_case "crc corruption at every offset" `Quick
+                test_binary_crc_every_offset;
+              Alcotest.test_case "torn tail cuts" `Quick test_binary_torn_tail_cuts;
+              Alcotest.test_case "unknown record tag skipped" `Quick
+                test_binary_unknown_tag_skipped;
+              Alcotest.test_case "reopen after torn tail" `Quick
+                test_reopen_after_torn_tail;
+              Alcotest.test_case "next switch after reopen" `Quick
+                test_next_switch_after_reopen;
+              Alcotest.test_case "json-lines journal refused" `Quick
+                test_json_lines_refused;
+              Alcotest.test_case "older format version refused" `Quick
+                test_older_version_refused;
+              Alcotest.test_case "open keeps unknown-tag frames" `Quick
+                test_open_keeps_unknown_tag;
+              Alcotest.test_case "group commit flush rules" `Quick
+                test_group_commit_flush_rules;
+              QCheck_alcotest.to_alcotest prop_binary_round_trip;
+              QCheck_alcotest.to_alcotest prop_sequence_with_torn_suffix;
+              QCheck_alcotest.to_alcotest prop_shrunk_records_still_round_trip;
+            ] );
+          ( "codec",
+            [
+              Alcotest.test_case "stream round trip" `Quick test_codec_round_trip;
+              Alcotest.test_case "reference without table" `Quick
+                test_codec_reference_without_table;
+              Alcotest.test_case "cut at every byte" `Quick
+                test_codec_cut_every_byte;
+              Alcotest.test_case "burst0 journal at most 230 kB" `Quick
+                test_burst0_journal_size;
+              Alcotest.test_case "reopen at record boundaries" `Quick
+                test_reopen_every_boundary;
+              QCheck_alcotest.to_alcotest prop_stream_round_trip;
+            ] );
+          ( "replay",
+            [
+              Alcotest.test_case "empty" `Quick test_replay_empty;
+              Alcotest.test_case "mid switch" `Quick test_replay_mid_switch;
+              Alcotest.test_case "complete switch" `Quick
+                test_replay_complete_switch;
+              Alcotest.test_case "last begin wins" `Quick
+                test_replay_last_begin_wins;
+            ] );
+          ( "reconcile",
+            [
+              Alcotest.test_case "pending and done" `Quick
+                test_reconcile_pending_and_done;
+              Alcotest.test_case "all done" `Quick test_reconcile_all_done;
+              Alcotest.test_case "divergence freezes" `Quick
+                test_reconcile_divergence_freezes;
+              Alcotest.test_case "terminated is benign" `Quick
+                test_reconcile_terminated_is_benign;
+              Alcotest.test_case "terminated by plan is done" `Quick
+                test_reconcile_terminated_by_plan_is_done;
+              Alcotest.test_case "lost node is residue" `Quick
+                test_reconcile_lost_node_is_residue;
+              Alcotest.test_case "empty plan resume" `Quick
+                test_reconcile_empty_plan_resume;
+              Alcotest.test_case "journaled failure is residue" `Quick
+                test_reconcile_journaled_failure_is_residue;
+              Alcotest.test_case "shape mismatch rejected" `Quick
+                test_reconcile_rejects_shape_mismatch;
+            ] );
+        ]
