@@ -1028,6 +1028,7 @@ type step =
   | Rebuilt  (** equal tables and states, in fresh arrays *)
   | States of (int * int) list  (** source edits: (VM, state code) *)
   | Crash of int  (** node k crashes or comes back: a new node table *)
+  | Nodes of int  (** a node table of this many nodes *)
   | Vms of int  (** a VM table of this many VMs *)
   | Demands of (int * int) list  (** demand edits: (VM, CPU) *)
   | Demand_length of int  (** a demand of this many VMs *)
@@ -1040,6 +1041,7 @@ let pp_step ppf =
   | Rebuilt -> Fmt.string ppf "rebuilt"
   | States e -> Fmt.pf ppf "states[%a]" edits e
   | Crash k -> Fmt.pf ppf "crash %d" k
+  | Nodes n -> Fmt.pf ppf "nodes %d" n
   | Vms n -> Fmt.pf ppf "vms %d" n
   | Demands e -> Fmt.pf ppf "demands[%a]" edits e
   | Demand_length n -> Fmt.pf ppf "demand length %d" n
@@ -1047,10 +1049,10 @@ let pp_step ppf =
 
 let stream_node_count = 4
 
-let stream_nodes crashed =
+let stream_nodes ~count crashed =
   Array.map
     (fun n -> if List.mem (Node.id n) crashed then Node.crashed n else n)
-    (testbed_nodes stream_node_count)
+    (testbed_nodes count)
 
 let stream_vms n =
   Array.init n (fun i ->
@@ -1070,14 +1072,15 @@ let state_of_code c =
    VMs from the source, except after [Same] (an empty target diff) and
    [Full_target]. *)
 let stream_of_steps ~vm_count steps =
-  let crashed = ref [] in
+  let crashed = ref [] and node_count = ref stream_node_count in
+  let nodes () = stream_nodes ~count:!node_count !crashed in
   let source =
-    ref (Configuration.make ~nodes:(stream_nodes []) ~vms:(stream_vms vm_count))
+    ref (Configuration.make ~nodes:(nodes ()) ~vms:(stream_vms vm_count))
   in
   let demand = ref (Demand.of_fn ~vm_count (fun vm -> vm mod 7 * 10)) in
   let with_vm_count c m =
     Configuration.with_states
-      (Configuration.make ~nodes:(stream_nodes !crashed) ~vms:(stream_vms m))
+      (Configuration.make ~nodes:(nodes ()) ~vms:(stream_vms m))
       (Array.init m (fun vm ->
            if vm < Configuration.vm_count c then Configuration.state c vm
            else Configuration.Waiting))
@@ -1099,7 +1102,11 @@ let stream_of_steps ~vm_count steps =
            crashed :=
              if List.mem k !crashed then List.filter (( <> ) k) !crashed
              else k :: !crashed;
-           source := Configuration.with_nodes !source (stream_nodes !crashed)
+           source := Configuration.with_nodes !source (nodes ())
+         | Nodes m ->
+           node_count := m;
+           crashed := List.filter (fun k -> k < m) !crashed;
+           source := with_vm_count !source n
          | Vms m -> source := with_vm_count !source m
          | Demands edits ->
            let len = Demand.vm_count !demand in
@@ -1142,6 +1149,7 @@ let gen_step =
       (1, return Rebuilt);
       (4, map (fun e -> States e) (edits 40));
       (1, map (fun k -> Crash k) (int_bound (stream_node_count - 1)));
+      (1, map (fun m -> Nodes m) (int_range 2 6));
       (1, map (fun m -> Vms m) (int_range 1 150));
       (3, map (fun e -> Demands e) (edits 500));
       (1, map (fun m -> Demand_length m) (int_range 0 150));
@@ -1192,6 +1200,8 @@ let prop_stream_round_trip =
             (list_size (int_range 1 12) gen_step)
             (triple (int_bound 1000) (int_bound 1000) (int_bound 255))))
     (fun (vm_count, steps, (frame, pos, byte)) ->
+      steps = []
+      ||
       let records = stream_of_steps ~vm_count steps in
       let frames = stream_frames records in
       (* frame by frame through one reader codec *)
