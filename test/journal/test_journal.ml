@@ -677,12 +677,15 @@ let is_begin = function Record.Switch_begin _ -> true | _ -> false
    frame after it, reopens its journal and appends the rest of the
    episode: the result must load as the original records. Every append
    after the cut rests on the codec the reader rebuilt from the prefix,
-   so this holds only if that codec is the writer's. Checks every
-   [every]-th boundary, the last one, and each boundary on either side
-   of a [Switch_begin] (where the codec moves); returns how many. *)
+   so this holds only if that codec is the writer's. A boundary cut is
+   reopened with [open_file], a torn one with [reopen], whose records
+   must be the prefix. Checks every [every]-th boundary, the last one,
+   and each boundary on either side of a [Switch_begin] (where the
+   codec moves); returns how many. *)
 let check_reopen ~every file =
   let bytes = read_bytes file in
-  let records = Array.of_list (fst (Journal.load file)) in
+  let all = fst (Journal.load file) in
+  let records = Array.of_list all in
   let offsets = frame_offsets bytes in
   let n = Array.length records in
   if Array.length offsets <> n + 1 then
@@ -697,7 +700,16 @@ let check_reopen ~every file =
     let oc = open_out_bin path in
     output_substring oc bytes 0 cut;
     close_out oc;
-    let j = Journal.open_file path in
+    let j =
+      if cut = offsets.(k) then Journal.open_file path
+      else begin
+        let j, (prefix, dropped) = Journal.reopen path in
+        expect "torn frame dropped" (dropped = 1);
+        expect "reopen returns the prefix"
+          (List.equal Record.equal prefix (List.filteri (fun i _ -> i < k) all));
+        j
+      end
+    in
     expect "records kept" (Journal.length j = k);
     for i = k to n - 1 do
       Journal.append j records.(i)
