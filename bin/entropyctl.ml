@@ -557,7 +557,10 @@ let model_check cluster vms nodes seed depth max_states max_crash
         Printf.eprintf "check: %s\n" m;
         exit 2
     in
-    let ctx = C.make_ctx ~vjobs ~invariants ~source ~target ~demand plan in
+    let ctx =
+      Entropy_check.Model.make_ctx ~vjobs ~invariants ~source ~target ~demand
+        plan
+    in
     match C.replay ctx witness with
     | None ->
       Printf.printf "replay: schedule not executable against this plan\n";

@@ -30,9 +30,9 @@
      section 4.2 sequencing rule, independently of [Cost], and compared
      against [Plan.cost].
 
-   Every violation of [Plan.validate] maps to a finding here, so a plan
-   with no findings is in particular valid in the [Plan.validate]
-   sense. *)
+   This is the one statement of a valid plan. The model checker
+   ([Entropy_check.Model]) states what a valid execution of one is,
+   and holds the executor's journals to it. *)
 
 open Entropy_core
 

@@ -1,7 +1,8 @@
 (** Independent plan verifier: symbolic pool-by-pool replay of a
     {!Entropy_core.Plan.t} against its source configuration, re-checking
-    every paper-level invariant from first principles — strictly
-    stronger than [Plan.validate].
+    every paper-level invariant from first principles. It is the one
+    statement of a valid plan; [Entropy_check.Model] states what a
+    valid execution of one is.
 
     Checked invariants: per-pool simultaneous feasibility (per
     resource), Figure 2 life-cycle preconditions, exact applicability,

@@ -78,30 +78,20 @@ type report = {
    along the way — transition, state, and crash-spec checks at the
    final state — in order. *)
 let replay ctx (w : Witness.t) =
-  let state = ref (Model.init ctx) in
-  let acc = ref (List.rev (Model.state_violations ctx !state)) in
-  let executable =
-    List.for_all
-      (fun step ->
-        let en = Model.enabled ctx !state in
-        if not (List.exists (Witness.step_equal step) en) then false
-        else begin
-          let st', tvs = Model.apply ctx !state step in
-          state := st';
-          acc := List.rev_append (Model.state_violations ctx st') (List.rev_append tvs !acc);
-          true
-        end)
-      w.steps
+  let next st step =
+    if List.exists (Witness.step_equal step) (Model.enabled ctx st) then
+      Ok (Some (Model.Step step))
+    else Error ()
   in
-  if not executable then None
-  else begin
+  match Model.replay ctx ~next w.steps with
+  | _, _, Some () -> None
+  | state, vs, None ->
     let crash_vs =
       match w.crash with
       | None -> []
-      | Some c -> Crash.check_spec ctx !state c
+      | Some c -> Crash.check_spec ctx state c
     in
-    Some (List.rev !acc @ crash_vs)
-  end
+    Some (vs @ crash_vs)
 
 (* -- exploration ------------------------------------------------------------ *)
 
@@ -271,8 +261,6 @@ let check ?(vjobs = []) ?(invariants = Invariant.all) ?(limits = default_limits)
     action_count = Plan.action_count plan;
     pool_count = Plan.pool_count plan;
   }
-
-let make_ctx = Model.make_ctx
 
 let states_per_sec r =
   float_of_int r.stats.states /. Float.max r.stats.elapsed_s 1e-9

@@ -69,15 +69,9 @@ val check :
   source:Configuration.t -> target:Configuration.t -> demand:Demand.t ->
   Plan.t -> report
 
-val make_ctx :
-  ?vjobs:Vjob.t list -> ?invariants:Invariant.id list ->
-  source:Configuration.t -> target:Configuration.t -> demand:Demand.t ->
-  Plan.t -> Model.ctx
-(** The context {!replay} runs against (same normalization as
-    {!check}). *)
-
 val replay : Model.ctx -> Witness.t -> Invariant.violation list option
-(** Replay a witness: [None] when its schedule is not executable
+(** Replay a witness on a {!Model.make_ctx} context (the one {!check}
+    builds): [None] when its schedule is not executable
     (a step not enabled in sequence), otherwise every violation seen
     along it, including the crash-spec checks at its final state. *)
 

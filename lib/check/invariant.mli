@@ -26,7 +26,9 @@
       monotonically, never exceeds the plan's total, and reaches it
       exactly at switch end.
     - [Termination]: a completed switch ends exactly in the (normalized)
-      target configuration. *)
+      target configuration, and a journal ends a switch only once it
+      completed (or aborts it at a pool boundary after a failure); a
+      switch with a journaled failure is degraded, not completed. *)
 
 type id =
   | Capacity

@@ -11,7 +11,8 @@
    Durations are abstracted away entirely — any interleaving of starts
    and finishes the barrier structure admits is reachable, which covers
    every timing the discrete-event executor (contention, slowdowns,
-   pipelining) could produce and more. *)
+   pipelining) could produce and more. [accepts] replays the executor's
+   own journal records through the same transitions. *)
 
 open Entropy_core
 module Record = Entropy_journal.Record
@@ -36,7 +37,12 @@ type ctx = {
   switch : int;
 }
 
-type status = Idle | In_flight | Done_ok
+type status = Idle | In_flight | Done_ok | Failed
+
+(* done or failed: the action holds no claim and its pool may drain *)
+let terminal_status = function
+  | Done_ok | Failed -> true
+  | Idle | In_flight -> false
 
 type state = {
   config : Configuration.t;
@@ -53,17 +59,11 @@ let make_ctx ?(vjobs = []) ?(invariants = Invariant.all) ~source ~target
   let target = Rgraph.normalize_sleeping ~current:source target in
   let pools = Plan.pools plan in
   let actions = Array.of_list (Plan.actions plan) in
-  let pool_of = Array.make (Array.length actions) 0 in
+  let pool_of =
+    Array.of_list
+      (List.concat (List.mapi (fun p -> List.map (fun _ -> p)) pools))
+  in
   let n_pools = List.length pools in
-  let i = ref 0 in
-  List.iteri
-    (fun p pool ->
-      List.iter
-        (fun _ ->
-          pool_of.(!i) <- p;
-          incr i)
-        pool)
-    pools;
   let n = Configuration.node_count source in
   let cpu, mem = Configuration.loads source demand in
   let allowed_cpu =
@@ -94,18 +94,6 @@ let make_ctx ?(vjobs = []) ?(invariants = Invariant.all) ~source ~target
 
 let want ctx inv = List.mem inv ctx.invariants
 
-let begin_record ctx =
-  Record.Switch_begin
-    {
-      switch = ctx.switch;
-      at_s = 0.;
-      source = ctx.source;
-      target = ctx.target;
-      plan = ctx.plan;
-      demand = ctx.demand;
-      seed = None;
-    }
-
 let init ctx =
   {
     config = ctx.source;
@@ -114,7 +102,19 @@ let init ctx =
     cost = 0;
     nsteps = 0;
     rev_steps = [];
-    rev_records = [ begin_record ctx ];
+    rev_records =
+      [
+        Record.Switch_begin
+          {
+            switch = ctx.switch;
+            at_s = 0.;
+            source = ctx.source;
+            target = ctx.target;
+            plan = ctx.plan;
+            demand = ctx.demand;
+            seed = None;
+          };
+      ];
   }
 
 let finished ctx state = state.pool >= ctx.n_pools
@@ -128,7 +128,8 @@ let key state =
   Array.iteri
     (fun i s ->
       Bytes.unsafe_set b i
-        (match s with Idle -> '.' | In_flight -> '+' | Done_ok -> '#'))
+        (match s with
+        | Idle -> '.' | In_flight -> '+' | Done_ok -> '#' | Failed -> 'x'))
     state.status;
   Bytes.set b n (Char.chr (state.pool land 0xff));
   Bytes.unsafe_to_string b
@@ -141,7 +142,7 @@ let enabled ctx state =
       match state.status.(i) with
       | Idle -> if ctx.pool_of.(i) = state.pool then starts := Witness.Start i :: !starts
       | In_flight -> finishes := Witness.Finish i :: !finishes
-      | Done_ok -> ()
+      | Done_ok | Failed -> ()
     done;
     !starts @ !finishes
   end
@@ -197,7 +198,9 @@ let state_violations ctx state =
              :: !vs)
        cpu
    end);
-  if finished ctx state then begin
+  (* a switch with a failed action is degraded, not complete: the repair
+     chase, not the target, decides where it goes next *)
+  if finished ctx state && not (Array.mem Failed state.status) then begin
     (if want ctx Termination then
        Array.iteri
          (fun vm _ ->
@@ -220,6 +223,35 @@ let state_violations ctx state =
   end;
   List.rev !vs
 
+(* Action [i] reached its terminal record [terminal] (at [nsteps]),
+   leaving [config] and [cost]: the record precedes the configuration
+   change, and every pool it drains appends its [Pool_committed]
+   (the last also [Switch_end]). *)
+let terminate ctx state ~status ~nsteps ~rev_steps ~terminal ~config ~cost =
+  let at_s = float_of_int nsteps in
+  let rev_records = terminal :: state.rev_records in
+  let pool_done p =
+    Array.for_all2 (fun q s -> q <> p || terminal_status s) ctx.pool_of status
+  in
+  let rec advance p rev_records =
+    if p < ctx.n_pools && pool_done p then
+      advance (p + 1)
+        (Record.Pool_committed { switch = ctx.switch; pool = p; at_s }
+        :: rev_records)
+    else (p, rev_records)
+  in
+  let pool', rev_records =
+    if pool_done state.pool then advance state.pool rev_records
+    else (state.pool, rev_records)
+  in
+  let rev_records =
+    if pool' >= ctx.n_pools then
+      Record.Switch_end { switch = ctx.switch; at_s; aborted = false }
+      :: rev_records
+    else rev_records
+  in
+  { config; status; pool = pool'; cost; nsteps; rev_steps; rev_records }
+
 let apply ctx state step =
   let vs = ref [] in
   let nsteps = state.nsteps + 1 in
@@ -234,7 +266,10 @@ let apply ctx state step =
       (if want ctx Precedence then
          Array.iteri
            (fun j s ->
-             if j < i && Action.vm ctx.actions.(j) = vm && s <> Done_ok then
+             if
+               j < i && Action.vm ctx.actions.(j) = vm
+               && not (terminal_status s)
+             then
                note Precedence
                  (fmt "%s started before earlier action %d on vm %d finished"
                     (action_str a) j vm))
@@ -282,53 +317,150 @@ let apply ctx state step =
       if want ctx Cost_monotone && cost > ctx.total_cost then
         note Cost_monotone
           (fmt "executed cost %d overshoots plan cost %d" cost ctx.total_cost);
-      (* the terminal record precedes the configuration change *)
-      let rev_records = terminal :: state.rev_records in
-      let pool_done p =
-        let all = ref true in
-        Array.iteri
-          (fun j s -> if ctx.pool_of.(j) = p && s <> Done_ok then all := false)
-          status;
-        !all
-      in
-      let rec advance p rev_records =
-        if p < ctx.n_pools && pool_done p then
-          advance (p + 1)
-            (Record.Pool_committed { switch = ctx.switch; pool = p; at_s }
-            :: rev_records)
-        else (p, rev_records)
-      in
-      let pool', rev_records =
-        if pool_done state.pool then advance state.pool rev_records
-        else (state.pool, rev_records)
-      in
-      let rev_records =
-        if pool' >= ctx.n_pools then
-          Record.Switch_end { switch = ctx.switch; at_s; aborted = false }
-          :: rev_records
-        else rev_records
-      in
-      {
-        config;
-        status;
-        pool = pool';
-        cost;
-        nsteps;
-        rev_steps = step :: state.rev_steps;
-        rev_records;
-      }
+      terminate ctx state ~status ~nsteps ~rev_steps:(step :: state.rev_steps)
+        ~terminal ~config ~cost
   in
   (state', List.rev !vs)
+
+type move = Step of Witness.step | Fail of int
+
+(* The one replay fold, for a witness and for a journal alike: [next]
+   names the move [x] makes from the current state, none (a record
+   that changes no state), or refuses it, which ends the replay. Every
+   transition and state violation along the way is collected, oldest
+   first. *)
+let replay ctx ~next xs =
+  let rec go st acc = function
+    | [] -> (st, List.rev acc, None)
+    | x :: rest -> (
+      match next st x with
+      | Error e -> (st, List.rev acc, Some e)
+      | Ok None -> go st acc rest
+      | Ok (Some move) ->
+        let st', tvs =
+          match move with
+          | Step s -> apply ctx st s
+          | Fail i ->
+            (* a journaled terminal failure, in flight or still idle (a
+               lost node fails actions that never started): the
+               configuration stays, and the action counts as drained;
+               the witness trace does not record it *)
+            let status = Array.copy st.status in
+            status.(i) <- Failed;
+            let nsteps = st.nsteps + 1 in
+            let terminal =
+              Record.Action_failed
+                {
+                  switch = ctx.switch;
+                  pool = ctx.pool_of.(i);
+                  at_s = float_of_int nsteps;
+                  action = ctx.actions.(i);
+                }
+            in
+            ( terminate ctx st ~status ~nsteps ~rev_steps:st.rev_steps
+                ~terminal ~config:st.config ~cost:st.cost,
+              [] )
+        in
+        go st'
+          (List.rev_append (state_violations ctx st') (List.rev_append tvs acc))
+          rest)
+  in
+  let st = init ctx in
+  go st (List.rev (state_violations ctx st)) xs
+
+(* -- journal acceptance --------------------------------------------------- *)
+
+(* The first action of [pool] equal to [a] with status [st]. *)
+let find ctx state ~pool a st =
+  let rec go i =
+    if i >= Array.length ctx.actions then None
+    else if
+      ctx.pool_of.(i) = pool && state.status.(i) = st
+      && Action.equal ctx.actions.(i) a
+    then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let accepts ctx records =
+  (* pools whose [Pool_committed] the journal wrote; the model drains
+     them in order, so the next commit due is pool [!committed] *)
+  let committed = ref 0 and ended = ref false in
+  let refuse inv st r why =
+    Error
+      (violation inv st.nsteps
+         (fmt "%s: %s" (Entropy_obs.Json.to_string (Record.to_json r)) why))
+  in
+  let action st r ~pool a =
+    let first = find ctx st ~pool a in
+    (* only the current pool's actions may start or fail idle *)
+    let in_pool i move =
+      if ctx.pool_of.(i) = st.pool then Ok (Some move)
+      else refuse Precedence st r (fmt "pool %d has not drained" st.pool)
+    in
+    if !committed < st.pool then
+      refuse Precedence st r
+        (fmt "pool %d drained but not committed" !committed)
+    else
+      match (r, first In_flight, first Idle) with
+      | Record.Action_started { attempt = 1; _ }, _, Some i ->
+        in_pool i (Step (Witness.Start i))
+      | Record.Action_started { attempt; _ }, Some _, _ when attempt > 1 ->
+        Ok None
+      | Record.Action_started _, _, _ ->
+        refuse Lifecycle st r "no idle (attempt 1) or in-flight (retry) action"
+      | Record.Action_done _, Some i, _ -> Ok (Some (Step (Witness.Finish i)))
+      | Record.Action_failed _, Some i, _ -> Ok (Some (Fail i))
+      | Record.Action_failed _, None, Some i -> in_pool i (Fail i)
+      | Record.Action_done _, None, Some _ ->
+        refuse Lifecycle st r "done with no start"
+      | _ -> refuse Lifecycle st r "a second terminal record"
+  in
+  (* an aborted end: at a pool boundary, after a failure *)
+  let boundary st =
+    (not (finished ctx st))
+    && Array.mem Failed st.status
+    && Array.for_all2
+         (fun p s -> p <> st.pool || s = Idle)
+         ctx.pool_of st.status
+  in
+  let next st r =
+    if !ended then refuse Termination st r "after Switch_end"
+    else
+      match r with
+      | Record.Action_started { pool; action = a; _ }
+      | Record.Action_done { pool; action = a; _ }
+      | Record.Action_failed { pool; action = a; _ } ->
+        action st r ~pool a
+      | Record.Pool_committed { pool; _ } ->
+        if pool = !committed && pool < st.pool then begin
+          incr committed;
+          Ok None
+        end
+        else
+          refuse Precedence st r
+            (fmt "not the next pool to commit (%d committed, %d drained)"
+               !committed st.pool)
+      | Record.Switch_end { aborted; _ } ->
+        if
+          !committed = st.pool
+          && if aborted then boundary st else finished ctx st
+        then begin
+          ended := true;
+          Ok None
+        end
+        else
+          refuse Termination st r
+            (if aborted then "not at a pool boundary after a failure"
+             else fmt "pool %d has not drained and committed" !committed)
+      | Record.Switch_begin _ -> refuse Lifecycle st r "a second Switch_begin"
+      | Record.Submission _ | Record.Ladder _ -> Ok None
+  in
+  match replay ctx ~next records with
+  | _, v :: _, _ | _, [], Some v -> Error v
+  | st, [], None -> Ok st
 
 let witness ?crash state =
   { Witness.steps = List.rev state.rev_steps; crash }
 
 let records state = List.rev state.rev_records
-
-let describe_step ctx step =
-  let i = Witness.step_index step in
-  if i < 0 || i >= Array.length ctx.actions then Witness.step_to_string step
-  else
-    fmt "%s (%s)"
-      (Witness.step_to_string step)
-      (action_str ctx.actions.(i))

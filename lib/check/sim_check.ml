@@ -1,17 +1,16 @@
 (* Conformance of the real discrete-event executor with the abstract
    model, CHESS-style: the plan runs on a real Cluster + Executor, with
-   the engine's new schedule hook enumerating every tie-break order of
+   the engine's schedule hook enumerating every tie-break order of
    simultaneous events (depth-first over the choice tree, bounded by a
-   run budget). Each run is checked for mid-switch capacity, exact
-   termination in the target, and a well-formed write-ahead journal
-   trace. *)
+   run budget). Each run's journal records must be a path of the model
+   ([Model.accepts], which evaluates the invariant catalogue along it)
+   that ends where the cluster does. *)
 
 open Entropy_core
 module Engine = Vsim.Engine
 module Cluster = Vsim.Cluster
 module Executor = Vsim.Executor
 module Record = Entropy_journal.Record
-module Recovery = Entropy_journal.Recovery
 
 type outcome = {
   runs : int;
@@ -20,8 +19,6 @@ type outcome = {
   violations : (Invariant.violation * int list) list;
       (* violation plus the run's tie-break choices, root first *)
 }
-
-let violation invariant step detail = { Invariant.invariant; step; detail }
 
 (* One run under a fixed choice prefix (root-first); choices beyond the
    prefix default to 0 (FIFO). Returns the decision trace deepest-first
@@ -49,90 +46,40 @@ let one_run ctx prefix =
     Cluster.create ~engine ~config:ctx.Model.source ~vjobs:ctx.Model.vjobs
       ~programs ()
   in
-  let rev_records = ref [ Model.begin_record ctx ] in
+  let rev_records = ref [] in
   let result = ref None in
   Executor.execute
     ~emit:(fun r -> rev_records := r :: !rev_records)
     ~switch:ctx.Model.switch cluster ctx.Model.plan
     ~on_done:(fun r -> result := Some r);
-  let viols = ref [] in
   let steps = ref 0 in
-  let check_capacity () =
-    if Model.want ctx Invariant.Capacity then begin
-      let config = Cluster.config cluster in
-      let cpu, mem = Configuration.loads config ctx.Model.demand in
-      Array.iteri
-        (fun node c ->
-          if
-            c > ctx.Model.allowed_cpu.(node)
-            || mem.(node) > ctx.Model.allowed_mem.(node)
-          then
-            viols :=
-              violation Capacity !steps
-                (Printf.sprintf
-                   "sim: node %d over its allowance mid-switch (cpu %d/%d, \
-                    mem %d/%d)"
-                   node c
-                   ctx.Model.allowed_cpu.(node)
-                   mem.(node)
-                   ctx.Model.allowed_mem.(node))
-              :: !viols)
-        cpu
-    end
-  in
   while !result = None && !steps < 1_000_000 && Engine.step engine do
-    incr steps;
-    check_capacity ()
+    incr steps
   done;
-  (match !result with
-  | None ->
-    viols :=
-      violation Termination !steps "sim: executor never completed the switch"
-      :: !viols
-  | Some r ->
-    (* the runner, not the executor, brackets the switch *)
-    rev_records :=
-      Record.Switch_end
-        { switch = ctx.Model.switch; at_s = Engine.now engine; aborted = false }
-      :: !rev_records;
-    let final = Cluster.config cluster in
-    (if Model.want ctx Invariant.Termination then
-       if not (Configuration.equal final ctx.Model.target) then
-         viols :=
-           violation Termination !steps
-             "sim: final configuration differs from the target"
-           :: !viols);
-    if Model.want ctx Invariant.Write_ahead then begin
-      match Recovery.replay (List.rev !rev_records) with
-      | None ->
-        viols :=
-          violation Write_ahead !steps "sim: journal trace did not replay"
-          :: !viols
-      | Some sw ->
-        (* every slot Done leaves none failed or in flight *)
-        let done_ = List.length (Recovery.done_actions sw)
-        and slots = Array.length sw.Recovery.slots in
-        if
-          sw.Recovery.end_at = None || done_ < slots
-          || sw.Recovery.unmatched > 0
-        then
-          viols :=
-            violation Write_ahead !steps
-              (Printf.sprintf
-                 "sim: journal trace malformed (ended=%b done=%d/%d \
-                  unmatched=%d)"
-                 (sw.Recovery.end_at <> None) done_ slots sw.Recovery.unmatched)
-            :: !viols
-        else if
-          not (Configuration.equal (Recovery.projected_config sw) final)
-        then
-          viols :=
-            violation Write_ahead !steps
-              "sim: journal projection differs from the final configuration"
-            :: !viols
-    end;
-    ignore r);
-  (!trace, List.rev !viols)
+  (* the runner, not the executor, closes the switch; a switch the
+     executor never completed closes unaborted, which the model
+     refuses *)
+  let aborted =
+    Option.fold ~none:false ~some:Executor.(fun r -> r.aborted) !result
+  in
+  let at_s = Engine.now engine in
+  let records =
+    List.rev
+      (Record.Switch_end { switch = ctx.Model.switch; at_s; aborted }
+      :: !rev_records)
+  in
+  let viols =
+    match Model.accepts ctx records with
+    | Error v -> [ v ]
+    | Ok st
+      when Model.want ctx Write_ahead
+           && not (Configuration.equal st.Model.config (Cluster.config cluster))
+      ->
+      let detail = "sim: journal and cluster end in different configurations" in
+      [ { Invariant.invariant = Write_ahead; step = st.Model.nsteps; detail } ]
+    | Ok _ -> []
+  in
+  (!trace, viols)
 
 (* Next DFS prefix: bump the deepest decision point that still has an
    untried alternative, drop everything below it. *)

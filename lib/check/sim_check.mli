@@ -3,10 +3,10 @@
     The plan executes on a real {!Vsim.Cluster} + {!Vsim.Executor}; the
     engine's schedule hook ({!Vsim.Engine.set_chooser}) enumerates
     tie-break orders of simultaneous events depth-first over the choice
-    tree, bounded by [max_runs]. Each run checks mid-switch capacity
-    (against the model's relative-overload allowances), termination in
-    the target, and that the emitted write-ahead journal trace replays
-    whole and projects onto the final configuration. *)
+    tree, bounded by [max_runs]. Each run's emitted journal records must
+    be a path of the model ({!Model.accepts}, which evaluates the
+    invariant catalogue along them), and the configuration the model
+    reaches must be the cluster's at the end. *)
 
 type outcome = {
   runs : int;

@@ -13,11 +13,6 @@ let is_empty t = t.pools = []
 let pools t = t.pools
 let pool_count t = List.length t.pools
 
-(* Keep only the actions satisfying [keep]; pools emptied by the filter
-   disappear, later pools move up. The salvage primitive: dependencies
-   are re-checked by whoever validates the restricted plan. *)
-let restrict t ~keep = make (List.map (List.filter keep) t.pools)
-
 let actions t = List.concat t.pools
 
 let action_count t = List.length (actions t)
@@ -49,82 +44,6 @@ let ram_suspend_count t =
 
 let ram_resume_count t =
   count_kind t (function Action.Resume_ram _ -> true | _ -> false)
-
-(* -- validation ----------------------------------------------------------- *)
-
-type violation =
-  | Pool_infeasible of { pool : int; action : Action.t }
-  | Wrong_final_state of {
-      vm : Vm.id;
-      expected : Configuration.vm_state;
-      got : Configuration.vm_state;
-    }
-  | Invalid_application of { pool : int; action : Action.t; reason : string }
-
-let pp_violation ppf = function
-  | Pool_infeasible { pool; action } ->
-    Fmt.pf ppf "pool %d: %a not feasible in parallel" pool Action.pp action
-  | Wrong_final_state { vm; expected; got } ->
-    Fmt.pf ppf "VM %d finishes %a, expected %a" vm
-      Configuration.pp_vm_state got Configuration.pp_vm_state expected
-  | Invalid_application { pool; action; reason } ->
-    Fmt.pf ppf "pool %d: %a cannot apply (%s)" pool Action.pp action reason
-
-(* Check that each pool's actions are simultaneously feasible (claims
-   evaluated against the pool-start configuration: resources freed inside
-   a pool cannot serve claims of the same pool) and that the plan's final
-   configuration matches the target. *)
-let validate ~current ~target ~demand t =
-  let violations = ref [] in
-  let note v = violations := v :: !violations in
-  let apply_pool config pool_idx pool_actions =
-    (* simultaneous feasibility: accumulate claims against pool start *)
-    let n = Configuration.node_count config in
-    let claimed_cpu = Array.make n 0 and claimed_mem = Array.make n 0 in
-    List.iter
-      (fun a ->
-        match Action.claim config demand a with
-        | None -> ()
-        | Some (dst, cpu, mem) ->
-          let free_cpu =
-            Configuration.free_cpu config demand dst - claimed_cpu.(dst)
-          in
-          let free_mem = Configuration.free_mem config dst - claimed_mem.(dst) in
-          (* a migration's own source load is still on the source: fine,
-             the claim is on the destination only *)
-          if cpu > free_cpu || mem > free_mem then
-            note (Pool_infeasible { pool = pool_idx; action = a })
-          else begin
-            claimed_cpu.(dst) <- claimed_cpu.(dst) + cpu;
-            claimed_mem.(dst) <- claimed_mem.(dst) + mem
-          end)
-      pool_actions;
-    (* sequential application to get the next pool's start state *)
-    List.fold_left
-      (fun cfg a ->
-        try Action.apply cfg a
-        with Action.Invalid reason ->
-          note (Invalid_application { pool = pool_idx; action = a; reason });
-          cfg)
-      config pool_actions
-  in
-  let final =
-    List.fold_left
-      (fun (config, idx) pool_actions ->
-        (apply_pool config idx pool_actions, idx + 1))
-      (current, 0) t.pools
-    |> fst
-  in
-  for vm_id = 0 to Configuration.vm_count target - 1 do
-    let expected = Configuration.state target vm_id in
-    let got = Configuration.state final vm_id in
-    if not (Configuration.equal_vm_state expected got) then
-      note (Wrong_final_state { vm = vm_id; expected; got })
-  done;
-  List.rev !violations
-
-let is_valid ~current ~target ~demand t =
-  validate ~current ~target ~demand t = []
 
 let pp ppf t =
   let pp_pool i ppf actions =

@@ -8,11 +8,6 @@ val make : Action.t list list -> t
 val empty : t
 val is_empty : t -> bool
 
-val restrict : t -> keep:(Action.t -> bool) -> t
-(** Keep only the actions satisfying [keep]; pools emptied by the filter
-    are dropped. Restriction does not re-check dependencies — run
-    {!validate} (or rebuild through the planner) on the result. *)
-
 val pools : t -> Action.t list list
 val pool_count : t -> int
 val actions : t -> Action.t list
@@ -32,27 +27,5 @@ val local_resume_count : t -> int
 
 val ram_suspend_count : t -> int
 val ram_resume_count : t -> int
-
-type violation =
-  | Pool_infeasible of { pool : int; action : Action.t }
-  | Wrong_final_state of {
-      vm : Vm.id;
-      expected : Configuration.vm_state;
-      got : Configuration.vm_state;
-    }
-  | Invalid_application of { pool : int; action : Action.t; reason : string }
-
-val pp_violation : Format.formatter -> violation -> unit
-
-val validate :
-  current:Configuration.t -> target:Configuration.t -> demand:Demand.t ->
-  t -> violation list
-(** Check that every pool is simultaneously feasible (claims evaluated
-    against the pool-start configuration) and that the plan ends exactly
-    in [target]. *)
-
-val is_valid :
-  current:Configuration.t -> target:Configuration.t -> demand:Demand.t ->
-  t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -8,6 +8,8 @@ module Checker = Entropy_check.Checker
 module Invariant = Entropy_check.Invariant
 module Witness = Entropy_check.Witness
 module Model = Entropy_check.Model
+module Journal = Entropy_journal.Journal
+module Record = Entropy_journal.Record
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -124,7 +126,7 @@ let test_capacity_counterexample () =
     check_bool "minimized witness still reproduces" true
       (match
          Checker.replay
-           (Checker.make_ctx ~invariants:[ Invariant.Capacity ] ~source
+           (Model.make_ctx ~invariants:[ Invariant.Capacity ] ~source
               ~target ~demand plan)
            c.Checker.minimized
        with
@@ -199,7 +201,7 @@ let test_witness_malformed () =
 
 let test_replay_inexecutable () =
   let source, target, demand, plan = overload_instance () in
-  let ctx = Checker.make_ctx ~source ~target ~demand plan in
+  let ctx = Model.make_ctx ~source ~target ~demand plan in
   (* finishing an action that was never started is not executable *)
   let w = { Witness.steps = [ Witness.Finish 0 ]; crash = None } in
   check_bool "inexecutable schedule yields None" true
@@ -207,7 +209,7 @@ let test_replay_inexecutable () =
 
 let test_replay_clean () =
   let source, target, demand, vjobs, plan = derived ~vms:6 ~nodes:3 ~seed:42 in
-  let ctx = Checker.make_ctx ~vjobs ~source ~target ~demand plan in
+  let ctx = Model.make_ctx ~vjobs ~source ~target ~demand plan in
   (* the canonical schedule: start then finish every action in order *)
   let n = Plan.action_count plan in
   let steps =
@@ -222,7 +224,7 @@ let test_replay_clean () =
 
 let test_crash_specs_on_clean_plan () =
   let source, target, demand, vjobs, plan = derived ~vms:6 ~nodes:3 ~seed:42 in
-  let ctx = Checker.make_ctx ~vjobs ~source ~target ~demand plan in
+  let ctx = Model.make_ctx ~vjobs ~source ~target ~demand plan in
   (* run the canonical schedule halfway, then check explicit crash specs *)
   let n = Plan.action_count plan in
   let half = n / 2 in
@@ -260,7 +262,7 @@ let test_model_pool_barrier () =
         [ Action.Run { vm = 1; dst = 0 } ];
       ]
   in
-  let ctx = Checker.make_ctx ~source ~target ~demand plan in
+  let ctx = Model.make_ctx ~source ~target ~demand plan in
   let st0 = Model.init ctx in
   check_bool "only pool-0 starts enabled" true
     (Model.enabled ctx st0 = [ Witness.Start 0 ]);
@@ -275,13 +277,210 @@ let test_model_pool_barrier () =
 
 let test_model_independence () =
   let source, target, demand, plan = overload_instance () in
-  let ctx = Checker.make_ctx ~source ~target ~demand plan in
+  let ctx = Model.make_ctx ~source ~target ~demand plan in
   check_bool "same action does not commute with itself" false
     (Model.independent ctx (Witness.Start 0) (Witness.Finish 0))
+
+(* -- the executor's journals ---------------------------------------------- *)
+
+(* Each [Switch_begin]'s context (with its switch id) and the records
+   of that switch after it, in begin order. *)
+let switches records =
+  let begun = ref [] in
+  List.iter
+    (function
+      | Record.Switch_begin { switch; source; target; plan; demand; _ } ->
+        let ctx = Model.make_ctx ~source ~target ~demand plan in
+        begun := ({ ctx with Model.switch }, ref []) :: !begun
+      | r -> (
+        let id = Record.switch r in
+        match List.find_opt (fun (c, _) -> c.Model.switch = id) !begun with
+        | Some (_, rs) -> rs := r :: !rs
+        | None -> ()))
+    records;
+  List.rev_map (fun (ctx, rs) -> (ctx, List.rev !rs)) !begun
+
+(* Every switch of a journal through [Model.accepts]: how many there
+   are, the rejected ones with their violation, and the switch records
+   of no begun switch (none in a journal the controller wrote). *)
+let accept_journal path =
+  let records, _ = Journal.load path in
+  let switches = switches records in
+  let rejected =
+    List.filter_map
+      (fun (ctx, rs) ->
+        match Model.accepts ctx rs with
+        | Ok _ -> None
+        | Error v -> Some (ctx.Model.switch, v))
+      switches
+  in
+  let in_switch = function
+    | Record.Switch_begin _ | Record.Submission _ | Record.Ladder _ -> false
+    | _ -> true
+  in
+  let orphans =
+    List.length (List.filter in_switch records)
+    - List.fold_left (fun n (_, rs) -> n + List.length rs) 0 switches
+  in
+  (List.length switches, rejected, orphans)
+
+(* Prints the counts and each rejected switch; true when every switch
+   is accepted and no record is outside one. *)
+let report_journal path =
+  let n, rejected, orphans = accept_journal path in
+  Printf.printf "%s: %d switches, %d accepted, %d records outside a switch\n%!"
+    path n (n - List.length rejected) orphans;
+  List.iter
+    (fun (id, v) ->
+      Format.printf "  switch %d: %a@." id Invariant.pp_violation v)
+    rejected;
+  n > 0 && rejected = [] && orphans = 0
+
+let test_journal_accepted path () =
+  check_bool "every switch accepted" true (report_journal path)
+
+(* A clean switch of the seed-0 burst journal with two pools or more,
+   several actions in the first and no retry: the trace the edits below
+   break. *)
+let clean_trace () =
+  let records, _ = Journal.load "../journal/burst0.wal" in
+  let retry = function
+    | Record.Action_started { attempt; _ } -> attempt > 1
+    | _ -> false
+  in
+  List.find
+    (fun (ctx, rs) ->
+      ctx.Model.n_pools >= 2
+      && List.length (List.hd (Plan.pools ctx.Model.plan)) >= 3
+      && not (List.exists retry rs))
+    (switches records)
+
+let index p rs =
+  let rec go i = function
+    | [] -> Alcotest.fail "no such record"
+    | r :: rest -> if p r then i else go (i + 1) rest
+  in
+  go 0 rs
+
+let remove i rs = List.filteri (fun j _ -> j <> i) rs
+
+let insert i r rs =
+  List.concat (List.mapi (fun j x -> if j = i then [ r; x ] else [ x ]) rs)
+
+let is_commit p = function
+  | Record.Pool_committed { pool; _ } -> pool = p
+  | _ -> false
+
+let is_start p = function
+  | Record.Action_started { pool; _ } -> pool = p
+  | _ -> false
+
+let is_done p = function
+  | Record.Action_done { pool; _ } -> pool = p
+  | _ -> false
+
+let rejected_by inv (ctx, rs) =
+  match Model.accepts ctx rs with
+  | Ok _ -> Alcotest.fail "the edited trace was accepted"
+  | Error v ->
+    Format.printf "%a@." Invariant.pp_violation v;
+    check_bool
+      (Printf.sprintf "rejected on %s" (Invariant.to_string inv))
+      true
+      (v.Invariant.invariant = inv)
+
+let test_edits_rejected () =
+  let ctx, rs = clean_trace () in
+  check_bool "the clean trace is accepted" true
+    (Result.is_ok (Model.accepts ctx rs));
+  let commit0 = index (is_commit 0) rs in
+  (* an action of pool 1 starts before pool 0 is committed *)
+  let start1 = index (is_start 1) rs in
+  rejected_by Invariant.Precedence
+    (ctx, insert commit0 (List.nth rs start1) (remove start1 rs));
+  (* ... or before pool 0 drained *)
+  rejected_by Invariant.Precedence
+    (ctx, insert (commit0 - 1) (List.nth rs start1) (remove start1 rs));
+  (* pool 0 is committed before its last terminal record *)
+  rejected_by Invariant.Precedence
+    (ctx, insert (commit0 - 1) (List.nth rs commit0) (remove commit0 rs));
+  (* an action is done with no start *)
+  rejected_by Invariant.Lifecycle (ctx, remove (index (is_start 0) rs) rs);
+  (* one action gets a second terminal record *)
+  let done0 = index (is_done 0) rs in
+  rejected_by Invariant.Lifecycle
+    (ctx, insert done0 (List.nth rs done0) rs)
+
+(* The executor's steps the model explores no transition for: a retry,
+   a terminal failure (in flight, or before the start when a node is
+   lost), an aborted end at the pool boundary after a failure, and a
+   kill that cuts the switch short. *)
+let test_executor_steps_accepted () =
+  let ctx, rs = clean_trace () in
+  let failed = function
+    | Record.Action_done { switch; pool; at_s; action } ->
+      Record.Action_failed { switch; pool; at_s; action }
+    | r -> r
+  in
+  let accepted what rs =
+    match Model.accepts ctx rs with
+    | Ok st -> st
+    | Error v ->
+      Alcotest.failf "%s rejected: %a" what Invariant.pp_violation v
+  in
+  (* a second attempt of the first action *)
+  let start0 = index (is_start 0) rs in
+  let retry =
+    match List.nth rs start0 with
+    | Record.Action_started r -> Record.Action_started { r with attempt = 2 }
+    | _ -> assert false
+  in
+  ignore (accepted "a retry" (insert (start0 + 1) retry rs));
+  (* the first action of pool 0 fails before it starts, the last one in
+     flight; the switch aborts once pool 0 is committed *)
+  let commit0 = index (is_commit 0) rs in
+  let last_done0 = commit0 - 1 in
+  let first_done0 = index (is_done 0) rs in
+  let edited =
+    List.mapi
+      (fun i r -> if i = last_done0 || i = first_done0 then failed r else r)
+      (List.filteri (fun i _ -> i <= commit0) rs)
+  in
+  let edited =
+    (* drop the start of the action whose done is the first one *)
+    let action_of = function
+      | Record.Action_started { action; _ } | Record.Action_done { action; _ }
+      | Record.Action_failed { action; _ } ->
+        Some action
+      | _ -> None
+    in
+    let a = action_of (List.nth rs first_done0) in
+    List.filter
+      (fun r -> not (is_start 0 r && action_of r = a))
+      edited
+  in
+  let aborted =
+    Record.Switch_end { switch = ctx.Model.switch; at_s = 0.; aborted = true }
+  in
+  let st = accepted "failures and an abort" (edited @ [ aborted ]) in
+  check_int "two failed actions" 2
+    (Array.fold_left
+       (fun n s -> if s = Model.Failed then n + 1 else n)
+       0 st.Model.status);
+  (* without a failure, an aborted end is refused *)
+  rejected_by Invariant.Termination
+    (ctx, List.filteri (fun i _ -> i <= commit0) rs @ [ aborted ]);
+  (* a switch cut off mid-pool is a prefix path *)
+  ignore (accepted "a kill" (List.filteri (fun i _ -> i < commit0) rs))
 
 (* -- run ------------------------------------------------------------------- *)
 
 let () =
+  match Array.to_list Sys.argv with
+  | _ :: "accepts" :: paths ->
+    let ok = List.for_all Fun.id (List.map report_journal paths) in
+    exit (if ok then 0 else 1)
+  | _ ->
   Alcotest.run "check"
     [
       ( "exploration",
@@ -315,5 +514,20 @@ let () =
         [
           Alcotest.test_case "pool barrier" `Quick test_model_pool_barrier;
           Alcotest.test_case "independence" `Quick test_model_independence;
+        ] );
+      ( "accepts",
+        [
+          Alcotest.test_case "burst0 journal" `Quick
+            (test_journal_accepted "../journal/burst0.wal");
+          Alcotest.test_case "soak_kill journal" `Quick
+            (test_journal_accepted "../daemon/soak_kill.wal");
+          Alcotest.test_case "chaos_kill journal" `Quick
+            (test_journal_accepted "../sim/chaos_kill_wal.expected");
+          Alcotest.test_case "chaos12 journal" `Quick
+            (test_journal_accepted "../sim/chaos12_wal.expected");
+          Alcotest.test_case "edited traces rejected" `Quick
+            test_edits_rejected;
+          Alcotest.test_case "executor steps accepted" `Quick
+            test_executor_steps_accepted;
         ] );
     ]

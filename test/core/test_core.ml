@@ -365,9 +365,6 @@ let test_planner_sequential_constraint () =
       [| Configuration.Running 1; Configuration.Sleeping 1 |]
   in
   let plan = Planner.build ~current:config ~target ~demand () in
-  Alcotest.(check (list Alcotest.int))
-    "violations" []
-    (List.map (fun _ -> 0) (Plan.validate ~current:config ~target ~demand plan));
   check_int "two pools" 2 (Plan.pool_count plan);
   (match Plan.pools plan with
   | [ first; second ] ->
@@ -377,7 +374,7 @@ let test_planner_sequential_constraint () =
       (List.mem (Action.Migrate { vm = 0; src = 0; dst = 1 }) second)
   | _ -> Alcotest.fail "expected 2 pools");
   check_bool "plan valid" true
-    (Plan.is_valid ~current:config ~target ~demand plan)
+    (Verifier.is_clean ~current:config ~target ~demand plan)
 
 let test_planner_cycle_bypass () =
   (* Figure 8: swap two VMs that do not fit together; pivot N3 *)
@@ -387,7 +384,7 @@ let test_planner_cycle_bypass () =
       [| Configuration.Running 1; Configuration.Running 0 |]
   in
   let plan = Planner.build ~current:config ~target ~demand () in
-  check_bool "valid" true (Plan.is_valid ~current:config ~target ~demand plan);
+  check_bool "valid" true (Verifier.is_clean ~current:config ~target ~demand plan);
   check_int "three migrations (one bypass)" 3 (Plan.migration_count plan);
   check_bool "at least 3 pools" true (Plan.pool_count plan >= 3)
 
@@ -406,7 +403,7 @@ let test_planner_no_pivot_breaks_via_disk () =
       [| Configuration.Running 1; Configuration.Running 0 |]
   in
   let plan = Planner.build ~current:config ~target ~demand () in
-  check_bool "valid" true (Plan.is_valid ~current:config ~target ~demand plan);
+  check_bool "valid" true (Verifier.is_clean ~current:config ~target ~demand plan);
   check_int "one suspend" 1 (Plan.suspend_count plan);
   check_int "one resume" 1 (Plan.resume_count plan);
   check_int "one migration" 1 (Plan.migration_count plan)
@@ -459,7 +456,7 @@ let test_planner_suspend_then_resume_sequence () =
       [| Configuration.Sleeping 0; Configuration.Running 0 |]
   in
   let plan = Planner.build ~current:config ~target ~demand () in
-  check_bool "valid" true (Plan.is_valid ~current:config ~target ~demand plan);
+  check_bool "valid" true (Verifier.is_clean ~current:config ~target ~demand plan);
   check_int "two pools" 2 (Plan.pool_count plan);
   (match Plan.pools plan with
   | [ p1; p2 ] ->
@@ -482,7 +479,7 @@ let test_planner_migration_chain () =
       [| Configuration.Running 1; Configuration.Running 2 |]
   in
   let plan = Planner.build ~current:config ~target ~demand () in
-  check_bool "valid" true (Plan.is_valid ~current:config ~target ~demand plan);
+  check_bool "valid" true (Verifier.is_clean ~current:config ~target ~demand plan);
   check_int "two pools" 2 (Plan.pool_count plan);
   check_int "no bypass needed" 2 (Plan.migration_count plan)
 
@@ -513,7 +510,7 @@ let test_planner_figure9 () =
       |]
   in
   let plan = Planner.build ~current:config ~target ~demand () in
-  check_bool "valid" true (Plan.is_valid ~current:config ~target ~demand plan);
+  check_bool "valid" true (Verifier.is_clean ~current:config ~target ~demand plan);
   check_int "two pools" 2 (Plan.pool_count plan);
   match Plan.pools plan with
   | [ p1; p2 ] ->
@@ -562,8 +559,6 @@ let test_consistency_groups_resumes () =
     Planner.build ~vjobs:[ vjob ] ~current:config ~target ~demand ()
   in
   check_bool "grouped" true (splits plan = []);
-  check_bool "still valid" true
-    (Plan.is_valid ~current:config ~target ~demand plan);
   check_bool "verifier clean" true
     (Verifier.is_clean ~vjobs:[ vjob ] ~current:config ~target ~demand plan)
 
@@ -807,7 +802,7 @@ let test_optimizer_respects_viability () =
     (Configuration.state result.Optimizer.target 1 = Configuration.Running 1);
   check_int "cost 2Dm" 2048 result.Optimizer.cost;
   check_bool "plan valid" true
-    (Plan.is_valid ~current:config ~target:result.Optimizer.target ~demand
+    (Verifier.is_clean ~current:config ~target:result.Optimizer.target ~demand
        result.Optimizer.plan)
 
 let test_optimizer_beats_ffd_on_relocation () =
@@ -867,7 +862,7 @@ let test_decision_consolidation_suspends_overload () =
     (Configuration.vjob_state result.Optimizer.target (List.nth vjobs 2)
     = Some Lifecycle.Sleeping);
   check_bool "plan valid" true
-    (Plan.is_valid ~current:config
+    (Verifier.is_clean ~current:config
        ~target:
          (Rgraph.normalize_sleeping ~current:config result.Optimizer.target)
        ~demand result.Optimizer.plan)
@@ -884,11 +879,12 @@ let test_decision_stops_finished () =
     (Configuration.state result.Optimizer.target 0 = Configuration.Terminated);
   check_int "two stops" 2 (Plan.stop_count result.Optimizer.plan)
 
-(* -- plan validation diagnostics ------------------------------------------- *)
+(* -- plan validation diagnostics (the verifier's findings) --------------- *)
 
 let test_plan_validate_reports_infeasible_pool () =
   (* both runs target the same full node in one pool: the second run's
-     claim must be pinned with its pool index and the exact action *)
+     claim must be pinned with its pool index, the exact action and the
+     memory it lacks *)
   let nodes = mk_nodes ~cpu:100 ~mem:1024 1 in
   let vms = mk_vms [ 768; 768 ] in
   let config = Configuration.make ~nodes ~vms in
@@ -897,17 +893,27 @@ let test_plan_validate_reports_infeasible_pool () =
     Configuration.with_states config
       [| Configuration.Running 0; Configuration.Running 0 |]
   in
+  let overflow pool findings =
+    List.exists
+      (function
+        | Verifier.Claim_overflow
+            {
+              pool = p;
+              action;
+              node = 0;
+              resource = Verifier.Mem;
+              needed = 768;
+              available = 256;
+            } ->
+          p = pool && Action.equal action (Action.Run { vm = 1; dst = 0 })
+        | _ -> false)
+      findings
+  in
   let plan =
     Plan.make [ [ Action.Run { vm = 0; dst = 0 }; Action.Run { vm = 1; dst = 0 } ] ]
   in
-  let violations = Plan.validate ~current:config ~target ~demand plan in
   check_bool "exactly the overflowing run, in pool 0" true
-    (List.exists
-       (function
-         | Plan.Pool_infeasible { pool = 0; action } ->
-           Action.equal action (Action.Run { vm = 1; dst = 0 })
-         | _ -> false)
-       violations);
+    (overflow 0 (Verifier.verify ~current:config ~target ~demand plan));
   (* sequenced, the same claim still overflows (the node simply cannot
      hold both VMs) but the diagnostic must move to pool 1 *)
   let sequential =
@@ -918,12 +924,7 @@ let test_plan_validate_reports_infeasible_pool () =
       ]
   in
   check_bool "sequenced violation pinned to pool 1" true
-    (List.exists
-       (function
-         | Plan.Pool_infeasible { pool = 1; action } ->
-           Action.equal action (Action.Run { vm = 1; dst = 0 })
-         | _ -> false)
-       (Plan.validate ~current:config ~target ~demand sequential))
+    (overflow 1 (Verifier.verify ~current:config ~target ~demand sequential))
 
 let test_plan_validate_reports_wrong_final_state () =
   let nodes = mk_nodes 1 in
@@ -931,15 +932,15 @@ let test_plan_validate_reports_wrong_final_state () =
   let config = Configuration.make ~nodes ~vms in
   let demand = demand_all config 10 in
   let target = Configuration.with_states config [| Configuration.Running 0 |] in
-  let violations = Plan.validate ~current:config ~target ~demand Plan.empty in
+  let findings = Verifier.verify ~current:config ~target ~demand Plan.empty in
   check_bool "missing action pinned with both states" true
     (List.exists
        (function
-         | Plan.Wrong_final_state
+         | Verifier.Wrong_final_state
              { vm = 0; expected = Configuration.Running 0; got } ->
            got = Configuration.state config 0
          | _ -> false)
-       violations)
+       findings)
 
 let test_plan_validate_reports_invalid_application () =
   let nodes = mk_nodes 1 in
@@ -950,14 +951,14 @@ let test_plan_validate_reports_invalid_application () =
   let bad = Action.Resume { vm = 0; src = 0; dst = 0 } in
   let plan = Plan.make [ [ bad ] ] in
   let target = Configuration.with_states config [| Configuration.Running 0 |] in
-  let violations = Plan.validate ~current:config ~target ~demand plan in
+  let findings = Verifier.verify ~current:config ~target ~demand plan in
   check_bool "invalid application pinned to pool 0" true
     (List.exists
        (function
-         | Plan.Invalid_application { pool = 0; action; reason } ->
+         | Verifier.Invalid_application { pool = 0; action; reason } ->
            Action.equal action bad && reason <> ""
          | _ -> false)
-       violations)
+       findings)
 
 let test_plan_validate_accumulates_all_violations () =
   (* one plan, all three diagnostics at once: an over-committed pool, a
@@ -985,18 +986,18 @@ let test_plan_validate_accumulates_all_violations () =
         ];
       ]
   in
-  let violations = Plan.validate ~current:config ~target ~demand plan in
-  let count pred = List.length (List.filter pred violations) in
+  let findings = Verifier.verify ~current:config ~target ~demand plan in
+  let count pred = List.length (List.filter pred findings) in
   check_int "one infeasible pool claim" 1
-    (count (function Plan.Pool_infeasible _ -> true | _ -> false));
+    (count (function Verifier.Claim_overflow _ -> true | _ -> false));
   check_int "one invalid application" 1
-    (count (function Plan.Invalid_application _ -> true | _ -> false));
+    (count (function Verifier.Invalid_application _ -> true | _ -> false));
   check_bool "vm2 never reaches its target" true
     (List.exists
        (function
-         | Plan.Wrong_final_state { vm = 2; _ } -> true
+         | Verifier.Wrong_final_state { vm = 2; _ } -> true
          | _ -> false)
-       violations)
+       findings)
 
 let test_rgraph_mismatched_vm_sets () =
   let a = Configuration.make ~nodes:(mk_nodes 1) ~vms:(mk_vms [ 512 ]) in
@@ -1094,7 +1095,7 @@ let prop_planner_plans_are_valid =
         Rgraph.normalize_sleeping ~current:config outcome.Rjsp.ffd_config
       in
       match Planner.build ~current:config ~target ~demand () with
-      | plan -> Plan.is_valid ~current:config ~target ~demand plan
+      | plan -> Verifier.is_clean ~current:config ~target ~demand plan
       | exception Planner.Stuck _ ->
         (* acceptable only when a cycle truly has no pivot; rare with
            random data, treat as discard *)

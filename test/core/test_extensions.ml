@@ -3,6 +3,7 @@
    state. *)
 
 open Entropy_core
+module Verifier = Entropy_analysis.Verifier
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -312,7 +313,7 @@ let test_ram_rgraph_and_planner () =
   let plan = Planner.build ~current:config ~target ~demand () in
   check_int "one ram suspend" 1 (Plan.ram_suspend_count plan);
   check_int "plan cost zero" 0 (Plan.cost config plan);
-  check_bool "valid" true (Plan.is_valid ~current:config ~target ~demand plan)
+  check_bool "valid" true (Verifier.is_clean ~current:config ~target ~demand plan)
 
 let test_ram_image_cannot_move () =
   let nodes = mk_nodes 2 in
@@ -711,7 +712,7 @@ let prop_ram_plans_valid =
       match Planner.build ~vjobs ~current:config ~target ~demand () with
       | exception Planner.Stuck _ -> QCheck.assume_fail ()
       | plan ->
-        Plan.is_valid ~current:config ~target ~demand plan
+        Verifier.is_clean ~current:config ~target ~demand plan
         && Configuration.is_viable target demand)
 
 let prop_schedule_invariants =

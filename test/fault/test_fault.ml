@@ -265,18 +265,6 @@ let test_salvage_target_pins_frozen () =
   check_bool "other VM keeps its target" true
     (Configuration.state salvaged 1 = Configuration.Running 2)
 
-let test_plan_restrict () =
-  let run vm = Action.Run { vm; dst = 0 } in
-  let plan = Plan.make [ [ run 0; run 1 ]; [ run 2 ] ] in
-  let only_even =
-    Plan.restrict plan ~keep:(function
-      | Action.Run { vm; _ } -> vm mod 2 = 0
-      | _ -> true)
-  in
-  check_int "two actions kept" 2 (Plan.action_count only_even);
-  let none = Plan.restrict plan ~keep:(fun _ -> false) in
-  check_bool "emptied pools dropped" true (Plan.is_empty none)
-
 (* -- repair -------------------------------------------------------------------- *)
 
 let demand2 = Demand.uniform ~vm_count:2 60
@@ -417,7 +405,6 @@ let () =
         [
           Alcotest.test_case "salvage_target pins" `Quick
             test_salvage_target_pins_frozen;
-          Alcotest.test_case "plan restrict" `Quick test_plan_restrict;
           Alcotest.test_case "crashed node marker" `Quick
             test_node_crashed_marker;
         ] );
