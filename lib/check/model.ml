@@ -59,11 +59,17 @@ let make_ctx ?(vjobs = []) ?(invariants = Invariant.all) ~source ~target
   let target = Rgraph.normalize_sleeping ~current:source target in
   let pools = Plan.pools plan in
   let actions = Array.of_list (Plan.actions plan) in
-  let pool_of =
-    Array.of_list
-      (List.concat (List.mapi (fun p -> List.map (fun _ -> p)) pools))
-  in
+  let pool_of = Array.make (Array.length actions) 0 in
   let n_pools = List.length pools in
+  let i = ref 0 in
+  List.iteri
+    (fun p pool ->
+      List.iter
+        (fun _ ->
+          pool_of.(!i) <- p;
+          incr i)
+        pool)
+    pools;
   let n = Configuration.node_count source in
   let cpu, mem = Configuration.loads source demand in
   let allowed_cpu =

@@ -4,7 +4,7 @@
    simultaneous events (depth-first over the choice tree, bounded by a
    run budget). Each run's journal records must be a path of the model
    ([Model.accepts], which evaluates the invariant catalogue along it)
-   that ends where the cluster does. *)
+   that ends where the cluster does, with no action failed. *)
 
 open Entropy_core
 module Engine = Vsim.Engine
@@ -19,6 +19,27 @@ type outcome = {
   violations : (Invariant.violation * int list) list;
       (* violation plus the run's tie-break choices, root first *)
 }
+
+(* No fault is injected into a run, so a failed action, which the model
+   accepts from a faulty cluster, means the executor or the cluster
+   disagrees with the model. So does an aborted end: the model accepts
+   one only after a failure. *)
+let conforms ctx records ~final =
+  match Model.accepts ctx records with
+  | Error v -> [ v ]
+  | Ok st ->
+    let violation invariant detail =
+      [ { Invariant.invariant; step = st.Model.nsteps; detail } ]
+    in
+    if Model.want ctx Termination && Array.mem Model.Failed st.Model.status
+    then violation Termination "sim: action failed in a fault-free run"
+    else if
+      Model.want ctx Write_ahead
+      && not (Configuration.equal st.Model.config final)
+    then
+      violation Write_ahead
+        "sim: journal and cluster end in different configurations"
+    else []
 
 (* One run under a fixed choice prefix (root-first); choices beyond the
    prefix default to 0 (FIFO). Returns the decision trace deepest-first
@@ -68,17 +89,7 @@ let one_run ctx prefix =
       (Record.Switch_end { switch = ctx.Model.switch; at_s; aborted }
       :: !rev_records)
   in
-  let viols =
-    match Model.accepts ctx records with
-    | Error v -> [ v ]
-    | Ok st
-      when Model.want ctx Write_ahead
-           && not (Configuration.equal st.Model.config (Cluster.config cluster))
-      ->
-      let detail = "sim: journal and cluster end in different configurations" in
-      [ { Invariant.invariant = Write_ahead; step = st.Model.nsteps; detail } ]
-    | Ok _ -> []
-  in
+  let viols = conforms ctx records ~final:(Cluster.config cluster) in
   (!trace, viols)
 
 (* Next DFS prefix: bump the deepest decision point that still has an

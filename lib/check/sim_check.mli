@@ -17,3 +17,13 @@ type outcome = {
 }
 
 val run : Model.ctx -> max_runs:int -> outcome
+
+val conforms :
+  Model.ctx -> Entropy_journal.Record.t list ->
+  final:Entropy_core.Configuration.t -> Invariant.violation list
+(** The gate on one fault-free run: its records (journal order, after
+    the [Switch_begin]) must be accepted by {!Model.accepts} with no
+    action failed (termination: the model accepts a failure, and an
+    abort after one, only from a faulty cluster, and a run injects no
+    fault) and reach [final], the cluster's configuration
+    (write-ahead). *)

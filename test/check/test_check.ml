@@ -8,6 +8,7 @@ module Checker = Entropy_check.Checker
 module Invariant = Entropy_check.Invariant
 module Witness = Entropy_check.Witness
 module Model = Entropy_check.Model
+module Sim_check = Entropy_check.Sim_check
 module Journal = Entropy_journal.Journal
 module Record = Entropy_journal.Record
 
@@ -473,6 +474,42 @@ let test_executor_steps_accepted () =
   (* a switch cut off mid-pool is a prefix path *)
   ignore (accepted "a kill" (List.filteri (fun i _ -> i < commit0) rs))
 
+(* A conformance run injects no fault, so the failures and the abort the
+   model accepts from a faulty cluster are violations there: the last
+   action's [Action_done] read as [Action_failed] is a path of the model
+   but not a fault-free run. *)
+let test_fault_free_failure_rejected () =
+  let ctx, rs = clean_trace () in
+  let final rs =
+    match Model.accepts ctx rs with
+    | Ok st -> st.Model.config
+    | Error v -> Alcotest.failf "rejected: %a" Invariant.pp_violation v
+  in
+  check_int "the clean trace conforms" 0
+    (List.length (Sim_check.conforms ctx rs ~final:ctx.Model.target));
+  let last_done =
+    List.fold_left max (-1)
+      (List.mapi
+         (fun i r -> match r with Record.Action_done _ -> i | _ -> -1)
+         rs)
+  in
+  let edited =
+    List.mapi
+      (fun i r ->
+        match r with
+        | Record.Action_done { switch; pool; at_s; action } when i = last_done
+          ->
+          Record.Action_failed { switch; pool; at_s; action }
+        | r -> r)
+      rs
+  in
+  match Sim_check.conforms ctx edited ~final:(final edited) with
+  | [ v ] ->
+    Format.printf "%a@." Invariant.pp_violation v;
+    check_bool "rejected on termination" true
+      (v.Invariant.invariant = Invariant.Termination)
+  | vs -> Alcotest.failf "%d violations, expected 1" (List.length vs)
+
 (* -- run ------------------------------------------------------------------- *)
 
 let () =
@@ -529,5 +566,7 @@ let () =
             test_edits_rejected;
           Alcotest.test_case "executor steps accepted" `Quick
             test_executor_steps_accepted;
+          Alcotest.test_case "fault-free failure rejected" `Quick
+            test_fault_free_failure_rejected;
         ] );
     ]
