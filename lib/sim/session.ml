@@ -239,12 +239,14 @@ let loop ~config ~vjobs ~programs ~journal ~injector ~policy ~queue
     crashes;
   let resumed =
     match resume with
-    | Some { Recovery.target; plan; _ } when not (Plan.is_empty plan) ->
+    | Some { Recovery.state; target; plan; _ } when not (Plan.is_empty plan) ->
       ignore
         (Engine.schedule engine ~at:0.5 (fun () ->
+             (* the poll feeds the collector's window; the switch journals
+                the demand its plan was built against *)
              Collector.poll t.collector;
-             let demand = Collector.demand t.collector in
-             execute t ~depth:0 ~demand ~target plan ~on_settled:p.on_settled));
+             execute t ~depth:0 ~demand:state.Recovery.demand ~target plan
+               ~on_settled:p.on_settled));
       true
     | Some _ | None -> false
   in

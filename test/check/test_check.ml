@@ -558,6 +558,8 @@ let () =
             (test_journal_accepted "../journal/burst0.wal");
           Alcotest.test_case "soak_kill journal" `Quick
             (test_journal_accepted "../daemon/soak_kill.wal");
+          Alcotest.test_case "soak_resume journal" `Quick
+            (test_journal_accepted "../daemon/soak_resume.wal");
           Alcotest.test_case "chaos_kill journal" `Quick
             (test_journal_accepted "../sim/chaos_kill_wal.expected");
           Alcotest.test_case "chaos12 journal" `Quick
