@@ -39,12 +39,6 @@ let local_resume_count t =
     | Action.Resume { src; dst; _ } -> src = dst
     | _ -> false)
 
-let ram_suspend_count t =
-  count_kind t (function Action.Suspend_ram _ -> true | _ -> false)
-
-let ram_resume_count t =
-  count_kind t (function Action.Resume_ram _ -> true | _ -> false)
-
 let pp ppf t =
   let pp_pool i ppf actions =
     Fmt.pf ppf "pool %d: @[<hov>%a@]" i Fmt.(list ~sep:comma Action.pp) actions

@@ -16,6 +16,9 @@ val action_count : t -> int
 val cost : Configuration.t -> t -> int
 (** Plan cost under the Table 1 model (see {!Cost.plan}). *)
 
+val count_kind : t -> (Action.t -> bool) -> int
+(** The plan's actions that satisfy the predicate. *)
+
 val migration_count : t -> int
 val suspend_count : t -> int
 val resume_count : t -> int
@@ -24,8 +27,5 @@ val stop_count : t -> int
 
 val local_resume_count : t -> int
 (** Resumes performed on the node that stored the image. *)
-
-val ram_suspend_count : t -> int
-val ram_resume_count : t -> int
 
 val pp : Format.formatter -> t -> unit

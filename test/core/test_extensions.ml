@@ -8,6 +8,9 @@ module Verifier = Entropy_analysis.Verifier
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let ram_suspend_count plan =
+  Plan.count_kind plan (function Action.Suspend_ram _ -> true | _ -> false)
+
 let mk_nodes ?(cpu = 200) ?(mem = 3584) n =
   Array.init n (fun i ->
       Node.make ~id:i ~name:(Printf.sprintf "N%d" i) ~cpu_capacity:cpu
@@ -311,7 +314,7 @@ let test_ram_rgraph_and_planner () =
     Configuration.with_states config [| Configuration.Sleeping_ram 0 |]
   in
   let plan = Planner.build ~current:config ~target ~demand () in
-  check_int "one ram suspend" 1 (Plan.ram_suspend_count plan);
+  check_int "one ram suspend" 1 (ram_suspend_count plan);
   check_int "plan cost zero" 0 (Plan.cost config plan);
   check_bool "valid" true (Verifier.is_clean ~current:config ~target ~demand plan)
 
@@ -409,7 +412,7 @@ let test_end_to_end_ram_policy () =
   check_bool "target viable" true
     (Configuration.is_viable result.Optimizer.target demand);
   check_bool "has ram suspends" true
-    (Plan.ram_suspend_count result.Optimizer.plan > 0);
+    (ram_suspend_count result.Optimizer.plan > 0);
   check_int "no disk suspends needed" 0
     (Plan.suspend_count result.Optimizer.plan)
 
