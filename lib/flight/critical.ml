@@ -23,7 +23,13 @@
 
    The what-if estimator replays the observed lags and spans forward
    over the same DAG (pool by pool, dependencies inside), with one
-   action zeroed or all barriers removed — no simulator involved. *)
+   action zeroed or all barriers removed — no simulator involved.
+
+   [analyze] prepares one view of the switch: every action's bounds and
+   enabling edge, each pool's straggler, and the executed actions in
+   dispatch order, sorted once. Both walks, the top-k what-ifs and the
+   no-barrier replay read it, so a walk step costs O(1) and a replay
+   O(n). *)
 
 open Entropy_core
 module T = Timeline
@@ -93,26 +99,7 @@ type t = {
   drift : (int * float * float) list;
 }
 
-(* -- per-switch working view ----------------------------------------------- *)
-
-let commit_time sw p = List.assoc_opt p sw.T.commits
-
-let pool_open sw (a : T.action_tl) =
-  if a.T.record_pool <= 0 then sw.T.begun_at
-  else
-    match commit_time sw (a.T.record_pool - 1) with
-    | Some t -> t
-    | None -> sw.T.begun_at
-
-(* Terminal time of the same-VM dependency, when it ran to a terminal. *)
-let dep_end sw (a : T.action_tl) =
-  match a.T.prereq with
-  | None -> None
-  | Some j -> (
-    let d = sw.T.actions.(j) in
-    match d.T.terminal with
-    | Some t -> Some (j, T.terminal_at t)
-    | None -> None)
+(* -- per-switch prepared view ---------------------------------------------- *)
 
 let bounds sw (a : T.action_tl) =
   let fin = T.finish_time sw a in
@@ -138,8 +125,51 @@ type enabling =
       (** pool crossed, its commit time, and the dependency (if any)
           that finished before the barrier opened *)
 
-let enabling sw (a : T.action_tl) =
-  let po = pool_open sw a in
+(* Everything the walks and the replays read, computed once per switch.
+   Pool ids are journal data (varints, not bounded by the plan), so the
+   per-pool readings are tables keyed by pool, built in one pass each. *)
+type view = {
+  sw : T.switch_tl;
+  s1 : float array;  (** first attempt (the finish when none) *)
+  sn : float array;  (** final attempt *)
+  fin : float array;  (** terminal time, or the horizon *)
+  enab : enabling array;  (** the observed enabling edge *)
+  ready : float array;  (** its time *)
+  stragglers : (int, int * float) Hashtbl.t;
+      (** pool -> the action whose terminal closed it, and that time *)
+  order : int array;
+      (** executed actions by record pool, first attempt, index: the
+          replays' dispatch order *)
+  entry : int option;  (** the last finisher *)
+}
+
+(* The first commit of each pool, as an association lookup finds it. *)
+let commit_times sw =
+  let t = Hashtbl.create 8 in
+  List.iter
+    (fun (p, at) -> if not (Hashtbl.mem t p) then Hashtbl.add t p at)
+    sw.T.commits;
+  t
+
+let pool_open sw commits (a : T.action_tl) =
+  if a.T.record_pool <= 0 then sw.T.begun_at
+  else
+    match Hashtbl.find_opt commits (a.T.record_pool - 1) with
+    | Some t -> t
+    | None -> sw.T.begun_at
+
+(* Terminal time of the same-VM dependency, when it ran to a terminal. *)
+let dep_end sw (a : T.action_tl) =
+  match a.T.prereq with
+  | None -> None
+  | Some j -> (
+    let d = sw.T.actions.(j) in
+    match d.T.terminal with
+    | Some t -> Some (j, T.terminal_at t)
+    | None -> None)
+
+let enabling sw commits (a : T.action_tl) =
+  let po = pool_open sw commits a in
   let de = dep_end sw a in
   match de with
   | Some (j, t) when t >= po && t > sw.T.begun_at -> E_dep (j, t)
@@ -152,30 +182,29 @@ let enabling_time sw = function
   | E_dep (_, t) -> t
   | E_barrier (_, po, _) -> po
 
-(* The action whose terminal closed the given pool. *)
-let straggler sw p =
-  let best = ref None in
+(* Each pool's latest terminal; among equal times the first action. *)
+let stragglers sw =
+  let best = Hashtbl.create 8 in
   Array.iter
     (fun (a : T.action_tl) ->
-      if a.T.record_pool = p then
-        match a.T.terminal with
-        | Some t -> (
-          let ft = T.terminal_at t in
-          match !best with
-          | Some (_, bt) when bt >= ft -> ()
-          | _ -> best := Some (a.T.index, ft))
-        | None -> ())
+      match a.T.terminal with
+      | Some t -> (
+        let ft = T.terminal_at t in
+        match Hashtbl.find_opt best a.T.record_pool with
+        | Some (_, bt) when bt >= ft -> ()
+        | _ -> Hashtbl.replace best a.T.record_pool (a.T.index, ft))
+      | None -> ())
     sw.T.actions;
-  Option.map fst !best
+  best
 
 (* The observed end of the line: latest finisher, preferring an action
    still in flight at the horizon (it is the one "currently critical"). *)
-let last_finisher sw =
+let last_finisher sw fin =
   let best = ref None in
   Array.iter
     (fun (a : T.action_tl) ->
       if T.executed a then begin
-        let f = T.finish_time sw a in
+        let f = fin.(a.T.index) in
         let in_flight = a.T.terminal = None in
         match !best with
         | Some (_, bf, bif)
@@ -186,10 +215,51 @@ let last_finisher sw =
     sw.T.actions;
   Option.map (fun (i, _, _) -> i) !best
 
+let prepare sw =
+  let n = Array.length sw.T.actions in
+  let s1 = Array.make n 0. and sn = Array.make n 0. and fin = Array.make n 0. in
+  Array.iteri
+    (fun i a ->
+      let a1, an, f = bounds sw a in
+      s1.(i) <- a1;
+      sn.(i) <- an;
+      fin.(i) <- f)
+    sw.T.actions;
+  let commits = commit_times sw in
+  let enab = Array.map (enabling sw commits) sw.T.actions in
+  let order =
+    Array.of_list
+      (List.filter_map
+         (fun (a : T.action_tl) ->
+           if T.executed a then Some a.T.index else None)
+         (Array.to_list sw.T.actions))
+  in
+  (* a merge sort: pools run in plan order, so runs are long *)
+  Array.stable_sort
+    (fun i j ->
+      match
+        compare sw.T.actions.(i).T.record_pool sw.T.actions.(j).T.record_pool
+      with
+      | 0 -> ( match Float.compare s1.(i) s1.(j) with 0 -> compare i j | c -> c)
+      | c -> c)
+    order;
+  {
+    sw;
+    s1;
+    sn;
+    fin;
+    enab;
+    ready = Array.map (enabling_time sw) enab;
+    stragglers = stragglers sw;
+    order;
+    entry = last_finisher sw fin;
+  }
+
 (* -- causal critical path -------------------------------------------------- *)
 
-let causal_path sw =
-  match last_finisher sw with
+let causal_path v =
+  let sw = v.sw in
+  match v.entry with
   | None -> []
   | Some entry ->
     let visited = Array.make (Array.length sw.T.actions) false in
@@ -198,12 +268,11 @@ let causal_path sw =
       else begin
         visited.(idx) <- true;
         let a = sw.T.actions.(idx) in
-        let s1, sn, fin = bounds sw a in
-        let w, c, r = split a ~s1 ~sn ~fin in
-        let enab = enabling sw a in
-        let gap = Float.max 0. (s1 -. enabling_time sw enab) in
+        let s1 = v.s1.(idx) and fin = v.fin.(idx) in
+        let w, c, r = split a ~s1 ~sn:v.sn.(idx) ~fin in
+        let gap = Float.max 0. (s1 -. v.ready.(idx)) in
         let edge =
-          match enab with
+          match v.enab.(idx) with
           | E_start -> Start
           | E_dep (j, _) -> Dep j
           | E_barrier (p, _, _) -> Barrier p
@@ -223,21 +292,24 @@ let causal_path sw =
           }
         in
         let acc = step :: acc in
-        match enab with
+        match v.enab.(idx) with
         | E_start -> acc
         | E_dep (j, _) -> walk acc j
         | E_barrier (p, _, _) -> (
-          match straggler sw p with Some j -> walk acc j | None -> acc)
+          match Hashtbl.find_opt v.stragglers p with
+          | Some (j, _) -> walk acc j
+          | None -> acc)
       end
     in
     walk [] entry
 
 (* -- attribution buckets --------------------------------------------------- *)
 
-let attribute sw =
+let attribute v =
+  let sw = v.sw in
   let b = ref zero_buckets in
   let charge f = b := f !b in
-  (match last_finisher sw with
+  (match v.entry with
   | None -> ()
   | Some entry ->
     let visited = Array.make (Array.length sw.T.actions) false in
@@ -245,8 +317,8 @@ let attribute sw =
       if not visited.(idx) then begin
         visited.(idx) <- true;
         let a = sw.T.actions.(idx) in
-        let s1, sn, fin = bounds sw a in
-        let w, c, r = split a ~s1 ~sn ~fin in
+        let s1 = v.s1.(idx) in
+        let w, c, r = split a ~s1 ~sn:v.sn.(idx) ~fin:v.fin.(idx) in
         charge (fun b ->
             {
               b with
@@ -254,7 +326,7 @@ let attribute sw =
               contention_s = b.contention_s +. c;
               retry_s = b.retry_s +. r;
             });
-        match enabling sw a with
+        match v.enab.(idx) with
         | E_start ->
           (* slot wait inside the first open pool *)
           charge (fun b ->
@@ -295,33 +367,22 @@ let attribute sw =
    dependency/barrier DAG. [free] zeroes one action; [barriers:false]
    removes every pool barrier (continuous execution of the same
    observations). *)
-let replay ?(free = -1) ?(barriers = true) sw =
-  let n = Array.length sw.T.actions in
-  let fin' = Array.make n nan in
-  let executed =
-    Array.to_list sw.T.actions
-    |> List.filter T.executed
-    |> List.sort (fun (a : T.action_tl) (b : T.action_tl) ->
-           match compare a.T.record_pool b.T.record_pool with
-           | 0 -> (
-             let sa, _, _ = bounds sw a and sb, _, _ = bounds sw b in
-             match Float.compare sa sb with
-             | 0 -> compare a.T.index b.T.index
-             | c -> c)
-           | c -> c)
-  in
+let replay ?(free = -1) ?(barriers = true) v =
+  let sw = v.sw in
+  let fin' = Array.make (Array.length sw.T.actions) nan in
   let horizon = ref sw.T.begun_at in
   let commit = ref sw.T.begun_at in
   let current_pool = ref min_int in
   let pool_max = ref sw.T.begun_at in
-  List.iter
-    (fun (a : T.action_tl) ->
+  Array.iter
+    (fun i ->
+      let a = sw.T.actions.(i) in
       if a.T.record_pool <> !current_pool then begin
         if !current_pool <> min_int then commit := Float.max !commit !pool_max;
         current_pool := a.T.record_pool;
         pool_max := sw.T.begun_at
       end;
-      let s1, _, fin = bounds sw a in
+      let s1 = v.s1.(i) and fin = v.fin.(i) in
       let dep' =
         match a.T.prereq with
         | Some j when not (Float.is_nan fin'.(j)) -> fin'.(j)
@@ -330,36 +391,34 @@ let replay ?(free = -1) ?(barriers = true) sw =
       let ready' =
         Float.max (if barriers then !commit else sw.T.begun_at) dep'
       in
-      let observed_ready = enabling_time sw (enabling sw a) in
-      let lag = Float.max 0. (s1 -. observed_ready) in
+      let lag = Float.max 0. (s1 -. v.ready.(i)) in
       let span = Float.max 0. (fin -. s1) in
-      let f =
-        if a.T.index = free then ready' else ready' +. lag +. span
-      in
-      fin'.(a.T.index) <- f;
+      let f = if i = free then ready' else ready' +. lag +. span in
+      fin'.(i) <- f;
       if f > !pool_max then pool_max := f;
       if f > !horizon then horizon := f)
-    executed;
+    v.order;
   Float.max 0. (!horizon -. sw.T.begun_at)
 
-let what_if_free sw idx = replay ~free:idx sw
+let what_if_free sw idx = replay ~free:idx (prepare sw)
 
 (* -- estimates ------------------------------------------------------------- *)
 
-let action_drift sw =
-  Array.to_list sw.T.actions
+let action_drift v =
+  Array.to_list v.sw.T.actions
   |> List.filter_map (fun (a : T.action_tl) ->
          match a.T.terminal with
          | Some (T.Done _) ->
-           let _, sn, fin = bounds sw a in
-           Some (a.T.index, a.T.est_s, Float.max 0. (fin -. sn))
+           let i = a.T.index in
+           Some (i, a.T.est_s, Float.max 0. (v.fin.(i) -. v.sn.(i)))
          | _ -> None)
 
 (* -- entry point ----------------------------------------------------------- *)
 
 let analyze ?(top_k = 3) sw =
+  let v = prepare sw in
   let makespan = T.makespan sw in
-  let path = causal_path sw in
+  let path = causal_path v in
   let covered =
     List.fold_left
       (fun acc s -> acc +. s.gap_s +. s.retry_s +. s.work_s +. s.contention_s)
@@ -373,7 +432,7 @@ let analyze ?(top_k = 3) sw =
       Float.max 0. (makespan -. last.finish_s)
   in
   let path_span = covered +. tail in
-  let buckets = attribute sw in
+  let buckets = attribute v in
   let buckets = { buckets with recovery_s = buckets.recovery_s +. tail } in
   let bucket_sum = bucket_total buckets in
   let tol = 1e-6 *. Float.max 1. makespan in
@@ -391,7 +450,7 @@ let analyze ?(top_k = 3) sw =
   in
   let what_if =
     List.filteri (fun i _ -> i < top_k) ranked
-    |> List.map (fun s -> (s.index, replay ~free:s.index sw))
+    |> List.map (fun s -> (s.index, replay ~free:s.index v))
   in
   let est_cost, rederived =
     Entropy_analysis.Verifier.cost_cross_check sw.T.source sw.T.plan
@@ -406,12 +465,12 @@ let analyze ?(top_k = 3) sw =
     bucket_sum_s = bucket_sum;
     exact;
     what_if;
-    no_barrier_makespan_s = replay ~barriers:false sw;
+    no_barrier_makespan_s = replay ~barriers:false v;
     est_makespan_s =
       Schedule.makespan (Schedule.of_plan sw.T.source sw.T.plan);
     est_cost_mb = est_cost;
     rederived_cost_mb = rederived;
-    drift = action_drift sw;
+    drift = action_drift v;
   }
 
 (* -- cross-switch (episode) view ------------------------------------------- *)

@@ -4,6 +4,8 @@
    per plan action collecting its attempt starts and terminal outcome.
    The records are sparse (a terminal may come with no start, a killed
    controller writes no Switch_end), so the fold assumes none of them.
+   It is linear in the records: an action record finds its slot through
+   the switch's index by VM, not a scan of every slot.
 
    Reconciliation never trusts the journal over the cluster: the
    journal tells us what the controller *intended* (the plan, and which
@@ -14,7 +16,8 @@
    The chain view matters because a plan may touch one VM twice (bypass
    migrations, disk-backed cycle breaks): seeing the VM in the
    intermediate state means the first hop landed and the second did not
-   — a pending VM, not a diverged one. *)
+   — a pending VM, not a diverged one. Reconciliation groups the plan's
+   actions by VM once and builds every chain from its own group. *)
 
 open Entropy_core
 module Repair = Entropy_fault.Repair
@@ -76,79 +79,122 @@ let opened ~switch ~at_s ~source ~target ~plan ~demand ~seed =
     unmatched = 0;
   }
 
+(* A switch as the fold holds it: the begin record's reading, whose
+   slot array the fold owns and rewrites in place, an index from VM id
+   to that VM's slots in ascending order (an action record ranks only
+   the slots of its own VM), and the rest of the reading, set in place
+   until [close] freezes it. *)
+type open_switch = {
+  opened : switch;
+  by_vm : (Vm.id, int list) Hashtbl.t;
+  mutable commits : (int * float) list;  (* newest first *)
+  mutable end_at : float option;
+  mutable aborted : bool;
+  mutable last_event : float;
+  mutable unmatched : int;
+}
+
+let open_switch sw =
+  let by_vm = Hashtbl.create (Array.length sw.slots) in
+  for i = Array.length sw.slots - 1 downto 0 do
+    let vm = Action.vm sw.slots.(i).action in
+    Hashtbl.replace by_vm vm
+      (i :: Option.value ~default:[] (Hashtbl.find_opt by_vm vm))
+  done;
+  {
+    opened = sw;
+    by_vm;
+    commits = [];
+    end_at = None;
+    aborted = false;
+    last_event = sw.last_event;
+    unmatched = 0;
+  }
+
+let close o =
+  {
+    o.opened with
+    commits = List.rev o.commits;
+    end_at = o.end_at;
+    aborted = o.aborted;
+    last_event = o.last_event;
+    unmatched = o.unmatched;
+  }
+
 (* The slot an action record belongs to. Plans almost never repeat an
    identical action, but the match still prefers a slot without a
    terminal outcome, then one whose plan pool agrees with the record's,
    then (for a terminal) one already started, so even adversarial
-   journals attach records deterministically. Comparing VM ids first
-   keeps the scan off the polymorphic equality. *)
-let find_slot sw ~pool ~action ~terminal =
-  let vm = Action.vm action in
-  let best = ref (-1) and best_rank = ref min_int in
-  for i = 0 to Array.length sw.slots - 1 do
-    let s = sw.slots.(i) in
-    if Action.vm s.action = vm && Action.equal s.action action then begin
-      let rank =
-        (if s.terminal = None then 4 else 0)
-        + (if s.plan_pool = pool then 2 else 0)
-        + if terminal = (s.attempts <> []) then 1 else 0
-      in
-      if rank > !best_rank then begin
-        best_rank := rank;
-        best := i
-      end
-    end
-  done;
-  if !best < 0 then None else Some !best
+   journals attach records deterministically; among equal ranks the
+   first slot wins. -1 when no slot holds the action. *)
+let find_slot o ~pool ~action ~terminal =
+  let slots = o.opened.slots in
+  let rec best i rank = function
+    | [] -> i
+    | j :: rest ->
+      let s = slots.(j) in
+      if Action.equal s.action action then
+        let r =
+          (if s.terminal = None then 4 else 0)
+          + (if s.plan_pool = pool then 2 else 0)
+          + if terminal = (s.attempts <> []) then 1 else 0
+        in
+        if r > rank then best j r rest else best i rank rest
+      else best i rank rest
+  in
+  match Hashtbl.find o.by_vm (Action.vm action) with
+  | candidates -> best (-1) min_int candidates
+  | exception Not_found -> -1
 
-let touch sw at_s =
-  if at_s > sw.last_event then { sw with last_event = at_s } else sw
+let touch o at_s = if at_s > o.last_event then o.last_event <- at_s
 
-(* The fold owns each switch's slot array: a matched record rewrites its
-   slot in place. *)
-let attach ~pool ~at_s ~action terminal sw =
-  let sw = touch sw at_s in
-  match find_slot sw ~pool ~action ~terminal:(terminal <> None) with
-  | None -> { sw with unmatched = sw.unmatched + 1 }
-  | Some i ->
-    let s = sw.slots.(i) in
-    sw.slots.(i) <-
+let attach ~pool ~at_s ~action terminal o =
+  touch o at_s;
+  match find_slot o ~pool ~action ~terminal:(terminal <> None) with
+  | -1 -> o.unmatched <- o.unmatched + 1
+  | i ->
+    let slots = o.opened.slots in
+    let s = slots.(i) in
+    slots.(i) <-
       (if terminal = None then
          { s with record_pool = pool; attempts = s.attempts @ [ at_s ] }
-       else { s with record_pool = pool; terminal });
-    sw
+       else { s with record_pool = pool; terminal })
+
+(* A switch record (one that is not a [Switch_begin]) read into its
+   switch. *)
+let read o = function
+  | Record.Action_started { pool; at_s; action; _ } ->
+    attach ~pool ~at_s ~action None o
+  | Record.Action_done { pool; at_s; action; _ } ->
+    attach ~pool ~at_s ~action (Some (Done at_s)) o
+  | Record.Action_failed { pool; at_s; action; _ } ->
+    attach ~pool ~at_s ~action (Some (Failed at_s)) o
+  | Record.Pool_committed { pool; at_s; _ } ->
+    touch o at_s;
+    o.commits <- (pool, at_s) :: o.commits
+  | Record.Switch_end { at_s; aborted; _ } ->
+    touch o at_s;
+    o.end_at <- Some at_s;
+    o.aborted <- aborted
+  | Record.Switch_begin _ | Record.Submission _ | Record.Ladder _ -> ()
 
 (* [begun] holds the switches most recent begin first; a record updates
    the most recent switch begun with its id, and one with no begun
    switch changes nothing. *)
-let rec update id f = function
-  | [] -> []
-  | sw :: rest when sw.switch = id -> f sw :: rest
-  | sw :: rest -> sw :: update id f rest
-
 let step begun = function
   | Record.Switch_begin { switch; at_s; source; target; plan; demand; seed } ->
-    opened ~switch ~at_s ~source ~target ~plan ~demand ~seed :: begun
-  | Record.Action_started { switch; pool; at_s; action; _ } ->
-    update switch (attach ~pool ~at_s ~action None) begun
-  | Record.Action_done { switch; pool; at_s; action } ->
-    update switch (attach ~pool ~at_s ~action (Some (Done at_s))) begun
-  | Record.Action_failed { switch; pool; at_s; action } ->
-    update switch (attach ~pool ~at_s ~action (Some (Failed at_s))) begun
-  | Record.Pool_committed { switch; pool; at_s } ->
-    update switch
-      (fun sw ->
-        { (touch sw at_s) with commits = sw.commits @ [ (pool, at_s) ] })
-      begun
-  | Record.Switch_end { switch; at_s; aborted } ->
-    update switch
-      (fun sw -> { (touch sw at_s) with end_at = Some at_s; aborted })
-      begun
+    open_switch (opened ~switch ~at_s ~source ~target ~plan ~demand ~seed)
+    :: begun
   (* daemon-level records (admission decisions, ladder transitions) are
      not part of any switch: the daemon's own resume path folds them *)
   | Record.Submission _ | Record.Ladder _ -> begun
+  | r ->
+    let id = Record.switch r in
+    Option.iter (fun o -> read o r)
+      (List.find_opt (fun o -> o.opened.switch = id) begun);
+    begun
 
-let switches records = List.rev (List.fold_left step [] records)
+let switches records = List.rev_map close (List.fold_left step [] records)
 
 let slot_actions keep sw =
   Array.fold_right
@@ -204,14 +250,11 @@ type reconciliation = {
   residue : Repair.residue;
 }
 
-(* The chain of states [vm] passes through under the journaled plan,
-   starting at its source state. Applying only this VM's actions over
-   the full source configuration is sound because [Action.apply] checks
-   life-cycle preconditions, not resources. *)
-let state_chain (state : switch) vm =
-  let actions =
-    List.filter (fun a -> Action.vm a = vm) (Plan.actions state.plan)
-  in
+(* The chain of states [vm] passes through under its planned [actions]
+   (in plan order), starting at its source state. Applying only this
+   VM's actions over the full source configuration is sound because
+   [Action.apply] checks life-cycle preconditions, not resources. *)
+let state_chain (state : switch) vm actions =
   let rec go config acc = function
     | [] -> List.rev acc
     | a :: rest -> (
@@ -236,26 +279,30 @@ let reconcile ?vjobs ~state ~observed () =
     invalid_arg
       "Recovery.reconcile: observation and journal node counts differ";
   let vm_count = Configuration.vm_count observed in
+  let known vm = vm >= 0 && vm < vm_count in
+  (* each VM's planned actions, in plan order, grouped in one pass *)
+  let by_vm = Array.make vm_count [] in
+  List.iter
+    (fun a ->
+      let vm = Action.vm a in
+      if known vm then by_vm.(vm) <- a :: by_vm.(vm))
+    (List.rev (Plan.actions state.plan));
   let classes =
-    List.init vm_count (fun vm ->
-        let chain = state_chain state vm in
+    Array.init vm_count (fun vm ->
+        let chain = state_chain state vm by_vm.(vm) in
         let obs = Configuration.state observed vm in
         let final = List.nth chain (List.length chain - 1) in
-        let cls =
-          if Configuration.equal_vm_state obs final then `Done
-          else if List.exists (Configuration.equal_vm_state obs) chain then
-            `Pending
-          else `Frozen
-        in
-        (vm, cls))
+        if Configuration.equal_vm_state obs final then `Done
+        else if List.exists (Configuration.equal_vm_state obs) chain then
+          `Pending
+        else `Frozen)
   in
-  let of_class c =
-    List.filter_map (fun (vm, k) -> if k = c then Some vm else None) classes
-  in
+  let vms = List.init vm_count Fun.id in
+  let of_class c = List.filter (fun vm -> classes.(vm) = c) vms in
   let done_vms = of_class `Done
   and pending_vms = of_class `Pending
   and frozen_vms = of_class `Frozen in
-  let frozen vm = List.mem vm frozen_vms in
+  let frozen vm = classes.(vm) = `Frozen in
   (* A VM observed Terminated that the plan never terminates simply
      finished while the controller was down: frozen (Terminated moves
      nowhere) but benign — no repair needed for it. *)
@@ -267,7 +314,7 @@ let reconcile ?vjobs ~state ~observed () =
     List.filter_map
       (fun a ->
         let vm = Action.vm a in
-        if List.mem vm done_vms then None else Some vm)
+        if known vm && classes.(vm) = `Done then None else Some vm)
       (failed_actions state)
   in
   let residue_failed =
@@ -276,7 +323,7 @@ let reconcile ?vjobs ~state ~observed () =
   in
   let lost_nodes =
     (* crashed nodes the target still needs for a live (non-frozen) VM *)
-    List.init vm_count Fun.id
+    vms
     |> List.filter_map (fun vm ->
            if frozen vm then None
            else

@@ -54,7 +54,8 @@ val switches : Record.t list -> switch list
     to the most recent [Switch_begin] with its switch id and fills the
     slot with the same action, preferring a slot with no terminal
     outcome, then one whose plan pool is the record's, then (for a
-    terminal record) one already started. Records with no begun switch
+    terminal record) one already started, the first such slot on a
+    tie. Linear in the records. Records with no begun switch
     are ignored, a record that matches no slot counts in [unmatched],
     and the fold never raises: torn tails and kills mid-pool give
     partial switches. *)

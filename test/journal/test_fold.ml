@@ -10,7 +10,16 @@
    [dune runtest] runs it on the committed chaos journals and on every
    25th cut of the seed-0 burst-daemon journal;
    [test_fold.exe cuts N FILE...] checks every N-th cut of the given
-   journals and exits non-zero on the first difference. *)
+   journals and exits non-zero on the first difference.
+
+   The fold finds an action record's slot through a per-switch index by
+   VM; a QCheck property holds it to the former match, which ranked
+   every slot of the switch, on random streams built to collide
+   (identical actions in several pools, terminals with and without a
+   start, records no slot holds, unknown switch ids). Last, the flight
+   recorder's JSON reading of the seed-0 burst journal, as
+   [entropyctl explain] writes it, is held to its line of
+   test/daemon/burst_explain.md5. *)
 
 open Entropy_core
 module Record = Entropy_journal.Record
@@ -246,6 +255,107 @@ module Former_timeline = struct
     List.rev_map freeze !order
 end
 
+(* -- former slot match ------------------------------------------------------ *)
+
+(* [Recovery.switches] as it was before its slot index: each action
+   record ranks every slot of its switch, the first best rank wins. *)
+module Former_switches = struct
+  let opened ~switch ~at_s ~source ~target ~plan ~demand ~seed =
+    let slot p action =
+      {
+        Recovery.action;
+        plan_pool = p;
+        record_pool = p;
+        attempts = [];
+        terminal = None;
+      }
+    in
+    {
+      Recovery.switch;
+      begun_at = at_s;
+      source;
+      target;
+      plan;
+      demand;
+      seed;
+      slots =
+        Array.of_list
+          (List.concat
+             (List.mapi (fun p -> List.map (slot p)) (Plan.pools plan)));
+      commits = [];
+      end_at = None;
+      aborted = false;
+      last_event = at_s;
+      unmatched = 0;
+    }
+
+  let find_slot (sw : Recovery.switch) ~pool ~action ~terminal =
+    let vm = Action.vm action in
+    let best = ref (-1) and best_rank = ref min_int in
+    for i = 0 to Array.length sw.slots - 1 do
+      let s = sw.slots.(i) in
+      if Action.vm s.action = vm && Action.equal s.action action then begin
+        let rank =
+          (if s.terminal = None then 4 else 0)
+          + (if s.plan_pool = pool then 2 else 0)
+          + if terminal = (s.attempts <> []) then 1 else 0
+        in
+        if rank > !best_rank then begin
+          best_rank := rank;
+          best := i
+        end
+      end
+    done;
+    if !best < 0 then None else Some !best
+
+  let touch (sw : Recovery.switch) at_s =
+    if at_s > sw.last_event then { sw with last_event = at_s } else sw
+
+  let attach ~pool ~at_s ~action terminal sw =
+    let sw = touch sw at_s in
+    match find_slot sw ~pool ~action ~terminal:(terminal <> None) with
+    | None -> { sw with unmatched = sw.unmatched + 1 }
+    | Some i ->
+      let s = sw.slots.(i) in
+      sw.slots.(i) <-
+        (if terminal = None then
+           { s with record_pool = pool; attempts = s.attempts @ [ at_s ] }
+         else { s with record_pool = pool; terminal });
+      sw
+
+  let rec update id f = function
+    | [] -> []
+    | (sw : Recovery.switch) :: rest when sw.switch = id -> f sw :: rest
+    | sw :: rest -> sw :: update id f rest
+
+  let step begun = function
+    | Record.Switch_begin { switch; at_s; source; target; plan; demand; seed }
+      ->
+      opened ~switch ~at_s ~source ~target ~plan ~demand ~seed :: begun
+    | Record.Action_started { switch; pool; at_s; action; _ } ->
+      update switch (attach ~pool ~at_s ~action None) begun
+    | Record.Action_done { switch; pool; at_s; action } ->
+      update switch
+        (attach ~pool ~at_s ~action (Some (Recovery.Done at_s)))
+        begun
+    | Record.Action_failed { switch; pool; at_s; action } ->
+      update switch
+        (attach ~pool ~at_s ~action (Some (Recovery.Failed at_s)))
+        begun
+    | Record.Pool_committed { switch; pool; at_s } ->
+      update switch
+        (fun sw ->
+          { (touch sw at_s) with commits = sw.commits @ [ (pool, at_s) ] })
+        begun
+    | Record.Switch_end { switch; at_s; aborted } ->
+      update switch
+        (fun sw -> { (touch sw at_s) with end_at = Some at_s; aborted })
+        begun
+    | Record.Submission _ | Record.Ladder _ -> begun
+
+  let switches records = List.rev (List.fold_left step [] records)
+end
+
 (* -- comparison ------------------------------------------------------------- *)
 
 let differ name cut what = failwith (Printf.sprintf "%s, cut %d: %s" name cut what)
@@ -330,6 +440,132 @@ let case name ~every path =
       let n, _ = check_cuts ~every path in
       if n = 0 then Alcotest.fail (path ^ ": empty journal"))
 
+(* -- slot index against the former slot match ------------------------------- *)
+
+module Gen = QCheck.Gen
+
+let fold_config =
+  let nodes =
+    Array.init 2 (fun i -> Node.testbed ~id:i ~name:(Printf.sprintf "N%d" i))
+  in
+  let vms =
+    Array.init 3 (fun i ->
+        Vm.make ~id:i ~name:(Printf.sprintf "vm%d" i) ~memory_mb:512)
+  in
+  Configuration.make ~nodes ~vms
+
+(* Few VMs and nodes, so plans repeat identical actions across pools
+   (and within one) and several slots share a VM. *)
+let gen_slot_action =
+  let open Gen in
+  let vm = int_bound 2 and node = int_bound 1 in
+  oneof
+    [
+      map2 (fun vm dst -> Action.Run { vm; dst }) vm node;
+      map3 (fun vm src dst -> Action.Migrate { vm; src; dst }) vm node node;
+      map2 (fun vm host -> Action.Suspend { vm; host }) vm node;
+      map3 (fun vm src dst -> Action.Resume { vm; src; dst }) vm node node;
+    ]
+
+let gen_plan =
+  Gen.(
+    map Plan.make
+      (list_size (int_range 1 3) (list_size (int_range 1 4) gen_slot_action)))
+
+(* Switch ids 0-1 are begun (possibly twice), 2 never is; pools run one
+   past the plans'; VM 3 is in no plan, so its records match no slot. *)
+let gen_record =
+  let open Gen in
+  let switch = int_bound 2 and pool = int_bound 3 in
+  let at_s = map float_of_int (int_bound 50) in
+  let action =
+    frequency
+      [
+        (6, gen_slot_action);
+        (1, map (fun dst -> Action.Run { vm = 3; dst }) (int_bound 1));
+      ]
+  in
+  frequency
+    [
+      ( 1,
+        map3
+          (fun switch at_s plan ->
+            Record.Switch_begin
+              {
+                switch;
+                at_s;
+                source = fold_config;
+                target = fold_config;
+                plan;
+                demand = Demand.uniform ~vm_count:3 10;
+                seed = None;
+              })
+          (int_bound 1) at_s gen_plan );
+      ( 6,
+        map2
+          (fun (switch, pool, at_s) (attempt, action) ->
+            Record.Action_started { switch; pool; attempt; at_s; action })
+          (triple switch pool at_s)
+          (pair (int_range 1 3) action) );
+      ( 4,
+        map2
+          (fun (switch, pool, at_s) action ->
+            Record.Action_done { switch; pool; at_s; action })
+          (triple switch pool at_s) action );
+      ( 2,
+        map2
+          (fun (switch, pool, at_s) action ->
+            Record.Action_failed { switch; pool; at_s; action })
+          (triple switch pool at_s) action );
+      ( 1,
+        map3
+          (fun switch pool at_s -> Record.Pool_committed { switch; pool; at_s })
+          switch pool at_s );
+      ( 1,
+        map3
+          (fun switch at_s aborted ->
+            Record.Switch_end { switch; at_s; aborted })
+          switch at_s bool );
+    ]
+
+(* Every field the fold computes; source, target, plan and demand pass
+   through from the begin record. *)
+let same_switch (o : Recovery.switch) (n : Recovery.switch) =
+  o.switch = n.switch && o.begun_at = n.begun_at && o.seed = n.seed
+  && o.slots = n.slots && o.commits = n.commits && o.end_at = n.end_at
+  && o.aborted = n.aborted && o.last_event = n.last_event
+  && o.unmatched = n.unmatched
+
+let prop_slot_index =
+  QCheck.Test.make ~name:"slot index matches every-slot ranking" ~count:500
+    (QCheck.make
+       ~print:(fun rs -> Fmt.str "@[<v>%a@]" (Fmt.list Record.pp) rs)
+       Gen.(list_size (int_range 0 60) gen_record))
+    (fun records ->
+      let olds = Former_switches.switches records
+      and news = Recovery.switches records in
+      List.length olds = List.length news
+      && List.for_all2 same_switch olds news)
+
+(* -- explain bytes ---------------------------------------------------------- *)
+
+(* The digest [burst_explain.md5] gives [burst0.explain.json]. *)
+let pinned_digest md5_file name =
+  In_channel.with_open_text md5_file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ digest; ""; file ] when file = name -> Some digest
+         | _ -> None)
+
+let test_burst0_explain () =
+  match pinned_digest "../daemon/burst_explain.md5" "burst0.explain.json" with
+  | None -> Alcotest.fail "burst_explain.md5 has no burst0.explain.json line"
+  | Some digest ->
+    Alcotest.(check string)
+      "explain --json digest" digest
+      (Digest.to_hex (Digest.file "burst0.explain.json"))
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "cuts" :: every :: paths ->
@@ -348,5 +584,11 @@ let () =
               "../sim/chaos_kill_wal.expected";
             case "chaos12 journal, every cut" ~every:1 "../sim/chaos12_wal.expected";
             case "burst0 journal, every 25th cut" ~every:25 "burst0.wal";
+            QCheck_alcotest.to_alcotest prop_slot_index;
+          ] );
+        ( "explain",
+          [
+            Alcotest.test_case "burst0 explain json matches burst_explain.md5"
+              `Quick test_burst0_explain;
           ] );
       ]
