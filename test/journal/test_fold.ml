@@ -17,9 +17,10 @@
    every slot of the switch, on random streams built to collide
    (identical actions in several pools, terminals with and without a
    start, records no slot holds, unknown switch ids). Last, the flight
-   recorder's JSON reading of the seed-0 burst journal, as
-   [entropyctl explain] writes it, is held to its line of
-   test/daemon/burst_explain.md5. *)
+   recorder's readings of the seed-0 burst journal, as
+   [entropyctl explain] writes them (JSON, text report, Gantt trace),
+   are held to their lines of test/daemon/burst_explain.md5,
+   burst_explain_text.md5 and burst_gantt.md5. *)
 
 open Entropy_core
 module Record = Entropy_journal.Record
@@ -549,7 +550,7 @@ let prop_slot_index =
 
 (* -- explain bytes ---------------------------------------------------------- *)
 
-(* The digest [burst_explain.md5] gives [burst0.explain.json]. *)
+(* The digest an md5sum file gives [name]. *)
 let pinned_digest md5_file name =
   In_channel.with_open_text md5_file In_channel.input_all
   |> String.split_on_char '\n'
@@ -558,13 +559,13 @@ let pinned_digest md5_file name =
          | [ digest; ""; file ] when file = name -> Some digest
          | _ -> None)
 
-let test_burst0_explain () =
-  match pinned_digest "../daemon/burst_explain.md5" "burst0.explain.json" with
-  | None -> Alcotest.fail "burst_explain.md5 has no burst0.explain.json line"
+let pinned md5_file name () =
+  match pinned_digest md5_file name with
+  | None -> Alcotest.failf "%s has no %s line" md5_file name
   | Some digest ->
     Alcotest.(check string)
-      "explain --json digest" digest
-      (Digest.to_hex (Digest.file "burst0.explain.json"))
+      (name ^ " digest") digest
+      (Digest.to_hex (Digest.file name))
 
 let () =
   match Array.to_list Sys.argv with
@@ -589,6 +590,12 @@ let () =
         ( "explain",
           [
             Alcotest.test_case "burst0 explain json matches burst_explain.md5"
-              `Quick test_burst0_explain;
+              `Quick
+              (pinned "../daemon/burst_explain.md5" "burst0.explain.json");
+            Alcotest.test_case
+              "burst0 explain text matches burst_explain_text.md5" `Quick
+              (pinned "../daemon/burst_explain_text.md5" "burst0.explain.txt");
+            Alcotest.test_case "burst0 gantt matches burst_gantt.md5" `Quick
+              (pinned "../daemon/burst_gantt.md5" "burst0.gantt.json");
           ] );
       ]
