@@ -976,7 +976,7 @@ let explain vms nodes seed cp_timeout max_time journal_path switch_sel top
     | None -> analyses
     | Some id ->
       List.filter
-        (fun (sw, _) -> sw.Entropy_flight.Timeline.switch = id)
+        (fun (sw, _) -> sw.Entropy_journal.Recovery.switch = id)
         analyses
   in
   obs_write trace metrics;

@@ -25,13 +25,15 @@
    over the same DAG (pool by pool, dependencies inside), with one
    action zeroed or all barriers removed — no simulator involved.
 
-   [analyze] prepares one view of the switch: every action's bounds and
-   enabling edge, each pool's straggler, and the executed actions in
-   dispatch order, sorted once. Both walks, the top-k what-ifs and the
-   no-barrier replay read it, so a walk step costs O(1) and a replay
-   O(n). *)
+   The switch is the journal fold's [Recovery.switch]. [analyze]
+   prepares one view of it: every action's same-VM predecessor,
+   duration estimate, bounds and enabling edge, each pool's straggler,
+   and the executed actions in dispatch order, sorted once. Both walks,
+   the top-k what-ifs and the no-barrier replay read it, so a walk step
+   costs O(1) and a replay O(n). *)
 
 open Entropy_core
+module R = Entropy_journal.Recovery
 module T = Timeline
 
 type buckets = {
@@ -101,21 +103,19 @@ type t = {
 
 (* -- per-switch prepared view ---------------------------------------------- *)
 
-let bounds sw (a : T.action_tl) =
-  let fin = T.finish_time sw a in
-  match a.T.attempts with
-  | s1 :: _ as l ->
-    let sn = List.fold_left Float.max s1 l in
-    (s1, sn, fin)
-  | [] -> (fin, fin, fin)
+(* first attempt (the finish when none), final attempt, finish *)
+let bounds sw (s : R.slot) =
+  let fin = T.finish_time sw s in
+  let s1 = Option.value ~default:fin (T.first_start s) in
+  (s1, List.fold_left Float.max s1 s.attempts, fin)
 
 (* (work, contention, retry) inside [s1, fin] *)
-let split (a : T.action_tl) ~s1 ~sn ~fin =
-  match a.T.terminal with
-  | Some (T.Failed _) -> (0., 0., Float.max 0. (fin -. s1))
-  | Some (T.Done _) | None ->
+let split (s : R.slot) ~est ~s1 ~sn ~fin =
+  match s.terminal with
+  | Some (R.Failed _) -> (0., 0., Float.max 0. (fin -. s1))
+  | Some (R.Done _) | None ->
     let dur = Float.max 0. (fin -. sn) in
-    let w = Float.min dur a.T.est_s in
+    let w = Float.min dur est in
     (w, dur -. w, Float.max 0. (sn -. s1))
 
 type enabling =
@@ -129,7 +129,11 @@ type enabling =
    Pool ids are journal data (varints, not bounded by the plan), so the
    per-pool readings are tables keyed by pool, built in one pass each. *)
 type view = {
-  sw : T.switch_tl;
+  sw : R.switch;
+  prereq : int option array;  (** previous plan action on the same VM *)
+  est : float array;
+      (** planner-side contention-free duration estimate
+          ({!Schedule.action_duration}) *)
   s1 : float array;  (** first attempt (the finish when none) *)
   sn : float array;  (** final attempt *)
   fin : float array;  (** terminal time, or the horizon *)
@@ -144,107 +148,104 @@ type view = {
 }
 
 (* The first commit of each pool, as an association lookup finds it. *)
-let commit_times sw =
+let commit_times (sw : R.switch) =
   let t = Hashtbl.create 8 in
   List.iter
     (fun (p, at) -> if not (Hashtbl.mem t p) then Hashtbl.add t p at)
-    sw.T.commits;
+    sw.commits;
   t
 
-let pool_open sw commits (a : T.action_tl) =
-  if a.T.record_pool <= 0 then sw.T.begun_at
+let pool_open (sw : R.switch) commits (s : R.slot) =
+  if s.record_pool <= 0 then sw.begun_at
   else
-    match Hashtbl.find_opt commits (a.T.record_pool - 1) with
+    match Hashtbl.find_opt commits (s.record_pool - 1) with
     | Some t -> t
-    | None -> sw.T.begun_at
+    | None -> sw.begun_at
 
 (* Terminal time of the same-VM dependency, when it ran to a terminal. *)
-let dep_end sw (a : T.action_tl) =
-  match a.T.prereq with
+let dep_end (sw : R.switch) = function
   | None -> None
   | Some j -> (
-    let d = sw.T.actions.(j) in
-    match d.T.terminal with
-    | Some t -> Some (j, T.terminal_at t)
+    match sw.slots.(j).terminal with
+    | Some t -> Some (j, R.terminal_at t)
     | None -> None)
 
-let enabling sw commits (a : T.action_tl) =
-  let po = pool_open sw commits a in
-  let de = dep_end sw a in
+let enabling (sw : R.switch) commits prereq (s : R.slot) =
+  let po = pool_open sw commits s in
+  let de = dep_end sw prereq in
   match de with
-  | Some (j, t) when t >= po && t > sw.T.begun_at -> E_dep (j, t)
+  | Some (j, t) when t >= po && t > sw.begun_at -> E_dep (j, t)
   | _ ->
-    if po > sw.T.begun_at then E_barrier (a.T.record_pool - 1, po, de)
+    if po > sw.begun_at then E_barrier (s.record_pool - 1, po, de)
     else E_start
 
-let enabling_time sw = function
-  | E_start -> sw.T.begun_at
+let enabling_time (sw : R.switch) = function
+  | E_start -> sw.begun_at
   | E_dep (_, t) -> t
   | E_barrier (_, po, _) -> po
 
 (* Each pool's latest terminal; among equal times the first action. *)
-let stragglers sw =
+let stragglers (sw : R.switch) =
   let best = Hashtbl.create 8 in
-  Array.iter
-    (fun (a : T.action_tl) ->
-      match a.T.terminal with
+  Array.iteri
+    (fun i (s : R.slot) ->
+      match s.terminal with
       | Some t -> (
-        let ft = T.terminal_at t in
-        match Hashtbl.find_opt best a.T.record_pool with
+        let ft = R.terminal_at t in
+        match Hashtbl.find_opt best s.record_pool with
         | Some (_, bt) when bt >= ft -> ()
-        | _ -> Hashtbl.replace best a.T.record_pool (a.T.index, ft))
+        | _ -> Hashtbl.replace best s.record_pool (i, ft))
       | None -> ())
-    sw.T.actions;
+    sw.slots;
   best
 
 (* The observed end of the line: latest finisher, preferring an action
    still in flight at the horizon (it is the one "currently critical"). *)
-let last_finisher sw fin =
+let last_finisher (sw : R.switch) fin =
   let best = ref None in
-  Array.iter
-    (fun (a : T.action_tl) ->
-      if T.executed a then begin
-        let f = fin.(a.T.index) in
-        let in_flight = a.T.terminal = None in
+  Array.iteri
+    (fun i (s : R.slot) ->
+      if T.executed s then begin
+        let f = fin.(i) in
+        let in_flight = s.terminal = None in
         match !best with
         | Some (_, bf, bif)
           when bf > f || (bf = f && (bif || not in_flight)) ->
           ()
-        | _ -> best := Some (a.T.index, f, in_flight)
+        | _ -> best := Some (i, f, in_flight)
       end)
-    sw.T.actions;
+    sw.slots;
   Option.map (fun (i, _, _) -> i) !best
 
-let prepare sw =
-  let n = Array.length sw.T.actions in
+let prepare (sw : R.switch) =
+  let n = Array.length sw.slots in
+  let prereq = Continuous.vm_prerequisites sw.plan in
+  let est = Array.map (fun (s : R.slot) -> Schedule.action_duration sw.source s.action) sw.slots in
   let s1 = Array.make n 0. and sn = Array.make n 0. and fin = Array.make n 0. in
   Array.iteri
-    (fun i a ->
-      let a1, an, f = bounds sw a in
+    (fun i s ->
+      let a1, an, f = bounds sw s in
       s1.(i) <- a1;
       sn.(i) <- an;
       fin.(i) <- f)
-    sw.T.actions;
+    sw.slots;
   let commits = commit_times sw in
-  let enab = Array.map (enabling sw commits) sw.T.actions in
+  let enab = Array.mapi (fun i -> enabling sw commits prereq.(i)) sw.slots in
   let order =
     Array.of_list
-      (List.filter_map
-         (fun (a : T.action_tl) ->
-           if T.executed a then Some a.T.index else None)
-         (Array.to_list sw.T.actions))
+      (List.filter (fun i -> T.executed sw.slots.(i)) (List.init n Fun.id))
   in
   (* a merge sort: pools run in plan order, so runs are long *)
   Array.stable_sort
     (fun i j ->
-      match
-        compare sw.T.actions.(i).T.record_pool sw.T.actions.(j).T.record_pool
-      with
+      match compare sw.slots.(i).record_pool sw.slots.(j).record_pool with
       | 0 -> ( match Float.compare s1.(i) s1.(j) with 0 -> compare i j | c -> c)
       | c -> c)
     order;
   {
     sw;
+    prereq;
+    est;
     s1;
     sn;
     fin;
@@ -262,14 +263,14 @@ let causal_path v =
   match v.entry with
   | None -> []
   | Some entry ->
-    let visited = Array.make (Array.length sw.T.actions) false in
+    let visited = Array.make (Array.length sw.R.slots) false in
     let rec walk acc idx =
       if visited.(idx) then acc
       else begin
         visited.(idx) <- true;
-        let a = sw.T.actions.(idx) in
+        let a = sw.R.slots.(idx) in
         let s1 = v.s1.(idx) and fin = v.fin.(idx) in
-        let w, c, r = split a ~s1 ~sn:v.sn.(idx) ~fin in
+        let w, c, r = split a ~est:v.est.(idx) ~s1 ~sn:v.sn.(idx) ~fin in
         let gap = Float.max 0. (s1 -. v.ready.(idx)) in
         let edge =
           match v.enab.(idx) with
@@ -280,11 +281,11 @@ let causal_path v =
         let step =
           {
             index = idx;
-            action = a.T.action;
-            pool = a.T.record_pool;
+            action = a.R.action;
+            pool = a.R.record_pool;
             edge;
-            start_s = s1 -. sw.T.begun_at;
-            finish_s = fin -. sw.T.begun_at;
+            start_s = s1 -. sw.R.begun_at;
+            finish_s = fin -. sw.R.begun_at;
             gap_s = gap;
             retry_s = r;
             work_s = w;
@@ -312,13 +313,15 @@ let attribute v =
   (match v.entry with
   | None -> ()
   | Some entry ->
-    let visited = Array.make (Array.length sw.T.actions) false in
+    let visited = Array.make (Array.length sw.R.slots) false in
     let rec walk idx =
       if not visited.(idx) then begin
         visited.(idx) <- true;
-        let a = sw.T.actions.(idx) in
+        let a = sw.R.slots.(idx) in
         let s1 = v.s1.(idx) in
-        let w, c, r = split a ~s1 ~sn:v.sn.(idx) ~fin:v.fin.(idx) in
+        let w, c, r =
+          split a ~est:v.est.(idx) ~s1 ~sn:v.sn.(idx) ~fin:v.fin.(idx)
+        in
         charge (fun b ->
             {
               b with
@@ -333,7 +336,7 @@ let attribute v =
               {
                 b with
                 contention_s =
-                  b.contention_s +. Float.max 0. (s1 -. sw.T.begun_at);
+                  b.contention_s +. Float.max 0. (s1 -. sw.R.begun_at);
               })
         | E_dep (j, t) ->
           charge (fun b ->
@@ -350,8 +353,8 @@ let attribute v =
               });
           let lower =
             match de with
-            | Some (_, t) -> Float.max sw.T.begun_at t
-            | None -> sw.T.begun_at
+            | Some (_, t) -> Float.max sw.R.begun_at t
+            | None -> sw.R.begun_at
           in
           charge (fun b ->
               { b with barrier_s = b.barrier_s +. Float.max 0. (po -. lower) });
@@ -369,27 +372,27 @@ let attribute v =
    observations). *)
 let replay ?(free = -1) ?(barriers = true) v =
   let sw = v.sw in
-  let fin' = Array.make (Array.length sw.T.actions) nan in
-  let horizon = ref sw.T.begun_at in
-  let commit = ref sw.T.begun_at in
+  let fin' = Array.make (Array.length sw.R.slots) nan in
+  let horizon = ref sw.R.begun_at in
+  let commit = ref sw.R.begun_at in
   let current_pool = ref min_int in
-  let pool_max = ref sw.T.begun_at in
+  let pool_max = ref sw.R.begun_at in
   Array.iter
     (fun i ->
-      let a = sw.T.actions.(i) in
-      if a.T.record_pool <> !current_pool then begin
+      let pool = sw.R.slots.(i).record_pool in
+      if pool <> !current_pool then begin
         if !current_pool <> min_int then commit := Float.max !commit !pool_max;
-        current_pool := a.T.record_pool;
-        pool_max := sw.T.begun_at
+        current_pool := pool;
+        pool_max := sw.R.begun_at
       end;
       let s1 = v.s1.(i) and fin = v.fin.(i) in
       let dep' =
-        match a.T.prereq with
+        match v.prereq.(i) with
         | Some j when not (Float.is_nan fin'.(j)) -> fin'.(j)
-        | _ -> sw.T.begun_at
+        | _ -> sw.R.begun_at
       in
       let ready' =
-        Float.max (if barriers then !commit else sw.T.begun_at) dep'
+        Float.max (if barriers then !commit else sw.R.begun_at) dep'
       in
       let lag = Float.max 0. (s1 -. v.ready.(i)) in
       let span = Float.max 0. (fin -. s1) in
@@ -398,20 +401,21 @@ let replay ?(free = -1) ?(barriers = true) v =
       if f > !pool_max then pool_max := f;
       if f > !horizon then horizon := f)
     v.order;
-  Float.max 0. (!horizon -. sw.T.begun_at)
+  Float.max 0. (!horizon -. sw.R.begun_at)
 
 let what_if_free sw idx = replay ~free:idx (prepare sw)
 
 (* -- estimates ------------------------------------------------------------- *)
 
 let action_drift v =
-  Array.to_list v.sw.T.actions
-  |> List.filter_map (fun (a : T.action_tl) ->
-         match a.T.terminal with
-         | Some (T.Done _) ->
-           let i = a.T.index in
-           Some (i, a.T.est_s, Float.max 0. (v.fin.(i) -. v.sn.(i)))
-         | _ -> None)
+  let drift = ref [] in
+  for i = Array.length v.sw.R.slots - 1 downto 0 do
+    match v.sw.R.slots.(i).terminal with
+    | Some (R.Done _) ->
+      drift := (i, v.est.(i), Float.max 0. (v.fin.(i) -. v.sn.(i))) :: !drift
+    | _ -> ()
+  done;
+  !drift
 
 (* -- entry point ----------------------------------------------------------- *)
 
@@ -453,10 +457,10 @@ let analyze ?(top_k = 3) sw =
     |> List.map (fun s -> (s.index, replay ~free:s.index v))
   in
   let est_cost, rederived =
-    Entropy_analysis.Verifier.cost_cross_check sw.T.source sw.T.plan
+    Entropy_analysis.Verifier.cost_cross_check sw.R.source sw.R.plan
   in
   {
-    switch = sw.T.switch;
+    switch = sw.R.switch;
     makespan_s = makespan;
     path;
     path_span_s = path_span;
@@ -467,7 +471,7 @@ let analyze ?(top_k = 3) sw =
     what_if;
     no_barrier_makespan_s = replay ~barriers:false v;
     est_makespan_s =
-      Schedule.makespan (Schedule.of_plan sw.T.source sw.T.plan);
+      Schedule.makespan (Schedule.of_plan sw.R.source sw.R.plan);
     est_cost_mb = est_cost;
     rederived_cost_mb = rederived;
     drift = action_drift v;
@@ -481,20 +485,20 @@ let analyze ?(top_k = 3) sw =
    terminals (a last-pool failure leaves nothing pending, so the
    journal's aborted flag stays false). The chase is immediate, so the
    repair begins at the very engine instant its predecessor ended. *)
-let degraded sw =
-  sw.T.aborted
+let degraded (sw : R.switch) =
+  sw.aborted
   || Array.exists
-       (fun a -> match a.T.terminal with Some (T.Failed _) -> true | _ -> false)
-       sw.T.actions
+       (fun (s : R.slot) ->
+         match s.terminal with Some (R.Failed _) -> true | _ -> false)
+       sw.slots
 
 let repair_switches sws =
   let rec go acc = function
-    | a :: (b :: _ as rest) ->
+    | (a : R.switch) :: ((b : R.switch) :: _ as rest) ->
       let acc =
-        match a.T.end_at with
-        | Some e
-          when degraded a && Float.abs (b.T.begun_at -. e) <= 1e-9 ->
-          b.T.switch :: acc
+        match a.end_at with
+        | Some e when degraded a && Float.abs (b.begun_at -. e) <= 1e-9 ->
+          b.switch :: acc
         | _ -> acc
       in
       go acc rest
@@ -504,7 +508,7 @@ let repair_switches sws =
 
 let aggregate pairs =
   let repairs = repair_switches (List.map fst pairs) in
-  let is_repair sw = List.mem sw.T.switch repairs in
+  let is_repair (sw : R.switch) = List.mem sw.switch repairs in
   List.fold_left
     (fun (acc, total) (sw, an) ->
       let m = T.makespan sw in

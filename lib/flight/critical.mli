@@ -1,5 +1,11 @@
-(** Critical-path extraction and makespan attribution over a
-    reconstructed switch timeline.
+(** Critical-path extraction and makespan attribution over an executed
+    switch, the journal fold's {!Entropy_journal.Recovery.switch}.
+    {!analyze} prepares one view of it, where each action's per-switch
+    readings are derived once: its same-VM predecessor
+    ({!Entropy_core.Continuous.vm_prerequisites}), the planner's
+    contention-free estimate ({!Entropy_core.Schedule.action_duration}),
+    its first start and finish ({!Timeline.first_start},
+    {!Timeline.finish_time}) and its enabling edge.
 
     Two backward walks share the enabling-edge machinery:
 
@@ -25,6 +31,7 @@
     simulator. *)
 
 open Entropy_core
+module R := Entropy_journal.Recovery
 
 type buckets = {
   work_s : float;
@@ -77,19 +84,19 @@ type t = {
           completed actions vs the planner estimate *)
 }
 
-val analyze : ?top_k:int -> Timeline.switch_tl -> t
+val analyze : ?top_k:int -> R.switch -> t
 (** [top_k] (default 3) bounds the what-if list. *)
 
-val what_if_free : Timeline.switch_tl -> int -> float
+val what_if_free : R.switch -> int -> float
 (** Makespan if the given plan action were free, by forward replay of
     the observed timings. *)
 
-val repair_switches : Timeline.switch_tl list -> int list
+val repair_switches : R.switch list -> int list
 (** Switch ids that are repair chains: their predecessor in the journal
     was degraded — aborted, or ended with terminally failed actions —
     and they began at the same engine instant it ended. *)
 
-val aggregate : (Timeline.switch_tl * t) list -> buckets * float
+val aggregate : (R.switch * t) list -> buckets * float
 (** Episode view across switches: non-repair switches contribute their
     buckets, repair switches contribute their whole makespan as
     recovery. Returns the summed buckets and the total switching time

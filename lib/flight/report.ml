@@ -2,21 +2,21 @@
    trace-event gantt view. *)
 
 open Entropy_core
+module R = Entropy_journal.Recovery
 module T = Timeline
 module C = Critical
 module Json = Entropy_obs.Json
 module Trace = Entropy_obs.Trace
 
-type analysis = T.switch_tl * C.t
+type analysis = R.switch * C.t
 
 let analyze_records ?top_k records =
   List.map
     (fun sw -> (sw, C.analyze ?top_k sw))
     (T.of_records records)
 
-let healthy (sw, an) =
-  an.C.exact
-  && (an.C.path <> [] || not (Array.exists T.executed sw.T.actions))
+let healthy ((sw, an) : analysis) =
+  an.C.exact && (an.C.path <> [] || not (Array.exists T.executed sw.slots))
 
 (* -- text ------------------------------------------------------------------ *)
 
@@ -25,26 +25,26 @@ let pct total v = if total <= 0. then 0. else 100. *. v /. total
 let pp_bucket_row ppf name total v =
   Fmt.pf ppf "  %-18s %9.2f s %6.1f%%@," name v (pct total v)
 
-let edge_label sw = function
+let edge_label (sw : R.switch) = function
   | C.Start -> "start"
-  | C.Dep j -> Fmt.str "dep %a" Action.pp sw.T.actions.(j).T.action
+  | C.Dep j -> Fmt.str "dep %a" Action.pp sw.slots.(j).action
   | C.Barrier p -> Fmt.str "barrier(pool %d)" p
 
 let pp ppf ((sw, an) : analysis) =
   let b = an.C.buckets in
   let total = an.C.makespan_s in
   Fmt.pf ppf "@[<v>switch %d: %d actions in %d pools, makespan %.2f s%s@,"
-    sw.T.switch
-    (Plan.action_count sw.T.plan)
-    (Plan.pool_count sw.T.plan)
+    sw.switch
+    (Plan.action_count sw.plan)
+    (Plan.pool_count sw.plan)
     total
-    (match sw.T.end_at with
-    | Some _ when sw.T.aborted -> " [aborted]"
+    (match sw.end_at with
+    | Some _ when sw.aborted -> " [aborted]"
     | Some _ -> ""
     | None -> " [cut mid-flight]");
-  if sw.T.unmatched > 0 then
+  if sw.unmatched > 0 then
     Fmt.pf ppf "  warning: %d journal records matched no plan action@,"
-      sw.T.unmatched;
+      sw.unmatched;
   Fmt.pf ppf "attribution (end-chain decomposition):@,";
   pp_bucket_row ppf "action work" total b.C.work_s;
   pp_bucket_row ppf "contention" total b.C.contention_s;
@@ -73,7 +73,7 @@ let pp ppf ((sw, an) : analysis) =
     List.iter
       (fun (i, m) ->
         Fmt.pf ppf "  %-28s -> %8.2f s  (saves %.2f s, %.1f%%)@,"
-          (Fmt.str "%a" Action.pp sw.T.actions.(i).T.action)
+          (Fmt.str "%a" Action.pp sw.slots.(i).action)
           m (total -. m)
           (pct total (total -. m)))
       an.C.what_if
@@ -104,7 +104,7 @@ let pp ppf ((sw, an) : analysis) =
        (fun k (i, est, obs) ->
          if k < 3 then
            Fmt.pf ppf "  %-28s est %7.2f s  actual %7.2f s  (%+.1f%%)@,"
-             (Fmt.str "%a" Action.pp sw.T.actions.(i).T.action)
+             (Fmt.str "%a" Action.pp sw.slots.(i).action)
              est obs
              (if est <= 0. then 0. else 100. *. (obs -. est) /. est))
        worst);
@@ -114,14 +114,14 @@ let pp_summary ppf (analyses : analysis list) =
   let repairs = C.repair_switches (List.map fst analyses) in
   Fmt.pf ppf "@[<v>";
   List.iter
-    (fun (sw, an) ->
+    (fun ((sw : R.switch), an) ->
       let b = an.C.buckets in
       let total = an.C.makespan_s in
       Fmt.pf ppf
         "switch %d%s: makespan %.2f s — work %.0f%%, contention %.0f%%, \
          barrier %.0f%%, retry %.0f%%%s@,"
-        sw.T.switch
-        (if List.mem sw.T.switch repairs then " (repair)" else "")
+        sw.switch
+        (if List.mem sw.switch repairs then " (repair)" else "")
         total (pct total b.C.work_s)
         (pct total b.C.contention_s)
         (pct total b.C.barrier_s)
@@ -161,7 +161,7 @@ let edge_json = function
   | C.Dep j -> Json.Obj [ ("dep", Json.Int j) ]
   | C.Barrier p -> Json.Obj [ ("barrier", Json.Int p) ]
 
-let step_json sw (s : C.step) =
+let step_json (sw : R.switch) (s : C.step) =
   Json.Obj
     [
       ("index", Json.Int s.C.index);
@@ -174,20 +174,19 @@ let step_json sw (s : C.step) =
       ("retry_s", Json.Float s.C.retry_s);
       ("work_s", Json.Float s.C.work_s);
       ("contention_s", Json.Float s.C.contention_s);
-      ( "vm",
-        Json.Int (Action.vm sw.T.actions.(s.C.index).T.action) );
+      ("vm", Json.Int (Action.vm sw.slots.(s.C.index).action));
     ]
 
 let switch_json ((sw, an) : analysis) =
   Json.Obj
     [
-      ("switch", Json.Int sw.T.switch);
+      ("switch", Json.Int sw.switch);
       ("makespan_s", Json.Float an.C.makespan_s);
-      ("actions", Json.Int (Plan.action_count sw.T.plan));
-      ("pools", Json.Int (Plan.pool_count sw.T.plan));
-      ("ended", Json.Bool (sw.T.end_at <> None));
-      ("aborted", Json.Bool sw.T.aborted);
-      ("unmatched_records", Json.Int sw.T.unmatched);
+      ("actions", Json.Int (Plan.action_count sw.plan));
+      ("pools", Json.Int (Plan.pool_count sw.plan));
+      ("ended", Json.Bool (sw.end_at <> None));
+      ("aborted", Json.Bool sw.aborted);
+      ("unmatched_records", Json.Int sw.unmatched);
       ("exact", Json.Bool an.C.exact);
       ("buckets", buckets_json an.C.buckets);
       ("bucket_sum_s", Json.Float an.C.bucket_sum_s);
@@ -202,7 +201,7 @@ let switch_json ((sw, an) : analysis) =
                    ("index", Json.Int i);
                    ( "action",
                      Json.String
-                       (Fmt.str "%a" Action.pp sw.T.actions.(i).T.action) );
+                       (Fmt.str "%a" Action.pp sw.slots.(i).action) );
                    ("makespan_s", Json.Float m);
                  ])
              an.C.what_if) );
@@ -258,16 +257,16 @@ let gantt_events (analyses : analysis list) =
   let emit e = events := e :: !events in
   List.iter
     (fun ((sw, an) : analysis) ->
-      let scat = Fmt.str "switch%d" sw.T.switch in
+      let scat = Fmt.str "switch%d" sw.R.switch in
       emit
         {
-          Trace.name = Fmt.str "switch %d begin" sw.T.switch;
+          Trace.name = Fmt.str "switch %d begin" sw.R.switch;
           cat = scat;
           kind = Trace.Instant;
-          ts_us = us sw.T.begun_at;
+          ts_us = us sw.R.begun_at;
           dur_us = 0.;
           tid = tid_markers;
-          args = [ ("actions", Trace.I (Plan.action_count sw.T.plan)) ];
+          args = [ ("actions", Trace.I (Plan.action_count sw.R.plan)) ];
         };
       List.iter
         (fun (p, t) ->
@@ -281,14 +280,14 @@ let gantt_events (analyses : analysis list) =
               tid = tid_markers;
               args = [];
             })
-        sw.T.commits;
-      (match sw.T.end_at with
+        sw.R.commits;
+      (match sw.R.end_at with
       | Some t ->
         emit
           {
             Trace.name =
-              Fmt.str "switch %d %s" sw.T.switch
-                (if sw.T.aborted then "aborted" else "end");
+              Fmt.str "switch %d %s" sw.R.switch
+                (if sw.R.aborted then "aborted" else "end");
             cat = scat;
             kind = Trace.Instant;
             ts_us = us t;
@@ -297,16 +296,16 @@ let gantt_events (analyses : analysis list) =
             args = [];
           }
       | None -> ());
-      let on_path = Array.make (Array.length sw.T.actions) false in
+      let on_path = Array.make (Array.length sw.R.slots) false in
       List.iter (fun (s : C.step) -> on_path.(s.C.index) <- true) an.C.path;
-      Array.iter
-        (fun (a : T.action_tl) ->
+      Array.iteri
+        (fun i (a : R.slot) ->
           match T.first_start a with
           | None -> ()
           | Some t0 ->
             let t1 = Float.max t0 (T.finish_time sw a) in
             let node =
-              match (Action.destination a.T.action, Action.source a.T.action)
+              match (Action.destination a.action, Action.source a.action)
               with
               | Some n, _ | None, Some n -> n
               | None, None -> 0
@@ -314,7 +313,7 @@ let gantt_events (analyses : analysis list) =
             Hashtbl.replace nodes node ();
             emit
               {
-                Trace.name = Fmt.str "%a" Action.pp a.T.action;
+                Trace.name = Fmt.str "%a" Action.pp a.action;
                 cat = scat;
                 kind = Trace.Complete;
                 ts_us = us t0;
@@ -322,22 +321,22 @@ let gantt_events (analyses : analysis list) =
                 tid = tid_node node;
                 args =
                   [
-                    ("switch", Trace.I sw.T.switch);
-                    ("pool", Trace.I a.T.record_pool);
-                    ("attempts", Trace.I (List.length a.T.attempts));
+                    ("switch", Trace.I sw.R.switch);
+                    ("pool", Trace.I a.record_pool);
+                    ("attempts", Trace.I (List.length a.attempts));
                     ( "failed",
                       Trace.B
-                        (match a.T.terminal with
-                        | Some (T.Failed _) -> true
+                        (match a.terminal with
+                        | Some (R.Failed _) -> true
                         | _ -> false) );
-                    ("critical", Trace.B on_path.(a.T.index));
+                    ("critical", Trace.B on_path.(i));
                   ];
               })
-        sw.T.actions;
+        sw.R.slots;
       List.iter
         (fun (s : C.step) ->
-          let t0 = sw.T.begun_at +. s.C.start_s -. s.C.gap_s in
-          let t1 = sw.T.begun_at +. s.C.finish_s in
+          let t0 = sw.R.begun_at +. s.C.start_s -. s.C.gap_s in
+          let t1 = sw.R.begun_at +. s.C.finish_s in
           emit
             {
               Trace.name = Fmt.str "%a" Action.pp s.C.action;
@@ -358,8 +357,8 @@ let gantt_events (analyses : analysis list) =
     analyses;
   let node_name n =
     match analyses with
-    | (sw, _) :: _ when n < Configuration.node_count sw.T.source ->
-      Node.name (Configuration.node sw.T.source n)
+    | ((sw : R.switch), _) :: _ when n < Configuration.node_count sw.source ->
+      Node.name (Configuration.node sw.source n)
     | _ -> Fmt.str "N%d" n
   in
   let threads =

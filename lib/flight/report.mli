@@ -1,14 +1,17 @@
 (** Rendering of flight-recorder analyses: the human-readable report
     behind [entropyctl explain], its machine-readable JSON form, and a
     Chrome trace-event gantt view (one track per node, barrier and
-    critical-path markers) written through {!Entropy_obs.Trace.export}. *)
+    critical-path markers) written through {!Entropy_obs.Trace.export}.
+    An analysis pairs the journal fold's switch, read as it is, with its
+    {!Critical.t}; the Gantt view takes each action's span from
+    {!Timeline.first_start} and {!Timeline.finish_time}. *)
 
-type analysis = Timeline.switch_tl * Critical.t
+type analysis = Entropy_journal.Recovery.switch * Critical.t
 
 val analyze_records :
   ?top_k:int -> Entropy_journal.Record.t list -> analysis list
-(** Timeline reconstruction + critical-path analysis of every switch in
-    the journal. *)
+(** The critical-path analysis of every switch in the journal
+    ({!Timeline.of_records}). *)
 
 val healthy : analysis -> bool
 (** Buckets and path span match the makespan, and a non-empty switch

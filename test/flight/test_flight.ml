@@ -1,5 +1,5 @@
-(* Tests for the switch flight recorder (lib/flight): timeline
-   reconstruction from journal records, critical-path extraction, and
+(* Tests for the switch flight recorder (lib/flight): its reading of
+   the journal fold's switches, critical-path extraction, and
    the exhaustive makespan attribution — including the adversarial
    journals the fold must degrade gracefully on (torn tails, kills
    mid-pool, retry-then-success, node crash + salvage). The load-bearing
@@ -9,6 +9,7 @@
 open Entropy_core
 module Record = Entropy_journal.Record
 module Journal = Entropy_journal.Journal
+module Recovery = Entropy_journal.Recovery
 module Injector = Entropy_fault.Injector
 module Supervisor = Entropy_fault.Supervisor
 module Timeline = Entropy_flight.Timeline
@@ -25,14 +26,14 @@ let check_exact (tl, c) =
   let m = Timeline.makespan tl in
   let tol = tolerance m in
   check_bool
-    (Printf.sprintf "switch %d exact flag" tl.Timeline.switch)
+    (Printf.sprintf "switch %d exact flag" tl.Recovery.switch)
     true c.Critical.exact;
   if Float.abs (c.Critical.bucket_sum_s -. m) > tol then
     Alcotest.failf "switch %d buckets sum %.9f, makespan %.9f"
-      tl.Timeline.switch c.Critical.bucket_sum_s m;
+      tl.Recovery.switch c.Critical.bucket_sum_s m;
   if Float.abs (c.Critical.path_span_s -. m) > tol then
     Alcotest.failf "switch %d path span %.9f, makespan %.9f"
-      tl.Timeline.switch c.Critical.path_span_s m
+      tl.Recovery.switch c.Critical.path_span_s m
 
 (* the CI kill/resume smoke instance: 16 VMs / 5 nodes, seed 42 *)
 let instance =
@@ -76,7 +77,7 @@ let test_fault_free_exact () =
       check_exact a;
       check_bool "healthy" true (Report.healthy a);
       let executed =
-        Array.exists Timeline.executed tl.Timeline.actions
+        Array.exists Timeline.executed tl.Recovery.slots
       in
       if executed then
         check_bool "non-empty path" true (c.Critical.path <> []))
@@ -95,8 +96,8 @@ let test_retry_then_success () =
   List.iter check_exact analyses;
   let retried (tl, _) =
     Array.exists
-      (fun a -> List.length a.Timeline.attempts > 1)
-      tl.Timeline.actions
+      (fun a -> List.length a.Recovery.attempts > 1)
+      tl.Recovery.slots
   in
   check_bool "some action was retried" true (List.exists retried analyses);
   let total_retry =
@@ -116,12 +117,12 @@ let test_kill_mid_switch () =
   let analyses = Report.analyze_records records in
   check_int "one in-flight switch" 1 (List.length analyses);
   let tl, c = List.hd analyses in
-  check_bool "no Switch_end" true (tl.Timeline.end_at = None);
+  check_bool "no Switch_end" true (tl.Recovery.end_at = None);
   check_exact (tl, c);
   check_bool "in-flight actions remain" true
     (Array.exists
-       (fun a -> a.Timeline.attempts <> [] && a.Timeline.terminal = None)
-       tl.Timeline.actions)
+       (fun a -> a.Recovery.attempts <> [] && a.Recovery.terminal = None)
+       tl.Recovery.slots)
 
 (* -- torn tails: every prefix of the journal analyzes exactly ------------- *)
 

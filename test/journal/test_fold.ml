@@ -1,11 +1,14 @@
 (* The one fold of switch records ([Recovery.switches], read by
-   [Recovery.replay] and [Timeline.of_records]) against the two folds it
-   replaced. Each reference below is the former implementation, kept
-   here verbatim in behaviour: crash replay's list fold (the last
-   [Switch_begin] wins, stray records and records after [Switch_end]
-   are dropped, done actions applied in journal order) and the flight
-   recorder's per-slot builders. At every record cut of a journal — the
-   prefix a crash could leave — the new readings must equal the old.
+   [Recovery.replay] and, as [Timeline.of_records], by the flight
+   recorder) against the two folds it replaced. Each reference below is
+   the former implementation, kept here verbatim in behaviour: crash
+   replay's list fold (the last [Switch_begin] wins, stray records and
+   records after [Switch_end] are dropped, done actions applied in
+   journal order) and the flight recorder's per-slot builders, which
+   also gave each slot its same-VM predecessor and duration estimate
+   (the critical-path view derives both now). At every record cut of a
+   journal — the prefix a crash could leave — the new readings must
+   equal the old.
 
    [dune runtest] runs it on the committed chaos journals and on every
    25th cut of the seed-0 burst-daemon journal;
@@ -98,10 +101,63 @@ end
 (* -- former timeline builder ------------------------------------------------ *)
 
 module Former_timeline = struct
+  (* a slot with its plan index, same-VM predecessor and estimate *)
+  type slot_reading = {
+    index : int;
+    action : Action.t;
+    record_pool : int;
+    prereq : int option;
+    attempts : float list;
+    terminal : Recovery.terminal option;
+    est_s : float;
+  }
+
+  type reading = {
+    switch : int;
+    begun_at : float;
+    source : Configuration.t;
+    plan : Plan.t;
+    actions : slot_reading array;
+    commits : (int * float) list;
+    end_at : float option;
+    aborted : bool;
+    last_event : float;
+    unmatched : int;
+  }
+
+  (* The same reading of the fold's switch: its slots, with the
+     predecessor and estimate the critical-path view derives. *)
+  let of_switch (sw : Recovery.switch) =
+    let prereq = Continuous.vm_prerequisites sw.plan in
+    {
+      switch = sw.switch;
+      begun_at = sw.begun_at;
+      source = sw.source;
+      plan = sw.plan;
+      actions =
+        Array.mapi
+          (fun index (s : Recovery.slot) ->
+            {
+              index;
+              action = s.action;
+              record_pool = s.record_pool;
+              prereq = prereq.(index);
+              attempts = s.attempts;
+              terminal = s.terminal;
+              est_s = Schedule.action_duration sw.source s.action;
+            })
+          sw.slots;
+      commits = sw.commits;
+      end_at = sw.end_at;
+      aborted = sw.aborted;
+      last_event = sw.last_event;
+      unmatched = sw.unmatched;
+    }
+
   type action_builder = {
     mutable b_record_pool : int option;
     mutable b_attempts : float list; (* reverse order *)
-    mutable b_terminal : Timeline.terminal option;
+    mutable b_terminal : Recovery.terminal option;
   }
 
   type switch_builder = {
@@ -189,7 +245,7 @@ module Former_timeline = struct
       Array.init (Array.length sb.sb_actions) (fun i ->
           let st = sb.sb_state.(i) in
           {
-            Timeline.index = i;
+            index = i;
             action = sb.sb_actions.(i);
             record_pool =
               (match st.b_record_pool with
@@ -202,7 +258,7 @@ module Former_timeline = struct
           })
     in
     {
-      Timeline.switch = sb.sb_switch;
+      switch = sb.sb_switch;
       begun_at = sb.sb_begun;
       source = sb.sb_source;
       plan = sb.sb_plan;
@@ -231,12 +287,12 @@ module Former_timeline = struct
         | Record.Action_done { switch; pool; at_s; action } ->
           Option.iter
             (fun sb ->
-              on_terminal sb ~pool ~at_s ~action (fun t -> Timeline.Done t))
+              on_terminal sb ~pool ~at_s ~action (fun t -> Recovery.Done t))
             (Hashtbl.find_opt tbl switch)
         | Record.Action_failed { switch; pool; at_s; action } ->
           Option.iter
             (fun sb ->
-              on_terminal sb ~pool ~at_s ~action (fun t -> Timeline.Failed t))
+              on_terminal sb ~pool ~at_s ~action (fun t -> Recovery.Failed t))
             (Hashtbl.find_opt tbl switch)
         | Record.Pool_committed { switch; pool; at_s } ->
           Option.iter
@@ -398,11 +454,11 @@ let check_replay name cut records =
 
 let check_timeline name cut records =
   let olds = Former_timeline.of_records records
-  and news = Timeline.of_records records in
+  and news = List.map Former_timeline.of_switch (Timeline.of_records records) in
   if List.length olds <> List.length news then
     differ name cut "switch count";
   List.iter2
-    (fun (o : Timeline.switch_tl) (n : Timeline.switch_tl) ->
+    (fun (o : Former_timeline.reading) (n : Former_timeline.reading) ->
       let what =
         if o.switch <> n.switch then Some "switch id"
         else if o.begun_at <> n.begun_at then Some "begin time"
