@@ -74,7 +74,7 @@ let default_config =
   }
 
 (* Fixed for every episode: the node shape, the ladder thresholds
-   ([Ladder.default_config]), the portfolio wall deadlines at the Full
+   (constants of [Ladder]), the portfolio wall deadlines at the Full
    and Shrunk rungs and supervised execution under
    [Supervisor.default_policy]. *)
 let node_cpu = 400  (* hundredths of a core per node *)
@@ -617,9 +617,7 @@ let run_core (c : config) (b : boot) =
   let defer_round_bound =
     1
     + int_of_float
-        (Float.ceil
-           (Ladder.default_config.Ladder.defer_hold_s
-           /. Float.max 1. c.debounce_s))
+        (Float.ceil (Ladder.defer_hold_s /. Float.max 1. c.debounce_s))
   in
   let action_failures =
     List.fold_left (fun a (r : Executor.record) -> a + r.Executor.failed) 0

@@ -34,20 +34,14 @@ let pp_pressure ppf p =
 
 type thresholds = { fill : float; age_s : float; lag_s : float }
 
-type config = {
-  escalate : thresholds;
-  relax : thresholds;
-  calm_rounds : int;
-  defer_hold_s : float;
-}
+(* any signal at or above its threshold: one rung down *)
+let escalate = { fill = 0.75; age_s = 180.; lag_s = 60. }
 
-let default_config =
-  {
-    escalate = { fill = 0.75; age_s = 180.; lag_s = 60. };
-    relax = { fill = 0.25; age_s = 30.; lag_s = 10. };
-    calm_rounds = 3;
-    defer_hold_s = 120.;
-  }
+(* all signals strictly below: a calm observation *)
+let relax = { fill = 0.25; age_s = 30.; lag_s = 10. }
+
+let calm_rounds = 3
+let defer_hold_s = 120.
 
 type transition = {
   from_level : level;
@@ -61,7 +55,6 @@ let pp_transition ppf t =
     t.cause
 
 type t = {
-  config : config;
   mutable level : level;
   mutable calm : int;            (* consecutive calm observations *)
   mutable defer_until : float;   (* hold expiry while at Defer *)
@@ -69,16 +62,8 @@ type t = {
   mutable downs : int;
 }
 
-let check_config c =
-  if c.relax.fill >= c.escalate.fill || c.relax.age_s >= c.escalate.age_s
-     || c.relax.lag_s >= c.escalate.lag_s
-  then invalid_arg "Ladder.create: relax thresholds must be below escalate";
-  if c.calm_rounds <= 0 then invalid_arg "Ladder.create: calm_rounds <= 0";
-  if c.defer_hold_s <= 0. then invalid_arg "Ladder.create: defer_hold_s <= 0"
-
-let create ?(config = default_config) ?(level = Full) () =
-  check_config config;
-  { config; level; calm = 0; defer_until = 0.; ups = 0; downs = 0 }
+let create ?(level = Full) () =
+  { level; calm = 0; defer_until = 0.; ups = 0; downs = 0 }
 
 let level t = t.level
 let defer_until t = t.defer_until
@@ -98,19 +83,19 @@ let up_one = function
   | Defer -> Defer
 
 (* the first signal at or above its escalate threshold, for the journal *)
-let hot c p =
-  if p.queue_fill >= c.escalate.fill then
+let hot p =
+  if p.queue_fill >= escalate.fill then
     Some (Printf.sprintf "queue %.0f%% full" (p.queue_fill *. 100.))
-  else if p.oldest_age_s >= c.escalate.age_s then
+  else if p.oldest_age_s >= escalate.age_s then
     Some (Printf.sprintf "oldest submission waiting %.0fs" p.oldest_age_s)
-  else if p.decision_lag_s >= c.escalate.lag_s then
+  else if p.decision_lag_s >= escalate.lag_s then
     Some (Printf.sprintf "decision lag %.0fs" p.decision_lag_s)
   else None
 
-let calm c p =
-  p.queue_fill < c.relax.fill
-  && p.oldest_age_s < c.relax.age_s
-  && p.decision_lag_s < c.relax.lag_s
+let calm p =
+  p.queue_fill < relax.fill
+  && p.oldest_age_s < relax.age_s
+  && p.decision_lag_s < relax.lag_s
 
 let transition t ~now ~cause to_level =
   let tr = { from_level = t.level; to_level; at_s = now; cause } in
@@ -118,7 +103,7 @@ let transition t ~now ~cause to_level =
   else t.downs <- t.downs + 1;
   t.level <- to_level;
   t.calm <- 0;
-  if to_level = Defer then t.defer_until <- now +. t.config.defer_hold_s;
+  if to_level = Defer then t.defer_until <- now +. defer_hold_s;
   Log.info (fun m -> m "ladder %a" pp_transition tr);
   Some tr
 
@@ -128,16 +113,16 @@ let observe t ~now p =
        a cheap re-decision whatever the pressure says *)
     transition t ~now ~cause:"defer hold expired" Heuristic
   else
-    match hot t.config p with
+    match hot p with
     | Some cause when t.level <> Defer ->
       transition t ~now ~cause (up_one t.level)
     | Some _ ->
       t.calm <- 0;
       None
     | None ->
-      if calm t.config p then begin
+      if calm p then begin
         t.calm <- t.calm + 1;
-        if t.calm >= t.config.calm_rounds && t.level <> Full then
+        if t.calm >= calm_rounds && t.level <> Full then
           transition t ~now
             ~cause:(Fmt.str "calm for %d rounds (%a)" t.calm pp_pressure p)
             (down_one t.level)

@@ -14,9 +14,9 @@
     Escalation is immediate (any pressure signal at or above its
     threshold steps one rung down the quality ladder); relaxation is
     hysteretic (every signal strictly below its — lower — threshold for
-    [calm_rounds] consecutive observations steps one rung back up), so
-    the ladder cannot flap on a noisy boundary. [Defer] is self-limiting:
-    after [defer_hold_s] of simulated time the ladder forcibly steps
+    3 consecutive observations steps one rung back up), so the ladder
+    cannot flap on a noisy boundary. [Defer] is self-limiting: after
+    {!defer_hold_s} of simulated time the ladder forcibly steps
     back to {!Heuristic} and the daemon re-decides, so degradation is
     always bounded — the daemon can park, but never forever.
 
@@ -41,22 +41,12 @@ type pressure = {
 
 val pp_pressure : Format.formatter -> pressure -> unit
 
-type thresholds = { fill : float; age_s : float; lag_s : float }
+(** The ladder escalates at 75% queue fill / 180 s oldest age / 60 s
+    decision lag, and relaxes below 25% / 30 s / 10 s for 3 rounds. *)
 
-type config = {
-  escalate : thresholds;
-      (** any signal at or above its threshold: one rung down *)
-  relax : thresholds;
-      (** all signals strictly below: a calm observation *)
-  calm_rounds : int;  (** consecutive calm observations to step up *)
-  defer_hold_s : float;
-      (** simulated seconds parked at {!Defer} before the forced step
-          back to {!Heuristic} *)
-}
-
-val default_config : config
-(** Escalate at 75% fill / 180 s age / 60 s lag; relax below 25% / 30 s
-    / 10 s for 3 rounds; 120 s defer hold. *)
+val defer_hold_s : float
+(** Simulated seconds parked at {!Defer} before the forced step back to
+    {!Heuristic}: 120 s. *)
 
 type transition = {
   from_level : level;
@@ -69,11 +59,8 @@ val pp_transition : Format.formatter -> transition -> unit
 
 type t
 
-val create : ?config:config -> ?level:level -> unit -> t
-(** [level] seeds the ladder (resume path: the journaled level).
-    Raises [Invalid_argument] on a config whose relax thresholds are not
-    below its escalate thresholds, non-positive [calm_rounds] or
-    non-positive [defer_hold_s]. *)
+val create : ?level:level -> unit -> t
+(** [level] seeds the ladder (resume path: the journaled level). *)
 
 val level : t -> level
 

@@ -6,40 +6,27 @@
 
 open Entropy_core
 
-type policy = {
-  timeout_factor : float;
-  max_retries : int;
-  backoff_base_s : float;
-  backoff_max_s : float;
-}
+type policy = { timeout_factor : float; max_retries : int }
 
-let default_policy =
-  { timeout_factor = 3.; max_retries = 2; backoff_base_s = 5.; backoff_max_s = 60. }
-
-let no_retry =
-  { timeout_factor = infinity; max_retries = 0; backoff_base_s = 0.; backoff_max_s = 0. }
-
-let check p =
-  if p.timeout_factor <= 0. then
-    invalid_arg "Supervisor: timeout_factor must be positive";
-  if p.max_retries < 0 then invalid_arg "Supervisor: max_retries < 0";
-  if p.backoff_base_s < 0. then invalid_arg "Supervisor: backoff_base_s < 0";
-  p
+let default_policy = { timeout_factor = 3.; max_retries = 2 }
+let backoff_base_s = 5.
+let backoff_max_s = 60.
 
 let make_policy ?(timeout_factor = default_policy.timeout_factor)
-    ?(max_retries = default_policy.max_retries)
-    ?(backoff_base_s = default_policy.backoff_base_s)
-    ?(backoff_max_s = default_policy.backoff_max_s) () =
-  check { timeout_factor; max_retries; backoff_base_s; backoff_max_s }
+    ?(max_retries = default_policy.max_retries) () =
+  if timeout_factor <= 0. then
+    invalid_arg "Supervisor: timeout_factor must be positive";
+  if max_retries < 0 then invalid_arg "Supervisor: max_retries < 0";
+  { timeout_factor; max_retries }
 
 let timeout_s p ~expected_s =
   if p.timeout_factor = infinity then infinity
   else p.timeout_factor *. expected_s
 
-let backoff_s p ~attempt =
+let backoff_s ~attempt =
   if attempt <= 0 then invalid_arg "Supervisor.backoff_s: attempt must be >= 1";
-  Float.min p.backoff_max_s
-    (p.backoff_base_s *. (2. ** float_of_int (attempt - 1)))
+  Float.min backoff_max_s
+    (backoff_base_s *. (2. ** float_of_int (attempt - 1)))
 
 type attempt = Succeeded | Fault_injected | Attempt_timed_out
 
@@ -54,10 +41,10 @@ let next p ~attempts result =
   match result with
   | Succeeded -> `Done (Completed { retries = attempts - 1 })
   | Fault_injected ->
-    if attempts <= p.max_retries then `Retry (backoff_s p ~attempt:attempts)
+    if attempts <= p.max_retries then `Retry (backoff_s ~attempt:attempts)
     else `Done (Failed { attempts })
   | Attempt_timed_out ->
-    if attempts <= p.max_retries then `Retry (backoff_s p ~attempt:attempts)
+    if attempts <= p.max_retries then `Retry (backoff_s ~attempt:attempts)
     else `Done (Timed_out { attempts })
 
 let succeeded = function

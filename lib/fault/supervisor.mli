@@ -13,27 +13,19 @@ type policy = {
       (** an attempt times out after [factor x expected duration];
           [infinity] disables timeouts *)
   max_retries : int;    (** retries after the first attempt *)
-  backoff_base_s : float;
-  backoff_max_s : float;
 }
 
 val default_policy : policy
-(** factor 3, 2 retries, 5 s base backoff capped at 60 s. *)
+(** factor 3, 2 retries. *)
 
-val no_retry : policy
-(** Legacy semantics: no timeout, no retries — one failed attempt is
-    terminal. *)
-
-val make_policy :
-  ?timeout_factor:float -> ?max_retries:int -> ?backoff_base_s:float ->
-  ?backoff_max_s:float -> unit -> policy
-(** Defaults from {!default_policy}; raises [Invalid_argument] on
-    non-positive factor or negative retries/backoff. *)
+val make_policy : ?timeout_factor:float -> ?max_retries:int -> unit -> policy
+(** Defaults from {!default_policy}; raises [Invalid_argument] on a
+    non-positive factor or negative retries. *)
 
 val timeout_s : policy -> expected_s:float -> float
-val backoff_s : policy -> attempt:int -> float
+val backoff_s : attempt:int -> float
 (** Delay before the retry that follows the [attempt]-th failed attempt:
-    [base * 2^(attempt-1)], capped at [backoff_max_s]. *)
+    [5 s * 2^(attempt-1)], capped at 60 s. *)
 
 type attempt = Succeeded | Fault_injected | Attempt_timed_out
 

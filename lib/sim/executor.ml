@@ -131,17 +131,12 @@ let note_node_lost tally node =
   if !Obs.enabled then Ometrics.incr (Lazy.force m_node_losses)
 
 (* Resolve the supervision inputs: without an injector nothing is
-   injected. Without an explicit policy, a caller that set up an
-   injector gets the default supervised policy, otherwise one attempt
-   and no timeout. *)
+   injected, and without a policy the default supervised one holds
+   (with nothing injected an attempt runs exactly its expected time, so
+   it never times out and never retries). *)
 let resolve ?injector ?policy () =
-  let policy =
-    match (policy, injector) with
-    | Some p, _ -> p
-    | None, Some _ -> Supervisor.default_policy
-    | None, None -> Supervisor.no_retry
-  in
-  (Option.value injector ~default:Injector.none, policy)
+  ( Option.value injector ~default:Injector.none,
+    Option.value policy ~default:Supervisor.default_policy )
 
 (* Run one action under supervision: contention registration, duration
    (with injected slowdown), timeout, bounded backoff retries, node-loss

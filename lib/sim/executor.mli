@@ -50,8 +50,9 @@ val execute :
     the hypervisor operation fails or is slowed down; [policy] bounds
     each attempt to [timeout_factor x expected duration] and grants
     bounded retries with exponential backoff (default:
-    {!Entropy_fault.Supervisor.default_policy} when an injector is
-    given, one attempt and no timeout otherwise). A terminal failure
+    {!Entropy_fault.Supervisor.default_policy}; with nothing injected an
+    attempt runs exactly its expected time, so it neither times out nor
+    retries). A terminal failure
     leaves the VM in its previous state. With [abort_on_failure]
     (default false), execution stops at the next pool boundary after a
     terminal failure so a repair layer can salvage the rest; otherwise

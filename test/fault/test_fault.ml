@@ -169,33 +169,35 @@ let test_kind_round_trip () =
 let test_supervisor_timeout () =
   check_float 1e-9 "3x expected" 30.
     (Supervisor.timeout_s Supervisor.default_policy ~expected_s:10.);
-  check_bool "no_retry never times out" true
-    (Supervisor.timeout_s Supervisor.no_retry ~expected_s:10. = infinity)
+  check_bool "an infinite factor never times out" true
+    (Supervisor.timeout_s
+       (Supervisor.make_policy ~timeout_factor:infinity ~max_retries:0 ())
+       ~expected_s:10.
+    = infinity)
 
 let test_supervisor_backoff_doubles_and_caps () =
-  let p = Supervisor.default_policy in
-  check_float 1e-9 "first" 5. (Supervisor.backoff_s p ~attempt:1);
-  check_float 1e-9 "second" 10. (Supervisor.backoff_s p ~attempt:2);
-  check_float 1e-9 "third" 20. (Supervisor.backoff_s p ~attempt:3);
+  check_float 1e-9 "first" 5. (Supervisor.backoff_s ~attempt:1);
+  check_float 1e-9 "second" 10. (Supervisor.backoff_s ~attempt:2);
+  check_float 1e-9 "third" 20. (Supervisor.backoff_s ~attempt:3);
   (* 5 * 2^4 = 80 is capped at 60 *)
-  check_float 1e-9 "capped" 60. (Supervisor.backoff_s p ~attempt:5)
+  check_float 1e-9 "capped" 60. (Supervisor.backoff_s ~attempt:5)
 
 (* Regression: far past the cap boundary the doubling term overflows to
    infinity, and the cap must still win — the delay stays the constant
-   [backoff_max_s], finite, so scheduling retry n at [now + backoff]
+   60 s cap, finite, so scheduling retry n at [now + backoff]
    never overflows simulated time. *)
 let test_supervisor_backoff_at_cap_boundary () =
   let p = Supervisor.make_policy ~max_retries:10_000 () in
   check_float 1e-9 "deep retry is capped" 60.
-    (Supervisor.backoff_s p ~attempt:200);
+    (Supervisor.backoff_s ~attempt:200);
   check_float 1e-9 "overflow-deep retry is capped" 60.
-    (Supervisor.backoff_s p ~attempt:10_000);
+    (Supervisor.backoff_s ~attempt:10_000);
   check_bool "capped backoff is finite" true
-    (Float.is_finite (Supervisor.backoff_s p ~attempt:10_000));
+    (Float.is_finite (Supervisor.backoff_s ~attempt:10_000));
   (* constant past the cap: attempt n and n+1 give the same delay *)
   check_float 1e-9 "constant past the cap"
-    (Supervisor.backoff_s p ~attempt:500)
-    (Supervisor.backoff_s p ~attempt:501);
+    (Supervisor.backoff_s ~attempt:500)
+    (Supervisor.backoff_s ~attempt:501);
   match Supervisor.next p ~attempts:9_000 Supervisor.Fault_injected with
   | `Retry d -> check_float 1e-9 "next at depth retries with the cap" 60. d
   | `Done _ -> Alcotest.fail "expected a retry under a huge retry budget"
@@ -215,9 +217,13 @@ let test_supervisor_next_classification () =
   (match Supervisor.next p ~attempts:3 Supervisor.Attempt_timed_out with
   | `Done (Supervisor.Timed_out { attempts }) -> check_int "attempts" 3 attempts
   | _ -> Alcotest.fail "expected Timed_out");
-  match Supervisor.next Supervisor.no_retry ~attempts:1 Supervisor.Fault_injected with
+  match
+    Supervisor.next
+      (Supervisor.make_policy ~timeout_factor:infinity ~max_retries:0 ())
+      ~attempts:1 Supervisor.Fault_injected
+  with
   | `Done (Supervisor.Failed { attempts }) -> check_int "one shot" 1 attempts
-  | _ -> Alcotest.fail "no_retry must be terminal"
+  | _ -> Alcotest.fail "no retries must be terminal"
 
 let test_supervisor_succeeded () =
   check_bool "completed" true (Supervisor.succeeded (Supervisor.Completed { retries = 0 }));
@@ -228,9 +234,7 @@ let test_supervisor_validation () =
   check_bool "zero factor" true
     (invalid (fun () -> Supervisor.make_policy ~timeout_factor:0. ()));
   check_bool "negative retries" true
-    (invalid (fun () -> Supervisor.make_policy ~max_retries:(-1) ()));
-  check_bool "negative backoff" true
-    (invalid (fun () -> Supervisor.make_policy ~backoff_base_s:(-5.) ()))
+    (invalid (fun () -> Supervisor.make_policy ~max_retries:(-1) ()))
 
 (* -- salvage primitives (core) ------------------------------------------------- *)
 

@@ -868,7 +868,9 @@ let test_runner_recovers_from_failures () =
   let r =
     Vsim.Runner.run_entropy ~cp_timeout:0.2
       ~injector:(Entropy_fault.Injector.of_predicate should_fail)
-      ~policy:Entropy_fault.Supervisor.no_retry
+      ~policy:
+        (Entropy_fault.Supervisor.make_policy ~timeout_factor:infinity
+           ~max_retries:0 ())
       ~nodes:(testbed_nodes 4) ~traces ()
   in
   check_int "all complete despite failures" 3
@@ -885,7 +887,10 @@ let test_executor_failure_keeps_state () =
   let record = ref None in
   Vsim.Executor.execute
     ~injector:(Entropy_fault.Injector.of_predicate (fun _ -> true))
-    ~policy:Entropy_fault.Supervisor.no_retry cluster plan
+    ~policy:
+      (Entropy_fault.Supervisor.make_policy ~timeout_factor:infinity
+         ~max_retries:0 ())
+    cluster plan
     ~on_done:(fun r -> record := Some r);
   Vsim.Engine.run ~until:50. engine;
   (match !record with
@@ -1301,7 +1306,9 @@ let test_runner_repairs_failed_migration () =
   in
   let r =
     Vsim.Runner.run_entropy ~cp_timeout:0.2 ~injector
-      ~policy:Supervisor.no_retry ~nodes:(testbed_nodes 4) ~traces ()
+      ~policy:
+        (Supervisor.make_policy ~timeout_factor:infinity ~max_retries:0 ())
+      ~nodes:(testbed_nodes 4) ~traces ()
   in
   check_int "all complete despite the failure" 3
     (List.length r.Vsim.Runner.completions);
@@ -1958,7 +1965,9 @@ let session_fixture fails act =
       ~programs:(fun _ -> [ Program.Compute 1000. ])
       ~journal:(Some journal)
       ~injector:(Some (Injector.of_predicate fails))
-      ~policy:(Some Supervisor.no_retry)
+      ~policy:
+        (Some
+           (Supervisor.make_policy ~timeout_factor:infinity ~max_retries:0 ()))
       ~queue:(fun _ -> vjobs)
       ~crashes:[] ~resume:None ~kill_at:None ~max_time:1000.
       (fun session ->
