@@ -75,6 +75,5 @@ val replay : Model.ctx -> Witness.t -> Invariant.violation list option
     (a step not enabled in sequence), otherwise every violation seen
     along it, including the crash-spec checks at its final state. *)
 
-val states_per_sec : report -> float
 val report_to_json : report -> Entropy_obs.Json.t
 val pp_report : Format.formatter -> report -> unit

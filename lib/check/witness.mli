@@ -20,9 +20,6 @@ type t = { steps : step list; crash : crash option }
 val step_equal : step -> step -> bool
 val step_index : step -> int
 
-val step_to_string : step -> string
-val step_of_string : string -> step option
-
 val pp_step : Format.formatter -> step -> unit
 val pp : Format.formatter -> t -> unit
 

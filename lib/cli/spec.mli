@@ -23,10 +23,6 @@ val of_string : string -> t
 
 val load : string -> t
 
-val vm_name : t -> Vm.id -> string
 val node_name : t -> Node.id -> string
-
-val pp_action : t -> Format.formatter -> Action.t -> unit
-(** Human-oriented action rendering using declared names. *)
 
 val pp_plan : t -> Format.formatter -> Plan.t -> unit

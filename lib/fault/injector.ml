@@ -51,7 +51,6 @@ let kind_index = function
   | Suspend_ram -> 5
   | Resume_ram -> 6
 
-let pp_kind ppf k = Fmt.string ppf (kind_to_string k)
 
 type model =
   | Fail_rate of { kind : kind option; rate : float }

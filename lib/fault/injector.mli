@@ -14,10 +14,8 @@ open Entropy_core
 
 type kind = Run | Stop | Migrate | Suspend | Resume | Suspend_ram | Resume_ram
 
-val kind_of_action : Action.t -> kind
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
-val pp_kind : Format.formatter -> kind -> unit
 
 type model =
   | Fail_rate of { kind : kind option; rate : float }
@@ -35,9 +33,6 @@ type model =
 
 type decision = { fail : bool; slowdown : float }
 
-val proceed : decision
-(** No failure, nominal speed. *)
-
 type t
 
 val create : ?seed:int -> model list -> t
@@ -45,7 +40,8 @@ val create : ?seed:int -> model list -> t
     non-positive [nth], slowdown factor below 1, negative crash time). *)
 
 val none : t
-(** Injects nothing; {!decide} short-circuits to {!proceed}. *)
+(** Injects nothing; {!decide} short-circuits to no failure at nominal
+    speed. *)
 
 val of_predicate : (Action.t -> bool) -> t
 

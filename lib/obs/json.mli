@@ -16,7 +16,6 @@ type t =
 exception Parse_error of string
 
 val to_string : t -> string
-val to_buffer : Buffer.t -> t -> unit
 
 val parse : string -> t
 (** Raises [Parse_error] on malformed input. *)

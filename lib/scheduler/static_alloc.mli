@@ -7,12 +7,10 @@ val nodes_required : node_cpu:int -> node_mem:int -> Trace.t -> int
 (** Nodes a user must book: FFD bin count with a full processing unit
     per VM. *)
 
-val default_overestimate : float
-(** Users overestimate their walltime (x1.5 by default). *)
-
 val job_of_trace : node_cpu:int -> node_mem:int -> id:int -> Trace.t -> Job.t
 (** The rigid job a user submits: {!nodes_required} nodes for the
-    trace's dedicated-resource duration times {!default_overestimate}. *)
+    trace's dedicated-resource duration times 1.5 (users overestimate
+    their walltime). *)
 
 type run = {
   schedule : Rms.schedule;

@@ -23,7 +23,6 @@ val stop : t -> unit
 val points : t -> point list
 (** In chronological order. *)
 
-val point_to_json : point -> Entropy_obs.Json.t
 val points_to_json : point list -> Entropy_obs.Json.t
 
 val to_json : t -> Entropy_obs.Json.t

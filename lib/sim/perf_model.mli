@@ -27,8 +27,6 @@ val action_duration :
     deceleration. [busy n] tells whether node [n] hosts busy VMs other
     than the manipulated one. *)
 
-val figure3_memory_sizes : int list
-
 val figure3_rows : unit -> (int * (string * float) list) list
 (** The Figure 3 table: durations of every operation for 512/1024/2048
     MB VMs. *)

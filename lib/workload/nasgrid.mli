@@ -6,7 +6,6 @@ type cls = W | A | B
 
 val families : family list
 val classes : cls list
-val family_to_string : family -> string
 val class_to_string : cls -> string
 
 val task_work : cls -> float

@@ -11,7 +11,6 @@ val compute_demand : int
 
 val idle_demand : int
 
-val demand_of_phase : phase -> int
 val demand : t -> int
 (** Demand of the current (head) phase; 0 when the program is done. *)
 
@@ -22,11 +21,8 @@ val min_duration : t -> float
 val is_empty : t -> bool
 val normalize : t -> t
 val pp : Format.formatter -> t -> unit
-val pp_phase : Format.formatter -> phase -> unit
-
-val phase_of_string : string -> (phase, string) result
-(** ["C60"] is 60 CPU-seconds of compute, ["I30"] 30 s of waiting. *)
 
 val of_string : string -> (t, string) result
-(** Comma-separated phases, e.g. ["I30,C60.5,I10"]; [""] is the empty
+(** Comma-separated phases, e.g. ["I30,C60.5,I10"] (["C60"] is 60
+    CPU-seconds of compute, ["I30"] 30 s of waiting); [""] is the empty
     program. *)
