@@ -80,10 +80,10 @@ let opened ~switch ~at_s ~source ~target ~plan ~demand ~seed =
   }
 
 (* A switch as the fold holds it: the begin record's reading, whose
-   slot array the fold owns and rewrites in place, an index from VM id
-   to that VM's slots in ascending order (an action record ranks only
-   the slots of its own VM), and the rest of the reading, set in place
-   until [close] freezes it. *)
+   slot array the fold owns and rewrites in place (each slot's attempts
+   newest first), an index from VM id to that VM's slots in ascending
+   order (an action record ranks only the slots of its own VM), and the
+   rest of the reading, set in place until [close] freezes it. *)
 type open_switch = {
   opened : switch;
   by_vm : (Vm.id, int list) Hashtbl.t;
@@ -112,6 +112,13 @@ let open_switch sw =
   }
 
 let close o =
+  let slots = o.opened.slots in
+  Array.iteri
+    (fun i s ->
+      match s.attempts with
+      | _ :: _ :: _ -> slots.(i) <- { s with attempts = List.rev s.attempts }
+      | [] | [ _ ] -> ())
+    slots;
   {
     o.opened with
     commits = List.rev o.commits;
@@ -157,7 +164,7 @@ let attach ~pool ~at_s ~action terminal o =
     let s = slots.(i) in
     slots.(i) <-
       (if terminal = None then
-         { s with record_pool = pool; attempts = s.attempts @ [ at_s ] }
+         { s with record_pool = pool; attempts = at_s :: s.attempts }
        else { s with record_pool = pool; terminal })
 
 (* A switch record (one that is not a [Switch_begin]) read into its
@@ -181,6 +188,10 @@ let read o = function
 (* [begun] holds the switches most recent begin first; a record updates
    the most recent switch begun with its id, and one with no begun
    switch changes nothing. *)
+let rec read_into id r = function
+  | [] -> ()
+  | o :: rest -> if o.opened.switch = id then read o r else read_into id r rest
+
 let step begun = function
   | Record.Switch_begin { switch; at_s; source; target; plan; demand; seed } ->
     open_switch (opened ~switch ~at_s ~source ~target ~plan ~demand ~seed)
@@ -189,9 +200,7 @@ let step begun = function
      not part of any switch: the daemon's own resume path folds them *)
   | Record.Submission _ | Record.Ladder _ -> begun
   | r ->
-    let id = Record.switch r in
-    Option.iter (fun o -> read o r)
-      (List.find_opt (fun o -> o.opened.switch = id) begun);
+    read_into (Record.switch r) r begun;
     begun
 
 let switches records = List.rev_map close (List.fold_left step [] records)
