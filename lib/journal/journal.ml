@@ -140,10 +140,15 @@ let report_loaded path records dropped =
                 (if dropped = 1 then "" else "s")))
 
 (* A file journal continuing [contents], the bytes at [path], with the
-   records and dropped count its one decode found. *)
+   records and dropped count its one decode found. The decode runs under
+   its own [journal.decode] span, so a trace of a restart tells it apart
+   from the resume that reads its records. *)
 let open_contents path contents =
   let codec = Record.codec () in
-  let records, dropped, valid = decode_contents codec path contents in
+  let records, dropped, valid =
+    Obs.span ~cat:"journal" ~name:"journal.decode" (fun () ->
+        decode_contents codec path contents)
+  in
   (* Truncate a torn tail before appending: new records written after
      torn garbage would sit beyond the durable prefix and never be
      replayed. Cutting the file at the end of its valid prefix makes

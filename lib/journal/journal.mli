@@ -39,7 +39,7 @@ val open_file : string -> t
     bytes are left as they are, intact frames with an unknown record
     tag included. Raises [Sys_error] on a journal in another format. At
     most 64 KiB and 64 records sit in the group-commit buffer between
-    commit points. *)
+    commit points. The decode runs under the [journal.decode] span. *)
 
 val reopen : string -> t * (Record.t list * int)
 (** Continue an existing file journal, as a restart does: {!open_file}
