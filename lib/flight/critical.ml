@@ -220,7 +220,11 @@ let last_finisher (sw : R.switch) fin =
 let prepare (sw : R.switch) =
   let n = Array.length sw.slots in
   let prereq = Continuous.vm_prerequisites sw.plan in
-  let est = Array.map (fun (s : R.slot) -> Schedule.action_duration sw.source s.action) sw.slots in
+  let est =
+    Array.map
+      (fun (s : R.slot) -> Schedule.action_duration sw.source s.action)
+      sw.slots
+  in
   let s1 = Array.make n 0. and sn = Array.make n 0. and fin = Array.make n 0. in
   Array.iteri
     (fun i s ->

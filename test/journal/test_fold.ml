@@ -454,7 +454,9 @@ let check_replay name cut records =
 
 let check_timeline name cut records =
   let olds = Former_timeline.of_records records
-  and news = List.map Former_timeline.of_switch (Timeline.of_records records) in
+  and news =
+    List.map Former_timeline.of_switch (Timeline.of_records records)
+  in
   if List.length olds <> List.length news then
     differ name cut "switch count";
   List.iter2
