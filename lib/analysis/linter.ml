@@ -66,7 +66,7 @@ let lint ?obj store =
   List.iter
     (fun (v : Var.t) ->
       List.iter
-        (fun (mask, (p : Prop.t)) ->
+        (fun { Var.mask; prop = (p : Prop.t); _ } ->
           let entry =
             match Hashtbl.find_opt sig_of p.Prop.id with
             | Some (_, watches) -> watches

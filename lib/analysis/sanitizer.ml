@@ -66,7 +66,7 @@ let discover vars =
   List.iter
     (fun (v : Var.t) ->
       List.iter
-        (fun (_mask, (p : Prop.t)) ->
+        (fun { Var.prop = (p : Prop.t); _ } ->
           let subs =
             match Hashtbl.find_opt by_id p.Prop.id with
             | Some (_, subs) -> subs

@@ -19,7 +19,9 @@
      ordering preferring the VM's current location (running VMs) or the
      node storing its image (sleeping VMs);
    - branch & bound on the objective with a solving timeout, keeping the
-     best solution found so far.
+     best solution found so far, and stopping once that solution meets
+     the capacity-aware eviction bound ([eviction_bound]): a proof that
+     nothing cheaper exists.
 
    The objective is the sum of local action costs: an admissible lower
    bound of the true plan cost (which adds sequencing penalties). The
@@ -186,6 +188,47 @@ let post_rules store rules ~placed_arr ~hvars ~target_base ~node_count =
           nodes)
     rules
 
+(* A lower bound on the objective over every viable placement, for the
+   branch & bound's stop test (it is never posted). A VM that stays on
+   its home node occupies it, so the VMs homed on a node, with the
+   RAM-suspended VMs pinned there, must shed in each dimension their
+   load beyond the node's residual capacity. Shedding costs a VM
+   [move - stay]; relaxed to fractions of a VM, the cheapest cover
+   takes the VMs by increasing cost per unit of size, and a VM of size
+   0 covers nothing. The rounded-up cover of the costlier dimension
+   bounds what a node's VMs pay beyond staying; the nodes' VMs are
+   disjoint, so the bounds add up, on top of every VM's [stay]. *)
+type homed = { node : int; gap : int; cpu : int; mem : int }
+
+(* the cheapest fractional cover of [excess] units of [size] *)
+let cover_cost ~excess ~size homed =
+  let by_ratio =
+    List.filter (fun h -> size h > 0) homed
+    |> List.sort (fun a b -> Int.compare (a.gap * size b) (b.gap * size a))
+  in
+  let rec go left acc = function
+    | [] -> acc (* the node cannot shed enough: no placement is viable *)
+    | h :: rest ->
+      if size h >= left then acc + (((h.gap * left) + size h - 1) / size h)
+      else go (left - size h) (acc + h.gap) rest
+  in
+  if excess <= 0 then 0 else go excess 0 by_ratio
+
+(* [free_cpu]/[free_mem]: residual capacities less the pinned VMs *)
+let eviction_bound ~free_cpu ~free_mem homed =
+  let on_node = Array.make (Array.length free_cpu) [] in
+  List.iter (fun h -> on_node.(h.node) <- h :: on_node.(h.node)) homed;
+  let shed j hs =
+    let dim free size =
+      let load = List.fold_left (fun acc h -> acc + size h) 0 hs in
+      cover_cost ~excess:(load - free.(j)) ~size hs
+    in
+    max (dim free_cpu (fun h -> h.cpu)) (dim free_mem (fun h -> h.mem))
+  in
+  let total = ref 0 in
+  Array.iteri (fun j hs -> total := !total + shed j hs) on_node;
+  !total
+
 (* The CP model of one optimisation and the branching set-up its search
    runs under. Exposed so analysis passes (the model linter, the
    propagator sanitizer, [entropyctl lint]) can inspect exactly what the
@@ -200,6 +243,7 @@ type model = {
   var_select : Fdcp.Search.var_select;
   val_iter : Fdcp.Search.val_iter;
   rules_postable : bool;
+  lower_bound : int;  (* admissible: [eviction_bound] plus every stay *)
 }
 
 let build_model_impl ~rules ~current ~demand ~placed ~target_base () =
@@ -251,13 +295,39 @@ let build_model_impl ~rules ~current ~demand ~placed ~target_base () =
   let items =
     Array.mapi
       (fun i h ->
-        Movecost.of_table h (cost_table current placed_arr.(i) ~node_count:n))
+        Movecost.of_table h (cost_table current placed_arr.(i) ~node_count:n)
+        |> Option.map (fun it -> (it, i)))
       harr
-    |> Array.to_list |> List.filter_map Fun.id |> Array.of_list
+    |> Array.to_list |> List.filter_map Fun.id
   in
-  let ub = Array.fold_left (fun acc it -> acc + it.Movecost.move) 0 items in
+  let ub = List.fold_left (fun acc (it, _) -> acc + it.Movecost.move) 0 items in
   let obj = Store.new_var ~name:"obj" store ~lo:0 ~hi:(max ub 0) in
-  Movecost.post store ~items ~obj;
+  Movecost.post store ~items:(Array.of_list (List.map fst items)) ~obj;
+  let lower_bound =
+    let free_cpu = Array.copy cap_cpu and free_mem = Array.copy cap_mem in
+    Array.iteri
+      (fun i vm_id ->
+        match Configuration.state current vm_id with
+        | Configuration.Sleeping_ram host ->
+          free_cpu.(host) <- free_cpu.(host) - cpu_items.(i).Pack.size;
+          free_mem.(host) <- free_mem.(host) - mem_items.(i).Pack.size
+        | Configuration.Waiting | Configuration.Running _
+        | Configuration.Sleeping _ | Configuration.Terminated -> ())
+      placed_arr;
+    let homed =
+      List.map
+        (fun ((it : Movecost.item), i) ->
+          {
+            node = it.home;
+            gap = it.move - it.stay;
+            cpu = cpu_items.(i).Pack.size;
+            mem = mem_items.(i).Pack.size;
+          })
+        items
+    in
+    List.fold_left (fun acc ((it : Movecost.item), _) -> acc + it.stay) 0 items
+    + eviction_bound ~free_cpu ~free_mem homed
+  in
   (* branching order: VMs grouped by their current host (an overload
      on a node is then detected as soon as its group is decided, not
      at the bottom of the tree), most demanding VMs first inside a
@@ -314,6 +384,7 @@ let build_model_impl ~rules ~current ~demand ~placed ~target_base () =
     var_select = Search.by_key (fun v -> key_of.(Var.id v));
     val_iter;
     rules_postable = !rules_postable;
+    lower_bound;
   }
 
 let build_model ?(rules = []) ~current ~demand ~placed ~target_base () =
@@ -338,7 +409,8 @@ let search ?timeout ?node_limit ?below ?vars m =
         ~args:[ ("vms", Trace.I (Array.length vars)) ]
         (fun () ->
           Search.minimize m.store ~vars ~obj:m.obj ~var_select:m.var_select
-            ~val_iter:m.val_iter ?timeout ?node_limit ())
+            ~val_iter:m.val_iter ?timeout ?node_limit
+            ~lower_bound:m.lower_bound ())
   in
   Store.undo_to m.store mark;
   result

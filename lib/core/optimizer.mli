@@ -33,6 +33,13 @@ type model = {
   rules_postable : bool;
       (** false when posting the placement rules already failed: the
           model is inconsistent and no search should run *)
+  lower_bound : int;
+      (** admissible lower bound on [obj] over the viable placements:
+          every VM's stay cost, plus per node the cheapest fractional
+          cover of the load its homed VMs and the RAM-suspended VMs
+          pinned there put beyond its residual capacity, in the costlier
+          dimension. {!search} stops once its incumbent meets it; it is
+          never posted *)
 }
 
 val build_model :
@@ -54,7 +61,8 @@ val search :
     (posted as [obj <= max 0 (below - 1)]). [vars] (default [hvars])
     are the variables branched on and snapshotted; the caller binds
     every other placement variable first. The store is left as it was
-    found. *)
+    found. It stops as soon as its incumbent meets [m.lower_bound] or
+    the objective's root lower bound ({!Fdcp.Search.minimize}). *)
 
 val placement_target :
   model -> target_base:Configuration.t -> int array -> Configuration.t

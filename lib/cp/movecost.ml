@@ -25,18 +25,24 @@
    >= nopen.(0) in closing order, so restoring nopen.(0) restores the
    open prefix as a set, and [pos] follows every swap.
 
-   A run scans the open prefix for items closed since the last run and
-   folds them into the sums. Pruning then walks the items by decreasing
+   A run folds the items closed since the last run into the sums: the
+   store reports each item whose variable changed ([Prop.changes]), and
+   the run checks only those still open. Its first run, and the first
+   after an undo past it ([Store.first_run]), scans the whole open
+   prefix instead. Pruning then walks the items by decreasing
    move - stay and stops at the first open item that fits both slacks
    (obj.hi - smin and smax - obj.lo): every later item fits too. Closing
    an item inside the walk updates the sums at once, so the slacks the
    rest of the walk sees are exact and one pass reaches the fixpoint.
    Tightening obj to [smin, smax] cannot enable more pruning: an open
-   item's gap never exceeds smax - smin.
+   item's gap never exceeds smax - smin. The propagator is therefore
+   posted idempotent: its own updates neither wake it nor report an
+   item to it.
 
    A run builds no closure (beyond a failure's message thunk): [save],
-   [close] and [check] are built once, at post time, and the only
-   per-run scratch, the [saved] flag, is reset on entry to [run]. *)
+   [close], [close_if_decided] and [check] are built once, at post
+   time, and the only per-run scratch, the [saved] flag, is reset on
+   entry to [run]. *)
 
 type item = { var : Var.t; home : int; stay : int; move : int }
 
@@ -120,18 +126,31 @@ let post store ~items ~obj =
           Fmt.str "movecost: maximal cost %d below %s >= %d" smax
             (Var.name obj) lo)
   in
+  (* close open item [i] when its outcome is decided; true if it was *)
+  let close_if_decided i =
+    let it = items.(i) in
+    if not (Var.mem it.home it.var) then (close i ~home_kept:false; true)
+    else if Var.size it.var = 1 then (close i ~home_kept:true; true)
+    else false
+  in
+  let changes = Prop.new_changes n in
   let run () =
     saved := false;
-    let k = ref 0 in
-    while !k < nopen.(0) do
-      let i = perm.(!k) in
-      let it = items.(i) in
-      if not (Var.mem it.home it.var) then close i ~home_kept:false
-      else if Var.size it.var = 1 then close i ~home_kept:true
-      else incr k
-      (* a closed item is swapped with the prefix's last one: k then
-         holds an unscanned item *)
-    done;
+    if Store.first_run store changes then begin
+      let k = ref 0 in
+      while !k < nopen.(0) do
+        if not (close_if_decided perm.(!k)) then incr k
+        (* a closed item is swapped with the prefix's last one: k then
+           holds an unscanned item *)
+      done
+    end
+    else begin
+      for c = 0 to changes.count - 1 do
+        let i = changes.items.(c) in
+        if pos.(i) < nopen.(0) then ignore (close_if_decided i)
+      done;
+      Prop.clear changes
+    end;
     let lo = Var.lo obj and hi = Var.hi obj in
     check ~lo ~hi;
     let r = ref 0 in
@@ -156,10 +175,7 @@ let post store ~items ~obj =
     Store.remove_below store obj sums.(0);
     Store.remove_above store obj sums.(1)
   in
-  let p = Prop.make ~name:"movecost" run in
+  let p = Prop.make ~name:"movecost" ~idempotent:true ~changes run in
   Store.post_on store p
-    ~on:
-      [
-        (Prop.On_domain, Array.to_list (Array.map (fun it -> it.var) items));
-        (Prop.On_bounds, [ obj ]);
-      ]
+    ~items:(Prop.On_domain, Array.map (fun it -> it.var) items)
+    ~on:[ (Prop.On_bounds, [ obj ]) ]

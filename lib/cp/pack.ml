@@ -14,17 +14,24 @@
    - [committed]: per-bin load of bound items;
    - [state]: the total residual capacity and the unassigned demand;
    - [unassigned]: the indices of still-unbound items, packed in a
-     prefix of length [nun.(0)] (swap-removal).
+     prefix of length [nun.(0)] (swap-removal), [pos] locating each
+     item in it.
    All of it is trailed through [Store.save_cell], so backtracking
-   restores the propagator state in lockstep with the domains. Each
-   wake-up therefore costs O(unassigned) plus O(unassigned) per bin
+   restores the propagator state in lockstep with the domains. The
+   store reports each item bound since the last run ([Prop.changes]),
+   so a wake-up commits those alone and re-checks only the touched bins
+   against the unassigned items: O(reported) plus O(unassigned) per bin
    whose slack actually shrank, instead of rescanning and re-sorting
-   every (item, bin) pair: newly bound items are committed, and only the
-   touched bins are re-checked against the unassigned items. The first
-   run primes the invariant by checking every bin once; afterwards
-   "slack(b) < size(i) implies b pruned from i" holds at every fixpoint
-   by induction, because undo restores domains and propagator state to a
-   point where it held.
+   every (item, bin) pair. The propagator is not idempotent: a pruning
+   that leaves one bin instantiates the item, which wakes it again.
+
+   The first run primes the invariant: it commits every bound item and
+   checks every bin once. Afterwards "slack(b) < size(i) implies b
+   pruned from i" holds at every fixpoint by induction, because undo
+   restores domains and propagator state to a point where it held. The
+   priming is trailed like the rest ([Store.first_run]): an undo past
+   the first run, as a scoped probe before a search does, makes the
+   next run prime again.
 
    A wake-up builds no closure (beyond a failure's message thunk). The
    helpers below are built once, at post time, and share the per-run
@@ -47,7 +54,9 @@ let post store ?(name = "pack") ~items ~capacities () =
   Array.iter (fun c -> if c > 0 then state.(0) <- state.(0) + c) capacities;
   Array.iter (fun it -> state.(1) <- state.(1) + it.size) items;
   let unassigned = Array.init n Fun.id in
+  let pos = Array.init n Fun.id in
   let nun = Array.make 1 n in
+  let changes = Prop.new_changes n in
   (* per-run scratch (not trailed): reset on entry to [run], except
      [is_touched], which [clear_touched] lowers on the way out *)
   let touched = Array.make (max nbins 1) 0 in
@@ -57,7 +66,6 @@ let post store ?(name = "pack") ~items ~capacities () =
   (* largest item size: a bin with at least this much slack can never
      prune anything, so its scan is skipped outright *)
   let max_size = Array.fold_left (fun acc it -> max acc it.size) 0 items in
-  let primed = ref false in
   (* [touch] doubles as the trail point for committed.(b): it runs
      exactly once per bin per wake-up, before the first mutation *)
   let touch b =
@@ -81,37 +89,55 @@ let post store ?(name = "pack") ~items ~capacities () =
          set — and only the set matters *)
     end
   in
+  (* commit bound item [i], still in the unassigned prefix *)
+  let commit i =
+    let it = items.(i) in
+    let b = Var.value_exn it.var in
+    save_globals ();
+    state.(1) <- state.(1) - it.size;
+    if b >= 0 && b < nbins then begin
+      let old_slack = capacities.(b) - committed.(b) in
+      let new_slack = old_slack - it.size in
+      if new_slack < 0 then begin
+        let load = committed.(b) + it.size and cap = capacities.(b) in
+        Store.fail (fun () ->
+            Fmt.str "%s: bin %d overloaded (%d > %d)" name b load cap)
+      end;
+      touch b;
+      committed.(b) <- committed.(b) + it.size;
+      state.(0) <- state.(0) - (max old_slack 0 - max new_slack 0)
+    end;
+    (* swap-remove from the unassigned prefix *)
+    let last = nun.(0) - 1 in
+    let k = pos.(i) in
+    let j = unassigned.(last) in
+    unassigned.(k) <- j;
+    pos.(j) <- k;
+    unassigned.(last) <- i;
+    pos.(i) <- last;
+    nun.(0) <- last
+  in
+  (* commit the items bound since the last run; true when this run
+     must prime (it then scans the whole unassigned prefix) *)
   let commit_new_items () =
-    (* scan only the unassigned prefix for newly bound items *)
-    let k = ref 0 in
-    while !k < nun.(0) do
-      let i = unassigned.(!k) in
-      let it = items.(i) in
-      if Var.is_bound it.var then begin
-        let b = Var.value_exn it.var in
-        save_globals ();
-        state.(1) <- state.(1) - it.size;
-        if b >= 0 && b < nbins then begin
-          let old_slack = capacities.(b) - committed.(b) in
-          let new_slack = old_slack - it.size in
-          if new_slack < 0 then begin
-            let load = committed.(b) + it.size and cap = capacities.(b) in
-            Store.fail (fun () ->
-                Fmt.str "%s: bin %d overloaded (%d > %d)" name b load cap)
-          end;
-          touch b;
-          committed.(b) <- committed.(b) + it.size;
-          state.(0) <- state.(0) - (max old_slack 0 - max new_slack 0)
-        end;
-        (* swap-remove from the unassigned prefix *)
-        let last = nun.(0) - 1 in
-        unassigned.(!k) <- unassigned.(last);
-        unassigned.(last) <- i;
-        nun.(0) <- last
-        (* do not advance k: it now holds the swapped-in item *)
-      end
-      else incr k
-    done
+    if Store.first_run store changes then begin
+      let k = ref 0 in
+      while !k < nun.(0) do
+        if Var.is_bound items.(unassigned.(!k)).var then
+          commit unassigned.(!k)
+          (* do not advance k: it now holds the swapped-in item *)
+        else incr k
+      done;
+      true
+    end
+    else begin
+      for c = 0 to changes.count - 1 do
+        let i = changes.items.(c) in
+        if pos.(i) < nun.(0) && Var.is_bound items.(i).var then commit i
+      done;
+      Prop.clear changes;
+      false
+    end
   in
   let prune_bin b =
     let slack = capacities.(b) - committed.(b) in
@@ -131,15 +157,14 @@ let post store ?(name = "pack") ~items ~capacities () =
   let run () =
     ntouched := 0;
     saved_globals := false;
-    commit_new_items ();
+    let priming = commit_new_items () in
     if state.(1) > state.(0) then begin
       let demand = state.(1) and residual = state.(0) in
       Store.fail (fun () ->
           Fmt.str "%s: %d units of unassigned demand, %d residual" name
             demand residual)
     end;
-    if not !primed then begin
-      primed := true;
+    if priming then begin
       for b = 0 to nbins - 1 do
         prune_bin b
       done
@@ -150,7 +175,7 @@ let post store ?(name = "pack") ~items ~capacities () =
       done
   in
   let p =
-    Prop.make ~name ~priority:Prop.Expensive (fun () ->
+    Prop.make ~name ~priority:Prop.Expensive ~changes (fun () ->
         match run () with
         | () -> clear_touched ()
         | exception e ->
@@ -158,6 +183,5 @@ let post store ?(name = "pack") ~items ~capacities () =
           raise e)
   in
   Store.post_on store p
-    ~on:
-      [ ( Prop.On_instantiate,
-          Array.to_list (Array.map (fun it -> it.var) items) ) ]
+    ~items:(Prop.On_instantiate, Array.map (fun it -> it.var) items)
+    ~on:[]

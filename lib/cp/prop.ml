@@ -12,16 +12,31 @@
    event it can exploit. Events are ordered by strength —
    [On_instantiate] (the domain became a singleton) implies [On_bounds]
    (lo or hi moved) implies [On_domain] (any value was removed) — and a
-   subscription wakes on its event or any stronger one. *)
+   subscription wakes on its event or any stronger one.
+
+   Change reporting: a propagator over many items (Pack, Movecost)
+   reads which of them fired from [changes] instead of rescanning them
+   all. The store appends an item's index when its variable wakes the
+   propagator; [reported] keeps each index listed once until the
+   propagator clears the list. *)
 
 type event = On_instantiate | On_bounds | On_domain
 
 type priority = Cheap | Expensive
 
+type changes = {
+  items : int array;
+  mutable count : int;
+  reported : Bytes.t;
+  primed : int array;
+}
+
 type t = {
   id : int;
   name : string;
   priority : priority;
+  idempotent : bool;
+  changes : changes;
   mutable scheduled : bool;
   mutable run : unit -> unit;
 }
@@ -42,8 +57,30 @@ let mask_of_event = function
 
 let next_id = ref 0
 
-let make ~name ?(priority = Cheap) run =
+let new_changes n =
+  {
+    items = Array.make n 0;
+    count = 0;
+    reported = Bytes.make n '\000';
+    primed = [| 0 |];
+  }
+
+let make ~name ?(priority = Cheap) ?(idempotent = false)
+    ?(changes = new_changes 0) run =
   incr next_id;
-  { id = !next_id; name; priority; scheduled = false; run }
+  { id = !next_id; name; priority; idempotent; changes; scheduled = false; run }
+
+let report c i =
+  if Bytes.get c.reported i = '\000' then begin
+    Bytes.set c.reported i '\001';
+    c.items.(c.count) <- i;
+    c.count <- c.count + 1
+  end
+
+let clear c =
+  for k = 0 to c.count - 1 do
+    Bytes.set c.reported c.items.(k) '\000'
+  done;
+  c.count <- 0
 
 let pp ppf t = Fmt.pf ppf "%s#%d" t.name t.id

@@ -191,12 +191,19 @@ let find_first store ~vars ?var_select ?val_iter ?timeout ?node_limit () =
   in
   (!snapshot, stats)
 
+(* Branch & bound stops as soon as its incumbent reaches a proven lower
+   bound: no strictly better solution exists, so the rest of the tree
+   could only fail. The bound is the larger of the caller's and obj's
+   lower bound at the root fixpoint; the first [on_node] runs there. *)
 let minimize store ~vars ~obj ?(var_select = first_fail)
-    ?(val_iter = ascending) ?timeout ?node_limit () =
+    ?(val_iter = ascending) ?timeout ?node_limit ?(lower_bound = min_int) ()
+    =
   let stats = fresh_stats () in
   let best = ref max_int in
   let best_snapshot = ref None in
+  let proven = ref lower_bound in
   let on_node () =
+    if stats.nodes = 1 then proven := max lower_bound (Var.lo obj);
     (* branch & bound: require strict improvement over the incumbent *)
     if !best < max_int then begin
       Store.remove_above store obj (!best - 1);
@@ -214,7 +221,8 @@ let minimize store ~vars ~obj ?(var_select = first_fail)
           ~args:[ ("cost", Trace.I value); ("nodes", Trace.I stats.nodes) ]
           "cp.improvement";
         Metrics.incr (Lazy.force m_improvements)
-      end
+      end;
+      if value <= !proven then raise Stop
     end
   in
   solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit

@@ -27,7 +27,8 @@ type val_iter = Var.t -> (int -> unit) -> unit
     callback. *)
 
 exception Stop
-(** Raise from [on_solution] to stop the search. *)
+(** Raise from [on_solution] to stop the search. A stopped search is
+    complete: [timed_out] stays false. *)
 
 val first_fail : var_select
 (** Smallest current domain first (Haralick & Elliott). *)
@@ -51,10 +52,20 @@ val find_first :
 
 val minimize :
   Store.t -> vars:Var.t array -> obj:Var.t -> ?var_select:var_select ->
-  ?val_iter:val_iter -> ?timeout:float -> ?node_limit:int -> unit ->
-  (int * int array) option * stats
+  ?val_iter:val_iter -> ?timeout:float -> ?node_limit:int ->
+  ?lower_bound:int -> unit -> (int * int array) option * stats
 (** Branch & bound on [obj]. Returns the best objective value with the
     snapshot of [vars] at that solution (the incumbent at timeout if the
     search did not complete). A caller that knows a bound up front
     (e.g. a heuristic solution's cost) posts it on [obj] before the
-    call. *)
+    call.
+
+    The search stops, as on {!Stop}, once its incumbent is at most a
+    proven lower bound: the larger of [obj]'s lower bound at the root
+    fixpoint and [lower_bound] (default: none). [lower_bound] must be
+    admissible, no solution below the root having a smaller [obj]; it
+    is read only for this test, never posted. The stop prunes only
+    subtrees that hold no better solution, so the answer is the one the
+    full search returns, in fewer nodes. [timed_out] is true only when
+    the timeout or [node_limit] ended the search before that: the
+    answer is then proven optimal exactly when [timed_out] is false. *)

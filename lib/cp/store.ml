@@ -13,7 +13,24 @@
    every Cheap propagator before running one Expensive propagator, then
    returns to the cheap queue — the costly global constraints always see
    domains at the cheap fixpoint. Watchers are woken only when an update
-   fires an event they subscribed to (instantiate / bounds / domain). *)
+   fires an event they subscribed to (instantiate / bounds / domain).
+
+   Change reporting: a watcher posted with an item index reports it to
+   the propagator's change list ([Prop.changes]) on every wake, so a
+   propagator over many items folds in only the ones that fired. A
+   propagator declared idempotent is neither woken nor told by its own
+   updates ([running] names the propagator being run). A failure
+   empties the change lists of the queued and the running propagators:
+   the caller undoes past every change they held.
+
+   A change list is not trailed, its priming cell is. A run that reads
+   every item ([first_run]) trails the cell, so an undo past that run
+   makes the next run read every item again. A mark taken while a
+   propagator holds reported changes (the caller updated domains and
+   has not propagated yet) pushes an entry that resets the cell on
+   undo: its next run may have consumed changes the undo keeps. Every
+   other mark sits at a fixpoint, where an undo restores domains and
+   propagator state to a point at which nothing was pending. *)
 
 module Obs = Entropy_obs.Obs
 module Trace = Entropy_obs.Trace
@@ -54,6 +71,7 @@ type t = {
   mutable trail_len : int;
   queue_cheap : Prop.t Queue.t;
   queue_expensive : Prop.t Queue.t;
+  mutable running : int;           (* [Prop.id] being run, or -1 *)
   mutable propagations : int;      (* cumulative propagator runs *)
   mutable updates : int;           (* cumulative domain updates *)
   obs_stats : (int, prop_stat) Hashtbl.t;
@@ -69,6 +87,7 @@ let create () =
     trail_len = 0;
     queue_cheap = Queue.create ();
     queue_expensive = Queue.create ();
+    running = -1;
     propagations = 0;
     updates = 0;
     obs_stats = Hashtbl.create 16;
@@ -134,7 +153,30 @@ let push_trail t entry =
 
 let save_cell t arr i = push_trail t (Trail_cell (arr, i, arr.(i)))
 
-let mark t = t.trail_len
+(* Above the mark, an entry per queued propagator holding reported
+   changes: undoing it resets the propagator's priming cell. *)
+let guard_queued t q =
+  Queue.iter
+    (fun (p : Prop.t) ->
+      if p.changes.count > 0 then
+        push_trail t (Trail_cell (p.changes.primed, 0, 0)))
+    q
+
+let mark t =
+  let m = t.trail_len in
+  if not (Queue.is_empty t.queue_cheap) then guard_queued t t.queue_cheap;
+  if not (Queue.is_empty t.queue_expensive) then
+    guard_queued t t.queue_expensive;
+  m
+
+let first_run t (c : Prop.changes) =
+  if c.primed.(0) = 0 then begin
+    save_cell t c.primed 0;
+    c.primed.(0) <- 1;
+    Prop.clear c;
+    true
+  end
+  else false
 
 let undo_to t m =
   while t.trail_len > m do
@@ -173,8 +215,14 @@ let schedule t (p : Prop.t) =
    [t] and [fired]: it runs on every effective domain update. *)
 let rec schedule_watchers t fired = function
   | [] -> ()
-  | (mask, p) :: rest ->
-    if mask land fired <> 0 then schedule t p;
+  | (w : Var.watcher) :: rest ->
+    if w.mask land fired <> 0 then begin
+      let p = w.prop in
+      if not (p.idempotent && p.id = t.running) then begin
+        if w.item >= 0 then Prop.report p.changes w.item;
+        schedule t p
+      end
+    end;
     schedule_watchers t fired rest
 
 let set_dom t (v : Var.t) d =
@@ -214,11 +262,26 @@ let instantiate t v x =
 
 let clear_queue t =
   let clear q =
-    Queue.iter (fun (p : Prop.t) -> p.scheduled <- false) q;
+    Queue.iter
+      (fun (p : Prop.t) ->
+        p.scheduled <- false;
+        Prop.clear p.changes)
+      q;
     Queue.clear q
   in
   clear t.queue_cheap;
   clear t.queue_expensive
+
+(* The failing propagator's own list is emptied here; [clear_queue]
+   empties the queued ones'. *)
+let run_body t (p : Prop.t) =
+  t.running <- p.id;
+  match p.run () with
+  | () -> t.running <- -1
+  | exception e ->
+    t.running <- -1;
+    Prop.clear p.changes;
+    raise e
 
 let run_one t (p : Prop.t) =
   p.Prop.scheduled <- false;
@@ -227,13 +290,13 @@ let run_one t (p : Prop.t) =
     let s = prop_stat t p in
     s.runs <- s.runs + 1;
     let t0 = Unix.gettimeofday () in
-    match p.Prop.run () with
+    match run_body t p with
     | () -> s.time_us <- s.time_us +. ((Unix.gettimeofday () -. t0) *. 1e6)
     | exception e ->
       s.time_us <- s.time_us +. ((Unix.gettimeofday () -. t0) *. 1e6);
       raise e
   end
-  else p.Prop.run ()
+  else run_body t p
 
 (* Top-level, like [schedule_watchers]: a local loop would allocate a
    closure over [t] on every call. *)
@@ -280,7 +343,11 @@ let propagate_traced t =
 let propagate t =
   if !Obs.enabled then propagate_traced t else propagate_plain t
 
-let post_on t (p : Prop.t) ~on =
+let post_on t ?items (p : Prop.t) ~on =
+  Option.iter
+    (fun (event, vars) ->
+      Array.iteri (fun item v -> Var.watch v ~event ~item p) vars)
+    items;
   List.iter
     (fun (event, vars) -> List.iter (fun v -> Var.watch v ~event p) vars)
     on;

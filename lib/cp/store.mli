@@ -55,6 +55,9 @@ val prop_stats : t -> (string * int * int * float) list
 
 val mark : t -> mark
 val undo_to : t -> mark -> unit
+(** [undo_to t m] restores every domain and trailed cell to its value
+    at [m]. A propagator whose reported changes a later run consumed
+    (see {!first_run}) reads every item on its next run. *)
 
 val release : t -> unit
 (** Drop the entries {!undo_to} popped. A popped entry stays in its slot
@@ -79,6 +82,13 @@ val remove_below : t -> Var.t -> int -> unit
 val remove_above : t -> Var.t -> int -> unit
 val instantiate : t -> Var.t -> int -> unit
 
+val first_run : t -> Prop.changes -> bool
+(** [first_run t c], called on entry to a propagator's run: [true] when
+    the run must treat every item as changed (its first run, or the
+    first after an undo past it or past a mark taken while changes were
+    pending). It then empties [c] and trails its priming, so the next
+    run reads [c] alone; on [false] the run reads [c] and clears it. *)
+
 val schedule : t -> Prop.t -> unit
 (** Enqueue a propagator unless already queued. *)
 
@@ -86,10 +96,15 @@ val post : t -> Prop.t -> on:Var.t list -> unit
 (** Register a propagator waking on {e any} change of [on] and schedule
     its first run. *)
 
-val post_on : t -> Prop.t -> on:(Prop.event * Var.t list) list -> unit
+val post_on :
+  t -> ?items:Prop.event * Var.t array -> Prop.t ->
+  on:(Prop.event * Var.t list) list -> unit
 (** Like {!post} but with per-group wake events: the propagator wakes
     only when a watched variable fires the subscribed event (or a
-    stronger one — see {!Prop.event}). *)
+    stronger one — see {!Prop.event}). [items] are watched first, each
+    [items.(i)] reporting [i] to the propagator's change list on a
+    wake. An idempotent propagator ({!Prop.make}) is not woken by its
+    own updates. *)
 
 val propagate : t -> unit
 (** Run queued propagators to fixpoint, all [Cheap] ones before each

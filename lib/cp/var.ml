@@ -4,13 +4,16 @@
 
    Watchers carry the event mask they subscribed with (see [Prop.event]):
    the store wakes a watcher only when an update fires an event in its
-   mask. *)
+   mask, and then reports the watcher's item, if any, to the
+   propagator's change list. *)
+
+type watcher = { mask : int; item : int; prop : Prop.t }
 
 type t = {
   id : int;
   name : string;
   mutable dom : Dom.t;
-  mutable watchers : (int * Prop.t) list;
+  mutable watchers : watcher list;
 }
 
 let id t = t.id
@@ -43,12 +46,12 @@ let value_exn t =
     invalid_arg (Printf.sprintf "Var.value_exn: %s not bound" (name t));
   Dom.value_exn t.dom
 
-let watch t ?(event = Prop.On_domain) prop =
+let watch t ?(event = Prop.On_domain) ?(item = -1) prop =
   let mask = Prop.mask_of_event event in
   let rec add = function
-    | [] -> [ (mask, prop) ]
-    | (m, (p : Prop.t)) :: rest when p.id = prop.Prop.id ->
-      (m lor mask, p) :: rest
+    | [] -> [ { mask; item; prop } ]
+    | w :: rest when w.prop.Prop.id = prop.Prop.id && w.item = item ->
+      { w with mask = w.mask lor mask } :: rest
     | w :: rest -> w :: add rest
   in
   t.watchers <- add t.watchers

@@ -4,12 +4,17 @@
     propagator scheduling); this interface exposes only reads, plus
     {!watch} used by constraint implementations. *)
 
+type watcher = {
+  mask : int;  (** subscribed event bits; see {!Prop.mask_of_event} *)
+  item : int;  (** the item reported to [prop] on a wake, or [-1] *)
+  prop : Prop.t;
+}
+
 type t = {
   id : int;
   name : string;  (** [""] for anonymous variables; read via {!name} *)
   mutable dom : Dom.t;
-  mutable watchers : (int * Prop.t) list;
-      (** (event mask, propagator); see {!Prop.mask_of_event} *)
+  mutable watchers : watcher list;
 }
 
 val id : t -> int
@@ -26,10 +31,12 @@ val mem : int -> t -> bool
 val value_exn : t -> int
 (** Value of a bound variable. Raises [Invalid_argument] otherwise. *)
 
-val watch : t -> ?event:Prop.event -> Prop.t -> unit
+val watch : t -> ?event:Prop.event -> ?item:int -> Prop.t -> unit
 (** Subscribe a propagator to this variable's changes, waking it on
-    [event] (default {!Prop.On_domain}: any change) or stronger.
-    Subscribing the same propagator twice merges the event masks. *)
+    [event] (default {!Prop.On_domain}: any change) or stronger, and
+    reporting [item] to its change list on each wake (default: none).
+    Subscribing the same propagator twice with the same item merges the
+    event masks. *)
 
 val read_hook : (t -> unit) option ref
 (** Instrumentation point used by the analysis sanitizer: when set, every

@@ -421,6 +421,37 @@ let action_drift v =
   done;
   !drift
 
+(* The planner's estimate of the switch's duration, [Schedule.of_plan]'s
+   makespan, from the view's estimates: each pool starts when the
+   previous one's last action finishes, its pipelined actions start
+   [pipeline_gap_s] apart, the others at once. The float operations are
+   [of_plan]'s, in the same order; the slots are the plan's actions in
+   pool order. *)
+let est_makespan v =
+  let pool = ref (-1) and start = ref 0. and finish = ref 0. in
+  let pipelined = ref 0 in
+  Array.iteri
+    (fun i (s : R.slot) ->
+      if s.plan_pool <> !pool then begin
+        pool := s.plan_pool;
+        start := !finish;
+        pipelined := 0
+      end;
+      let offset =
+        if Schedule.is_pipelined s.action then begin
+          let o =
+            float_of_int !pipelined *. Schedule.durations.pipeline_gap_s
+          in
+          incr pipelined;
+          o
+        end
+        else 0.
+      in
+      let f = !start +. offset +. v.est.(i) in
+      if f > !finish then finish := f)
+    v.sw.slots;
+  !finish
+
 (* -- entry point ----------------------------------------------------------- *)
 
 let analyze ?(top_k = 3) sw =
@@ -474,8 +505,7 @@ let analyze ?(top_k = 3) sw =
     exact;
     what_if;
     no_barrier_makespan_s = replay ~barriers:false v;
-    est_makespan_s =
-      Schedule.makespan (Schedule.of_plan sw.R.source sw.R.plan);
+    est_makespan_s = est_makespan v;
     est_cost_mb = est_cost;
     rederived_cost_mb = rederived;
     drift = action_drift v;

@@ -387,7 +387,7 @@ let families store =
   List.concat_map
     (fun (v : Var.t) ->
       List.map
-        (fun (_, (p : Prop.t)) ->
+        (fun { Var.prop = (p : Prop.t); _ } ->
           match p.Prop.priority with
           | Prop.Expensive -> "pack"
           | Prop.Cheap -> p.Prop.name)

@@ -805,6 +805,51 @@ let test_pack_feasible_assignment () =
     check_bool "bin0 ok" true (load.(0) <= 10);
     check_bool "bin1 ok" true (load.(1) <= 10)
 
+(* An undo past Pack's first run undoes its every-bin pruning: the next
+   run must prune every bin again. Item a (size 8) fits bin 1 alone. *)
+let test_pack_reprimes_after_undo () =
+  let fresh () =
+    let s = Store.create () in
+    let a = Store.new_var ~name:"a" s ~lo:0 ~hi:1 in
+    let b = Store.new_var ~name:"b" s ~lo:0 ~hi:1 in
+    Pack.post s ~items:[| Pack.item a 8; Pack.item b 1 |]
+      ~capacities:[| 5; 20 |] ();
+    (s, a, b)
+  in
+  let s, a, _ = fresh () in
+  Store.propagate s;
+  check_list "fresh propagate" [ 1 ] (Dom.to_list (Var.dom a));
+  let s, a, b = fresh () in
+  let m = Store.mark s in
+  Store.instantiate s b 1;
+  Store.propagate s;
+  Store.undo_to s m;
+  Store.propagate s;
+  Store.instantiate s b 1;
+  Store.propagate s;
+  check_list "after an undo past the first run" [ 1 ] (Dom.to_list (Var.dom a))
+
+(* A mark taken between a binding and the propagation that commits it:
+   the undo keeps b bound in bin 0 and undoes its commit, so Pack's
+   next run, woken by d, must read every item again and find that c no
+   longer fits bin 0. *)
+let test_pack_keeps_change_before_mark () =
+  let s = Store.create () in
+  let var name = Store.new_var ~name s ~lo:0 ~hi:1 in
+  let b = var "b" and c = var "c" and d = var "d" in
+  Pack.post s
+    ~items:[| Pack.item b 3; Pack.item c 3; Pack.item d 1 |]
+    ~capacities:[| 5; 20 |] ();
+  Store.propagate s;
+  Store.instantiate s b 0;
+  let m = Store.mark s in
+  Store.propagate s;
+  check_list "c pruned from bin 0" [ 1 ] (Dom.to_list (Var.dom c));
+  Store.undo_to s m;
+  Store.instantiate s d 1;
+  Store.propagate s;
+  check_list "c pruned again" [ 1 ] (Dom.to_list (Var.dom c))
+
 (* -------------------------------------------------------------- Count -- *)
 
 let test_count_at_most_saturation () =
@@ -1043,6 +1088,484 @@ let minimize_matches_bruteforce =
       | Some (v, _), _ -> v = !best
       | None, _ -> false)
 
+(* ---------------------------------------------- minimize keeps its answer -- *)
+
+(* The search, Movecost and Pack as they were before branch & bound
+   stopped at a proven bound and before propagators were told which
+   item changed: the reference the kernel must answer like. Each
+   reference propagator rescans all its open items on every run and
+   wakes on its own updates. Pack's priming is trailed here; the former
+   Pack kept it in a plain ref, which an undo past its first run left
+   set with the every-bin pruning undone. *)
+module Ref = struct
+  let pack store ~name ~(items : Pack.item array) ~capacities =
+    let nbins = Array.length capacities in
+    let n = Array.length items in
+    let committed = Array.make nbins 0 in
+    let state = Array.make 2 0 in
+    Array.iter (fun c -> if c > 0 then state.(0) <- state.(0) + c) capacities;
+    Array.iter (fun (it : Pack.item) -> state.(1) <- state.(1) + it.size) items;
+    let unassigned = Array.init n Fun.id in
+    let nun = [| n |] in
+    let primed = [| 0 |] in
+    let max_size =
+      Array.fold_left (fun acc (it : Pack.item) -> max acc it.size) 0 items
+    in
+    let touched = ref [] in
+    let run () =
+      touched := [];
+      let saved = ref false in
+      let k = ref 0 in
+      while !k < nun.(0) do
+        let i = unassigned.(!k) in
+        let it = items.(i) in
+        if Var.is_bound it.var then begin
+          if not !saved then begin
+            saved := true;
+            Store.save_cell store state 0;
+            Store.save_cell store state 1;
+            Store.save_cell store nun 0
+          end;
+          let b = Var.value_exn it.var in
+          state.(1) <- state.(1) - it.size;
+          if b >= 0 && b < nbins then begin
+            let old_slack = capacities.(b) - committed.(b) in
+            let new_slack = old_slack - it.size in
+            if new_slack < 0 then
+              Store.fail (fun () -> Fmt.str "%s: bin %d overloaded" name b);
+            if not (List.mem b !touched) then touched := b :: !touched;
+            Store.save_cell store committed b;
+            committed.(b) <- committed.(b) + it.size;
+            state.(0) <- state.(0) - (max old_slack 0 - max new_slack 0)
+          end;
+          let last = nun.(0) - 1 in
+          unassigned.(!k) <- unassigned.(last);
+          unassigned.(last) <- i;
+          nun.(0) <- last
+        end
+        else incr k
+      done;
+      if state.(1) > state.(0) then
+        Store.fail (fun () -> Fmt.str "%s: demand exceeds residual" name);
+      let prune_bin b =
+        let slack = capacities.(b) - committed.(b) in
+        if slack < max_size then
+          for k = 0 to nun.(0) - 1 do
+            let it = items.(unassigned.(k)) in
+            if it.size > slack then Store.remove store it.var b
+          done
+      in
+      if primed.(0) = 0 then begin
+        Store.save_cell store primed 0;
+        primed.(0) <- 1;
+        for b = 0 to nbins - 1 do
+          prune_bin b
+        done
+      end
+      else List.iter prune_bin (List.rev !touched)
+    in
+    let p = Prop.make ~name ~priority:Prop.Expensive run in
+    Store.post_on store p
+      ~on:
+        [ ( Prop.On_instantiate,
+            Array.to_list (Array.map (fun (it : Pack.item) -> it.var) items) )
+        ]
+
+  let movecost store ~(items : Movecost.item array) ~obj =
+    let n = Array.length items in
+    let sums = [| 0; 0 |] in
+    Array.iter
+      (fun (it : Movecost.item) ->
+        sums.(0) <- sums.(0) + it.stay;
+        sums.(1) <- sums.(1) + it.move)
+      items;
+    let perm = Array.init n Fun.id and pos = Array.init n Fun.id in
+    let nopen = [| n |] in
+    let gap i = items.(i).move - items.(i).stay in
+    let by_gap = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare (gap b) (gap a)) by_gap;
+    let run () =
+      let saved = ref false in
+      let close i ~home_kept =
+        if not !saved then begin
+          saved := true;
+          Store.save_cell store sums 0;
+          Store.save_cell store sums 1;
+          Store.save_cell store nopen 0
+        end;
+        if home_kept then sums.(1) <- sums.(1) - gap i
+        else sums.(0) <- sums.(0) + gap i;
+        let last = nopen.(0) - 1 in
+        let k = pos.(i) and j = perm.(last) in
+        perm.(k) <- j;
+        pos.(j) <- k;
+        perm.(last) <- i;
+        pos.(i) <- last;
+        nopen.(0) <- last
+      in
+      let k = ref 0 in
+      while !k < nopen.(0) do
+        let i = perm.(!k) in
+        let it = items.(i) in
+        if not (Var.mem it.home it.var) then close i ~home_kept:false
+        else if Var.size it.var = 1 then close i ~home_kept:true
+        else incr k
+      done;
+      let lo = Var.lo obj and hi = Var.hi obj in
+      let check () =
+        if sums.(0) > hi || sums.(1) < lo then
+          Store.fail (fun () -> "movecost: out of bounds")
+      in
+      check ();
+      let r = ref 0 and fits = ref false in
+      while (not !fits) && !r < n do
+        let i = by_gap.(!r) in
+        incr r;
+        if pos.(i) < nopen.(0) then
+          if gap i > hi - sums.(0) then begin
+            Store.instantiate store items.(i).var items.(i).home;
+            close i ~home_kept:true
+          end
+          else if gap i > sums.(1) - lo then begin
+            Store.remove store items.(i).var items.(i).home;
+            close i ~home_kept:false
+          end
+          else fits := true
+      done;
+      check ();
+      Store.remove_below store obj sums.(0);
+      Store.remove_above store obj sums.(1)
+    in
+    let p = Prop.make ~name:"movecost" run in
+    Store.post_on store p
+      ~on:
+        [
+          ( Prop.On_domain,
+            Array.to_list (Array.map (fun (it : Movecost.item) -> it.var) items)
+          );
+          (Prop.On_bounds, [ obj ]);
+        ]
+
+  exception Limit
+
+  (* branch & bound to the end of the tree or the node limit *)
+  let minimize store ~vars ~obj ~var_select ~val_iter ~node_limit =
+    let stats = Search.fresh_stats () in
+    let best = ref None in
+    let rec descend () =
+      stats.nodes <- stats.nodes + 1;
+      (match node_limit with
+      | Some l when stats.nodes >= l -> raise Limit
+      | _ -> ());
+      (match !best with
+      | Some (b, _) ->
+        Store.remove_above store obj (b - 1);
+        Store.propagate store
+      | None -> ());
+      match var_select vars with
+      | None ->
+        stats.solutions <- stats.solutions + 1;
+        best := Some (Var.lo obj, Array.map Var.value_exn vars)
+      | Some x ->
+        val_iter x (fun v ->
+            let m = Store.mark store in
+            (try
+               Store.instantiate store x v;
+               Store.propagate store;
+               descend ()
+             with Store.Inconsistent _ -> stats.fails <- stats.fails + 1);
+            Store.undo_to store m)
+    in
+    let root = Store.mark store in
+    (try
+       Store.propagate store;
+       descend ()
+     with
+    | Store.Inconsistent _ -> stats.fails <- stats.fails + 1
+    | Limit -> stats.timed_out <- true);
+    Store.undo_to store root;
+    Store.release store;
+    (!best, stats)
+end
+
+(* The propagators one side of the comparison posts. *)
+type kernel = {
+  post_pack :
+    Store.t -> name:string -> items:Pack.item array -> capacities:int array ->
+    unit;
+  post_movecost : Store.t -> items:Movecost.item array -> obj:Var.t -> unit;
+}
+
+let current_kernel =
+  {
+    post_pack =
+      (fun s ~name ~items ~capacities -> Pack.post s ~name ~items ~capacities ());
+    post_movecost = Movecost.post;
+  }
+
+let reference_kernel = { post_pack = Ref.pack; post_movecost = Ref.movecost }
+
+(* A random Pack + Movecost model: two packing dimensions (the first
+   with items of size 0), banned nodes, pins bound before the first
+   propagation as the optimiser binds RAM-suspended VMs, and the values
+   of a scoped probe undone before the search. *)
+type bb_instance = {
+  mc : mc_instance;
+  cpu : int array;
+  cpu_caps : int array;
+  pins : (int * int) list;  (* (item, node) bound after posting *)
+  probe : int array option;  (* a value per item, tried then undone *)
+  limit : int option;
+}
+
+let random_bb_instance rng =
+  let vms = 4 + Random.State.int rng 7 and nodes = 2 + Random.State.int rng 3 in
+  let caps sizes =
+    let per_node = Array.fold_left ( + ) 0 sizes / nodes in
+    Array.init nodes (fun _ -> per_node + Random.State.int rng (per_node + 4))
+  in
+  let stays = Array.init vms (fun _ -> Random.State.int rng 6) in
+  let sizes = Array.init vms (fun _ -> 1 + Random.State.int rng 4) in
+  let cpu = Array.init vms (fun _ -> Random.State.int rng 4) in
+  {
+    mc =
+      {
+        homes = Array.init vms (fun _ -> Random.State.int rng nodes);
+        stays;
+        moves = Array.map (fun st -> st + 1 + Random.State.int rng 6) stays;
+        sizes;
+        caps = caps sizes;
+        banned =
+          List.init (Random.State.int rng 3) (fun _ ->
+              (Random.State.int rng vms, Random.State.int rng nodes));
+      };
+    cpu;
+    cpu_caps = caps cpu;
+    pins =
+      List.init (Random.State.int rng 3) (fun _ ->
+          (Random.State.int rng vms, Random.State.int rng nodes));
+    probe =
+      (if Random.State.bool rng then
+         Some (Array.init vms (fun _ -> Random.State.int rng nodes))
+       else None);
+    (* a search without a node limit only on up to 7 VMs: it then
+       stays under 4^7 leaves *)
+    limit =
+      (if vms <= 7 && Random.State.bool rng then None
+       else Some (5 + Random.State.int rng 100));
+  }
+
+(* mark, bind every variable still holding its probe value, propagate,
+   undo: what [Lns.objective] does before a repair *)
+let scoped_probe s xs values =
+  let m = Store.mark s in
+  (try
+     Array.iteri
+       (fun i x -> if Var.mem values.(i) x then Store.instantiate s x values.(i))
+       xs;
+     Store.propagate s
+   with Store.Inconsistent _ -> ());
+  Store.undo_to s m;
+  Store.release s
+
+let build_bb kernel inst =
+  let s = Store.create () in
+  let mc = inst.mc in
+  let nodes = Array.length mc.caps in
+  let xs =
+    Array.mapi
+      (fun i _ ->
+        Store.new_var ~name:(Printf.sprintf "x%d" i) s ~lo:0 ~hi:(nodes - 1))
+      mc.homes
+  in
+  let ub = Array.fold_left ( + ) 0 mc.moves in
+  let obj = Store.new_var ~name:"obj" s ~lo:0 ~hi:ub in
+  match
+    List.iter (fun (i, j) -> Store.remove s xs.(i) j) mc.banned;
+    kernel.post_pack s ~name:"cpu"
+      ~items:(Array.mapi (fun i x -> Pack.item x inst.cpu.(i)) xs)
+      ~capacities:inst.cpu_caps;
+    kernel.post_pack s ~name:"mem"
+      ~items:(Array.mapi (fun i x -> Pack.item x mc.sizes.(i)) xs)
+      ~capacities:mc.caps;
+    kernel.post_movecost s
+      ~items:
+        (Array.mapi
+           (fun i x ->
+             Movecost.item x ~home:mc.homes.(i) ~stay:mc.stays.(i)
+               ~move:mc.moves.(i))
+           xs)
+      ~obj;
+    List.iter (fun (i, j) -> Store.instantiate s xs.(i) j) inst.pins
+  with
+  | () ->
+    Option.iter (scoped_probe s xs) inst.probe;
+    Some (s, xs, obj)
+  | exception Store.Inconsistent _ -> None
+
+(* The answer kept: the same (value, snapshot), in no more nodes, and a
+   node-limit stop only where the reference stopped on it too. The
+   reference runs first; a search without a node limit runs under the
+   reference's node count plus one, which it never reaches unless it
+   takes more nodes (a broken kernel then fails instead of running on). *)
+let keeps_answer ~ctx ~limit ~reference search =
+  let ref_best, (ref_st : Search.stats) = reference ~node_limit:limit in
+  let best, (st : Search.stats) =
+    search (Some (Option.value limit ~default:(ref_st.nodes + 1)))
+  in
+  if best <> ref_best then QCheck.Test.fail_reportf "%s: answers differ" ctx;
+  if st.nodes > ref_st.nodes then
+    QCheck.Test.fail_reportf "%s: %d nodes, the reference %d" ctx st.nodes
+      ref_st.nodes;
+  if st.timed_out && not ref_st.timed_out then
+    QCheck.Test.fail_reportf "%s: stopped on the limit alone" ctx;
+  true
+
+let minimize_keeps_answer =
+  QCheck.Test.make ~name:"minimize keeps its answer (random models)"
+    ~count:400 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = random_bb_instance (Random.State.make [| 0xbb; seed |]) in
+      match (build_bb current_kernel inst, build_bb reference_kernel inst) with
+      | None, None -> true
+      | Some _, None | None, Some _ ->
+        QCheck.Test.fail_reportf "seed %d: posting differs" seed
+      | Some (s, xs, obj), Some (rs, rxs, robj) ->
+        keeps_answer
+          ~ctx:(Printf.sprintf "seed %d" seed)
+          ~limit:inst.limit
+          ~reference:
+            (Ref.minimize rs ~vars:rxs ~obj:robj ~var_select:Search.first_fail
+               ~val_iter:(fun x f -> List.iter f (Dom.to_list (Var.dom x))))
+          (fun node_limit -> Search.minimize s ~vars:xs ~obj ?node_limit ()))
+
+(* The optimiser's model of a Figure 10 instance, posted again with the
+   reference propagators on a fresh store: the same variables in the
+   same order (the model's orderings are keyed by variable id), the same
+   residual capacities, cost tables and RAM-suspended pins. *)
+module Generator = Vworkload.Generator
+open Entropy_core
+
+let reference_model (m : Optimizer.model) ~current ~demand ~target_base =
+  let s = Store.create () in
+  let n = Configuration.node_count current in
+  let placed = Array.to_list m.placed_vms in
+  let hvars =
+    Array.map
+      (fun vm -> Store.new_var ~name:(Printf.sprintf "h%d" vm) s ~lo:0 ~hi:(n - 1))
+      m.placed_vms
+  in
+  let cap_cpu =
+    Array.init n (fun j -> Node.cpu_capacity (Configuration.node target_base j))
+  and cap_mem =
+    Array.init n (fun j -> Node.memory_mb (Configuration.node target_base j))
+  in
+  for vm = 0 to Configuration.vm_count target_base - 1 do
+    if not (List.mem vm placed) then
+      let mem = Vm.memory_mb (Configuration.vm target_base vm) in
+      match Configuration.state target_base vm with
+      | Configuration.Running h ->
+        cap_cpu.(h) <- cap_cpu.(h) - Demand.cpu demand vm;
+        cap_mem.(h) <- cap_mem.(h) - mem
+      | Configuration.Sleeping_ram h -> cap_mem.(h) <- cap_mem.(h) - mem
+      | Configuration.Waiting | Configuration.Sleeping _
+      | Configuration.Terminated -> ()
+  done;
+  let size f = Array.mapi (fun i h -> Pack.item h (f m.placed_vms.(i))) hvars in
+  Ref.pack s ~name:"cpu" ~items:(size (Demand.cpu demand)) ~capacities:cap_cpu;
+  Ref.pack s ~name:"mem"
+    ~items:(size (fun vm -> Vm.memory_mb (Configuration.vm current vm)))
+    ~capacities:cap_mem;
+  Array.iteri
+    (fun i h ->
+      match Configuration.state current m.placed_vms.(i) with
+      | Configuration.Sleeping_ram host -> Store.instantiate s h host
+      | _ -> ())
+    hvars;
+  let table vm =
+    let mem = Vm.memory_mb (Configuration.vm current vm) in
+    match Configuration.state current vm with
+    | Configuration.Running h -> Array.init n (fun j -> if j = h then 0 else mem)
+    | Configuration.Sleeping h ->
+      Array.init n (fun j -> if j = h then mem else 2 * mem)
+    | Configuration.Sleeping_ram _ -> Array.make n 0
+    | Configuration.Waiting | Configuration.Terminated ->
+      Array.make n Cost.run_cost
+  in
+  let items =
+    Array.to_list hvars
+    |> List.mapi (fun i h -> Movecost.of_table h (table m.placed_vms.(i)))
+    |> List.filter_map Fun.id |> Array.of_list
+  in
+  let ub = Array.fold_left (fun acc (it : Movecost.item) -> acc + it.move) 0 items in
+  let obj = Store.new_var ~name:"obj" s ~lo:0 ~hi:(max ub 0) in
+  Ref.movecost s ~items ~obj;
+  (s, hvars, obj)
+
+(* A Figure 10 instance of 9, 18 or 27 VMs on 4-8 nodes, every third
+   sleeping VM suspended to RAM instead. *)
+let generator_case seed =
+  let { Generator.config; demand; vjobs } =
+    Generator.generate
+      {
+        Generator.default_spec with
+        node_count = 4 + (seed mod 5);
+        vm_target = 9 * (1 + (seed mod 3));
+        seed;
+      }
+  in
+  let k = ref 0 in
+  let config =
+    Configuration.edit config (fun e ->
+        for vm = 0 to Configuration.vm_count config - 1 do
+          match Configuration.read e vm with
+          | Configuration.Sleeping h ->
+            incr k;
+            if !k mod 3 = 0 then
+              Configuration.write e vm (Configuration.Sleeping_ram h)
+          | _ -> ()
+        done)
+  in
+  let outcome = Rjsp.solve ~config ~demand ~queue:vjobs () in
+  (config, demand, outcome)
+
+let minimize_keeps_answer_generator =
+  QCheck.Test.make ~name:"minimize keeps its answer (Generator instances)"
+    ~count:40 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let config, demand, outcome = generator_case seed in
+      let placed = List.concat_map Vjob.vms outcome.Rjsp.running in
+      let target_base = outcome.Rjsp.ffd_config in
+      QCheck.assume (placed <> []);
+      let m =
+        Optimizer.build_model ~current:config ~demand ~placed ~target_base ()
+      in
+      QCheck.assume m.rules_postable;
+      let rs, rxs, robj =
+        reference_model m ~current:config ~demand ~target_base
+      in
+      (* without a node limit on 9 VMs only *)
+      let limit =
+        if seed mod 2 = 1 && seed mod 3 = 0 then None
+        else Some (20 + (seed mod 300))
+      in
+      if seed mod 3 = 0 then begin
+        let ffd =
+          Array.map
+            (fun vm -> Option.get (Configuration.host target_base vm))
+            m.placed_vms
+        in
+        scoped_probe m.store m.hvars ffd;
+        scoped_probe rs rxs ffd
+      end;
+      keeps_answer
+        ~ctx:(Printf.sprintf "seed %d" seed)
+        ~limit
+        ~reference:
+          (Ref.minimize rs ~vars:rxs ~obj:robj ~var_select:m.var_select
+             ~val_iter:m.val_iter)
+        (fun node_limit -> Optimizer.search ?node_limit m))
+
 (* ---------------------------------------------------------------- run -- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -1122,6 +1645,10 @@ let () =
             test_pack_aggregate_fails;
           Alcotest.test_case "feasible assignment" `Quick
             test_pack_feasible_assignment;
+          Alcotest.test_case "re-primes after an undo" `Quick
+            test_pack_reprimes_after_undo;
+          Alcotest.test_case "keeps a change made before a mark" `Quick
+            test_pack_keeps_change_before_mark;
         ] );
       ( "count",
         [
@@ -1163,5 +1690,9 @@ let () =
             test_search_stats_regression;
         ]
         @ qsuite [ minimize_matches_bruteforce ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~long:false
+               ~rand:(Random.State.make [| 35 |]))
+            [ minimize_keeps_answer; minimize_keeps_answer_generator ]
       );
     ]

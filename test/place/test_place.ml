@@ -263,6 +263,146 @@ let test_seed4_cycle_break_revalidated () =
   check_bool "seed-4 derived plan verifier-clean" true
     (Verifier.is_clean ~vjobs ~current:config ~target ~demand plan)
 
+(* -- eviction bound --------------------------------------------------------- *)
+
+(* The optimiser's model of a small cluster: [nodes] are (CPU, memory)
+   capacities, [vms] (state, memory, CPU demand, re-placed). The VMs not
+   re-placed keep their state. *)
+let small_model ~nodes ~vms =
+  let n = Array.length vms in
+  let config =
+    Configuration.with_states
+      (Configuration.make
+         ~nodes:
+           (Array.mapi
+              (fun id (cpu_capacity, memory_mb) ->
+                Node.make ~id ~name:(Printf.sprintf "n%d" id) ~cpu_capacity
+                  ~memory_mb)
+              nodes)
+         ~vms:
+           (Array.mapi
+              (fun id (_, memory_mb, _, _) ->
+                Vm.make ~id ~name:(Printf.sprintf "v%d" id) ~memory_mb)
+              vms))
+      (Array.map (fun (st, _, _, _) -> st) vms)
+  in
+  let demand =
+    Demand.of_fn ~vm_count:n (fun i ->
+        let _, _, cpu, _ = vms.(i) in
+        cpu)
+  in
+  let placed =
+    List.filter
+      (fun i ->
+        let _, _, _, p = vms.(i) in
+        p)
+      (List.init n Fun.id)
+  in
+  Optimizer.build_model ~current:config ~demand ~placed ~target_base:config ()
+
+(* The least objective over every placement the model accepts, found by
+   binding each placement variable to each node in turn. *)
+let brute_force_min (m : Optimizer.model) ~nodes =
+  let k = Array.length m.hvars in
+  let hosts = Array.make k 0 in
+  let best = ref None in
+  let rec next i =
+    if i < k then
+      if hosts.(i) + 1 < nodes then hosts.(i) <- hosts.(i) + 1
+      else begin
+        hosts.(i) <- 0;
+        next (i + 1)
+      end
+  in
+  for _ = 1 to int_of_float (float_of_int nodes ** float_of_int k) do
+    let mark = Fdcp.Store.mark m.store in
+    (match
+       Array.iteri (fun i h -> Fdcp.Store.instantiate m.store h hosts.(i)) m.hvars;
+       Fdcp.Store.propagate m.store
+     with
+    | () ->
+      let o = Fdcp.Var.lo m.obj in
+      if Option.fold ~none:true ~some:(fun b -> o < b) !best then
+        best := Some o
+    | exception Fdcp.Store.Inconsistent _ -> ());
+    Fdcp.Store.undo_to m.store mark;
+    next 0
+  done;
+  !best
+
+(* The bound never exceeds the cheapest viable placement's objective, on
+   every placement of 2-3 nodes and up to 8 VMs in every state. *)
+let test_eviction_bound_admissible () =
+  let rng = Random.State.make [| 0xe71c7 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let viable = ref 0 and tight = ref 0 and above_root = ref 0 in
+  for _ = 1 to 250 do
+    let nodes =
+      Array.init (2 + Random.State.int rng 2) (fun _ ->
+          (pick [| 100; 200 |], pick [| 1024; 2048 |]))
+    in
+    let node () = Random.State.int rng (Array.length nodes) in
+    let vms =
+      Array.init (1 + Random.State.int rng 8) (fun _ ->
+          let state =
+            match Random.State.int rng 4 with
+            | 0 -> Configuration.Running (node ())
+            | 1 -> Configuration.Sleeping (node ())
+            | 2 -> Configuration.Sleeping_ram (node ())
+            | _ -> Configuration.Waiting
+          in
+          ( state,
+            pick [| 256; 512; 1024 |],
+            pick [| 0; 0; 30; 50; 100 |],
+            Random.State.int rng 5 > 0 ))
+    in
+    let m = small_model ~nodes ~vms in
+    if m.rules_postable && m.hvars <> [||] then
+      match brute_force_min m ~nodes:(Array.length nodes) with
+      | None -> ()
+      | Some best ->
+        incr viable;
+        let mark = Fdcp.Store.mark m.store in
+        Fdcp.Store.propagate m.store;
+        if m.lower_bound > Fdcp.Var.lo m.obj then incr above_root;
+        Fdcp.Store.undo_to m.store mark;
+        if m.lower_bound > best then
+          Alcotest.failf "bound %d above the least objective %d"
+            m.lower_bound best;
+        if m.lower_bound = best then incr tight
+  done;
+  Printf.printf
+    "eviction bound tight on %d of %d viable instances, above the root \
+     lower bound on %d\n"
+    !tight !viable !above_root;
+  check_bool "instances with a viable placement" true (!viable >= 150);
+  check_bool "tight on a third of them" true (3 * !tight >= !viable);
+  check_bool "stronger than the root bound on some" true (!above_root >= 10)
+
+(* Hand-computed bounds: node 0 (CPU 200) holds more than it can. *)
+let test_eviction_bound_values () =
+  let bound vms =
+    (small_model ~nodes:[| (200, 16384); (200, 16384) |] ~vms).lower_bound
+  in
+  let run ~mem ~cpu = (Configuration.Running 0, mem, cpu, true) in
+  (* 40 CPU units too many: v1 sheds them cheapest, at 256/90 each,
+     113.8 in all, rounded up *)
+  check_int "fractional cover rounded up" 114
+    (bound [| run ~mem:512 ~cpu:150; run ~mem:256 ~cpu:90 |]);
+  (* a RAM-suspended VM pinned on node 0 leaves 5 CPU units of 200 to
+     v1 and v2: 5 too many. v2 needs no CPU, so it sheds none of them
+     however cheap its move; v1 sheds all 5 at 4096/10 each *)
+  check_int "pins load, a VM of size 0 covers nothing" 2048
+    (bound
+       [|
+         (Configuration.Sleeping_ram 0, 256, 195, true);
+         run ~mem:4096 ~cpu:10;
+         run ~mem:256 ~cpu:0;
+       |]);
+  (* a sleeping VM resumed at home pays its stay (its memory) *)
+  check_int "stays count" 512
+    (bound [| (Configuration.Sleeping 1, 512, 0, true) |])
+
 let () =
   Alcotest.run "entropy_place"
     [
@@ -289,6 +429,13 @@ let () =
         [
           Alcotest.test_case "incumbent bound explores fewer nodes" `Slow
             test_warm_start_fewer_nodes;
+        ] );
+      ( "eviction bound",
+        [
+          Alcotest.test_case "admissible, exhaustively" `Quick
+            test_eviction_bound_admissible;
+          Alcotest.test_case "hand-computed values" `Quick
+            test_eviction_bound_values;
         ] );
       ( "consistency",
         [
