@@ -430,7 +430,7 @@ let () =
           Alcotest.test_case "incumbent bound explores fewer nodes" `Slow
             test_warm_start_fewer_nodes;
         ] );
-      ( "eviction bound",
+      ( "lower bound",
         [
           Alcotest.test_case "admissible, exhaustively" `Quick
             test_eviction_bound_admissible;
