@@ -362,7 +362,9 @@ let build_model_impl ~rules ~current ~demand ~placed ~target_base () =
      nodes first avoids thrashing against the packing constraints.
      [order] lists the nodes in that fixed rank order once; the search
      then walks it and filters by domain membership instead of
-     materialising and sorting a value list at every node. *)
+     materialising and sorting a value list at every node. It reads the
+     domain as it stood at the call: the search counts a fail for each
+     value its refutation removes from the live one. *)
   let order =
     let scored =
       Array.init n (fun j -> (j, (cap_mem.(j) * 1000) + cap_cpu.(j)))
@@ -372,8 +374,9 @@ let build_model_impl ~rules ~current ~demand ~placed ~target_base () =
   in
   let val_iter v f =
     let pref = prefer_of.(Var.id v) in
-    if pref >= 0 && Var.mem pref v then f pref;
-    Array.iter (fun node -> if node <> pref && Var.mem node v then f node) order
+    let dom = Var.dom v in
+    if pref >= 0 && Dom.mem pref dom then f pref;
+    Array.iter (fun node -> if node <> pref && Dom.mem node dom then f node) order
   in
   {
     store;

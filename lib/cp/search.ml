@@ -5,11 +5,21 @@
    a first-fail variable ordering that treats the most demanding VMs
    first, a value ordering that tries a VM's current location first, and
    branch & bound on the reconfiguration-cost variable with a timeout
-   after which the best solution so far is kept. *)
+   after which the best solution so far is kept.
+
+   Each node tries its variable's values one at a time, in the value
+   iterator's order (d-way branching). Once the first value v is
+   explored, the node propagates x <> v once, on its own store: every
+   value that refutation removes, or all of them when it fails, would
+   have failed at its first propagation, so the node counts each as a
+   fail without trying it. Propagators are monotone, so the nodes, fails,
+   solutions and answers are exactly those of trying every value. *)
 
 module Obs = Entropy_obs.Obs
 module Trace = Entropy_obs.Trace
 module Metrics = Entropy_obs.Metrics
+
+type limit = Node_cap | Clock
 
 type stats = {
   mutable nodes : int;
@@ -18,6 +28,7 @@ type stats = {
   mutable solutions : int;
   mutable elapsed : float;
   mutable timed_out : bool;
+  mutable stopped_by : limit option;
 }
 
 let fresh_stats () =
@@ -28,12 +39,16 @@ let fresh_stats () =
     solutions = 0;
     elapsed = 0.;
     timed_out = false;
+    stopped_by = None;
   }
 
 let pp_stats ppf s =
   Fmt.pf ppf "nodes=%d fails=%d backtracks=%d solutions=%d elapsed=%.3fs%s"
     s.nodes s.fails s.backtracks s.solutions s.elapsed
-    (if s.timed_out then " (timed out)" else "")
+    (match s.stopped_by with
+    | Some Node_cap -> " (node cap)"
+    | Some Clock -> " (clock)"
+    | None -> "")
 
 (* Metric handles, created on first traced search; [Metrics.reset] zeroes
    them in place so the lazies stay valid across runs. *)
@@ -48,7 +63,7 @@ type var_select = Var.t array -> Var.t option
 type val_iter = Var.t -> (int -> unit) -> unit
 
 exception Stop
-exception Timed_out
+exception Limit_reached of limit
 
 (* -- variable orderings -------------------------------------------------- *)
 
@@ -76,8 +91,8 @@ let by_key key vars =
 
 (* -- value ordering -------------------------------------------------------- *)
 
-(* The domain is snapshotted first: the search undoes its trail between
-   values, so the live domain changes under the callback. *)
+(* The domain is snapshotted first: the live domain changes under the
+   callback. *)
 let ascending x f = List.iter f (Dom.to_list (Var.dom x))
 
 (* -- DFS ------------------------------------------------------------------ *)
@@ -100,10 +115,22 @@ let solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
       has_deadline
       && stats.nodes land deadline_stride_mask = 0
       && now () > deadline
-    then raise Timed_out;
+    then raise (Limit_reached Clock);
     match node_limit with
-    | Some l when stats.nodes >= l -> raise Timed_out
+    | Some l when stats.nodes >= l -> raise (Limit_reached Node_cap)
     | _ -> ()
+  in
+  (* a value that failed, at its first propagation or by refutation *)
+  let fail () =
+    stats.fails <- stats.fails + 1;
+    stats.backtracks <- stats.backtracks + 1;
+    (* fail-heavy regions advance few nodes: keep the deadline honest
+       from the failure path as well *)
+    if
+      has_deadline
+      && stats.fails land deadline_stride_mask = 0
+      && now () > deadline
+    then raise (Limit_reached Clock)
   in
   let rec descend () =
     stats.nodes <- stats.nodes + 1;
@@ -116,28 +143,44 @@ let solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
         Obs.instant ~cat:"cp" ~args:[ ("nodes", Trace.I stats.nodes) ]
           "cp.solution";
       on_solution ()
-    | Some x ->
-      let try_value v =
-        let m = Store.mark store in
-        (try
-           Store.instantiate store x v;
-           Store.propagate store;
-           descend ();
-           stats.backtracks <- stats.backtracks + 1;
-           Store.undo_to store m
-         with Store.Inconsistent _ ->
-           stats.fails <- stats.fails + 1;
-           stats.backtracks <- stats.backtracks + 1;
-           Store.undo_to store m;
-           (* fail-heavy regions advance few nodes: keep the deadline
-              honest from the failure path as well *)
-           if
-             has_deadline
-             && stats.fails land deadline_stride_mask = 0
-             && now () > deadline
-           then raise Timed_out)
-      in
-      val_iter x try_value
+    | Some x -> branch x
+  and explore x v =
+    let m = Store.mark store in
+    match
+      Store.instantiate store x v;
+      Store.propagate store;
+      descend ()
+    with
+    | () ->
+      stats.backtracks <- stats.backtracks + 1;
+      Store.undo_to store m
+    | exception Store.Inconsistent _ ->
+      Store.undo_to store m;
+      fail ()
+  (* After the first value v, x <> v is propagated once, without the
+     bound a subtree may have tightened: that applies at the next
+     [descend], as for a tried value. A later value it removed, or every
+     one when it failed, counts one fail in the iterator's order. Nothing
+     reads the store after a failed refutation; either kind is undone
+     with the value the parent explores (at the root, when the search
+     ends). *)
+  and branch x =
+    (* 0: before the first value; 1: x <> v propagated; 2: x <> v
+       failed *)
+    let phase = ref 0 in
+    val_iter x (fun v ->
+        if !phase = 0 then begin
+          explore x v;
+          phase :=
+            match
+              Store.remove store x v;
+              Store.propagate store
+            with
+            | () -> 1
+            | exception Store.Inconsistent _ -> 2
+        end
+        else if !phase = 1 && Var.mem v x then explore x v
+        else fail ())
   in
   let start = now () in
   let span_start = if !Obs.enabled then Trace.now_us () else 0. in
@@ -147,7 +190,9 @@ let solve_internal store ~vars ~var_select ~val_iter ~timeout ~node_limit
      descend ()
    with
   | Store.Inconsistent _ -> stats.fails <- stats.fails + 1
-  | Timed_out -> stats.timed_out <- true
+  | Limit_reached l ->
+    stats.timed_out <- true;
+    stats.stopped_by <- Some l
   | Stop -> ());
   Store.undo_to store root;
   Store.release store;

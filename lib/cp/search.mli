@@ -1,30 +1,49 @@
-(** Depth-first search, enumeration and branch-and-bound minimisation. *)
+(** Depth-first search, enumeration and branch-and-bound minimisation.
+
+    A node tries its variable's values one at a time, in the value
+    iterator's order. After the first value [v], it propagates [x <> v]
+    once and keeps the result for its other values: a value that
+    refutation removed, or every value when it failed, counts one fail
+    and is not tried. Each such value would have failed at its first
+    propagation, so the nodes, fails, solutions and answers are those of
+    trying every value. *)
+
+type limit =
+  | Node_cap  (** the [node_limit] was reached *)
+  | Clock     (** the [timeout] expired *)
 
 type stats = {
   mutable nodes : int;
   mutable fails : int;
   mutable backtracks : int;
-      (** undone value attempts (both after exhausting a subtree and on
-          a propagation failure) *)
+      (** undone value attempts (after exhausting a subtree, and on each
+          fail) *)
   mutable solutions : int;
   mutable elapsed : float;        (** seconds *)
   mutable timed_out : bool;
+      (** a limit ended the search before it completed *)
+  mutable stopped_by : limit option;
+      (** which limit; [Some _] exactly when [timed_out] *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
+(** The counters, then ["(node cap)"] or ["(clock)"] for a search a
+    limit stopped. *)
+
 val fresh_stats : unit -> stats
 
 type var_select = Var.t array -> Var.t option
 (** Picks the next unbound variable to branch on ([None] = all bound). *)
 
 type val_iter = Var.t -> (int -> unit) -> unit
-(** Value ordering: applies the callback to each candidate value in the
-    order it should be tried (default: the domain in increasing order).
-    The iterator is called on the domain as it stands at the node; it
-    must not rely on the domain staying unchanged across callback
-    invocations — the search undoes its trail between values, so the
-    domain seen by the iterator is restored before each subsequent
-    callback. *)
+(** Value ordering: applies the callback to each value of the domain as
+    it stands when the iterator is called, once each, in the order it
+    should be tried (default: the domain in increasing order). The live
+    domain changes under the callback: after the first value it lacks
+    every value the node refuted. The iterator must still apply the
+    callback to those values, reading the domain it was called on
+    ([Var.dom] is an immutable snapshot), since the search counts a
+    fail for each. *)
 
 exception Stop
 (** Raise from [on_solution] to stop the search. A stopped search is

@@ -1288,6 +1288,81 @@ module Ref = struct
     (!best, stats)
 end
 
+(* The search as it was before a node refuted its first value: each
+   value tried on its own (d-way branching), branch & bound stopping at
+   a proven bound. It stops on a node limit only. On the same kernel the
+   search must make exactly its nodes, fails and solutions. *)
+module Dway = struct
+  exception Limit
+
+  let run store ~vars ~var_select ~val_iter ~node_limit ~on_node ~on_solution
+      (stats : Search.stats) =
+    let rec descend () =
+      stats.nodes <- stats.nodes + 1;
+      (match node_limit with
+      | Some l when stats.nodes >= l -> raise Limit
+      | _ -> ());
+      on_node ();
+      match var_select vars with
+      | None ->
+        stats.solutions <- stats.solutions + 1;
+        on_solution ()
+      | Some x ->
+        val_iter x (fun v ->
+            let m = Store.mark store in
+            try
+              Store.instantiate store x v;
+              Store.propagate store;
+              descend ();
+              stats.backtracks <- stats.backtracks + 1;
+              Store.undo_to store m
+            with Store.Inconsistent _ ->
+              stats.fails <- stats.fails + 1;
+              stats.backtracks <- stats.backtracks + 1;
+              Store.undo_to store m)
+    in
+    let root = Store.mark store in
+    (try
+       Store.propagate store;
+       descend ()
+     with
+    | Store.Inconsistent _ -> stats.fails <- stats.fails + 1
+    | Limit -> stats.timed_out <- true
+    | Search.Stop -> ());
+    Store.undo_to store root;
+    Store.release store
+
+  let solve store ~vars ~var_select ~val_iter ~node_limit ~on_solution =
+    let stats = Search.fresh_stats () in
+    run store ~vars ~var_select ~val_iter ~node_limit ~on_node:ignore
+      ~on_solution stats;
+    stats
+
+  let minimize store ~vars ~obj ~var_select ~val_iter ?(lower_bound = min_int)
+      ~node_limit () =
+    let stats = Search.fresh_stats () in
+    let best = ref max_int and best_snapshot = ref None in
+    let proven = ref lower_bound in
+    let on_node () =
+      if stats.nodes = 1 then proven := max lower_bound (Var.lo obj);
+      if !best < max_int then begin
+        Store.remove_above store obj (!best - 1);
+        Store.propagate store
+      end
+    in
+    let on_solution () =
+      let value = Var.lo obj in
+      if value < !best then begin
+        best := value;
+        best_snapshot := Some (value, Array.map Var.value_exn vars);
+        if value <= !proven then raise Search.Stop
+      end
+    in
+    run store ~vars ~var_select ~val_iter ~node_limit ~on_node ~on_solution
+      stats;
+    (!best_snapshot, stats)
+end
+
 (* The propagators one side of the comparison posts. *)
 type kernel = {
   post_pack :
@@ -1403,15 +1478,34 @@ let build_bb kernel inst =
     Some (s, xs, obj)
   | exception Store.Inconsistent _ -> None
 
-(* The answer kept: the same (value, snapshot), in no more nodes, and a
-   node-limit stop only where the reference stopped on it too. The
-   reference runs first; a search without a node limit runs under the
-   reference's node count plus one, which it never reaches unless it
-   takes more nodes (a broken kernel then fails instead of running on). *)
-let keeps_answer ~ctx ~limit ~reference search =
+(* The same tree as the d-way loop on the same kernel: equal answers
+   and counters. *)
+let same_tree ~ctx (best, (st : Search.stats)) (dway_best, (dw : Search.stats))
+    =
+  if best <> dway_best then
+    QCheck.Test.fail_reportf "%s: answers differ from the d-way loop" ctx;
+  let counts (s : Search.stats) =
+    (s.nodes, s.fails, s.backtracks, s.solutions, s.timed_out)
+  in
+  if counts st <> counts dw then
+    QCheck.Test.fail_reportf
+      "%s: nodes %d fails %d backtracks %d solutions %d timed out %b; \
+       d-way nodes %d fails %d backtracks %d solutions %d timed out %b"
+      ctx st.nodes st.fails st.backtracks st.solutions st.timed_out dw.nodes
+      dw.fails dw.backtracks dw.solutions dw.timed_out;
+  true
+
+(* The answer kept: the same (value, snapshot) as the reference, in no
+   more nodes, and a node-limit stop only where the reference stopped on
+   it too; and the d-way loop's tree exactly. The references run first;
+   a search without a node limit runs under the d-way loop's node count
+   plus one, which it never reaches unless it takes more nodes (a broken
+   kernel then fails instead of running on). *)
+let keeps_answer ~ctx ~limit ~reference ~dway search =
   let ref_best, (ref_st : Search.stats) = reference ~node_limit:limit in
-  let best, (st : Search.stats) =
-    search (Some (Option.value limit ~default:(ref_st.nodes + 1)))
+  let ((_, (dw : Search.stats)) as dway_run) = dway ~node_limit:limit in
+  let ((best, (st : Search.stats)) as run) =
+    search (Some (Option.value limit ~default:(dw.nodes + 1)))
   in
   if best <> ref_best then QCheck.Test.fail_reportf "%s: answers differ" ctx;
   if st.nodes > ref_st.nodes then
@@ -1419,7 +1513,9 @@ let keeps_answer ~ctx ~limit ~reference search =
       ref_st.nodes;
   if st.timed_out && not ref_st.timed_out then
     QCheck.Test.fail_reportf "%s: stopped on the limit alone" ctx;
-  true
+  same_tree ~ctx run dway_run
+
+let ascending x f = List.iter f (Dom.to_list (Var.dom x))
 
 let minimize_keeps_answer =
   QCheck.Test.make ~name:"minimize keeps its answer (random models)"
@@ -1431,13 +1527,51 @@ let minimize_keeps_answer =
       | Some _, None | None, Some _ ->
         QCheck.Test.fail_reportf "seed %d: posting differs" seed
       | Some (s, xs, obj), Some (rs, rxs, robj) ->
+        let ds, dxs, dobj = Option.get (build_bb current_kernel inst) in
         keeps_answer
           ~ctx:(Printf.sprintf "seed %d" seed)
           ~limit:inst.limit
           ~reference:
             (Ref.minimize rs ~vars:rxs ~obj:robj ~var_select:Search.first_fail
-               ~val_iter:(fun x f -> List.iter f (Dom.to_list (Var.dom x))))
+               ~val_iter:ascending)
+          ~dway:(fun ~node_limit ->
+            Dway.minimize ds ~vars:dxs ~obj:dobj ~var_select:Search.first_fail
+              ~val_iter:ascending ~node_limit ())
           (fun node_limit -> Search.minimize s ~vars:xs ~obj ?node_limit ()))
+
+(* Enumeration: every solution, in the d-way loop's order, with its
+   counters. *)
+let solve_keeps_tree =
+  QCheck.Test.make ~name:"solve keeps the d-way tree"
+    ~count:200 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let inst = random_bb_instance (Random.State.make [| 0x5e; seed |]) in
+      match (build_bb current_kernel inst, build_bb current_kernel inst) with
+      | None, None -> true
+      | Some _, None | None, Some _ ->
+        QCheck.Test.fail_reportf "seed %d: posting differs" seed
+      | Some (s, xs, obj), Some (ds, dxs, dobj) ->
+        let collect xs obj =
+          let sols = ref [] in
+          ( sols,
+            fun () ->
+              sols := (Array.map Var.value_exn xs, Var.lo obj, Var.hi obj) :: !sols
+          )
+        in
+        let dsols, on_dsol = collect dxs dobj in
+        let dw =
+          Dway.solve ds ~vars:dxs ~var_select:Search.first_fail
+            ~val_iter:ascending ~node_limit:inst.limit ~on_solution:on_dsol
+        in
+        let sols, on_sol = collect xs obj in
+        let st =
+          Search.solve s ~vars:xs
+            ~node_limit:(Option.value inst.limit ~default:(dw.nodes + 1))
+            ~on_solution:on_sol ()
+        in
+        same_tree
+          ~ctx:(Printf.sprintf "seed %d" seed)
+          (!sols, st) (!dsols, dw))
 
 (* The optimiser's model of a Figure 10 instance, posted again with the
    reference propagators on a fresh store: the same variables in the
@@ -1541,6 +1675,9 @@ let minimize_keeps_answer_generator =
         Optimizer.build_model ~current:config ~demand ~placed ~target_base ()
       in
       QCheck.assume m.rules_postable;
+      let d =
+        Optimizer.build_model ~current:config ~demand ~placed ~target_base ()
+      in
       let rs, rxs, robj =
         reference_model m ~current:config ~demand ~target_base
       in
@@ -1556,6 +1693,7 @@ let minimize_keeps_answer_generator =
             m.placed_vms
         in
         scoped_probe m.store m.hvars ffd;
+        scoped_probe d.store d.hvars ffd;
         scoped_probe rs rxs ffd
       end;
       keeps_answer
@@ -1564,7 +1702,78 @@ let minimize_keeps_answer_generator =
         ~reference:
           (Ref.minimize rs ~vars:rxs ~obj:robj ~var_select:m.var_select
              ~val_iter:m.val_iter)
+        ~dway:(fun ~node_limit ->
+          Dway.minimize d.store ~vars:d.hvars ~obj:d.obj
+            ~var_select:d.var_select ~val_iter:d.val_iter
+            ~lower_bound:d.lower_bound ~node_limit ())
         (fun node_limit -> Optimizer.search ?node_limit m))
+
+(* ------------------------------------------------ refutation and stops -- *)
+
+(* A node that refutes its first value: [x <> 0] propagated once. The
+   propagator is monotone: it fails, or removes [pruned], once 0 has
+   left x's domain, and records every value x is bound to. *)
+let refutation_case ~pruned ~fail =
+  let s = Store.create () in
+  let x = Store.new_var s ~lo:0 ~hi:4 in
+  let bound = ref [] in
+  let run () =
+    if Var.is_bound x then bound := Var.value_exn x :: !bound;
+    if not (Var.mem 0 x) then
+      if fail then Store.fail (fun () -> "x lost 0")
+      else List.iter (Store.remove s x) pruned
+  in
+  Store.post s (Prop.make ~name:"needs0" run) ~on:[ x ];
+  (s, x, bound)
+
+let check_refutation ~fail ~pruned ~tried ~fails ~solutions =
+  let s, x, bound = refutation_case ~pruned ~fail in
+  let st = Search.solve s ~vars:[| x |] ~on_solution:ignore () in
+  check_list "values tried" tried (List.rev !bound);
+  check_int "fails" fails st.Search.fails;
+  check_int "solutions" solutions st.Search.solutions;
+  let ds, dx, dbound = refutation_case ~pruned ~fail in
+  let dw =
+    Dway.solve ds ~vars:[| dx |] ~var_select:Search.first_fail
+      ~val_iter:ascending ~node_limit:None ~on_solution:ignore
+  in
+  check_list "the d-way loop tries every value" [ 0; 1; 2; 3; 4 ]
+    (List.rev !dbound);
+  check_int "d-way nodes" dw.Search.nodes st.Search.nodes;
+  check_int "d-way fails" dw.Search.fails st.Search.fails;
+  check_int "d-way backtracks" dw.Search.backtracks st.Search.backtracks;
+  check_int "d-way solutions" dw.Search.solutions st.Search.solutions
+
+let test_search_refutation_fails () =
+  check_refutation ~fail:true ~pruned:[] ~tried:[ 0 ] ~fails:4 ~solutions:1
+
+let test_search_refutation_prunes () =
+  check_refutation ~fail:false ~pruned:[ 2; 3 ] ~tried:[ 0; 1; 4 ] ~fails:2
+    ~solutions:3
+
+(* Which limit stopped a search; [timed_out] stays set for both. *)
+let test_search_stop_cause () =
+  let s = Store.create () in
+  let vars = Array.init 8 (fun _ -> Store.new_var s ~lo:0 ~hi:7) in
+  let printed st = Fmt.str "%a" Search.pp_stats st in
+  let capped = Search.solve s ~vars ~node_limit:50 ~on_solution:ignore () in
+  check_bool "node cap" true (capped.Search.stopped_by = Some Search.Node_cap);
+  check_bool "capped timed out" true capped.Search.timed_out;
+  check_bool "prints node cap" true
+    (String.ends_with ~suffix:" (node cap)" (printed capped));
+  (* the clock is read every 64 nodes: the first read finds it expired *)
+  let clocked = Search.solve s ~vars ~timeout:0. ~on_solution:ignore () in
+  check_bool "clock" true (clocked.Search.stopped_by = Some Search.Clock);
+  check_int "stopped at the first clock read" 64 clocked.Search.nodes;
+  check_bool "clocked timed out" true clocked.Search.timed_out;
+  check_bool "prints clock" true
+    (String.ends_with ~suffix:" (clock)" (printed clocked));
+  let complete =
+    Search.solve s ~vars:[| vars.(0) |] ~node_limit:50 ~on_solution:ignore ()
+  in
+  check_bool "complete" true (complete.Search.stopped_by = None);
+  check_bool "prints no stop" true
+    (String.ends_with ~suffix:"s" (printed complete))
 
 (* ---------------------------------------------------------------- run -- *)
 
@@ -1688,11 +1897,20 @@ let () =
             test_search_minimize_proves_optimum;
           Alcotest.test_case "stats regression" `Quick
             test_search_stats_regression;
+          Alcotest.test_case "refutation fails" `Quick
+            test_search_refutation_fails;
+          Alcotest.test_case "refutation prunes" `Quick
+            test_search_refutation_prunes;
+          Alcotest.test_case "stop cause" `Quick test_search_stop_cause;
         ]
         @ qsuite [ minimize_matches_bruteforce ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~long:false
                ~rand:(Random.State.make [| 35 |]))
-            [ minimize_keeps_answer; minimize_keeps_answer_generator ]
+            [
+              minimize_keeps_answer;
+              minimize_keeps_answer_generator;
+              solve_keeps_tree;
+            ]
       );
     ]
